@@ -16,6 +16,11 @@ pub fn median(values: &[f64]) -> f64 {
     }
 }
 
+/// Largest of `values`; 0 for an empty slice.
+pub fn best(values: &[f64]) -> f64 {
+    values.iter().copied().fold(0.0, f64::max)
+}
+
 /// Peak resident set size of this process so far, MiB (`VmHWM`).
 pub fn peak_rss_mb() -> Option<f64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;

@@ -6,10 +6,11 @@
 //! seed never reaches it.
 //!
 //! * `tiny_hit` — the headline shape of the repository's
-//!   `vtime/service/jobs_1000k` bench, scaled to one run of this
-//!   benchmark: every job is a one-region, one-iteration toy job (see
-//!   `tiny_workload`), served from one stored model on 64 nodes with unbounded slots and a
-//!   fixed 14.4 ms interarrival. Per-job simulation is almost nothing, so
+//!   `vtime/service/jobs_1000k` bench, scaled to many short serving
+//!   iterations per run of this benchmark: every job is a one-region,
+//!   one-iteration toy job (see `tiny_workload`), served from one stored
+//!   model on 64 nodes with unbounded slots and a fixed 14.4 ms
+//!   interarrival. Per-job simulation is almost nothing, so
 //!   the event loop, kernel dispatch, repository serve, baseline and
 //!   report assembly carry the wall time. Calibration and the network do
 //!   no work. The seed only names the jobs (job names seed the
@@ -59,7 +60,7 @@ pub const DEFAULT_SEED: u64 = 0x5EED_2019;
 pub const HELDOUT_SEED: u64 = 0xC0DE_0511;
 
 /// `tiny_hit`: jobs per trace.
-const TINY_JOBS: usize = 100_000;
+const TINY_JOBS: usize = 10_000;
 const TINY_NODES: u32 = 64;
 const TINY_INTERARRIVAL_S: f64 = 0.0144;
 
@@ -164,9 +165,9 @@ impl Workload {
     /// Set-up rounds per run: `setup_s` is their median.
     pub fn setup_rounds(self) -> usize {
         if self.is_mix() {
-            3
+            5
         } else {
-            7
+            15
         }
     }
 }
