@@ -85,7 +85,7 @@ fn bench_adam_step(c: &mut Criterion) {
 }
 
 /// The execution engine: one region evaluation (the unit of every
-/// experiment, sweep and exhaustive search).
+/// experiment, sweep and exhaustive search), with and without counters.
 fn bench_exec_engine(c: &mut Criterion) {
     let engine = ExecutionEngine::new();
     let node = Node::exact(0);
@@ -93,6 +93,16 @@ fn bench_exec_engine(c: &mut Criterion) {
     let cfg = SystemConfig::taurus_default();
     c.bench_function("exec/run_region", |b| {
         b.iter(|| black_box(engine.run_region(black_box(&region), &cfg, &node)))
+    });
+    // The exact node has no counter noise. A `Cluster::new` node does, so
+    // there `run_region` pays one normal draw per PMU preset under the
+    // node's RNG lock; `region_power`, the serving path, pays none.
+    let noisy = Node::new(0, 0x5EED);
+    c.bench_function("exec/run_region_noisy", |b| {
+        b.iter(|| black_box(engine.run_region(black_box(&region), &cfg, &noisy)))
+    });
+    c.bench_function("exec/region_power", |b| {
+        b.iter(|| black_box(engine.region_power(black_box(&region), &cfg, &noisy)))
     });
 }
 

@@ -50,6 +50,7 @@ use parking_lot::Mutex;
 use ptf::{EnergyModel, SearchStrategy, TuningModel};
 use simnode::{Cluster, Node, SystemConfig};
 
+use crate::baseline::BaselineMemo;
 use crate::error::RuntimeError;
 use crate::inject::FaultInjector;
 use crate::net::ReplicaSet;
@@ -447,16 +448,17 @@ impl<'b> JobDriver<'b> {
     }
 
     /// Finish an active job whose iterations are exhausted: collect its
-    /// accounting, hand any converged model to `publish`, and run the
-    /// default-configuration baseline for the savings comparison. The
-    /// baseline runs at the node-clamped default (identical to the
-    /// platform default on a full-capability node) and — for an aborted
-    /// job — over the same truncated phase count, so the savings compare
-    /// like with like.
+    /// accounting, hand any converged model to `publish`, and take the
+    /// default-configuration baseline for the savings comparison from
+    /// the loop's `baselines` memo. The baseline runs at the
+    /// node-clamped default (identical to the platform default on a
+    /// full-capability node) and — for an aborted job — over the same
+    /// truncated phase count, so the savings compare like with like.
     pub(crate) fn finish(
         &mut self,
         job: &QueuedJob,
-        node: &Node,
+        node_idx: usize,
+        baselines: &mut BaselineMemo<'_>,
         publish: &mut dyn FnMut(&BenchmarkSpec, ModelPublication) -> u32,
     ) -> Result<(), RuntimeError> {
         match std::mem::replace(&mut self.state, State::Done) {
@@ -473,20 +475,7 @@ impl<'b> JobDriver<'b> {
             }
             State::Waiting | State::Done => unreachable!("finish requires an active driver"),
         }
-        let truncated;
-        let baseline_bench = if self.iterations < job.bench.phase_iterations {
-            truncated = {
-                let mut b = job.bench.clone();
-                b.phase_iterations = self.iterations;
-                b
-            };
-            &truncated
-        } else {
-            &job.bench
-        };
-        self.default = Some(
-            RuntimeSession::static_run(&job.name, baseline_bench, node, node_default(node))?.record,
-        );
+        self.default = Some(baselines.record(&job.name, &job.bench, self.iterations, node_idx)?);
         Ok(())
     }
 }
@@ -897,6 +886,7 @@ impl<'a> ClusterScheduler<'a> {
 
         let mut drivers: Vec<JobDriver<'_>> =
             jobs.iter().map(|job| JobDriver::new(job, faults)).collect();
+        let mut baselines = BaselineMemo::new(cluster);
 
         // Workload keys with a calibration in flight: same-key jobs wait.
         let mut calibrating: BTreeSet<ModelKey> = BTreeSet::new();
@@ -954,7 +944,8 @@ impl<'a> ClusterScheduler<'a> {
                     let was_online = matches!(driver.state, State::Online(_));
                     driver.finish(
                         job,
-                        cluster.node(job.node_idx),
+                        job.node_idx,
+                        &mut baselines,
                         &mut |bench, publication| {
                             repo.publish_online(bench, &publication.model, publication.expected)
                         },
@@ -1205,6 +1196,7 @@ fn drive_partition<'b>(
     jobs: &'b [QueuedJob],
     slots: &mut [Slot<'b>],
 ) -> Result<(), (usize, RuntimeError)> {
+    let mut baselines = BaselineMemo::new(cluster);
     let mut done = 0usize;
     while done < jobs.len() {
         // Sampled *before* the sweep: a resolution that lands anywhere
@@ -1306,7 +1298,8 @@ fn drive_partition<'b>(
                     slot.driver
                         .finish(
                             job,
-                            cluster.node(job.node_idx),
+                            job.node_idx,
+                            &mut baselines,
                             &mut |bench, publication| {
                                 repo.publish_online(bench, &publication.model, publication.expected)
                             },

@@ -77,6 +77,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod baseline;
 pub mod cluster;
 pub mod error;
 pub mod inject;

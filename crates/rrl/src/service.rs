@@ -73,6 +73,7 @@ use obskit::{Recorder, Track};
 use simkit::{EventSink, Kernel, Process, Time};
 use simnode::Cluster;
 
+use crate::baseline::BaselineMemo;
 use crate::cluster::{
     assemble_report, estimated_work, start_calibration, start_monitor, start_plain, ClusterReport,
     ClusterScheduler, EventOutcome, JobDriver, OnlineTuning, Placement, QueuedJob, State,
@@ -484,6 +485,7 @@ struct ServiceRun<'b, 'r, 'a> {
     jobs: &'b [QueuedJob],
     arrivals_us: Vec<Time>,
     drivers: Vec<JobDriver<'b>>,
+    baselines: BaselineMemo<'b>,
     placements: Vec<usize>,
     /// Session wall time already accounted onto the timeline, per job.
     charged_s: Vec<f64>,
@@ -686,9 +688,13 @@ impl ServiceRun<'_, '_, '_> {
         if self.drivers[i].finished_iterations() {
             let was_online = matches!(self.drivers[i].state, State::Online(_));
             let node_idx = self.placements[i];
-            let node = self.cluster.node(node_idx);
-            let Self { drivers, repo, .. } = self;
-            drivers[i].finish(job, node, &mut |bench, publication| {
+            let Self {
+                drivers,
+                repo,
+                baselines,
+                ..
+            } = self;
+            drivers[i].finish(job, node_idx, baselines, &mut |bench, publication| {
                 repo.publish_online(node_idx, bench, &publication.model, publication.expected)
             })?;
             // A publication must gossip out while the service keeps
@@ -1278,6 +1284,7 @@ impl ClusterScheduler<'_> {
             repo,
             slots_per_node: config.slots_per_node,
             drivers: jobs.iter().map(|job| JobDriver::new(job, faults)).collect(),
+            baselines: BaselineMemo::new(cluster),
             placements: vec![0; jobs.len()],
             charged_s: vec![0.0; jobs.len()],
             enqueued_us: vec![0; jobs.len()],

@@ -28,13 +28,23 @@
 //!
 //! Accounting is deterministic and *interleaving-independent*: the HDEEM
 //! measurement noise is seeded from the job name, the workload
-//! fingerprint and the node id, so a session multiplexed among many
-//! others by the [`crate::ClusterScheduler`] produces bit-identical
-//! results to the same session run alone. The property holds across
-//! *threads* as well as sweep orders — it is what lets
+//! fingerprint and the node id (one rule, `job_seed`), so a session
+//! multiplexed among many others by the [`crate::ClusterScheduler`]
+//! produces bit-identical results to the same session run alone. The
+//! property holds across *threads* as well as sweep orders — it is what
+//! lets
 //! [`ClusterScheduler::run_parallel`](crate::ClusterScheduler::run_parallel)
 //! drive sessions on concurrent workers and still match the sequential
 //! event loop bit for bit.
+//!
+//! Serving never draws PMU noise. `region_exit` executes the region
+//! through [`ExecutionEngine::region_power`], which yields time and power
+//! but derives no counters. So plain sessions, the
+//! [`OnlineTuner`](crate::OnlineTuner)'s monitor and calibration
+//! sessions, and the schedulers' default-run baselines leave their node's
+//! counter-noise RNG untouched. Only design-time and instrumented runs
+//! ([`ExecutionEngine::run_region`]) draw from it, the tuner's
+//! analysis-stage counter-rate measurement among them.
 
 use kernels::BenchmarkSpec;
 use ptf::TuningModel;
@@ -42,6 +52,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scorep_lite::region::RegionKind;
 use scorep_lite::{InstrumentationConfig, PcpStack};
+use simnode::hdeem::HdeemMeasurement;
 use simnode::{ExecutionEngine, HdeemSensor, Node, SystemConfig};
 
 use crate::error::RuntimeError;
@@ -143,9 +154,7 @@ impl<'a> RuntimeSession<'a> {
         }
         node.apply_frequencies(&initial);
         let job = job.into();
-        let seed = kernels::fnv1a(job.as_bytes())
-            ^ bench.fingerprint()
-            ^ u64::from(node.id()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let seed = job_seed(&job, bench.fingerprint(), node);
         Ok(Self {
             job,
             bench,
@@ -358,27 +367,23 @@ impl<'a> RuntimeSession<'a> {
         // Resolved and validated by `region_enter`.
         let spec = &self.bench.regions[open.idx];
         let config = self.pcps.current();
-        let run = self
-            .engine
-            .run_region(&spec.character_at(self.phase_iter), &config, self.node);
+        let (run_s, power) =
+            self.engine
+                .region_power(&spec.character_at(self.phase_iter), &config, self.node);
 
-        let (duration, node_j, cpu_j, overhead) = if open.filtered {
-            (run.duration_s, run.node_energy_j, run.cpu_energy_j, 0.0)
+        let (duration, overhead) = if open.filtered {
+            (run_s, 0.0)
         } else {
             let frac = self.inst.overhead_frac(RegionKind::infer(region));
-            let stretched = run.duration_s * (1.0 + frac) + self.inst.probe_cost_s;
-            (
-                stretched,
-                run.power.node_w() * stretched,
-                run.power.cpu_w() * stretched,
-                stretched - run.duration_s,
-            )
+            let stretched = run_s * (1.0 + frac) + self.inst.probe_cost_s;
+            (stretched, stretched - run_s)
         };
+        let (node_j, cpu_j) = (power.node_w() * duration, power.cpu_w() * duration);
 
         self.wall_s += duration;
         self.instr_overhead_s += overhead;
         self.rapl_j += cpu_j;
-        self.segments.push((run.power.node_w(), duration));
+        self.segments.push((power.node_w(), duration));
 
         self.regions.accumulate(region, duration, node_j, cpu_j);
 
@@ -431,18 +436,10 @@ impl<'a> RuntimeSession<'a> {
                 event: "finish".to_string(),
             });
         }
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let job_energy_j = HdeemSensor::taurus()
-            .measure_trace(&self.segments, &mut rng)
-            .energy_j;
         Ok(JobAccounting {
+            record: self.window().record(self.seed),
             job: self.job,
             node_id: self.node.id(),
-            record: JobRecord {
-                job_energy_j,
-                cpu_energy_j: self.rapl_j,
-                elapsed_s: self.wall_s,
-            },
             regions: self.regions,
             switches: self.pcps.switches(),
             switch_time_s: self.pcps.total_latency_s(),
@@ -462,11 +459,66 @@ impl<'a> RuntimeSession<'a> {
         node: &Node,
         config: SystemConfig,
     ) -> Result<JobAccounting, RuntimeError> {
+        RuntimeSession::static_session(job, bench, node, config)?.finish()
+    }
+
+    /// The completed, not yet finished session behind [`Self::static_run`].
+    pub(crate) fn static_session(
+        job: impl Into<String>,
+        bench: &'a BenchmarkSpec,
+        node: &'a Node,
+        config: SystemConfig,
+    ) -> Result<Self, RuntimeError> {
         let served = ServedModel::fallback(TuningModel::new(&bench.name, &[], config));
         let mut session = RuntimeSession::start_from(job, bench, node, served, config)?
             .with_instrumentation(InstrumentationConfig::uninstrumented());
         session.run_to_completion()?;
-        session.finish()
+        Ok(session)
+    }
+
+    /// The job so far as HDEEM and `sacct` see it, before the noise draw.
+    pub(crate) fn window(&self) -> JobWindow {
+        JobWindow {
+            window: HdeemSensor::taurus().measure_window(&self.segments),
+            cpu_energy_j: self.rapl_j,
+            elapsed_s: self.wall_s,
+        }
+    }
+}
+
+/// The one job-seed rule: job name ⊕ workload fingerprint ⊕ node id. It
+/// seeds a job's HDEEM noise draw and the online tuner's explore
+/// schedule, and makes both independent of what else ran on the node.
+pub(crate) fn job_seed(job: &str, workload_fingerprint: u64, node: &Node) -> u64 {
+    kernels::fnv1a(job.as_bytes())
+        ^ workload_fingerprint
+        ^ u64::from(node.id()).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// A completed phase loop as HDEEM and `sacct` see it before the job's
+/// one noise draw. Nothing in it depends on the job's name, so one window
+/// can stand for every job that ran the same workload, iteration count
+/// and configuration on the same node.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct JobWindow {
+    /// The noiseless HDEEM window over the node-power trace.
+    pub(crate) window: HdeemMeasurement,
+    pub(crate) cpu_energy_j: f64,
+    pub(crate) elapsed_s: f64,
+}
+
+impl JobWindow {
+    /// The job's `sacct` record: the window's energy after the noise draw
+    /// seeded by `seed` (see `job_seed`).
+    pub(crate) fn record(&self, seed: u64) -> JobRecord {
+        let mut rng = StdRng::seed_from_u64(seed);
+        JobRecord {
+            job_energy_j: HdeemSensor::taurus()
+                .add_noise(self.window, &mut rng)
+                .energy_j,
+            cpu_energy_j: self.cpu_energy_j,
+            elapsed_s: self.elapsed_s,
+        }
     }
 }
 

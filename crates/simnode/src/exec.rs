@@ -191,31 +191,16 @@ impl ExecutionEngine {
     /// Counter noise follows the node's measurement-noise setting; pass the
     /// same node for reproducible sequences.
     pub fn run_region(&self, c: &RegionCharacter, cfg: &SystemConfig, node: &Node) -> RegionRun {
-        debug_assert!(c.validate().is_ok(), "invalid region character");
-        let threads = cfg.threads.clamp(1, node.topology().max_threads());
-        let cfg = SystemConfig { threads, ..*cfg };
-        let (t, t_comp, t_mem) = self.timing(c, &cfg);
-
-        // Activity factors for the power model.
-        let core_util = (t_comp / t).clamp(0.0, 1.0);
-        let achieved_bw_gbs = if t > 0.0 {
-            c.dram_bytes_per_iter / t / 1e9
-        } else {
-            0.0
-        };
-        let bw_frac = achieved_bw_gbs / self.mem.peak_bw_gbs;
-        // Uncore activity: DRAM traffic plus L3-resident cache traffic.
-        let l3_rate = c.l2_miss_per_instr * c.instr_per_iter / t / 1e9; // G accesses/s
-        let uncore_util = (0.75 * bw_frac + 0.1 * l3_rate).clamp(0.0, 1.0);
-        let act = ActivityFactors {
-            core_util,
-            mem_bw_gbs: achieved_bw_gbs,
-            active_threads: threads,
-            uncore_util,
-        };
-        let power = node.power(&cfg, &act);
+        let Execution {
+            cfg,
+            t,
+            t_comp,
+            t_mem,
+            power,
+        } = self.execute(c, cfg, node);
 
         // Cycle accounting across the active cores.
+        let threads = cfg.threads;
         let total_cycles = t * cfg.core.hz() * threads as f64;
         let busy_cycles = c.instr_per_iter / c.ipc_base;
         let stall_cycles = (total_cycles - busy_cycles).max(0.0);
@@ -242,6 +227,66 @@ impl ExecutionEngine {
             t_mem_s: t_mem,
         }
     }
+
+    /// [`Self::run_region`] without the PMU view: the iteration's wall
+    /// time and power decomposition, bit-identical to `run_region`'s
+    /// `duration_s` and `power`. It derives no counters and so never
+    /// touches the node's RNG — the entry point for callers that only
+    /// account time and energy (the runtime's serving path).
+    pub fn region_power(
+        &self,
+        c: &RegionCharacter,
+        cfg: &SystemConfig,
+        node: &Node,
+    ) -> (f64, PowerBreakdown) {
+        let run = self.execute(c, cfg, node);
+        (run.t, run.power)
+    }
+
+    /// The shared core of [`Self::run_region`] and [`Self::region_power`]:
+    /// clamp the thread count to the node, time the iteration and
+    /// evaluate the node's power model on the resulting activity.
+    fn execute(&self, c: &RegionCharacter, cfg: &SystemConfig, node: &Node) -> Execution {
+        debug_assert!(c.validate().is_ok(), "invalid region character");
+        let threads = cfg.threads.clamp(1, node.topology().max_threads());
+        let cfg = SystemConfig { threads, ..*cfg };
+        let (t, t_comp, t_mem) = self.timing(c, &cfg);
+
+        // Activity factors for the power model.
+        let core_util = (t_comp / t).clamp(0.0, 1.0);
+        let achieved_bw_gbs = if t > 0.0 {
+            c.dram_bytes_per_iter / t / 1e9
+        } else {
+            0.0
+        };
+        let bw_frac = achieved_bw_gbs / self.mem.peak_bw_gbs;
+        // Uncore activity: DRAM traffic plus L3-resident cache traffic.
+        let l3_rate = c.l2_miss_per_instr * c.instr_per_iter / t / 1e9; // G accesses/s
+        let uncore_util = (0.75 * bw_frac + 0.1 * l3_rate).clamp(0.0, 1.0);
+        let act = ActivityFactors {
+            core_util,
+            mem_bw_gbs: achieved_bw_gbs,
+            active_threads: threads,
+            uncore_util,
+        };
+        Execution {
+            cfg,
+            t,
+            t_comp,
+            t_mem,
+            power: node.power(&cfg, &act),
+        }
+    }
+}
+
+/// One iteration's timing and power, before any counters are derived.
+struct Execution {
+    /// The configuration as executed (threads clamped to the node).
+    cfg: SystemConfig,
+    t: f64,
+    t_comp: f64,
+    t_mem: f64,
+    power: PowerBreakdown,
 }
 
 #[cfg(test)]
@@ -401,6 +446,57 @@ mod tests {
         let run = eng.run_region(&compute_bound(), &SystemConfig::new(999, 2500, 3000), &n);
         let run24 = eng.run_region(&compute_bound(), &SystemConfig::new(24, 2500, 3000), &n);
         assert!((run.duration_s - run24.duration_s).abs() < 1e-12);
+    }
+
+    #[test]
+    fn region_power_is_run_region_without_counters_bit_for_bit() {
+        let eng = ExecutionEngine::new();
+        let characters = [
+            compute_bound(),
+            memory_bound(),
+            RegionCharacter::builder(1e9).dram_bytes(0.0).build(),
+        ];
+        // 0 and 999 threads are clamped, and so is 24 on the 12-core node.
+        let configs = [
+            SystemConfig::taurus_default(),
+            SystemConfig::new(0, 1200, 1300),
+            SystemConfig::new(12, 1800, 2200),
+            SystemConfig::new(999, 2500, 3000),
+        ];
+        let mut gapped = crate::Topology::taurus_haswell();
+        gapped.cores_per_socket = 6;
+        let nodes = [
+            Node::exact(0),
+            Node::new(3, 77),
+            Node::new(5, 77).with_topology(gapped),
+        ];
+        let bits =
+            |p: &PowerBreakdown| [p.core_w, p.uncore_w, p.dram_w, p.blade_w].map(f64::to_bits);
+        for node in &nodes {
+            for c in &characters {
+                for cfg in &configs {
+                    let (t, power) = eng.region_power(c, cfg, node);
+                    let run = eng.run_region(c, cfg, node);
+                    assert_eq!(t.to_bits(), run.duration_s.to_bits());
+                    assert_eq!(bits(&power), bits(&run.power));
+                    assert_eq!((power.node_w() * t).to_bits(), run.node_energy_j.to_bits());
+                    assert_eq!((power.cpu_w() * t).to_bits(), run.cpu_energy_j.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn region_power_leaves_the_counter_rng_alone() {
+        let eng = ExecutionEngine::new();
+        let (served, fresh) = (Node::new(2, 9), Node::new(2, 9));
+        let cfg = SystemConfig::taurus_default();
+        for _ in 0..10 {
+            eng.region_power(&memory_bound(), &cfg, &served);
+        }
+        let a = eng.run_region(&compute_bound(), &cfg, &served).counters;
+        let b = eng.run_region(&compute_bound(), &cfg, &fresh).counters;
+        assert_eq!(a, b, "noise streams must still be in step");
     }
 
     #[test]

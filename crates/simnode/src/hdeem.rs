@@ -65,8 +65,17 @@ impl HdeemSensor {
     }
 
     /// Measure a piecewise-constant power trace of `(power_w, dt_s)`
-    /// segments.
+    /// segments: [`Self::measure_window`] followed by [`Self::add_noise`].
     pub fn measure_trace(&self, segments: &[(f64, f64)], rng: &mut StdRng) -> HdeemMeasurement {
+        self.add_noise(self.measure_window(segments), rng)
+    }
+
+    /// The deterministic part of a measurement: the window the sensor
+    /// sees (start delay skipped, quantised to whole samples) integrated
+    /// without noise. Identical traces give identical windows, so callers
+    /// that measure one trace many times may keep the window and redo
+    /// only [`Self::add_noise`].
+    pub fn measure_window(&self, segments: &[(f64, f64)]) -> HdeemMeasurement {
         let total: f64 = segments.iter().map(|(_, dt)| dt).sum();
         let visible = (total - self.start_delay_s).max(0.0);
 
@@ -83,16 +92,23 @@ impl HdeemSensor {
         let period = 1.0 / self.sample_rate_hz;
         let samples = (visible / period).floor() as u64;
         let measured = samples as f64 * period;
-        let mut energy = integrate(segments, self.start_delay_s, self.start_delay_s + measured);
-        if self.noise_sd > 0.0 && energy > 0.0 {
-            let normal = Normal::new(1.0, self.noise_sd).expect("valid noise");
-            energy *= normal.sample(rng).max(0.0);
-        }
         HdeemMeasurement {
-            energy_j: energy,
+            energy_j: integrate(segments, self.start_delay_s, self.start_delay_s + measured),
             samples,
             measured_duration_s: measured,
         }
+    }
+
+    /// The seeded part of a measurement: scale a window's energy by one
+    /// ADC noise draw from `rng`. The ideal sensor, a noiseless sensor
+    /// and an empty window draw nothing.
+    pub fn add_noise(&self, window: HdeemMeasurement, rng: &mut StdRng) -> HdeemMeasurement {
+        let mut energy_j = window.energy_j;
+        if self.sample_rate_hz.is_finite() && self.noise_sd > 0.0 && energy_j > 0.0 {
+            let normal = Normal::new(1.0, self.noise_sd).expect("valid noise");
+            energy_j *= normal.sample(rng).max(0.0);
+        }
+        HdeemMeasurement { energy_j, ..window }
     }
 }
 
@@ -176,6 +192,78 @@ mod tests {
         assert_eq!(a, b, "same seed must reproduce");
         let exact = 200.0 * 0.995;
         assert!((a.energy_j - exact).abs() / exact < 0.01);
+    }
+
+    /// The single-pass `measure_trace` body from before the window/noise
+    /// split, kept verbatim as the oracle.
+    fn reference_measure_trace(
+        s: &HdeemSensor,
+        segments: &[(f64, f64)],
+        rng: &mut StdRng,
+    ) -> HdeemMeasurement {
+        let total: f64 = segments.iter().map(|(_, dt)| dt).sum();
+        let visible = (total - s.start_delay_s).max(0.0);
+        if !s.sample_rate_hz.is_finite() {
+            let energy = integrate(segments, s.start_delay_s, total);
+            return HdeemMeasurement {
+                energy_j: energy,
+                samples: u64::MAX,
+                measured_duration_s: visible,
+            };
+        }
+        let period = 1.0 / s.sample_rate_hz;
+        let samples = (visible / period).floor() as u64;
+        let measured = samples as f64 * period;
+        let mut energy = integrate(segments, s.start_delay_s, s.start_delay_s + measured);
+        if s.noise_sd > 0.0 && energy > 0.0 {
+            let normal = Normal::new(1.0, s.noise_sd).expect("valid noise");
+            energy *= normal.sample(rng).max(0.0);
+        }
+        HdeemMeasurement {
+            energy_j: energy,
+            samples,
+            measured_duration_s: measured,
+        }
+    }
+
+    #[test]
+    fn trace_measurement_is_window_plus_noise_bit_for_bit() {
+        use rand::RngCore;
+        let noisy_ideal = HdeemSensor {
+            noise_sd: 0.01,
+            ..HdeemSensor::ideal()
+        };
+        let sensors = [HdeemSensor::taurus(), HdeemSensor::ideal(), noisy_ideal];
+        let traces: [&[(f64, f64)]; 4] = [
+            &[],
+            &[(250.0, 0.003)],
+            &[(180.0, 0.4), (320.0, 1.25), (90.0, 0.0004)],
+            &[(410.0, 2.0); 16],
+        ];
+        for sensor in &sensors {
+            for trace in traces {
+                for seed in [0u64, 7, 0x5EED] {
+                    let expected = reference_measure_trace(sensor, trace, &mut rng_at(seed));
+                    let mut a = rng_at(seed);
+                    let measured = sensor.measure_trace(trace, &mut a);
+                    let mut b = rng_at(seed);
+                    let split = sensor.add_noise(sensor.measure_window(trace), &mut b);
+                    for m in [measured, split] {
+                        assert_eq!(m.energy_j.to_bits(), expected.energy_j.to_bits());
+                        assert_eq!(m.samples, expected.samples);
+                        // By value: `f64::max(-0.0, 0.0)` may return either
+                        // zero, so an empty trace's sign is unspecified.
+                        assert_eq!(m.measured_duration_s, expected.measured_duration_s);
+                    }
+                    // Both paths consumed the same number of draws.
+                    assert_eq!(a.next_u64(), b.next_u64());
+                }
+            }
+        }
+    }
+
+    fn rng_at(seed: u64) -> StdRng {
+        StdRng::seed_from_u64(seed)
     }
 
     #[test]

@@ -175,20 +175,20 @@ impl MsrBank {
     /// proceed in parallel across cores, so the cost is one core latency,
     /// and the caller decides how to account it.
     pub fn set_all_core_mhz(&self, mhz: u32) -> f64 {
-        for core in 0..self.topo.total_cores() {
-            self.write(core, IA32_PERF_CTL, Self::encode_perf_ctl(mhz))
-                .expect("core index in range");
-        }
+        // One lock for the whole sweep: a write per core, counted as such,
+        // without a lock round trip per core.
+        let mut st = self.state.lock();
+        st.perf_ctl.fill(Self::encode_perf_ctl(mhz));
+        st.core_writes += st.perf_ctl.len() as u64;
         CORE_TRANSITION_LATENCY_S
     }
 
     /// Pin the uncore frequency on all sockets. Returns the transition
     /// latency incurred (per-socket writes overlap).
     pub fn set_all_uncore_mhz(&self, mhz: u32) -> f64 {
-        for s in 0..self.topo.sockets {
-            self.write(s, MSR_UNCORE_RATIO_LIMIT, Self::encode_uncore(mhz, mhz))
-                .expect("socket index in range");
-        }
+        let mut st = self.state.lock();
+        st.uncore_ratio.fill(Self::encode_uncore(mhz, mhz));
+        st.socket_writes += st.uncore_ratio.len() as u64;
         UNCORE_TRANSITION_LATENCY_S
     }
 

@@ -149,6 +149,14 @@ impl Node {
     }
 
     /// Run a closure with this node's RNG (counter noise etc.).
+    ///
+    /// Only runs that derive PMU counters draw from it: design-time
+    /// experiments and instrumented application runs
+    /// ([`ExecutionEngine::run_region`](crate::ExecutionEngine::run_region)).
+    /// Serving never does — the runtime executes regions through
+    /// [`ExecutionEngine::region_power`](crate::ExecutionEngine::region_power)
+    /// — so a node's counter-noise stream is the same whether or not it
+    /// served jobs in between.
     pub fn with_rng<T>(&self, f: impl FnOnce(&mut StdRng) -> T) -> T {
         f(&mut self.rng.lock())
     }

@@ -508,3 +508,49 @@ fn read_repair_avoids_a_second_cold_calibration() {
         "without read-repair the same miss cold-calibrates"
     );
 }
+
+/// Serving never draws PMU noise: sessions and their default-run
+/// baselines execute regions without deriving counters, so after a
+/// service run over a noisy `Cluster::new` fleet each served node's
+/// counter-noise stream is where a fresh node with the same `(id, seed)`
+/// starts, and a design-time measurement on it reads the same rates.
+#[test]
+fn serving_leaves_the_nodes_counter_noise_stream_alone() {
+    use dvfs_ufs_tuning::ptf::phase_counter_rates;
+    use dvfs_ufs_tuning::simnode::Node;
+
+    let seed = 0x5EED;
+    let cluster = Cluster::new(2, seed);
+    let tuned = toy_bench("tuned-toy", 2e10, 4);
+    let model = TuningModel::new(
+        "tuned-toy",
+        &[("omp parallel:1".into(), SystemConfig::new(24, 2400, 1700))],
+        SystemConfig::new(24, 2400, 1700),
+    );
+    let mut repo = TuningModelRepository::new().with_fallback(taurus_fallback());
+    repo.insert(&tuned, &model);
+    let trace: Vec<JobArrival> = (0..8)
+        .map(|i| JobArrival {
+            name: format!("noise-{i}"),
+            bench: tuned.clone(),
+            arrival_s: 0.25 * i as f64,
+        })
+        .collect();
+    let report = ClusterScheduler::new(&cluster)
+        .unwrap()
+        .run_service(trace, &mut repo, &ServiceConfig::default())
+        .unwrap();
+    assert_eq!(report.nodes_used, 2, "both nodes served");
+
+    let analysis = SystemConfig::calibration();
+    for node in cluster.iter() {
+        assert!(node.counter_noise_sd() > 0.0);
+        let fresh = Node::new(node.id(), seed);
+        assert_eq!(
+            phase_counter_rates(&tuned, node, analysis),
+            phase_counter_rates(&tuned, &fresh, analysis),
+            "node {} after serving",
+            node.id()
+        );
+    }
+}
