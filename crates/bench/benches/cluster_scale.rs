@@ -1,12 +1,6 @@
-//! The cluster-scale serving benchmark behind this repo's "as fast as
-//! the hardware allows" north star: one full 1 024-job / 32-node
-//! submission wave through the `ClusterScheduler`, sequential event loop
-//! vs the parallel event loop over the lock-striped `SharedRepository`.
-//!
-//! Both paths produce bit-identical per-job accounting (property-tested
-//! in `tests/runtime.rs`); this bench records their throughput. The
-//! parallel figure scales with the host's cores — on a single-core
-//! runner it shows the pure overhead of the worker machinery instead.
+//! The cluster-scale serving benchmark: one full 1 024-job / 32-node
+//! submission wave through the `ClusterScheduler`'s sweep loop, plus the
+//! lock-striped `SharedRepository` serve hot path.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -59,7 +53,7 @@ fn submit_wave(sched: &mut ClusterScheduler<'_>, benches: &[BenchmarkSpec]) {
     }
 }
 
-/// One full submission wave, sequential vs parallel.
+/// One full submission wave through the sweep loop.
 fn bench_cluster_scale(c: &mut Criterion) {
     let cluster = Cluster::new(NODES, 0x5CA1E);
     let (benches, models) = wave();
@@ -77,25 +71,11 @@ fn bench_cluster_scale(c: &mut Criterion) {
             black_box(sched.run(&mut repo).unwrap().aggregate)
         })
     });
-
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let shared = SharedRepository::new(16).with_fallback(SystemConfig::new(24, 2400, 1700));
-    for (b, m) in benches.iter().zip(&models) {
-        shared.insert(b, m);
-    }
-    group.bench_function(format!("parallel_{JOBS}x{NODES}_w{workers}"), |b| {
-        b.iter(|| {
-            let mut sched = ClusterScheduler::new(&cluster).unwrap();
-            submit_wave(&mut sched, &benches);
-            black_box(sched.run_parallel(&shared, workers).unwrap().aggregate)
-        })
-    });
     group.finish();
 }
 
-/// The shared-repository serve hot path under thread contention: every
-/// worker hammering the same striped map (the per-admission cost of the
-/// parallel event loop).
+/// The shared-repository serve hot path: repeated serves against the
+/// same striped map.
 fn bench_shared_repository(c: &mut Criterion) {
     let (benches, models) = wave();
     let shared = SharedRepository::new(16);

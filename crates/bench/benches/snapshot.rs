@@ -14,7 +14,7 @@
 //!   single-core runner both degenerate to the per-serve cost (the
 //!   entries record overhead parity), while on an N-core host the
 //!   snapshot sweep approaches N-way scaling against the serialised
-//!   lock (the same caveat `cluster_scale`'s parallel entry carries).
+//!   lock.
 //! * `publish_under_load` — one writer publishing version bumps while 15
 //!   readers keep serving: the copy-on-publish cost including the
 //!   epoch grace period that waits out in-flight readers.

@@ -97,17 +97,6 @@ impl<'a> DesignTimeAnalysis<'a> {
             .run(bench)?;
         Ok(advice.into_report())
     }
-
-    /// Run the full DTA for `bench`.
-    ///
-    /// # Panics
-    /// Panics when the session fails (unknown significant region, empty
-    /// candidate sets). Use [`DesignTimeAnalysis::try_run`] — or the
-    /// staged [`TuningSession`] API — to handle those as errors.
-    #[deprecated(note = "use ptf::session::TuningSession (or try_run) instead")]
-    pub fn run(&self, bench: &BenchmarkSpec) -> DtaReport {
-        self.try_run(bench).expect("design-time analysis failed")
-    }
 }
 
 #[cfg(test)]
@@ -159,19 +148,6 @@ mod tests {
         // recentring grid (≤ 49) + ≤ 2×3×3 verification configs.
         assert!(report.experiments >= 4 + 1 + 6);
         assert!(report.experiments <= 4 + 1 + 49 + 18);
-    }
-
-    #[test]
-    fn deprecated_run_still_produces_the_same_report() {
-        let node = Node::exact(0);
-        let model = trained_model(&node);
-        let dta = DesignTimeAnalysis::new(&node, &model);
-        let bench = kernels::benchmark("miniMD").unwrap();
-        #[allow(deprecated)]
-        let legacy = dta.run(&bench);
-        let current = dta.try_run(&bench).unwrap();
-        assert_eq!(legacy.tuning_model, current.tuning_model);
-        assert_eq!(legacy.experiments, current.experiments);
     }
 
     #[test]

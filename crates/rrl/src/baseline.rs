@@ -22,8 +22,8 @@ use crate::error::RuntimeError;
 use crate::sacct::JobRecord;
 use crate::session::{job_seed, JobWindow, RuntimeSession};
 
-/// One event loop's baseline memo over one fleet (each `run_parallel`
-/// worker owns its own, so no lock is shared).
+/// One event loop's baseline memo over one fleet (each run owns its
+/// own).
 pub(crate) struct BaselineMemo<'c> {
     cluster: &'c Cluster,
     /// Keyed by node *index*: [`Cluster::from_nodes`] accepts repeated

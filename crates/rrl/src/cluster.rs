@@ -10,58 +10,44 @@
 //! [`crate::session`]), every job's result is bit-identical to running
 //! its session alone.
 //!
-//! Two event loops drive the same job-state machine:
+//! Two event loops drive the same job-state machine and the same
+//! cold-workload admission policy:
 //!
-//! * [`ClusterScheduler::run`] — single-threaded over a `&mut`
-//!   [`TuningModelRepository`]; every job advances on one thread.
-//! * [`ClusterScheduler::run_parallel`] — the submitted jobs are
-//!   partitioned across real worker threads (`rayon::scope`), each worker
-//!   running the interleaved event loop over its own partition while all
-//!   of them serve from one lock-striped [`SharedRepository`]. Cold
-//!   workloads stay correct under concurrency through a
-//!   [`CalibrationLatch`]: leadership of each unseen workload is fixed in
-//!   submission order before the workers start, and same-workload
-//!   followers block on the workload's latch entry — not on a global
-//!   scheduler stall — until the leader publishes or fails.
+//! * [`ClusterScheduler::run`] — the sweep loop: every queued job is
+//!   admitted in submission order, and each sweep advances every active
+//!   session by one event. It serves from any [`RepositoryHandle`] — a
+//!   [`TuningModelRepository`](crate::TuningModelRepository), a
+//!   [`SharedRepository`](crate::SharedRepository), or one replica of a
+//!   [`ReplicaSet`](crate::ReplicaSet) — and is the reference the
+//!   service loop is checked against.
+//! * [`ClusterScheduler::run_service`] — the discrete-event loop of
+//!   [`crate::service`]: timestamped arrivals, bounded node slots and
+//!   node churn in virtual time.
 //!
 //! Both produce a [`ClusterReport`] with per-job outcomes in submission
-//! order, and — for the same submissions, seeds and repository contents —
-//! **bit-identical per-job [`JobAccounting`]**: accounting depends only
-//! on the job's identity and its served model, never on which thread or
-//! sweep ordering executed it. (The one caveat is LRU pressure: when the
-//! repository is actively evicting *during* the run, serve order — which
-//! is nondeterministic across workers — can change which entries survive;
-//! a follower whose leader's publication was already evicted re-calibrates
-//! as the sequential loop would, but several same-workload followers may
-//! do so concurrently instead of queuing. Keep the capacity at or above
-//! the distinct-workload count of a wave to retain the guarantee.
-//! Publication *version numbers* may also be assigned in a different
-//! order when several workloads of one application publish concurrently.)
+//! order. Accounting depends only on the job's identity and its served
+//! model, never on the order in which the loop advanced the sessions, so
+//! the same admissions give bit-identical per-job [`JobAccounting`].
 //!
 //! The run produces per-job `sacct`-style accounting, per-job savings
 //! against a default-configuration run of the same job on the same node,
 //! and an aggregate cluster savings report.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use kernels::BenchmarkSpec;
 use obskit::{NoopRecorder, Recorder};
-use parking_lot::Mutex;
 use ptf::{EnergyModel, SearchStrategy, TuningModel};
 use simnode::{Cluster, Node, SystemConfig};
 
 use crate::baseline::BaselineMemo;
 use crate::error::RuntimeError;
 use crate::inject::FaultInjector;
-use crate::net::ReplicaSet;
 use crate::online::{DriftEvent, ModelPublication, OnlineConfig, OnlineTuner};
-use crate::repository::{
-    ModelKey, RepositoryHandle, RepositoryStats, ServedModel, TuningModelRepository,
-};
+use crate::repository::{ModelKey, RepositoryHandle, RepositoryStats, ServedModel};
 use crate::sacct::{JobAccounting, JobRecord};
 use crate::savings::Savings;
 use crate::session::RuntimeSession;
-use crate::shard::{CalibrationLatch, CalibrationOutcome, LatchStatus, SharedRepository};
 
 /// Job-to-node placement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -86,8 +72,7 @@ pub enum Placement {
 #[derive(Clone, Copy)]
 pub struct OnlineTuning<'a> {
     /// Candidate-generation strategy for calibrations (the design-time
-    /// `SearchStrategy` machinery). `SearchStrategy: Sync`, so one
-    /// strategy serves every worker of a parallel run.
+    /// `SearchStrategy` machinery).
     pub strategy: &'a dyn SearchStrategy,
     /// Trained energy model for model-predicting strategies (`None` is
     /// fine for exhaustive/random search).
@@ -168,7 +153,7 @@ pub struct ClusterReport {
     /// Distinct nodes that executed at least one job.
     pub nodes_used: usize,
     /// Virtual-time service metrics — present only for
-    /// [`ClusterScheduler::run_service`] runs (the sweep loops have no
+    /// [`ClusterScheduler::run_service`] runs (the sweep loop has no
     /// timeline to measure latency on).
     pub service: Option<crate::service::ServiceSummary>,
 }
@@ -287,8 +272,8 @@ pub(crate) struct QueuedJob {
 
 /// The per-job execution state both event loops drive.
 pub(crate) enum State<'b> {
-    /// Not yet admitted (queued behind a calibration, or not yet reached
-    /// by its worker).
+    /// Not yet admitted (not yet arrived, queued, or waiting behind a
+    /// calibration).
     Waiting,
     /// An ordinary model-serving session.
     Plain(Box<RuntimeSession<'b>>),
@@ -310,8 +295,8 @@ pub(crate) enum EventOutcome {
 }
 
 /// One job's driver: its state machine plus everything the final report
-/// needs. The sequential and the parallel event loops share this
-/// completely — only admission (who serves the model, and when) differs.
+/// needs. The sweep and the service loops share this completely — only
+/// when each job is admitted and advanced differs.
 pub(crate) struct JobDriver<'b> {
     pub(crate) state: State<'b>,
     region_idx: usize,
@@ -430,10 +415,10 @@ impl<'b> JobDriver<'b> {
     /// phase-complete, and return that boundary event's outcome. One
     /// repository/accounting pass per session sweep instead of
     /// per-event dispatch — the batched twin of [`JobDriver::advance`]
-    /// used by the parallel and discrete-event loops (the sequential
-    /// loop keeps single-event `advance` as the reference
-    /// implementation). Per-job accounting is interleaving-independent,
-    /// so batching granularity is unobservable in the report.
+    /// used by the discrete-event loop (the sweep loop keeps
+    /// single-event `advance` as the reference implementation). Per-job
+    /// accounting is interleaving-independent, so batching granularity
+    /// is unobservable in the report.
     pub(crate) fn advance_phase(
         &mut self,
         bench: &BenchmarkSpec,
@@ -573,8 +558,8 @@ pub(crate) fn start_monitor<'b>(
 /// injected fault, an exploration-budget failure, a planning failure, or
 /// a capability-gap rejection of the calibration launch — degrade the
 /// leader instead of erroring; the returned flag tells the caller to mark
-/// the workload's calibration *failed* (the sequential `failed` set, or
-/// the parallel latch) so same-workload followers take the fallback path.
+/// the workload's calibration *failed* ([`AdmissionGate::lead`]) so
+/// same-workload followers take the fallback path.
 pub(crate) fn start_calibration<'b>(
     job: &'b QueuedJob,
     node: &'b Node,
@@ -620,11 +605,11 @@ pub(crate) fn start_calibration<'b>(
 }
 
 /// Fold finished drivers into the aggregate report (submission order, so
-/// the floating-point totals are identical no matter which event loop —
-/// or how many workers — produced the drivers). `placements` gives each
-/// job's final node index: the sweep loops pass the submission-time
-/// placement verbatim, the discrete-event service passes its live
-/// placements (which churn re-placement may have moved).
+/// the floating-point totals are identical no matter which event loop
+/// produced the drivers). `placements` gives each job's final node
+/// index: the sweep loop passes the submission-time placement verbatim,
+/// the discrete-event service passes its live placements (which churn
+/// re-placement may have moved).
 pub(crate) fn assemble_report(
     cluster: &Cluster,
     jobs: &[QueuedJob],
@@ -676,32 +661,78 @@ pub(crate) fn assemble_report(
     }
 }
 
-/// How the parallel event loop will admit one job, decided up front — in
-/// submission order, exactly as the sequential loop's first admission
-/// sweep would — so leadership of every cold workload is deterministic
-/// no matter which worker reaches the job first.
-enum Admission {
-    /// Served at classification time (no online tuning, or a failed-path
-    /// serve); start a plain session.
-    Plain(ServedModel),
-    /// Repository hit at classification time; start a drift-monitoring
-    /// tuner.
-    Monitor(ServedModel),
-    /// First submitted job of a cold workload: calibrate, then resolve
-    /// the workload's latch entry.
-    Lead,
-    /// Later job of a cold workload: block on the latch until the leader
-    /// publishes (→ repository hit) or fails (→ calibration fallback).
-    Follow,
+/// What the [`AdmissionGate`] says about a job of an online run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Admit {
+    /// The workload's calibration failed: serve the stored model or the
+    /// fallback, without monitoring.
+    Fallback,
+    /// A calibration of the workload is in flight: wait for it.
+    Wait,
+    /// Look the workload up: a hit monitors, a miss leads a calibration.
+    Lookup,
 }
 
-/// One job's slot in the parallel run: its pre-decided admission, the
-/// shared driver, and whether it leads a calibration (so an aborting
-/// worker can release its waiters).
-struct Slot<'b> {
-    admission: Option<Admission>,
-    driver: JobDriver<'b>,
-    lead: bool,
+/// The cold-workload admission policy both event loops share: which
+/// workloads have a calibration in flight, which job leads each, and
+/// which workloads failed to calibrate. The loops keep only their own way
+/// of waiting — the sweep rescans its waiting jobs every pass, the
+/// service parks them and schedules their release.
+#[derive(Debug, Default)]
+pub(crate) struct AdmissionGate {
+    /// Workloads with a calibration in flight → the leading job's index.
+    calibrating: BTreeMap<ModelKey, usize>,
+    /// Workloads whose calibration failed (budget, planning, fault, or a
+    /// leader that finished without converging): the rest of the run
+    /// serves them plainly instead of re-attempting.
+    failed: BTreeSet<ModelKey>,
+}
+
+impl AdmissionGate {
+    /// How to admit a job of workload `key`.
+    pub(crate) fn admit(&self, key: &ModelKey) -> Admit {
+        if self.failed.contains(key) {
+            Admit::Fallback
+        } else if self.calibrating.contains_key(key) {
+            Admit::Wait
+        } else {
+            Admit::Lookup
+        }
+    }
+
+    /// Job `job` missed on `key` and tried to calibrate it: it now leads
+    /// the workload's calibration, or — when [`start_calibration`]
+    /// refused — the workload has failed.
+    pub(crate) fn lead(&mut self, key: ModelKey, job: usize, refused: bool) {
+        if refused {
+            self.failed.insert(key);
+        } else {
+            self.calibrating.insert(key, job);
+        }
+    }
+
+    /// Online job `job` of `key` finished, or abandoned its calibration
+    /// (`published` is then `false`). Returns whether `job` leads the
+    /// workload's in-flight calibration; only then is the calibration
+    /// settled — failed unless it published — and the caller must let
+    /// the waiters through and call [`AdmissionGate::release`]. Any other
+    /// job, such as a drift monitor still running after its entry was
+    /// evicted and re-calibrated by a new leader, leaves it alone.
+    pub(crate) fn settle(&mut self, key: &ModelKey, job: usize, published: bool) -> bool {
+        if self.calibrating.get(key) != Some(&job) {
+            return false;
+        }
+        if !published {
+            self.failed.insert(key.clone());
+        }
+        true
+    }
+
+    /// The settled calibration of `key` no longer holds jobs back: new
+    /// jobs of the workload look it up (or fall back) instead of waiting.
+    pub(crate) fn release(&mut self, key: &ModelKey) {
+        self.calibrating.remove(key);
+    }
 }
 
 /// Schedules and drives many concurrent runtime sessions over a cluster.
@@ -764,8 +795,7 @@ impl<'a> ClusterScheduler<'a> {
     /// accounting and baseline), cold-workload calibrations can be
     /// refused at admission, and monitoring jobs can have drift shifts
     /// injected into their detectors. Every fault is a pure function of
-    /// the job identity, so a faulted parallel run still matches its
-    /// faulted sequential counterpart bit for bit.
+    /// the job identity, so reruns of a faulted trace are bit-identical.
     #[must_use]
     pub fn with_faults(mut self, faults: &'a dyn FaultInjector) -> Self {
         self.faults = Some(faults);
@@ -773,9 +803,9 @@ impl<'a> ClusterScheduler<'a> {
     }
 
     /// Attach a telemetry recorder: the discrete-event service
-    /// ([`ClusterScheduler::run_service`]) and the parallel and
-    /// replicated loops emit metrics, spans, and instants into it (see
-    /// the `obskit` crate). Without this call every run uses
+    /// ([`ClusterScheduler::run_service`] and
+    /// [`ClusterScheduler::run_service_replicated`]) emits metrics,
+    /// spans, and instants into it (see the `obskit` crate). Without this call every run uses
     /// [`NoopRecorder`] — one predictable branch per instrumentation
     /// point, zero allocation — so existing call sites are unaffected.
     /// Recording never changes execution: recorded and unrecorded runs
@@ -854,6 +884,16 @@ impl<'a> ClusterScheduler<'a> {
     /// Run every queued job to completion, interleaved across the
     /// cluster, serving tuning models from `repo`.
     ///
+    /// `repo` is any [`RepositoryHandle`]: a
+    /// [`TuningModelRepository`](crate::TuningModelRepository), a
+    /// [`SharedRepository`](crate::SharedRepository), or one replica of a
+    /// [`ReplicaSet`](crate::ReplicaSet) (`set.replica_mut(id)`). A
+    /// replica run is local to that replica: its hits and misses go
+    /// against the replica's repository and its publications are stamped
+    /// into the replica's log; call
+    /// [`ReplicaSet::converge`](crate::ReplicaSet::converge) afterwards
+    /// to spread them to the other replicas.
+    ///
     /// Each sweep of the scheduler loop advances every active session by
     /// one event (a region enter/exit pair or a phase completion), so at
     /// any instant up to `pending()` sessions are in flight. The queue is
@@ -866,19 +906,7 @@ impl<'a> ClusterScheduler<'a> {
     /// repository hits — the cluster warm-up pattern (miss → calibrate →
     /// publish → fleet-wide hits). Jobs of distinct workloads calibrate
     /// concurrently.
-    pub fn run(&mut self, repo: &mut TuningModelRepository) -> Result<ClusterReport, RuntimeError> {
-        self.run_with(repo)
-    }
-
-    /// [`ClusterScheduler::run`] over any model store implementing
-    /// [`RepositoryHandle`] — the seam that lets the same event loop
-    /// serve from a plain [`TuningModelRepository`] or from one replica
-    /// of a [`ReplicaSet`] (see
-    /// [`ClusterScheduler::run_replicated`]).
-    pub fn run_with(
-        &mut self,
-        repo: &mut dyn RepositoryHandle,
-    ) -> Result<ClusterReport, RuntimeError> {
+    pub fn run(&mut self, repo: &mut dyn RepositoryHandle) -> Result<ClusterReport, RuntimeError> {
         let cluster = self.cluster;
         let online = self.online;
         let faults = self.faults;
@@ -887,17 +915,11 @@ impl<'a> ClusterScheduler<'a> {
         let mut drivers: Vec<JobDriver<'_>> =
             jobs.iter().map(|job| JobDriver::new(job, faults)).collect();
         let mut baselines = BaselineMemo::new(cluster);
-
-        // Workload keys with a calibration in flight: same-key jobs wait.
-        let mut calibrating: BTreeSet<ModelKey> = BTreeSet::new();
-        // Workload keys whose calibration failed (budget/planning/fault):
-        // the rest of the queue degrades to ordinary fallback serving
-        // instead of re-attempting — and instead of aborting healthy jobs.
-        let mut failed: BTreeSet<ModelKey> = BTreeSet::new();
+        let mut gate = AdmissionGate::default();
         let mut done = 0usize;
         while done < jobs.len() {
             // Admission pass, in submission order.
-            for (driver, job) in drivers.iter_mut().zip(&jobs) {
+            for (i, (driver, job)) in drivers.iter_mut().zip(&jobs).enumerate() {
                 if !matches!(driver.state, State::Waiting) {
                     continue;
                 }
@@ -906,28 +928,22 @@ impl<'a> ClusterScheduler<'a> {
                     None => start_plain(job, node, repo.serve(&job.bench)?)?,
                     Some(online) => {
                         let key = ModelKey::of(&job.bench);
-                        if failed.contains(&key) {
-                            start_plain(job, node, repo.serve(&job.bench)?)?
-                        } else if calibrating.contains(&key) {
-                            continue; // wait for the in-flight calibration
-                        } else {
-                            match repo.serve_stored(&job.bench)? {
+                        match gate.admit(&key) {
+                            Admit::Fallback => start_plain(job, node, repo.serve(&job.bench)?)?,
+                            Admit::Wait => continue,
+                            Admit::Lookup => match repo.serve_stored(&job.bench)? {
                                 Some(served) => {
                                     start_monitor(job, node, served, online.config, faults)?
                                 }
                                 None => {
-                                    let (state, rejection, calibration_failed) =
+                                    let (state, rejection, refused) =
                                         start_calibration(job, node, online, faults, &mut |b| {
                                             repo.serve_fallback(b)
                                         })?;
-                                    if calibration_failed {
-                                        failed.insert(key);
-                                    } else {
-                                        calibrating.insert(key);
-                                    }
+                                    gate.lead(key, i, refused);
                                     (state, rejection)
                                 }
-                            }
+                            },
                         }
                     }
                 };
@@ -935,8 +951,10 @@ impl<'a> ClusterScheduler<'a> {
                 driver.rejection = rejection;
             }
 
-            // Event pass: one event per active session per sweep.
-            for (driver, job) in drivers.iter_mut().zip(&jobs) {
+            // Event pass: one event per active session per sweep. A
+            // settled calibration releases its waiters at once: the next
+            // admission pass rescans them.
+            for (i, (driver, job)) in drivers.iter_mut().zip(&jobs).enumerate() {
                 if !driver.is_active() {
                     continue;
                 }
@@ -952,223 +970,20 @@ impl<'a> ClusterScheduler<'a> {
                     )?;
                     if was_online {
                         let key = ModelKey::of(&job.bench);
-                        let led_calibration = calibrating.remove(&key);
-                        if led_calibration && driver.published_version.is_none() {
-                            // The leader finished without converging
-                            // (e.g. an injected abort truncated the
-                            // calibration): same-key waiters degrade to
-                            // the fallback, exactly as the parallel
-                            // latch's failed outcome would make them.
-                            failed.insert(key);
+                        if gate.settle(&key, i, driver.published_version.is_some()) {
+                            gate.release(&key);
                         }
                     }
                     done += 1;
-                } else {
-                    match driver.advance(&job.bench)? {
-                        EventOutcome::Advanced => {}
-                        EventOutcome::Abandoned => {
-                            // Unblock same-key waiters — they will serve
-                            // the fallback.
-                            let key = ModelKey::of(&job.bench);
-                            calibrating.remove(&key);
-                            failed.insert(key);
-                        }
-                    }
-                }
-            }
-        }
-
-        let placements: Vec<usize> = jobs.iter().map(|j| j.node_idx).collect();
-        Ok(assemble_report(
-            cluster,
-            &jobs,
-            &placements,
-            drivers,
-            repo.stats(),
-        ))
-    }
-
-    /// [`ClusterScheduler::run`], serving from (and publishing to) one
-    /// replica of a [`ReplicaSet`].
-    ///
-    /// The run is local to the addressed replica: hits and misses go
-    /// against its repository, and online publications are stamped into
-    /// its replication log. Nothing crosses the wire here — call
-    /// [`ReplicaSet::converge`] afterwards to anti-entropy the
-    /// publications out to the other replicas. Addressing a replica the
-    /// set does not contain fails with
-    /// [`RuntimeError::Replication`].
-    pub fn run_replicated(
-        &mut self,
-        set: &mut ReplicaSet<'_>,
-        replica: u32,
-    ) -> Result<ClusterReport, RuntimeError> {
-        let replica = set
-            .replica_mut(replica)
-            .map_err(RuntimeError::Replication)?;
-        self.recorder().counter_add("cluster.replicated_runs", 1);
-        self.run_with(replica)
-    }
-
-    /// [`ClusterScheduler::run`], but across `workers` real threads over
-    /// a lock-striped [`SharedRepository`].
-    ///
-    /// The submitted jobs are split into contiguous submission-order
-    /// partitions, one per worker; each worker drives its partition with
-    /// the same interleaved event loop the sequential path uses. Three
-    /// mechanisms keep the result equal to the sequential run:
-    ///
-    /// 1. **Up-front admission.** Before the workers start, every job is
-    ///    classified in submission order against the repository — hits
-    ///    are served immediately, and the *first* job of each cold
-    ///    workload is fixed as that workload's calibration leader — so
-    ///    who serves what never depends on thread timing.
-    /// 2. **The calibration latch.** Followers of an in-flight
-    ///    calibration park on their workload's [`CalibrationLatch`] entry
-    ///    (only when their worker has nothing else runnable), and resume
-    ///    as repository hits the moment the leader publishes — or degrade
-    ///    to the calibration fallback if it fails, exactly like the
-    ///    sequential failed-workload path. Leaders never wait, so the
-    ///    wait graph is acyclic and the loop cannot deadlock.
-    /// 3. **Interleaving-independent accounting** (see
-    ///    [`crate::session`]) makes each job's result independent of
-    ///    what runs beside it.
-    ///
-    /// Per-job [`JobAccounting`], savings and drift events are therefore
-    /// bit-identical to [`ClusterScheduler::run`] for the same
-    /// submissions and repository contents — the property the
-    /// `tests/runtime.rs` suite locks in — as long as the repository is
-    /// not LRU-evicting mid-run (see the module docs for the caveat).
-    ///
-    /// `workers` is clamped to `1..=pending()`. Errors mirror the
-    /// sequential path; when several workers fail, the error of the
-    /// earliest-submitted failing job is returned. The queue is consumed
-    /// by the run, including on error.
-    pub fn run_parallel(
-        &mut self,
-        repo: &SharedRepository,
-        workers: usize,
-    ) -> Result<ClusterReport, RuntimeError> {
-        let cluster = self.cluster;
-        let online = self.online;
-        let faults = self.faults;
-        let recorder = self.recorder();
-        let jobs = self.take_queue();
-        if jobs.is_empty() {
-            return Ok(assemble_report(
-                cluster,
-                &jobs,
-                &[],
-                Vec::new(),
-                repo.stats(),
-            ));
-        }
-        let workers = workers.clamp(1, jobs.len());
-
-        // Per-run latch, matching the repository's shard partitioning —
-        // claims must not outlive the run (a workload that failed to
-        // calibrate in this wave is retried in the next).
-        let latch = CalibrationLatch::new(repo.shard_count());
-
-        // 1. Classification: the sequential loop's first admission sweep,
-        //    replayed verbatim — submission order against the current
-        //    repository state.
-        let mut slots: Vec<Slot<'_>> = Vec::with_capacity(jobs.len());
-        let mut leaders: BTreeSet<ModelKey> = BTreeSet::new();
-        for job in &jobs {
-            let (admission, lead) = match &online {
-                None => (Admission::Plain(repo.serve(&job.bench)?), false),
-                Some(_) => {
+                } else if let EventOutcome::Abandoned = driver.advance(&job.bench)? {
                     let key = ModelKey::of(&job.bench);
-                    if leaders.contains(&key) {
-                        (Admission::Follow, false)
-                    } else {
-                        match repo.serve_stored(&job.bench)? {
-                            Some(served) => (Admission::Monitor(served), false),
-                            None => {
-                                leaders.insert(key.clone());
-                                latch.begin(&key);
-                                (Admission::Lead, true)
-                            }
-                        }
+                    if gate.settle(&key, i, false) {
+                        gate.release(&key);
                     }
                 }
-            };
-            slots.push(Slot {
-                admission: Some(admission),
-                driver: JobDriver::new(job, faults),
-                lead,
-            });
-        }
-
-        // 2. Fan the partitions out to real threads. Worker errors are
-        //    collected with their global job index so the reported error
-        //    is the earliest-submitted one, independent of thread timing.
-        let chunk = jobs.len().div_ceil(workers);
-        let errors: Mutex<Vec<(usize, RuntimeError)>> = Mutex::new(Vec::new());
-        rayon::scope(|scope| {
-            for (w, (job_chunk, slot_chunk)) in
-                jobs.chunks(chunk).zip(slots.chunks_mut(chunk)).enumerate()
-            {
-                let (errors, latch, online) = (&errors, &latch, &online);
-                scope.spawn(move |_| {
-                    // Release every calibration this partition leads when
-                    // the worker exits for *any* reason — normal return
-                    // (claims already resolved; `fail` is first-writer-
-                    // wins, so published ones are safe), error, or panic
-                    // unwind. Without the drop guard, a panicking leader
-                    // would park its followers in `CalibrationLatch::wait`
-                    // forever: `std::thread::scope` joins every thread
-                    // before re-raising the panic, so the whole run would
-                    // hang instead of surfacing it.
-                    struct ReleaseOnExit<'x> {
-                        latch: &'x CalibrationLatch,
-                        led: Vec<ModelKey>,
-                    }
-                    impl Drop for ReleaseOnExit<'_> {
-                        fn drop(&mut self) {
-                            for key in &self.led {
-                                self.latch.fail(key);
-                            }
-                        }
-                    }
-                    let _release = ReleaseOnExit {
-                        latch,
-                        led: job_chunk
-                            .iter()
-                            .zip(slot_chunk.iter())
-                            .filter(|(_, slot)| slot.lead)
-                            .map(|(job, _)| ModelKey::of(&job.bench))
-                            .collect(),
-                    };
-                    if let Err(at) = drive_partition(
-                        cluster, repo, latch, online, faults, recorder, job_chunk, slot_chunk,
-                    ) {
-                        errors.lock().push((w * chunk + at.0, at.1));
-                    }
-                });
             }
-        });
-        // The no-orphaned-claims invariant: every claim taken at
-        // classification must be resolved once the workers have exited —
-        // by a publication, a failure, or a worker's drop guard. An
-        // in-flight claim here would have been a future deadlock. Checked
-        // in release builds too (the cost is one pass over the claims):
-        // the soak harness runs `--release`, and a leaked claim whose
-        // followers all lived in the leader's own partition would
-        // otherwise pass silently.
-        assert_eq!(
-            latch.unresolved(),
-            0,
-            "run_parallel left orphaned calibration claims"
-        );
-
-        let mut failures = errors.into_inner();
-        failures.sort_by_key(|(idx, _)| *idx);
-        if let Some((_, error)) = failures.into_iter().next() {
-            return Err(error);
         }
-        let drivers: Vec<JobDriver<'_>> = slots.into_iter().map(|slot| slot.driver).collect();
+
         let placements: Vec<usize> = jobs.iter().map(|j| j.node_idx).collect();
         Ok(assemble_report(
             cluster,
@@ -1178,186 +993,13 @@ impl<'a> ClusterScheduler<'a> {
             repo.stats(),
         ))
     }
-}
-
-/// One worker's event loop over its contiguous partition of the
-/// submitted jobs: admit what the classification decided, advance every
-/// active session one event per sweep, and park on the calibration latch
-/// only when nothing in the partition is runnable. Errors carry the
-/// partition-local index of the failing job.
-#[allow(clippy::too_many_arguments)]
-fn drive_partition<'b>(
-    cluster: &'b Cluster,
-    repo: &SharedRepository,
-    latch: &CalibrationLatch,
-    online: &Option<OnlineTuning<'b>>,
-    faults: Option<&'b dyn FaultInjector>,
-    recorder: &dyn Recorder,
-    jobs: &'b [QueuedJob],
-    slots: &mut [Slot<'b>],
-) -> Result<(), (usize, RuntimeError)> {
-    let mut baselines = BaselineMemo::new(cluster);
-    let mut done = 0usize;
-    while done < jobs.len() {
-        // Sampled *before* the sweep: a resolution that lands anywhere
-        // between here and a park below advances the epoch, so the park
-        // returns immediately instead of missing the wakeup.
-        let resolution_epoch = latch.resolution_epoch();
-        let mut progressed = false;
-        let mut blocked: Option<ModelKey> = None;
-        for (i, (slot, job)) in slots.iter_mut().zip(jobs).enumerate() {
-            // Admission: act on the pre-decided classification.
-            if matches!(slot.driver.state, State::Waiting) {
-                let node = cluster.node(job.node_idx);
-                let fail = |e| (i, e);
-                let (state, rejection) =
-                    match slot.admission.take().expect("waiting slot is classified") {
-                        Admission::Plain(served) => start_plain(job, node, served).map_err(fail)?,
-                        Admission::Monitor(served) => {
-                            let config = online.as_ref().expect("monitor implies online").config;
-                            start_monitor(job, node, served, config, faults).map_err(fail)?
-                        }
-                        Admission::Lead => {
-                            let online = online.as_ref().expect("lead implies online");
-                            let key = ModelKey::of(&job.bench);
-                            let (state, rejection, calibration_failed) =
-                                start_calibration(job, node, online, faults, &mut |b| {
-                                    repo.serve_fallback(b)
-                                })
-                                .map_err(fail)?;
-                            if calibration_failed {
-                                // This workload cannot calibrate: release
-                                // the waiters to the fallback path; the
-                                // leader runs degraded (the miss was
-                                // already recorded at classification).
-                                latch.fail(&key);
-                            }
-                            (state, rejection)
-                        }
-                        Admission::Follow => {
-                            let key = ModelKey::of(&job.bench);
-                            match latch.status(&key) {
-                                LatchStatus::InFlight | LatchStatus::Unclaimed => {
-                                    // Leader still calibrating (possibly in
-                                    // this very partition): stay waiting,
-                                    // remember the key in case the whole
-                                    // partition has nothing else to do.
-                                    slot.admission = Some(Admission::Follow);
-                                    blocked.get_or_insert(key);
-                                    continue;
-                                }
-                                LatchStatus::Done(CalibrationOutcome::Published) => {
-                                    match repo.serve_stored(&job.bench).map_err(fail)? {
-                                        Some(served) => {
-                                            let config = online
-                                                .as_ref()
-                                                .expect("follow implies online")
-                                                .config;
-                                            start_monitor(job, node, served, config, faults)
-                                                .map_err(fail)?
-                                        }
-                                        // Published but already LRU-evicted:
-                                        // calibrate afresh, exactly as the
-                                        // sequential admission would on the
-                                        // re-miss (the claim stays resolved,
-                                        // so under churn this heavy several
-                                        // same-workload followers may each
-                                        // re-calibrate rather than queue).
-                                        None => {
-                                            let online =
-                                                online.as_ref().expect("follow implies online");
-                                            let (state, rejection, _refused) = start_calibration(
-                                                job,
-                                                node,
-                                                online,
-                                                faults,
-                                                &mut |b| repo.serve_fallback(b),
-                                            )
-                                            .map_err(fail)?;
-                                            (state, rejection)
-                                        }
-                                    }
-                                }
-                                LatchStatus::Done(CalibrationOutcome::Failed) => {
-                                    // Exactly the sequential failed-workload
-                                    // path: a full serve (miss + fallback).
-                                    let served = repo.serve(&job.bench).map_err(fail)?;
-                                    start_plain(job, node, served).map_err(fail)?
-                                }
-                            }
-                        }
-                    };
-                slot.driver.state = state;
-                slot.driver.rejection = rejection;
-                progressed = true;
-            }
-
-            // Event: one step per active session per sweep.
-            if slot.driver.is_active() {
-                if slot.driver.finished_iterations() {
-                    slot.driver
-                        .finish(
-                            job,
-                            job.node_idx,
-                            &mut baselines,
-                            &mut |bench, publication| {
-                                repo.publish_online(bench, &publication.model, publication.expected)
-                            },
-                        )
-                        .map_err(|e| (i, e))?;
-                    if slot.lead {
-                        let key = ModelKey::of(&job.bench);
-                        if slot.driver.published_version.is_some() {
-                            latch.publish(&key);
-                        } else {
-                            // Converged nothing (abandoned mid-run): the
-                            // abandon already failed the latch; this is
-                            // belt and braces for any other no-publish
-                            // path.
-                            latch.fail(&key);
-                        }
-                    }
-                    done += 1;
-                } else {
-                    // Batched: drain the session's contiguous region
-                    // events and take the phase boundary in one pass.
-                    match slot.driver.advance_phase(&job.bench).map_err(|e| (i, e))? {
-                        EventOutcome::Advanced => {}
-                        EventOutcome::Abandoned => latch.fail(&ModelKey::of(&job.bench)),
-                    }
-                }
-                progressed = true;
-            }
-        }
-
-        if !progressed {
-            // Every remaining job follows a calibration led elsewhere.
-            // Leaders never block, so some resolution is guaranteed to
-            // arrive; park until the latch's resolution epoch moves past
-            // the value sampled before this sweep. Any resolution — on
-            // *any* workload, not just the first blocked one — wakes the
-            // worker, which then re-sweeps the partition to admit every
-            // follower that became runnable. No polling interval, no
-            // missed-wakeup window (a resolution during the sweep
-            // already advanced the epoch, so the wait returns at once).
-            debug_assert!(blocked.is_some(), "no progress implies a blocked follower");
-            if recorder.enabled() {
-                let parked = std::time::Instant::now();
-                latch.wait_resolution(resolution_epoch);
-                let waited = u64::try_from(parked.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                recorder.counter_add("latch.waits", 1);
-                recorder.histogram_record("latch.wait_ns", waited);
-            } else {
-                latch.wait_resolution(resolution_epoch);
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::repository::TuningModelRepository;
+    use crate::shard::SharedRepository;
     use ptf::TuningModel;
 
     fn lulesh_model() -> TuningModel {
@@ -1467,7 +1109,7 @@ mod tests {
         for i in 0..3 {
             sched.submit(format!("lulesh-{i}"), lulesh.clone());
         }
-        let replicated = sched.run_replicated(&mut set, 2).unwrap();
+        let replicated = sched.run(set.replica_mut(2).unwrap()).unwrap();
         assert_eq!(
             replicated.repository.hits, 3,
             "replicated entries serve as hits"
@@ -1494,18 +1136,6 @@ mod tests {
             normalized.source = b.accounting.source;
             assert_eq!(normalized, b.accounting, "{}", a.job);
         }
-
-        // Addressing a replica the set does not contain is a value, not
-        // a panic.
-        assert!(matches!(
-            sched.run_replicated(&mut set, 7),
-            Err(RuntimeError::Replication(
-                crate::net::NetError::UnknownReplica {
-                    replica: 7,
-                    replicas: 3,
-                }
-            ))
-        ));
     }
 
     #[test]
@@ -1518,101 +1148,11 @@ mod tests {
             sched.run(&mut repo),
             Err(RuntimeError::NoModel { .. })
         ));
+        assert_eq!(sched.pending(), 0, "queue consumed on error");
     }
 
     #[test]
-    fn parallel_run_matches_sequential_serving() {
-        let cluster = Cluster::exact(3);
-        let lulesh = kernels::benchmark("Lulesh").unwrap();
-        let fallback = SystemConfig::new(24, 2400, 1700);
-
-        let mut repo = TuningModelRepository::new().with_fallback(fallback);
-        repo.insert(&lulesh, &lulesh_model());
-        let shared = SharedRepository::new(4).with_fallback(fallback);
-        shared.insert(&lulesh, &lulesh_model());
-
-        let submit = |sched: &mut ClusterScheduler<'_>| {
-            for i in 0..6 {
-                sched.submit(format!("lulesh-{i}"), lulesh.clone());
-            }
-            sched.submit("toy-0", toy("toy", 5e9));
-        };
-        let mut seq = ClusterScheduler::new(&cluster).unwrap();
-        submit(&mut seq);
-        let sequential = seq.run(&mut repo).unwrap();
-
-        let mut par = ClusterScheduler::new(&cluster).unwrap();
-        submit(&mut par);
-        let parallel = par.run_parallel(&shared, 4).unwrap();
-
-        assert_eq!(parallel.jobs.len(), sequential.jobs.len());
-        for (p, s) in parallel.jobs.iter().zip(&sequential.jobs) {
-            assert_eq!(p.job, s.job, "submission order preserved");
-            assert_eq!(p.node_id, s.node_id);
-            assert_eq!(p.accounting.record, s.accounting.record, "{}", p.job);
-            assert_eq!(p.accounting.regions, s.accounting.regions);
-            assert_eq!(p.default, s.default);
-            assert_eq!(p.savings, s.savings);
-        }
-        assert_eq!(parallel.total_tuned, sequential.total_tuned);
-        assert_eq!(parallel.total_default, sequential.total_default);
-        assert_eq!(parallel.aggregate, sequential.aggregate);
-        assert_eq!(parallel.repository.hits, sequential.repository.hits);
-        assert_eq!(parallel.repository.misses, sequential.repository.misses);
-        assert_eq!(shared.stats(), shared.shard_stats());
-    }
-
-    #[test]
-    fn parallel_online_warm_up_calibrates_once_and_matches_sequential() {
-        use ptf::RandomSearch;
-
-        let cluster = Cluster::exact(3);
-        let bench = kernels::benchmark("miniMD").unwrap();
-        let strategy = RandomSearch::new(16, 7);
-        let online = OnlineTuning {
-            strategy: &strategy,
-            energy_model: None,
-            config: OnlineConfig::default(),
-        };
-
-        let run_seq = || {
-            let mut repo = TuningModelRepository::new();
-            let mut sched = ClusterScheduler::new(&cluster).unwrap().with_online(online);
-            for i in 0..6 {
-                sched.submit(format!("job-{i}"), bench.clone());
-            }
-            sched.run(&mut repo).unwrap()
-        };
-        let sequential = run_seq();
-
-        let shared = SharedRepository::new(4);
-        let mut sched = ClusterScheduler::new(&cluster).unwrap().with_online(online);
-        for i in 0..6 {
-            sched.submit(format!("job-{i}"), bench.clone());
-        }
-        // 3 workers: the leader calibrates on one thread while followers
-        // on the other threads park on the workload's latch entry.
-        let parallel = sched.run_parallel(&shared, 3).unwrap();
-
-        // Warm-up shape: one calibration, five Online hits.
-        let summary = parallel.online_summary();
-        assert_eq!(summary.calibrations, 1);
-        assert_eq!(parallel.repository.misses, 1);
-        assert_eq!(parallel.repository.hits, 5);
-        assert_eq!(parallel.jobs[0].published_version, Some(1));
-
-        // …and bit-identical to the sequential warm-up, job by job.
-        for (p, s) in parallel.jobs.iter().zip(&sequential.jobs) {
-            assert_eq!(p.accounting.record, s.accounting.record, "{}", p.job);
-            assert_eq!(p.accounting.regions, s.accounting.regions);
-            assert_eq!(p.accounting.online, s.accounting.online);
-            assert_eq!(p.savings, s.savings);
-            assert_eq!(p.published_version, s.published_version);
-        }
-    }
-
-    #[test]
-    fn parallel_failed_calibration_degrades_followers_to_fallback() {
+    fn failed_calibration_degrades_followers_to_fallback() {
         use ptf::RandomSearch;
 
         let cluster = Cluster::exact(2);
@@ -1628,12 +1168,13 @@ mod tests {
             config: OnlineConfig::default(),
         };
 
-        let shared = SharedRepository::new(2).with_fallback(SystemConfig::new(24, 2400, 1700));
+        let mut repo =
+            TuningModelRepository::new().with_fallback(SystemConfig::new(24, 2400, 1700));
         let mut sched = ClusterScheduler::new(&cluster).unwrap().with_online(online);
         for i in 0..4 {
             sched.submit(format!("job-{i}"), bench.clone());
         }
-        let report = sched.run_parallel(&shared, 2).unwrap();
+        let report = sched.run(&mut repo).unwrap();
         assert_eq!(report.jobs.len(), 4);
         for job in &report.jobs {
             assert_eq!(
@@ -1642,8 +1183,8 @@ mod tests {
             );
             assert!(job.published_version.is_none());
         }
-        // Leader: one classification miss, no fallback-serve miss;
-        // followers: one miss + fallback each (the sequential counts).
+        // Leader: one lookup miss, then a fallback serve without a
+        // lookup; followers: one miss + fallback each.
         assert_eq!(report.repository.misses, 4);
         assert_eq!(report.repository.fallbacks, 4);
     }
@@ -1727,26 +1268,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_empty_queue_reports_nothing() {
+    fn empty_queue_reports_nothing() {
         let cluster = Cluster::exact(2);
-        let shared = SharedRepository::new(2);
+        let mut shared = SharedRepository::new(2);
         let mut sched = ClusterScheduler::new(&cluster).unwrap();
-        let report = sched.run_parallel(&shared, 8).unwrap();
+        let report = sched.run(&mut shared).unwrap();
         assert!(report.jobs.is_empty());
         assert_eq!(report.nodes_used, 0);
-    }
-
-    #[test]
-    fn parallel_serve_failure_reports_earliest_job() {
-        let cluster = Cluster::exact(2);
-        let shared = SharedRepository::new(2); // no models, no fallback
-        let mut sched = ClusterScheduler::new(&cluster).unwrap();
-        sched.submit("a", toy("t", 1e9));
-        sched.submit("b", toy("t", 1e9));
-        assert!(matches!(
-            sched.run_parallel(&shared, 2),
-            Err(RuntimeError::NoModel { .. })
-        ));
-        assert_eq!(sched.pending(), 0, "queue consumed on error");
     }
 }

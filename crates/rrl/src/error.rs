@@ -6,12 +6,7 @@
 //! [`crate::RuntimeSession`] transitions, [`crate::ClusterScheduler`]
 //! placement and execution — returns `Result<_, RuntimeError>`. Nothing on
 //! this path panics: a corrupt model file, a foreign configuration or a
-//! mis-sequenced region event all surface as values. The parallel event
-//! loop keeps error reporting deterministic too: when several workers
-//! fail, [`ClusterScheduler::run_parallel`](crate::ClusterScheduler::run_parallel)
-//! returns the error of the earliest-*submitted* failing job, not the
-//! first thread to lose the race — and an erroring worker releases every
-//! calibration latch it led so no healthy worker deadlocks behind it.
+//! mis-sequenced region event all surface as values.
 
 use std::fmt;
 
@@ -134,7 +129,7 @@ pub enum RuntimeError {
     Planning(ptf::TuningError),
     /// Replicated serving failed below the repository: a wire-format,
     /// session or convergence error from the [`crate::net`] stack (e.g.
-    /// `run_replicated` addressed a replica the set does not contain).
+    /// in-loop gossip that could not settle within its round bound).
     Replication(crate::net::NetError),
     /// The discrete-event service quiesced with jobs still unfinished —
     /// its event heap ran dry while queued work remained, which a

@@ -5,7 +5,7 @@
 //! workloads drifting away from their published expectations — without a
 //! `cfg(test)` fork of either event loop. [`FaultInjector`] is that seam:
 //! one trait object threaded into [`ClusterScheduler::run`] /
-//! [`run_parallel`](crate::ClusterScheduler::run_parallel) (via
+//! [`run_service`](crate::ClusterScheduler::run_service) (via
 //! [`ClusterScheduler::with_faults`](crate::ClusterScheduler::with_faults))
 //! and into the [`OnlineTuner`](crate::OnlineTuner), consulted at the
 //! three points where a real cluster misbehaves:

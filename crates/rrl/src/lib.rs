@@ -16,9 +16,7 @@
 //!   configuration) when no model matches,
 //! * [`shard`] — the concurrent [`SharedRepository`]: the same storage
 //!   semantics striped across N `RwLock`-guarded shards (partitioned by
-//!   application hash) with lock-free statistics, plus the
-//!   [`CalibrationLatch`] that gates cold-workload admission in the
-//!   parallel event loop,
+//!   application hash) with lock-free statistics,
 //! * [`session`] — the event-driven [`RuntimeSession`]: one handle per
 //!   job, driven by explicit `region_enter` / `region_exit` /
 //!   `phase_complete` events through the scenario→configuration resolver
@@ -34,10 +32,8 @@
 //!   sessions across the nodes of a simulated cluster (round-robin or
 //!   least-loaded placement), gates cold workloads behind a single
 //!   online calibration when [`OnlineTuning`] is attached, and reports
-//!   per-job and aggregate savings — either on one thread
-//!   ([`ClusterScheduler::run`]) or across real worker threads over a
-//!   [`SharedRepository`] ([`ClusterScheduler::run_parallel`]), with
-//!   bit-identical per-job accounting either way,
+//!   per-job and aggregate savings ([`ClusterScheduler::run`], over any
+//!   [`RepositoryHandle`]),
 //! * [`inject`] — deterministic fault injection: the [`FaultInjector`]
 //!   seam both event loops, the online tuner and the simulated network
 //!   honor (job aborts at a phase boundary, refused calibrations,
@@ -54,17 +50,15 @@
 //!   [`SimTransport`], a length-framed versioned wire format, per-peer
 //!   handshake [`Session`](net::Session)s, and [`ReplicaSet`] — N
 //!   replica repositories converged to bit-identical model maps by
-//!   version-vector anti-entropy sync
-//!   ([`ClusterScheduler::run_replicated`]),
+//!   version-vector anti-entropy sync (a [`Replica`] is a
+//!   [`RepositoryHandle`] the scheduler serves from),
 //! * [`sacct`] — SLURM-style job accounting: the job-level Table VI
 //!   record plus the per-region energy/time breakdown,
 //! * [`savings`] — default-vs-tuned comparisons including the
 //!   configuration-setting performance reduction and the combined
 //!   DVFS/UFS/Score-P overhead decomposition of Section V-E,
 //! * [`tmm`] — the Tuning Model Manager (file/env loading à la
-//!   `SCOREP_RRL_TMM_PATH`),
-//! * [`rat`], [`static_tuning`] — the pre-repository entry points, kept
-//!   as thin deprecated shims.
+//!   `SCOREP_RRL_TMM_PATH`).
 //!
 //! ```text
 //! repository.publish(&advice);                   // design-time handoff
@@ -83,14 +77,12 @@ pub mod error;
 pub mod inject;
 pub mod net;
 pub mod online;
-pub mod rat;
 pub mod repository;
 pub mod sacct;
 pub mod savings;
 pub mod service;
 pub mod session;
 pub mod shard;
-pub mod static_tuning;
 pub mod tmm;
 
 pub use cluster::{
@@ -119,10 +111,5 @@ pub use service::{
     GossipConfig, JobArrival, Percentiles, ReplicationSummary, ServiceConfig, ServiceSummary,
 };
 pub use session::{RegionExit, RuntimeSession};
-pub use shard::{CalibrationLatch, CalibrationOutcome, LatchStatus, SharedRepository};
+pub use shard::SharedRepository;
 pub use tmm::TuningModelManager;
-
-#[allow(deprecated)]
-pub use rat::RrlHook;
-#[allow(deprecated)]
-pub use static_tuning::run_static;

@@ -27,8 +27,9 @@
 //!
 //! The scheduler consumes all of this through one seam:
 //! [`RepositoryHandle`](crate::repository::RepositoryHandle), which
-//! both the plain repository and a [`Replica`] implement — see
-//! [`ClusterScheduler::run_replicated`](crate::ClusterScheduler::run_replicated).
+//! both the plain repository and a [`Replica`] implement, so
+//! [`ClusterScheduler::run`](crate::ClusterScheduler::run) serves from
+//! `set.replica_mut(id)` unchanged.
 
 pub mod frame;
 pub mod reconcile;

@@ -533,8 +533,8 @@ impl<'a> ReplicaSet<'a> {
     }
 
     /// Mutable access to the replica with this id — the handle
-    /// [`ClusterScheduler::run_replicated`](crate::ClusterScheduler::run_replicated)
-    /// serves through.
+    /// [`ClusterScheduler::run`](crate::ClusterScheduler::run) serves
+    /// through.
     pub fn replica_mut(&mut self, id: u32) -> Result<&mut Replica, NetError> {
         let replicas = self.replicas.len();
         self.replicas

@@ -20,12 +20,8 @@
 //!   converged assignments form a `TuningModel` ready for
 //!   [`publish_online`](crate::TuningModelRepository::publish_online) —
 //!   in a cluster run, the first job of a new workload calibrates and
-//!   every subsequent job hits. Under the parallel scheduler the same
-//!   warm-up is coordinated by the
-//!   [`CalibrationLatch`](crate::CalibrationLatch): the leader is fixed
-//!   in submission order and same-workload followers park on the latch,
-//!   so the calibrate-once/hit-everywhere pattern survives real
-//!   concurrency unchanged.
+//!   every subsequent job hits: same-workload jobs wait behind the
+//!   leading calibration and are admitted as hits once it publishes.
 //! * [`drift`] — the [`DriftDetector`]: on a repository **hit**, an EWMA
 //!   of observed vs. model-predicted region energy flags stale served
 //!   models; under [`DriftPolicy::Recalibrate`] the flagged region

@@ -621,11 +621,13 @@ impl TuningModelRepository {
     }
 }
 
-/// The serving surface the sequential cluster event loop needs — what
-/// [`ClusterScheduler::run_with`](crate::ClusterScheduler::run_with)
-/// abstracts over so the same loop serves from a plain local repository
-/// or from one replica of a replicated set
-/// ([`crate::net::Replica`]), without the loop knowing which.
+/// The serving surface the cluster event loops need — what
+/// [`ClusterScheduler::run`](crate::ClusterScheduler::run) and
+/// [`ClusterScheduler::run_service`](crate::ClusterScheduler::run_service)
+/// abstract over so the same loop serves from a plain local repository,
+/// a [`SharedRepository`](crate::SharedRepository), or one replica of a
+/// replicated set ([`crate::net::Replica`]), without the loop knowing
+/// which.
 ///
 /// Implementations must preserve the local-repository semantics the
 /// invariant suite pins down: `serve_stored` records exactly one miss

@@ -1,7 +1,7 @@
 //! The long-lived, churn-tolerant cluster service on the `simkit` kernel.
 //!
-//! [`ClusterScheduler::run_service`] is the third event loop over the
-//! shared job-state machine of [`crate::cluster`] — and the first one
+//! [`ClusterScheduler::run_service`] is the second event loop over the
+//! job-state machine and admission policy of [`crate::cluster`] — the one
 //! where *time* is real (virtual): jobs arrive at their trace timestamps,
 //! every region enter/exit pair and phase completion is a scheduled event
 //! whose virtual duration is the session's own accumulated wall time,
@@ -19,10 +19,10 @@
 //! kernel's `(deliver_at, seq_id)` rule — no wall clock, no randomness.
 //! Because per-job accounting is interleaving-independent (see
 //! [`crate::session`]), a service run over a zero-interarrival trace with
-//! no churn and unbounded slots is **bit-identical per job** to
-//! [`ClusterScheduler::run`] and [`ClusterScheduler::run_parallel`] on
-//! the same submissions: arrivals at `t = 0` are placed and admitted in
-//! trace order (the sequential loop's first admission sweep, verbatim —
+//! no churn and unbounded slots is **bit-identical per job** to the
+//! sweep loop [`ClusterScheduler::run`] on the same submissions:
+//! arrivals at `t = 0` are placed and admitted in trace order (the sweep
+//! loop's first admission pass, verbatim —
 //! same placements, same serve calls, same calibration leaders), and each
 //! session's events then replay its own timeline. The testkit
 //! `event_core` invariant locks this equivalence in.
@@ -75,8 +75,9 @@ use simnode::Cluster;
 
 use crate::baseline::BaselineMemo;
 use crate::cluster::{
-    assemble_report, estimated_work, start_calibration, start_monitor, start_plain, ClusterReport,
-    ClusterScheduler, EventOutcome, JobDriver, OnlineTuning, Placement, QueuedJob, State,
+    assemble_report, estimated_work, start_calibration, start_monitor, start_plain, AdmissionGate,
+    Admit, ClusterReport, ClusterScheduler, EventOutcome, JobDriver, OnlineTuning, Placement,
+    QueuedJob, State,
 };
 use crate::error::RuntimeError;
 use crate::inject::{ChurnEvent, ChurnKind, FaultInjector, ReplicaChurnEvent, ReplicaChurnKind};
@@ -98,7 +99,7 @@ pub struct JobArrival {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Concurrent sessions a node runs before arrivals queue on it
-    /// (0 = unbounded, the sweep loops' implicit behavior).
+    /// (0 = unbounded, the sweep loop's implicit behavior).
     pub slots_per_node: usize,
 }
 
@@ -501,10 +502,10 @@ struct ServiceRun<'b, 'r, 'a> {
     load: Vec<f64>,
     rr_next: usize,
 
-    /// Cold workloads with a calibration in flight → parked waiter jobs.
-    calibrating: BTreeMap<ModelKey, Vec<usize>>,
-    /// Workloads whose calibration failed: serve the fallback.
-    failed: BTreeSet<ModelKey>,
+    /// The cold-workload admission policy shared with the sweep loop.
+    gate: AdmissionGate,
+    /// Jobs parked behind each in-flight calibration, in park order.
+    waiters: BTreeMap<ModelKey, Vec<usize>>,
     churn: Vec<ChurnEvent>,
 
     latency: QuantileSketch,
@@ -575,7 +576,7 @@ impl ServiceRun<'_, '_, '_> {
         Ok(())
     }
 
-    /// Admit job `i` on its placed node: the sequential loop's admission
+    /// Admit job `i` on its placed node: the sweep loop's admission
     /// decision, verbatim. Returns `false` when the job parked behind an
     /// in-flight same-workload calibration instead of starting (parked
     /// jobs hold no slot).
@@ -594,35 +595,33 @@ impl ServiceRun<'_, '_, '_> {
             None => start_plain(job, node, self.repo.serve(node_idx, &job.bench)?)?,
             Some(online) => {
                 let key = ModelKey::of(&job.bench);
-                if self.failed.contains(&key) {
-                    start_plain(job, node, self.repo.serve(node_idx, &job.bench)?)?
-                } else if let Some(waiters) = self.calibrating.get_mut(&key) {
-                    waiters.push(i);
-                    self.parked_us[i] = now;
-                    if self.record {
-                        self.recorder.counter_add("service.parked", 1);
+                match self.gate.admit(&key) {
+                    Admit::Fallback => {
+                        start_plain(job, node, self.repo.serve(node_idx, &job.bench)?)?
                     }
-                    return Ok(false);
-                } else {
-                    match self.repo.serve_stored(node_idx, &job.bench)? {
+                    Admit::Wait => {
+                        self.waiters.entry(key).or_default().push(i);
+                        self.parked_us[i] = now;
+                        if self.record {
+                            self.recorder.counter_add("service.parked", 1);
+                        }
+                        return Ok(false);
+                    }
+                    Admit::Lookup => match self.repo.serve_stored(node_idx, &job.bench)? {
                         Some(served) => start_monitor(job, node, served, online.config, faults)?,
                         None => {
                             if self.try_read_repair(i, now, sink)? {
                                 return Ok(false);
                             }
                             let repo = &mut self.repo;
-                            let (state, rejection, calibration_failed) =
+                            let (state, rejection, refused) =
                                 start_calibration(job, node, &online, faults, &mut |b| {
                                     repo.serve_fallback(node_idx, b)
                                 })?;
-                            if calibration_failed {
-                                self.failed.insert(key);
-                            } else {
-                                self.calibrating.insert(key, Vec::new());
-                            }
+                            self.gate.lead(key, i, refused);
                             (state, rejection)
                         }
-                    }
+                    },
                 }
             }
         };
@@ -703,28 +702,14 @@ impl ServiceRun<'_, '_, '_> {
                 self.ensure_round(now, sink);
             }
             // The key is only needed off the hot path: plain serves step
-            // to completion without ever touching the calibration latch.
+            // to completion without ever touching the admission gate.
             if was_online {
-                let key = ModelKey::of(&job.bench);
-                if self.calibrating.contains_key(&key) {
-                    // The workload's calibration leader finished:
-                    // published (waiters become hits) or not (an
-                    // abort/failure truncated it before convergence —
-                    // waiters degrade to the fallback). Resolution is its
-                    // own same-instant event, so waiter admissions order
-                    // behind everything already due.
-                    if self.drivers[i].published_version.is_none() {
-                        self.failed.insert(key.clone());
-                    }
-                    if self.record {
-                        self.recorder.instant(
-                            Track::node(self.placements[i] as u32),
-                            "calib.resolved",
-                            now,
-                        );
-                    }
-                    sink.schedule_at(now, ServiceEvent::Resolve(key));
-                }
+                // When this job led its workload's calibration, the
+                // calibration settles: published (waiters become hits) or
+                // not (an abort/failure truncated it before convergence —
+                // waiters degrade to the fallback).
+                let published = self.drivers[i].published_version.is_some();
+                self.settle(i, published, now, sink);
             }
             self.running[node_idx] -= 1;
             let latency = now - self.arrivals_us[i];
@@ -745,26 +730,37 @@ impl ServiceRun<'_, '_, '_> {
             // Batched: one virtual-time step covers the session's whole
             // phase — the contiguous region events plus the boundary —
             // instead of one event dispatch per region.
-            match self.drivers[i].advance_phase(&job.bench)? {
-                EventOutcome::Advanced => {}
-                EventOutcome::Abandoned => {
-                    let key = ModelKey::of(&job.bench);
-                    self.failed.insert(key.clone());
-                    if self.calibrating.contains_key(&key) {
-                        if self.record {
-                            self.recorder.instant(
-                                Track::node(self.placements[i] as u32),
-                                "calib.resolved",
-                                now,
-                            );
-                        }
-                        sink.schedule_at(now, ServiceEvent::Resolve(key));
-                    }
-                }
+            if let EventOutcome::Abandoned = self.drivers[i].advance_phase(&job.bench)? {
+                self.settle(i, false, now, sink);
             }
             self.schedule_step(i, now, sink);
         }
         Ok(())
+    }
+
+    /// Online job `i` finished, or abandoned its calibration: when it
+    /// led its workload's calibration, schedule the waiters' release.
+    /// Resolution is its own same-instant event, so waiter admissions
+    /// order behind everything already due.
+    fn settle(
+        &mut self,
+        i: usize,
+        published: bool,
+        now: Time,
+        sink: &mut dyn EventSink<ServiceEvent>,
+    ) {
+        let key = ModelKey::of(&self.jobs[i].bench);
+        if !self.gate.settle(&key, i, published) {
+            return;
+        }
+        if self.record {
+            self.recorder.instant(
+                Track::node(self.placements[i] as u32),
+                "calib.resolved",
+                now,
+            );
+        }
+        sink.schedule_at(now, ServiceEvent::Resolve(key));
     }
 
     /// Release a resolved calibration's parked waiters, in park order:
@@ -777,7 +773,8 @@ impl ServiceRun<'_, '_, '_> {
         now: Time,
         sink: &mut dyn EventSink<ServiceEvent>,
     ) -> Result<(), RuntimeError> {
-        let waiters = self.calibrating.remove(key).unwrap_or_default();
+        self.gate.release(key);
+        let waiters = self.waiters.remove(key).unwrap_or_default();
         for i in waiters {
             if self.record {
                 self.recorder.counter_add("service.calib_released", 1);
@@ -1172,7 +1169,7 @@ impl ClusterScheduler<'_> {
     /// queue-wait and queue-depth percentiles.
     ///
     /// On a zero-interarrival trace with no churn and unbounded slots,
-    /// per-job accounting is bit-identical to both sweep loops (the
+    /// per-job accounting is bit-identical to the sweep loop (the
     /// `event_core` testkit invariant). The submission queue is not
     /// consumed — the trace is the workload.
     pub fn run_service(
@@ -1296,8 +1293,8 @@ impl ClusterScheduler<'_> {
             queues: vec![VecDeque::new(); cluster.len()],
             load: vec![0.0; cluster.len()],
             rr_next: 0,
-            calibrating: BTreeMap::new(),
-            failed: BTreeSet::new(),
+            gate: AdmissionGate::default(),
+            waiters: BTreeMap::new(),
             churn,
             latency: QuantileSketch::new(),
             wait: QuantileSketch::new(),

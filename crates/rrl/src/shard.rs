@@ -34,17 +34,10 @@
 //! [`SharedRepository::new_locked`] as the differential-testing oracle:
 //! testkit invariant 8 re-runs every scenario on both backends and
 //! asserts per-job bit-identity.
-//!
-//! The module also hosts the [`CalibrationLatch`]: the shard-level
-//! admission gate the parallel
-//! [`ClusterScheduler`](crate::ClusterScheduler) event loop uses so that
-//! the first job of a cold workload calibrates while same-workload jobs
-//! *block on the latch* — not on a global scheduler stall — and resume
-//! the moment the leader publishes or fails.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use kernels::BenchmarkSpec;
 use obskit::Recorder;
@@ -56,7 +49,8 @@ use snapcell::SnapCell;
 
 use crate::error::RuntimeError;
 use crate::repository::{
-    MatchPolicy, ModelKey, ModelProvenance, ModelSource, RepositoryStats, ServedModel, Shard,
+    MatchPolicy, ModelKey, ModelProvenance, ModelSource, RepositoryHandle, RepositoryStats,
+    ServedModel, Shard,
 };
 
 /// Lock-free mirror of [`RepositoryStats`], one atomic per field.
@@ -100,243 +94,8 @@ impl AtomicStats {
     }
 }
 
-/// How a latched calibration resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CalibrationOutcome {
-    /// The leader converged and published its model: waiters should
-    /// re-serve from the repository and expect a hit.
-    Published,
-    /// The leader could not calibrate (exploration budget or planning
-    /// failure, or its worker aborted): waiters should degrade to the
-    /// calibration fallback.
-    Failed,
-}
-
-/// Non-blocking view of one workload's latch state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LatchStatus {
-    /// No calibration was ever claimed for this workload.
-    Unclaimed,
-    /// A leader holds the claim and has not resolved it yet.
-    InFlight,
-    /// The claim resolved.
-    Done(CalibrationOutcome),
-}
-
-#[derive(Debug, Clone, Copy)]
-enum LatchState {
-    InFlight,
-    Done(CalibrationOutcome),
-}
-
-/// One latch segment: the claims whose application hashes here.
-#[derive(Debug, Default)]
-struct LatchShard {
-    claims: Mutex<std::collections::BTreeMap<ModelKey, LatchState>>,
-    resolved: Condvar,
-}
-
-/// The shard-level calibration admission gate.
-///
-/// One latch entry exists per cold workload (exact [`ModelKey`]). The
-/// first claimer ([`CalibrationLatch::begin`]) becomes the *leader* and
-/// calibrates; same-workload followers [`wait`](CalibrationLatch::wait)
-/// on the entry — parking only their own worker thread, while unrelated
-/// workloads keep being admitted — until the leader
-/// [`publish`](CalibrationLatch::publish)es or
-/// [`fail`](CalibrationLatch::fail)s. Entries are segmented by the same
-/// application hash as the repository shards, so contention on one
-/// workload's gate never serializes admission of another's.
-///
-/// Claims are *per run*, mirroring the sequential scheduler's transient
-/// `calibrating`/`failed` bookkeeping: the parallel scheduler constructs
-/// a fresh latch for every [`run_parallel`](crate::ClusterScheduler::run_parallel)
-/// call (matched to the repository's shard count) rather than keeping
-/// claims alive across runs, so a workload whose calibration failed once
-/// is retried on the next submission wave.
-///
-/// Resolution is first-writer-wins: once a claim is `Done` its outcome
-/// never changes (a belt-and-braces `fail` after a successful `publish`
-/// is a no-op), which lets an aborting worker fail every claim it led
-/// without clobbering already-published ones.
-#[derive(Debug)]
-pub struct CalibrationLatch {
-    shards: Vec<LatchShard>,
-    /// Count of resolutions across *all* segments, with a condvar for
-    /// waiters that care about "any resolution at all" rather than one
-    /// key: the parallel event loop's blocked-partition parking (see
-    /// [`CalibrationLatch::wait_resolution`]).
-    epoch: Mutex<u64>,
-    any_resolved: Condvar,
-}
-
-impl CalibrationLatch {
-    /// A latch with `shards` independent segments (clamped to ≥ 1).
-    pub fn new(shards: usize) -> Self {
-        Self {
-            shards: (0..shards.max(1)).map(|_| LatchShard::default()).collect(),
-            epoch: Mutex::new(0),
-            any_resolved: Condvar::new(),
-        }
-    }
-
-    fn shard(&self, key: &ModelKey) -> &LatchShard {
-        &self.shards[shard_index(&key.application, self.shards.len())]
-    }
-
-    /// Claim the calibration of `key`. Returns `true` when the caller is
-    /// now the leader; `false` when the workload is already claimed (in
-    /// flight or resolved).
-    pub fn begin(&self, key: &ModelKey) -> bool {
-        let shard = self.shard(key);
-        let mut claims = lock_ignore_poison(&shard.claims);
-        if claims.contains_key(key) {
-            return false;
-        }
-        claims.insert(key.clone(), LatchState::InFlight);
-        true
-    }
-
-    /// Resolve `key` as successfully published and wake its waiters.
-    pub fn publish(&self, key: &ModelKey) {
-        self.resolve(key, CalibrationOutcome::Published);
-    }
-
-    /// Resolve `key` as failed and wake its waiters. A no-op when the
-    /// claim already resolved (first writer wins).
-    pub fn fail(&self, key: &ModelKey) {
-        self.resolve(key, CalibrationOutcome::Failed);
-    }
-
-    fn resolve(&self, key: &ModelKey, outcome: CalibrationOutcome) {
-        {
-            let shard = self.shard(key);
-            let mut claims = lock_ignore_poison(&shard.claims);
-            match claims.get(key) {
-                Some(LatchState::Done(_)) => return, // first resolution wins
-                Some(LatchState::InFlight) | None => {
-                    claims.insert(key.clone(), LatchState::Done(outcome));
-                }
-            }
-            shard.resolved.notify_all();
-        }
-        // Advance the global resolution epoch *after* the segment state
-        // is published, so a waiter woken by the epoch change always
-        // observes the resolution that caused it.
-        let mut epoch = lock_ignore_poison(&self.epoch);
-        *epoch += 1;
-        self.any_resolved.notify_all();
-    }
-
-    /// The global resolution counter: bumped once per resolution, on any
-    /// segment. Sample it *before* scanning latch states, then park with
-    /// [`CalibrationLatch::wait_resolution`] — a resolution that raced
-    /// the scan already advanced the epoch, so the wait returns
-    /// immediately instead of missing the wakeup.
-    pub fn resolution_epoch(&self) -> u64 {
-        *lock_ignore_poison(&self.epoch)
-    }
-
-    /// Block until the resolution epoch advances past `seen` — i.e.
-    /// until at least one claim (on *any* segment) resolves after the
-    /// caller sampled [`CalibrationLatch::resolution_epoch`]. Returns
-    /// the epoch observed at wakeup. This is the targeted replacement
-    /// for timed polling in the parallel event loop's follower parking:
-    /// a blocked worker sleeps until a resolution actually happens,
-    /// instead of re-sweeping every millisecond.
-    pub fn wait_resolution(&self, seen: u64) -> u64 {
-        let mut epoch = lock_ignore_poison(&self.epoch);
-        while *epoch == seen {
-            epoch = match self.any_resolved.wait(epoch) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
-        *epoch
-    }
-
-    /// Claims still in flight across all segments — the
-    /// *no-orphaned-claims* invariant says this must be zero once a run's
-    /// workers have exited (every claim resolves by publication, failure,
-    /// or a worker's drop guard; an in-flight claim here would have been
-    /// a future deadlock for its followers).
-    pub fn unresolved(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                lock_ignore_poison(&s.claims)
-                    .values()
-                    .filter(|v| matches!(v, LatchState::InFlight))
-                    .count()
-            })
-            .sum()
-    }
-
-    /// Non-blocking peek at `key`'s state.
-    pub fn status(&self, key: &ModelKey) -> LatchStatus {
-        let shard = self.shard(key);
-        let claims = lock_ignore_poison(&shard.claims);
-        match claims.get(key) {
-            None => LatchStatus::Unclaimed,
-            Some(LatchState::InFlight) => LatchStatus::InFlight,
-            Some(LatchState::Done(outcome)) => LatchStatus::Done(*outcome),
-        }
-    }
-
-    /// Block the calling thread until `key` resolves, and return the
-    /// outcome. Callers must only wait on keys some leader has already
-    /// claimed with [`CalibrationLatch::begin`] (the parallel scheduler
-    /// claims every cold workload before its workers start): waiting on
-    /// an unclaimed key parks until someone claims *and* resolves it.
-    pub fn wait(&self, key: &ModelKey) -> CalibrationOutcome {
-        let shard = self.shard(key);
-        let mut claims = lock_ignore_poison(&shard.claims);
-        loop {
-            if let Some(LatchState::Done(outcome)) = claims.get(key) {
-                return *outcome;
-            }
-            claims = match shard.resolved.wait(claims) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
-    }
-
-    /// [`CalibrationLatch::wait`] with a bound: returns `None` when the
-    /// claim is still unresolved after `timeout`. A per-key wait only
-    /// hears its own segment's condvar — for "any resolution anywhere"
-    /// parking (what the parallel event loop's blocked-partition sweep
-    /// needs) use [`CalibrationLatch::wait_resolution`], which replaced
-    /// the timed-slice polling this method once backed.
-    pub fn wait_timeout(
-        &self,
-        key: &ModelKey,
-        timeout: std::time::Duration,
-    ) -> Option<CalibrationOutcome> {
-        let deadline = std::time::Instant::now() + timeout;
-        let shard = self.shard(key);
-        let mut claims = lock_ignore_poison(&shard.claims);
-        loop {
-            if let Some(LatchState::Done(outcome)) = claims.get(key) {
-                return Some(*outcome);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            claims = match shard.resolved.wait_timeout(claims, deadline - now) {
-                Ok((g, _)) => g,
-                Err(poisoned) => {
-                    let (g, _) = poisoned.into_inner();
-                    g
-                }
-            };
-        }
-    }
-}
-
-/// `Mutex::lock` that shrugs off poisoning (a panicked waiter must not
-/// wedge every other worker's admission).
+/// `Mutex::lock` that shrugs off poisoning (a writer that panicked must
+/// not wedge every later publish).
 fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match mutex.lock() {
         Ok(g) => g,
@@ -345,8 +104,7 @@ fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 /// The shard an application's entries live in: FNV-1a over the
-/// application name, modulo the shard count. Shared by the repository
-/// shards and the calibration latch so both partition identically.
+/// application name, modulo the shard count.
 fn shard_index(application: &str, shards: usize) -> usize {
     (kernels::fnv1a(application.as_bytes()) % shards as u64) as usize
 }
@@ -619,9 +377,8 @@ enum Backend {
 /// Semantics are identical to
 /// [`TuningModelRepository`](crate::TuningModelRepository) — the shards
 /// mirror the same [`Shard`](crate::repository) state machine — but
-/// every method takes `&self`, so one `SharedRepository` can serve all
-/// the worker threads of [`ClusterScheduler::run_parallel`](crate::ClusterScheduler::run_parallel)
-/// at once, and the entire read path (`serve`, `serve_stored`,
+/// every method takes `&self`, so one `SharedRepository` can serve any
+/// number of threads at once, and the entire read path (`serve`, `serve_stored`,
 /// `serve_fallback`, `contains`, `provenance`, `len`) is lock-free
 /// against per-shard immutable snapshots. Differences a single-threaded
 /// caller can observe:
@@ -754,8 +511,8 @@ impl SharedRepository {
     /// read records a `repo.snapshot_age` histogram — how many
     /// publications the served snapshot trailed the shard's latest
     /// (0 unless a publish raced the load). `Arc` rather than a borrow
-    /// because the repository is shared across the worker threads of
-    /// `run_parallel` and outlives any one run.
+    /// because the repository may be shared across threads and outlives
+    /// any one run.
     #[must_use]
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = Some(recorder);
@@ -1117,6 +874,36 @@ impl SharedRepository {
     }
 }
 
+/// The sweep loop ([`ClusterScheduler::run`](crate::ClusterScheduler::run))
+/// serves from a shared repository exactly as from a local one: every
+/// method forwards to its `&self` twin.
+impl RepositoryHandle for SharedRepository {
+    fn serve(&mut self, bench: &BenchmarkSpec) -> Result<ServedModel, RuntimeError> {
+        SharedRepository::serve(self, bench)
+    }
+
+    fn serve_stored(&mut self, bench: &BenchmarkSpec) -> Result<Option<ServedModel>, RuntimeError> {
+        SharedRepository::serve_stored(self, bench)
+    }
+
+    fn serve_fallback(&mut self, bench: &BenchmarkSpec) -> Result<ServedModel, RuntimeError> {
+        SharedRepository::serve_fallback(self, bench)
+    }
+
+    fn publish_online(
+        &mut self,
+        bench: &BenchmarkSpec,
+        model: &TuningModel,
+        expected: Vec<(String, f64)>,
+    ) -> u32 {
+        SharedRepository::publish_online(self, bench, model, expected)
+    }
+
+    fn stats(&self) -> RepositoryStats {
+        SharedRepository::stats(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1225,105 +1012,5 @@ mod tests {
         }
         assert!(repo.len() <= 8, "per-shard bound enforced: {}", repo.len());
         assert!(repo.stats().evictions >= 24);
-    }
-
-    #[test]
-    fn latch_leader_election_and_waiting() {
-        let latch = CalibrationLatch::new(4);
-        let key = ModelKey {
-            application: "app".into(),
-            fingerprint: 42,
-        };
-        assert_eq!(latch.status(&key), LatchStatus::Unclaimed);
-        assert_eq!(latch.unresolved(), 0);
-        assert!(latch.begin(&key), "first claimer leads");
-        assert!(!latch.begin(&key), "second claimer follows");
-        assert_eq!(latch.status(&key), LatchStatus::InFlight);
-        assert_eq!(
-            latch.unresolved(),
-            1,
-            "the claim is an orphan until resolved"
-        );
-
-        // Followers block until the leader resolves.
-        let outcome = std::thread::scope(|s| {
-            let waiter = s.spawn(|| latch.wait(&key));
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            latch.publish(&key);
-            waiter.join().expect("waiter thread")
-        });
-        assert_eq!(outcome, CalibrationOutcome::Published);
-        assert_eq!(
-            latch.status(&key),
-            LatchStatus::Done(CalibrationOutcome::Published)
-        );
-        // First resolution wins: a late belt-and-braces fail is a no-op.
-        latch.fail(&key);
-        assert_eq!(latch.wait(&key), CalibrationOutcome::Published);
-    }
-
-    #[test]
-    fn latch_wait_timeout_expires_and_resolves() {
-        use std::time::Duration;
-        let latch = CalibrationLatch::new(2);
-        let key = ModelKey {
-            application: "slow".into(),
-            fingerprint: 9,
-        };
-        assert!(latch.begin(&key));
-        // Unresolved claim: the bounded wait gives up…
-        assert_eq!(latch.wait_timeout(&key, Duration::from_millis(5)), None);
-        // …and sees the outcome once resolved, without sleeping.
-        latch.publish(&key);
-        assert_eq!(
-            latch.wait_timeout(&key, Duration::from_secs(5)),
-            Some(CalibrationOutcome::Published)
-        );
-    }
-
-    #[test]
-    fn resolution_epoch_advances_once_per_resolution_and_wakes_waiters() {
-        let latch = CalibrationLatch::new(4);
-        let a = ModelKey {
-            application: "a".into(),
-            fingerprint: 1,
-        };
-        let b = ModelKey {
-            application: "b".into(),
-            fingerprint: 2,
-        };
-        assert_eq!(latch.resolution_epoch(), 0);
-        assert!(latch.begin(&a) && latch.begin(&b));
-
-        // A resolution on *any* segment advances the global epoch.
-        latch.publish(&a);
-        assert_eq!(latch.resolution_epoch(), 1);
-        // First-writer-wins: re-resolving a done claim is epoch-inert.
-        latch.fail(&a);
-        assert_eq!(latch.resolution_epoch(), 1);
-
-        // A waiter parked on the stale epoch wakes when `b` resolves —
-        // even though `b` hashes to a different latch segment.
-        let woken = std::thread::scope(|s| {
-            let waiter = s.spawn(|| latch.wait_resolution(1));
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            latch.fail(&b);
-            waiter.join().expect("waiter thread")
-        });
-        assert_eq!(woken, 2);
-        // A wait on an already-stale epoch returns without blocking.
-        assert_eq!(latch.wait_resolution(0), 2);
-    }
-
-    #[test]
-    fn latch_failure_unblocks_waiters_with_failed() {
-        let latch = CalibrationLatch::new(2);
-        let key = ModelKey {
-            application: "doomed".into(),
-            fingerprint: 7,
-        };
-        assert!(latch.begin(&key));
-        latch.fail(&key);
-        assert_eq!(latch.wait(&key), CalibrationOutcome::Failed);
     }
 }

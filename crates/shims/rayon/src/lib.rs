@@ -5,13 +5,6 @@
 //! `collect`, …) is the std one. Semantics are identical to rayon for
 //! the side-effect-free pipelines this workspace builds; only wall-clock
 //! parallelism is given up, which the analytic simulator does not need.
-//!
-//! [`scope`] is the exception: it spawns *real* OS threads (via
-//! `std::thread::scope`), because the `rrl` cluster scheduler's parallel
-//! event loop exists precisely to exploit wall-clock parallelism. Each
-//! `Scope::spawn` body runs on its own thread and may borrow from the
-//! enclosing stack frame; `scope` returns once every spawned body has
-//! finished, propagating any panic.
 
 pub mod prelude {
     //! Drop-in replacement for `rayon::prelude::*`.
@@ -91,38 +84,6 @@ where
     (a(), b())
 }
 
-/// A handle for spawning borrowed work onto real threads — `rayon`'s
-/// `Scope`, backed by `std::thread::Scope`.
-#[derive(Clone, Copy)]
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Run `body` on a fresh thread. The body receives the scope handle,
-    /// so it can spawn further work, and may borrow anything that outlives
-    /// the enclosing [`scope`] call.
-    pub fn spawn<F>(&self, body: F)
-    where
-        F: FnOnce(&Scope<'scope, 'env>) + Send + 'scope,
-    {
-        let inner = self.inner;
-        inner.spawn(move || body(&Scope { inner }));
-    }
-}
-
-/// Create a scope for spawning threads that borrow from the caller's
-/// stack. Unlike the `par_iter` shims this is *really* parallel: every
-/// [`Scope::spawn`] gets its own OS thread, and `scope` joins them all
-/// before returning (re-raising the first panic, as `std::thread::scope`
-/// does).
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    std::thread::scope(|s| f(&Scope { inner: s }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
@@ -134,18 +95,6 @@ mod tests {
         assert_eq!(doubled, vec![2, 4, 6, 8]);
         let sum: i32 = (0..5).into_par_iter().sum();
         assert_eq!(sum, 10);
-    }
-
-    #[test]
-    fn scope_runs_borrowed_work_in_parallel() {
-        let mut out = vec![0u32; 4];
-        let inputs = [1u32, 2, 3, 4];
-        super::scope(|s| {
-            for (slot, v) in out.iter_mut().zip(inputs) {
-                s.spawn(move |_| *slot = v * 10);
-            }
-        });
-        assert_eq!(out, vec![10, 20, 30, 40]);
     }
 
     #[test]

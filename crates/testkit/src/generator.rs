@@ -46,11 +46,11 @@ pub enum ArrivalModel {
         mean_s: f64,
     },
     /// Back-to-back bursts of `burst` jobs separated by `gap_s` — the
-    /// resubmission-wave shape. Note the scheduler itself has no time
-    /// model: arrival times document the trace shape in replays (and
-    /// perturb the sampling stream); submission order is what the
-    /// runtime sees. Latch contention comes from workload composition
-    /// (cold workloads + skewed popularity), not from `gap_s`.
+    /// resubmission-wave shape. The sweep loop has no time model: there
+    /// arrival times only document the trace shape (and perturb the
+    /// sampling stream) and submission order is what it sees; the
+    /// service loop honors them. Waiting behind calibrations comes from
+    /// workload composition (cold workloads + skewed popularity).
     Bursty {
         /// Jobs per burst.
         burst: usize,
@@ -83,7 +83,7 @@ pub struct GeneratorConfig {
     /// models.
     pub capability_gap_fraction: f64,
     /// Bound the repositories below the publishing-workload count so the
-    /// LRU evicts *mid-run* (the documented bit-identity caveat regime).
+    /// LRU evicts *mid-run*.
     pub eviction_pressure: bool,
     /// Fraction of jobs carrying an injected fault.
     pub fault_fraction: f64,
@@ -92,8 +92,6 @@ pub struct GeneratorConfig {
     /// Include a kernel-catalog benchmark (miniMD) in the population when
     /// it fits the calibration budget.
     pub catalog_workloads: bool,
-    /// Worker threads for the parallel run.
-    pub workers: usize,
     /// Replicas for the replicated-serving execution (0 disables it —
     /// the default — so every pre-existing profile generates byte
     /// for byte what it did before the net layer existed).
@@ -132,7 +130,6 @@ impl Default for GeneratorConfig {
             fault_fraction: 0.2,
             size_jitter: 0.2,
             catalog_workloads: true,
-            workers: 4,
             replicas: 0,
             churn_events: 0,
             inloop_gossip: false,
@@ -208,7 +205,6 @@ impl ScenarioGenerator {
                 search_pool: 10,
                 search_seed: seed ^ 0x5EED,
             }),
-            workers: cfg.workers.max(1),
             faults,
             net,
         }
@@ -440,9 +436,9 @@ impl ScenarioGenerator {
     fn gen_faults(&self, workloads: &[WorkloadSpec], jobs: &[JobSpec], rng: &mut u64) -> FaultPlan {
         let mut plan = FaultPlan::default();
         // At most one drift shift per *workload*: concurrent same-app
-        // re-publications would assign versions in worker order, which is
-        // the one documented nondeterminism — scenario faults stay inside
-        // the bit-identity contract.
+        // re-publications would assign versions in finish order rather
+        // than submission order — scenario faults stay inside the
+        // version-integrity contract.
         let mut drifted: Vec<usize> = Vec::new();
         // One calibration-failure injection per workload too (only the
         // leader's admission consults it, but keeping the plan minimal

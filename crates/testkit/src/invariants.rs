@@ -1,30 +1,28 @@
 //! The invariant catalog: what every scenario run must satisfy.
 //!
 //! [`check`] runs a scenario through both event loops and verifies, in
-//! order:
+//! order (invariant 1, the liveness of a threaded loop that no longer
+//! exists, is retired; the numbers stay stable):
 //!
-//! 1. **Liveness** — the parallel run returns at all (enforced by the
-//!    runner's watchdog plus the runtime's own release-active
-//!    no-orphaned-claims assertion after every `run_parallel`).
-//! 2. **Sequential↔parallel bit-identity** — every per-job field
-//!    (accounting record, per-region breakdown, switches, model source,
-//!    online activity, baseline, savings, published version, drift
-//!    events, rejections, abort points) and every aggregate is equal bit
-//!    for bit across the two loops. Skipped under declared eviction
-//!    pressure, the one documented regime where serve order may change
-//!    which entries survive.
+//! 2. **Local↔shared bit-identity** — the sweep loop over a
+//!    `TuningModelRepository` and over a `SharedRepository` agree on
+//!    every per-job field (accounting record, per-region breakdown,
+//!    switches, model source, online activity, baseline, savings,
+//!    published version, drift events, rejections, abort points) and
+//!    every aggregate, bit for bit — on every scenario, eviction pressure
+//!    included.
 //! 3. **Statistics double-entry** — the shared repository's lock-free
 //!    aggregate equals the sum of its per-shard (locked) truths.
 //! 4. **Version integrity** — within one run, no application is assigned
-//!    a duplicate version, and the sequential loop assigns versions in
+//!    a duplicate version, and both repository runs assign versions in
 //!    strictly increasing submission order; the per-application
 //!    high-water mark never regresses, even under eviction.
 //! 5. **Event core** — the discrete-event service run quiesces with an
 //!    empty heap and a monotone virtual clock on *every* scenario, and
 //!    on the overlapping scenario class (zero-interarrival trace, no
 //!    churn, no eviction pressure — where the service loop and the
-//!    sweep loops are defined to coincide) its per-job accounting is
-//!    bit-identical to the sequential sweep.
+//!    sweep loop are defined to coincide) its per-job accounting is
+//!    bit-identical to the sweep over the local repository.
 //! 6. **Replication** (scenarios carrying a
 //!    [`NetPlan`](crate::scenario::NetPlan)) — the replicated execution
 //!    is bit-identical across reruns, every session ends `Closed`, every
@@ -37,12 +35,11 @@
 //!    bit-identical to the unrecorded run, telemetry snapshot aside), and
 //!    two recorded runs of the same scenario emit identical virtual-time
 //!    event sequences and deterministic metric snapshots.
-//! 8. **Snapshot coherence** — re-executing the parallel run over the
+//! 8. **Snapshot coherence** — re-executing the shared run over the
 //!    pre-snapshot `RwLock` backend (`SharedRepository::new_locked`)
 //!    produces per-job results bit-identical to the snapshot-serving
-//!    backend: the lock-free read path is a pure optimisation, never a
-//!    semantic change. Skipped under declared eviction pressure for the
-//!    same reason as invariant 2.
+//!    backend, on every scenario: the lock-free read path is a pure
+//!    optimisation, never a semantic change.
 //! 9. **In-loop replication** (scenarios whose `NetPlan` sets a gossip
 //!    cadence) — the replicated *service* run, gossiping between job
 //!    events with replica crash/restart and read-repair live, ends
@@ -79,21 +76,21 @@ pub enum Violation {
         /// The runtime error it returned.
         error: String,
     },
-    /// A per-job field differed between the sequential and the parallel
-    /// run.
+    /// A per-job field differed between the local-repository and the
+    /// shared-repository run.
     BitIdentity {
         /// The diverging job.
         job: String,
         /// The diverging field.
         field: &'static str,
-        /// Rendered sequential vs parallel values.
+        /// Rendered local vs shared values.
         detail: String,
     },
-    /// A report aggregate differed between the two loops.
+    /// A report aggregate differed between the two repository runs.
     ReportMismatch {
         /// The diverging aggregate.
         field: &'static str,
-        /// Rendered sequential vs parallel values.
+        /// Rendered local vs shared values.
         detail: String,
     },
     /// The lock-free statistics aggregate disagreed with the per-shard
@@ -102,8 +99,7 @@ pub enum Violation {
         /// Rendered atomic vs sharded views.
         detail: String,
     },
-    /// Version numbering broke (duplicate, or out of submission order in
-    /// the sequential loop).
+    /// Version numbering broke (duplicate, or out of submission order).
     VersionIntegrity {
         /// The offending application.
         application: String,
@@ -157,7 +153,7 @@ pub enum Violation {
         /// What broke, with rendered values where per-field.
         detail: String,
     },
-    /// The snapshot-serving parallel run diverged from the `RwLock`
+    /// The snapshot-serving shared run diverged from the `RwLock`
     /// oracle run of the identical trace — the lock-free read path
     /// changed an observable result.
     SnapshotCoherence {
@@ -202,7 +198,7 @@ impl fmt::Display for Violation {
             }
             Violation::BitIdentity { job, field, detail } => write!(
                 f,
-                "sequential↔parallel bit-identity violated for job `{job}` ({field}): {detail}"
+                "local↔shared bit-identity violated for job `{job}` ({field}): {detail}"
             ),
             Violation::ReportMismatch { field, detail } => {
                 write!(f, "report aggregate `{field}` diverged: {detail}")
@@ -282,13 +278,11 @@ fn fail(scenario: &Scenario, violation: Violation) -> Box<Failure> {
 /// docs). Returns the run for further scenario-specific assertions.
 pub fn check(scenario: &Scenario) -> Result<ScenarioRun, Box<Failure>> {
     let run = run_scenario(scenario).map_err(|v| fail(scenario, v))?;
-    if !scenario.eviction_pressure() {
-        bit_identity(&run).map_err(|v| fail(scenario, v))?;
-        snapshot_coherence(&run).map_err(|v| fail(scenario, v))?;
-    }
+    bit_identity(&run).map_err(|v| fail(scenario, v))?;
+    snapshot_coherence(&run).map_err(|v| fail(scenario, v))?;
     stats_double_entry(&run).map_err(|v| fail(scenario, v))?;
-    version_integrity(&run.sequential, true).map_err(|v| fail(scenario, v))?;
-    version_integrity(&run.parallel, false).map_err(|v| fail(scenario, v))?;
+    version_integrity(&run.sequential).map_err(|v| fail(scenario, v))?;
+    version_integrity(&run.shared).map_err(|v| fail(scenario, v))?;
     event_core(scenario, &run).map_err(|v| fail(scenario, v))?;
     observability(&run).map_err(|v| fail(scenario, v))?;
     if let Some(replicated) = &run.replicated {
@@ -306,7 +300,7 @@ macro_rules! job_field {
             return Err(Violation::BitIdentity {
                 job: $job.clone(),
                 field: $field,
-                detail: format!("sequential {:?} vs parallel {:?}", $seq, $par),
+                detail: format!("local {:?} vs shared {:?}", $seq, $par),
             });
         }
     };
@@ -317,15 +311,16 @@ macro_rules! report_field {
         if $seq != $par {
             return Err(Violation::ReportMismatch {
                 field: $field,
-                detail: format!("sequential {:?} vs parallel {:?}", $seq, $par),
+                detail: format!("local {:?} vs shared {:?}", $seq, $par),
             });
         }
     };
 }
 
-/// Invariant 2: every per-job field and aggregate equal across the loops.
+/// Invariant 2: every per-job field and aggregate equal across the two
+/// repository runs.
 fn bit_identity(run: &ScenarioRun) -> Result<(), Violation> {
-    let (seq, par) = (&run.sequential, &run.parallel);
+    let (seq, par) = (&run.sequential, &run.shared);
     report_field!("jobs.len", seq.jobs.len(), par.jobs.len());
     for (s, p) in seq.jobs.iter().zip(&par.jobs) {
         job_field!(s.job, "submission order", s.job, p.job);
@@ -402,7 +397,7 @@ fn bit_identity(run: &ScenarioRun) -> Result<(), Violation> {
 
 /// Invariant 8: the snapshot-serving backend and the `RwLock` oracle
 /// produce bit-identical per-job results and repository aggregates for
-/// the identical parallel trace.
+/// the identical trace.
 fn snapshot_coherence(run: &ScenarioRun) -> Result<(), Violation> {
     macro_rules! snap_field {
         ($job:expr, $field:literal, $snap:expr, $locked:expr) => {
@@ -416,7 +411,7 @@ fn snapshot_coherence(run: &ScenarioRun) -> Result<(), Violation> {
         };
     }
 
-    let (snap, locked) = (&run.parallel, &run.locked_parallel);
+    let (snap, locked) = (&run.shared, &run.locked);
     snap_field!(
         "(aggregate)",
         "jobs.len",
@@ -514,11 +509,10 @@ fn stats_double_entry(run: &ScenarioRun) -> Result<(), Violation> {
     Ok(())
 }
 
-/// Invariant 4: per-application version assignment is duplicate-free, and
-/// (sequentially) strictly increasing in submission order. LRU eviction
-/// must never hand a version out twice — the high-water mark survives the
-/// entries.
-fn version_integrity(report: &ClusterReport, submission_ordered: bool) -> Result<(), Violation> {
+/// Invariant 4: per-application version assignment is duplicate-free and
+/// strictly increasing in submission order. LRU eviction must never hand
+/// a version out twice — the high-water mark survives the entries.
+fn version_integrity(report: &ClusterReport) -> Result<(), Violation> {
     let mut per_app: BTreeMap<&str, Vec<u32>> = BTreeMap::new();
     for job in &report.jobs {
         if let Some(version) = job.published_version {
@@ -535,10 +529,10 @@ fn version_integrity(report: &ClusterReport, submission_ordered: bool) -> Result
                 detail: format!("duplicate published versions: {versions:?}"),
             });
         }
-        if submission_ordered && versions.windows(2).any(|w| w[0] >= w[1]) {
+        if versions.windows(2).any(|w| w[0] >= w[1]) {
             return Err(Violation::VersionIntegrity {
                 application: application.to_string(),
-                detail: format!("sequential publications out of submission order: {versions:?}"),
+                detail: format!("publications out of submission order: {versions:?}"),
             });
         }
     }

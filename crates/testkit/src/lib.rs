@@ -22,23 +22,22 @@
 //!   data, from which fleets, repositories and the fault injector are
 //!   derived deterministically. [`Scenario::to_replay`] turns any
 //!   scenario into a one-line repro.
-//! * [`runner`] — [`run_scenario`]: the same trace through the
-//!   sequential, parallel *and* discrete-event service loops, with a
-//!   liveness [`Watchdog`] over the parallel run — plus, for scenarios
-//!   carrying a [`NetPlan`], twice through the replicated
+//! * [`runner`] — [`run_scenario`]: the same trace through the sweep
+//!   loop over three repositories (local, shared snapshot, shared
+//!   `RwLock`) *and* through the discrete-event service loop — plus,
+//!   for scenarios carrying a [`NetPlan`], twice through the replicated
 //!   [`rrl::ReplicaSet`] path ([`ReplicatedRun`]) and, when the plan
 //!   sets a gossip cadence, twice through the in-loop replicated
 //!   service loop ([`InloopRun`]) with a trailing batch-`converge`
 //!   oracle.
-//! * [`invariants`] — [`check`]: the invariant catalog (seq↔par per-job
-//!   bit-identity, statistics double-entry, version integrity, latch
-//!   liveness, the `event_core` guarantees of the service run, replica
-//!   convergence/winner/determinism, in-loop convergence against the
-//!   batch oracle). Failures carry a `testkit::replay("…")` line.
+//! * [`invariants`] — [`check`]: the invariant catalog (local↔shared
+//!   per-job bit-identity, statistics double-entry, version integrity,
+//!   snapshot coherence, the `event_core` guarantees of the service run,
+//!   replica convergence/winner/determinism, in-loop convergence against
+//!   the batch oracle). Failures carry a `testkit::replay("…")` line.
 //! * [`shrink`](mod@shrink) — greedy minimisation of a failing scenario: collapse
 //!   churn, drop jobs, drop faults, strip the net plan, shrink the
-//!   fleet, collapse the workers — while the failure label stays the
-//!   same.
+//!   fleet — while the failure label stays the same.
 //! * [`helpers`] — the shared test builders (toy workloads, the Lulesh
 //!   Table III model, the canonical fallback) deduplicated out of the
 //!   integration tests.
@@ -73,7 +72,7 @@ pub use helpers::{
     lulesh_table3_model, repo_with_lulesh, taurus_fallback, toy_benchmark, SpinPermit, SpinPermits,
 };
 pub use invariants::{check, Failure, Violation};
-pub use runner::{run_scenario, InloopRun, ReplicatedRun, ScenarioRun, Watchdog};
+pub use runner::{run_scenario, InloopRun, ReplicatedRun, ScenarioRun};
 pub use scenario::{
     AbortFault, DriftShiftFault, FaultPlan, FleetSpec, JobSpec, NetPlan, NodeSpec, OnlineSpec,
     PartitionWindow, RepositorySpec, Scenario, StoredModel, WorkloadSpec,

@@ -1,25 +1,18 @@
 //! Executing a [`Scenario`]: the same trace through both event loops.
 //!
-//! [`run_scenario`] materialises the fleet and both repository flavours,
-//! submits the arrival trace three times — once through
-//! [`ClusterScheduler::run`] on one thread, once through
-//! [`ClusterScheduler::run_parallel`] over the scenario's worker count,
-//! and once through the discrete-event
-//! [`ClusterScheduler::run_service`] with the trace's timestamps (and
-//! the fault plan's node-churn schedule) honored in virtual time — and
-//! hands the [`ClusterReport`]s (plus the shared repository's two
-//! statistics views) to the invariant checkers. The parallel run is
-//! guarded by a [`Watchdog`]: a liveness failure (a worker parked forever
-//! on an orphaned calibration claim) aborts the process with the
-//! scenario's replay line instead of hanging the harness.
+//! [`run_scenario`] materialises the fleet and the repositories, runs the
+//! arrival trace through the sweep loop [`ClusterScheduler::run`] three
+//! times — over a `TuningModelRepository`, over the snapshot-serving
+//! `SharedRepository` and over its `RwLock` backend — and once through
+//! the discrete-event [`ClusterScheduler::run_service`] with the trace's
+//! timestamps (and the fault plan's node-churn schedule) honored in
+//! virtual time, and hands the [`ClusterReport`]s (plus the shared
+//! repository's two statistics views) to the invariant checkers.
 //!
 //! [`ClusterScheduler::run`]: rrl::ClusterScheduler::run
-//! [`ClusterScheduler::run_parallel`]: rrl::ClusterScheduler::run_parallel
 //! [`ClusterScheduler::run_service`]: rrl::ClusterScheduler::run_service
 
 use std::collections::BTreeMap;
-use std::sync::mpsc;
-use std::time::Duration;
 
 use obskit::{Recorder, Registry};
 use ptf::RandomSearch;
@@ -33,24 +26,18 @@ use simnode::Cluster;
 use crate::invariants::Violation;
 use crate::scenario::{NetPlan, Scenario, StoredEntry};
 
-/// Wall-clock bound on one parallel run. The simulated scenarios finish
-/// in well under a second; a run that is still going after this long is
-/// parked on a latch, which is exactly the liveness bug the watchdog
-/// exists to catch.
-pub const LIVENESS_TIMEOUT: Duration = Duration::from_secs(120);
-
 /// Both loops' results for one scenario.
 #[derive(Debug, Clone)]
 pub struct ScenarioRun {
-    /// The single-threaded run over a `TuningModelRepository`.
+    /// The sweep run over a `TuningModelRepository`.
     pub sequential: ClusterReport,
-    /// The multi-worker run over a `SharedRepository` (snapshot-serving
+    /// The same sweep run over a `SharedRepository` (snapshot-serving
     /// backend — the production read path).
-    pub parallel: ClusterReport,
-    /// The same multi-worker run over the `RwLock` backend
+    pub shared: ClusterReport,
+    /// The same sweep run over the `RwLock` backend
     /// (`SharedRepository::new_locked`) — the differential-testing
     /// oracle for invariant 8 (snapshot coherence).
-    pub locked_parallel: ClusterReport,
+    pub locked: ClusterReport,
     /// The discrete-event service run over its own
     /// `TuningModelRepository`: the same trace driven by arrival
     /// timestamps in virtual time, under the fault plan's node-churn
@@ -143,29 +130,6 @@ pub struct InloopRun {
     pub reruns_match: bool,
 }
 
-/// A process-abort timer for liveness checking: if the guard is still
-/// alive after its timeout, the watchdog prints `context` to stderr and
-/// aborts the process (a deadlocked run cannot be unwound past — abort
-/// with a repro beats hanging CI until its outer timeout). Dropping the
-/// guard disarms it.
-pub struct Watchdog {
-    _cancel: mpsc::Sender<()>,
-}
-
-impl Watchdog {
-    /// Arm a watchdog that aborts with `context` after `timeout`.
-    pub fn arm(timeout: Duration, context: String) -> Self {
-        let (cancel, watched) = mpsc::channel::<()>();
-        std::thread::spawn(move || {
-            if watched.recv_timeout(timeout) == Err(mpsc::RecvTimeoutError::Timeout) {
-                eprintln!("testkit watchdog expired after {timeout:?}: {context}");
-                std::process::abort();
-            }
-        });
-        Self { _cancel: cancel }
-    }
-}
-
 fn run_error(loop_name: &'static str, error: RuntimeError) -> Violation {
     Violation::RunError {
         event_loop: loop_name,
@@ -222,48 +186,25 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, Violation> {
             .map_err(|e| run_error("sequential", e))?
     };
 
-    let shared = scenario.build_shared_from(&entries);
-    let parallel = {
-        let mut sched = configure(
-            ClusterScheduler::new(&fleet).map_err(|e| run_error("parallel", e))?,
-            scenario,
-            strategy.as_ref(),
-        );
-        let _liveness = Watchdog::arm(
-            LIVENESS_TIMEOUT,
-            format!(
-                "parallel run deadlocked (latch liveness violation); reproduce with: \
-                 testkit::replay(r#\"{}\"#)",
-                scenario.to_replay()
-            ),
-        );
-        sched
-            .run_parallel(&shared, scenario.workers)
-            .map_err(|e| run_error("parallel", e))?
-    };
+    let mut shared_repo = scenario.build_shared_from(&entries);
+    let shared = configure(
+        ClusterScheduler::new(&fleet).map_err(|e| run_error("shared", e))?,
+        scenario,
+        strategy.as_ref(),
+    )
+    .run(&mut shared_repo)
+    .map_err(|e| run_error("shared", e))?;
 
     // Invariant 8's raw material: the identical trace over the RwLock
     // backend. The snapshot read path must be a pure optimisation — the
-    // per-job results of the two parallel runs have to be bit-identical.
-    let locked_parallel = {
-        let locked = scenario.build_shared_locked_from(&entries);
-        let mut sched = configure(
-            ClusterScheduler::new(&fleet).map_err(|e| run_error("parallel-locked", e))?,
-            scenario,
-            strategy.as_ref(),
-        );
-        let _liveness = Watchdog::arm(
-            LIVENESS_TIMEOUT,
-            format!(
-                "locked-backend parallel run deadlocked (latch liveness violation); \
-                 reproduce with: testkit::replay(r#\"{}\"#)",
-                scenario.to_replay()
-            ),
-        );
-        sched
-            .run_parallel(&locked, scenario.workers)
-            .map_err(|e| run_error("parallel-locked", e))?
-    };
+    // per-job results of the two shared runs have to be bit-identical.
+    let locked = configure(
+        ClusterScheduler::new(&fleet).map_err(|e| run_error("locked", e))?,
+        scenario,
+        strategy.as_ref(),
+    )
+    .run(&mut scenario.build_shared_locked_from(&entries))
+    .map_err(|e| run_error("locked", e))?;
 
     let service = run_service_once(scenario, &fleet, &entries, strategy.as_ref(), None)?;
 
@@ -342,11 +283,11 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, Violation> {
 
     Ok(ScenarioRun {
         sequential,
-        parallel,
-        locked_parallel,
+        shared,
+        locked,
         service,
-        shared_stats: shared.stats(),
-        shard_stats: shared.shard_stats(),
+        shared_stats: shared_repo.stats(),
+        shard_stats: shared_repo.shard_stats(),
         replicated,
         inloop,
         observed,
@@ -450,9 +391,10 @@ fn run_replicated_once(
                 );
             }
         }
-        sched
-            .run_replicated(&mut set, replica)
-            .map_err(|e| run_error("replicated", e))?;
+        let handle = set
+            .replica_mut(replica)
+            .map_err(|e| run_error("replicated", RuntimeError::Replication(e)))?;
+        sched.run(handle).map_err(|e| run_error("replicated", e))?;
     }
 
     let converge = set
@@ -570,18 +512,4 @@ fn inloop_runs_match(a: &InloopState, b: &InloopState) -> bool {
                 && x.aborted_at == y.aborted_at
         });
     jobs_match && a.0.service == b.0.service && a.1 == b.1 && a.2 == b.2 && a.3 == b.3
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn disarmed_watchdog_does_not_fire() {
-        let guard = Watchdog::arm(Duration::from_millis(5), "must not fire".into());
-        drop(guard);
-        std::thread::sleep(Duration::from_millis(30));
-        // Reaching this line is the assertion: the process was not
-        // aborted by the expired-but-disarmed timer.
-    }
 }

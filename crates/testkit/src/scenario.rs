@@ -118,8 +118,7 @@ pub struct RepositorySpec {
     /// Calibration fallback served on misses.
     pub fallback: Option<SystemConfig>,
     /// LRU capacity bound (0 = unbounded). A bound below the number of
-    /// publishing workloads forces mid-run eviction — the documented
-    /// regime where sequential↔parallel bit-identity is *not* promised.
+    /// publishing workloads forces mid-run eviction.
     pub capacity: usize,
     /// Lock stripes of the [`SharedRepository`].
     pub shards: usize,
@@ -169,7 +168,7 @@ pub struct FaultPlan {
     /// Injected mid-run workload shifts.
     pub drift_shifts: Vec<DriftShiftFault>,
     /// Node join/drain/fail schedule for the discrete-event service run
-    /// (the sweep loops ignore it). `default` keeps pre-churn replay
+    /// (the sweep loop ignores it). `default` keeps pre-churn replay
     /// lines parseable.
     #[serde(default)]
     pub churn: Vec<ChurnEvent>,
@@ -337,8 +336,6 @@ pub struct Scenario {
     pub repository: RepositorySpec,
     /// Online adaptation, if attached.
     pub online: Option<OnlineSpec>,
-    /// Worker threads for the parallel run.
-    pub workers: usize,
     /// The fault plan.
     pub faults: FaultPlan,
     /// Replicated serving, if exercised: replica count plus the seeded
@@ -376,9 +373,8 @@ impl Scenario {
     }
 
     /// Whether the repository bound can evict mid-run — the regime where
-    /// sequential↔parallel bit-identity is documented *not* to hold (the
-    /// invariant checker skips it and checks the weaker liveness +
-    /// double-entry + version properties instead).
+    /// the service loop is not promised to match the sweep loop (the
+    /// `event_core` invariant skips its per-job comparison there).
     ///
     /// A bound that can never bite is *not* pressure: the comparison is
     /// against the worst-case entry population (pre-stored models plus,
@@ -620,7 +616,6 @@ mod tests {
                 shards: 2,
             },
             online: None,
-            workers: 2,
             faults: FaultPlan {
                 aborts: vec![AbortFault {
                     job: "j1".into(),
@@ -653,6 +648,18 @@ mod tests {
         assert_ne!(legacy, line, "the key was present and got stripped");
         let back = Scenario::from_replay(&legacy).expect("legacy line parses");
         assert_eq!(back.net, None);
+        assert_eq!(back, s);
+    }
+
+    #[test]
+    fn replay_lines_with_a_worker_count_still_parse() {
+        // Lines from before the threaded loop was removed carry a
+        // `workers` count; the parser ignores the unknown field.
+        let s = tiny_scenario();
+        let line = s.to_replay();
+        let legacy = line.replace("\"online\":null", "\"online\":null,\"workers\":4");
+        assert_ne!(legacy, line, "the count was spliced in");
+        let back = Scenario::from_replay(&legacy).expect("legacy line parses");
         assert_eq!(back, s);
     }
 

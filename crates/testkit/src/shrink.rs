@@ -7,9 +7,9 @@
 //! stages reason over a stable fleet), job-trace chunks (largest first,
 //! ddmin style), individual faults, the net plan
 //! (wholesale, then partition windows and fault knobs one at a time),
-//! trailing fleet nodes, and the worker count. After every accepted reduction the
-//! scenario is [pruned](Scenario::prune) so unreferenced workloads and
-//! stale faults disappear too. The result is a minimal scenario plus its
+//! and trailing fleet nodes. After every accepted reduction the scenario
+//! is [pruned](Scenario::prune) so unreferenced workloads and stale
+//! faults disappear too. The result is a minimal scenario plus its
 //! one-line `testkit::replay("…")` repro.
 //!
 //! The predicate returns the violation *label* so the shrinker only
@@ -243,15 +243,6 @@ pub fn shrink(scenario: &Scenario, fails: &dyn Fn(&Scenario) -> Option<String>) 
             break;
         }
 
-        // 4. Collapse the worker count.
-        if current.workers > 1 {
-            let mut candidate = current.clone();
-            candidate.workers = 1;
-            if try_accept(&mut current, &mut violation, &mut attempts, candidate) {
-                progressed = true;
-            }
-        }
-
         if !progressed {
             break;
         }
@@ -300,7 +291,6 @@ mod tests {
         assert_eq!(shrunk.scenario.jobs.len(), 1, "one culprit job survives");
         assert_eq!(shrunk.scenario.net, None, "irrelevant net plan dropped");
         assert_eq!(shrunk.scenario.fleet.nodes.len(), 1);
-        assert_eq!(shrunk.scenario.workers, 1);
         assert_eq!(
             shrunk.scenario.workloads.len(),
             1,

@@ -104,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let bench = kernels::benchmark(name).expect("bundled benchmark");
             scheduler.submit(format!("r{replica}-job-{i}-{name}"), bench);
         }
-        let report = scheduler.run_replicated(&mut set, replica)?;
+        let report = scheduler.run(set.replica_mut(replica)?)?;
         hits += report.repository.hits;
     }
     assert_eq!(hits, 8, "every job on every replica served a synced model");

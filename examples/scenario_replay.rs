@@ -46,9 +46,9 @@ fn main() {
         scenario.faults.drift_shifts.len(),
     );
 
-    // Run both event loops and the invariant catalog: sequential↔parallel
+    // Run both event loops and the invariant catalog: local↔shared
     // per-job bit-identity, statistics double-entry, version integrity,
-    // latch liveness.
+    // snapshot coherence, the service loop's event core.
     let run = match testkit::check(&scenario) {
         Ok(run) => run,
         Err(failure) => {
@@ -60,12 +60,12 @@ fn main() {
         }
     };
 
-    println!("{}", run.parallel.format_report());
-    let online = run.parallel.online_summary();
+    println!("{}", run.shared.format_report());
+    let online = run.shared.online_summary();
     println!(
-        "invariants held: {} jobs bit-identical across both event loops, \
+        "invariants held: {} jobs bit-identical across every repository, \
          {} calibrations, {} publications, stats double-entry clean\n",
-        run.parallel.jobs.len(),
+        run.shared.jobs.len(),
         online.calibrations,
         online.publications,
     );
@@ -75,10 +75,10 @@ fn main() {
     println!("replay line ({} bytes)", line.len());
     let replayed = testkit::replay(&line).expect("replay passes the catalog");
     assert_eq!(
-        replayed.parallel.aggregate, run.parallel.aggregate,
+        replayed.shared.aggregate, run.shared.aggregate,
         "replay must be bit-identical"
     );
-    for (a, b) in replayed.parallel.jobs.iter().zip(&run.parallel.jobs) {
+    for (a, b) in replayed.shared.jobs.iter().zip(&run.shared.jobs) {
         assert_eq!(a.accounting.record, b.accounting.record, "{}", a.job);
     }
     println!("replayed: bit-identical to the original run ✓");

@@ -230,7 +230,6 @@ fn shrinker_reduces_replicated_scenario_to_replay_line() {
     assert_eq!(net.delay_jitter_ticks, 0);
     assert!(net.partitions.is_empty());
     assert_eq!(shrunk.scenario.fleet.nodes.len(), 1);
-    assert_eq!(shrunk.scenario.workers, 1);
 
     // The one-line repro parses back to the minimal scenario and still
     // fails the same way.

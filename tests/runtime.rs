@@ -163,12 +163,13 @@ fn toy_bench(name: &str, instr: f64, iterations: u32) -> BenchmarkSpec {
     testkit::toy_benchmark(name, instr, iterations)
 }
 
-/// Every per-job field that must be bit-identical between the sequential
-/// and the parallel event loop, plus the (submission-ordered, therefore
-/// equally deterministic) floating-point totals.
-fn assert_reports_bit_identical(parallel: &ClusterReport, sequential: &ClusterReport, tag: &str) {
-    assert_eq!(parallel.jobs.len(), sequential.jobs.len(), "{tag}");
-    for (p, s) in parallel.jobs.iter().zip(&sequential.jobs) {
+/// Every per-job field that must be bit-identical between a run over a
+/// `SharedRepository` and one over a `TuningModelRepository`, plus the
+/// (submission-ordered, therefore equally deterministic) floating-point
+/// totals.
+fn assert_reports_bit_identical(shared: &ClusterReport, local: &ClusterReport, tag: &str) {
+    assert_eq!(shared.jobs.len(), local.jobs.len(), "{tag}");
+    for (p, s) in shared.jobs.iter().zip(&local.jobs) {
         assert_eq!(p.job, s.job, "{tag}: submission order");
         assert_eq!(p.node_id, s.node_id, "{tag}: placement");
         assert_eq!(
@@ -189,31 +190,27 @@ fn assert_reports_bit_identical(parallel: &ClusterReport, sequential: &ClusterRe
         assert_eq!(p.published_version, s.published_version, "{tag}");
         assert_eq!(p.drift, s.drift, "{tag}: drift events");
     }
-    assert_eq!(parallel.total_tuned, sequential.total_tuned, "{tag}");
-    assert_eq!(parallel.total_default, sequential.total_default, "{tag}");
-    assert_eq!(parallel.aggregate, sequential.aggregate, "{tag}");
-    assert_eq!(parallel.nodes_used, sequential.nodes_used, "{tag}");
+    assert_eq!(shared.total_tuned, local.total_tuned, "{tag}");
+    assert_eq!(shared.total_default, local.total_default, "{tag}");
+    assert_eq!(shared.aggregate, local.aggregate, "{tag}");
+    assert_eq!(shared.nodes_used, local.nodes_used, "{tag}");
     assert_eq!(
-        parallel.repository.hits, sequential.repository.hits,
+        shared.repository.hits, local.repository.hits,
         "{tag}: hit counts"
     );
+    assert_eq!(shared.repository.misses, local.repository.misses, "{tag}");
     assert_eq!(
-        parallel.repository.misses, sequential.repository.misses,
-        "{tag}"
-    );
-    assert_eq!(
-        parallel.repository.fallbacks, sequential.repository.fallbacks,
+        shared.repository.fallbacks, local.repository.fallbacks,
         "{tag}"
     );
 }
 
-/// The PR's correctness anchor as a property: for 3 cluster seeds ×
-/// queue sizes {8, 64, 256}, a mixed hit/fallback queue produces a
-/// bit-identical `ClusterReport` whether the scheduler runs on one
-/// thread over a `TuningModelRepository` or across worker threads over a
+/// For 3 cluster seeds × queue sizes {8, 64, 256}, a mixed hit/fallback
+/// queue produces a bit-identical `ClusterReport` whether the scheduler
+/// serves from a `TuningModelRepository` or from a sharded
 /// `SharedRepository`.
 #[test]
-fn parallel_report_bit_identical_across_seeds_and_queue_sizes() {
+fn shared_repository_report_bit_identical_across_seeds_and_queue_sizes() {
     let fallback = taurus_fallback();
     let tuned = toy_bench("tuned-toy", 2e10, 12);
     let untuned = toy_bench("untuned-toy", 1.2e10, 9);
@@ -237,27 +234,26 @@ fn parallel_report_bit_identical_across_seeds_and_queue_sizes() {
             repo.insert(&tuned, &toy_model);
             let mut seq = ClusterScheduler::new(&cluster).unwrap();
             submit(&mut seq);
-            let sequential = seq.run(&mut repo).unwrap();
+            let local = seq.run(&mut repo).unwrap();
 
-            let shared = SharedRepository::new(8).with_fallback(fallback);
-            shared.insert(&tuned, &toy_model);
-            let mut par = ClusterScheduler::new(&cluster).unwrap();
-            submit(&mut par);
-            let workers = (jobs / 4).clamp(2, 8);
-            let parallel = par.run_parallel(&shared, workers).unwrap();
+            let mut repo = SharedRepository::new(8).with_fallback(fallback);
+            repo.insert(&tuned, &toy_model);
+            let mut sched = ClusterScheduler::new(&cluster).unwrap();
+            submit(&mut sched);
+            let shared = sched.run(&mut repo).unwrap();
 
-            let tag = format!("seed={seed:#x} jobs={jobs} workers={workers}");
-            assert_reports_bit_identical(&parallel, &sequential, &tag);
+            let tag = format!("seed={seed:#x} jobs={jobs}");
+            assert_reports_bit_identical(&shared, &local, &tag);
         }
     }
 }
 
 /// The same property through the online-adaptation admission gate: a
-/// cold workload's first job calibrates (the latch leader), same-workload
-/// followers park on the latch and then hit the published model — and
-/// the whole report still matches the sequential run bit for bit.
+/// cold workload's first job calibrates, same-workload followers wait
+/// and then hit the published model — and the whole report still
+/// matches the local-repository run bit for bit.
 #[test]
-fn parallel_online_latch_bit_identical_across_seeds() {
+fn shared_repository_online_warm_up_bit_identical_across_seeds() {
     let strategy = RandomSearch::new(12, 3);
     let cold = toy_bench("cold-toy", 2.5e10, 40);
     let stored = toy_bench("stored-toy", 1.5e10, 10);
@@ -286,20 +282,20 @@ fn parallel_online_latch_bit_identical_across_seeds() {
             repo.insert(&stored, &stored_model);
             let mut seq = ClusterScheduler::new(&cluster).unwrap().with_online(online);
             submit(&mut seq);
-            let sequential = seq.run(&mut repo).unwrap();
+            let local = seq.run(&mut repo).unwrap();
 
-            let shared = SharedRepository::new(4);
-            shared.insert(&stored, &stored_model);
-            let mut par = ClusterScheduler::new(&cluster).unwrap().with_online(online);
-            submit(&mut par);
-            let parallel = par.run_parallel(&shared, 4).unwrap();
+            let mut repo = SharedRepository::new(4);
+            repo.insert(&stored, &stored_model);
+            let mut sched = ClusterScheduler::new(&cluster).unwrap().with_online(online);
+            submit(&mut sched);
+            let shared = sched.run(&mut repo).unwrap();
 
             let tag = format!("online seed={seed:#x} jobs={jobs}");
-            assert_reports_bit_identical(&parallel, &sequential, &tag);
+            assert_reports_bit_identical(&shared, &local, &tag);
             // Warm-up shape: exactly one calibration for the cold
             // workload, everyone else hits (or monitors the stored one).
-            assert_eq!(parallel.online_summary().calibrations, 1, "{tag}");
-            assert_eq!(parallel.repository.misses, 1, "{tag}");
+            assert_eq!(shared.online_summary().calibrations, 1, "{tag}");
+            assert_eq!(shared.repository.misses, 1, "{tag}");
         }
     }
 }

@@ -2,8 +2,8 @@
 //! scenarios with injected faults, checked against the full invariant
 //! catalog — plus the acceptance properties of the engine itself
 //! (bit-identical replays, shrinking to a one-line repro) and the
-//! regression locks on the documented eviction-pressure caveat and the
-//! capability-gap degrade path.
+//! regression locks on eviction pressure and the capability-gap degrade
+//! path.
 
 use dvfs_ufs_tuning::rrl::ModelSource;
 use testkit::{GeneratorConfig, Scenario, ScenarioGenerator};
@@ -12,7 +12,7 @@ use testkit::{GeneratorConfig, Scenario, ScenarioGenerator};
 /// 3 seeds × {16, 96} jobs, a generated scenario (heterogeneous
 /// variability, capability gaps, mixed warm/cold workloads, Poisson
 /// arrivals) with faults injected (aborts, refused calibrations, drift
-/// shifts) still produces sequential↔parallel bit-identical reports —
+/// shifts) still produces local↔shared bit-identical reports —
 /// `testkit::check` verifies every per-job field plus the aggregates,
 /// the statistics double-entry and version integrity.
 #[test]
@@ -35,9 +35,9 @@ fn generated_heterogeneous_scenarios_bit_identical_with_faults() {
                 .unwrap_or_else(|failure| panic!("seed {seed:#x} jobs {jobs}:\n{failure}"));
             // The scenario actually exercised the messy paths it
             // generated: heterogeneous placement and online warm-up.
-            assert!(run.parallel.nodes_used >= 2, "seed {seed:#x}");
+            assert!(run.shared.nodes_used >= 2, "seed {seed:#x}");
             assert!(
-                run.parallel.online_summary().calibrations >= 1,
+                run.shared.online_summary().calibrations >= 1,
                 "seed {seed:#x}: at least one cold workload calibrated"
             );
         }
@@ -46,7 +46,7 @@ fn generated_heterogeneous_scenarios_bit_identical_with_faults() {
 
 /// Acceptance — a seeded scenario with injected faults reproduces
 /// bit-identically across two independent runs (generation, fleet and
-/// repository construction, fault injection, both event loops: all pure
+/// repository construction, fault injection, every loop run: all pure
 /// functions of the scenario value).
 #[test]
 fn seeded_fault_scenario_reproduces_bit_identically() {
@@ -60,7 +60,7 @@ fn seeded_fault_scenario_reproduces_bit_identically() {
 
     let first = testkit::run_scenario(&scenario).expect("first run succeeds");
     let second = testkit::run_scenario(&scenario).expect("second run succeeds");
-    for (a, b) in first.parallel.jobs.iter().zip(&second.parallel.jobs) {
+    for (a, b) in first.shared.jobs.iter().zip(&second.shared.jobs) {
         assert_eq!(a.job, b.job);
         assert_eq!(a.accounting.record, b.accounting.record, "{}", a.job);
         assert_eq!(a.accounting.regions, b.accounting.regions);
@@ -69,37 +69,34 @@ fn seeded_fault_scenario_reproduces_bit_identically() {
         assert_eq!(a.aborted_at, b.aborted_at);
         assert_eq!(a.rejection, b.rejection);
     }
-    assert_eq!(first.parallel.aggregate, second.parallel.aggregate);
+    assert_eq!(first.shared.aggregate, second.shared.aggregate);
     assert_eq!(first.sequential.aggregate, second.sequential.aggregate);
     assert_eq!(first.shared_stats, second.shared_stats);
     // The faults visibly fired: at least one job was truncated.
     assert!(
-        first.parallel.jobs.iter().any(|j| j.aborted_at.is_some()),
+        first.shared.jobs.iter().any(|j| j.aborted_at.is_some()),
         "an abort fault must have fired"
     );
     // …and the replay line reruns the exact same scenario.
     let replayed = testkit::replay(&scenario.to_replay()).expect("replay passes the catalog");
     assert_eq!(
-        replayed.parallel.aggregate, first.parallel.aggregate,
+        replayed.shared.aggregate, first.shared.aggregate,
         "replay is bit-identical too"
     );
 }
 
-/// Satellite 2 — regression lock on the PR 4 documented caveat: when
-/// generated repository pressure (capacity below the publishing-workload
-/// count, single stripe) evicts publications *mid-run*, `run_parallel`
-/// followers whose leader's model was already evicted re-calibrate like
-/// the sequential path would — they must not pin the calibration
-/// fallback, and the run must stay live.
+/// Regression lock on eviction pressure: when generated repository
+/// pressure (capacity below the publishing-workload count, single
+/// stripe) evicts publications *mid-run*, followers whose leader's model
+/// was already evicted re-calibrate — they must not pin the calibration
+/// fallback — and the local and shared runs still agree bit for bit.
 #[test]
 fn generated_eviction_pressure_recalibrates_evicted_followers() {
-    // Deterministic shape (single worker — still the parallel event
-    // loop: latch admission, SharedRepository, the evicted-publication
-    // branch): two equal-length cold workloads whose leaders publish in
-    // the same sweep through a generated capacity bound of 1, so the
-    // second publication evicts the first *mid-run*, and the first
-    // workload's followers — parked on an already-resolved latch — must
-    // re-miss and re-calibrate.
+    // Deterministic shape: two equal-length cold workloads whose leaders
+    // publish in the same sweep through a generated capacity bound of 1,
+    // so the second publication evicts the first *mid-run*, and the
+    // first workload's followers — released by an already-settled
+    // calibration — must re-miss and re-calibrate.
     let generator = ScenarioGenerator::new(GeneratorConfig {
         jobs: 6,
         workloads: 2,
@@ -107,7 +104,6 @@ fn generated_eviction_pressure_recalibrates_evicted_followers() {
         eviction_pressure: true,
         capability_gap_fraction: 0.0, // isolate the eviction behaviour
         fault_fraction: 0.0,
-        workers: 1,
         ..GeneratorConfig::default()
     });
     let mut scenario = generator.generate(2);
@@ -127,18 +123,16 @@ fn generated_eviction_pressure_recalibrates_evicted_followers() {
         scenario.jobs[i].workload = w;
     }
 
-    // Under pressure `check` deliberately skips seq↔par bit-identity
-    // (the documented caveat) but still verifies double-entry, version
-    // integrity and liveness.
+    // `check` verifies local↔shared bit-identity under pressure too.
     let run = testkit::check(&scenario).unwrap_or_else(|failure| panic!("{failure}"));
-    let report = &run.parallel;
+    let report = &run.shared;
     assert!(
         report.repository.evictions > 0,
         "the second leader's publication evicts the first mid-run"
     );
     // The regression lock: every workload is calibratable, so *no* job
     // may end up pinned on the calibration fallback — evicted-publication
-    // followers re-calibrate like the sequential path instead.
+    // followers re-calibrate instead.
     for job in &report.jobs {
         assert_ne!(
             job.accounting.source,
@@ -154,17 +148,6 @@ fn generated_eviction_pressure_recalibrates_evicted_followers() {
          ({calibrations} calibrations for {} workloads)",
         scenario.workloads.len()
     );
-
-    // The same lock under real concurrency: worker timing may change
-    // *which* entries survive (the documented caveat) but never pins a
-    // fallback, loses an eviction, or breaks double-entry/liveness.
-    let mut concurrent = scenario.clone();
-    concurrent.workers = 4;
-    let run = testkit::check(&concurrent).unwrap_or_else(|failure| panic!("{failure}"));
-    assert!(run.parallel.repository.evictions > 0);
-    for job in &run.parallel.jobs {
-        assert_ne!(job.accounting.source, ModelSource::Fallback, "{}", job.job);
-    }
 }
 
 /// Satellite 3 — capability-gap fleets at scenario scale: jobs whose
@@ -191,7 +174,7 @@ fn capability_gap_scenarios_degrade_and_name_the_culprit() {
         }
         let run =
             testkit::check(&scenario).unwrap_or_else(|failure| panic!("seed {seed}:\n{failure}"));
-        for job in &run.parallel.jobs {
+        for job in &run.shared.jobs {
             if let Some(rejection) = &job.rejection {
                 rejections += 1;
                 assert_eq!(rejection.job, job.job, "rejection names its job");
@@ -202,7 +185,7 @@ fn capability_gap_scenarios_degrade_and_name_the_culprit() {
                     "degraded jobs run untuned"
                 );
                 assert_eq!(job.accounting.switches, 0);
-                let text = run.parallel.format_report();
+                let text = run.shared.format_report();
                 assert!(
                     text.contains(&format!("{} on node {}", job.job, job.node_id)),
                     "{text}"
@@ -234,7 +217,7 @@ fn shrinker_reduces_failing_scenario_to_replay_line() {
 
     let fails = |s: &Scenario| -> Option<String> {
         let run = testkit::run_scenario(s).ok()?;
-        run.parallel
+        run.shared
             .jobs
             .iter()
             .any(|j| j.accounting.source == ModelSource::Fallback)
@@ -250,7 +233,6 @@ fn shrinker_reduces_failing_scenario_to_replay_line() {
         shrunk.attempts
     );
     assert_eq!(shrunk.scenario.fleet.nodes.len(), 1);
-    assert_eq!(shrunk.scenario.workers, 1);
     assert!(
         shrunk.scenario.workloads.len() < scenario.workloads.len(),
         "unused workloads pruned"
@@ -297,7 +279,7 @@ fn injected_drift_shift_fires_detection_and_republication() {
     });
 
     let run = testkit::check(&scenario).unwrap_or_else(|failure| panic!("{failure}"));
-    let shifted = &run.parallel.jobs[2];
+    let shifted = &run.shared.jobs[2];
     assert!(
         !shifted.drift.is_empty(),
         "the injected shift fires the detector: {:?}",
@@ -314,7 +296,7 @@ fn injected_drift_shift_fires_detection_and_republication() {
     // Accounting stays truthful: only the detector's view was scaled, so
     // the job's ledger matches its unshifted siblings' order of
     // magnitude (it re-explored, so it differs — but not by 1.6×).
-    let sibling = &run.parallel.jobs[3];
+    let sibling = &run.shared.jobs[3];
     let ratio = shifted.accounting.record.job_energy_j / sibling.accounting.record.job_energy_j;
     assert!(
         (0.5..1.5).contains(&ratio),

@@ -1,6 +1,7 @@
 //! Integration tests for the discrete-event cluster service: the
-//! three-way equivalence `run_service` ≡ `run` ≡ `run_parallel` on
-//! zero-interarrival no-churn traces, the churn-shape guarantees
+//! equivalence `run_service` ≡ `run` (over a local and a shared
+//! repository) on zero-interarrival no-churn traces, the online
+//! admission gate (including under LRU eviction), the churn-shape guarantees
 //! (drained/failed nodes' jobs are re-placed, never dropped; failures
 //! truncate running jobs at a phase boundary), and in-loop replication
 //! (gossip while serving, replica crash/restart catch-up, read-repair).
@@ -65,10 +66,11 @@ fn assert_reports_bit_identical(service: &ClusterReport, sweep: &ClusterReport, 
     );
 }
 
-/// The tentpole's correctness anchor: for 3 cluster seeds × trace sizes
-/// {16, 256}, a zero-interarrival no-churn trace produces per-job results
-/// bit-identical to both sweep loops — the discrete-event kernel changes
-/// *when* things run, never *what* they compute.
+/// The correctness anchor: for 3 cluster seeds × trace sizes {16, 256},
+/// a zero-interarrival no-churn trace produces per-job results
+/// bit-identical to both sweep runs — the sweep loop over a local and
+/// over a shared repository. The discrete-event kernel changes *when*
+/// things run, never *what* they compute.
 #[test]
 fn service_bit_identical_to_both_sweep_loops() {
     let fallback = taurus_fallback();
@@ -98,13 +100,13 @@ fn service_bit_identical_to_both_sweep_loops() {
             }
             let sequential = seq.run(&mut repo).unwrap();
 
-            let shared = SharedRepository::new(8).with_fallback(fallback);
+            let mut shared = SharedRepository::new(8).with_fallback(fallback);
             shared.insert(&tuned, &toy_model);
-            let mut par = ClusterScheduler::new(&cluster).unwrap();
+            let mut sweep = ClusterScheduler::new(&cluster).unwrap();
             for (name, bench) in &queue {
-                par.submit(name.clone(), bench.clone());
+                sweep.submit(name.clone(), bench.clone());
             }
-            let parallel = par.run_parallel(&shared, 4).unwrap();
+            let over_shared = sweep.run(&mut shared).unwrap();
 
             let mut svc_repo = TuningModelRepository::new().with_fallback(fallback);
             svc_repo.insert(&tuned, &toy_model);
@@ -119,7 +121,11 @@ fn service_bit_identical_to_both_sweep_loops() {
 
             let tag = format!("seed={seed:#x} jobs={jobs}");
             assert_reports_bit_identical(&service, &sequential, &format!("{tag} vs run"));
-            assert_reports_bit_identical(&service, &parallel, &format!("{tag} vs run_parallel"));
+            assert_reports_bit_identical(
+                &service,
+                &over_shared,
+                &format!("{tag} vs run over SharedRepository"),
+            );
 
             let summary = service.service.as_ref().expect("service summary present");
             assert!(summary.quiesced && summary.monotone, "{tag}: event core");
@@ -186,6 +192,69 @@ fn service_online_admission_bit_identical() {
         assert_eq!(service.online_summary().calibrations, 1, "{tag}");
         assert_eq!(service.repository.misses, 1, "{tag}");
     }
+}
+
+/// Only the job that leads a calibration settles it. A drift monitor
+/// still running when its workload's entry is evicted must not release
+/// the jobs parked behind the workload's re-calibration: here monitor A
+/// of `stored-toy` outlives its entry (evicted by cold X's publication
+/// at capacity 1), D misses and leads a re-calibration, E parks behind
+/// D, and A then finishes while D is still calibrating. E must wait for
+/// D's model and hit it, not be released to the fallback by A.
+#[test]
+fn monitor_finish_does_not_settle_a_calibration_it_does_not_lead() {
+    let strategy = RandomSearch::new(12, 3);
+    let stored = toy_bench("stored-toy", 1.5e10, 200);
+    let cold = toy_bench("cold-toy", 2.5e10, 40);
+    let stored_model = TuningModel::new(
+        "stored-toy",
+        &[("omp parallel:1".into(), SystemConfig::new(24, 2500, 1600))],
+        SystemConfig::new(24, 2500, 1600),
+    );
+    let mut repo = TuningModelRepository::new()
+        .with_capacity(1)
+        .with_fallback(taurus_fallback());
+    repo.insert(&stored, &stored_model);
+    let cluster = Cluster::new(4, 0x5EED);
+    let mut sched = ClusterScheduler::new(&cluster)
+        .unwrap()
+        .with_online(OnlineTuning {
+            strategy: &strategy,
+            energy_model: None,
+            config: OnlineConfig::default(),
+        });
+    let arrival = |name: &str, bench: &BenchmarkSpec, arrival_s: f64| JobArrival {
+        name: name.into(),
+        bench: bench.clone(),
+        arrival_s,
+    };
+    let trace = vec![
+        arrival("A", &stored, 0.0),
+        arrival("X", &cold, 0.0),
+        arrival("D", &stored, 16.6),
+        arrival("E", &stored, 17.6),
+    ];
+    let report = sched
+        .run_service(trace, &mut repo, &ServiceConfig::default())
+        .unwrap();
+
+    let [a, x, d, e] = &report.jobs[..] else {
+        panic!("four jobs expected");
+    };
+    assert_eq!(a.accounting.source, ModelSource::Repository, "A monitors");
+    assert_eq!(x.published_version, Some(1), "X publishes and evicts");
+    assert!(report.repository.evictions > 0);
+    assert_eq!(
+        d.published_version,
+        Some(2),
+        "D re-calibrates and publishes"
+    );
+    assert_eq!(
+        e.accounting.source,
+        ModelSource::Online,
+        "E waits for D's model instead of falling back"
+    );
+    assert_eq!(report.repository.fallbacks, 0);
 }
 
 /// A churn schedule for the shape tests.

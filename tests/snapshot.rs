@@ -23,7 +23,7 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 
 use ptf::TuningModel;
-use rrl::{CalibrationLatch, CalibrationOutcome, MatchPolicy, ModelKey, SharedRepository};
+use rrl::{MatchPolicy, SharedRepository};
 use simnode::SystemConfig;
 use testkit::{taurus_fallback, toy_benchmark, SpinPermits};
 
@@ -254,80 +254,4 @@ fn free_running_race_serves_only_fully_published_snapshots() {
     for _ in 0..4 {
         race(None);
     }
-}
-
-/// Regression test alongside the PR 4 release guard, on the snapshot
-/// path: a leader that panics mid-publish must leave no torn snapshot
-/// visible to readers and must release its led claims so followers
-/// resolve to the calibration fallback instead of parking forever.
-#[test]
-fn abandoned_leader_releases_claims_and_leaves_no_torn_snapshot() {
-    let repo = Arc::new(SharedRepository::new(2).with_fallback(taurus_fallback()));
-    let latch = Arc::new(CalibrationLatch::new(2));
-    let bench = toy_benchmark("cold-start", 3.0, 4);
-    let key = ModelKey::of(&bench);
-    assert!(latch.begin(&key), "first claimant leads");
-    assert!(!latch.begin(&key), "the claim is exclusive while in flight");
-
-    let followers: Vec<_> = (0..3)
-        .map(|_| {
-            let latch = Arc::clone(&latch);
-            let key = key.clone();
-            thread::spawn(move || latch.wait(&key))
-        })
-        .collect();
-
-    let leader = {
-        let latch = Arc::clone(&latch);
-        let key = key.clone();
-        thread::spawn(move || {
-            // The run_parallel worker's release guard, in miniature:
-            // resolve every led claim on the way out of a panicking
-            // worker ("fail" is first-writer-wins, so a claim that made
-            // it to publication is untouched).
-            struct ReleaseOnExit {
-                latch: Arc<CalibrationLatch>,
-                led: Vec<ModelKey>,
-            }
-            impl Drop for ReleaseOnExit {
-                fn drop(&mut self) {
-                    for key in &self.led {
-                        self.latch.fail(key);
-                    }
-                }
-            }
-            let _release = ReleaseOnExit {
-                latch,
-                led: vec![key],
-            };
-            let _model = model_for(0, 0);
-            panic!("leader aborted mid-publish");
-        })
-    };
-    assert!(leader.join().is_err(), "the leader really panicked");
-    for follower in followers {
-        assert_eq!(
-            follower.join().expect("followers outlive the leader"),
-            CalibrationOutcome::Failed,
-            "followers must resolve to the fallback path"
-        );
-    }
-
-    // No torn snapshot: the aborted publish left nothing behind, the
-    // miss/fallback path still works, and the books still balance.
-    assert!(!repo.contains(&bench), "no partial entry may be visible");
-    assert!(repo.serve_stored(&bench).expect("serve succeeds").is_none());
-    let served = repo.serve(&bench).expect("fallback configured");
-    assert_eq!(served.source, rrl::ModelSource::Fallback);
-    assert_eq!(repo.stats(), repo.shard_stats());
-    assert_eq!(repo.stats().misses, 2, "both lookups missed");
-    assert_eq!(repo.stats().fallbacks, 1);
-
-    // The latch stays resolved (late followers see the failure
-    // immediately) and the repository accepts the retry publish.
-    assert!(!latch.begin(&key), "resolved claims are not reclaimable");
-    assert_eq!(latch.wait(&key), CalibrationOutcome::Failed);
-    let version = repo.publish_online(&bench, &model_for(0, 0), Vec::new());
-    assert_eq!(version, 1, "retry publish starts the lineage");
-    assert!(repo.contains(&bench));
 }

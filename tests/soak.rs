@@ -2,7 +2,7 @@
 //! seed sweep behind `--ignored` for long local soaks.
 //!
 //! CI runs `timeout 300 cargo test --release --test soak` — the external
-//! timeout (and testkit's internal liveness watchdog) is the hang guard.
+//! timeout is the hang guard.
 //! On any invariant violation the panic message carries the
 //! `testkit::replay("…")` line; paste it into [`testkit::replay`] (or
 //! shrink it first with [`testkit::shrink`]) to reproduce.
@@ -11,8 +11,8 @@ use testkit::{ArrivalModel, GeneratorConfig, ScenarioGenerator};
 
 /// The fixed CI matrix: 20 seeds across five generator profiles — a
 /// mixed faulted fleet under Poisson traffic, an all-cold
-/// eviction-pressure profile whose every workload queues followers on
-/// the calibration latch while the LRU bound churns publications, a
+/// eviction-pressure profile whose every workload queues followers behind
+/// its calibration while the LRU bound churns publications, a
 /// replication-fault profile that spreads the trace over a 3-replica
 /// set syncing through generated drops, duplicates, reorder jitter and
 /// a partition window, a churn profile whose bursty trace rides the
