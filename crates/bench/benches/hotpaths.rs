@@ -10,7 +10,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use std::cell::RefCell;
 
 use enermodel::adam::{Adam, AdamConfig};
-use enermodel::nn::{EnergyNet, NetConfig};
+use enermodel::nn::{EnergyNet, Gradients, NetConfig, Workspace};
 use enermodel::train::{train, Dataset, TrainConfig};
 use kernels::real;
 use ptf::experiments::ExperimentsEngine;
@@ -71,15 +71,19 @@ fn bench_nn_training(c: &mut Criterion) {
     });
 }
 
-/// A single Adam step on the paper's 86-parameter network.
+/// One training step on the paper's 86-parameter network: backprop into
+/// the preallocated workspace and gradient buffer, then the Adam update,
+/// exactly as the training loop runs it.
 fn bench_adam_step(c: &mut Criterion) {
     let mut net = EnergyNet::new(&NetConfig::paper(1));
     let mut adam = Adam::new(&net, AdamConfig::default());
+    let mut ws = Workspace::default();
+    let mut grads = Gradients::zeros_like(&net);
     let x = [0.3; 9];
     c.bench_function("nn/adam_step", |b| {
         b.iter(|| {
-            let (_, g) = net.backprop(black_box(&x), &[1.0]);
-            adam.step(&mut net, &g);
+            net.backprop_into(black_box(&x), &[1.0], &mut ws, &mut grads);
+            adam.step(&mut net, &grads);
         })
     });
 }

@@ -1,7 +1,9 @@
 //! Diff a fresh bench summary against a committed baseline; see
 //! [`bench_suite::summary`]. Usage: `bench_diff <baseline.json> <fresh.json>`.
-//! Exits non-zero when the fresh run lost a baseline benchmark; timing
-//! ratios are printed but never enforced.
+//! Exits non-zero when the fresh run lost a baseline benchmark or a fresh
+//! median exceeds twice the baseline's slowest sample
+//! ([`bench_suite::summary::REGRESSION_FACTOR`]); smaller timing ratios
+//! are printed but not enforced.
 
 use std::process::ExitCode;
 

@@ -10,9 +10,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use enermodel::nn::EnergyNet;
+use enermodel::nn::{EnergyNet, Workspace};
 use enermodel::scaler::StandardScaler;
-use enermodel::train::{train, Dataset, TrainConfig, TrainReport};
+use enermodel::train::{train, train_scaled, Dataset, TrainConfig, TrainReport};
 use simnode::{CoreFreq, FreqDomain, SystemConfig, UncoreFreq};
 
 use crate::modeldata::features_from_rates;
@@ -52,19 +52,20 @@ impl EnergyModel {
     /// initialisation and shuffle seeds; predictions are averaged.
     pub fn train_committee(data: &Dataset, cfg: &TrainConfig, k: usize) -> Self {
         assert!(k >= 1, "committee needs at least one network");
-        let mut nets = Vec::with_capacity(k);
-        let mut scaler = None;
-        for i in 0..k {
-            let mut c = cfg.clone();
-            c.net.seed = cfg.net.seed.wrapping_add(i as u64 * 0x9E37);
-            c.shuffle_seed = cfg.shuffle_seed.wrapping_add(i as u64);
-            let TrainReport { net, scaler: s, .. } = train(data, &c);
-            nets.push(net);
-            scaler.get_or_insert(s);
-        }
+        // Every member trains on the same standardised features.
+        let scaler = StandardScaler::fit(&data.features);
+        let x = scaler.transform(&data.features);
+        let nets = (0..k)
+            .map(|i| {
+                let mut c = cfg.clone();
+                c.net.seed = cfg.net.seed.wrapping_add(i as u64 * 0x9E37);
+                c.shuffle_seed = cfg.shuffle_seed.wrapping_add(i as u64);
+                train_scaled(&x, &data.targets, &c).0
+            })
+            .collect();
         Self {
             nets,
-            scaler: scaler.expect("k >= 1"),
+            scaler,
             calibration: SystemConfig::calibration(),
         }
     }
@@ -114,11 +115,23 @@ impl EnergyModel {
     /// Predict normalised energy for one frequency pair given the phase
     /// counter rates.
     pub fn predict_enorm(&self, rates: &[f64; 7], core_mhz: u32, uncore_mhz: u32) -> f64 {
-        let mut row = features_from_rates(rates, core_mhz, uncore_mhz).to_vec();
+        self.predict_enorm_with(rates, core_mhz, uncore_mhz, &mut Workspace::default())
+    }
+
+    /// [`EnergyModel::predict_enorm`] with the committee sharing one
+    /// caller-held workspace.
+    fn predict_enorm_with(
+        &self,
+        rates: &[f64; 7],
+        core_mhz: u32,
+        uncore_mhz: u32,
+        ws: &mut Workspace,
+    ) -> f64 {
+        let mut row = features_from_rates(rates, core_mhz, uncore_mhz);
         self.scaler.transform_row(&mut row);
         self.nets
             .iter()
-            .map(|n| n.predict_scalar(&row))
+            .map(|n| n.predict_with(&row, ws))
             .sum::<f64>()
             / self.nets.len() as f64
     }
@@ -133,9 +146,10 @@ impl EnergyModel {
     ) -> (CoreFreq, UncoreFreq) {
         let mut best = (CoreFreq(core.min_mhz), UncoreFreq(uncore.min_mhz));
         let mut best_e = f64::INFINITY;
+        let mut ws = Workspace::default();
         for cf in core.iter_mhz() {
             for ucf in uncore.iter_mhz() {
-                let e = self.predict_enorm(rates, cf, ucf);
+                let e = self.predict_enorm_with(rates, cf, ucf, &mut ws);
                 if e < best_e {
                     best_e = e;
                     best = (CoreFreq(cf), UncoreFreq(ucf));
@@ -154,9 +168,10 @@ impl EnergyModel {
         uncore: &FreqDomain,
     ) -> Vec<(u32, u32, f64)> {
         let mut out = Vec::with_capacity(core.len() * uncore.len());
+        let mut ws = Workspace::default();
         for cf in core.iter_mhz() {
             for ucf in uncore.iter_mhz() {
-                out.push((cf, ucf, self.predict_enorm(rates, cf, ucf)));
+                out.push((cf, ucf, self.predict_enorm_with(rates, cf, ucf, &mut ws)));
             }
         }
         out
@@ -205,6 +220,19 @@ mod tests {
     fn best_frequencies_track_workload_personality() {
         let node = Node::exact(0);
         let model = EnergyModel::train_paper(&kernels::training_set(), &node);
+        // Golden hash of the committee's parameters: training must stay
+        // bit-identical, not merely land in the same frequency bands.
+        let mut h = kernels::hash::Fnv1a::new();
+        for net in &model.nets {
+            for &p in net.params() {
+                h = h.update_u64(p.to_bits());
+            }
+        }
+        assert_eq!(
+            h.finish(),
+            0x837d_0359_f47c_0cf9,
+            "committee parameter hash"
+        );
         let core = FreqDomain::haswell_core();
         let uncore = FreqDomain::haswell_uncore();
 

@@ -79,7 +79,8 @@ pub fn build_dataset(
     assert!(!threads.is_empty() && !core_mhz.is_empty() && !uncore_mhz.is_empty());
     let engine = ExecutionEngine::new();
 
-    // (features, target, group) triples, benchmark-parallel.
+    // (features, target, group) triples, one benchmark at a time (the
+    // `par_iter` is the offline rayon shim's sequential iterator).
     let samples: Vec<(Vec<f64>, f64, String)> = benchmarks
         .par_iter()
         .flat_map(|bench| {

@@ -2,8 +2,9 @@
 //!
 //! The paper trains its network "using the stochastic optimization method
 //! ADAM … with the default parameters and a learning rate of 1e-3"
-//! (Section V-B). This is a faithful, allocation-light implementation with
-//! bias-corrected first and second moment estimates.
+//! (Section V-B). This is a faithful implementation with bias-corrected
+//! first and second moment estimates; a step is one allocation-free loop
+//! over the flat parameter, gradient and moment buffers.
 
 use serde::{Deserialize, Serialize};
 
@@ -33,16 +34,15 @@ impl Default for AdamConfig {
     }
 }
 
-/// Adam optimiser state for an [`EnergyNet`].
+/// Adam optimiser state for an [`EnergyNet`]: the first and second
+/// moment estimates, flat and laid out like the network's parameters.
 #[derive(Debug, Clone)]
 pub struct Adam {
     cfg: AdamConfig,
-    /// First-moment estimates, same shapes as the network parameters.
-    m_w: Vec<Vec<Vec<f64>>>,
-    m_b: Vec<Vec<f64>>,
+    /// First-moment estimates.
+    m: Vec<f64>,
     /// Second-moment estimates.
-    v_w: Vec<Vec<Vec<f64>>>,
-    v_b: Vec<Vec<f64>>,
+    v: Vec<f64>,
     /// Time step (number of `step` calls performed).
     t: u64,
 }
@@ -50,22 +50,10 @@ pub struct Adam {
 impl Adam {
     /// Create optimiser state shaped like `net`.
     pub fn new(net: &EnergyNet, cfg: AdamConfig) -> Self {
-        let m_w: Vec<Vec<Vec<f64>>> = net
-            .layers()
-            .iter()
-            .map(|l| vec![vec![0.0; l.fan_in()]; l.fan_out()])
-            .collect();
-        let m_b: Vec<Vec<f64>> = net
-            .layers()
-            .iter()
-            .map(|l| vec![0.0; l.fan_out()])
-            .collect();
         Self {
             cfg,
-            v_w: m_w.clone(),
-            v_b: m_b.clone(),
-            m_w,
-            m_b,
+            m: vec![0.0; net.param_count()],
+            v: vec![0.0; net.param_count()],
             t: 0,
         }
     }
@@ -87,8 +75,12 @@ impl Adam {
         self
     }
 
-    /// Apply one Adam update to `net` given gradients `g`.
+    /// Apply one Adam update to `net` given gradients `g`: one pass over
+    /// the flat parameter, gradient and moment buffers.
     pub fn step(&mut self, net: &mut EnergyNet, g: &Gradients) {
+        let grads = g.as_slice();
+        assert_eq!(grads.len(), self.m.len(), "gradient shape mismatch");
+        assert_eq!(net.param_count(), self.m.len(), "network shape mismatch");
         self.t += 1;
         let t = self.t as f64;
         let AdamConfig {
@@ -100,29 +92,13 @@ impl Adam {
         let bc1 = 1.0 - beta1.powf(t);
         let bc2 = 1.0 - beta2.powf(t);
 
-        for (li, layer) in net.layers_mut().iter_mut().enumerate() {
-            for o in 0..layer.weights.len() {
-                for i in 0..layer.weights[o].len() {
-                    let grad = g.d_weights[li][o][i];
-                    let m = &mut self.m_w[li][o][i];
-                    let v = &mut self.v_w[li][o][i];
-                    *m = beta1 * *m + (1.0 - beta1) * grad;
-                    *v = beta2 * *v + (1.0 - beta2) * grad * grad;
-                    let m_hat = *m / bc1;
-                    let v_hat = *v / bc2;
-                    layer.weights[o][i] -= learning_rate * m_hat / (v_hat.sqrt() + epsilon);
-                }
-            }
-            for o in 0..layer.biases.len() {
-                let grad = g.d_biases[li][o];
-                let m = &mut self.m_b[li][o];
-                let v = &mut self.v_b[li][o];
-                *m = beta1 * *m + (1.0 - beta1) * grad;
-                *v = beta2 * *v + (1.0 - beta2) * grad * grad;
-                let m_hat = *m / bc1;
-                let v_hat = *v / bc2;
-                layer.biases[o] -= learning_rate * m_hat / (v_hat.sqrt() + epsilon);
-            }
+        let params = net.params_mut().iter_mut().zip(grads);
+        for ((p, &grad), (m, v)) in params.zip(self.m.iter_mut().zip(&mut self.v)) {
+            *m = beta1 * *m + (1.0 - beta1) * grad;
+            *v = beta2 * *v + (1.0 - beta2) * grad * grad;
+            let m_hat = *m / bc1;
+            let v_hat = *v / bc2;
+            *p -= learning_rate * m_hat / (v_hat.sqrt() + epsilon);
         }
     }
 }
@@ -153,7 +129,7 @@ mod tests {
             let (_, g) = net.backprop(&[1.0], &[3.0]);
             adam.step(&mut net, &g);
         }
-        let w = net.layers()[0].weights[0][0] + net.layers()[0].biases[0];
+        let w = net.params()[0] + net.params()[1];
         assert!((w - 3.0).abs() < 1e-3, "w+b = {w}");
     }
 
@@ -174,11 +150,11 @@ mod tests {
             hidden_activation: Activation::ReLU,
             seed: 2,
         });
-        let before = net.layers()[0].weights[0][0];
+        let before = net.params()[0];
         let mut adam = Adam::new(&net, AdamConfig::default());
         let (_, g) = net.backprop(&[1.0], &[100.0]);
         adam.step(&mut net, &g);
-        let after = net.layers()[0].weights[0][0];
+        let after = net.params()[0];
         let delta = (after - before).abs();
         assert!(delta <= 1.1e-3, "first step too large: {delta}");
         assert!(delta > 0.9e-3, "first step too small: {delta}");

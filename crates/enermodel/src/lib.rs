@@ -40,9 +40,9 @@ pub use adam::Adam;
 pub use linalg::{Matrix, Vector};
 pub use loocv::{loocv_mape, LoocvReport};
 pub use metrics::{mape, mean_absolute_error, mse, r_squared};
-pub use nn::{Activation, EnergyNet, Layer, NetConfig};
+pub use nn::{Activation, EnergyNet, Layer, NetConfig, Workspace};
 pub use regress::{ols, OlsFit};
 pub use scaler::StandardScaler;
 pub use select::{select_counters, SelectionConfig, SelectionResult};
-pub use train::{train, Dataset, TrainConfig, TrainReport};
+pub use train::{train, train_scaled, Dataset, TrainConfig, TrainReport};
 pub use vif::{mean_vif, vif_all, vif_for};

@@ -3,8 +3,9 @@
 //! Section V-B evaluates model stability by leaving one *benchmark* out at
 //! a time: its samples form the test set, all other benchmarks train the
 //! network (5 epochs), and MAPE over the held-out benchmark's DVFS/UFS
-//! states is reported (Fig. 5). Folds are independent, so they are run in
-//! parallel with Rayon.
+//! states is reported (Fig. 5). Folds are independent; they are written
+//! as a `par_iter` pipeline, but the workspace's offline `rayon` shim runs
+//! them sequentially, one after another.
 
 use rayon::prelude::*;
 

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use crate::adam::{Adam, AdamConfig};
 use crate::linalg::Matrix;
 use crate::metrics::mse;
-use crate::nn::{EnergyNet, NetConfig};
+use crate::nn::{EnergyNet, Gradients, NetConfig, Workspace};
 use crate::scaler::StandardScaler;
 
 /// A supervised dataset: one feature row and scalar target per sample, with
@@ -149,20 +149,43 @@ impl TrainReport {
 /// Panics if the dataset is empty or the feature width does not match the
 /// network input size.
 pub fn train(data: &Dataset, cfg: &TrainConfig) -> TrainReport {
-    assert!(!data.is_empty(), "cannot train on an empty dataset");
+    let scaler = StandardScaler::fit(&data.features);
+    let x = scaler.transform(&data.features);
+    let (net, epoch_mse) = train_scaled(&x, &data.targets, cfg);
+    TrainReport {
+        net,
+        scaler,
+        epoch_mse,
+    }
+}
+
+/// Train a fresh network on features that are already standardised,
+/// returning it with the mean squared error after each epoch. Networks
+/// that share a training set (a committee) share one scaled copy of it.
+///
+/// Steady-state training allocates nothing: the network, its gradient,
+/// Adam's moments, the forward/backward workspace and the epoch's
+/// predictions are all buffers sized once up front.
+///
+/// # Panics
+/// Panics if there are no samples, the targets do not match the rows, or
+/// the feature width does not match the network input size.
+pub fn train_scaled(x: &Matrix, targets: &[f64], cfg: &TrainConfig) -> (EnergyNet, Vec<f64>) {
+    assert!(!targets.is_empty(), "cannot train on an empty dataset");
+    assert_eq!(x.rows(), targets.len(), "one target per sample");
     assert_eq!(
-        data.features.cols(),
+        x.cols(),
         cfg.net.layer_sizes[0],
         "feature width must match network input size"
     );
 
-    let scaler = StandardScaler::fit(&data.features);
-    let x = scaler.transform(&data.features);
-
     let mut net = EnergyNet::new(&cfg.net);
     let mut adam_cfg = cfg.adam;
     let mut adam = Adam::new(&net, adam_cfg);
-    let mut order: Vec<usize> = (0..data.len()).collect();
+    let mut ws = Workspace::default();
+    let mut grads = Gradients::zeros_like(&net);
+    let mut preds = vec![0.0; targets.len()];
+    let mut order: Vec<usize> = (0..targets.len()).collect();
     let mut rng = StdRng::seed_from_u64(cfg.shuffle_seed);
 
     let mut epoch_mse = Vec::with_capacity(cfg.epochs);
@@ -173,18 +196,15 @@ pub fn train(data: &Dataset, cfg: &TrainConfig) -> TrainReport {
         }
         order.shuffle(&mut rng);
         for &i in &order {
-            let (_, grads) = net.backprop(x.row(i), &[data.targets[i]]);
+            net.backprop_into(x.row(i), &targets[i..=i], &mut ws, &mut grads);
             adam.step(&mut net, &grads);
         }
-        let preds = net.predict_batch(&x);
-        epoch_mse.push(mse(&data.targets, &preds));
+        for (r, p) in preds.iter_mut().enumerate() {
+            *p = net.predict_with(x.row(r), &mut ws);
+        }
+        epoch_mse.push(mse(targets, &preds));
     }
-
-    TrainReport {
-        net,
-        scaler,
-        epoch_mse,
-    }
+    (net, epoch_mse)
 }
 
 #[cfg(test)]
@@ -274,6 +294,40 @@ mod tests {
         let mut cfg = small_cfg(1);
         cfg.net.layer_sizes = vec![9, 5, 5, 1];
         let _ = train(&data, &cfg);
+    }
+
+    /// FNV-1a over the bit patterns of every weight and bias (layer by
+    /// layer, weights row-major, then biases) followed by every epoch MSE.
+    fn training_hash(report: &TrainReport) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |x: f64| {
+            for b in x.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        report.net.params().iter().for_each(|&p| eat(p));
+        report.epoch_mse.iter().for_each(|&m| eat(m));
+        h
+    }
+
+    /// Golden hashes of two training runs. Any change to the arithmetic
+    /// of the forward pass, backprop, Adam or the epoch MSE (operation
+    /// order, fused multiply-add, reciprocal multiplies) moves them.
+    #[test]
+    fn training_is_bit_identical_to_golden() {
+        let data = synth(200);
+        let relu = train(&data, &small_cfg(5));
+        assert_eq!(training_hash(&relu), 0x35a3_d6d3_b113_54a4, "relu");
+        let mut cfg = small_cfg(4);
+        cfg.net.hidden_activation = Activation::Tanh;
+        cfg.lr_decay = 0.9;
+        let tanh = train(&data, &cfg);
+        assert_eq!(
+            training_hash(&tanh),
+            0x6cc6_3818_e461_94f9,
+            "tanh + lr decay"
+        );
     }
 
     #[test]

@@ -282,9 +282,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_message_kind_round_trips() {
-        let messages = [
+    /// One message of every kind.
+    fn every_message() -> Vec<Message> {
+        vec![
             Message::ConnectRequest,
             Message::ConnectAccept,
             Message::NegotiateRequest { version: 1 },
@@ -310,13 +310,66 @@ mod tests {
             },
             Message::CloseRequest,
             Message::CloseAck,
-        ];
-        for message in messages {
+        ]
+    }
+
+    #[test]
+    fn every_message_kind_round_trips() {
+        for message in every_message() {
             let bytes = encode(&message);
             let (back, consumed) = decode(&bytes).expect("round trip");
             assert_eq!(back, message);
             assert_eq!(consumed, bytes.len(), "whole frame consumed");
         }
+    }
+
+    /// Seeded frame mutation over every message kind: truncations, bit
+    /// flips and splices of two frames. Each mutated buffer must decode to
+    /// a message or a [`NetError`], never panic, and a message that does
+    /// decode must re-encode to a frame that decodes back to itself.
+    #[test]
+    fn mutated_frames_decode_to_a_message_or_an_error() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const MUTATIONS: usize = 100_000;
+        let frames: Vec<Vec<u8>> = every_message().iter().map(encode).collect();
+        let mut rng = StdRng::seed_from_u64(0x00F4_A3E5);
+        let (mut decoded, mut rejected) = (0, 0);
+        for round in 0..MUTATIONS {
+            let frame = &frames[round % frames.len()];
+            let mutated = match (round / frames.len()) % 3 {
+                0 => frame[..rng.gen_index(frame.len())].to_vec(),
+                1 => {
+                    let mut flipped = frame.clone();
+                    for _ in 0..=rng.gen_index(4) {
+                        let bit = rng.gen_index(flipped.len() * 8);
+                        flipped[bit / 8] ^= 1 << (bit % 8);
+                    }
+                    flipped
+                }
+                _ => {
+                    let other = &frames[rng.gen_index(frames.len())];
+                    let mut spliced = frame[..rng.gen_index(frame.len() + 1)].to_vec();
+                    spliced.extend_from_slice(&other[rng.gen_index(other.len() + 1)..]);
+                    spliced
+                }
+            };
+            match decode(&mutated) {
+                Ok((message, used)) => {
+                    assert!(used <= mutated.len(), "round {round} consumed past the end");
+                    let again = encode(&message);
+                    let (back, _) = decode(&again).expect("a decoded message re-encodes");
+                    assert_eq!(encode(&back), again, "round {round}");
+                    decoded += 1;
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        assert!(
+            decoded > 0 && rejected > 0,
+            "{decoded} decoded, {rejected} rejected"
+        );
     }
 
     #[test]
