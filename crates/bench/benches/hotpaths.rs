@@ -71,17 +71,34 @@ fn bench_nn_training(c: &mut Criterion) {
     });
 }
 
+/// Steps one network takes before the Adam step benchmark restarts it
+/// from its initial weights and a fresh optimizer state: one 1k-sample
+/// epoch's worth of per-sample updates.
+const ADAM_STEPS_PER_RESTART: u32 = 1000;
+
 /// One training step on the paper's 86-parameter network: backprop into
 /// the preallocated workspace and gradient buffer, then the Adam update,
-/// exactly as the training loop runs it.
+/// exactly as the training loop runs it. The network and optimizer
+/// restart every [`ADAM_STEPS_PER_RESTART`] steps, so the row times
+/// steps of the first epoch like `nn/train_epoch_1k` does, not the steps
+/// of a network stepped ~10^5 times on one sample.
 fn bench_adam_step(c: &mut Criterion) {
-    let mut net = EnergyNet::new(&NetConfig::paper(1));
-    let mut adam = Adam::new(&net, AdamConfig::default());
+    let initial = EnergyNet::new(&NetConfig::paper(1));
+    let fresh_adam = Adam::new(&initial, AdamConfig::default());
+    let mut net = initial.clone();
+    let mut adam = fresh_adam.clone();
     let mut ws = Workspace::default();
     let mut grads = Gradients::zeros_like(&net);
     let x = [0.3; 9];
+    let mut steps = 0u32;
     c.bench_function("nn/adam_step", |b| {
         b.iter(|| {
+            if steps == ADAM_STEPS_PER_RESTART {
+                net.clone_from(&initial);
+                adam.clone_from(&fresh_adam);
+                steps = 0;
+            }
+            steps += 1;
             net.backprop_into(black_box(&x), &[1.0], &mut ws, &mut grads);
             adam.step(&mut net, &grads);
         })
@@ -190,7 +207,7 @@ fn bench_experiment_cache(c: &mut Criterion) {
 /// pair (scenario lookup + PCP config switch + region execution +
 /// accounting) on a model whose scenarios alternate configurations, so
 /// every enter actually switches; plus one repository serve (fingerprint
-/// + stored-JSON parse).
+/// + clone of the stored model) and one publish-then-serve round.
 fn bench_runtime_session(c: &mut Criterion) {
     use ptf::TuningModel;
     use rrl::{ModelSource, RuntimeSession, ServedModel, TuningModelRepository};
@@ -238,6 +255,24 @@ fn bench_runtime_session(c: &mut Criterion) {
         let mut repo = TuningModelRepository::new();
         repo.insert(&bench, &tm);
         b.iter(|| black_box(repo.serve(&bench).unwrap()))
+    });
+    group.finish();
+
+    // What a calibration leader and its first follower cost the
+    // repository: publish the converged model with its drift
+    // expectations, then serve it once.
+    let expected: Vec<(String, f64)> = bench
+        .regions
+        .iter()
+        .map(|r| (r.name.clone(), 100.0))
+        .collect();
+    let mut group = c.benchmark_group("rrl/repository");
+    group.bench_function("publish_then_serve", |b| {
+        let mut repo = TuningModelRepository::new();
+        b.iter(|| {
+            repo.publish_online(&bench, &tm, expected.clone());
+            black_box(repo.serve(&bench).unwrap())
+        })
     });
     group.finish();
 }
@@ -310,6 +345,21 @@ fn bench_online_tuner(c: &mut Criterion) {
                 idx = 1;
                 black_box(tuner.region_exit(&names[0]).unwrap())
             }
+        })
+    });
+
+    // The analysis stage's counter probe: one counter-recording traced
+    // run of Lulesh's phase loop on a noisy node, then the trace
+    // post-processing into the seven Table I rates.
+    group.bench_function("phase_counter_rates", |b| {
+        let noisy = Node::new(0, 0x5EED);
+        let lulesh = kernels::benchmark("Lulesh").unwrap();
+        b.iter(|| {
+            black_box(ptf::phase_counter_rates(
+                &lulesh,
+                &noisy,
+                SystemConfig::calibration(),
+            ))
         })
     });
 

@@ -17,17 +17,19 @@ use kernels::BenchmarkSpec;
 use scorep_lite::instrument::StaticHook;
 use scorep_lite::{parse_trace, InstrumentationConfig, InstrumentedApp, TraceWriter};
 use simnode::papi::PapiCounter;
-use simnode::{ExecutionEngine, Node, SystemConfig};
+use simnode::{CounterSet, ExecutionEngine, Node, SystemConfig};
 
 /// Network input width: 7 counter rates + core frequency + uncore
 /// frequency (Fig. 4).
 pub const FEATURE_COUNT: usize = 9;
 
 /// Measure the seven selected counter rates of a benchmark's phase region
-/// by tracing an instrumented run at `config` and post-processing the
-/// trace (the paper's OTF2-Parser pipeline).
+/// by tracing an instrumented run at `config` that records only those
+/// seven presets, and post-processing the trace (the paper's OTF2-Parser
+/// pipeline).
 pub fn phase_counter_rates(bench: &BenchmarkSpec, node: &Node, config: SystemConfig) -> [f64; 7] {
-    let cfg = InstrumentationConfig::scorep_defaults().with_counters();
+    let cfg =
+        InstrumentationConfig::scorep_defaults().with_papi_metrics(CounterSet::paper_selected());
     let app = InstrumentedApp::new(bench, node, cfg);
     let mut writer = TraceWriter::new();
     app.run_from(&mut StaticHook(config), config, Some(&mut writer));
@@ -144,6 +146,26 @@ mod tests {
             (ratio0 - ratio1).abs() / ratio1 < 1e-6,
             "{ratio0} vs {ratio1}"
         );
+    }
+
+    /// Golden FNV-1a hash of the counter rates of three back-to-back
+    /// measurements of each test-set benchmark on one noisy node. Every
+    /// measurement draws its PMU noise from the node's shared stream, so
+    /// the hash pins both the rates and how far each measurement advances
+    /// the stream for the next one.
+    #[test]
+    fn noisy_counter_rates_are_bit_identical_to_golden() {
+        let node = Node::new(3, 0x5EED_2019);
+        assert!(node.counter_noise_sd() > 0.0);
+        let mut h = kernels::Fnv1a::new();
+        for bench in kernels::test_set() {
+            for _ in 0..3 {
+                for rate in phase_counter_rates(&bench, &node, SystemConfig::calibration()) {
+                    h = h.update_u64(rate.to_bits());
+                }
+            }
+        }
+        assert_eq!(h.finish(), 0x78ea_b410_7e84_50f2, "counter-rate golden");
     }
 
     #[test]

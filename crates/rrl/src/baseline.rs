@@ -48,19 +48,22 @@ impl<'c> BaselineMemo<'c> {
         }
     }
 
-    /// `job`'s baseline record: `bench` over `iterations` phase
-    /// iterations at the node-clamped default on node `node_idx`,
-    /// bit-identical to [`RuntimeSession::static_run`] of the same job.
+    /// `job`'s baseline record: `bench` (whose fingerprint the caller
+    /// already holds) over `iterations` phase iterations at the
+    /// node-clamped default on node `node_idx`, bit-identical to
+    /// [`RuntimeSession::static_run`] of the same job.
     pub(crate) fn record(
         &mut self,
         job: &str,
         bench: &BenchmarkSpec,
+        fingerprint: u64,
         iterations: u32,
         node_idx: usize,
     ) -> Result<JobRecord, RuntimeError> {
+        debug_assert_eq!(fingerprint, bench.fingerprint());
         let node = self.cluster.node(node_idx);
         let config = node_default(node);
-        let key = (bench.fingerprint(), iterations, node_idx);
+        let key = (fingerprint, iterations, node_idx);
         let baseline = match self.runs.get(&key) {
             Some(&hit) => {
                 // The simulated run launches at the default; leave the
@@ -70,17 +73,17 @@ impl<'c> BaselineMemo<'c> {
             }
             None => {
                 let truncated;
-                let bench = if iterations < bench.phase_iterations {
+                let (bench, fingerprint) = if iterations < bench.phase_iterations {
                     truncated = BenchmarkSpec {
                         phase_iterations: iterations,
                         ..bench.clone()
                     };
-                    &truncated
+                    (&truncated, truncated.fingerprint())
                 } else {
-                    bench
+                    (bench, fingerprint)
                 };
                 let baseline = Baseline {
-                    fingerprint: bench.fingerprint(),
+                    fingerprint,
                     window: RuntimeSession::static_session(job, bench, node, config)?.window(),
                 };
                 self.runs.insert(key, baseline);
@@ -149,7 +152,9 @@ mod tests {
                             )
                             .unwrap()
                             .record;
-                            let memoised = memo.record(job, bench, iterations, node_idx).unwrap();
+                            let memoised = memo
+                                .record(job, bench, bench.fingerprint(), iterations, node_idx)
+                                .unwrap();
                             assert_bitwise(&memoised, &reference);
                         }
                     }

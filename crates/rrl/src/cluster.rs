@@ -267,7 +267,29 @@ impl ClusterReport {
 pub(crate) struct QueuedJob {
     pub(crate) name: String,
     pub(crate) bench: BenchmarkSpec,
+    /// `bench.fingerprint()`, taken once at submission: admission,
+    /// settlement, the baseline memo and the session seed all reuse it.
+    pub(crate) fingerprint: u64,
     pub(crate) node_idx: usize,
+}
+
+impl QueuedJob {
+    pub(crate) fn new(name: String, bench: BenchmarkSpec, node_idx: usize) -> Self {
+        Self {
+            fingerprint: bench.fingerprint(),
+            name,
+            bench,
+            node_idx,
+        }
+    }
+
+    /// The workload's repository key, without fingerprinting again.
+    pub(crate) fn key(&self) -> ModelKey {
+        ModelKey {
+            application: self.bench.name.clone(),
+            fingerprint: self.fingerprint,
+        }
+    }
 }
 
 /// The per-job execution state both event loops drive.
@@ -444,7 +466,7 @@ impl<'b> JobDriver<'b> {
         job: &QueuedJob,
         node_idx: usize,
         baselines: &mut BaselineMemo<'_>,
-        publish: &mut dyn FnMut(&BenchmarkSpec, ModelPublication) -> u32,
+        publish: &mut dyn FnMut(&BenchmarkSpec, ModelPublication) -> Result<u32, RuntimeError>,
     ) -> Result<(), RuntimeError> {
         match std::mem::replace(&mut self.state, State::Done) {
             State::Plain(session) => {
@@ -455,12 +477,18 @@ impl<'b> JobDriver<'b> {
                 self.accounting = Some(outcome.accounting);
                 self.drift = outcome.drift_events;
                 if let Some(publication) = outcome.publication {
-                    self.published_version = Some(publish(&job.bench, publication));
+                    self.published_version = Some(publish(&job.bench, publication)?);
                 }
             }
             State::Waiting | State::Done => unreachable!("finish requires an active driver"),
         }
-        self.default = Some(baselines.record(&job.name, &job.bench, self.iterations, node_idx)?);
+        self.default = Some(baselines.record(
+            &job.name,
+            &job.bench,
+            job.fingerprint,
+            self.iterations,
+            node_idx,
+        )?);
         Ok(())
     }
 }
@@ -485,7 +513,7 @@ fn start_degraded<'b>(
 ) -> Result<(RuntimeSession<'b>, JobRejection), RuntimeError> {
     let config = node_default(node);
     let served = ServedModel::fallback(TuningModel::new(&job.bench.name, &[], config));
-    match RuntimeSession::start_from(&job.name, &job.bench, node, served, config) {
+    match RuntimeSession::open(&job.name, &job.bench, job.fingerprint, node, served, config) {
         Ok(session) => Ok((
             session,
             JobRejection {
@@ -513,7 +541,8 @@ pub(crate) fn start_plain<'b>(
     node: &'b Node,
     served: ServedModel,
 ) -> Result<(State<'b>, Option<JobRejection>), RuntimeError> {
-    match RuntimeSession::start(&job.name, &job.bench, node, served) {
+    let launch = SystemConfig::taurus_default();
+    match RuntimeSession::open(&job.name, &job.bench, job.fingerprint, node, served, launch) {
         Ok(session) => Ok((State::Plain(Box::new(session)), None)),
         Err(
             RuntimeError::UnsupportedConfig { config, .. }
@@ -535,7 +564,7 @@ pub(crate) fn start_monitor<'b>(
     config: OnlineConfig,
     faults: Option<&'b dyn FaultInjector>,
 ) -> Result<(State<'b>, Option<JobRejection>), RuntimeError> {
-    match OnlineTuner::monitor(&job.name, &job.bench, node, served, config) {
+    match OnlineTuner::monitor_keyed(&job.name, &job.bench, job.fingerprint, node, served, config) {
         Ok(tuner) => {
             let tuner = match faults {
                 Some(f) => tuner.with_faults(f),
@@ -569,9 +598,10 @@ pub(crate) fn start_calibration<'b>(
 ) -> Result<(State<'b>, Option<JobRejection>, bool), RuntimeError> {
     let injected = faults.is_some_and(|f| f.fail_calibration(&job.name));
     if !injected {
-        match OnlineTuner::calibrate(
+        match OnlineTuner::calibrate_keyed(
             &job.name,
             &job.bench,
+            job.fingerprint,
             node,
             online.strategy,
             online.energy_model,
@@ -865,11 +895,7 @@ impl<'a> ClusterScheduler<'a> {
                 .unwrap_or(0),
         };
         self.load[idx] += estimated_work(&bench);
-        self.queue.push(QueuedJob {
-            name: name.into(),
-            bench,
-            node_idx: idx,
-        });
+        self.queue.push(QueuedJob::new(name.into(), bench, idx));
         self.cluster.node(idx).id()
     }
 
@@ -927,7 +953,7 @@ impl<'a> ClusterScheduler<'a> {
                 let (state, rejection) = match &online {
                     None => start_plain(job, node, repo.serve(&job.bench)?)?,
                     Some(online) => {
-                        let key = ModelKey::of(&job.bench);
+                        let key = job.key();
                         match gate.admit(&key) {
                             Admit::Fallback => start_plain(job, node, repo.serve(&job.bench)?)?,
                             Admit::Wait => continue,
@@ -965,18 +991,22 @@ impl<'a> ClusterScheduler<'a> {
                         job.node_idx,
                         &mut baselines,
                         &mut |bench, publication| {
-                            repo.publish_online(bench, &publication.model, publication.expected)
+                            Ok(
+                                repo.publish_online(
+                                    bench,
+                                    &publication.model,
+                                    publication.expected,
+                                ),
+                            )
                         },
                     )?;
-                    if was_online {
-                        let key = ModelKey::of(&job.bench);
-                        if gate.settle(&key, i, driver.published_version.is_some()) {
-                            gate.release(&key);
-                        }
+                    let key = job.key();
+                    if was_online && gate.settle(&key, i, driver.published_version.is_some()) {
+                        gate.release(&key);
                     }
                     done += 1;
                 } else if let EventOutcome::Abandoned = driver.advance(&job.bench)? {
-                    let key = ModelKey::of(&job.bench);
+                    let key = job.key();
                     if gate.settle(&key, i, false) {
                         gate.release(&key);
                     }

@@ -112,12 +112,35 @@ impl<'a> OnlineTuner<'a> {
         energy_model: Option<&'a EnergyModel>,
         config: OnlineConfig,
     ) -> Result<Self, RuntimeError> {
+        let fingerprint = bench.fingerprint();
+        Self::calibrate_keyed(
+            job,
+            bench,
+            fingerprint,
+            node,
+            strategy,
+            energy_model,
+            config,
+        )
+    }
+
+    /// [`Self::calibrate`] for a caller that already holds the workload's
+    /// fingerprint.
+    pub(crate) fn calibrate_keyed(
+        job: impl Into<String>,
+        bench: &'a BenchmarkSpec,
+        fingerprint: u64,
+        node: &'a Node,
+        strategy: &'a dyn SearchStrategy,
+        energy_model: Option<&'a EnergyModel>,
+        config: OnlineConfig,
+    ) -> Result<Self, RuntimeError> {
         let served = ServedModel {
             model: TuningModel::new(&bench.name, &[], config.launch),
             source: ModelSource::Online,
             provenance: None,
         };
-        let session = RuntimeSession::start_from(job, bench, node, served, config.launch)?;
+        let session = RuntimeSession::open(job, bench, fingerprint, node, served, config.launch)?;
         let schedule =
             CalibrationSchedule::new(bench, node, strategy, energy_model, config, session.seed())?;
         Ok(Self {
@@ -142,12 +165,26 @@ impl<'a> OnlineTuner<'a> {
         served: ServedModel,
         config: OnlineConfig,
     ) -> Result<Self, RuntimeError> {
+        Self::monitor_keyed(job, bench, bench.fingerprint(), node, served, config)
+    }
+
+    /// [`Self::monitor`] for a caller that already holds the workload's
+    /// fingerprint.
+    pub(crate) fn monitor_keyed(
+        job: impl Into<String>,
+        bench: &'a BenchmarkSpec,
+        fingerprint: u64,
+        node: &'a Node,
+        served: ServedModel,
+        config: OnlineConfig,
+    ) -> Result<Self, RuntimeError> {
         let provenance = served.provenance.clone();
         let detector = provenance
             .as_ref()
             .filter(|p| !p.expected.is_empty())
             .map(|p| DriftDetector::new(config.drift, &p.expected));
-        let session = RuntimeSession::start(job, bench, node, served)?;
+        let launch = SystemConfig::taurus_default();
+        let session = RuntimeSession::open(job, bench, fingerprint, node, served, launch)?;
         Ok(Self {
             session,
             mode: Mode::Monitor(Box::new(MonitorState {

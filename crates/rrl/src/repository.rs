@@ -2,10 +2,14 @@
 //!
 //! Design time produces one tuning model per `(application, workload)`;
 //! production resubmits the same codes over and over. The
-//! [`TuningModelRepository`] closes that loop: it stores models in their
-//! serialized JSON form — the same format `SCOREP_RRL_TMM_PATH` files use
-//! — keyed by application name plus benchmark fingerprint, and serves them
-//! to [`crate::RuntimeSession`]s with hit/miss statistics. When no model
+//! [`TuningModelRepository`] closes that loop: it stores models keyed by
+//! application name plus benchmark fingerprint and serves them to
+//! [`crate::RuntimeSession`]s with hit/miss statistics. A model published
+//! in-process is stored as the [`TuningModel`] value handed over, so a
+//! serve is a clone, never a parse. Only an entry applied off the wire by
+//! replication keeps its JSON (the `SCOREP_RRL_TMM_PATH` file format),
+//! parsed once on its first serve; a corrupt one fails every serve with
+//! [`RuntimeError::Parse`]. When no model
 //! matches, a configurable *calibration fallback* (the best-known static
 //! configuration, Table V style) is served instead, so an untuned job
 //! still runs at a sensible static operating point rather than the
@@ -26,10 +30,11 @@
 //! Internally all of the above lives in one `Shard` — map, LRU clock,
 //! version lineage, stats. `TuningModelRepository` is a thin single-shard
 //! wrapper with the classic `&mut self` API; the concurrent
-//! [`SharedRepository`](crate::SharedRepository) spreads the same shard
-//! type across N reader-writer locks for lock-striped parallel serving.
+//! [`SharedRepository`](crate::SharedRepository) partitions the same
+//! semantics across N snapshot-serving shards.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use kernels::BenchmarkSpec;
 use ptf::{Advice, TuningModel};
@@ -191,17 +196,52 @@ pub enum MatchPolicy {
     Application,
 }
 
-/// One stored entry: the serialized model, its provenance, and the LRU
-/// recency stamp.
+/// The model of one stored entry, in the form it arrived in.
+#[derive(Debug)]
+pub(crate) enum EntryModel {
+    /// A model published in-process (`publish`, `publish_online`,
+    /// `insert`): stored as handed over. `TuningModel` holds no floats,
+    /// so this is exactly what a JSON round trip would serve.
+    Parsed(TuningModel),
+    /// An entry applied off the wire (`store_replicated`): its JSON,
+    /// parsed on the first serve that succeeds. Racing first serves may
+    /// both parse; `OnceLock` keeps one result. A corrupt entry never
+    /// fills the memo, so every serve of it fails.
+    Wire {
+        json: String,
+        parsed: OnceLock<TuningModel>,
+    },
+}
+
+impl EntryModel {
+    /// A wire entry, not yet parsed.
+    pub(crate) fn wire(json: String) -> Self {
+        Self::Wire {
+            json,
+            parsed: OnceLock::new(),
+        }
+    }
+
+    /// The served model, parsing a wire entry on first use.
+    pub(crate) fn get(&self) -> Result<&TuningModel, RuntimeError> {
+        match self {
+            Self::Parsed(model) => Ok(model),
+            Self::Wire { json, parsed } => match parsed.get() {
+                Some(model) => Ok(model),
+                None => {
+                    let model = TuningModel::from_json(json).map_err(RuntimeError::Parse)?;
+                    Ok(parsed.get_or_init(|| model))
+                }
+            },
+        }
+    }
+}
+
+/// One stored entry: the model, its provenance, and the LRU recency
+/// stamp.
 #[derive(Debug)]
 pub(crate) struct StoredEntry {
-    pub(crate) json: String,
-    /// Memoized parse of `json`, filled on the first successful serve.
-    /// The JSON stays the canonical stored form (what replication ships
-    /// and a `SCOREP_RRL_TMM_PATH` file contains); the cache only spares
-    /// re-parsing it on every hit. Corrupt entries never fill it, so they
-    /// surface [`RuntimeError::Parse`] on every serve.
-    pub(crate) parsed: Option<TuningModel>,
+    pub(crate) model: EntryModel,
     pub(crate) provenance: ModelProvenance,
     pub(crate) last_used: u64,
 }
@@ -232,12 +272,12 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Store a serialized model, assign its application-lineage version,
-    /// bump the LRU clock and enforce the capacity bound.
+    /// Store a model, assign its application-lineage version, bump the
+    /// LRU clock and enforce the capacity bound.
     pub(crate) fn store(
         &mut self,
         key: ModelKey,
-        json: String,
+        model: EntryModel,
         source: ModelSource,
         expected: Vec<(String, f64)>,
     ) -> u32 {
@@ -252,8 +292,7 @@ impl Shard {
         self.models.insert(
             key,
             StoredEntry {
-                json,
-                parsed: None,
+                model,
                 provenance: ModelProvenance {
                     version,
                     source,
@@ -290,7 +329,9 @@ impl Shard {
     /// is not bumped here; the application's high-water mark only
     /// advances (an out-of-order stale apply can never regress the
     /// lineage). Everything else — LRU clock, capacity bound,
-    /// publication counting — behaves exactly like a local store.
+    /// publication counting — behaves exactly like a local store. The
+    /// entry keeps `json` as it came off the wire and is parsed on its
+    /// first serve.
     pub(crate) fn store_replicated(
         &mut self,
         key: ModelKey,
@@ -306,8 +347,7 @@ impl Shard {
         self.models.insert(
             key,
             StoredEntry {
-                json,
-                parsed: None,
+                model: EntryModel::wire(json),
                 provenance: ModelProvenance {
                     version,
                     source,
@@ -334,7 +374,7 @@ impl Shard {
             .collect();
         self.store(
             key,
-            advice.tuning_model.to_json(),
+            EntryModel::Parsed(advice.tuning_model.clone()),
             ModelSource::Repository,
             expected,
         )
@@ -350,7 +390,7 @@ impl Shard {
     ) -> u32 {
         self.store(
             ModelKey::of(bench),
-            model.to_json(),
+            EntryModel::Parsed(model.clone()),
             ModelSource::Online,
             expected,
         )
@@ -400,16 +440,13 @@ impl Shard {
         let clock = self.clock;
         let entry = self.models.get_mut(&key).expect("resolved key exists");
         entry.last_used = clock;
-        if entry.parsed.is_none() {
-            entry.parsed = match TuningModel::from_json(&entry.json) {
-                Ok(model) => Some(model),
-                Err(e) => {
-                    self.stats.errors += 1;
-                    return Err(RuntimeError::Parse(e));
-                }
-            };
-        }
-        let model = entry.parsed.clone().expect("cache filled above");
+        let model = match entry.model.get() {
+            Ok(model) => model.clone(),
+            Err(e) => {
+                self.stats.errors += 1;
+                return Err(e);
+            }
+        };
         let source = entry.provenance.source;
         let provenance = Some(entry.provenance.clone());
         self.stats.hits += 1;
@@ -457,12 +494,12 @@ impl Shard {
     }
 }
 
-/// Stores serialized tuning models and serves them per job.
+/// Stores tuning models and serves them per job.
 ///
-/// Models are kept in their JSON wire form (what a
-/// `SCOREP_RRL_TMM_PATH` file contains), so storage is exactly the
-/// serialisation format and a corrupt entry surfaces as
-/// [`RuntimeError::Parse`] at serve time instead of a panic.
+/// Models published in-process are kept as values; an entry replicated
+/// in off the wire keeps its JSON (what a `SCOREP_RRL_TMM_PATH` file
+/// contains) until its first serve parses it, and a corrupt one surfaces
+/// as [`RuntimeError::Parse`] at serve time instead of a panic.
 ///
 /// This is the single-threaded, `&mut self` entry point — a thin wrapper
 /// over exactly one `Shard`. For lock-striped concurrent serving (the
@@ -550,7 +587,7 @@ impl TuningModelRepository {
     pub fn insert(&mut self, bench: &BenchmarkSpec, model: &TuningModel) {
         self.shard.store(
             ModelKey::of(bench),
-            model.to_json(),
+            EntryModel::Parsed(model.clone()),
             ModelSource::Repository,
             Vec::new(),
         );
@@ -585,9 +622,9 @@ impl TuningModelRepository {
     /// Serve a model for a job about to run `bench`.
     ///
     /// A stored model whose key matches (exactly, or at application level
-    /// under [`MatchPolicy::Application`]) is parsed from its serialized
-    /// form and returned with its provenance; the reported
-    /// [`ModelSource`] is the stored entry's origin (design-time
+    /// under [`MatchPolicy::Application`]) is returned with its
+    /// provenance (a replicated entry is parsed on its first serve); the
+    /// reported [`ModelSource`] is the stored entry's origin (design-time
     /// repository or online tuner). On a miss the calibration fallback —
     /// if configured — is wrapped as a zero-scenario model whose phase
     /// configuration is the fallback, so every region of the job runs
@@ -788,8 +825,7 @@ mod tests {
         repo.shard.models.insert(
             ModelKey::of(&b),
             StoredEntry {
-                json: "{not json".into(),
-                parsed: None,
+                model: EntryModel::wire("{not json".into()),
                 provenance: ModelProvenance {
                     version: 1,
                     source: ModelSource::Repository,
@@ -804,6 +840,29 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.errors), (0, 0, 1));
         assert_eq!(s.lookups(), 1, "failed serves still count as traffic");
         assert_eq!(s.hit_rate(), 0.0);
+    }
+
+    /// A model applied off the wire is stored as its JSON and parsed on
+    /// first serve. A corrupt one never parses, so every serve of it is
+    /// a `Parse` error and counts one more error.
+    #[test]
+    fn corrupt_wire_entry_errors_on_every_serve() {
+        let b = bench();
+        let mut repo = TuningModelRepository::new().with_fallback(SystemConfig::taurus_default());
+        repo.shard.store_replicated(
+            ModelKey::of(&b),
+            "{not json".into(),
+            ModelSource::Replicated,
+            Vec::new(),
+            1,
+        );
+        for serves in 1..=3 {
+            assert!(matches!(repo.serve(&b), Err(RuntimeError::Parse(_))));
+            let s = repo.stats();
+            assert_eq!((s.hits, s.misses, s.errors), (0, 0, serves));
+        }
+        assert!(matches!(repo.serve_stored(&b), Err(RuntimeError::Parse(_))));
+        assert_eq!(repo.stats().errors, 4);
     }
 
     #[test]

@@ -365,17 +365,23 @@ struct NetState<'r, 'a> {
 }
 
 impl NetState<'_, '_> {
-    /// The replica serving `node`: its home replica, or the next alive
-    /// id (wrapping) while the home is crashed. Falls back to the home
-    /// replica when the whole set is down.
+    /// The replica serving `node` (see [`serving_replica`]).
     fn serving_replica(&self, node: usize) -> u32 {
-        let n = self.set.len() as u32;
-        let home = self.node_replica[node];
-        (0..n)
-            .map(|off| (home + off) % n)
-            .find(|&id| !self.set.is_down(id))
-            .unwrap_or(home)
+        serving_replica(self.set, &self.node_replica, node)
     }
+}
+
+/// The replica serving `node`: its home replica, or the next alive id
+/// (wrapping) while the home is crashed. Falls back to the home replica
+/// when the whole set is down. Always an id of `set`: homes are
+/// `node % set.len()`.
+fn serving_replica(set: &ReplicaSet<'_>, node_replica: &[u32], node: usize) -> u32 {
+    let n = set.len() as u32;
+    let home = node_replica[node];
+    (0..n)
+        .map(|off| (home + off) % n)
+        .find(|&id| !set.is_down(id))
+        .unwrap_or(home)
 }
 
 /// How a service run reaches its tuning models: one repository handle
@@ -440,31 +446,30 @@ impl RepoAccess<'_, '_> {
         bench: &BenchmarkSpec,
         model: &ptf::TuningModel,
         expected: Vec<(String, f64)>,
-    ) -> u32 {
+    ) -> Result<u32, RuntimeError> {
         match self {
-            RepoAccess::Single(repo) => repo.publish_online(bench, model, expected),
+            RepoAccess::Single(repo) => Ok(repo.publish_online(bench, model, expected)),
             RepoAccess::Replicated(net) => {
                 let id = net.serving_replica(node);
-                net.set
+                Ok(net
+                    .set
                     .replica_mut(id)
-                    .expect("serving replica is in range by construction")
-                    .publish_online(bench, model, expected)
+                    .map_err(RuntimeError::Replication)?
+                    .publish_online(bench, model, expected))
             }
         }
     }
 
     /// Serving statistics — summed over replicas for a replicated run
     /// (a restarted replica's counters restart with its repository).
-    fn stats(&self) -> RepositoryStats {
+    fn stats(&self) -> Result<RepositoryStats, RuntimeError> {
         match self {
-            RepoAccess::Single(repo) => repo.stats(),
+            RepoAccess::Single(repo) => Ok(repo.stats()),
             RepoAccess::Replicated(net) => {
-                let mut total = RepositoryStats::default();
-                for id in 0..net.set.len() as u32 {
-                    let stats = net.set.replica(id).expect("id in range").stats();
-                    total = total.merged(&stats);
-                }
-                total
+                (0..net.set.len() as u32).try_fold(RepositoryStats::default(), |total, id| {
+                    let replica = net.set.replica(id).map_err(RuntimeError::Replication)?;
+                    Ok(total.merged(&replica.stats()))
+                })
             }
         }
     }
@@ -594,7 +599,7 @@ impl ServiceRun<'_, '_, '_> {
         let (state, rejection) = match self.online {
             None => start_plain(job, node, self.repo.serve(node_idx, &job.bench)?)?,
             Some(online) => {
-                let key = ModelKey::of(&job.bench);
+                let key = job.key();
                 match self.gate.admit(&key) {
                     Admit::Fallback => {
                         start_plain(job, node, self.repo.serve(node_idx, &job.bench)?)?
@@ -749,7 +754,7 @@ impl ServiceRun<'_, '_, '_> {
         now: Time,
         sink: &mut dyn EventSink<ServiceEvent>,
     ) {
-        let key = ModelKey::of(&self.jobs[i].bench);
+        let key = self.jobs[i].key();
         if !self.gate.settle(&key, i, published) {
             return;
         }
@@ -826,7 +831,7 @@ impl ServiceRun<'_, '_, '_> {
         now: Time,
         sink: &mut dyn EventSink<ServiceEvent>,
     ) -> Result<bool, RuntimeError> {
-        let key = ModelKey::of(&self.jobs[i].bench);
+        let key = self.jobs[i].key();
         let node = self.placements[i];
         let RepoAccess::Replicated(net) = &mut self.repo else {
             return Ok(false);
@@ -913,32 +918,37 @@ impl ServiceRun<'_, '_, '_> {
         // everything already due); a stalled one re-pulls on the retry
         // cadence, rotating targets; one out of budget is abandoned to
         // cold calibration.
-        let keys: Vec<ModelKey> = net.repairing.keys().cloned().collect();
-        for key in keys {
-            let first_waiter = net.repairing[&key].waiters[0];
-            let replica = net.serving_replica(self.placements[first_waiter]);
-            let repair = net.repairing.get_mut(&key).expect("key is present");
+        let NetState {
+            set,
+            node_replica,
+            repairing,
+            repair_retry_rounds,
+            repair_pulls,
+            repair_abandoned,
+            ..
+        } = net;
+        for (key, repair) in repairing.iter_mut() {
+            let replica = serving_replica(set, node_replica, self.placements[repair.waiters[0]]);
             repair.replica = replica;
-            if net.set.holds(replica, &key.application) {
-                sink.schedule_at(now, ServiceEvent::Repaired(key));
+            if set.holds(replica, &key.application) {
+                sink.schedule_at(now, ServiceEvent::Repaired(key.clone()));
                 continue;
             }
             repair.rounds_waiting += 1;
-            if repair.rounds_waiting >= net.repair_retry_rounds {
+            if repair.rounds_waiting >= *repair_retry_rounds {
                 repair.rounds_waiting = 0;
                 repair.attempts += 1;
                 if repair.attempts > REPAIR_ATTEMPT_BUDGET {
-                    net.repair_abandoned += 1;
-                    sink.schedule_at(now, ServiceEvent::Repaired(key));
+                    *repair_abandoned += 1;
+                    sink.schedule_at(now, ServiceEvent::Repaired(key.clone()));
                     continue;
                 }
-                let candidates = net.set.repair_candidates(replica, &key.application);
+                let candidates = set.repair_candidates(replica, &key.application);
                 let pick = (repair.attempts - 1) as usize % candidates.len().max(1);
                 if let Some(&target) = candidates.get(pick) {
-                    net.set
-                        .send_pull(replica, target, vec![key.application.clone()])
+                    set.send_pull(replica, target, vec![key.application.clone()])
                         .map_err(RuntimeError::Replication)?;
-                    net.repair_pulls += 1;
+                    *repair_pulls += 1;
                     if self.record {
                         self.recorder.counter_add("service.repair_pulls", 1);
                     }
@@ -1242,11 +1252,7 @@ impl ClusterScheduler<'_> {
         // scale a second copy of every spec is real memory and time.
         let jobs: Vec<QueuedJob> = trace
             .into_iter()
-            .map(|a| QueuedJob {
-                name: a.name,
-                bench: a.bench,
-                node_idx: 0,
-            })
+            .map(|a| QueuedJob::new(a.name, a.bench, 0))
             .collect();
         let churn = faults.map(|f| f.node_churn()).unwrap_or_default();
 
@@ -1352,7 +1358,7 @@ impl ClusterScheduler<'_> {
             repo,
             ..
         } = run;
-        let mut report = assemble_report(cluster, &jobs, &placements, drivers, repo.stats());
+        let mut report = assemble_report(cluster, &jobs, &placements, drivers, repo.stats()?);
         report.service = Some(summary);
         Ok(report)
     }

@@ -41,6 +41,14 @@
 //! counter-noise RNG untouched. Only design-time and instrumented runs
 //! ([`ExecutionEngine::run_region`]) draw from it, the tuner's
 //! analysis-stage counter-rate measurement among them.
+//!
+//! A session memoises `region_power` for its node: it keeps each region's
+//! last evaluation, keyed by everything the evaluation reads besides the
+//! node (region, workload scale, configuration), so a memoised result is
+//! the bit-identical value. A region's scale is constant unless its
+//! workload varies across iterations, and its configuration changes only
+//! while a calibration explores, so every other visit is a hit that
+//! skips the power model's `pow`/`exp` calls; a miss costs one compare.
 
 use kernels::BenchmarkSpec;
 use ptf::TuningModel;
@@ -49,7 +57,7 @@ use rand::SeedableRng;
 use scorep_lite::region::RegionKind;
 use scorep_lite::{InstrumentationConfig, PcpStack};
 use simnode::hdeem::HdeemMeasurement;
-use simnode::{ExecutionEngine, HdeemSensor, Node, SystemConfig};
+use simnode::{ExecutionEngine, HdeemSensor, Node, PowerBreakdown, SystemConfig};
 
 use crate::error::RuntimeError;
 use crate::repository::{ModelSource, ServedModel};
@@ -78,6 +86,11 @@ struct OpenRegion {
     filtered: bool,
 }
 
+/// One region's last `region_power` evaluation: the iteration's workload
+/// scale (`RegionSpec::scale_at`, as bits), the requested configuration,
+/// and the iteration's time and power.
+type PowerMemo = Option<(u64, SystemConfig, f64, PowerBreakdown)>;
+
 /// A per-job runtime tuning session (see the module docs for the event
 /// protocol).
 pub struct RuntimeSession<'a> {
@@ -101,6 +114,8 @@ pub struct RuntimeSession<'a> {
     distinct_requests: u64,
     last_requested: Option<SystemConfig>,
     seed: u64,
+    /// [`PowerMemo`]s by region index; allocated on the first exit.
+    power_memo: Vec<PowerMemo>,
 }
 
 impl<'a> RuntimeSession<'a> {
@@ -125,6 +140,20 @@ impl<'a> RuntimeSession<'a> {
         served: ServedModel,
         initial: SystemConfig,
     ) -> Result<Self, RuntimeError> {
+        Self::open(job, bench, bench.fingerprint(), node, served, initial)
+    }
+
+    /// [`Self::start_from`] for a caller that already holds the
+    /// workload's fingerprint (the schedulers fingerprint each job once).
+    pub(crate) fn open(
+        job: impl Into<String>,
+        bench: &'a BenchmarkSpec,
+        fingerprint: u64,
+        node: &'a Node,
+        served: ServedModel,
+        initial: SystemConfig,
+    ) -> Result<Self, RuntimeError> {
+        debug_assert_eq!(fingerprint, bench.fingerprint());
         let ServedModel { model, source, .. } = served;
         // Validate everything the model can ever serve up front, so no
         // later event can fail on an unapplicable configuration.
@@ -150,7 +179,7 @@ impl<'a> RuntimeSession<'a> {
         }
         node.apply_frequencies(&initial);
         let job = job.into();
-        let seed = job_seed(&job, bench.fingerprint(), node);
+        let seed = job_seed(&job, fingerprint, node);
         Ok(Self {
             job,
             bench,
@@ -171,6 +200,7 @@ impl<'a> RuntimeSession<'a> {
             distinct_requests: 0,
             last_requested: None,
             seed,
+            power_memo: Vec::new(),
         })
     }
 
@@ -361,11 +391,8 @@ impl<'a> RuntimeSession<'a> {
             return Err(err);
         }
         // Resolved and validated by `region_enter`.
-        let spec = &self.bench.regions[open.idx];
         let config = self.pcps.current();
-        let (run_s, power) =
-            self.engine
-                .region_power(&spec.character_at(self.phase_iter), &config, self.node);
+        let (run_s, power) = self.region_power(open.idx, config);
 
         let (duration, overhead) = if open.filtered {
             (run_s, 0.0)
@@ -390,6 +417,27 @@ impl<'a> RuntimeSession<'a> {
             cpu_energy_j: cpu_j,
             filtered: open.filtered,
         })
+    }
+
+    /// [`ExecutionEngine::region_power`] of region `idx` in the current
+    /// phase iteration under `config`, memoised (see the module docs).
+    fn region_power(&mut self, idx: usize, config: SystemConfig) -> (f64, PowerBreakdown) {
+        let spec = &self.bench.regions[idx];
+        let scale = spec.scale_at(self.phase_iter).to_bits();
+        if self.power_memo.is_empty() {
+            self.power_memo.resize(self.bench.regions.len(), None);
+        }
+        let memo = &mut self.power_memo[idx];
+        if let Some((s, c, run_s, power)) = *memo {
+            if s == scale && c == config {
+                return (run_s, power);
+            }
+        }
+        let (run_s, power) =
+            self.engine
+                .region_power(&spec.character_at(self.phase_iter), &config, self.node);
+        *memo = Some((scale, config, run_s, power));
+        (run_s, power)
     }
 
     /// Phase-complete event: the main loop finished one iteration.

@@ -20,6 +20,13 @@
 //! `docs/ARCHITECTURE.md` § "Snapshot serving" for the memory-ordering
 //! argument.
 //!
+//! Entries store what was published: the `TuningModel` handed to
+//! `publish` / `publish_online` / `insert`, served by clone. Only an entry
+//! applied off the wire ([`SharedRepository::publish_replicated`]) keeps
+//! its JSON, parsed on its first successful serve and memoised for the
+//! entry's lifetime; a corrupt one is a [`RuntimeError::Parse`] on every
+//! serve, on both backends.
+//!
 //! Serving statistics are kept as double-entry lock-free aggregates:
 //! every operation folds the exact [`RepositoryStats`] delta it caused
 //! into its shard's atomic tally *and* the repository-wide one, so
@@ -37,7 +44,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use kernels::BenchmarkSpec;
 use obskit::Recorder;
@@ -49,8 +56,8 @@ use snapcell::SnapCell;
 
 use crate::error::RuntimeError;
 use crate::repository::{
-    MatchPolicy, ModelKey, ModelProvenance, ModelSource, RepositoryHandle, RepositoryStats,
-    ServedModel, Shard,
+    EntryModel, MatchPolicy, ModelKey, ModelProvenance, ModelSource, RepositoryHandle,
+    RepositoryStats, ServedModel, Shard,
 };
 
 /// Lock-free mirror of [`RepositoryStats`], one atomic per field.
@@ -110,17 +117,13 @@ fn shard_index(application: &str, shards: usize) -> usize {
 }
 
 /// One stored entry as the snapshot path shares it between the shard
-/// writer and every published snapshot: the serialized model, a
-/// race-filled parse memo, the provenance, and an *atomic* recency stamp
-/// so lock-free serves keep feeding LRU order.
+/// writer and every published snapshot: the model (as published, or a
+/// replicated entry's JSON with its race-filled parse memo — see
+/// [`EntryModel`]), the provenance, and an *atomic* recency stamp so
+/// lock-free serves keep feeding LRU order.
 #[derive(Debug)]
 struct ViewEntry {
-    json: String,
-    /// Memoized parse of `json`, filled on the first successful serve.
-    /// Racing readers may parse twice; `OnceLock` keeps exactly one
-    /// result. Corrupt entries never fill it, so they surface
-    /// [`RuntimeError::Parse`] on every serve — same as the locked path.
-    parsed: OnceLock<TuningModel>,
+    model: EntryModel,
     provenance: ModelProvenance,
     last_used: AtomicU64,
 }
@@ -194,14 +197,14 @@ impl SnapShard {
     fn store(
         &self,
         key: ModelKey,
-        json: String,
+        model: EntryModel,
         source: ModelSource,
         expected: Vec<(String, f64)>,
     ) -> (u32, RepositoryStats) {
         let mut writer = lock_ignore_poison(&self.writer);
         let version = writer.versions.get(&key.application).map_or(1, |v| v + 1);
         writer.versions.insert(key.application.clone(), version);
-        self.insert_entry(&mut writer, key, json, source, expected, version);
+        self.insert_entry(&mut writer, key, model, source, expected, version);
         let delta = RepositoryStats {
             publications: 1,
             evictions: Self::enforce_capacity(&mut writer),
@@ -211,9 +214,9 @@ impl SnapShard {
         (version, delta)
     }
 
-    /// The snapshot-path twin of [`Shard::store_replicated`]: install at
-    /// exactly `version`; the application's high-water mark only ever
-    /// advances.
+    /// The snapshot-path twin of [`Shard::store_replicated`]: install
+    /// the wire JSON at exactly `version`; the application's high-water
+    /// mark only ever advances.
     fn store_replicated(
         &self,
         key: ModelKey,
@@ -227,7 +230,14 @@ impl SnapShard {
         writer
             .versions
             .insert(key.application.clone(), high.max(version));
-        self.insert_entry(&mut writer, key, json, source, expected, version);
+        self.insert_entry(
+            &mut writer,
+            key,
+            EntryModel::wire(json),
+            source,
+            expected,
+            version,
+        );
         let delta = RepositoryStats {
             publications: 1,
             evictions: Self::enforce_capacity(&mut writer),
@@ -241,14 +251,13 @@ impl SnapShard {
         &self,
         writer: &mut SnapWriter,
         key: ModelKey,
-        json: String,
+        model: EntryModel,
         source: ModelSource,
         expected: Vec<(String, f64)>,
         version: u32,
     ) {
         let entry = Arc::new(ViewEntry {
-            json,
-            parsed: OnceLock::new(),
+            model,
             provenance: ModelProvenance {
                 version,
                 source,
@@ -317,17 +326,12 @@ impl SnapShard {
             return Ok(None);
         };
         entry.last_used.store(self.tick(), Ordering::Relaxed);
-        let model = match entry.parsed.get() {
-            Some(model) => model.clone(),
-            None => match TuningModel::from_json(&entry.json) {
-                // Two racing first serves may both parse; `get_or_init`
-                // keeps one result and the loser's copy is dropped.
-                Ok(model) => entry.parsed.get_or_init(|| model).clone(),
-                Err(e) => {
-                    delta.errors += 1;
-                    return Err(RuntimeError::Parse(e));
-                }
-            },
+        let model = match entry.model.get() {
+            Ok(model) => model.clone(),
+            Err(e) => {
+                delta.errors += 1;
+                return Err(e);
+            }
         };
         delta.hits += 1;
         if !exact {
@@ -657,7 +661,7 @@ impl SharedRepository {
                 self.snap_write(shards, &application, |shard| {
                     shard.store(
                         key,
-                        advice.tuning_model.to_json(),
+                        EntryModel::Parsed(advice.tuning_model.clone()),
                         ModelSource::Repository,
                         expected,
                     )
@@ -679,7 +683,7 @@ impl SharedRepository {
             Backend::Snapshot(shards) => self.snap_write(shards, &bench.name, |shard| {
                 shard.store(
                     ModelKey::of(bench),
-                    model.to_json(),
+                    EntryModel::Parsed(model.clone()),
                     ModelSource::Online,
                     expected,
                 )
@@ -693,7 +697,9 @@ impl SharedRepository {
     /// Store an entry whose application-lineage version was assigned by
     /// the replication layer (see [`crate::net::reconcile`]): the entry
     /// is installed at exactly `version` and the application's
-    /// high-water mark only ever advances. `source` distinguishes a
+    /// high-water mark only ever advances. It keeps `json` as shipped and
+    /// is parsed on its first serve; a corrupt one fails every serve with
+    /// [`RuntimeError::Parse`]. `source` distinguishes a
     /// locally published model ([`ModelSource::Online`])
     /// from one applied off the wire
     /// ([`ModelSource::Replicated`]).
@@ -733,7 +739,7 @@ impl SharedRepository {
                 self.snap_write(shards, &bench.name, |shard| {
                     shard.store(
                         ModelKey::of(bench),
-                        model.to_json(),
+                        EntryModel::Parsed(model.clone()),
                         ModelSource::Repository,
                         Vec::new(),
                     )
@@ -743,7 +749,7 @@ impl SharedRepository {
                 self.with_shard(&bench.name, |shard| {
                     shard.store(
                         ModelKey::of(bench),
-                        model.to_json(),
+                        EntryModel::Parsed(model.clone()),
                         ModelSource::Repository,
                         Vec::new(),
                     )
@@ -755,8 +761,8 @@ impl SharedRepository {
     /// Serve a stored model or the calibration fallback (see
     /// [`TuningModelRepository::serve`](crate::TuningModelRepository::serve)).
     /// On the snapshot backend this is lock-free: the whole lookup —
-    /// resolution, parse-memo fill, fallback — runs against the shard's
-    /// immutable snapshot without taking any lock.
+    /// resolution, a wire entry's parse-memo fill, fallback — runs
+    /// against the shard's immutable snapshot without taking any lock.
     pub fn serve(&self, bench: &BenchmarkSpec) -> Result<ServedModel, RuntimeError> {
         match &self.backend {
             Backend::Snapshot(shards) => {
@@ -942,6 +948,33 @@ mod tests {
         let s = repo.stats();
         assert_eq!((s.hits, s.misses, s.fallbacks), (1, 1, 1));
         assert_eq!(s, repo.shard_stats(), "atomic view mirrors shard truth");
+    }
+
+    /// The snapshot twin of the repository's corrupt-wire-entry test:
+    /// a corrupt replicated entry is a `Parse` error on every serve, on
+    /// both backends, and each one counts in both statistics views.
+    #[test]
+    fn corrupt_wire_entry_errors_on_every_serve() {
+        let b = bench_named("app");
+        for repo in [SharedRepository::new(4), SharedRepository::new_locked(4)] {
+            let repo = repo.with_fallback(SystemConfig::taurus_default());
+            repo.publish_replicated(
+                "app",
+                b.fingerprint(),
+                "{not json",
+                ModelSource::Replicated,
+                Vec::new(),
+                1,
+            );
+            for serves in 1..=3 {
+                assert!(matches!(repo.serve(&b), Err(RuntimeError::Parse(_))));
+                let s = repo.stats();
+                assert_eq!((s.hits, s.misses, s.errors), (0, 0, serves));
+            }
+            assert!(matches!(repo.serve_stored(&b), Err(RuntimeError::Parse(_))));
+            assert_eq!(repo.stats().errors, 4);
+            assert_eq!(repo.stats(), repo.shard_stats());
+        }
     }
 
     #[test]

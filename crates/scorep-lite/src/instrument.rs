@@ -8,7 +8,7 @@
 //! interface — the analog of Score-P's substrate plugin API.
 
 use kernels::BenchmarkSpec;
-use simnode::{ExecutionEngine, Node, RegionRun, SystemConfig};
+use simnode::{CounterSet, ExecutionEngine, Node, RegionRun, SystemConfig};
 
 use crate::filter::FilterFile;
 use crate::metric::HdeemMetricPlugin;
@@ -31,9 +31,11 @@ pub struct InstrumentationConfig {
     pub mpi_overhead_frac: f64,
     /// Regions suppressed at compile time by the filter file.
     pub filter: Option<FilterFile>,
-    /// Record PAPI counters on region exits (costs extra probe time and is
-    /// only enabled for model-training trace runs).
-    pub record_counters: bool,
+    /// The PAPI presets recorded on region exits (Score-P's PAPI metric
+    /// list; empty = no counters). Recording is only enabled for
+    /// model-training and analysis trace runs; presets outside the list
+    /// read zero in the trace.
+    pub papi_metrics: CounterSet,
 }
 
 impl InstrumentationConfig {
@@ -46,7 +48,7 @@ impl InstrumentationConfig {
             func_overhead_frac: 0.014,
             mpi_overhead_frac: 0.020,
             filter: None,
-            record_counters: false,
+            papi_metrics: CounterSet::NONE,
         }
     }
 
@@ -58,7 +60,7 @@ impl InstrumentationConfig {
             func_overhead_frac: 0.0,
             mpi_overhead_frac: 0.0,
             filter: None,
-            record_counters: false,
+            papi_metrics: CounterSet::NONE,
         }
     }
 
@@ -68,9 +70,9 @@ impl InstrumentationConfig {
         self
     }
 
-    /// With counter recording enabled.
-    pub fn with_counters(mut self) -> Self {
-        self.record_counters = true;
+    /// Record the PAPI presets in `metrics` on region exits.
+    pub fn with_papi_metrics(mut self, metrics: CounterSet) -> Self {
+        self.papi_metrics = metrics;
         self
     }
 
@@ -218,9 +220,12 @@ impl<'a> InstrumentedApp<'a> {
                     desired
                 };
 
-                let run = self
-                    .engine
-                    .run_region(&region.character_at(iter), &config, self.node);
+                let run = self.engine.run_region_recording(
+                    &region.character_at(iter),
+                    &config,
+                    self.node,
+                    self.cfg.papi_metrics,
+                );
 
                 // Residual instrumentation overhead stretches the region.
                 let (duration, node_j, cpu_j, overhead) = if filtered {
@@ -249,7 +254,8 @@ impl<'a> InstrumentedApp<'a> {
                         let rid = w.define_region(&region.name);
                         w.enter(rid, t_ns);
                         t_ns += (duration * 1e9) as u64;
-                        let counters = self.cfg.record_counters.then(|| run.counters.clone());
+                        let counters =
+                            (!self.cfg.papi_metrics.is_empty()).then(|| run.counters.clone());
                         w.leave(rid, t_ns, node_j, counters);
                     } else {
                         t_ns += (duration * 1e9) as u64;
@@ -373,7 +379,7 @@ mod tests {
     fn trace_records_phase_and_region_events() {
         let bench = lulesh();
         let node = Node::exact(0);
-        let cfg = InstrumentationConfig::scorep_defaults().with_counters();
+        let cfg = InstrumentationConfig::scorep_defaults().with_papi_metrics(CounterSet::ALL);
         let app = InstrumentedApp::new(&bench, &node, cfg);
         let mut w = TraceWriter::new();
         app.run_traced(&mut StaticHook(SystemConfig::taurus_default()), &mut w);

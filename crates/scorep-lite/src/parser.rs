@@ -153,13 +153,15 @@ mod tests {
     use crate::instrument::{InstrumentationConfig, InstrumentedApp, StaticHook};
     use crate::trace::TraceWriter;
     use simnode::papi::PapiCounter;
-    use simnode::{Node, SystemConfig};
+    use simnode::{CounterSet, Node, SystemConfig};
 
     fn traced_run(record_counters: bool) -> Otf2Trace {
         let bench = kernels::benchmark("Lulesh").unwrap();
         let node = Node::exact(0);
         let mut cfg = InstrumentationConfig::scorep_defaults();
-        cfg.record_counters = record_counters;
+        if record_counters {
+            cfg = cfg.with_papi_metrics(CounterSet::ALL);
+        }
         let app = InstrumentedApp::new(&bench, &node, cfg);
         let mut w = TraceWriter::new();
         app.run_traced(&mut StaticHook(SystemConfig::calibration()), &mut w);

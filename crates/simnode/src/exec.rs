@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use crate::character::RegionCharacter;
 use crate::config::SystemConfig;
 use crate::node::Node;
-use crate::papi::{derive_counters, CounterValues};
+use crate::papi::{derive_counters, CounterSet, CounterValues};
 use crate::power::{ActivityFactors, PowerBreakdown};
 
 /// Nominal (reference-clock) core frequency in MHz, for `PAPI_REF_CYC`.
@@ -186,11 +186,26 @@ impl ExecutionEngine {
         (t, t_comp, t_mem)
     }
 
-    /// Execute one phase iteration of region `c` under `cfg` on `node`.
+    /// Execute one phase iteration of region `c` under `cfg` on `node`,
+    /// recording every PAPI preset.
     ///
     /// Counter noise follows the node's measurement-noise setting; pass the
     /// same node for reproducible sequences.
     pub fn run_region(&self, c: &RegionCharacter, cfg: &SystemConfig, node: &Node) -> RegionRun {
+        self.run_region_recording(c, cfg, node, CounterSet::ALL)
+    }
+
+    /// [`Self::run_region`] recording only the presets in `recorded`; the
+    /// others read zero. It takes the same draws from the node's noise
+    /// stream as `run_region` and so leaves the stream where
+    /// `run_region` would.
+    pub fn run_region_recording(
+        &self,
+        c: &RegionCharacter,
+        cfg: &SystemConfig,
+        node: &Node,
+        recorded: CounterSet,
+    ) -> RegionRun {
         let Execution {
             cfg,
             t,
@@ -214,6 +229,7 @@ impl ExecutionEngine {
                 ref_cycles,
                 rng,
                 node.counter_noise_sd(),
+                recorded,
             )
         });
 

@@ -53,7 +53,7 @@ pub use freq::{CoreFreq, FreqDomain, UncoreFreq};
 pub use hdeem::HdeemSensor;
 pub use msr::MsrBank;
 pub use node::Node;
-pub use papi::{CounterValues, PapiCounter};
+pub use papi::{CounterSet, CounterValues, PapiCounter};
 pub use power::{PowerBreakdown, PowerModel};
 pub use rapl::RaplCounter;
 pub use topology::Topology;

@@ -12,8 +12,15 @@
 //!   ([`derive_counters`]). Instruction-mix counters depend only on the
 //!   character (the invariance the paper exploits); cycle counters follow
 //!   the execution.
+//!
+//! A measurement records a [`CounterSet`], the way a Score-P run records
+//! the presets named in its PAPI metric list. Presets outside the set
+//! read zero and cost no noise arithmetic, but still take their noise
+//! draws, so the node's noise stream advances the same whatever a
+//! measurement records.
 
 use rand::rngs::StdRng;
+use rand::RngCore;
 use rand_distr::{Distribution, Normal};
 use serde::{Deserialize, Serialize};
 
@@ -102,12 +109,10 @@ impl PapiCounter {
         ]
     }
 
-    /// Catalogue index of this preset.
+    /// Catalogue index of this preset (the declaration order is the
+    /// catalogue order).
     pub fn index(self) -> usize {
-        Self::all()
-            .iter()
-            .position(|&c| c == self)
-            .expect("counter in catalogue")
+        self as usize
     }
 
     /// The canonical `PAPI_*` preset name.
@@ -186,6 +191,37 @@ impl PapiCounter {
     }
 }
 
+/// A set of PAPI presets: what one measurement records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct CounterSet(u64);
+
+impl CounterSet {
+    /// No presets (counter recording off).
+    pub const NONE: Self = Self(0);
+    /// All 56 presets.
+    pub const ALL: Self = Self((1 << NUM_COUNTERS) - 1);
+
+    /// The set of the given presets.
+    pub fn of(counters: &[PapiCounter]) -> Self {
+        Self(counters.iter().fold(0, |bits, &c| bits | 1 << c.index()))
+    }
+
+    /// The paper's seven Table I presets.
+    pub fn paper_selected() -> Self {
+        Self::of(&PapiCounter::paper_selected())
+    }
+
+    /// Whether `c` is in the set.
+    pub fn contains(self, c: PapiCounter) -> bool {
+        self.0 & 1 << c.index() != 0
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+}
+
 /// Runs of the application needed to record `n` presets given the
 /// [`MAX_SIMULTANEOUS`] register limit ("multiple runs of the same
 /// application are required due to hardware limitations", Section IV-A).
@@ -255,7 +291,11 @@ impl CounterValues {
 /// * `stall_cycles` — cycles stalled on any resource,
 /// * `ref_cycles` — cycles at the reference (nominal) clock,
 /// * `rng`/`noise_sd` — relative measurement noise (PMU non-determinism);
-///   pass `noise_sd = 0.0` for exact values.
+///   pass `noise_sd = 0.0` for exact values;
+/// * `recorded` — the presets the measurement records. The others read
+///   zero; each still takes the uniform draws its noise sample would
+///   have taken from `rng`, without the Box–Muller arithmetic, so the
+///   draws after this call do not depend on `recorded`.
 pub fn derive_counters(
     c: &RegionCharacter,
     cycles: f64,
@@ -263,6 +303,7 @@ pub fn derive_counters(
     ref_cycles: f64,
     rng: &mut StdRng,
     noise_sd: f64,
+    recorded: CounterSet,
 ) -> CounterValues {
     use PapiCounter::*;
     let ins = c.instr_per_iter;
@@ -356,13 +397,28 @@ pub fn derive_counters(
     v.set(StlCcy, 0.8 * stall_cycles);
     v.set(FulCcy, (cycles - stall_cycles).max(0.0) * 0.5);
 
-    if noise_sd > 0.0 {
-        let normal = Normal::new(1.0, noise_sd).expect("valid noise sd");
-        for val in &mut v.values {
-            *val *= normal.sample(rng).max(0.0);
+    let normal = (noise_sd > 0.0).then(|| Normal::new(1.0, noise_sd).expect("valid noise sd"));
+    for (&counter, val) in PapiCounter::all().iter().zip(&mut v.values) {
+        match (recorded.contains(counter), &normal) {
+            (true, Some(normal)) => *val *= normal.sample(rng).max(0.0),
+            (true, None) => {}
+            (false, Some(_)) => {
+                skip_normal_sample(rng);
+                *val = 0.0;
+            }
+            (false, None) => *val = 0.0,
         }
     }
     v
+}
+
+/// Advance `rng` exactly as one `Normal::sample` of the workspace's
+/// `rand_distr` does (Box–Muller: a first uniform redrawn until it is
+/// positive, then a second uniform) without computing the sample: no
+/// `ln`, `sqrt` or `cos`.
+fn skip_normal_sample(rng: &mut StdRng) {
+    while rng.next_f64() <= 0.0 {}
+    rng.next_f64();
 }
 
 #[cfg(test)]
@@ -376,7 +432,7 @@ mod tests {
 
     fn derive_exact(c: &RegionCharacter) -> CounterValues {
         let mut rng = StdRng::seed_from_u64(0);
-        derive_counters(c, 5e8, 1e8, 5e8, &mut rng, 0.0)
+        derive_counters(c, 5e8, 1e8, 5e8, &mut rng, 0.0, CounterSet::ALL)
     }
 
     #[test]
@@ -453,8 +509,8 @@ mod tests {
     fn counters_invariant_under_cycles_except_cycle_domain() {
         let c = character();
         let mut rng = StdRng::seed_from_u64(0);
-        let fast = derive_counters(&c, 4e8, 0.5e8, 4e8, &mut rng, 0.0);
-        let slow = derive_counters(&c, 9e8, 4.0e8, 9e8, &mut rng, 0.0);
+        let fast = derive_counters(&c, 4e8, 0.5e8, 4e8, &mut rng, 0.0, CounterSet::ALL);
+        let slow = derive_counters(&c, 9e8, 4.0e8, 9e8, &mut rng, 0.0, CounterSet::ALL);
         for &pc in PapiCounter::all() {
             use PapiCounter::*;
             let cycle_domain = matches!(
@@ -485,7 +541,7 @@ mod tests {
     fn noise_perturbs_but_preserves_scale() {
         let c = character();
         let mut rng = StdRng::seed_from_u64(7);
-        let noisy = derive_counters(&c, 5e8, 1e8, 5e8, &mut rng, 0.01);
+        let noisy = derive_counters(&c, 5e8, 1e8, 5e8, &mut rng, 0.01, CounterSet::ALL);
         let exact = derive_exact(&c);
         let rel = (noisy.get(PapiCounter::TotIns) - exact.get(PapiCounter::TotIns)).abs()
             / exact.get(PapiCounter::TotIns);
@@ -494,6 +550,61 @@ mod tests {
             noisy.get(PapiCounter::TotIns),
             exact.get(PapiCounter::TotIns)
         );
+    }
+
+    /// Recording fewer presets changes nothing about the recorded ones
+    /// or about the noise stream: the recorded values are bit-identical
+    /// to a full measurement's, the rest read zero, and the next draw
+    /// from the stream is the same.
+    #[test]
+    fn partial_recording_keeps_values_and_the_noise_stream() {
+        let c = character();
+        let recorded = CounterSet::paper_selected();
+        let mut full_rng = StdRng::seed_from_u64(11);
+        let mut part_rng = StdRng::seed_from_u64(11);
+        for _ in 0..3 {
+            let full = derive_counters(&c, 5e8, 1e8, 5e8, &mut full_rng, 0.01, CounterSet::ALL);
+            let part = derive_counters(&c, 5e8, 1e8, 5e8, &mut part_rng, 0.01, recorded);
+            for &pc in PapiCounter::all() {
+                let expect = if recorded.contains(pc) {
+                    full.get(pc)
+                } else {
+                    0.0
+                };
+                assert_eq!(part.get(pc).to_bits(), expect.to_bits(), "{}", pc.name());
+            }
+        }
+        assert_eq!(full_rng.next_u64(), part_rng.next_u64(), "stream position");
+        let none = derive_counters(&c, 5e8, 1e8, 5e8, &mut part_rng, 0.0, CounterSet::NONE);
+        assert!(none.as_slice().iter().all(|&v| v == 0.0));
+    }
+
+    /// The skip consumes exactly what a sample does, including the
+    /// redraw of a zero first uniform.
+    #[test]
+    fn skipping_a_sample_consumes_what_sampling_does() {
+        let normal = Normal::new(1.0, 0.01).unwrap();
+        for seed in 0..64 {
+            let mut sampled = StdRng::seed_from_u64(seed);
+            let mut skipped = StdRng::seed_from_u64(seed);
+            for _ in 0..16 {
+                normal.sample(&mut sampled);
+                skip_normal_sample(&mut skipped);
+            }
+            assert_eq!(sampled.next_u64(), skipped.next_u64(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn counter_sets() {
+        let sel = CounterSet::paper_selected();
+        assert!(sel.contains(PapiCounter::BrNtk) && sel.contains(PapiCounter::L2Dcr));
+        assert!(!sel.contains(PapiCounter::TotIns));
+        assert!(PapiCounter::all()
+            .iter()
+            .all(|&pc| CounterSet::ALL.contains(pc)));
+        assert!(CounterSet::NONE.is_empty() && !sel.is_empty());
+        assert_eq!(CounterSet::of(PapiCounter::all()), CounterSet::ALL);
     }
 
     #[test]

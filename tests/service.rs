@@ -623,3 +623,61 @@ fn serving_leaves_the_nodes_counter_noise_stream_alone() {
         );
     }
 }
+
+/// Drift injector for the service golden: every third job sees its
+/// regions' energy 60 % above the published expectation from phase 4 on.
+struct DriftEveryThird;
+
+impl FaultInjector for DriftEveryThird {
+    fn drift_scale(&self, job: &str, _region: &str, iteration: u32) -> f64 {
+        let idx: usize = job.trim_start_matches("gold-").parse().unwrap_or(0);
+        if idx % 3 == 2 && iteration >= 4 {
+            1.6
+        } else {
+            1.0
+        }
+    }
+}
+
+/// Golden FNV-1a hash of a whole service report (its `Debug` rendering,
+/// which prints every float exactly) over a trace of the five test-set
+/// benchmarks on a noisy fleet: cold workloads calibrate through the
+/// counter-rate probe, a two-entry repository evicts under LRU pressure
+/// and forces re-calibrations, and injected drift re-calibrates regions
+/// of monitored jobs. Any change to what serving computes moves it.
+#[test]
+fn service_report_is_bit_identical_to_golden() {
+    let strategy = RandomSearch::new(8, 7);
+    let benches = dvfs_ufs_tuning::kernels::test_set();
+    let order = [0, 1, 0, 1, 0, 2, 2, 1, 2, 3, 3, 0, 3, 4, 4, 2, 4, 1, 4, 0];
+    let trace: Vec<JobArrival> = order
+        .iter()
+        .enumerate()
+        .map(|(i, &b)| JobArrival {
+            name: format!("gold-{i}"),
+            bench: benches[b].clone(),
+            arrival_s: 40.0 * i as f64,
+        })
+        .collect();
+    let mut repo = TuningModelRepository::new()
+        .with_capacity(2)
+        .with_fallback(taurus_fallback());
+    let cluster = Cluster::new(3, 0x5EED_2019);
+    let report = ClusterScheduler::new(&cluster)
+        .unwrap()
+        .with_online(OnlineTuning {
+            strategy: &strategy,
+            energy_model: None,
+            config: OnlineConfig::default(),
+        })
+        .with_faults(&DriftEveryThird)
+        .run_service(trace, &mut repo, &ServiceConfig { slots_per_node: 1 })
+        .unwrap();
+
+    let online = report.online_summary();
+    assert!(online.calibrations > 1, "{online:?}");
+    assert!(online.drift_events > 0, "{online:?}");
+    assert!(report.repository.evictions > 0, "{:?}", report.repository);
+    let digest = dvfs_ufs_tuning::kernels::fnv1a(format!("{report:?}").as_bytes());
+    assert_eq!(digest, 0x334f_05b4_cc01_2a39, "service report golden");
+}
