@@ -1,23 +1,17 @@
-//! Snapshot-serving repository benchmarks (PR 9).
+//! Shared-repository serving benchmarks.
 //!
-//! Three shapes of the `SharedRepository` read path:
+//! Three shapes of the `SharedRepository` serve path (each shard is a
+//! `Shard` behind an `RwLock`; a serve takes its shard's write lock
+//! because it stamps LRU recency):
 //!
-//! * `serve_uncontended` — a single thread on the snapshot backend: the
-//!   baseline per-lookup cost with nobody else in the way.
-//! * `serve_contended_16r` / `serve_contended_16r_locked` — 16 reader
-//!   threads hammering the same shards concurrently, snapshot backend
-//!   vs the pre-PR 9 `RwLock` backend. The locked read path takes the
-//!   shard lock exclusively (serving touches LRU recency), so readers
-//!   serialise per shard; the snapshot path loads an immutable `Arc`
-//!   per serve and never blocks. The wall-clock ratio between the two
-//!   entries is therefore bounded by the host's core count: on a
-//!   single-core runner both degenerate to the per-serve cost (the
-//!   entries record overhead parity), while on an N-core host the
-//!   snapshot sweep approaches N-way scaling against the serialised
-//!   lock.
+//! * `serve_uncontended` — a single thread: the baseline per-lookup cost
+//!   with nobody else in the way.
+//! * `serve_contended_16r` — 16 reader threads hammering the same four
+//!   shards concurrently. Serves of one shard serialise, so the sweep's
+//!   wall clock scales with the serve count, not the core count.
 //! * `publish_under_load` — one writer publishing version bumps while 15
-//!   readers keep serving: the copy-on-publish cost including the
-//!   epoch grace period that waits out in-flight readers.
+//!   readers keep serving: the cost of a publish that waits its turn on
+//!   the shard lock.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -83,29 +77,24 @@ fn contended_sweep(repo: &SharedRepository, benches: &[BenchmarkSpec]) -> u64 {
     })
 }
 
-fn bench_snapshot_serving(c: &mut Criterion) {
+fn bench_serving(c: &mut Criterion) {
     let benches: Vec<BenchmarkSpec> = (0..4)
         .map(|i| workload(&format!("snap-{i}"), 1.0e10 + i as f64))
         .collect();
 
     let mut group = c.benchmark_group("rrl/snapshot");
 
-    let snapshot = seeded(SharedRepository::new(4), &benches);
+    let repo = seeded(SharedRepository::new(4), &benches);
     group.bench_function("serve_uncontended", |b| {
         let mut i = 0usize;
         b.iter(|| {
             i += 1;
-            black_box(snapshot.serve_stored(&benches[i % benches.len()]).unwrap())
+            black_box(repo.serve_stored(&benches[i % benches.len()]).unwrap())
         })
     });
 
     group.bench_function(format!("serve_contended_{READERS}r"), |b| {
-        b.iter(|| black_box(contended_sweep(&snapshot, &benches)))
-    });
-
-    let locked = seeded(SharedRepository::new_locked(4), &benches);
-    group.bench_function(format!("serve_contended_{READERS}r_locked"), |b| {
-        b.iter(|| black_box(contended_sweep(&locked, &benches)))
+        b.iter(|| black_box(contended_sweep(&repo, &benches)))
     });
 
     group.finish();
@@ -117,7 +106,7 @@ fn bench_publish_under_load(c: &mut Criterion) {
         .collect();
     let repo = Arc::new(seeded(SharedRepository::new(4), &benches));
 
-    // 15 background readers keep the epoch stripes busy while the
+    // 15 background readers keep the shard locks busy while the
     // measured thread publishes version bumps over them.
     let stop = Arc::new(AtomicBool::new(false));
     let readers: Vec<_> = (0..READERS - 1)
@@ -156,6 +145,6 @@ fn bench_publish_under_load(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_snapshot_serving, bench_publish_under_load
+    targets = bench_serving, bench_publish_under_load
 }
 criterion_main!(benches);

@@ -5,6 +5,7 @@
 //! artefact.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;

@@ -50,6 +50,7 @@
 //! consumers.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod exhaustive;

@@ -22,6 +22,7 @@
 //! Everything is deterministic given a seed; no global RNG state is used.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod adam;

@@ -16,6 +16,7 @@
 //! examples do.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod catalog;

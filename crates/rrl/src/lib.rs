@@ -14,9 +14,9 @@
 //!   LRU capacity bounding and application-level matching
 //!   ([`MatchPolicy`]), and a calibration fallback (a best-known static
 //!   configuration) when no model matches,
-//! * [`shard`] — the concurrent [`SharedRepository`]: the same storage
-//!   semantics striped across N `RwLock`-guarded shards (partitioned by
-//!   application hash) with lock-free statistics,
+//! * [`shard`] — the concurrent [`SharedRepository`]: N of the
+//!   repository's own shards, each behind an `RwLock` and partitioned by
+//!   application hash, with lock-free statistics,
 //! * [`session`] — the event-driven [`RuntimeSession`]: one handle per
 //!   job, driven by explicit `region_enter` / `region_exit` /
 //!   `phase_complete` events through the scenario→configuration resolver
@@ -69,6 +69,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 mod baseline;

@@ -30,11 +30,10 @@
 //! Internally all of the above lives in one `Shard` — map, LRU clock,
 //! version lineage, stats. `TuningModelRepository` is a thin single-shard
 //! wrapper with the classic `&mut self` API; the concurrent
-//! [`SharedRepository`](crate::SharedRepository) partitions the same
-//! semantics across N snapshot-serving shards.
+//! [`SharedRepository`](crate::SharedRepository) holds N of the same
+//! shards, each behind its own lock.
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 use kernels::BenchmarkSpec;
 use ptf::{Advice, TuningModel};
@@ -178,6 +177,20 @@ impl RepositoryStats {
             publications: self.publications + other.publications,
         }
     }
+
+    /// Component-wise difference from an earlier reading of the same
+    /// counters — the delta one operation caused.
+    pub(crate) fn since(&self, before: &RepositoryStats) -> RepositoryStats {
+        RepositoryStats {
+            hits: self.hits - before.hits,
+            approx_hits: self.approx_hits - before.approx_hits,
+            misses: self.misses - before.misses,
+            fallbacks: self.fallbacks - before.fallbacks,
+            errors: self.errors - before.errors,
+            evictions: self.evictions - before.evictions,
+            publications: self.publications - before.publications,
+        }
+    }
 }
 
 /// Exact or relaxed key matching for [`TuningModelRepository::serve`].
@@ -204,35 +217,20 @@ pub(crate) enum EntryModel {
     /// so this is exactly what a JSON round trip would serve.
     Parsed(TuningModel),
     /// An entry applied off the wire (`store_replicated`): its JSON,
-    /// parsed on the first serve that succeeds. Racing first serves may
-    /// both parse; `OnceLock` keeps one result. A corrupt entry never
-    /// fills the memo, so every serve of it fails.
-    Wire {
-        json: String,
-        parsed: OnceLock<TuningModel>,
-    },
+    /// replaced by the parsed model on the first serve that succeeds. A
+    /// corrupt entry stays JSON, so every serve of it fails.
+    Wire(String),
 }
 
 impl EntryModel {
-    /// A wire entry, not yet parsed.
-    pub(crate) fn wire(json: String) -> Self {
-        Self::Wire {
-            json,
-            parsed: OnceLock::new(),
+    /// The served model, parsing a wire entry in place on first use.
+    pub(crate) fn get(&mut self) -> Result<&TuningModel, RuntimeError> {
+        if let Self::Wire(json) = self {
+            *self = Self::Parsed(TuningModel::from_json(json).map_err(RuntimeError::Parse)?);
         }
-    }
-
-    /// The served model, parsing a wire entry on first use.
-    pub(crate) fn get(&self) -> Result<&TuningModel, RuntimeError> {
         match self {
             Self::Parsed(model) => Ok(model),
-            Self::Wire { json, parsed } => match parsed.get() {
-                Some(model) => Ok(model),
-                None => {
-                    let model = TuningModel::from_json(json).map_err(RuntimeError::Parse)?;
-                    Ok(parsed.get_or_init(|| model))
-                }
-            },
+            Self::Wire(_) => unreachable!("a wire entry is parsed above or returned an error"),
         }
     }
 }
@@ -251,12 +249,10 @@ pub(crate) struct StoredEntry {
 /// fallback, the match policy and the serving statistics.
 ///
 /// [`TuningModelRepository`] is exactly one shard behind a `&mut self`
-/// API; [`SharedRepository`](crate::SharedRepository)'s test-only
-/// locked oracle backend holds N of them, each behind its own
-/// `parking_lot::RwLock`, partitioned by application hash so an
-/// application's version lineage and its [`MatchPolicy::Application`]
-/// candidates are always shard-local (the production snapshot backend
-/// keeps the same partitioning over `SnapShard`s).
+/// API; [`SharedRepository`](crate::SharedRepository) holds N of them,
+/// each behind its own `parking_lot::RwLock`, partitioned by application
+/// hash so an application's version lineage and its
+/// [`MatchPolicy::Application`] candidates are always shard-local.
 #[derive(Debug, Default)]
 pub(crate) struct Shard {
     pub(crate) models: BTreeMap<ModelKey, StoredEntry>,
@@ -347,7 +343,7 @@ impl Shard {
         self.models.insert(
             key,
             StoredEntry {
-                model: EntryModel::wire(json),
+                model: EntryModel::Wire(json),
                 provenance: ModelProvenance {
                     version,
                     source,
@@ -394,6 +390,17 @@ impl Shard {
             ModelSource::Online,
             expected,
         )
+    }
+
+    /// Store a tuning model for a benchmark with no drift expectations
+    /// (see [`TuningModelRepository::insert`]).
+    pub(crate) fn insert(&mut self, bench: &BenchmarkSpec, model: &TuningModel) {
+        self.store(
+            ModelKey::of(bench),
+            EntryModel::Parsed(model.clone()),
+            ModelSource::Repository,
+            Vec::new(),
+        );
     }
 
     /// Whether a stored model matches this benchmark's workload exactly.
@@ -502,10 +509,9 @@ impl Shard {
 /// as [`RuntimeError::Parse`] at serve time instead of a panic.
 ///
 /// This is the single-threaded, `&mut self` entry point — a thin wrapper
-/// over exactly one `Shard`. For lock-striped concurrent serving (the
-/// parallel [`ClusterScheduler`](crate::ClusterScheduler) event loop) use
-/// [`SharedRepository`](crate::SharedRepository), which shares the same
-/// shard implementation and therefore the same semantics.
+/// over exactly one `Shard`. For `&self` serving from several threads
+/// use [`SharedRepository`](crate::SharedRepository), which shares the
+/// same shard implementation and therefore the same semantics.
 #[derive(Debug, Default)]
 pub struct TuningModelRepository {
     pub(crate) shard: Shard,
@@ -585,12 +591,7 @@ impl TuningModelRepository {
     /// Store a tuning model for a benchmark (replaces any previous entry
     /// for the same workload; no drift expectations are recorded).
     pub fn insert(&mut self, bench: &BenchmarkSpec, model: &TuningModel) {
-        self.shard.store(
-            ModelKey::of(bench),
-            EntryModel::Parsed(model.clone()),
-            ModelSource::Repository,
-            Vec::new(),
-        );
+        self.shard.insert(bench, model);
     }
 
     /// Whether a stored model matches this benchmark's workload exactly.
@@ -825,7 +826,7 @@ mod tests {
         repo.shard.models.insert(
             ModelKey::of(&b),
             StoredEntry {
-                model: EntryModel::wire("{not json".into()),
+                model: EntryModel::Wire("{not json".into()),
                 provenance: ModelProvenance {
                     version: 1,
                     source: ModelSource::Repository,

@@ -24,6 +24,7 @@
 //! * [`metric`] — the HDEEM metric plugin.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod dyn_detect;

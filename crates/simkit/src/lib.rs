@@ -34,6 +34,7 @@
 //!    the same instant fire in the order they were scheduled.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 use std::cmp::Ordering;

@@ -29,6 +29,7 @@
 //! SI-ish units in their names (`_s`, `_j`, `_w`, `_mhz`).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod character;

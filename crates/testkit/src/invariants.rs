@@ -1,8 +1,9 @@
 //! The invariant catalog: what every scenario run must satisfy.
 //!
 //! [`check`] runs a scenario through both event loops and verifies, in
-//! order (invariant 1, the liveness of a threaded loop that no longer
-//! exists, is retired; the numbers stay stable):
+//! order (invariants 1, the liveness of a threaded loop that no longer
+//! exists, and 8, the coherence of a snapshot read backend that no longer
+//! exists, are retired; the numbers stay stable):
 //!
 //! 2. **Local↔shared bit-identity** — the sweep loop over a
 //!    `TuningModelRepository` and over a `SharedRepository` agree on
@@ -11,8 +12,8 @@
 //!    published version, drift events, rejections, abort points) and
 //!    every aggregate, bit for bit — on every scenario, eviction pressure
 //!    included.
-//! 3. **Statistics double-entry** — the shared repository's lock-free
-//!    aggregate equals the sum of its per-shard (locked) truths.
+//! 3. **Statistics double-entry** — the shared repository's atomic
+//!    aggregate equals the sum of its per-shard truths.
 //! 4. **Version integrity** — within one run, no application is assigned
 //!    a duplicate version, and both repository runs assign versions in
 //!    strictly increasing submission order; the per-application
@@ -35,11 +36,6 @@
 //!    bit-identical to the unrecorded run, telemetry snapshot aside), and
 //!    two recorded runs of the same scenario emit identical virtual-time
 //!    event sequences and deterministic metric snapshots.
-//! 8. **Snapshot coherence** — re-executing the shared run over the
-//!    pre-snapshot `RwLock` backend (`SharedRepository::new_locked`)
-//!    produces per-job results bit-identical to the snapshot-serving
-//!    backend, on every scenario: the lock-free read path is a pure
-//!    optimisation, never a semantic change.
 //! 9. **In-loop replication** (scenarios whose `NetPlan` sets a gossip
 //!    cadence) — the replicated *service* run, gossiping between job
 //!    events with replica crash/restart and read-repair live, ends
@@ -93,7 +89,7 @@ pub enum Violation {
         /// Rendered local vs shared values.
         detail: String,
     },
-    /// The lock-free statistics aggregate disagreed with the per-shard
+    /// The atomic statistics aggregate disagreed with the per-shard
     /// truth.
     StatsDoubleEntry {
         /// Rendered atomic vs sharded views.
@@ -153,17 +149,6 @@ pub enum Violation {
         /// What broke, with rendered values where per-field.
         detail: String,
     },
-    /// The snapshot-serving shared run diverged from the `RwLock`
-    /// oracle run of the identical trace — the lock-free read path
-    /// changed an observable result.
-    SnapshotCoherence {
-        /// The diverging job (or `(aggregate)` for report-level fields).
-        job: String,
-        /// The diverging field.
-        field: &'static str,
-        /// Rendered snapshot-backend vs locked-backend values.
-        detail: String,
-    },
 }
 
 impl Violation {
@@ -184,7 +169,6 @@ impl Violation {
             Violation::EventCore { .. } => "event-core",
             Violation::Observability { .. } => "observability",
             Violation::InloopReplication { .. } => "inloop-replication",
-            Violation::SnapshotCoherence { .. } => "snapshot-coherence",
         }
     }
 }
@@ -240,10 +224,6 @@ impl fmt::Display for Violation {
             Violation::InloopReplication { detail } => {
                 write!(f, "in-loop replication invariant violated: {detail}")
             }
-            Violation::SnapshotCoherence { job, field, detail } => write!(
-                f,
-                "snapshot coherence violated for `{job}` ({field}): {detail}"
-            ),
         }
     }
 }
@@ -279,7 +259,6 @@ fn fail(scenario: &Scenario, violation: Violation) -> Box<Failure> {
 pub fn check(scenario: &Scenario) -> Result<ScenarioRun, Box<Failure>> {
     let run = run_scenario(scenario).map_err(|v| fail(scenario, v))?;
     bit_identity(&run).map_err(|v| fail(scenario, v))?;
-    snapshot_coherence(&run).map_err(|v| fail(scenario, v))?;
     stats_double_entry(&run).map_err(|v| fail(scenario, v))?;
     version_integrity(&run.sequential).map_err(|v| fail(scenario, v))?;
     version_integrity(&run.shared).map_err(|v| fail(scenario, v))?;
@@ -395,108 +374,7 @@ fn bit_identity(run: &ScenarioRun) -> Result<(), Violation> {
     Ok(())
 }
 
-/// Invariant 8: the snapshot-serving backend and the `RwLock` oracle
-/// produce bit-identical per-job results and repository aggregates for
-/// the identical trace.
-fn snapshot_coherence(run: &ScenarioRun) -> Result<(), Violation> {
-    macro_rules! snap_field {
-        ($job:expr, $field:literal, $snap:expr, $locked:expr) => {
-            if $snap != $locked {
-                return Err(Violation::SnapshotCoherence {
-                    job: $job.to_string(),
-                    field: $field,
-                    detail: format!("snapshot {:?} vs locked {:?}", $snap, $locked),
-                });
-            }
-        };
-    }
-
-    let (snap, locked) = (&run.shared, &run.locked);
-    snap_field!(
-        "(aggregate)",
-        "jobs.len",
-        snap.jobs.len(),
-        locked.jobs.len()
-    );
-    for (s, l) in snap.jobs.iter().zip(&locked.jobs) {
-        snap_field!(s.job, "submission order", s.job, l.job);
-        snap_field!(s.job, "placement", s.node_id, l.node_id);
-        snap_field!(
-            s.job,
-            "accounting.record",
-            s.accounting.record,
-            l.accounting.record
-        );
-        snap_field!(
-            s.job,
-            "accounting.regions",
-            s.accounting.regions,
-            l.accounting.regions
-        );
-        snap_field!(
-            s.job,
-            "switches",
-            s.accounting.switches,
-            l.accounting.switches
-        );
-        snap_field!(
-            s.job,
-            "model source",
-            s.accounting.source,
-            l.accounting.source
-        );
-        snap_field!(
-            s.job,
-            "online activity",
-            s.accounting.online,
-            l.accounting.online
-        );
-        snap_field!(s.job, "baseline", s.default, l.default);
-        snap_field!(s.job, "savings", s.savings, l.savings);
-        snap_field!(
-            s.job,
-            "published version",
-            s.published_version,
-            l.published_version
-        );
-        snap_field!(s.job, "drift events", s.drift, l.drift);
-        snap_field!(s.job, "rejection", s.rejection, l.rejection);
-        snap_field!(s.job, "abort point", s.aborted_at, l.aborted_at);
-    }
-    snap_field!(
-        "(aggregate)",
-        "total_tuned",
-        snap.total_tuned,
-        locked.total_tuned
-    );
-    snap_field!(
-        "(aggregate)",
-        "total_default",
-        snap.total_default,
-        locked.total_default
-    );
-    snap_field!(
-        "(aggregate)",
-        "aggregate savings",
-        snap.aggregate,
-        locked.aggregate
-    );
-    snap_field!(
-        "(aggregate)",
-        "nodes_used",
-        snap.nodes_used,
-        locked.nodes_used
-    );
-    snap_field!(
-        "(aggregate)",
-        "repository stats",
-        snap.repository,
-        locked.repository
-    );
-    Ok(())
-}
-
-/// Invariant 3: the lock-free aggregate mirrors the per-shard truth.
+/// Invariant 3: the atomic aggregate mirrors the per-shard truth.
 fn stats_double_entry(run: &ScenarioRun) -> Result<(), Violation> {
     if run.shared_stats != run.shard_stats {
         return Err(Violation::StatsDoubleEntry {

@@ -23,18 +23,18 @@
 //!   derived deterministically. [`Scenario::to_replay`] turns any
 //!   scenario into a one-line repro.
 //! * [`runner`] — [`run_scenario`]: the same trace through the sweep
-//!   loop over three repositories (local, shared snapshot, shared
-//!   `RwLock`) *and* through the discrete-event service loop — plus,
-//!   for scenarios carrying a [`NetPlan`], twice through the replicated
+//!   loop over two repositories (local and sharded shared) *and*
+//!   through the discrete-event service loop — plus, for scenarios
+//!   carrying a [`NetPlan`], twice through the replicated
 //!   [`rrl::ReplicaSet`] path ([`ReplicatedRun`]) and, when the plan
 //!   sets a gossip cadence, twice through the in-loop replicated
 //!   service loop ([`InloopRun`]) with a trailing batch-`converge`
 //!   oracle.
 //! * [`invariants`] — [`check`]: the invariant catalog (local↔shared
 //!   per-job bit-identity, statistics double-entry, version integrity,
-//!   snapshot coherence, the `event_core` guarantees of the service run,
-//!   replica convergence/winner/determinism, in-loop convergence against
-//!   the batch oracle). Failures carry a `testkit::replay("…")` line.
+//!   the `event_core` guarantees of the service run, replica
+//!   convergence/winner/determinism, in-loop convergence against the
+//!   batch oracle). Failures carry a `testkit::replay("…")` line.
 //! * [`shrink`](mod@shrink) — greedy minimisation of a failing scenario: collapse
 //!   churn, drop jobs, drop faults, strip the net plan, shrink the
 //!   fleet — while the failure label stays the same.
@@ -57,6 +57,7 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

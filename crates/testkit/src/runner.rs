@@ -1,10 +1,10 @@
 //! Executing a [`Scenario`]: the same trace through both event loops.
 //!
 //! [`run_scenario`] materialises the fleet and the repositories, runs the
-//! arrival trace through the sweep loop [`ClusterScheduler::run`] three
-//! times — over a `TuningModelRepository`, over the snapshot-serving
-//! `SharedRepository` and over its `RwLock` backend — and once through
-//! the discrete-event [`ClusterScheduler::run_service`] with the trace's
+//! arrival trace through the sweep loop [`ClusterScheduler::run`] twice
+//! — over a `TuningModelRepository` and over a sharded `SharedRepository`
+//! — and once through the discrete-event
+//! [`ClusterScheduler::run_service`] with the trace's
 //! timestamps (and the fault plan's node-churn schedule) honored in
 //! virtual time, and hands the [`ClusterReport`]s (plus the shared
 //! repository's two statistics views) to the invariant checkers.
@@ -31,21 +31,16 @@ use crate::scenario::{NetPlan, Scenario, StoredEntry};
 pub struct ScenarioRun {
     /// The sweep run over a `TuningModelRepository`.
     pub sequential: ClusterReport,
-    /// The same sweep run over a `SharedRepository` (snapshot-serving
-    /// backend — the production read path).
+    /// The same sweep run over a sharded `SharedRepository`.
     pub shared: ClusterReport,
-    /// The same sweep run over the `RwLock` backend
-    /// (`SharedRepository::new_locked`) — the differential-testing
-    /// oracle for invariant 8 (snapshot coherence).
-    pub locked: ClusterReport,
     /// The discrete-event service run over its own
     /// `TuningModelRepository`: the same trace driven by arrival
     /// timestamps in virtual time, under the fault plan's node-churn
     /// schedule. Carries a [`rrl::ServiceSummary`] in `service.service`.
     pub service: ClusterReport,
-    /// The shared repository's lock-free statistics view after the run.
+    /// The shared repository's atomic statistics view after the run.
     pub shared_stats: RepositoryStats,
-    /// The shared repository's per-shard (locked) statistics — the
+    /// The shared repository's per-shard statistics — the
     /// double-entry counterpart of [`ScenarioRun::shared_stats`].
     pub shard_stats: RepositoryStats,
     /// The replicated-serving execution, when the scenario carries a
@@ -195,17 +190,6 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, Violation> {
     .run(&mut shared_repo)
     .map_err(|e| run_error("shared", e))?;
 
-    // Invariant 8's raw material: the identical trace over the RwLock
-    // backend. The snapshot read path must be a pure optimisation — the
-    // per-job results of the two shared runs have to be bit-identical.
-    let locked = configure(
-        ClusterScheduler::new(&fleet).map_err(|e| run_error("locked", e))?,
-        scenario,
-        strategy.as_ref(),
-    )
-    .run(&mut scenario.build_shared_locked_from(&entries))
-    .map_err(|e| run_error("locked", e))?;
-
     let service = run_service_once(scenario, &fleet, &entries, strategy.as_ref(), None)?;
 
     // The observability invariant's raw material: the same service run
@@ -284,7 +268,6 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, Violation> {
     Ok(ScenarioRun {
         sequential,
         shared,
-        locked,
         service,
         shared_stats: shared_repo.stats(),
         shard_stats: shared_repo.shard_stats(),

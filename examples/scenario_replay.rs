@@ -48,7 +48,7 @@ fn main() {
 
     // Run both event loops and the invariant catalog: local↔shared
     // per-job bit-identity, statistics double-entry, version integrity,
-    // snapshot coherence, the service loop's event core.
+    // the service loop's event core.
     let run = match testkit::check(&scenario) {
         Ok(run) => run,
         Err(failure) => {

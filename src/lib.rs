@@ -36,6 +36,7 @@
 //! `ptf::SearchStrategy` (model-based, exhaustive, random).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use enermodel;
 pub use kernels;

@@ -1,16 +1,17 @@
-//! Concurrency stress tests for the snapshot-serving repository.
+//! Concurrency stress tests for the lock-striped shared repository.
 //!
-//! The PR 9 read path serves from per-shard immutable snapshots
-//! ([`snapcell`]-backed), so these tests race writers publishing
-//! version-bumped models against readers serving by
-//! [`MatchPolicy::Application`] and assert the snapshot discipline:
+//! Publishes and serves of one shard are serialised by its lock, so
+//! these tests race writers publishing version-bumped models against
+//! readers serving by [`MatchPolicy::Application`] and assert what that
+//! serialisation promises:
 //!
-//! * readers only ever observe *fully published* snapshots — a served
+//! * readers only ever observe *fully published* models — a served
 //!   model always equals the exact model some writer published, never a
 //!   torn intermediate;
 //! * application-lineage versions never regress — per writer on the
-//!   publish side, and (under a serialised schedule) per reader on the
-//!   serve side;
+//!   publish side, and per reader on the serve side: the most recently
+//!   used entry is always the latest publication, because a serve only
+//!   re-stamps the entry that already holds the newest recency;
 //! * the global and per-shard statistics stay double-entry equal after
 //!   the dust settles.
 //!
@@ -34,7 +35,7 @@ const READS_PER_READER: usize = 20;
 
 /// The configuration writer `w` publishes at its `k`-th step — a pure
 /// function of `(w, k)`, so readers can rebuild the expected model from
-/// the label embedded in a served snapshot.
+/// the label embedded in a served model.
 fn config_for(w: usize, k: usize) -> SystemConfig {
     SystemConfig::new(24, 2000 + (w * 100 + k * 10) as u32, 1500 + (k * 20) as u32)
 }
@@ -74,14 +75,14 @@ fn assert_fully_published(model: &TuningModel, context: &str) {
     assert_eq!(
         *model,
         model_for(w, k),
-        "{context}: torn snapshot — served model does not match what writer {w} published at step {k}"
+        "{context}: torn publish — served model does not match what writer {w} published at step {k}"
     );
 }
 
 /// Run the writer/reader race once. When `schedule` is `Some(seed)`, all
 /// repository steps are serialised through a [`SpinPermits`] schedule
 /// derived from the seed (deterministic, replayable interleavings); when
-/// `None`, the threads free-run (true parallelism, weaker assertions).
+/// `None`, the threads free-run (true parallelism, same assertions).
 fn race(schedule: Option<u64>) {
     let repo = Arc::new(
         SharedRepository::new(4)
@@ -156,18 +157,11 @@ fn race(schedule: Option<u64>) {
                                     panic!("{context}: stored serve without provenance")
                                 })
                                 .version;
-                            // Only the serialised schedule pins the
-                            // reader-side high-water mark: free-running
-                            // readers may touch an entry resolved from an
-                            // older snapshot, legitimately re-ordering
-                            // recency.
-                            if schedule.is_some() {
-                                assert!(
-                                    version >= high,
-                                    "{context}: reader {r} high-water regressed: \
-                                     {version} after {high}"
-                                );
-                            }
+                            assert!(
+                                version >= high,
+                                "{context}: reader {r} high-water regressed: \
+                                 {version} after {high}"
+                            );
                             let bound = (WRITERS * WRITES_PER_WRITER) as u32;
                             assert!(
                                 (1..=bound).contains(&version),
@@ -246,9 +240,9 @@ fn seeded_schedules_serve_only_fully_published_snapshots() {
     }
 }
 
-/// Free-running race: true parallelism, checking the invariants that do
-/// not depend on the interleaving (untorn snapshots, unique lineage
-/// versions, exact stats accounting).
+/// Free-running race: true parallelism, checking the same invariants as
+/// the seeded schedules (untorn models, unique lineage versions,
+/// non-decreasing reader high-water marks, exact stats accounting).
 #[test]
 fn free_running_race_serves_only_fully_published_snapshots() {
     for _ in 0..4 {
