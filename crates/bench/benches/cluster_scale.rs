@@ -1,12 +1,11 @@
 //! The cluster-scale serving benchmark: one full 1 024-job / 32-node
-//! submission wave through the `ClusterScheduler`'s sweep loop, plus the
-//! lock-striped `SharedRepository` serve hot path.
+//! submission wave through the `ClusterScheduler`'s sweep loop.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use kernels::{BenchmarkSpec, ProgrammingModel, RegionSpec, Suite};
 use ptf::TuningModel;
-use rrl::{ClusterScheduler, SharedRepository, TuningModelRepository};
+use rrl::{ClusterScheduler, TuningModelRepository};
 use simnode::{Cluster, RegionCharacter, SystemConfig};
 
 const JOBS: usize = 1024;
@@ -74,28 +73,9 @@ fn bench_cluster_scale(c: &mut Criterion) {
     group.finish();
 }
 
-/// The shared-repository serve hot path: repeated serves against the
-/// same striped map.
-fn bench_shared_repository(c: &mut Criterion) {
-    let (benches, models) = wave();
-    let shared = SharedRepository::new(16);
-    for (b, m) in benches.iter().zip(&models) {
-        shared.insert(b, m);
-    }
-    let mut group = c.benchmark_group("rrl/shared_repository");
-    group.bench_function("serve_striped", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            i += 1;
-            black_box(shared.serve(&benches[i % benches.len()]).unwrap())
-        })
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_cluster_scale, bench_shared_repository
+    targets = bench_cluster_scale
 }
 criterion_main!(benches);

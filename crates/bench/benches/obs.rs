@@ -1,6 +1,5 @@
-//! Telemetry overhead on the hot paths: the same workloads as
-//! `vtime.rs`'s kernel dispatch and the shared repository's stored-model
-//! serve, each run once with the [`obskit::NoopRecorder`] (recording
+//! Telemetry overhead on the hot path: the same workload as `vtime.rs`'s
+//! kernel dispatch, run once with the [`obskit::NoopRecorder`] (recording
 //! off — the default every existing call site gets) and once with a full
 //! [`obskit::Registry`] attached.
 //!
@@ -12,19 +11,12 @@
 //! numbers as `BENCH_obs.json` via the harness's `CRITERION_SUMMARY_JSON`
 //! hook and diffs them against the committed baseline.
 
-use std::sync::Arc;
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use kernels::toy_benchmark;
 use obskit::{NoopRecorder, Recorder, Registry};
-use ptf::TuningModel;
-use rrl::SharedRepository;
 use simkit::{EventSink, Kernel, Process, Time};
-use simnode::SystemConfig;
 
 const KERNEL_EVENTS: u64 = 1_000_000;
-const SERVES: usize = 100_000;
 
 /// The `vtime.rs` timer-chain process, verbatim: every handled event
 /// schedules its successor until the budget is spent, keeping 1 024
@@ -84,41 +76,9 @@ fn bench_recorded_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Stored-model serving through the lock-striped repository: the
-/// per-shard counters plus the lock-wait histogram are the recorded
-/// cost, on top of one lock round-trip per serve either way.
-fn bench_recorded_serving(c: &mut Criterion) {
-    let bench = toy_benchmark("obs", 1e10, 1);
-    let cfg = SystemConfig::new(24, 2400, 1900);
-    let model = TuningModel::new(&bench.name, &[("omp parallel:1".into(), cfg)], cfg);
-
-    let mut group = c.benchmark_group("obs/repo");
-    group.bench_function("serve_stored_100k_noop", |b| {
-        let repo = SharedRepository::new(8);
-        repo.insert(&bench, &model);
-        b.iter(|| {
-            for _ in 0..SERVES {
-                black_box(repo.serve_stored(&bench).expect("no error"));
-            }
-        })
-    });
-    group.bench_function("serve_stored_100k_recorded", |b| {
-        let registry: Arc<Registry> = Arc::new(Registry::new());
-        let repo = SharedRepository::new(8).with_recorder(registry.clone());
-        repo.insert(&bench, &model);
-        b.iter(|| {
-            for _ in 0..SERVES {
-                black_box(repo.serve_stored(&bench).expect("no error"));
-            }
-        });
-        assert!(registry.snapshot().counter_sum("repo.hits") >= SERVES as u64);
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(5)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_recorded_dispatch, bench_recorded_serving
+    targets = bench_recorded_dispatch
 }
 criterion_main!(benches);

@@ -41,7 +41,8 @@
 //!   testkit invariant can compare recorded reruns bit for bit.
 //!
 //! Indexed series (`counter_add_at` and friends) render as
-//! `key/index` in snapshots — e.g. `repo.hits/3` is shard 3's hits.
+//! `key/index` in snapshots — e.g. `net.session_transitions/3` counts
+//! replica 3's session transitions.
 //!
 //! [`simkit`-style]: Track
 

@@ -359,7 +359,7 @@ impl MetricsSnapshot {
     }
 
     /// Total over counters whose series name starts with `prefix`
-    /// (handy for summing an indexed family like `repo.hits/`).
+    /// (handy for summing an indexed family like `net.session_transitions/`).
     pub fn counter_sum(&self, prefix: &str) -> u64 {
         self.counters
             .iter()

@@ -16,10 +16,9 @@
 //! * [`ClusterScheduler::run`] — the sweep loop: every queued job is
 //!   admitted in submission order, and each sweep advances every active
 //!   session by one event. It serves from any [`RepositoryHandle`] — a
-//!   [`TuningModelRepository`](crate::TuningModelRepository), a
-//!   [`SharedRepository`](crate::SharedRepository), or one replica of a
-//!   [`ReplicaSet`](crate::ReplicaSet) — and is the reference the
-//!   service loop is checked against.
+//!   [`TuningModelRepository`](crate::TuningModelRepository) or one
+//!   replica of a [`ReplicaSet`](crate::ReplicaSet) — and is the
+//!   reference the service loop is checked against.
 //! * [`ClusterScheduler::run_service`] — the discrete-event loop of
 //!   [`crate::service`]: timestamped arrivals, bounded node slots and
 //!   node churn in virtual time.
@@ -911,9 +910,9 @@ impl<'a> ClusterScheduler<'a> {
     /// cluster, serving tuning models from `repo`.
     ///
     /// `repo` is any [`RepositoryHandle`]: a
-    /// [`TuningModelRepository`](crate::TuningModelRepository), a
-    /// [`SharedRepository`](crate::SharedRepository), or one replica of a
-    /// [`ReplicaSet`](crate::ReplicaSet) (`set.replica_mut(id)`). A
+    /// [`TuningModelRepository`](crate::TuningModelRepository) or one
+    /// replica of a [`ReplicaSet`](crate::ReplicaSet)
+    /// (`set.replica_mut(id)`). A
     /// replica run is local to that replica: its hits and misses go
     /// against the replica's repository and its publications are stamped
     /// into the replica's log; call
@@ -1029,7 +1028,6 @@ impl<'a> ClusterScheduler<'a> {
 mod tests {
     use super::*;
     use crate::repository::TuningModelRepository;
-    use crate::shard::SharedRepository;
     use ptf::TuningModel;
 
     fn lulesh_model() -> TuningModel {
@@ -1300,9 +1298,9 @@ mod tests {
     #[test]
     fn empty_queue_reports_nothing() {
         let cluster = Cluster::exact(2);
-        let mut shared = SharedRepository::new(2);
+        let mut repo = TuningModelRepository::new();
         let mut sched = ClusterScheduler::new(&cluster).unwrap();
-        let report = sched.run(&mut shared).unwrap();
+        let report = sched.run(&mut repo).unwrap();
         assert!(report.jobs.is_empty());
         assert_eq!(report.nodes_used, 0);
     }

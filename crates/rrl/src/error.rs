@@ -1,8 +1,7 @@
 //! Errors on the user-facing runtime path.
 //!
 //! Every operation of the event-driven runtime API — repository serving
-//! (single-threaded or through the sharded
-//! [`SharedRepository`](crate::SharedRepository)),
+//! (from a [`crate::TuningModelRepository`] or one [`crate::Replica`]),
 //! [`crate::RuntimeSession`] transitions, [`crate::ClusterScheduler`]
 //! placement and execution — returns `Result<_, RuntimeError>`. Nothing on
 //! this path panics: a corrupt model file, a foreign configuration or a

@@ -14,9 +14,6 @@
 //!   LRU capacity bounding and application-level matching
 //!   ([`MatchPolicy`]), and a calibration fallback (a best-known static
 //!   configuration) when no model matches,
-//! * [`shard`] — the concurrent [`SharedRepository`]: N of the
-//!   repository's own shards, each behind an `RwLock` and partitioned by
-//!   application hash, with lock-free statistics,
 //! * [`session`] — the event-driven [`RuntimeSession`]: one handle per
 //!   job, driven by explicit `region_enter` / `region_exit` /
 //!   `phase_complete` events through the scenario→configuration resolver
@@ -83,7 +80,6 @@ pub mod sacct;
 pub mod savings;
 pub mod service;
 pub mod session;
-pub mod shard;
 pub mod tmm;
 
 pub use cluster::{
@@ -112,5 +108,4 @@ pub use service::{
     GossipConfig, JobArrival, Percentiles, ReplicationSummary, ServiceConfig, ServiceSummary,
 };
 pub use session::{RegionExit, RuntimeSession};
-pub use shard::SharedRepository;
 pub use tmm::TuningModelManager;

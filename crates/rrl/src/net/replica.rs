@@ -1,7 +1,7 @@
 //! Replicas and the anti-entropy replica set.
 //!
 //! A [`Replica`] is one scheduler-facing serving node: its own
-//! [`SharedRepository`], a replication *log* (the latest winning
+//! [`TuningModelRepository`], a replication *log* (the latest winning
 //! [`ReplicatedModel`] per application — bounded by the application
 //! count, never LRU-evicted, so sync survives repository eviction
 //! pressure), a [`VersionVector`] of the highest stamp observed per
@@ -38,8 +38,9 @@ use simnode::SystemConfig;
 
 use crate::error::RuntimeError;
 use crate::inject::FaultInjector;
-use crate::repository::{ModelSource, RepositoryHandle, RepositoryStats, ServedModel};
-use crate::shard::SharedRepository;
+use crate::repository::{
+    ModelKey, ModelSource, RepositoryHandle, RepositoryStats, ServedModel, TuningModelRepository,
+};
 
 use super::frame::{decode, encode, ConvergeCulprit, Message, NetError, PROTOCOL_VERSION};
 use super::reconcile::{ModelDigest, ReplicatedModel, Stamp, VersionVector};
@@ -49,9 +50,8 @@ use super::transport::{SimTransport, TransportStats};
 /// Construction parameters for every replica of a set.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicaConfig {
-    /// Lock segments per replica repository.
-    pub shards: usize,
-    /// Per-replica repository capacity (0 = unbounded).
+    /// Repository capacity, per replica: one LRU bound over every
+    /// application the replica stores (0 = unbounded).
     pub capacity: usize,
     /// Calibration fallback served on repository misses.
     pub fallback: Option<SystemConfig>,
@@ -64,7 +64,6 @@ pub struct ReplicaConfig {
 impl Default for ReplicaConfig {
     fn default() -> Self {
         Self {
-            shards: 4,
             capacity: 0,
             fallback: None,
             session: SessionConfig::default(),
@@ -97,7 +96,7 @@ pub struct ReplicaStats {
 #[derive(Debug)]
 pub struct Replica {
     id: u32,
-    repo: SharedRepository,
+    repo: TuningModelRepository,
     /// Latest winning entry per application — the sync source of truth.
     log: BTreeMap<String, ReplicatedModel>,
     /// Bumped on every log change; offers snapshot it so a stale empty
@@ -131,13 +130,9 @@ pub struct Replica {
 
 impl Replica {
     fn new(id: u32, peers: impl Iterator<Item = u32>, config: &ReplicaConfig) -> Self {
-        let mut repo = SharedRepository::new(config.shards).with_capacity(config.capacity);
-        if let Some(fallback) = config.fallback {
-            repo = repo.with_fallback(fallback);
-        }
         Self {
             id,
-            repo,
+            repo: Self::empty_repository(config),
             log: BTreeMap::new(),
             log_rev: 0,
             vv: VersionVector::new(),
@@ -165,6 +160,16 @@ impl Replica {
             own_versions: BTreeMap::new(),
             retired_retransmits: 0,
             retired_resets: 0,
+        }
+    }
+
+    /// A fresh repository built from the replica's construction
+    /// parameters.
+    fn empty_repository(config: &ReplicaConfig) -> TuningModelRepository {
+        let repo = TuningModelRepository::new().with_capacity(config.capacity);
+        match config.fallback {
+            Some(fallback) => repo.with_fallback(fallback),
+            None => repo,
         }
     }
 
@@ -205,12 +210,7 @@ impl Replica {
     /// replay the fleet's winners back in. Only the durable own-version
     /// counter (and the harness-side publication history) survives.
     fn rebuild(&mut self) {
-        let config = self.config;
-        let mut repo = SharedRepository::new(config.shards).with_capacity(config.capacity);
-        if let Some(fallback) = config.fallback {
-            repo = repo.with_fallback(fallback);
-        }
-        self.repo = repo;
+        self.repo = Self::empty_repository(&self.config);
         self.log.clear();
         self.log_rev = 0;
         self.vv = VersionVector::new();
@@ -224,7 +224,7 @@ impl Replica {
     }
 
     /// The replica-local repository (read-only view).
-    pub fn repository(&self) -> &SharedRepository {
+    pub fn repository(&self) -> &TuningModelRepository {
         &self.repo
     }
 
@@ -296,10 +296,13 @@ impl Replica {
 
     /// Install a winning entry: repository, log, vector; dirty gossip.
     fn install(&mut self, entry: ReplicatedModel, source: ModelSource) {
-        self.repo.publish_replicated(
-            &entry.application,
-            entry.fingerprint,
-            &entry.model_json,
+        let key = ModelKey {
+            application: entry.application.clone(),
+            fingerprint: entry.fingerprint,
+        };
+        self.repo.shard.store_replicated(
+            key,
+            entry.model_json.clone(),
             source,
             entry.expected.clone(),
             entry.stamp.version,
@@ -1558,5 +1561,31 @@ mod tests {
         assert_eq!(replica.replication_stats(), ReplicaStats::default());
         assert_eq!(replica.id(), 0);
         assert!(replica.repository().stats().publications == 1);
+    }
+
+    #[test]
+    fn replica_capacity_is_one_lru_bound_per_replica() {
+        // The two names hash into the same bucket mod 4: a capacity split
+        // into four per-application-hash slices of one entry each would
+        // evict the first model when the second arrives.
+        assert_eq!(
+            kernels::fnv1a(b"Lulesh") % 4,
+            kernels::fnv1a(b"Amg2013") % 4
+        );
+        let config = ReplicaConfig {
+            capacity: 2,
+            ..ReplicaConfig::default()
+        };
+        let mut set = ReplicaSet::new(1, config);
+        let replica = set.replica_mut(0).unwrap();
+        for name in ["Lulesh", "Amg2013"] {
+            replica.publish_model(&bench(name), &model(name, 2500), vec![]);
+        }
+        for name in ["Lulesh", "Amg2013"] {
+            let served = RepositoryHandle::serve_stored(replica, &bench(name)).unwrap();
+            assert!(served.is_some(), "{name} evicted under capacity 2");
+        }
+        let stats = RepositoryHandle::stats(replica);
+        assert_eq!((stats.hits, stats.evictions), (2, 0));
     }
 }

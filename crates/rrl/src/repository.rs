@@ -28,10 +28,8 @@
 //! with the drift detector guarding against the model having gone stale.
 //!
 //! Internally all of the above lives in one `Shard` — map, LRU clock,
-//! version lineage, stats. `TuningModelRepository` is a thin single-shard
-//! wrapper with the classic `&mut self` API; the concurrent
-//! [`SharedRepository`](crate::SharedRepository) holds N of the same
-//! shards, each behind its own lock.
+//! version lineage, stats. `TuningModelRepository` is a thin wrapper with
+//! the `&mut self` API; every replica of a [`crate::ReplicaSet`] holds one.
 
 use std::collections::BTreeMap;
 
@@ -164,8 +162,8 @@ impl RepositoryStats {
         }
     }
 
-    /// Component-wise sum — how shard-local statistics aggregate into a
-    /// repository-wide view.
+    /// Component-wise sum — how per-replica statistics aggregate into a
+    /// fleet-wide view.
     pub(crate) fn merged(&self, other: &RepositoryStats) -> RepositoryStats {
         RepositoryStats {
             hits: self.hits + other.hits,
@@ -175,20 +173,6 @@ impl RepositoryStats {
             errors: self.errors + other.errors,
             evictions: self.evictions + other.evictions,
             publications: self.publications + other.publications,
-        }
-    }
-
-    /// Component-wise difference from an earlier reading of the same
-    /// counters — the delta one operation caused.
-    pub(crate) fn since(&self, before: &RepositoryStats) -> RepositoryStats {
-        RepositoryStats {
-            hits: self.hits - before.hits,
-            approx_hits: self.approx_hits - before.approx_hits,
-            misses: self.misses - before.misses,
-            fallbacks: self.fallbacks - before.fallbacks,
-            errors: self.errors - before.errors,
-            evictions: self.evictions - before.evictions,
-            publications: self.publications - before.publications,
         }
     }
 }
@@ -211,7 +195,7 @@ pub enum MatchPolicy {
 
 /// The model of one stored entry, in the form it arrived in.
 #[derive(Debug)]
-pub(crate) enum EntryModel {
+enum EntryModel {
     /// A model published in-process (`publish`, `publish_online`,
     /// `insert`): stored as handed over. `TuningModel` holds no floats,
     /// so this is exactly what a JSON round trip would serve.
@@ -224,7 +208,7 @@ pub(crate) enum EntryModel {
 
 impl EntryModel {
     /// The served model, parsing a wire entry in place on first use.
-    pub(crate) fn get(&mut self) -> Result<&TuningModel, RuntimeError> {
+    fn get(&mut self) -> Result<&TuningModel, RuntimeError> {
         if let Self::Wire(json) = self {
             *self = Self::Parsed(TuningModel::from_json(json).map_err(RuntimeError::Parse)?);
         }
@@ -238,39 +222,35 @@ impl EntryModel {
 /// One stored entry: the model, its provenance, and the LRU recency
 /// stamp.
 #[derive(Debug)]
-pub(crate) struct StoredEntry {
-    pub(crate) model: EntryModel,
-    pub(crate) provenance: ModelProvenance,
-    pub(crate) last_used: u64,
+struct StoredEntry {
+    model: EntryModel,
+    provenance: ModelProvenance,
+    last_used: u64,
 }
 
-/// One independently synchronizable slice of the model store: the map,
-/// the per-application version lineage, the LRU clock and bound, the
-/// fallback, the match policy and the serving statistics.
-///
-/// [`TuningModelRepository`] is exactly one shard behind a `&mut self`
-/// API; [`SharedRepository`](crate::SharedRepository) holds N of them,
-/// each behind its own `parking_lot::RwLock`, partitioned by application
-/// hash so an application's version lineage and its
-/// [`MatchPolicy::Application`] candidates are always shard-local.
+/// The model store's state: the map, the per-application version
+/// lineage, the LRU clock and bound, the fallback, the match policy and
+/// the serving statistics. [`TuningModelRepository`] is exactly one shard
+/// behind a `&mut self` API; replicas reach it through `repo.shard` to
+/// install entries at a version the replication layer assigned.
 #[derive(Debug, Default)]
 pub(crate) struct Shard {
-    pub(crate) models: BTreeMap<ModelKey, StoredEntry>,
+    models: BTreeMap<ModelKey, StoredEntry>,
     /// Per-application version high-water mark. Kept separately from the
     /// live entries so LRU eviction can never make a version number
     /// regress.
-    pub(crate) versions: BTreeMap<String, u32>,
-    pub(crate) fallback: Option<SystemConfig>,
-    pub(crate) capacity: Option<usize>,
-    pub(crate) policy: MatchPolicy,
-    pub(crate) clock: u64,
-    pub(crate) stats: RepositoryStats,
+    versions: BTreeMap<String, u32>,
+    fallback: Option<SystemConfig>,
+    capacity: Option<usize>,
+    policy: MatchPolicy,
+    clock: u64,
+    stats: RepositoryStats,
 }
 
 impl Shard {
     /// Store a model, assign its application-lineage version, bump the
     /// LRU clock and enforce the capacity bound.
-    pub(crate) fn store(
+    fn store(
         &mut self,
         key: ModelKey,
         model: EntryModel,
@@ -358,7 +338,7 @@ impl Shard {
 
     /// Store the model a design-time session produced (see
     /// [`TuningModelRepository::publish`]).
-    pub(crate) fn publish(&mut self, advice: &Advice) -> u32 {
+    fn publish(&mut self, advice: &Advice) -> u32 {
         let key = ModelKey {
             application: advice.tuning_model.application.clone(),
             fingerprint: advice.benchmark_fingerprint,
@@ -378,7 +358,7 @@ impl Shard {
 
     /// Store a model the online tuner converged (see
     /// [`TuningModelRepository::publish_online`]).
-    pub(crate) fn publish_online(
+    fn publish_online(
         &mut self,
         bench: &BenchmarkSpec,
         model: &TuningModel,
@@ -394,7 +374,7 @@ impl Shard {
 
     /// Store a tuning model for a benchmark with no drift expectations
     /// (see [`TuningModelRepository::insert`]).
-    pub(crate) fn insert(&mut self, bench: &BenchmarkSpec, model: &TuningModel) {
+    fn insert(&mut self, bench: &BenchmarkSpec, model: &TuningModel) {
         self.store(
             ModelKey::of(bench),
             EntryModel::Parsed(model.clone()),
@@ -404,12 +384,12 @@ impl Shard {
     }
 
     /// Whether a stored model matches this benchmark's workload exactly.
-    pub(crate) fn contains(&self, bench: &BenchmarkSpec) -> bool {
+    fn contains(&self, bench: &BenchmarkSpec) -> bool {
         self.models.contains_key(&ModelKey::of(bench))
     }
 
     /// Provenance of the exact-workload entry for this benchmark, if any.
-    pub(crate) fn provenance(&self, bench: &BenchmarkSpec) -> Option<&ModelProvenance> {
+    fn provenance(&self, bench: &BenchmarkSpec) -> Option<&ModelProvenance> {
         self.models.get(&ModelKey::of(bench)).map(|e| &e.provenance)
     }
 
@@ -435,10 +415,7 @@ impl Shard {
 
     /// Serve a stored model or record a miss (see
     /// [`TuningModelRepository::serve_stored`]).
-    pub(crate) fn serve_stored(
-        &mut self,
-        bench: &BenchmarkSpec,
-    ) -> Result<Option<ServedModel>, RuntimeError> {
+    fn serve_stored(&mut self, bench: &BenchmarkSpec) -> Result<Option<ServedModel>, RuntimeError> {
         let Some((key, exact)) = self.resolve(bench) else {
             self.stats.misses += 1;
             return Ok(None);
@@ -471,10 +448,7 @@ impl Shard {
     /// [`TuningModelRepository::serve_fallback`]). Counts only the
     /// fallback serve — never a second miss for a lookup that
     /// `serve_stored` already recorded.
-    pub(crate) fn serve_fallback(
-        &mut self,
-        bench: &BenchmarkSpec,
-    ) -> Result<ServedModel, RuntimeError> {
+    fn serve_fallback(&mut self, bench: &BenchmarkSpec) -> Result<ServedModel, RuntimeError> {
         match self.fallback {
             Some(config) => {
                 self.stats.fallbacks += 1;
@@ -493,7 +467,7 @@ impl Shard {
 
     /// Full serve: stored model or calibration fallback (see
     /// [`TuningModelRepository::serve`]).
-    pub(crate) fn serve(&mut self, bench: &BenchmarkSpec) -> Result<ServedModel, RuntimeError> {
+    fn serve(&mut self, bench: &BenchmarkSpec) -> Result<ServedModel, RuntimeError> {
         if let Some(served) = self.serve_stored(bench)? {
             return Ok(served);
         }
@@ -508,10 +482,10 @@ impl Shard {
 /// contains) until its first serve parses it, and a corrupt one surfaces
 /// as [`RuntimeError::Parse`] at serve time instead of a panic.
 ///
-/// This is the single-threaded, `&mut self` entry point — a thin wrapper
-/// over exactly one `Shard`. For `&self` serving from several threads
-/// use [`SharedRepository`](crate::SharedRepository), which shares the
-/// same shard implementation and therefore the same semantics.
+/// This is the one repository type — a thin `&mut self` wrapper over
+/// exactly one `Shard`. A [`crate::Replica`] holds one too, so a
+/// replicated fleet serves under the same semantics, capacity bound
+/// included.
 #[derive(Debug, Default)]
 pub struct TuningModelRepository {
     pub(crate) shard: Shard,
@@ -662,10 +636,9 @@ impl TuningModelRepository {
 /// The serving surface the cluster event loops need — what
 /// [`ClusterScheduler::run`](crate::ClusterScheduler::run) and
 /// [`ClusterScheduler::run_service`](crate::ClusterScheduler::run_service)
-/// abstract over so the same loop serves from a plain local repository,
-/// a [`SharedRepository`](crate::SharedRepository), or one replica of a
-/// replicated set ([`crate::net::Replica`]), without the loop knowing
-/// which.
+/// abstract over so the same loop serves from a plain local repository
+/// or one replica of a replicated set ([`crate::net::Replica`]), without
+/// the loop knowing which.
 ///
 /// Implementations must preserve the local-repository semantics the
 /// invariant suite pins down: `serve_stored` records exactly one miss

@@ -82,7 +82,7 @@ use crate::cluster::{
 use crate::error::RuntimeError;
 use crate::inject::{ChurnEvent, ChurnKind, FaultInjector, ReplicaChurnEvent, ReplicaChurnKind};
 use crate::net::{NetError, ReplicaSet};
-use crate::repository::{ModelKey, RepositoryHandle, RepositoryStats, ServedModel};
+use crate::repository::{ModelKey, RepositoryHandle, RepositoryStats};
 
 /// One job of a service trace: what to run, and *when* it arrives.
 #[derive(Debug, Clone)]
@@ -393,69 +393,14 @@ enum RepoAccess<'r, 'a> {
 }
 
 impl RepoAccess<'_, '_> {
-    fn serve(&mut self, node: usize, bench: &BenchmarkSpec) -> Result<ServedModel, RuntimeError> {
+    /// The handle serving jobs placed on `node`: the one repository, or
+    /// the node's serving replica.
+    fn handle(&mut self, node: usize) -> Result<&mut dyn RepositoryHandle, RuntimeError> {
         match self {
-            RepoAccess::Single(repo) => repo.serve(bench),
+            RepoAccess::Single(repo) => Ok(&mut **repo),
             RepoAccess::Replicated(net) => {
                 let id = net.serving_replica(node);
-                net.set
-                    .replica_mut(id)
-                    .map_err(RuntimeError::Replication)?
-                    .serve(bench)
-            }
-        }
-    }
-
-    fn serve_stored(
-        &mut self,
-        node: usize,
-        bench: &BenchmarkSpec,
-    ) -> Result<Option<ServedModel>, RuntimeError> {
-        match self {
-            RepoAccess::Single(repo) => repo.serve_stored(bench),
-            RepoAccess::Replicated(net) => {
-                let id = net.serving_replica(node);
-                net.set
-                    .replica_mut(id)
-                    .map_err(RuntimeError::Replication)?
-                    .serve_stored(bench)
-            }
-        }
-    }
-
-    fn serve_fallback(
-        &mut self,
-        node: usize,
-        bench: &BenchmarkSpec,
-    ) -> Result<ServedModel, RuntimeError> {
-        match self {
-            RepoAccess::Single(repo) => repo.serve_fallback(bench),
-            RepoAccess::Replicated(net) => {
-                let id = net.serving_replica(node);
-                net.set
-                    .replica_mut(id)
-                    .map_err(RuntimeError::Replication)?
-                    .serve_fallback(bench)
-            }
-        }
-    }
-
-    fn publish_online(
-        &mut self,
-        node: usize,
-        bench: &BenchmarkSpec,
-        model: &ptf::TuningModel,
-        expected: Vec<(String, f64)>,
-    ) -> Result<u32, RuntimeError> {
-        match self {
-            RepoAccess::Single(repo) => Ok(repo.publish_online(bench, model, expected)),
-            RepoAccess::Replicated(net) => {
-                let id = net.serving_replica(node);
-                Ok(net
-                    .set
-                    .replica_mut(id)
-                    .map_err(RuntimeError::Replication)?
-                    .publish_online(bench, model, expected))
+                Ok(net.set.replica_mut(id).map_err(RuntimeError::Replication)?)
             }
         }
     }
@@ -597,12 +542,12 @@ impl ServiceRun<'_, '_, '_> {
         let node = self.cluster.node(node_idx);
         let faults = self.faults;
         let (state, rejection) = match self.online {
-            None => start_plain(job, node, self.repo.serve(node_idx, &job.bench)?)?,
+            None => start_plain(job, node, self.repo.handle(node_idx)?.serve(&job.bench)?)?,
             Some(online) => {
                 let key = job.key();
                 match self.gate.admit(&key) {
                     Admit::Fallback => {
-                        start_plain(job, node, self.repo.serve(node_idx, &job.bench)?)?
+                        start_plain(job, node, self.repo.handle(node_idx)?.serve(&job.bench)?)?
                     }
                     Admit::Wait => {
                         self.waiters.entry(key).or_default().push(i);
@@ -612,7 +557,7 @@ impl ServiceRun<'_, '_, '_> {
                         }
                         return Ok(false);
                     }
-                    Admit::Lookup => match self.repo.serve_stored(node_idx, &job.bench)? {
+                    Admit::Lookup => match self.repo.handle(node_idx)?.serve_stored(&job.bench)? {
                         Some(served) => start_monitor(job, node, served, online.config, faults)?,
                         None => {
                             if self.try_read_repair(i, now, sink)? {
@@ -621,7 +566,7 @@ impl ServiceRun<'_, '_, '_> {
                             let repo = &mut self.repo;
                             let (state, rejection, refused) =
                                 start_calibration(job, node, &online, faults, &mut |b| {
-                                    repo.serve_fallback(node_idx, b)
+                                    repo.handle(node_idx)?.serve_fallback(b)
                                 })?;
                             self.gate.lead(key, i, refused);
                             (state, rejection)
@@ -699,7 +644,8 @@ impl ServiceRun<'_, '_, '_> {
                 ..
             } = self;
             drivers[i].finish(job, node_idx, baselines, &mut |bench, publication| {
-                repo.publish_online(node_idx, bench, &publication.model, publication.expected)
+                let handle = repo.handle(node_idx)?;
+                Ok(handle.publish_online(bench, &publication.model, publication.expected))
             })?;
             // A publication must gossip out while the service keeps
             // running: re-arm the cadence if it had parked.

@@ -194,12 +194,6 @@ impl ScenarioGenerator {
             repository: RepositorySpec {
                 fallback: Some(SystemConfig::new(24, 2400, 1700)),
                 capacity,
-                // Under pressure the bound must bite *globally*: with one
-                // stripe the shared repository's per-shard bound equals
-                // the requested capacity, so eviction pressure is a
-                // property of the scenario, not of the application-hash
-                // spread across stripes.
-                shards: if cfg.eviction_pressure { 1 } else { 4 },
             },
             online: cfg.online.then_some(OnlineSpec {
                 search_pool: 10,

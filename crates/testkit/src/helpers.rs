@@ -3,121 +3,12 @@
 //! copy-pasted across `tests/runtime.rs`, `tests/online.rs` and the unit
 //! tests live here (and in [`kernels::toy_benchmark`]) now.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
 use kernels::BenchmarkSpec;
 use ptf::TuningModel;
 use rrl::TuningModelRepository;
 use simnode::SystemConfig;
 
 pub use kernels::toy_benchmark;
-
-/// Seeded turn-taking permits for concurrency stress tests.
-///
-/// `SpinPermits` serialises the *interesting* steps of racing threads into
-/// a reproducible order: each participant wraps a step in [`gate`], which
-/// spins until the deterministic schedule — a splitmix64 stream over the
-/// seed and a global ticket counter — picks it among the participants
-/// that are still [`active`]. Exactly one permit is outstanding at a
-/// time, and the grant order is a pure function of the seed and each
-/// participant's step count, so a failing stress run that reports its
-/// seed replays the same interleaving of guarded steps.
-///
-/// Protocol per participant thread `me`:
-///
-/// 1. call [`gate`]`(me)` before each step and hold the returned
-///    [`SpinPermit`] for the step's duration (its drop advances the
-///    schedule);
-/// 2. call [`retire`]`(me)` after the last step, so the schedule forfeits
-///    any further turns assigned to `me` instead of wedging.
-///
-/// [`gate`]: Self::gate
-/// [`retire`]: Self::retire
-/// [`active`]: Self::retire
-pub struct SpinPermits {
-    seed: u64,
-    ticket: AtomicU64,
-    active: Vec<AtomicBool>,
-}
-
-impl SpinPermits {
-    /// A schedule over `participants` threads, derived from `seed`.
-    pub fn new(seed: u64, participants: usize) -> Self {
-        assert!(participants > 0, "a schedule needs participants");
-        Self {
-            seed,
-            ticket: AtomicU64::new(0),
-            active: (0..participants).map(|_| AtomicBool::new(true)).collect(),
-        }
-    }
-
-    /// The seed this schedule was derived from — put it in the failure
-    /// message so the run can be replayed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The participant the schedule picks at `ticket` (splitmix64 over
-    /// the seed/ticket pair).
-    fn pick(&self, ticket: u64) -> usize {
-        let mut z = self.seed ^ ticket.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) % self.active.len() as u64) as usize
-    }
-
-    /// Spin until the schedule picks participant `me`; the returned
-    /// permit holds the turn until dropped. Turns assigned to retired
-    /// participants are forfeited (any spinner advances the ticket past
-    /// them), so the schedule never wedges on a finished thread.
-    pub fn gate(&self, me: usize) -> SpinPermit<'_> {
-        assert!(
-            self.active[me].load(Ordering::Acquire),
-            "retired participant {me} re-entered the gate"
-        );
-        let mut spins = 0u32;
-        loop {
-            let ticket = self.ticket.load(Ordering::Acquire);
-            let pick = self.pick(ticket);
-            if pick == me {
-                return SpinPermit { permits: self };
-            }
-            if !self.active[pick].load(Ordering::Acquire) {
-                // Forfeit a retired participant's turn; the CAS makes
-                // exactly one spinner advance it.
-                let _ = self.ticket.compare_exchange(
-                    ticket,
-                    ticket + 1,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                );
-                continue;
-            }
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Withdraw participant `me` from the schedule. Call exactly once,
-    /// after the last permit has been dropped.
-    pub fn retire(&self, me: usize) {
-        self.active[me].store(false, Ordering::Release);
-    }
-}
-
-/// One granted turn of a [`SpinPermits`] schedule; dropping it advances
-/// the schedule to the next pick.
-pub struct SpinPermit<'a> {
-    permits: &'a SpinPermits,
-}
-
-impl Drop for SpinPermit<'_> {
-    fn drop(&mut self) {
-        self.permits.ticket.fetch_add(1, Ordering::AcqRel);
-    }
-}
 
 /// The paper's Table III per-region configurations for Lulesh — the
 /// canonical known-good stored model of the runtime tests.
@@ -172,70 +63,5 @@ mod tests {
         let served = repo.serve(&lulesh).expect("hit");
         assert_eq!(served.model, lulesh_table3_model());
         assert_eq!(repo.fallback(), Some(taurus_fallback()));
-    }
-
-    /// The realised grant order of a [`SpinPermits`] schedule, with each
-    /// of `participants` threads taking `steps` guarded steps.
-    fn grant_order(seed: u64, participants: usize, steps: usize) -> Vec<usize> {
-        use std::sync::Mutex;
-        let permits = std::sync::Arc::new(SpinPermits::new(seed, participants));
-        let order = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let handles: Vec<_> = (0..participants)
-            .map(|me| {
-                let permits = std::sync::Arc::clone(&permits);
-                let order = std::sync::Arc::clone(&order);
-                std::thread::spawn(move || {
-                    for _ in 0..steps {
-                        let _turn = permits.gate(me);
-                        order.lock().unwrap().push(me);
-                    }
-                    permits.retire(me);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        std::sync::Arc::try_unwrap(order)
-            .unwrap()
-            .into_inner()
-            .unwrap()
-    }
-
-    #[test]
-    fn spin_permits_replay_the_same_schedule_for_the_same_seed() {
-        let a = grant_order(0x5EED, 4, 8);
-        let b = grant_order(0x5EED, 4, 8);
-        assert_eq!(a, b, "same seed must realise the same interleaving");
-        assert_eq!(a.len(), 32, "every participant takes every step");
-        for me in 0..4 {
-            assert_eq!(a.iter().filter(|&&g| g == me).count(), 8);
-        }
-        let c = grant_order(0xBEEF, 4, 8);
-        assert_ne!(a, c, "different seeds should explore different orders");
-    }
-
-    #[test]
-    fn spin_permits_forfeit_turns_of_retired_participants() {
-        // Wildly uneven step counts: the schedule keeps picking finished
-        // participants, whose turns must be forfeited rather than wedging
-        // the two threads that still have work.
-        let permits = std::sync::Arc::new(SpinPermits::new(7, 3));
-        let handles: Vec<_> = [1usize, 40, 40]
-            .into_iter()
-            .enumerate()
-            .map(|(me, steps)| {
-                let permits = std::sync::Arc::clone(&permits);
-                std::thread::spawn(move || {
-                    for _ in 0..steps {
-                        let _turn = permits.gate(me);
-                    }
-                    permits.retire(me);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
     }
 }

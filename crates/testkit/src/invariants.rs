@@ -1,21 +1,12 @@
 //! The invariant catalog: what every scenario run must satisfy.
 //!
 //! [`check`] runs a scenario through both event loops and verifies, in
-//! order (invariants 1, the liveness of a threaded loop that no longer
-//! exists, and 8, the coherence of a snapshot read backend that no longer
-//! exists, are retired; the numbers stay stable):
+//! order (the numbers stay stable across retirements: invariant 1 checked
+//! a threaded loop, 2 and 3 a lock-striped repository type, and 8 a
+//! snapshot read backend, none of which exist any more):
 //!
-//! 2. **Local↔shared bit-identity** — the sweep loop over a
-//!    `TuningModelRepository` and over a `SharedRepository` agree on
-//!    every per-job field (accounting record, per-region breakdown,
-//!    switches, model source, online activity, baseline, savings,
-//!    published version, drift events, rejections, abort points) and
-//!    every aggregate, bit for bit — on every scenario, eviction pressure
-//!    included.
-//! 3. **Statistics double-entry** — the shared repository's atomic
-//!    aggregate equals the sum of its per-shard truths.
 //! 4. **Version integrity** — within one run, no application is assigned
-//!    a duplicate version, and both repository runs assign versions in
+//!    a duplicate version, and the sweep run assigns versions in
 //!    strictly increasing submission order; the per-application
 //!    high-water mark never regresses, even under eviction.
 //! 5. **Event core** — the discrete-event service run quiesces with an
@@ -71,29 +62,6 @@ pub enum Violation {
         event_loop: &'static str,
         /// The runtime error it returned.
         error: String,
-    },
-    /// A per-job field differed between the local-repository and the
-    /// shared-repository run.
-    BitIdentity {
-        /// The diverging job.
-        job: String,
-        /// The diverging field.
-        field: &'static str,
-        /// Rendered local vs shared values.
-        detail: String,
-    },
-    /// A report aggregate differed between the two repository runs.
-    ReportMismatch {
-        /// The diverging aggregate.
-        field: &'static str,
-        /// Rendered local vs shared values.
-        detail: String,
-    },
-    /// The atomic statistics aggregate disagreed with the per-shard
-    /// truth.
-    StatsDoubleEntry {
-        /// Rendered atomic vs sharded views.
-        detail: String,
     },
     /// Version numbering broke (duplicate, or out of submission order).
     VersionIntegrity {
@@ -158,9 +126,6 @@ impl Violation {
         match self {
             Violation::Malformed { .. } => "malformed",
             Violation::RunError { .. } => "run-error",
-            Violation::BitIdentity { .. } => "bit-identity",
-            Violation::ReportMismatch { .. } => "report-mismatch",
-            Violation::StatsDoubleEntry { .. } => "stats-double-entry",
             Violation::VersionIntegrity { .. } => "version-integrity",
             Violation::ReplicaDivergence { .. } => "replica-divergence",
             Violation::WrongWinner { .. } => "wrong-winner",
@@ -179,16 +144,6 @@ impl fmt::Display for Violation {
             Violation::Malformed { detail } => write!(f, "malformed replay line: {detail}"),
             Violation::RunError { event_loop, error } => {
                 write!(f, "{event_loop} event loop errored: {error}")
-            }
-            Violation::BitIdentity { job, field, detail } => write!(
-                f,
-                "local↔shared bit-identity violated for job `{job}` ({field}): {detail}"
-            ),
-            Violation::ReportMismatch { field, detail } => {
-                write!(f, "report aggregate `{field}` diverged: {detail}")
-            }
-            Violation::StatsDoubleEntry { detail } => {
-                write!(f, "statistics double-entry violated: {detail}")
             }
             Violation::VersionIntegrity {
                 application,
@@ -258,10 +213,7 @@ fn fail(scenario: &Scenario, violation: Violation) -> Box<Failure> {
 /// docs). Returns the run for further scenario-specific assertions.
 pub fn check(scenario: &Scenario) -> Result<ScenarioRun, Box<Failure>> {
     let run = run_scenario(scenario).map_err(|v| fail(scenario, v))?;
-    bit_identity(&run).map_err(|v| fail(scenario, v))?;
-    stats_double_entry(&run).map_err(|v| fail(scenario, v))?;
     version_integrity(&run.sequential).map_err(|v| fail(scenario, v))?;
-    version_integrity(&run.shared).map_err(|v| fail(scenario, v))?;
     event_core(scenario, &run).map_err(|v| fail(scenario, v))?;
     observability(&run).map_err(|v| fail(scenario, v))?;
     if let Some(replicated) = &run.replicated {
@@ -271,120 +223,6 @@ pub fn check(scenario: &Scenario) -> Result<ScenarioRun, Box<Failure>> {
         inloop_replication(scenario, inloop).map_err(|v| fail(scenario, v))?;
     }
     Ok(run)
-}
-
-macro_rules! job_field {
-    ($job:expr, $field:literal, $seq:expr, $par:expr) => {
-        if $seq != $par {
-            return Err(Violation::BitIdentity {
-                job: $job.clone(),
-                field: $field,
-                detail: format!("local {:?} vs shared {:?}", $seq, $par),
-            });
-        }
-    };
-}
-
-macro_rules! report_field {
-    ($field:literal, $seq:expr, $par:expr) => {
-        if $seq != $par {
-            return Err(Violation::ReportMismatch {
-                field: $field,
-                detail: format!("local {:?} vs shared {:?}", $seq, $par),
-            });
-        }
-    };
-}
-
-/// Invariant 2: every per-job field and aggregate equal across the two
-/// repository runs.
-fn bit_identity(run: &ScenarioRun) -> Result<(), Violation> {
-    let (seq, par) = (&run.sequential, &run.shared);
-    report_field!("jobs.len", seq.jobs.len(), par.jobs.len());
-    for (s, p) in seq.jobs.iter().zip(&par.jobs) {
-        job_field!(s.job, "submission order", s.job, p.job);
-        job_field!(s.job, "placement", s.node_id, p.node_id);
-        job_field!(
-            s.job,
-            "accounting.record",
-            s.accounting.record,
-            p.accounting.record
-        );
-        job_field!(
-            s.job,
-            "accounting.regions",
-            s.accounting.regions,
-            p.accounting.regions
-        );
-        job_field!(
-            s.job,
-            "switches",
-            s.accounting.switches,
-            p.accounting.switches
-        );
-        job_field!(
-            s.job,
-            "model source",
-            s.accounting.source,
-            p.accounting.source
-        );
-        job_field!(
-            s.job,
-            "online activity",
-            s.accounting.online,
-            p.accounting.online
-        );
-        job_field!(s.job, "baseline", s.default, p.default);
-        job_field!(s.job, "savings", s.savings, p.savings);
-        job_field!(
-            s.job,
-            "published version",
-            s.published_version,
-            p.published_version
-        );
-        job_field!(s.job, "drift events", s.drift, p.drift);
-        job_field!(s.job, "rejection", s.rejection, p.rejection);
-        job_field!(s.job, "abort point", s.aborted_at, p.aborted_at);
-    }
-    report_field!("total_tuned", seq.total_tuned, par.total_tuned);
-    report_field!("total_default", seq.total_default, par.total_default);
-    report_field!("aggregate savings", seq.aggregate, par.aggregate);
-    report_field!("nodes_used", seq.nodes_used, par.nodes_used);
-    report_field!("repository.hits", seq.repository.hits, par.repository.hits);
-    report_field!(
-        "repository.misses",
-        seq.repository.misses,
-        par.repository.misses
-    );
-    report_field!(
-        "repository.fallbacks",
-        seq.repository.fallbacks,
-        par.repository.fallbacks
-    );
-    report_field!(
-        "repository.publications",
-        seq.repository.publications,
-        par.repository.publications
-    );
-    report_field!(
-        "repository.evictions",
-        seq.repository.evictions,
-        par.repository.evictions
-    );
-    Ok(())
-}
-
-/// Invariant 3: the atomic aggregate mirrors the per-shard truth.
-fn stats_double_entry(run: &ScenarioRun) -> Result<(), Violation> {
-    if run.shared_stats != run.shard_stats {
-        return Err(Violation::StatsDoubleEntry {
-            detail: format!(
-                "atomic view {:?} vs per-shard truth {:?}",
-                run.shared_stats, run.shard_stats
-            ),
-        });
-    }
-    Ok(())
 }
 
 /// Invariant 4: per-application version assignment is duplicate-free and
@@ -778,9 +616,12 @@ mod tests {
 
     #[test]
     fn violation_kinds_are_stable_labels() {
-        let v = Violation::StatsDoubleEntry { detail: "x".into() };
-        assert_eq!(v.kind(), "stats-double-entry");
-        assert!(v.to_string().contains("double-entry"));
+        let v = Violation::VersionIntegrity {
+            application: "app".into(),
+            detail: "x".into(),
+        };
+        assert_eq!(v.kind(), "version-integrity");
+        assert!(v.to_string().contains("version integrity"));
         let v = Violation::EventCore {
             detail: "clock regressed".into(),
         };

@@ -23,16 +23,14 @@
 //!   derived deterministically. [`Scenario::to_replay`] turns any
 //!   scenario into a one-line repro.
 //! * [`runner`] — [`run_scenario`]: the same trace through the sweep
-//!   loop over two repositories (local and sharded shared) *and*
-//!   through the discrete-event service loop — plus, for scenarios
+//!   loop *and* through the discrete-event service loop — plus, for scenarios
 //!   carrying a [`NetPlan`], twice through the replicated
 //!   [`rrl::ReplicaSet`] path ([`ReplicatedRun`]) and, when the plan
 //!   sets a gossip cadence, twice through the in-loop replicated
 //!   service loop ([`InloopRun`]) with a trailing batch-`converge`
 //!   oracle.
-//! * [`invariants`] — [`check`]: the invariant catalog (local↔shared
-//!   per-job bit-identity, statistics double-entry, version integrity,
-//!   the `event_core` guarantees of the service run, replica
+//! * [`invariants`] — [`check`]: the invariant catalog (version
+//!   integrity, the `event_core` guarantees of the service run, replica
 //!   convergence/winner/determinism, in-loop convergence against the
 //!   batch oracle). Failures carry a `testkit::replay("…")` line.
 //! * [`shrink`](mod@shrink) — greedy minimisation of a failing scenario: collapse
@@ -69,9 +67,7 @@ pub mod scenario;
 pub mod shrink;
 
 pub use generator::{ArrivalModel, GeneratorConfig, ScenarioGenerator};
-pub use helpers::{
-    lulesh_table3_model, repo_with_lulesh, taurus_fallback, toy_benchmark, SpinPermit, SpinPermits,
-};
+pub use helpers::{lulesh_table3_model, repo_with_lulesh, taurus_fallback, toy_benchmark};
 pub use invariants::{check, Failure, Violation};
 pub use runner::{run_scenario, InloopRun, ReplicatedRun, ScenarioRun};
 pub use scenario::{

@@ -1,13 +1,12 @@
 //! Executing a [`Scenario`]: the same trace through both event loops.
 //!
-//! [`run_scenario`] materialises the fleet and the repositories, runs the
-//! arrival trace through the sweep loop [`ClusterScheduler::run`] twice
-//! — over a `TuningModelRepository` and over a sharded `SharedRepository`
-//! — and once through the discrete-event
+//! [`run_scenario`] materialises the fleet and the repository, runs the
+//! arrival trace once through the sweep loop [`ClusterScheduler::run`]
+//! and once through the discrete-event
 //! [`ClusterScheduler::run_service`] with the trace's
 //! timestamps (and the fault plan's node-churn schedule) honored in
-//! virtual time, and hands the [`ClusterReport`]s (plus the shared
-//! repository's two statistics views) to the invariant checkers.
+//! virtual time, and hands the [`ClusterReport`]s to the invariant
+//! checkers.
 //!
 //! [`ClusterScheduler::run`]: rrl::ClusterScheduler::run
 //! [`ClusterScheduler::run_service`]: rrl::ClusterScheduler::run_service
@@ -19,7 +18,7 @@ use ptf::RandomSearch;
 use rrl::net::{ModelDigest, SessionState};
 use rrl::{
     ClusterReport, ClusterScheduler, ConvergeReport, GossipConfig, JobArrival, OnlineConfig,
-    OnlineTuning, ReplicaConfig, ReplicaSet, RepositoryStats, RuntimeError, ServiceConfig, Stamp,
+    OnlineTuning, ReplicaConfig, ReplicaSet, RuntimeError, ServiceConfig, Stamp,
 };
 use simnode::Cluster;
 
@@ -31,18 +30,11 @@ use crate::scenario::{NetPlan, Scenario, StoredEntry};
 pub struct ScenarioRun {
     /// The sweep run over a `TuningModelRepository`.
     pub sequential: ClusterReport,
-    /// The same sweep run over a sharded `SharedRepository`.
-    pub shared: ClusterReport,
     /// The discrete-event service run over its own
     /// `TuningModelRepository`: the same trace driven by arrival
     /// timestamps in virtual time, under the fault plan's node-churn
     /// schedule. Carries a [`rrl::ServiceSummary`] in `service.service`.
     pub service: ClusterReport,
-    /// The shared repository's atomic statistics view after the run.
-    pub shared_stats: RepositoryStats,
-    /// The shared repository's per-shard statistics — the
-    /// double-entry counterpart of [`ScenarioRun::shared_stats`].
-    pub shard_stats: RepositoryStats,
     /// The replicated-serving execution, when the scenario carries a
     /// [`NetPlan`].
     pub replicated: Option<ReplicatedRun>,
@@ -141,12 +133,15 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, Violation> {
         .online
         .map(|o| RandomSearch::new(o.search_pool, o.search_seed));
 
-    fn configure<'a>(
-        mut sched: ClusterScheduler<'a>,
-        scenario: &'a Scenario,
-        strategy: Option<&'a RandomSearch>,
-    ) -> ClusterScheduler<'a> {
-        if let Some(strategy) = strategy {
+    // Probe-measure the stored entries once; every repository the
+    // sweep and the service runs use is seeded from the same
+    // measurements.
+    let entries = scenario.stored_entries();
+
+    let sequential = {
+        let mut repo = scenario.build_repository_from(&entries);
+        let mut sched = ClusterScheduler::new(&fleet).map_err(|e| run_error("sequential", e))?;
+        if let Some(strategy) = strategy.as_ref() {
             sched = sched.with_online(OnlineTuning {
                 strategy,
                 energy_model: None,
@@ -163,32 +158,9 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, Violation> {
             );
         }
         sched
-    }
-
-    // Probe-measure the stored entries once; both repository flavours
-    // are seeded from the same measurements.
-    let entries = scenario.stored_entries();
-
-    let sequential = {
-        let mut repo = scenario.build_repository_from(&entries);
-        let mut sched = configure(
-            ClusterScheduler::new(&fleet).map_err(|e| run_error("sequential", e))?,
-            scenario,
-            strategy.as_ref(),
-        );
-        sched
             .run(&mut repo)
             .map_err(|e| run_error("sequential", e))?
     };
-
-    let mut shared_repo = scenario.build_shared_from(&entries);
-    let shared = configure(
-        ClusterScheduler::new(&fleet).map_err(|e| run_error("shared", e))?,
-        scenario,
-        strategy.as_ref(),
-    )
-    .run(&mut shared_repo)
-    .map_err(|e| run_error("shared", e))?;
 
     let service = run_service_once(scenario, &fleet, &entries, strategy.as_ref(), None)?;
 
@@ -267,10 +239,7 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, Violation> {
 
     Ok(ScenarioRun {
         sequential,
-        shared,
         service,
-        shared_stats: shared_repo.stats(),
-        shard_stats: shared_repo.shard_stats(),
         replicated,
         inloop,
         observed,
@@ -333,7 +302,6 @@ fn run_replicated_once(
     let fleet = scenario.build_fleet();
     let replicas = plan.replicas.max(2);
     let config = ReplicaConfig {
-        shards: scenario.repository.shards.max(1),
         capacity: scenario.repository.capacity,
         fallback: scenario.repository.fallback,
         ..ReplicaConfig::default()
@@ -412,7 +380,6 @@ fn run_inloop_once(
     let fleet = scenario.build_fleet();
     let replicas = plan.replicas.max(2);
     let config = ReplicaConfig {
-        shards: scenario.repository.shards.max(1),
         capacity: scenario.repository.capacity,
         fallback: scenario.repository.fallback,
         ..ReplicaConfig::default()

@@ -11,7 +11,7 @@
 use kernels::BenchmarkSpec;
 use ptf::TuningModel;
 use rrl::{
-    ChurnEvent, FaultInjector, ReplicaChurnEvent, RuntimeSession, ServedModel, SharedRepository,
+    ChurnEvent, FaultInjector, ReplicaChurnEvent, RuntimeSession, ServedModel,
     TuningModelRepository,
 };
 use serde::{Deserialize, Serialize};
@@ -112,7 +112,7 @@ pub struct JobSpec {
     pub arrival_s: f64,
 }
 
-/// Repository settings shared by the sequential and the sharded run.
+/// Repository settings shared by every run of the scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RepositorySpec {
     /// Calibration fallback served on misses.
@@ -120,8 +120,6 @@ pub struct RepositorySpec {
     /// LRU capacity bound (0 = unbounded). A bound below the number of
     /// publishing workloads forces mid-run eviction.
     pub capacity: usize,
-    /// Lock stripes of the [`SharedRepository`].
-    pub shards: usize,
 }
 
 /// Online-adaptation settings (attached when present).
@@ -345,8 +343,8 @@ pub struct Scenario {
     pub net: Option<NetPlan>,
 }
 
-/// A model + optional measured expectations, ready to pre-seed either
-/// repository flavour.
+/// A model + optional measured expectations, ready to pre-seed a
+/// repository.
 pub(crate) struct StoredEntry {
     pub bench: BenchmarkSpec,
     pub model: TuningModel,
@@ -379,9 +377,7 @@ impl Scenario {
     /// A bound that can never bite is *not* pressure: the comparison is
     /// against the worst-case entry population (pre-stored models plus,
     /// when online, one publication per cold workload — drift
-    /// re-publications replace in place), and against the shared
-    /// repository's *per-shard* bound, since a skewed application-hash
-    /// spread can evict before the global total is reached.
+    /// re-publications replace in place).
     pub fn eviction_pressure(&self) -> bool {
         if self.repository.capacity == 0 {
             return false;
@@ -396,16 +392,12 @@ impl Scenario {
         } else {
             stored
         };
-        let per_shard = self
-            .repository
-            .capacity
-            .div_ceil(self.repository.shards.max(1));
-        per_shard < publishable
+        self.repository.capacity < publishable
     }
 
     /// The pre-seeded entries, with expectations measured (for
     /// [`StoredModel::Calibrated`]) by a probe run on a golden node —
-    /// identical for both repository flavours.
+    /// identical for every repository the scenario seeds.
     pub(crate) fn stored_entries(&self) -> Vec<StoredEntry> {
         let probe_node = Node::exact(0);
         self.workloads
@@ -424,13 +416,13 @@ impl Scenario {
             .collect()
     }
 
-    /// Build and pre-seed the single-threaded repository.
+    /// Build and pre-seed the repository.
     pub fn build_repository(&self) -> TuningModelRepository {
         self.build_repository_from(&self.stored_entries())
     }
 
     /// [`Scenario::build_repository`] seeded from pre-measured entries —
-    /// so a runner seeding *both* repository flavours pays the probe
+    /// so a runner seeding one repository per run pays the probe
     /// measurements once.
     pub(crate) fn build_repository_from(&self, entries: &[StoredEntry]) -> TuningModelRepository {
         let mut repo = TuningModelRepository::new().with_capacity(self.repository.capacity);
@@ -446,30 +438,6 @@ impl Scenario {
             }
         }
         repo
-    }
-
-    /// Build and pre-seed the lock-striped repository with identical
-    /// contents.
-    pub fn build_shared(&self) -> SharedRepository {
-        self.build_shared_from(&self.stored_entries())
-    }
-
-    /// [`Scenario::build_shared`] seeded from pre-measured entries.
-    pub(crate) fn build_shared_from(&self, entries: &[StoredEntry]) -> SharedRepository {
-        let mut shared =
-            SharedRepository::new(self.repository.shards).with_capacity(self.repository.capacity);
-        if let Some(fb) = self.repository.fallback {
-            shared = shared.with_fallback(fb);
-        }
-        for entry in entries {
-            match &entry.expected {
-                Some(expected) => {
-                    shared.publish_online(&entry.bench, &entry.model, expected.clone());
-                }
-                None => shared.insert(&entry.bench, &entry.model),
-            }
-        }
-        shared
     }
 
     /// Drop workloads no remaining job references (remapping job indices)
@@ -598,7 +566,6 @@ mod tests {
             repository: RepositorySpec {
                 fallback: Some(SystemConfig::new(24, 2400, 1700)),
                 capacity: 0,
-                shards: 2,
             },
             online: None,
             faults: FaultPlan {
@@ -839,11 +806,11 @@ mod tests {
     fn repositories_seed_identically() {
         let s = tiny_scenario();
         let repo = s.build_repository();
-        let shared = s.build_shared();
+        let premeasured = s.build_repository_from(&s.stored_entries());
         assert_eq!(repo.len(), 1);
-        assert_eq!(shared.len(), 1);
+        assert_eq!(premeasured.len(), 1);
         assert!(repo.contains(&s.workloads[0].bench));
-        assert!(shared.contains(&s.workloads[0].bench));
+        assert!(premeasured.contains(&s.workloads[0].bench));
         assert!(!s.eviction_pressure());
     }
 

@@ -5,7 +5,7 @@
 //! cargo run --release --example replicated_serving
 //! ```
 //!
-//! Four replicas each own a shard-striped model repository and gossip
+//! Four replicas each own a model repository and gossip
 //! anti-entropy digests over a simulated, fault-injected transport:
 //! messages are dropped, duplicated and reordered by a seeded plan, and
 //! a partition window isolates replica 3 for the first ticks of the

@@ -46,9 +46,8 @@ fn main() {
         scenario.faults.drift_shifts.len(),
     );
 
-    // Run both event loops and the invariant catalog: local↔shared
-    // per-job bit-identity, statistics double-entry, version integrity,
-    // the service loop's event core.
+    // Run both event loops and the invariant catalog: version
+    // integrity, the service loop's event core, telemetry determinism.
     let run = match testkit::check(&scenario) {
         Ok(run) => run,
         Err(failure) => {
@@ -60,12 +59,11 @@ fn main() {
         }
     };
 
-    println!("{}", run.shared.format_report());
-    let online = run.shared.online_summary();
+    println!("{}", run.sequential.format_report());
+    let online = run.sequential.online_summary();
     println!(
-        "invariants held: {} jobs bit-identical across every repository, \
-         {} calibrations, {} publications, stats double-entry clean\n",
-        run.shared.jobs.len(),
+        "invariants held: {} jobs, {} calibrations, {} publications\n",
+        run.sequential.jobs.len(),
         online.calibrations,
         online.publications,
     );
@@ -75,10 +73,10 @@ fn main() {
     println!("replay line ({} bytes)", line.len());
     let replayed = testkit::replay(&line).expect("replay passes the catalog");
     assert_eq!(
-        replayed.shared.aggregate, run.shared.aggregate,
+        replayed.sequential.aggregate, run.sequential.aggregate,
         "replay must be bit-identical"
     );
-    for (a, b) in replayed.shared.jobs.iter().zip(&run.shared.jobs) {
+    for (a, b) in replayed.sequential.jobs.iter().zip(&run.sequential.jobs) {
         assert_eq!(a.accounting.record, b.accounting.record, "{}", a.job);
     }
     println!("replayed: bit-identical to the original run ✓");

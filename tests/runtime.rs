@@ -5,15 +5,14 @@
 //! same job run alone.
 
 use dvfs_ufs_tuning::kernels;
-use dvfs_ufs_tuning::ptf::{RandomSearch, TuningModel, TuningSession};
+use dvfs_ufs_tuning::ptf::{RandomSearch, TuningSession};
 use dvfs_ufs_tuning::rrl::{
-    ClusterReport, ClusterScheduler, ModelSource, OnlineConfig, OnlineTuning, Placement,
-    RuntimeError, RuntimeSession, Savings, SharedRepository, TuningModelRepository,
+    ClusterScheduler, ModelSource, Placement, RuntimeError, RuntimeSession, Savings,
+    TuningModelRepository,
 };
 use dvfs_ufs_tuning::simnode::{Cluster, Node, SystemConfig};
-use kernels::BenchmarkSpec;
 // The shared builders these tests used to hand-roll locally.
-use testkit::{repo_with_lulesh, taurus_fallback};
+use testkit::repo_with_lulesh;
 
 #[test]
 fn design_time_advice_publishes_and_serves() {
@@ -155,149 +154,6 @@ fn cluster_run_matches_single_job_sessions_bit_for_bit() {
         "aggregate CPU savings: {:?}",
         report.aggregate
     );
-}
-
-/// A one-region OpenMP toy workload (cheap enough for 256-job queues) —
-/// the shared [`kernels::toy_benchmark`] builder.
-fn toy_bench(name: &str, instr: f64, iterations: u32) -> BenchmarkSpec {
-    testkit::toy_benchmark(name, instr, iterations)
-}
-
-/// Every per-job field that must be bit-identical between a run over a
-/// `SharedRepository` and one over a `TuningModelRepository`, plus the
-/// (submission-ordered, therefore equally deterministic) floating-point
-/// totals.
-fn assert_reports_bit_identical(shared: &ClusterReport, local: &ClusterReport, tag: &str) {
-    assert_eq!(shared.jobs.len(), local.jobs.len(), "{tag}");
-    for (p, s) in shared.jobs.iter().zip(&local.jobs) {
-        assert_eq!(p.job, s.job, "{tag}: submission order");
-        assert_eq!(p.node_id, s.node_id, "{tag}: placement");
-        assert_eq!(
-            p.accounting.record, s.accounting.record,
-            "{tag}: job {} record",
-            p.job
-        );
-        assert_eq!(
-            p.accounting.regions, s.accounting.regions,
-            "{tag}: {}",
-            p.job
-        );
-        assert_eq!(p.accounting.switches, s.accounting.switches, "{tag}");
-        assert_eq!(p.accounting.source, s.accounting.source, "{tag}");
-        assert_eq!(p.accounting.online, s.accounting.online, "{tag}");
-        assert_eq!(p.default, s.default, "{tag}: baseline");
-        assert_eq!(p.savings, s.savings, "{tag}: savings");
-        assert_eq!(p.published_version, s.published_version, "{tag}");
-        assert_eq!(p.drift, s.drift, "{tag}: drift events");
-    }
-    assert_eq!(shared.total_tuned, local.total_tuned, "{tag}");
-    assert_eq!(shared.total_default, local.total_default, "{tag}");
-    assert_eq!(shared.aggregate, local.aggregate, "{tag}");
-    assert_eq!(shared.nodes_used, local.nodes_used, "{tag}");
-    assert_eq!(
-        shared.repository.hits, local.repository.hits,
-        "{tag}: hit counts"
-    );
-    assert_eq!(shared.repository.misses, local.repository.misses, "{tag}");
-    assert_eq!(
-        shared.repository.fallbacks, local.repository.fallbacks,
-        "{tag}"
-    );
-}
-
-/// For 3 cluster seeds × queue sizes {8, 64, 256}, a mixed hit/fallback
-/// queue produces a bit-identical `ClusterReport` whether the scheduler
-/// serves from a `TuningModelRepository` or from a sharded
-/// `SharedRepository`.
-#[test]
-fn shared_repository_report_bit_identical_across_seeds_and_queue_sizes() {
-    let fallback = taurus_fallback();
-    let tuned = toy_bench("tuned-toy", 2e10, 12);
-    let untuned = toy_bench("untuned-toy", 1.2e10, 9);
-    let toy_model = TuningModel::new(
-        "tuned-toy",
-        &[("omp parallel:1".into(), SystemConfig::new(24, 2500, 1500))],
-        SystemConfig::new(24, 2500, 1500),
-    );
-
-    for (round, seed) in [0x5EED_u64, 0xBEEF, 0xC0FFEE].into_iter().enumerate() {
-        let cluster = Cluster::new(4 + round as u32, seed);
-        for jobs in [8usize, 64, 256] {
-            let submit = |sched: &mut ClusterScheduler<'_>| {
-                for i in 0..jobs {
-                    let bench = if i % 3 == 2 { &untuned } else { &tuned };
-                    sched.submit(format!("j{seed:x}-{i}"), bench.clone());
-                }
-            };
-
-            let mut repo = TuningModelRepository::new().with_fallback(fallback);
-            repo.insert(&tuned, &toy_model);
-            let mut seq = ClusterScheduler::new(&cluster).unwrap();
-            submit(&mut seq);
-            let local = seq.run(&mut repo).unwrap();
-
-            let mut repo = SharedRepository::new(8).with_fallback(fallback);
-            repo.insert(&tuned, &toy_model);
-            let mut sched = ClusterScheduler::new(&cluster).unwrap();
-            submit(&mut sched);
-            let shared = sched.run(&mut repo).unwrap();
-
-            let tag = format!("seed={seed:#x} jobs={jobs}");
-            assert_reports_bit_identical(&shared, &local, &tag);
-        }
-    }
-}
-
-/// The same property through the online-adaptation admission gate: a
-/// cold workload's first job calibrates, same-workload followers wait
-/// and then hit the published model — and the whole report still
-/// matches the local-repository run bit for bit.
-#[test]
-fn shared_repository_online_warm_up_bit_identical_across_seeds() {
-    let strategy = RandomSearch::new(12, 3);
-    let cold = toy_bench("cold-toy", 2.5e10, 40);
-    let stored = toy_bench("stored-toy", 1.5e10, 10);
-    let stored_model = TuningModel::new(
-        "stored-toy",
-        &[("omp parallel:1".into(), SystemConfig::new(24, 2500, 1600))],
-        SystemConfig::new(24, 2500, 1600),
-    );
-
-    for seed in [0x5EED_u64, 0xBEEF, 0xC0FFEE] {
-        let cluster = Cluster::new(4, seed);
-        let online = OnlineTuning {
-            strategy: &strategy,
-            energy_model: None,
-            config: OnlineConfig::default(),
-        };
-        for jobs in [8usize, 24] {
-            let submit = |sched: &mut ClusterScheduler<'_>| {
-                for i in 0..jobs {
-                    let bench = if i % 4 == 1 { &stored } else { &cold };
-                    sched.submit(format!("o{seed:x}-{i}"), bench.clone());
-                }
-            };
-
-            let mut repo = TuningModelRepository::new();
-            repo.insert(&stored, &stored_model);
-            let mut seq = ClusterScheduler::new(&cluster).unwrap().with_online(online);
-            submit(&mut seq);
-            let local = seq.run(&mut repo).unwrap();
-
-            let mut repo = SharedRepository::new(4);
-            repo.insert(&stored, &stored_model);
-            let mut sched = ClusterScheduler::new(&cluster).unwrap().with_online(online);
-            submit(&mut sched);
-            let shared = sched.run(&mut repo).unwrap();
-
-            let tag = format!("online seed={seed:#x} jobs={jobs}");
-            assert_reports_bit_identical(&shared, &local, &tag);
-            // Warm-up shape: exactly one calibration for the cold
-            // workload, everyone else hits (or monitors the stored one).
-            assert_eq!(shared.online_summary().calibrations, 1, "{tag}");
-            assert_eq!(shared.repository.misses, 1, "{tag}");
-        }
-    }
 }
 
 #[test]

@@ -12,9 +12,10 @@ use testkit::{GeneratorConfig, Scenario, ScenarioGenerator};
 /// 3 seeds × {16, 96} jobs, a generated scenario (heterogeneous
 /// variability, capability gaps, mixed warm/cold workloads, Poisson
 /// arrivals) with faults injected (aborts, refused calibrations, drift
-/// shifts) still produces local↔shared bit-identical reports —
-/// `testkit::check` verifies every per-job field plus the aggregates,
-/// the statistics double-entry and version integrity.
+/// shifts) still passes the full invariant catalog — `testkit::check`
+/// verifies version integrity, the service loop's event core (per-job
+/// bit-identity with the sweep where the two loops coincide) and
+/// telemetry determinism.
 #[test]
 fn generated_heterogeneous_scenarios_bit_identical_with_faults() {
     for seed in [0x5EED_u64, 0xBEEF, 0xC0FFEE] {
@@ -35,9 +36,9 @@ fn generated_heterogeneous_scenarios_bit_identical_with_faults() {
                 .unwrap_or_else(|failure| panic!("seed {seed:#x} jobs {jobs}:\n{failure}"));
             // The scenario actually exercised the messy paths it
             // generated: heterogeneous placement and online warm-up.
-            assert!(run.shared.nodes_used >= 2, "seed {seed:#x}");
+            assert!(run.sequential.nodes_used >= 2, "seed {seed:#x}");
             assert!(
-                run.shared.online_summary().calibrations >= 1,
+                run.sequential.online_summary().calibrations >= 1,
                 "seed {seed:#x}: at least one cold workload calibrated"
             );
         }
@@ -60,7 +61,7 @@ fn seeded_fault_scenario_reproduces_bit_identically() {
 
     let first = testkit::run_scenario(&scenario).expect("first run succeeds");
     let second = testkit::run_scenario(&scenario).expect("second run succeeds");
-    for (a, b) in first.shared.jobs.iter().zip(&second.shared.jobs) {
+    for (a, b) in first.sequential.jobs.iter().zip(&second.sequential.jobs) {
         assert_eq!(a.job, b.job);
         assert_eq!(a.accounting.record, b.accounting.record, "{}", a.job);
         assert_eq!(a.accounting.regions, b.accounting.regions);
@@ -69,27 +70,26 @@ fn seeded_fault_scenario_reproduces_bit_identically() {
         assert_eq!(a.aborted_at, b.aborted_at);
         assert_eq!(a.rejection, b.rejection);
     }
-    assert_eq!(first.shared.aggregate, second.shared.aggregate);
     assert_eq!(first.sequential.aggregate, second.sequential.aggregate);
-    assert_eq!(first.shared_stats, second.shared_stats);
+    assert_eq!(first.sequential.repository, second.sequential.repository);
     // The faults visibly fired: at least one job was truncated.
     assert!(
-        first.shared.jobs.iter().any(|j| j.aborted_at.is_some()),
+        first.sequential.jobs.iter().any(|j| j.aborted_at.is_some()),
         "an abort fault must have fired"
     );
     // …and the replay line reruns the exact same scenario.
     let replayed = testkit::replay(&scenario.to_replay()).expect("replay passes the catalog");
     assert_eq!(
-        replayed.shared.aggregate, first.shared.aggregate,
+        replayed.sequential.aggregate, first.sequential.aggregate,
         "replay is bit-identical too"
     );
 }
 
 /// Regression lock on eviction pressure: when generated repository
-/// pressure (capacity below the publishing-workload count, single
-/// stripe) evicts publications *mid-run*, followers whose leader's model
-/// was already evicted re-calibrate — they must not pin the calibration
-/// fallback — and the local and shared runs still agree bit for bit.
+/// pressure (capacity below the publishing-workload count) evicts
+/// publications *mid-run*, followers whose leader's model was already
+/// evicted re-calibrate — they must not pin the calibration fallback —
+/// and the full invariant catalog still holds.
 #[test]
 fn generated_eviction_pressure_recalibrates_evicted_followers() {
     // Deterministic shape: two equal-length cold workloads whose leaders
@@ -123,9 +123,9 @@ fn generated_eviction_pressure_recalibrates_evicted_followers() {
         scenario.jobs[i].workload = w;
     }
 
-    // `check` verifies local↔shared bit-identity under pressure too.
+    // `check` runs the full invariant catalog under pressure too.
     let run = testkit::check(&scenario).unwrap_or_else(|failure| panic!("{failure}"));
-    let report = &run.shared;
+    let report = &run.sequential;
     assert!(
         report.repository.evictions > 0,
         "the second leader's publication evicts the first mid-run"
@@ -174,7 +174,7 @@ fn capability_gap_scenarios_degrade_and_name_the_culprit() {
         }
         let run =
             testkit::check(&scenario).unwrap_or_else(|failure| panic!("seed {seed}:\n{failure}"));
-        for job in &run.shared.jobs {
+        for job in &run.sequential.jobs {
             if let Some(rejection) = &job.rejection {
                 rejections += 1;
                 assert_eq!(rejection.job, job.job, "rejection names its job");
@@ -185,7 +185,7 @@ fn capability_gap_scenarios_degrade_and_name_the_culprit() {
                     "degraded jobs run untuned"
                 );
                 assert_eq!(job.accounting.switches, 0);
-                let text = run.shared.format_report();
+                let text = run.sequential.format_report();
                 assert!(
                     text.contains(&format!("{} on node {}", job.job, job.node_id)),
                     "{text}"
@@ -217,7 +217,7 @@ fn shrinker_reduces_failing_scenario_to_replay_line() {
 
     let fails = |s: &Scenario| -> Option<String> {
         let run = testkit::run_scenario(s).ok()?;
-        run.shared
+        run.sequential
             .jobs
             .iter()
             .any(|j| j.accounting.source == ModelSource::Fallback)
@@ -279,7 +279,7 @@ fn injected_drift_shift_fires_detection_and_republication() {
     });
 
     let run = testkit::check(&scenario).unwrap_or_else(|failure| panic!("{failure}"));
-    let shifted = &run.shared.jobs[2];
+    let shifted = &run.sequential.jobs[2];
     assert!(
         !shifted.drift.is_empty(),
         "the injected shift fires the detector: {:?}",
@@ -296,10 +296,57 @@ fn injected_drift_shift_fires_detection_and_republication() {
     // Accounting stays truthful: only the detector's view was scaled, so
     // the job's ledger matches its unshifted siblings' order of
     // magnitude (it re-explored, so it differs — but not by 1.6×).
-    let sibling = &run.shared.jobs[3];
+    let sibling = &run.sequential.jobs[3];
     let ratio = shifted.accounting.record.job_energy_j / sibling.accounting.record.job_energy_j;
     assert!(
         (0.5..1.5).contains(&ratio),
         "injected shift must not corrupt the ledger (ratio {ratio})"
     );
+}
+
+/// A replay line from before the lock-striped repository was retired:
+/// its repository spec still carries `"shards":4`. The named-field
+/// deserializer ignores the unknown key, so old repro lines keep parsing
+/// into the scenario the generator draws today, and keep running.
+const PRE_STRIPE_RETIREMENT_REPLAY: &str = concat!(
+    r#"{"faults":{"aborts":[],"calibration_failures":[],"churn":[],"drift_shifts":[]"#,
+    r#","replica_churn":[]},"fleet":{"nodes":[{"cores_per_socket":12"#,
+    r#","counter_noise_sd":0.00195566238268393,"variability":0.971537686254505}],"seed":84}"#,
+    r#","jobs":[{"arrival_s":128.15728511607935,"name":"j0-w0","workload":0}"#,
+    r#",{"arrival_s":137.637039019702,"name":"j1-w0","workload":0}],"net":null"#,
+    r#","online":{"search_pool":10,"search_seed":24249},"repository":{"capacity":0"#,
+    r#","fallback":{"core":2400,"threads":24,"uncore":1700},"shards":4},"seed":84"#,
+    r#","workloads":[{"bench":{"model":"Hybrid","name":"wl0-0000000000000054""#,
+    r#","phase_iterations":29,"regions":[{"character":{"branch_misp_rate":0.02"#,
+    r#","branch_ntk_frac":0.4,"dram_bytes_per_iter":95878420152.83508,"frac_branch":0.12"#,
+    r#","frac_fp":0.3,"frac_load":0.25,"frac_store":0.1,"frac_vec":0.5"#,
+    r#","instr_per_iter":34547785654.28524,"ipc_base":1.2814129563063288"#,
+    r#","l1d_miss_per_instr":0.01,"l2_dcr_per_instr":0.008,"l2_icr_per_instr":0.0005"#,
+    r#","l2_miss_per_instr":0.003,"mem_queue_sensitivity":1.0,"overlap":0.8"#,
+    r#","parallel_fraction":0.99,"stall_frac":0.3246808054265639},"name":"region_0""#,
+    r#","variation_amplitude":0.0},{"character":{"branch_misp_rate":0.02"#,
+    r#","branch_ntk_frac":0.4,"dram_bytes_per_iter":0.0,"frac_branch":0.12,"frac_fp":0.3"#,
+    r#","frac_load":0.25,"frac_store":0.1,"frac_vec":0.5,"instr_per_iter":50000000.0"#,
+    r#","ipc_base":2.0,"l1d_miss_per_instr":0.01,"l2_dcr_per_instr":0.008"#,
+    r#","l2_icr_per_instr":0.0005,"l2_miss_per_instr":0.003,"mem_queue_sensitivity":1.0"#,
+    r#","overlap":0.8,"parallel_fraction":0.99,"stall_frac":0.2},"name":"filler""#,
+    r#","variation_amplitude":0.0}],"suite":"Npb"},"stored":"None"}]}"#,
+);
+
+#[test]
+fn replay_line_with_a_shards_key_still_parses_and_runs() {
+    assert!(PRE_STRIPE_RETIREMENT_REPLAY.contains(r#""shards":4"#));
+    let scenario = Scenario::from_replay(PRE_STRIPE_RETIREMENT_REPLAY).expect("old line parses");
+    let regenerated = ScenarioGenerator::new(GeneratorConfig {
+        jobs: 2,
+        nodes: 1,
+        workloads: 1,
+        fault_fraction: 0.0,
+        ..GeneratorConfig::default()
+    })
+    .generate(84);
+    assert_eq!(scenario, regenerated);
+    let run = testkit::replay(PRE_STRIPE_RETIREMENT_REPLAY).unwrap_or_else(|f| panic!("{f}"));
+    assert_eq!(run.sequential.jobs.len(), 2);
+    assert_eq!(run.service.jobs.len(), 2);
 }

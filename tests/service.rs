@@ -1,6 +1,6 @@
 //! Integration tests for the discrete-event cluster service: the
-//! equivalence `run_service` ≡ `run` (over a local and a shared
-//! repository) on zero-interarrival no-churn traces, the online
+//! equivalence `run_service` ≡ `run` on zero-interarrival no-churn
+//! traces, the online
 //! admission gate (including under LRU eviction), the churn-shape guarantees
 //! (drained/failed nodes' jobs are re-placed, never dropped; failures
 //! truncate running jobs at a phase boundary), and in-loop replication
@@ -11,7 +11,7 @@ use dvfs_ufs_tuning::ptf::{RandomSearch, TuningModel};
 use dvfs_ufs_tuning::rrl::{
     ChurnEvent, ChurnKind, ClusterReport, ClusterScheduler, FaultInjector, GossipConfig,
     JobArrival, ModelSource, OnlineConfig, OnlineTuning, ReplicaChurnEvent, ReplicaChurnKind,
-    ReplicaConfig, ReplicaSet, ServiceConfig, SharedRepository, TuningModelRepository,
+    ReplicaConfig, ReplicaSet, ServiceConfig, TuningModelRepository,
 };
 use dvfs_ufs_tuning::simnode::{Cluster, SystemConfig};
 use testkit::{taurus_fallback, toy_benchmark};
@@ -68,9 +68,9 @@ fn assert_reports_bit_identical(service: &ClusterReport, sweep: &ClusterReport, 
 
 /// The correctness anchor: for 3 cluster seeds × trace sizes {16, 256},
 /// a zero-interarrival no-churn trace produces per-job results
-/// bit-identical to both sweep runs — the sweep loop over a local and
-/// over a shared repository. The discrete-event kernel changes *when*
-/// things run, never *what* they compute.
+/// bit-identical to the sweep loop over a local repository. The
+/// discrete-event kernel changes *when* things run, never *what* they
+/// compute.
 #[test]
 fn service_bit_identical_to_both_sweep_loops() {
     let fallback = taurus_fallback();
@@ -100,14 +100,6 @@ fn service_bit_identical_to_both_sweep_loops() {
             }
             let sequential = seq.run(&mut repo).unwrap();
 
-            let mut shared = SharedRepository::new(8).with_fallback(fallback);
-            shared.insert(&tuned, &toy_model);
-            let mut sweep = ClusterScheduler::new(&cluster).unwrap();
-            for (name, bench) in &queue {
-                sweep.submit(name.clone(), bench.clone());
-            }
-            let over_shared = sweep.run(&mut shared).unwrap();
-
             let mut svc_repo = TuningModelRepository::new().with_fallback(fallback);
             svc_repo.insert(&tuned, &toy_model);
             let mut svc = ClusterScheduler::new(&cluster).unwrap();
@@ -121,11 +113,6 @@ fn service_bit_identical_to_both_sweep_loops() {
 
             let tag = format!("seed={seed:#x} jobs={jobs}");
             assert_reports_bit_identical(&service, &sequential, &format!("{tag} vs run"));
-            assert_reports_bit_identical(
-                &service,
-                &over_shared,
-                &format!("{tag} vs run over SharedRepository"),
-            );
 
             let summary = service.service.as_ref().expect("service summary present");
             assert!(summary.quiesced && summary.monotone, "{tag}: event core");
