@@ -3,7 +3,7 @@
 //! (Fig. 5 LOOCV), the execution engine (every experiment), trace I/O
 //! (Section IV-A data acquisition), PCP switching (Table VI dynamic runs),
 //! the runtime-session region event + repository serve (cluster-scale
-//! model serving) and the real Rayon kernels.
+//! model serving) and the real host kernels.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -184,20 +184,18 @@ fn bench_experiment_cache(c: &mut Criterion) {
     group.bench_function("uncached", |b| {
         b.iter(|| {
             let mut eng = ExperimentsEngine::new(&node);
-            black_box(eng.best_for_region(&region, &configs, TuningObjective::Energy))
+            black_box(eng.try_best_for_region(&region, &configs, TuningObjective::Energy))
         })
     });
     let cache = RefCell::new(ExperimentCache::new());
     // Warm the cache once; the measured loop is all hits.
-    ExperimentsEngine::with_cache(&node, &cache).best_for_region(
-        &region,
-        &configs,
-        TuningObjective::Energy,
-    );
+    ExperimentsEngine::with_cache(&node, &cache)
+        .try_best_for_region(&region, &configs, TuningObjective::Energy)
+        .expect("non-empty neighbourhood");
     group.bench_function("cached", |b| {
         b.iter(|| {
             let mut eng = ExperimentsEngine::with_cache(&node, &cache);
-            black_box(eng.best_for_region(&region, &configs, TuningObjective::Energy))
+            black_box(eng.try_best_for_region(&region, &configs, TuningObjective::Energy))
         })
     });
     group.finish();
@@ -375,7 +373,7 @@ fn bench_online_tuner(c: &mut Criterion) {
     group.finish();
 }
 
-/// Real Rayon kernels (the host-executable demo workloads).
+/// Real sequential kernels (the host-executable demo workloads).
 fn bench_real_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("real_kernels");
     group.sample_size(20);

@@ -360,16 +360,19 @@ pub fn heatmap(bench_name: &str, threads: u32) -> String {
     out
 }
 
-/// Tables III and IV: per-region best configurations from the DTA.
+/// Tables III and IV: per-region best configurations from the design-time
+/// session.
 pub fn region_table(bench_name: &str) -> String {
     let node = Node::exact(0);
     let model = paper_model(&node);
     let bench = kernels::benchmark(bench_name).expect("benchmark exists");
-    let report = TuningSession::builder(&node)
+    let advice = TuningSession::builder(&node)
         .with_model(&model)
         .run(&bench)
-        .expect("session succeeds on bundled benchmarks")
-        .into_report();
+        .expect("session succeeds on bundled benchmarks");
+    let (pcf, pucf) = advice
+        .predicted_global
+        .expect("the model-based strategy predicts a global pair");
 
     let paper_rows: &[(&str, &str)] = if bench_name == "Lulesh" {
         &[
@@ -402,13 +405,13 @@ pub fn region_table(bench_name: &str) -> String {
     let _ = writeln!(
         out,
         "phase: {} threads; model-predicted global pair {:.1}|{:.1} GHz; phase best {}\n",
-        report.thread_tuning.best_threads,
-        report.predicted_global.0.ghz(),
-        report.predicted_global.1.ghz(),
-        report.phase_best,
+        advice.thread_tuning.best_threads,
+        pcf.ghz(),
+        pucf.ghz(),
+        advice.phase_best,
     );
     let _ = writeln!(out, "{:<34} {:>18}   paper", "Region", "ours");
-    for (name, cfg, _) in &report.region_best {
+    for (name, cfg, _) in &advice.region_best {
         let paper = paper_rows
             .iter()
             .find(|(n, _)| n == name)
@@ -419,7 +422,7 @@ pub fn region_table(bench_name: &str) -> String {
     let _ = writeln!(
         out,
         "\nscenarios in the tuning model: {} (regions with identical configs grouped)\n",
-        report.tuning_model.scenario_count()
+        advice.tuning_model.scenario_count()
     );
     out
 }

@@ -1,7 +1,5 @@
 //! Shared sweep utilities for the experiment binaries.
 
-use rayon::prelude::*;
-
 use kernels::BenchmarkSpec;
 use simnode::{ExecutionEngine, FreqDomain, Node, SystemConfig};
 
@@ -82,7 +80,7 @@ pub fn energy_grid(
         })
         .collect();
     let points = configs
-        .par_iter()
+        .iter()
         .map(|cfg| {
             let run = engine.run_region(&phase, cfg, node);
             GridPoint {

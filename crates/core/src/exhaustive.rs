@@ -3,45 +3,16 @@
 //! Sourouri et al. (SC'17) select per-region configurations by exhaustive
 //! search with manual instrumentation; the paper contrasts its tuning time
 //! `n·k·l·m·t` against the model-based `(k + 1 + 9)·t`. This module
-//! implements both the actual exhaustive search (used as the ground-truth
-//! oracle in the experiments) and the cost model.
+//! implements the static whole-application exhaustive search (the
+//! ground-truth oracle of Table V) and the cost model. Per-region
+//! exhaustive search is the session's
+//! [`ExhaustiveSearch`](crate::session::ExhaustiveSearch) strategy.
 
 use kernels::BenchmarkSpec;
-use rayon::prelude::*;
 use simnode::{ExecutionEngine, Node, SystemConfig};
 
 use crate::objectives::TuningObjective;
 use crate::search::SearchSpace;
-
-/// Exhaustively find each significant region's best configuration over
-/// `space`. Returns `(region name, best config, best objective score)`.
-pub fn search_all_regions(
-    bench: &BenchmarkSpec,
-    node: &Node,
-    space: &SearchSpace,
-    objective: TuningObjective,
-    significant: &[String],
-) -> Vec<(String, SystemConfig, f64)> {
-    let engine = ExecutionEngine::new();
-    let configs = space.configs();
-    significant
-        .par_iter()
-        .map(|name| {
-            let region = bench.region(name).expect("region exists");
-            let mut best_cfg = configs[0];
-            let mut best_score = f64::INFINITY;
-            for cfg in &configs {
-                let run = engine.run_region(&region.character, cfg, node);
-                let s = objective.score(run.node_energy_j, run.duration_s);
-                if s < best_score {
-                    best_score = s;
-                    best_cfg = *cfg;
-                }
-            }
-            (name.clone(), best_cfg, best_score)
-        })
-        .collect()
-}
 
 /// Exhaustively find the best whole-application (static) configuration.
 pub fn search_static(
@@ -54,7 +25,7 @@ pub fn search_static(
     let phase = bench.phase_character();
     space
         .configs()
-        .par_iter()
+        .iter()
         .map(|cfg| {
             let run = engine.run_region(&phase, cfg, node);
             (*cfg, objective.score(run.node_energy_j, run.duration_s))
@@ -79,6 +50,7 @@ pub fn tuning_time_model_based(k_threads: usize, verification_configs: usize, t_
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{ExhaustiveSearch, TuningSession};
 
     #[test]
     fn cost_model_matches_paper_formulas() {
@@ -106,17 +78,13 @@ mod tests {
     fn per_region_search_respects_personalities() {
         let node = Node::exact(0);
         let bench = kernels::benchmark("Lulesh").unwrap();
-        let space = SearchSpace::full(vec![24]);
-        let significant: Vec<String> = bench
-            .regions
-            .iter()
-            .filter(|r| r.character.instr_per_iter > 1e9)
-            .map(|r| r.name.clone())
-            .collect();
-        let results =
-            search_all_regions(&bench, &node, &space, TuningObjective::Energy, &significant);
-        assert_eq!(results.len(), 5);
-        for (name, cfg, _) in &results {
+        let advice = TuningSession::builder(&node)
+            .with_strategy(&ExhaustiveSearch)
+            .run(&bench)
+            .unwrap();
+        assert_eq!(advice.thread_tuning.best_threads, 24);
+        assert_eq!(advice.region_best.len(), 5);
+        for (name, cfg, _) in &advice.region_best {
             // All five regions are compute-leaning: high core frequency
             // (the heaviest-traffic region, CalcKinematicsForElems, dips
             // to ~2.1 GHz in the full-space search), low-mid uncore.

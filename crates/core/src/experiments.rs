@@ -177,24 +177,6 @@ impl<'a> ExperimentsEngine<'a> {
                 stage: "region verification",
             })
     }
-
-    /// Panicking convenience over [`ExperimentsEngine::try_best_for_region`].
-    ///
-    /// # Panics
-    /// Panics if `configs` is empty.
-    pub fn best_for_region(
-        &mut self,
-        c: &RegionCharacter,
-        configs: &[SystemConfig],
-        objective: TuningObjective,
-    ) -> (SystemConfig, Measurement) {
-        assert!(
-            !configs.is_empty(),
-            "need at least one candidate configuration"
-        );
-        self.try_best_for_region(c, configs, objective)
-            .expect("nonempty candidates")
-    }
 }
 
 #[cfg(test)]
@@ -230,7 +212,7 @@ mod tests {
     }
 
     #[test]
-    fn best_for_region_minimises_objective() {
+    fn try_best_for_region_minimises_objective() {
         let node = Node::exact(0);
         let mut eng = ExperimentsEngine::new(&node);
         let c = RegionCharacter::builder(2e10)
@@ -242,22 +224,15 @@ mod tests {
             SystemConfig::new(24, 2400, 1700),
             SystemConfig::new(24, 2500, 3000),
         ];
-        let (best, m) = eng.best_for_region(&c, &configs, TuningObjective::Energy);
+        let (best, m) = eng
+            .try_best_for_region(&c, &configs, TuningObjective::Energy)
+            .unwrap();
         // Compute-bound: high CF low UCF wins.
         assert_eq!(best, SystemConfig::new(24, 2400, 1700));
         for cfg in &configs {
             let other = eng.evaluate(&c, cfg);
             assert!(m.node_energy_j <= other.node_energy_j + 1e-9);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one candidate")]
-    fn empty_candidates_panics() {
-        let node = Node::exact(0);
-        let mut eng = ExperimentsEngine::new(&node);
-        let c = RegionCharacter::builder(1e9).build();
-        let _ = eng.best_for_region(&c, &[], TuningObjective::Energy);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! ## The staged session API
 //!
-//! The public entry point is [`session::TuningSession`], a typestate
+//! The one design-time entry point is [`session::TuningSession`], a typestate
 //! machine mirroring the Tuning Plugin Interface lifecycle. Each stage is
 //! a distinct type, so calling stages out of order — e.g. asking for
 //! advice before the frequencies are tuned — is a compile error, and
@@ -45,9 +45,7 @@
 //! engine, [`objectives`] the tuning objectives (energy, EDP, ED²P,
 //! TCO), [`scenario`]/[`tuning_model`] the system-scenario grouping and
 //! the serialisable artefact the RRL consumes, [`exhaustive`] the
-//! Section V-C tuning-time cost model, and [`workflow`] the deprecated
-//! one-shot [`DesignTimeAnalysis`] shim kept for [`DtaReport`]
-//! consumers.
+//! static exhaustive search and the Section V-C tuning-time cost model.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -58,18 +56,15 @@ pub mod experiments;
 pub mod freqpred;
 pub mod modeldata;
 pub mod objectives;
-pub mod plugin;
 pub mod scenario;
 pub mod search;
 pub mod session;
 pub mod threads;
 pub mod tuning_model;
-pub mod workflow;
 
 pub use freqpred::EnergyModel;
 pub use modeldata::{build_dataset, features_from_rates, phase_counter_rates, FEATURE_COUNT};
 pub use objectives::TuningObjective;
-pub use plugin::{DvfsUfsPlugin, TuningPlugin};
 pub use scenario::{Scenario, ScenarioClassifier};
 pub use search::SearchSpace;
 pub use session::{
@@ -78,4 +73,3 @@ pub use session::{
     VerificationRule,
 };
 pub use tuning_model::TuningModel;
-pub use workflow::{DesignTimeAnalysis, DtaReport};

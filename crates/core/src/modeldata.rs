@@ -9,8 +9,6 @@
 //! tuple becomes one training sample with nine features: the seven Table I
 //! counter rates plus the two frequencies.
 
-use rayon::prelude::*;
-
 use enermodel::linalg::Matrix;
 use enermodel::train::Dataset;
 use kernels::BenchmarkSpec;
@@ -81,10 +79,9 @@ pub fn build_dataset(
     assert!(!threads.is_empty() && !core_mhz.is_empty() && !uncore_mhz.is_empty());
     let engine = ExecutionEngine::new();
 
-    // (features, target, group) triples, one benchmark at a time (the
-    // `par_iter` is the offline rayon shim's sequential iterator).
+    // (features, target, group) triples, one benchmark at a time.
     let samples: Vec<(Vec<f64>, f64, String)> = benchmarks
-        .par_iter()
+        .iter()
         .flat_map(|bench| {
             let phase = bench.phase_character();
             let mut local = Vec::new();

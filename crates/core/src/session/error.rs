@@ -1,21 +1,15 @@
 //! Errors on the user-facing tuning path.
 //!
-//! Every condition that used to `panic!`/`expect` in the plugin and the
-//! Design-Time Analysis driver is a [`TuningError`] variant instead, so
-//! misuse and bad inputs surface as values, not aborts.
+//! Every way a tuning session can fail is a [`TuningError`]
+//! variant, so bad inputs surface as values, not aborts. Calling the
+//! stages out of order does not compile, so it needs no variant.
 
 use std::fmt;
 
-/// Why a tuning session (or the plugin lifecycle) could not proceed.
+/// Why a tuning session could not proceed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TuningError {
-    /// A plugin lifecycle method was called out of order
-    /// (`tune()` before `initialize()`).
-    NotInitialized {
-        /// The plugin that was driven out of order.
-        plugin: &'static str,
-    },
     /// A significant region reported by `readex-dyn-detect` has no
     /// counterpart in the benchmark specification.
     UnknownRegion {
@@ -40,12 +34,6 @@ pub enum TuningError {
 impl fmt::Display for TuningError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TuningError::NotInitialized { plugin } => {
-                write!(
-                    f,
-                    "plugin `{plugin}`: initialize() must be called before tune()"
-                )
-            }
             TuningError::UnknownRegion {
                 application,
                 region,
@@ -78,12 +66,6 @@ mod tests {
 
     #[test]
     fn display_names_the_condition() {
-        let e = TuningError::NotInitialized {
-            plugin: "dvfs-ufs-energy-tuning",
-        };
-        assert!(e
-            .to_string()
-            .contains("initialize() must be called before tune()"));
         let e = TuningError::UnknownRegion {
             application: "Lulesh".into(),
             region: "nope".into(),

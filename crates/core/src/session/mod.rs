@@ -51,7 +51,6 @@ use crate::modeldata::phase_counter_rates;
 use crate::objectives::TuningObjective;
 use crate::threads::ThreadTuning;
 use crate::tuning_model::TuningModel;
-use crate::workflow::DtaReport;
 
 static DEFAULT_STRATEGY: ModelBasedNeighbourhood = ModelBasedNeighbourhood::paper();
 
@@ -67,7 +66,6 @@ impl TuningSession {
             objective: TuningObjective::Energy,
             strategy: &DEFAULT_STRATEGY,
             dyn_detect: DynDetectConfig::default(),
-            explore_thread_neighbourhood: false,
             cache: None,
         }
     }
@@ -80,7 +78,6 @@ pub struct SessionBuilder<'a> {
     objective: TuningObjective,
     strategy: &'a dyn SearchStrategy,
     dyn_detect: DynDetectConfig,
-    explore_thread_neighbourhood: bool,
     cache: Option<&'a RefCell<ExperimentCache>>,
 }
 
@@ -112,15 +109,6 @@ impl<'a> SessionBuilder<'a> {
     #[must_use]
     pub fn with_dyn_detect(mut self, cfg: DynDetectConfig) -> Self {
         self.dyn_detect = cfg;
-        self
-    }
-
-    /// Also try one thread step below the phase optimum during region
-    /// verification (off by default; see the field docs on the old
-    /// `DesignTimeAnalysis` for the trade-off).
-    #[must_use]
-    pub fn with_thread_neighbourhood(mut self, explore: bool) -> Self {
-        self.explore_thread_neighbourhood = explore;
         self
     }
 
@@ -168,8 +156,6 @@ impl<'a> SessionBuilder<'a> {
                 model: self.model,
                 objective: self.objective,
                 strategy: self.strategy,
-                dyn_detect: self.dyn_detect,
-                explore_thread_neighbourhood: self.explore_thread_neighbourhood,
                 engine,
                 bench: bench.clone(),
             },
@@ -194,8 +180,6 @@ struct SessionCore<'a> {
     model: Option<&'a EnergyModel>,
     objective: TuningObjective,
     strategy: &'a dyn SearchStrategy,
-    dyn_detect: DynDetectConfig,
-    explore_thread_neighbourhood: bool,
     engine: ExperimentsEngine<'a>,
     bench: BenchmarkSpec,
 }
@@ -278,13 +262,6 @@ impl<'a> Analyzed<'a> {
     /// the strategy's candidate set.
     pub fn tune_frequencies(mut self) -> Result<FrequencyTuned<'a>, TuningError> {
         let best_threads = self.thread_tuning.best_threads;
-        let mut thread_candidates = vec![best_threads];
-        if self.core.explore_thread_neighbourhood {
-            let step = self.core.dyn_detect.thread_step;
-            if best_threads >= self.core.dyn_detect.thread_lower_bound + step {
-                thread_candidates.push(best_threads - step);
-            }
-        }
 
         let phase_character = self.core.bench.phase_character();
         let outcome = {
@@ -295,7 +272,6 @@ impl<'a> Analyzed<'a> {
                 phase_character: &phase_character,
                 phase_rates: &self.phase_rates,
                 best_threads,
-                thread_candidates: &thread_candidates,
                 engine: &mut self.core.engine,
             };
             self.core.strategy.plan(&mut ctx)?
@@ -436,27 +412,6 @@ pub struct Advice {
     pub objective: TuningObjective,
 }
 
-impl Advice {
-    /// Convert into the legacy [`DtaReport`] for existing consumers.
-    /// Strategies without a model prediction report the verified phase
-    /// best as the "predicted" pair.
-    pub fn into_report(self) -> DtaReport {
-        let predicted_global = self
-            .predicted_global
-            .unwrap_or((self.phase_best.core, self.phase_best.uncore));
-        DtaReport {
-            tuning_model: self.tuning_model,
-            config_file: self.config_file,
-            thread_tuning: self.thread_tuning,
-            phase_rates: self.phase_rates,
-            predicted_global,
-            phase_best: self.phase_best,
-            region_best: self.region_best,
-            experiments: self.experiments,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,18 +509,73 @@ mod tests {
     }
 
     #[test]
-    fn into_report_preserves_the_tuning_model() {
+    fn lulesh_session_end_to_end() {
         let node = Node::exact(0);
         let model = model(&node);
-        let bench = kernels::benchmark("miniMD").unwrap();
         let advice = TuningSession::builder(&node)
             .with_model(&model)
-            .run(&bench)
+            .run(&kernels::benchmark("Lulesh").unwrap())
             .unwrap();
-        let tm = advice.tuning_model.clone();
-        let (pcf, pucf) = advice.predicted_global.unwrap();
-        let report = advice.into_report();
-        assert_eq!(report.tuning_model, tm);
-        assert_eq!(report.predicted_global, (pcf, pucf));
+
+        assert_eq!(advice.thread_tuning.best_threads, 24);
+        assert_eq!(advice.config_file.significant_regions.len(), 5);
+        assert_eq!(advice.region_best.len(), 5);
+
+        // The predicted global pair must have the compute-bound shape:
+        // high core frequency, low-to-mid uncore frequency.
+        let (cf, ucf) = advice.predicted_global.unwrap();
+        assert!(cf.mhz() >= 2200, "predicted CF {cf}");
+        assert!(ucf.mhz() <= 2400, "predicted UCF {ucf}");
+
+        // Every region config lies inside the verified neighbourhood:
+        // recentring (radius 3) plus region radius 1 → at most 4 steps
+        // from the predicted global pair.
+        for (name, cfg, _) in &advice.region_best {
+            assert!(
+                (cfg.core.mhz() as i64 - cf.mhz() as i64).abs() <= 400,
+                "{name} CF {} too far from global {cf}",
+                cfg.core
+            );
+            assert!(
+                (cfg.uncore.mhz() as i64 - ucf.mhz() as i64).abs() <= 400,
+                "{name} UCF {} too far from global {ucf}",
+                cfg.uncore
+            );
+        }
+
+        // Tuning model groups the five regions into few scenarios.
+        assert!(advice.tuning_model.scenario_count() <= 5);
+        assert!(advice.tuning_model.scenario_count() >= 1);
+
+        // Cost accounting: k (4 thread candidates) + 1 analysis +
+        // recentring grid (≤ 49) + ≤ 2×3×3 verification configs.
+        assert!(advice.experiments >= 4 + 1 + 6);
+        assert!(advice.experiments <= 4 + 1 + 49 + 18);
+    }
+
+    #[test]
+    fn mcb_session_finds_memory_bound_shape() {
+        let node = Node::exact(0);
+        let model = model(&node);
+        let advice = TuningSession::builder(&node)
+            .with_model(&model)
+            .run(&kernels::benchmark("Mcbenchmark").unwrap())
+            .unwrap();
+
+        // 16 or 20: the calibration-point thread landscape is flat (see
+        // threads::tests::mcb_prefers_reduced_threads).
+        assert!(
+            advice.thread_tuning.best_threads == 16 || advice.thread_tuning.best_threads == 20,
+            "threads {}",
+            advice.thread_tuning.best_threads
+        );
+        assert_eq!(advice.config_file.significant_regions.len(), 5);
+        // With 16 threads from step 1 the per-core work share rises, so
+        // the optimal core frequency sits a little higher than the paper's
+        // 20-thread 1.6 GHz — but the memory-bound shape (low CF, high
+        // UCF relative to the compute-bound codes) must hold.
+        let (cf, ucf) = advice.predicted_global.unwrap();
+        assert!(cf.mhz() <= 2200, "predicted CF {cf} should be low");
+        assert!(ucf.mhz() >= 1900, "predicted UCF {ucf} should be high");
     }
 }

@@ -25,7 +25,6 @@ pub struct SearchContext<'s, 'a> {
     pub(crate) phase_character: &'s RegionCharacter,
     pub(crate) phase_rates: &'s [f64; 7],
     pub(crate) best_threads: u32,
-    pub(crate) thread_candidates: &'s [u32],
     pub(crate) engine: &'s mut ExperimentsEngine<'a>,
 }
 
@@ -58,13 +57,6 @@ impl<'s, 'a> SearchContext<'s, 'a> {
     /// Optimal thread count from tuning step 1.
     pub fn best_threads(&self) -> u32 {
         self.best_threads
-    }
-
-    /// Thread candidates for region verification (the step-1 optimum,
-    /// plus one step below it when the session enables thread-
-    /// neighbourhood exploration).
-    pub fn thread_candidates(&self) -> &[u32] {
-        self.thread_candidates
     }
 
     /// Measure one region character under a configuration (cached when
@@ -199,11 +191,13 @@ pub trait SearchStrategy: std::fmt::Debug + Sync {
     /// [`SearchStrategy::exploration`] plan; strategies normally only
     /// implement `exploration`.
     fn plan(&self, ctx: &mut SearchContext<'_, '_>) -> Result<SearchOutcome, TuningError> {
+        // A session verifies regions at the step-1 optimum only.
+        let best_threads = ctx.best_threads();
         let plan = self.exploration(&ExplorationInputs {
             model: ctx.model(),
             phase_rates: ctx.phase_rates(),
-            best_threads: ctx.best_threads(),
-            thread_candidates: ctx.thread_candidates(),
+            best_threads,
+            thread_candidates: &[best_threads],
         })?;
         let (phase_best, _) = ctx.best_phase_config(&plan.phase_candidates)?;
         Ok(SearchOutcome {
@@ -396,7 +390,6 @@ mod tests {
             phase_character: &phase,
             phase_rates: &rates,
             best_threads: 24,
-            thread_candidates: &[24],
             engine: &mut engine,
         };
         let err = ModelBasedNeighbourhood::paper().plan(&mut ctx).unwrap_err();
@@ -415,7 +408,6 @@ mod tests {
             phase_character: &phase,
             phase_rates: &rates,
             best_threads: 24,
-            thread_candidates: &[24],
             engine: &mut engine,
         };
         let outcome = ExhaustiveSearch.plan(&mut ctx).unwrap();
@@ -446,7 +438,6 @@ mod tests {
                 phase_character: phase,
                 phase_rates: rates,
                 best_threads: 24,
-                thread_candidates: &[24],
                 engine: &mut engine,
             };
             strategy.plan(&mut ctx).unwrap()
@@ -488,7 +479,6 @@ mod tests {
             phase_character: &phase,
             phase_rates: &rates,
             best_threads: 24,
-            thread_candidates: &[24],
             engine: &mut engine,
         };
         let outcome = strategy.plan(&mut ctx).unwrap();
@@ -528,7 +518,6 @@ mod tests {
             phase_character: &phase,
             phase_rates: &rates,
             best_threads: 24,
-            thread_candidates: &[24],
             engine: &mut engine,
         };
         let outcome = RandomSearch::new(10_000, 1).plan(&mut ctx).unwrap();

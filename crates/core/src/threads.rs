@@ -25,9 +25,9 @@ pub struct ThreadTuning {
     pub experiments: u64,
 }
 
-/// [`tune_threads`] on a caller-provided engine (the staged session
-/// passes its cache-sharing engine here). Errors instead of panicking on
-/// an empty candidate set.
+/// Exhaustively evaluate the thread candidates for the phase region on
+/// `engine` (the staged session passes its cache-sharing engine here).
+/// Errors instead of panicking on an empty candidate set.
 ///
 /// MPI-only benchmarks are not thread-tunable; they are pinned to the
 /// full core count and the sweep contains that single point.
@@ -67,34 +67,29 @@ pub fn tune_threads_with(
     })
 }
 
-/// Exhaustively evaluate the thread candidates for the phase region on a
-/// fresh uncached engine.
-///
-/// # Panics
-/// Panics if `candidates` is empty for a thread-tunable benchmark; use
-/// [`tune_threads_with`] for the fallible variant.
-pub fn tune_threads(
-    bench: &BenchmarkSpec,
-    node: &Node,
-    candidates: &[u32],
-    objective: TuningObjective,
-) -> ThreadTuning {
-    let mut engine = ExperimentsEngine::new(node);
-    tune_threads_with(&mut engine, bench, node, candidates, objective)
-        .expect("no thread candidates")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const CANDIDATES: [u32; 4] = [12, 16, 20, 24];
 
+    fn tune(bench: &BenchmarkSpec, node: &Node) -> ThreadTuning {
+        let mut engine = ExperimentsEngine::new(node);
+        tune_threads_with(
+            &mut engine,
+            bench,
+            node,
+            &CANDIDATES,
+            TuningObjective::Energy,
+        )
+        .expect("non-empty thread candidates")
+    }
+
     #[test]
     fn lulesh_prefers_24_threads() {
         let node = Node::exact(0);
         let bench = kernels::benchmark("Lulesh").unwrap();
-        let t = tune_threads(&bench, &node, &CANDIDATES, TuningObjective::Energy);
+        let t = tune(&bench, &node);
         assert_eq!(t.best_threads, 24, "sweep: {:?}", t.sweep);
         assert_eq!(t.sweep.len(), 4);
         assert_eq!(t.experiments, 4);
@@ -104,7 +99,7 @@ mod tests {
     fn amg_prefers_16_threads() {
         let node = Node::exact(0);
         let bench = kernels::benchmark("Amg2013").unwrap();
-        let t = tune_threads(&bench, &node, &CANDIDATES, TuningObjective::Energy);
+        let t = tune(&bench, &node);
         assert_eq!(t.best_threads, 16, "sweep: {:?}", t.sweep);
     }
 
@@ -117,7 +112,7 @@ mod tests {
         // threads), one step off. See EXPERIMENTS.md.
         let node = Node::exact(0);
         let bench = kernels::benchmark("Mcbenchmark").unwrap();
-        let t = tune_threads(&bench, &node, &CANDIDATES, TuningObjective::Energy);
+        let t = tune(&bench, &node);
         assert!(
             t.best_threads == 16 || t.best_threads == 20,
             "sweep: {:?}",
@@ -138,7 +133,7 @@ mod tests {
     fn mpi_only_benchmark_pins_to_full_cores() {
         let node = Node::exact(0);
         let bench = kernels::benchmark("Kripke").unwrap();
-        let t = tune_threads(&bench, &node, &CANDIDATES, TuningObjective::Energy);
+        let t = tune(&bench, &node);
         assert_eq!(t.best_threads, 24);
         assert_eq!(t.sweep.len(), 1);
     }

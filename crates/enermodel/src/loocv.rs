@@ -3,11 +3,8 @@
 //! Section V-B evaluates model stability by leaving one *benchmark* out at
 //! a time: its samples form the test set, all other benchmarks train the
 //! network (5 epochs), and MAPE over the held-out benchmark's DVFS/UFS
-//! states is reported (Fig. 5). Folds are independent; they are written
-//! as a `par_iter` pipeline, but the workspace's offline `rayon` shim runs
-//! them sequentially, one after another.
-
-use rayon::prelude::*;
+//! states is reported (Fig. 5). Folds are independent and run one after
+//! another.
 
 use crate::metrics::mape;
 use crate::train::{train, Dataset, TrainConfig};
@@ -62,7 +59,7 @@ impl LoocvReport {
 pub fn loocv_mape(data: &Dataset, cfg: &TrainConfig) -> LoocvReport {
     let groups = data.group_names();
     let folds: Vec<FoldResult> = groups
-        .par_iter()
+        .iter()
         .map(|g| {
             let (train_set, test_set) = data.split_by_group(g);
             assert!(!train_set.is_empty(), "fold {g} has an empty training set");

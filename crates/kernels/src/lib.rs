@@ -10,10 +10,10 @@
 //! Amg2013, miniMD, BEM4I, Mcbenchmark) additionally model the named
 //! significant regions of Tables III and IV.
 //!
-//! [`real`] contains genuinely runnable Rayon kernels (triad, blocked
-//! dgemm, 2-D stencil, Monte-Carlo transport) so the instrumentation API
-//! can be demonstrated on actual parallel host code, as the Rayon-based
-//! examples do.
+//! [`real`] contains genuinely runnable sequential kernels (triad,
+//! blocked dgemm, 2-D stencil, Monte-Carlo transport) so the
+//! instrumentation API can be demonstrated on actual host code, as the
+//! `real_kernels_instrumented` example does.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,6 +1,6 @@
-//! Real, runnable parallel kernels.
+//! Real, runnable kernels.
 //!
-//! These are genuine Rayon data-parallel kernels that execute on the host:
+//! These are genuine kernels that execute on the host, sequentially:
 //! a STREAM-style triad, a blocked DGEMM, a Jacobi 2-D stencil, and a
 //! Monte-Carlo transport sweep — one representative of each personality in
 //! the benchmark suite. The examples use them to show how a user would
@@ -8,18 +8,16 @@
 //! approximate [`RegionCharacter`] from known operation counts, then tune
 //! it with the plugin.
 
-use rayon::prelude::*;
-
 use simnode::RegionCharacter;
 
 /// STREAM triad: `a[i] = b[i] + s * c[i]`. Returns the checksum of `a`.
 pub fn triad(a: &mut [f64], b: &[f64], c: &[f64], s: f64) -> f64 {
     assert_eq!(a.len(), b.len());
     assert_eq!(a.len(), c.len());
-    a.par_iter_mut()
-        .zip(b.par_iter().zip(c.par_iter()))
+    a.iter_mut()
+        .zip(b.iter().zip(c.iter()))
         .for_each(|(ai, (bi, ci))| *ai = bi + s * ci);
-    a.par_iter().sum()
+    a.iter().sum()
 }
 
 /// Approximate character of a triad over `n` elements: 24 bytes of DRAM
@@ -37,13 +35,13 @@ pub fn triad_character(n: usize) -> RegionCharacter {
 }
 
 /// Blocked matrix multiply `C += A · B` for square `n × n` row-major
-/// matrices, parallel over row blocks.
+/// matrices, one row block at a time.
 pub fn dgemm(n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
     assert_eq!(a.len(), n * n);
     assert_eq!(b.len(), n * n);
     assert_eq!(c.len(), n * n);
     const BLOCK: usize = 32;
-    c.par_chunks_mut(n * BLOCK)
+    c.chunks_mut(n * BLOCK)
         .enumerate()
         .for_each(|(bi, c_rows)| {
             let i0 = bi * BLOCK;
@@ -87,11 +85,11 @@ pub fn jacobi_sweep(nx: usize, ny: usize, src: &[f64], dst: &mut [f64]) -> f64 {
     assert_eq!(src.len(), nx * ny);
     assert_eq!(dst.len(), nx * ny);
     assert!(nx >= 3 && ny >= 3, "grid too small");
-    // Copy boundaries, compute interior in parallel row bands.
+    // Copy boundaries, compute interior one row at a time.
     dst[..nx].copy_from_slice(&src[..nx]);
     dst[(ny - 1) * nx..].copy_from_slice(&src[(ny - 1) * nx..]);
     let deltas: Vec<f64> = dst[nx..(ny - 1) * nx]
-        .par_chunks_mut(nx)
+        .chunks_mut(nx)
         .enumerate()
         .map(|(j, row)| {
             let y = j + 1;
@@ -133,7 +131,6 @@ pub fn jacobi_character(nx: usize, ny: usize) -> RegionCharacter {
 pub fn mc_transport(n: usize, slab_thickness: f64, sigma: f64) -> f64 {
     assert!(n > 0);
     let transmitted: usize = (0..n)
-        .into_par_iter()
         .filter(|&i| {
             // SplitMix64-style hash → uniform in (0,1).
             let mut z = (i as u64).wrapping_add(0x9E3779B97F4A7C15);

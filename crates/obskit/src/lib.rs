@@ -14,7 +14,7 @@
 //!    histograms (histograms reuse [`kernels::QuantileSketch`], so
 //!    percentiles are deterministic and order-independent). Metrics are
 //!    addressed by *static* keys ([`Key`] is `&'static str`) plus an
-//!    optional small integer index for per-shard / per-node series, so
+//!    optional small integer index for per-node / per-replica series, so
 //!    the hot path never formats a string; names are materialised only
 //!    at snapshot time.
 //! 2. **Timeline** — structured spans and instants carrying *virtual*
@@ -25,7 +25,7 @@
 //! 3. **Exporters** — a deterministic JSON metrics snapshot
 //!    ([`MetricsSnapshot::to_json`]) and a Chrome `trace_event` file
 //!    ([`Registry::export_chrome_trace`]) loadable in Perfetto, where
-//!    each [`Track`] (node / replica / shard / kernel / net) becomes a
+//!    each [`Track`] (node / replica / kernel / net) becomes a
 //!    named thread and span timestamps are virtual microseconds.
 //!
 //! ## Key naming scheme
@@ -76,8 +76,6 @@ pub enum TrackKind {
     Node,
     /// A replica in the replicated-serving tier.
     Replica,
-    /// A repository shard.
-    Shard,
     /// The event kernel itself.
     Kernel,
     /// The simulated network fabric.
@@ -85,12 +83,12 @@ pub enum TrackKind {
 }
 
 impl TrackKind {
-    /// Stable Perfetto process id for this kind.
+    /// Stable Perfetto process id for this kind. Ids are never reused,
+    /// so traces from different versions stay comparable; 3 is retired.
     pub fn pid(self) -> u32 {
         match self {
             TrackKind::Node => 1,
             TrackKind::Replica => 2,
-            TrackKind::Shard => 3,
             TrackKind::Kernel => 4,
             TrackKind::Net => 5,
         }
@@ -101,7 +99,6 @@ impl TrackKind {
         match self {
             TrackKind::Node => "nodes",
             TrackKind::Replica => "replicas",
-            TrackKind::Shard => "shards",
             TrackKind::Kernel => "kernel",
             TrackKind::Net => "net",
         }
@@ -112,7 +109,6 @@ impl TrackKind {
         match self {
             TrackKind::Node => "node",
             TrackKind::Replica => "replica",
-            TrackKind::Shard => "shard",
             TrackKind::Kernel => "kernel",
             TrackKind::Net => "net",
         }
@@ -125,7 +121,7 @@ impl TrackKind {
 pub struct Track {
     /// What this track is attached to.
     pub kind: TrackKind,
-    /// Which one (node id, replica id, shard index…).
+    /// Which one (node id, replica id…).
     pub index: u32,
 }
 
@@ -142,14 +138,6 @@ impl Track {
     pub fn replica(index: u32) -> Self {
         Track {
             kind: TrackKind::Replica,
-            index,
-        }
-    }
-
-    /// The track of repository shard `index`.
-    pub fn shard(index: u32) -> Self {
-        Track {
-            kind: TrackKind::Shard,
             index,
         }
     }
@@ -288,7 +276,6 @@ mod tests {
     fn tracks_map_to_stable_pids() {
         assert_eq!(Track::node(3).kind.pid(), 1);
         assert_eq!(Track::replica(1).kind.pid(), 2);
-        assert_eq!(Track::shard(0).kind.pid(), 3);
         assert_eq!(Track::kernel().kind.pid(), 4);
         assert_eq!(Track::net().kind.pid(), 5);
     }

@@ -300,7 +300,7 @@ impl Replica {
             application: entry.application.clone(),
             fingerprint: entry.fingerprint,
         };
-        self.repo.shard.store_replicated(
+        self.repo.store_replicated(
             key,
             entry.model_json.clone(),
             source,

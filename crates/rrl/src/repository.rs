@@ -27,9 +27,9 @@
 //! exact workload fingerprint missed — trading exactness for warm starts,
 //! with the drift detector guarding against the model having gone stale.
 //!
-//! Internally all of the above lives in one `Shard` — map, LRU clock,
-//! version lineage, stats. `TuningModelRepository` is a thin wrapper with
-//! the `&mut self` API; every replica of a [`crate::ReplicaSet`] holds one.
+//! All of the above — map, LRU clock, version lineage, stats — lives in
+//! the one `TuningModelRepository` struct behind a `&mut self` API; every
+//! replica of a [`crate::ReplicaSet`] holds one.
 
 use std::collections::BTreeMap;
 
@@ -228,13 +228,20 @@ struct StoredEntry {
     last_used: u64,
 }
 
-/// The model store's state: the map, the per-application version
+/// Stores tuning models and serves them per job.
+///
+/// Models published in-process are kept as values; an entry replicated
+/// in off the wire keeps its JSON (what a `SCOREP_RRL_TMM_PATH` file
+/// contains) until its first serve parses it, and a corrupt one surfaces
+/// as [`RuntimeError::Parse`] at serve time instead of a panic.
+///
+/// This is the one repository type: the map, the per-application version
 /// lineage, the LRU clock and bound, the fallback, the match policy and
-/// the serving statistics. [`TuningModelRepository`] is exactly one shard
-/// behind a `&mut self` API; replicas reach it through `repo.shard` to
-/// install entries at a version the replication layer assigned.
+/// the serving statistics, behind a `&mut self` API. A [`crate::Replica`]
+/// holds one too, so a replicated fleet serves under the same semantics,
+/// capacity bound included.
 #[derive(Debug, Default)]
-pub(crate) struct Shard {
+pub struct TuningModelRepository {
     models: BTreeMap<ModelKey, StoredEntry>,
     /// Per-application version high-water mark. Kept separately from the
     /// live entries so LRU eviction can never make a version number
@@ -247,98 +254,61 @@ pub(crate) struct Shard {
     stats: RepositoryStats,
 }
 
-impl Shard {
-    /// Store a model, assign its application-lineage version, bump the
-    /// LRU clock and enforce the capacity bound.
-    fn store(
-        &mut self,
-        key: ModelKey,
-        model: EntryModel,
-        source: ModelSource,
-        expected: Vec<(String, f64)>,
-    ) -> u32 {
-        // Versions follow the *application* lineage: re-publishing the
-        // same workload bumps it, and so does publishing a model for a
-        // changed workload of an already-known application (the drift →
-        // re-calibrate → re-publish path). The high-water mark survives
-        // LRU eviction of the entries themselves.
-        let version = self.versions.get(&key.application).map_or(1, |v| v + 1);
-        self.versions.insert(key.application.clone(), version);
-        self.clock += 1;
-        self.models.insert(
-            key,
-            StoredEntry {
-                model,
-                provenance: ModelProvenance {
-                    version,
-                    source,
-                    expected,
-                },
-                last_used: self.clock,
-            },
-        );
-        self.stats.publications += 1;
-        self.enforce_capacity();
-        version
+impl TuningModelRepository {
+    /// Empty repository with no fallback and unbounded capacity.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Evict least-recently-used entries until the capacity bound holds.
-    fn enforce_capacity(&mut self) {
-        if let Some(cap) = self.capacity {
-            while self.models.len() > cap {
-                let lru = self
-                    .models
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| k.clone())
-                    .expect("len > cap > 0 implies an entry");
-                self.models.remove(&lru);
-                self.stats.evictions += 1;
-            }
-        }
+    /// Serve `config` as a static single-scenario model whenever no
+    /// stored model matches (builder form).
+    #[must_use]
+    pub fn with_fallback(mut self, config: SystemConfig) -> Self {
+        self.fallback = Some(config);
+        self
     }
 
-    /// Store an entry whose version was assigned *elsewhere* — by the
-    /// reconciliation layer of a replica set, which stamps publications
-    /// with a per-application version agreed across replicas (see
-    /// [`crate::net::reconcile`]). Unlike [`Shard::store`] the version
-    /// is not bumped here; the application's high-water mark only
-    /// advances (an out-of-order stale apply can never regress the
-    /// lineage). Everything else — LRU clock, capacity bound,
-    /// publication counting — behaves exactly like a local store. The
-    /// entry keeps `json` as it came off the wire and is parsed on its
-    /// first serve.
-    pub(crate) fn store_replicated(
-        &mut self,
-        key: ModelKey,
-        json: String,
-        source: ModelSource,
-        expected: Vec<(String, f64)>,
-        version: u32,
-    ) {
-        let high = self.versions.get(&key.application).copied().unwrap_or(0);
-        self.versions
-            .insert(key.application.clone(), high.max(version));
-        self.clock += 1;
-        self.models.insert(
-            key,
-            StoredEntry {
-                model: EntryModel::Wire(json),
-                provenance: ModelProvenance {
-                    version,
-                    source,
-                    expected,
-                },
-                last_used: self.clock,
-            },
-        );
-        self.stats.publications += 1;
-        self.enforce_capacity();
+    /// Bound the repository to at most `capacity` stored models; storing
+    /// beyond the bound evicts the least-recently-used entry (builder
+    /// form). A capacity of zero is treated as unbounded.
+    #[must_use]
+    pub fn with_capacity(mut self, capacity: usize) -> Self {
+        self.capacity = (capacity > 0).then_some(capacity);
+        self
     }
 
-    /// Store the model a design-time session produced (see
-    /// [`TuningModelRepository::publish`]).
-    fn publish(&mut self, advice: &Advice) -> u32 {
+    /// Select the serve-time key matching policy (builder form).
+    #[must_use]
+    pub fn with_match_policy(mut self, policy: MatchPolicy) -> Self {
+        self.policy = policy;
+        self
+    }
+
+    /// Set or replace the calibration fallback configuration.
+    pub fn set_fallback(&mut self, config: SystemConfig) {
+        self.fallback = Some(config);
+    }
+
+    /// The configured fallback, if any.
+    pub fn fallback(&self) -> Option<SystemConfig> {
+        self.fallback
+    }
+
+    /// The configured capacity bound, if any.
+    pub fn capacity(&self) -> Option<usize> {
+        self.capacity
+    }
+
+    /// The serve-time key matching policy.
+    pub fn match_policy(&self) -> MatchPolicy {
+        self.policy
+    }
+
+    /// Store the tuning model a design-time session produced, under the
+    /// advice's own application + fingerprint — the design-time → runtime
+    /// handoff. The advice's per-region energies become the entry's drift
+    /// expectations. Returns the assigned version.
+    pub fn publish(&mut self, advice: &Advice) -> u32 {
         let key = ModelKey {
             application: advice.tuning_model.application.clone(),
             fingerprint: advice.benchmark_fingerprint,
@@ -356,9 +326,11 @@ impl Shard {
         )
     }
 
-    /// Store a model the online tuner converged (see
-    /// [`TuningModelRepository::publish_online`]).
-    fn publish_online(
+    /// Store a model the runtime's online tuner converged for `bench`,
+    /// with its measured per-region energy expectations. Returns the
+    /// assigned version (1 for a first publication, otherwise the stored
+    /// version + 1).
+    pub fn publish_online(
         &mut self,
         bench: &BenchmarkSpec,
         model: &TuningModel,
@@ -372,9 +344,9 @@ impl Shard {
         )
     }
 
-    /// Store a tuning model for a benchmark with no drift expectations
-    /// (see [`TuningModelRepository::insert`]).
-    fn insert(&mut self, bench: &BenchmarkSpec, model: &TuningModel) {
+    /// Store a tuning model for a benchmark (replaces any previous entry
+    /// for the same workload; no drift expectations are recorded).
+    pub fn insert(&mut self, bench: &BenchmarkSpec, model: &TuningModel) {
         self.store(
             ModelKey::of(bench),
             EntryModel::Parsed(model.clone()),
@@ -383,14 +355,111 @@ impl Shard {
         );
     }
 
+    /// Store a model under the next version of its application lineage.
+    fn store(
+        &mut self,
+        key: ModelKey,
+        model: EntryModel,
+        source: ModelSource,
+        expected: Vec<(String, f64)>,
+    ) -> u32 {
+        // Versions follow the *application* lineage: re-publishing the
+        // same workload bumps it, and so does publishing a model for a
+        // changed workload of an already-known application (the drift →
+        // re-calibrate → re-publish path). The high-water mark survives
+        // LRU eviction of the entries themselves.
+        let version = self.versions.get(&key.application).map_or(1, |v| v + 1);
+        self.versions.insert(key.application.clone(), version);
+        self.put(key, model, source, expected, version);
+        version
+    }
+
+    /// Insert an entry at the next LRU stamp, count the publication and
+    /// evict least-recently-used entries until the capacity bound holds.
+    fn put(
+        &mut self,
+        key: ModelKey,
+        model: EntryModel,
+        source: ModelSource,
+        expected: Vec<(String, f64)>,
+        version: u32,
+    ) {
+        self.clock += 1;
+        self.models.insert(
+            key,
+            StoredEntry {
+                model,
+                provenance: ModelProvenance {
+                    version,
+                    source,
+                    expected,
+                },
+                last_used: self.clock,
+            },
+        );
+        self.stats.publications += 1;
+        if let Some(cap) = self.capacity {
+            while self.models.len() > cap {
+                let lru = self
+                    .models
+                    .iter()
+                    .min_by_key(|(_, e)| e.last_used)
+                    .map(|(k, _)| k.clone())
+                    .expect("len > cap > 0 implies an entry");
+                self.models.remove(&lru);
+                self.stats.evictions += 1;
+            }
+        }
+    }
+
+    /// Store an entry whose version was assigned *elsewhere* — by the
+    /// reconciliation layer of a replica set, which stamps publications
+    /// with a per-application version agreed across replicas (see
+    /// [`crate::net::reconcile`]). Unlike a local publication the version
+    /// is not bumped here; the application's high-water mark only
+    /// advances (an out-of-order stale apply can never regress the
+    /// lineage). Everything else — LRU clock, capacity bound,
+    /// publication counting — behaves exactly like a local store. The
+    /// entry keeps `json` as it came off the wire and is parsed on its
+    /// first serve.
+    pub(crate) fn store_replicated(
+        &mut self,
+        key: ModelKey,
+        json: String,
+        source: ModelSource,
+        expected: Vec<(String, f64)>,
+        version: u32,
+    ) {
+        let high = self.versions.get(&key.application).copied().unwrap_or(0);
+        self.versions
+            .insert(key.application.clone(), high.max(version));
+        self.put(key, EntryModel::Wire(json), source, expected, version);
+    }
+
     /// Whether a stored model matches this benchmark's workload exactly.
-    fn contains(&self, bench: &BenchmarkSpec) -> bool {
+    pub fn contains(&self, bench: &BenchmarkSpec) -> bool {
         self.models.contains_key(&ModelKey::of(bench))
     }
 
-    /// Provenance of the exact-workload entry for this benchmark, if any.
-    fn provenance(&self, bench: &BenchmarkSpec) -> Option<&ModelProvenance> {
+    /// Provenance of the stored entry for this benchmark's exact
+    /// workload, if any.
+    pub fn provenance(&self, bench: &BenchmarkSpec) -> Option<&ModelProvenance> {
         self.models.get(&ModelKey::of(bench)).map(|e| &e.provenance)
+    }
+
+    /// Number of stored models.
+    pub fn len(&self) -> usize {
+        self.models.len()
+    }
+
+    /// True when no models are stored.
+    pub fn is_empty(&self) -> bool {
+        self.models.is_empty()
+    }
+
+    /// Serving statistics so far.
+    pub fn stats(&self) -> RepositoryStats {
+        self.stats
     }
 
     /// The stored key `serve` would answer for `bench` under the current
@@ -413,9 +482,57 @@ impl Shard {
         None
     }
 
-    /// Serve a stored model or record a miss (see
-    /// [`TuningModelRepository::serve_stored`]).
-    fn serve_stored(&mut self, bench: &BenchmarkSpec) -> Result<Option<ServedModel>, RuntimeError> {
+    /// Serve a model for a job about to run `bench`.
+    ///
+    /// A stored model whose key matches (exactly, or at application level
+    /// under [`MatchPolicy::Application`]) is returned with its
+    /// provenance (a replicated entry is parsed on its first serve); the
+    /// reported [`ModelSource`] is the stored entry's origin (design-time
+    /// repository or online tuner). On a miss the calibration fallback —
+    /// if configured — is wrapped as a zero-scenario model whose phase
+    /// configuration is the fallback, so every region of the job runs
+    /// statically at that configuration. Without a fallback the miss is a
+    /// [`RuntimeError::NoModel`].
+    pub fn serve(&mut self, bench: &BenchmarkSpec) -> Result<ServedModel, RuntimeError> {
+        if let Some(served) = self.serve_stored(bench)? {
+            return Ok(served);
+        }
+        self.serve_fallback(bench)
+    }
+
+    /// Serve the calibration fallback for `bench` without a storage
+    /// lookup — the companion to [`Self::serve_stored`] for callers whose
+    /// miss handling ultimately falls back anyway (the cluster
+    /// scheduler's degraded path after a failed online calibration). The
+    /// miss was already recorded by `serve_stored`; this only counts the
+    /// fallback serve, never a second miss. Errors with
+    /// [`RuntimeError::NoModel`] when no fallback is configured.
+    pub fn serve_fallback(&mut self, bench: &BenchmarkSpec) -> Result<ServedModel, RuntimeError> {
+        match self.fallback {
+            Some(config) => {
+                self.stats.fallbacks += 1;
+                Ok(ServedModel::fallback(TuningModel::new(
+                    &bench.name,
+                    &[],
+                    config,
+                )))
+            }
+            None => Err(RuntimeError::NoModel {
+                application: bench.name.clone(),
+                fingerprint: bench.fingerprint(),
+            }),
+        }
+    }
+
+    /// Serve a stored model for `bench`, or record a miss and return
+    /// `Ok(None)` without consulting the fallback — the serve primitive
+    /// for callers with their own miss handling (the cluster scheduler's
+    /// online-calibration path). Corrupt entries still surface as
+    /// [`RuntimeError::Parse`].
+    pub fn serve_stored(
+        &mut self,
+        bench: &BenchmarkSpec,
+    ) -> Result<Option<ServedModel>, RuntimeError> {
         let Some((key, exact)) = self.resolve(bench) else {
             self.stats.misses += 1;
             return Ok(None);
@@ -442,194 +559,6 @@ impl Shard {
             source,
             provenance,
         }))
-    }
-
-    /// Serve the calibration fallback (see
-    /// [`TuningModelRepository::serve_fallback`]). Counts only the
-    /// fallback serve — never a second miss for a lookup that
-    /// `serve_stored` already recorded.
-    fn serve_fallback(&mut self, bench: &BenchmarkSpec) -> Result<ServedModel, RuntimeError> {
-        match self.fallback {
-            Some(config) => {
-                self.stats.fallbacks += 1;
-                Ok(ServedModel::fallback(TuningModel::new(
-                    &bench.name,
-                    &[],
-                    config,
-                )))
-            }
-            None => Err(RuntimeError::NoModel {
-                application: bench.name.clone(),
-                fingerprint: bench.fingerprint(),
-            }),
-        }
-    }
-
-    /// Full serve: stored model or calibration fallback (see
-    /// [`TuningModelRepository::serve`]).
-    fn serve(&mut self, bench: &BenchmarkSpec) -> Result<ServedModel, RuntimeError> {
-        if let Some(served) = self.serve_stored(bench)? {
-            return Ok(served);
-        }
-        self.serve_fallback(bench)
-    }
-}
-
-/// Stores tuning models and serves them per job.
-///
-/// Models published in-process are kept as values; an entry replicated
-/// in off the wire keeps its JSON (what a `SCOREP_RRL_TMM_PATH` file
-/// contains) until its first serve parses it, and a corrupt one surfaces
-/// as [`RuntimeError::Parse`] at serve time instead of a panic.
-///
-/// This is the one repository type — a thin `&mut self` wrapper over
-/// exactly one `Shard`. A [`crate::Replica`] holds one too, so a
-/// replicated fleet serves under the same semantics, capacity bound
-/// included.
-#[derive(Debug, Default)]
-pub struct TuningModelRepository {
-    pub(crate) shard: Shard,
-}
-
-impl TuningModelRepository {
-    /// Empty repository with no fallback and unbounded capacity.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Serve `config` as a static single-scenario model whenever no
-    /// stored model matches (builder form).
-    #[must_use]
-    pub fn with_fallback(mut self, config: SystemConfig) -> Self {
-        self.shard.fallback = Some(config);
-        self
-    }
-
-    /// Bound the repository to at most `capacity` stored models; storing
-    /// beyond the bound evicts the least-recently-used entry (builder
-    /// form). A capacity of zero is treated as unbounded.
-    #[must_use]
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.shard.capacity = (capacity > 0).then_some(capacity);
-        self
-    }
-
-    /// Select the serve-time key matching policy (builder form).
-    #[must_use]
-    pub fn with_match_policy(mut self, policy: MatchPolicy) -> Self {
-        self.shard.policy = policy;
-        self
-    }
-
-    /// Set or replace the calibration fallback configuration.
-    pub fn set_fallback(&mut self, config: SystemConfig) {
-        self.shard.fallback = Some(config);
-    }
-
-    /// The configured fallback, if any.
-    pub fn fallback(&self) -> Option<SystemConfig> {
-        self.shard.fallback
-    }
-
-    /// The configured capacity bound, if any.
-    pub fn capacity(&self) -> Option<usize> {
-        self.shard.capacity
-    }
-
-    /// The serve-time key matching policy.
-    pub fn match_policy(&self) -> MatchPolicy {
-        self.shard.policy
-    }
-
-    /// Store the tuning model a design-time session produced, under the
-    /// advice's own application + fingerprint — the design-time → runtime
-    /// handoff. The advice's per-region energies become the entry's drift
-    /// expectations. Returns the assigned version.
-    pub fn publish(&mut self, advice: &Advice) -> u32 {
-        self.shard.publish(advice)
-    }
-
-    /// Store a model the runtime's online tuner converged for `bench`,
-    /// with its measured per-region energy expectations. Returns the
-    /// assigned version (1 for a first publication, otherwise the stored
-    /// version + 1).
-    pub fn publish_online(
-        &mut self,
-        bench: &BenchmarkSpec,
-        model: &TuningModel,
-        expected: Vec<(String, f64)>,
-    ) -> u32 {
-        self.shard.publish_online(bench, model, expected)
-    }
-
-    /// Store a tuning model for a benchmark (replaces any previous entry
-    /// for the same workload; no drift expectations are recorded).
-    pub fn insert(&mut self, bench: &BenchmarkSpec, model: &TuningModel) {
-        self.shard.insert(bench, model);
-    }
-
-    /// Whether a stored model matches this benchmark's workload exactly.
-    pub fn contains(&self, bench: &BenchmarkSpec) -> bool {
-        self.shard.contains(bench)
-    }
-
-    /// Provenance of the stored entry for this benchmark's exact
-    /// workload, if any.
-    pub fn provenance(&self, bench: &BenchmarkSpec) -> Option<&ModelProvenance> {
-        self.shard.provenance(bench)
-    }
-
-    /// Number of stored models.
-    pub fn len(&self) -> usize {
-        self.shard.models.len()
-    }
-
-    /// True when no models are stored.
-    pub fn is_empty(&self) -> bool {
-        self.shard.models.is_empty()
-    }
-
-    /// Serving statistics so far.
-    pub fn stats(&self) -> RepositoryStats {
-        self.shard.stats
-    }
-
-    /// Serve a model for a job about to run `bench`.
-    ///
-    /// A stored model whose key matches (exactly, or at application level
-    /// under [`MatchPolicy::Application`]) is returned with its
-    /// provenance (a replicated entry is parsed on its first serve); the
-    /// reported [`ModelSource`] is the stored entry's origin (design-time
-    /// repository or online tuner). On a miss the calibration fallback —
-    /// if configured — is wrapped as a zero-scenario model whose phase
-    /// configuration is the fallback, so every region of the job runs
-    /// statically at that configuration. Without a fallback the miss is a
-    /// [`RuntimeError::NoModel`].
-    pub fn serve(&mut self, bench: &BenchmarkSpec) -> Result<ServedModel, RuntimeError> {
-        self.shard.serve(bench)
-    }
-
-    /// Serve the calibration fallback for `bench` without a storage
-    /// lookup — the companion to [`Self::serve_stored`] for callers whose
-    /// miss handling ultimately falls back anyway (the cluster
-    /// scheduler's degraded path after a failed online calibration). The
-    /// miss was already recorded by `serve_stored`; this only counts the
-    /// fallback serve. Errors with [`RuntimeError::NoModel`] when no
-    /// fallback is configured.
-    pub fn serve_fallback(&mut self, bench: &BenchmarkSpec) -> Result<ServedModel, RuntimeError> {
-        self.shard.serve_fallback(bench)
-    }
-
-    /// Serve a stored model for `bench`, or record a miss and return
-    /// `Ok(None)` without consulting the fallback — the serve primitive
-    /// for callers with their own miss handling (the cluster scheduler's
-    /// online-calibration path). Corrupt entries still surface as
-    /// [`RuntimeError::Parse`].
-    pub fn serve_stored(
-        &mut self,
-        bench: &BenchmarkSpec,
-    ) -> Result<Option<ServedModel>, RuntimeError> {
-        self.shard.serve_stored(bench)
     }
 }
 
@@ -796,7 +725,7 @@ mod tests {
     fn corrupt_entry_surfaces_as_parse_error_and_is_counted() {
         let b = bench();
         let mut repo = TuningModelRepository::new();
-        repo.shard.models.insert(
+        repo.models.insert(
             ModelKey::of(&b),
             StoredEntry {
                 model: EntryModel::Wire("{not json".into()),
@@ -823,7 +752,7 @@ mod tests {
     fn corrupt_wire_entry_errors_on_every_serve() {
         let b = bench();
         let mut repo = TuningModelRepository::new().with_fallback(SystemConfig::taurus_default());
-        repo.shard.store_replicated(
+        repo.store_replicated(
             ModelKey::of(&b),
             "{not json".into(),
             ModelSource::Replicated,

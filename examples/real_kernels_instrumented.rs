@@ -1,12 +1,12 @@
-//! Instrumenting real Rayon kernels.
+//! Instrumenting real host kernels.
 //!
 //! ```text
 //! cargo run --release --example real_kernels_instrumented
 //! ```
 //!
 //! The simulator tunes *descriptions* of workloads; this example shows the
-//! bridge from genuinely running parallel code to such a description: run
-//! the bundled Rayon kernels (triad, blocked DGEMM, Jacobi stencil,
+//! bridge from genuinely running code to such a description: run
+//! the bundled sequential kernels (triad, blocked DGEMM, Jacobi stencil,
 //! Monte-Carlo transport) on the host, derive their analytic
 //! [`RegionCharacter`]s from known operation counts, and tune the
 //! resulting application with an exhaustive-strategy session.
@@ -20,7 +20,7 @@ use dvfs_ufs_tuning::scorep_lite::dyn_detect::DynDetectConfig;
 use dvfs_ufs_tuning::simnode::Node;
 
 fn main() {
-    // --- actually run the kernels on the host (Rayon-parallel) ---
+    // --- actually run the kernels on the host (sequentially) ---
     let n = 1 << 22;
     let bsrc = vec![1.0; n];
     let csrc = vec![2.0; n];

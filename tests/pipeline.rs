@@ -2,7 +2,7 @@
 //! from benchmark description through DTA to RRL production runs.
 
 use dvfs_ufs_tuning::kernels;
-use dvfs_ufs_tuning::ptf::{EnergyModel, TuningModel, TuningPlugin, TuningSession};
+use dvfs_ufs_tuning::ptf::{EnergyModel, TuningModel, TuningSession};
 use dvfs_ufs_tuning::rrl::{ModelSource, RuntimeSession, Savings, ServedModel, TuningModelManager};
 use dvfs_ufs_tuning::scorep_lite::{InstrumentationConfig, InstrumentedApp};
 use dvfs_ufs_tuning::simnode::{Node, SystemConfig};
@@ -66,23 +66,24 @@ fn dta_to_rrl_round_trip_via_tuning_model_file() {
     std::fs::remove_file(&path).ok();
 }
 
+/// `TuningSession` is the Tuning Plugin Interface lifecycle
+/// (`initialize` … `getAdvice`) as a typestate.
 #[test]
 fn plugin_interface_drives_the_same_pipeline() {
-    use dvfs_ufs_tuning::ptf::DvfsUfsPlugin;
     let node = Node::exact(0);
-    let mut plugin = DvfsUfsPlugin::new(model(&node));
-    plugin.initialize(&kernels::benchmark("BEM4I").unwrap());
-    let report = plugin.tune(&node).expect("tune after initialize succeeds");
+    let model = model(&node);
+    let advice = TuningSession::builder(&node)
+        .with_model(&model)
+        .run(&kernels::benchmark("BEM4I").unwrap())
+        .expect("session succeeds");
     assert_eq!(
-        report.config_file.significant_regions.len(),
+        advice.config_file.significant_regions.len(),
         4,
         "BEM4I has 4 significant regions"
     );
-    let tm = plugin
-        .tuning_model()
-        .expect("tuning model available after tune()");
+    let tm = &advice.tuning_model;
     // Every significant region resolves to a scenario config.
-    for region in report.config_file.region_names() {
+    for region in advice.config_file.region_names() {
         let cfg = tm.lookup(region);
         assert!(cfg.threads >= 12 && cfg.threads <= 24);
     }
