@@ -555,7 +555,7 @@ pub fn table6_static_vs_dynamic() -> String {
     for cmp in &rows {
         let acc = &cmp.dynamic_accounting;
         let total = acc.regions_node_energy_j();
-        let mut regions = acc.regions.rows();
+        let mut regions: Vec<_> = acc.regions.iter().collect();
         regions.sort_by(|a, b| b.node_energy_j.total_cmp(&a.node_energy_j));
         let _ = write!(out, "{:<13} |", cmp.benchmark);
         for r in regions.iter().take(3) {

@@ -10,7 +10,7 @@
 //!
 //! Three layers:
 //!
-//! 1. **Metrics** — a sharded [`Registry`] of counters, gauges, and
+//! 1. **Metrics** — a [`Registry`] of counters, gauges, and
 //!    histograms (histograms reuse [`kernels::QuantileSketch`], so
 //!    percentiles are deterministic and order-independent). Metrics are
 //!    addressed by *static* keys ([`Key`] is `&'static str`) plus an

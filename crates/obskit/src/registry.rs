@@ -1,19 +1,13 @@
-//! The sharded metrics store and its exporters.
+//! The metrics store and its exporters.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, RwLock};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use kernels::QuantileSketch;
 
 use crate::timeline::{TimelineBuffer, TimelineEvent};
 use crate::{json_escape, Key, Recorder, Track, TrackKind, VirtualUs, NO_INDEX};
-
-/// Shard fan-out of the registry map. Updates to distinct keys land on
-/// distinct locks with high probability; within a shard the common path
-/// is a read lock plus one atomic op.
-const SHARDS: usize = 16;
 
 /// Default bound on the timeline ring.
 const DEFAULT_TIMELINE_CAPACITY: usize = 65_536;
@@ -22,19 +16,26 @@ const DEFAULT_TIMELINE_CAPACITY: usize = 65_536;
 /// first; calls with a mismatched kind are ignored rather than
 /// panicking (the registry must never take an instrumented path down).
 enum Cell {
-    Counter(AtomicU64),
-    Gauge(AtomicI64),
-    Histogram(Mutex<QuantileSketch>),
+    Counter(u64),
+    Gauge(i64),
+    Histogram(QuantileSketch),
 }
 
-/// The recording [`Recorder`]: a sharded map of counters, gauges, and
-/// histograms plus a bounded timeline ring. Thread-safe; share it by
-/// reference (or `Arc`) between the instrumented subsystems of one run,
-/// then export with [`Registry::snapshot`] /
+/// Everything a [`Registry`] records, behind its one lock.
+struct Store {
+    series: BTreeMap<(Key, u32), Cell>,
+    timeline: TimelineBuffer,
+}
+
+/// The recording [`Recorder`]: a map of counters, gauges, and
+/// histograms plus a bounded timeline ring, behind one mutex. Every
+/// instrumented subsystem records from the thread driving its run, so
+/// the lock is never contended; it is there so the registry stays
+/// `Send + Sync` and can be shared by reference (or `Arc`) between the
+/// subsystems of one run. Export with [`Registry::snapshot`] /
 /// [`Registry::export_chrome_trace`].
 pub struct Registry {
-    shards: Vec<RwLock<BTreeMap<(Key, u32), Cell>>>,
-    timeline: Mutex<TimelineBuffer>,
+    store: Mutex<Store>,
     epoch: Instant,
 }
 
@@ -55,48 +56,28 @@ impl Registry {
     /// (oldest evicted first; evictions are counted, not silent).
     pub fn with_timeline_capacity(capacity: usize) -> Self {
         Registry {
-            shards: (0..SHARDS).map(|_| RwLock::new(BTreeMap::new())).collect(),
-            timeline: Mutex::new(TimelineBuffer::with_capacity(capacity)),
+            store: Mutex::new(Store {
+                series: BTreeMap::new(),
+                timeline: TimelineBuffer::with_capacity(capacity),
+            }),
             epoch: Instant::now(),
         }
     }
 
-    fn shard_of(&self, key: Key, index: u32) -> usize {
-        // FNV-1a over the key bytes, folded with the series index.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h ^= u64::from(index);
-        h = h.wrapping_mul(0x100_0000_01b3);
-        (h as usize) % self.shards.len()
+    fn store(&self) -> MutexGuard<'_, Store> {
+        self.store.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Run `f` against the cell for `(key, index)`, creating it with
-    /// `make` on first touch. Fast path: read lock + the cell's own
-    /// atomic or mutex; the write lock is taken once per series
-    /// lifetime.
-    fn with_cell<M, F>(&self, key: Key, index: u32, make: M, f: F)
-    where
-        M: FnOnce() -> Cell,
-        F: FnOnce(&Cell),
-    {
-        let shard = &self.shards[self.shard_of(key, index)];
-        {
-            let map = shard.read().unwrap_or_else(|e| e.into_inner());
-            if let Some(cell) = map.get(&(key, index)) {
-                f(cell);
-                return;
-            }
-        }
-        let mut map = shard.write().unwrap_or_else(|e| e.into_inner());
-        let cell = map.entry((key, index)).or_insert_with(make);
-        f(cell);
-    }
-
-    fn timeline_mut(&self) -> MutexGuard<'_, TimelineBuffer> {
-        self.timeline.lock().unwrap_or_else(|e| e.into_inner())
+    /// `make` on first touch.
+    fn with_cell(
+        &self,
+        key: Key,
+        index: u32,
+        make: impl FnOnce() -> Cell,
+        f: impl FnOnce(&mut Cell),
+    ) {
+        f(self.store().series.entry((key, index)).or_insert_with(make));
     }
 
     /// Wall-clock nanoseconds since this registry was created.
@@ -106,13 +87,14 @@ impl Registry {
 
     /// The timeline events currently retained, oldest first.
     pub fn timeline_events(&self) -> Vec<TimelineEvent> {
-        self.timeline_mut().events().copied().collect()
+        self.store().timeline.events().copied().collect()
     }
 
     /// The retained timeline rendered with virtual-time fields only —
     /// the sequence two recorded reruns of the same seed must agree on.
     pub fn deterministic_timeline(&self) -> Vec<String> {
-        self.timeline_mut()
+        self.store()
+            .timeline
             .events()
             .map(TimelineEvent::deterministic_line)
             .collect()
@@ -124,25 +106,22 @@ impl Registry {
         let mut counters = BTreeMap::new();
         let mut gauges = BTreeMap::new();
         let mut histograms = BTreeMap::new();
-        for shard in &self.shards {
-            let map = shard.read().unwrap_or_else(|e| e.into_inner());
-            for (&(key, index), cell) in map.iter() {
-                let name = series_name(key, index);
-                match cell {
-                    Cell::Counter(v) => {
-                        counters.insert(name, v.load(Ordering::Relaxed));
-                    }
-                    Cell::Gauge(v) => {
-                        gauges.insert(name, v.load(Ordering::Relaxed));
-                    }
-                    Cell::Histogram(sketch) => {
-                        let sketch = sketch.lock().unwrap_or_else(|e| e.into_inner());
-                        histograms.insert(name, HistogramSnapshot::from_sketch(&sketch));
-                    }
+        let store = self.store();
+        for (&(key, index), cell) in &store.series {
+            let name = series_name(key, index);
+            match cell {
+                Cell::Counter(v) => {
+                    counters.insert(name, *v);
+                }
+                Cell::Gauge(v) => {
+                    gauges.insert(name, *v);
+                }
+                Cell::Histogram(sketch) => {
+                    histograms.insert(name, HistogramSnapshot::from_sketch(sketch));
                 }
             }
         }
-        let timeline = self.timeline_mut();
+        let timeline = &store.timeline;
         MetricsSnapshot {
             counters: counters.into_iter().collect(),
             gauges: gauges.into_iter().collect(),
@@ -194,10 +173,10 @@ impl Recorder for Registry {
         self.with_cell(
             key,
             index,
-            || Cell::Counter(AtomicU64::new(0)),
+            || Cell::Counter(0),
             |cell| {
                 if let Cell::Counter(v) = cell {
-                    v.fetch_add(delta, Ordering::Relaxed);
+                    *v = v.wrapping_add(delta);
                 }
             },
         );
@@ -207,10 +186,10 @@ impl Recorder for Registry {
         self.with_cell(
             key,
             index,
-            || Cell::Gauge(AtomicI64::new(0)),
+            || Cell::Gauge(0),
             |cell| {
                 if let Cell::Gauge(v) = cell {
-                    v.store(value, Ordering::Relaxed);
+                    *v = value;
                 }
             },
         );
@@ -220,13 +199,10 @@ impl Recorder for Registry {
         self.with_cell(
             key,
             index,
-            || Cell::Histogram(Mutex::new(QuantileSketch::new())),
+            || Cell::Histogram(QuantileSketch::new()),
             |cell| {
                 if let Cell::Histogram(sketch) = cell {
-                    sketch
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .record(value);
+                    sketch.record(value);
                 }
             },
         );
@@ -234,7 +210,7 @@ impl Recorder for Registry {
 
     fn span(&self, track: Track, name: Key, ts_us: VirtualUs, dur_us: u64) {
         let wall_ns = self.wall_ns();
-        self.timeline_mut().push(TimelineEvent::Span {
+        self.store().timeline.push(TimelineEvent::Span {
             track,
             name,
             ts_us,
@@ -244,7 +220,8 @@ impl Recorder for Registry {
     }
 
     fn instant(&self, track: Track, name: Key, ts_us: VirtualUs) {
-        self.timeline_mut()
+        self.store()
+            .timeline
             .push(TimelineEvent::Instant { track, name, ts_us });
     }
 

@@ -102,7 +102,7 @@ pub use repository::{
     MatchPolicy, ModelKey, ModelProvenance, ModelSource, RepositoryHandle, RepositoryStats,
     ServedModel, TuningModelRepository,
 };
-pub use sacct::{JobAccounting, JobRecord, OnlineActivity, RegionAccounting, RegionColumns};
+pub use sacct::{JobAccounting, JobRecord, OnlineActivity, RegionAccounting};
 pub use savings::{compare_static_dynamic, BenchmarkComparison, ComparisonError, Savings};
 pub use service::{
     GossipConfig, JobArrival, Percentiles, ReplicationSummary, ServiceConfig, ServiceSummary,

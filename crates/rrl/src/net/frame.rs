@@ -151,8 +151,8 @@ impl std::error::Error for NetError {}
 
 /// Every message of the replication protocol.
 ///
-/// The handshake triple (`Connect*`, `Negotiate*`) and the close pair
-/// drive the client-session FSM in [`crate::net::session`]; the digest
+/// The handshake messages (`Connect*`, `Negotiate*`) drive the
+/// client-session FSM in [`crate::net::session`]; the digest
 /// exchange (`DigestOffer` → `DigestReply` → `PushModels`) is the
 /// anti-entropy payload a session carries once `Established`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -203,10 +203,6 @@ pub enum Message {
         /// Applications the requester wants filled in.
         applications: Vec<String>,
     },
-    /// Client → responder: tear the session down.
-    CloseRequest,
-    /// Responder → client: teardown acknowledged.
-    CloseAck,
 }
 
 /// Frame a message for the wire. Panics never: a message always has a
@@ -308,8 +304,6 @@ mod tests {
             Message::PullModels {
                 applications: vec!["miniMD".into(), "Lulesh".into()],
             },
-            Message::CloseRequest,
-            Message::CloseAck,
         ]
     }
 
@@ -452,10 +446,10 @@ mod tests {
             (NetError::Malformed("x".into()), "malformed"),
             (
                 NetError::InvalidTransition {
-                    state: "Closed",
-                    event: "close",
+                    state: "Established",
+                    event: "connect",
                 },
-                "Closed",
+                "Established",
             ),
             (
                 NetError::SessionTimeout {

@@ -13,17 +13,20 @@
 //!   functions of `(fault plan, message id, tick)` via the
 //!   [`FaultInjector`](crate::FaultInjector) network hooks.
 //! * [`session`] — the per-peer client FSM
-//!   (`Closed → Connecting → Negotiating → Established → Closing`),
-//!   with virtual-time timeouts and bounded retransmission, in the
-//!   spirit of PPP's LCP: negotiate first, move data only once both
-//!   sides agree on a protocol version.
+//!   (`Closed → Connecting → Negotiating → Established`), with
+//!   virtual-time timeouts and bounded retransmission, in the spirit of
+//!   PPP's LCP: negotiate first, move data only once both sides agree
+//!   on a protocol version. A session stays `Established` until an
+//!   endpoint crashes; there is no close handshake.
 //! * [`reconcile`] — [`Stamp`] ordering (version first, publisher id as
 //!   the tie-break), [`VersionVector`] high-water tracking and the
 //!   replicated entry/digest types. The total order on stamps is what
 //!   makes every replica pick the same winner.
 //! * [`replica`] — [`Replica`] (a repository plus replication state)
-//!   and [`ReplicaSet`], which drives anti-entropy digest sync over the
-//!   transport until every replica holds a bit-identical model map.
+//!   and [`ReplicaSet`], whose gossip rounds drive anti-entropy digest
+//!   sync over the transport; [`ReplicaSet::converge`] repeats them
+//!   until the set is quiet and every replica holds a bit-identical
+//!   model map.
 //!
 //! The scheduler consumes all of this through one seam:
 //! [`RepositoryHandle`](crate::repository::RepositoryHandle), which

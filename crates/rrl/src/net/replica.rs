@@ -22,12 +22,14 @@
 //! new transport ids, so a seeded drop plan can delay sync but never
 //! livelock it.
 //!
-//! [`ReplicaSet::converge`] runs two phases: sync until the transport
-//! is quiet, every session `Established` and every link clean; then
-//! teardown until every session is `Closed` (best-effort: a teardown
-//! timeout force-closes). Quiesced replica sets therefore satisfy the
-//! testkit invariants — identical model maps everywhere and no session
-//! in a non-terminal state.
+//! One [`ReplicaSet::gossip_round`] is one transport tick: an outbound
+//! sweep per live replica, then delivery. The in-loop service runs
+//! rounds on a virtual-time cadence; [`ReplicaSet::converge`] runs them
+//! back to back. Both stop once the set is [`ReplicaSet::quiesced`]:
+//! the transport is quiet, every live pair's session is `Established`
+//! and every link is clean — so every replica holds an identical model
+//! map. Sessions stay open afterwards; a later publication gossips over
+//! them without a new handshake.
 
 use std::collections::BTreeMap;
 
@@ -57,7 +59,11 @@ pub struct ReplicaConfig {
     pub fallback: Option<SystemConfig>,
     /// Session retransmission policy.
     pub session: SessionConfig,
-    /// Virtual-tick budget for one [`ReplicaSet::converge`] call.
+    /// Gossip-round budget (one round is one virtual tick) for one
+    /// [`ReplicaSet::converge`] call or one
+    /// [`ClusterScheduler::run_service_replicated`](crate::ClusterScheduler::run_service_replicated)
+    /// run. A set still not quiesced when it runs out errors with
+    /// [`NetError::ConvergeTimeout`].
     pub max_ticks: u64,
 }
 
@@ -67,7 +73,7 @@ impl Default for ReplicaConfig {
             capacity: 0,
             fallback: None,
             session: SessionConfig::default(),
-            max_ticks: 50_000,
+            max_ticks: 100_000,
         }
     }
 }
@@ -81,6 +87,14 @@ struct PeerLink {
     /// An offer is outstanding: `(re-offer deadline, log revision the
     /// offer described)`.
     offer: Option<(u64, u64)>,
+}
+
+impl PeerLink {
+    /// Established, clean and with no offer outstanding: nothing left
+    /// to sync over this link.
+    fn settled(&self) -> bool {
+        self.session.state() == SessionState::Established && !self.dirty && self.offer.is_none()
+    }
 }
 
 /// Replication counters for one replica.
@@ -369,7 +383,6 @@ impl Replica {
                     .collect();
                 (!entries.is_empty()).then_some(Message::PushModels { entries })
             }
-            Message::CloseRequest => Some(Message::CloseAck),
             // Client-side messages never reach the responder path.
             _ => None,
         }
@@ -446,7 +459,7 @@ impl RepositoryHandle for Replica {
 /// What one [`ReplicaSet::converge`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvergeReport {
-    /// Virtual ticks the sync + teardown phases took.
+    /// Virtual ticks (gossip rounds) the call took.
     pub ticks: u64,
     /// Transport counters accumulated over the set's lifetime.
     pub transport: TransportStats,
@@ -465,7 +478,8 @@ pub struct ReplicaSet<'a> {
     replicas: Vec<Replica>,
     transport: SimTransport<'a>,
     recorder: Option<&'a dyn Recorder>,
-    max_ticks: u64,
+    /// [`ReplicaConfig::max_ticks`]; the service loop reads it too.
+    pub(crate) max_ticks: u64,
 }
 
 impl std::fmt::Debug for ReplicaSet<'_> {
@@ -504,9 +518,8 @@ impl<'a> ReplicaSet<'a> {
     /// Attach a telemetry recorder (builder form): the transport mirrors
     /// its counters as `net.*` series, every session FSM transition bumps
     /// `net.session_transitions/<replica>`, and each
-    /// [`ReplicaSet::converge`] call emits `converge.sync` and
-    /// `converge.teardown` spans on the net track (timestamps are
-    /// virtual transport ticks).
+    /// [`ReplicaSet::converge`] call emits a `converge.sync` span on the
+    /// net track (timestamps are virtual transport ticks).
     #[must_use]
     pub fn with_recorder(mut self, recorder: &'a dyn Recorder) -> Self {
         self.recorder = Some(recorder);
@@ -570,51 +583,25 @@ impl<'a> ReplicaSet<'a> {
             .collect()
     }
 
-    /// Run anti-entropy sync to quiescence, then tear every session
-    /// down. Errors with [`NetError::ConvergeTimeout`] if either phase
-    /// outlives the configured tick budget (a symptom, e.g., of a
+    /// Run gossip rounds until the set is [`ReplicaSet::quiesced`]; an
+    /// already quiesced set sends nothing. Errors with
+    /// [`NetError::ConvergeTimeout`] if the set is still not quiet after
+    /// [`ReplicaConfig::max_ticks`] rounds (a symptom, e.g., of a
     /// partition that never heals).
     pub fn converge(&mut self) -> Result<ConvergeReport, NetError> {
         let start = self.transport.now();
-        loop {
+        while !self.quiesced() {
             if self.transport.now() - start >= self.max_ticks {
                 return Err(NetError::ConvergeTimeout {
                     ticks: self.transport.now() - start,
-                    culprit: self.blame(false),
+                    culprit: self.blame(),
                 });
             }
-            self.pump(false)?;
-            self.transport.step();
-            self.deliver()?;
-            if self.quiesced() {
-                break;
-            }
+            self.gossip_round()?;
         }
-        let sync_end = self.transport.now();
+        let ticks = self.transport.now() - start;
         if let Some(recorder) = self.recorder {
-            recorder.span(Track::net(), "converge.sync", start, sync_end - start);
-        }
-        loop {
-            if self.transport.now() - start >= self.max_ticks {
-                return Err(NetError::ConvergeTimeout {
-                    ticks: self.transport.now() - start,
-                    culprit: self.blame(true),
-                });
-            }
-            self.pump(true)?;
-            self.transport.step();
-            self.deliver()?;
-            if self.torn_down() {
-                break;
-            }
-        }
-        if let Some(recorder) = self.recorder {
-            recorder.span(
-                Track::net(),
-                "converge.teardown",
-                sync_end,
-                self.transport.now() - sync_end,
-            );
+            recorder.span(Track::net(), "converge.sync", start, ticks);
         }
         let (mut applied, mut superseded) = (0, 0);
         let (mut retransmits, mut resets) = (0, 0);
@@ -629,7 +616,7 @@ impl<'a> ReplicaSet<'a> {
             }
         }
         Ok(ConvergeReport {
-            ticks: self.transport.now() - start,
+            ticks,
             transport: self.transport.stats(),
             applied,
             superseded,
@@ -638,95 +625,10 @@ impl<'a> ReplicaSet<'a> {
         })
     }
 
-    /// One outbound sweep: connects, offers, retransmits — or, in the
-    /// teardown phase, closes.
-    fn pump(&mut self, teardown: bool) -> Result<(), NetError> {
+    /// One outbound sweep over every live replica.
+    fn pump(&mut self) -> Result<(), NetError> {
         for id in 0..self.replicas.len() as u32 {
-            if !self.replicas[id as usize].down {
-                self.pump_one(id, teardown)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// One replica's outbound sweep: connects, offers, retransmits.
-    fn pump_one(&mut self, id: u32, teardown: bool) -> Result<(), NetError> {
-        let now = self.transport.now();
-        let down: Vec<bool> = self.replicas.iter().map(|r| r.down).collect();
-        let Self {
-            replicas,
-            transport,
-            recorder,
-            ..
-        } = self;
-        let recorder = *recorder;
-        {
-            let replica = &mut replicas[id as usize];
-            let from = replica.id;
-            let log_rev = replica.log_rev;
-            let digests = replica.digests();
-            for (peer, link) in replica.links.iter_mut() {
-                // Links to a crashed peer stay Closed (its sessions were
-                // dropped with it) — reconnecting before it restarts
-                // would only burn retransmit budget.
-                if down[*peer as usize] {
-                    continue;
-                }
-                let mut outbound: Vec<Message> = Vec::new();
-                match link.session.state() {
-                    SessionState::Closed => {
-                        if !teardown {
-                            outbound.push(link.session.connect(now)?);
-                            if let Some(recorder) = recorder {
-                                recorder.counter_add_at("net.session_transitions", from, 1);
-                            }
-                        }
-                    }
-                    SessionState::Established => {
-                        if teardown {
-                            outbound.push(link.session.close(now)?);
-                            if let Some(recorder) = recorder {
-                                recorder.counter_add_at("net.session_transitions", from, 1);
-                            }
-                            link.offer = None;
-                        } else {
-                            match link.offer {
-                                Some((deadline, _)) if now >= deadline => {
-                                    link.offer = Some((now + replica.offer_timeout, log_rev));
-                                    outbound.push(Message::DigestOffer {
-                                        digests: digests.clone(),
-                                    });
-                                }
-                                Some(_) => {}
-                                None => {
-                                    if link.dirty {
-                                        link.offer = Some((now + replica.offer_timeout, log_rev));
-                                        outbound.push(Message::DigestOffer {
-                                            digests: digests.clone(),
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    SessionState::Connecting | SessionState::Negotiating => {
-                        if teardown {
-                            outbound.push(link.session.close(now)?);
-                            if let Some(recorder) = recorder {
-                                recorder.counter_add_at("net.session_transitions", from, 1);
-                            }
-                        }
-                    }
-                    SessionState::Closing => {}
-                }
-                match link.session.poll(now) {
-                    SessionPoll::Retransmit(message) => outbound.push(message),
-                    SessionPoll::Idle | SessionPoll::TimedOut { .. } => {}
-                }
-                for message in outbound {
-                    transport.send(from, *peer, encode(&message))?;
-                }
-            }
+            self.pump_replica(id)?;
         }
         Ok(())
     }
@@ -755,8 +657,7 @@ impl<'a> ReplicaSet<'a> {
                     | Message::NegotiateRequest { .. }
                     | Message::DigestOffer { .. }
                     | Message::PushModels { .. }
-                    | Message::PullModels { .. }
-                    | Message::CloseRequest => replica.respond(message),
+                    | Message::PullModels { .. } => replica.respond(message),
                     Message::DigestReply { want, entries } => {
                         replica.handle_reply(delivery.from, want, entries)
                     }
@@ -780,7 +681,7 @@ impl<'a> ReplicaSet<'a> {
                                 link.dirty = true;
                                 None
                             }
-                            SessionEvent::Closed | SessionEvent::Ignored => None,
+                            SessionEvent::Ignored => None,
                         }
                     }
                 };
@@ -792,9 +693,9 @@ impl<'a> ReplicaSet<'a> {
         Ok(())
     }
 
-    /// Sync-phase fixpoint: nothing in flight, nothing queued, every
-    /// alive↔alive session established, every such link clean with no
-    /// offer pending. Links touching a crashed replica are exempt —
+    /// The anti-entropy fixpoint: nothing in flight, nothing queued,
+    /// every alive↔alive session established, every such link clean with
+    /// no offer pending. Links touching a crashed replica are exempt —
     /// they sit Closed until it restarts. This is also the in-loop
     /// gossip parking condition: when it holds, a service run stops
     /// scheduling rounds until a publication, read-repair request or
@@ -802,54 +703,28 @@ impl<'a> ReplicaSet<'a> {
     pub fn quiesced(&self) -> bool {
         self.transport.quiet()
             && self.replicas.iter().filter(|r| !r.down).all(|r| {
-                r.links.iter().all(|(peer, l)| {
-                    self.replicas[*peer as usize].down
-                        || (l.session.state() == SessionState::Established
-                            && !l.dirty
-                            && l.offer.is_none())
-                })
+                r.links
+                    .iter()
+                    .all(|(peer, l)| self.replicas[*peer as usize].down || l.settled())
             })
     }
 
-    /// Teardown fixpoint: nothing moving and every alive↔alive session
-    /// closed.
-    fn torn_down(&self) -> bool {
-        self.transport.quiet()
-            && self.replicas.iter().filter(|r| !r.down).all(|r| {
-                r.links.iter().all(|(peer, l)| {
-                    self.replicas[*peer as usize].down || l.session.state() == SessionState::Closed
-                })
-            })
-    }
-
-    /// Name the link most to blame for a stalled converge: among links
-    /// not yet settled for the phase, the one that burned the most
-    /// retransmit budget (ties resolve to the lowest `(replica, peer)`
-    /// pair via deterministic iteration order). `None` only when every
-    /// link is settled — i.e. the stall is in-flight transport traffic.
-    fn blame(&self, teardown: bool) -> Option<ConvergeCulprit> {
+    /// Name the link most to blame for a stall: among unsettled
+    /// alive↔alive links, the one that burned the most retransmit budget
+    /// (ties resolve to the lowest `(replica, peer)` pair via
+    /// deterministic iteration order). `None` only when every link is
+    /// settled — i.e. the stall is in-flight transport traffic. Both
+    /// [`ReplicaSet::converge`] and the in-loop service name their
+    /// [`NetError::ConvergeTimeout`] culprit with it.
+    pub(crate) fn blame(&self) -> Option<ConvergeCulprit> {
         let mut worst: Option<ConvergeCulprit> = None;
         for r in self.replicas.iter().filter(|r| !r.down) {
             for (peer, link) in &r.links {
-                if self.replicas[*peer as usize].down {
-                    continue;
-                }
-                let settled = if teardown {
-                    link.session.state() == SessionState::Closed
-                } else {
-                    link.session.state() == SessionState::Established
-                        && !link.dirty
-                        && link.offer.is_none()
-                };
-                if settled {
+                if self.replicas[*peer as usize].down || link.settled() {
                     continue;
                 }
                 let resets = link.session.resets();
-                let better = match &worst {
-                    None => true,
-                    Some(w) => resets > w.resets,
-                };
-                if better {
+                if worst.as_ref().is_none_or(|w| resets > w.resets) {
                     worst = Some(ConvergeCulprit {
                         replica: r.id,
                         peer: *peer,
@@ -862,18 +737,19 @@ impl<'a> ReplicaSet<'a> {
         worst
     }
 
-    /// One in-loop gossip round: an outbound sweep for every alive
-    /// replica (connects, digest offers, retransmits), one transport
-    /// tick, one delivery sweep. The building block
-    /// [`ClusterScheduler`](crate::ClusterScheduler) service runs
-    /// schedule on a virtual-time cadence — session timeouts are
+    /// One gossip round: an outbound sweep for every alive replica
+    /// (connects, digest offers, retransmits), one transport tick, one
+    /// delivery sweep. [`ReplicaSet::converge`] repeats it until the set
+    /// quiesces; [`ClusterScheduler`](crate::ClusterScheduler) service
+    /// runs schedule it on a virtual-time cadence — session timeouts are
     /// therefore measured in *rounds*, not in service microseconds.
     pub fn gossip_round(&mut self) -> Result<(), NetError> {
-        self.pump(false)?;
+        self.pump()?;
         self.deliver_round()
     }
 
-    /// One replica's outbound gossip sweep — the per-replica half of a
+    /// One replica's outbound gossip sweep — connects, digest offers,
+    /// retransmits; the per-replica half of a
     /// [`ReplicaSet::gossip_round`], exposed so the in-loop service can
     /// drive one gossip process event per replica on the kernel. A
     /// crashed (or unknown) replica pumps nothing.
@@ -881,7 +757,58 @@ impl<'a> ReplicaSet<'a> {
         if self.replicas.get(id as usize).is_none_or(|r| r.down) {
             return Ok(());
         }
-        self.pump_one(id, false)
+        let now = self.transport.now();
+        let down: Vec<bool> = self.replicas.iter().map(|r| r.down).collect();
+        let Self {
+            replicas,
+            transport,
+            recorder,
+            ..
+        } = self;
+        let recorder = *recorder;
+        let replica = &mut replicas[id as usize];
+        let from = replica.id;
+        let log_rev = replica.log_rev;
+        let digests = replica.digests();
+        for (peer, link) in replica.links.iter_mut() {
+            // Links to a crashed peer stay Closed (its sessions were
+            // dropped with it) — reconnecting before it restarts would
+            // only burn retransmit budget.
+            if down[*peer as usize] {
+                continue;
+            }
+            let mut outbound: Vec<Message> = Vec::new();
+            match link.session.state() {
+                SessionState::Closed => {
+                    outbound.push(link.session.connect(now)?);
+                    if let Some(recorder) = recorder {
+                        recorder.counter_add_at("net.session_transitions", from, 1);
+                    }
+                }
+                SessionState::Established => {
+                    // Offer when dirty, re-offer when the last one timed out.
+                    let due = match link.offer {
+                        Some((deadline, _)) => now >= deadline,
+                        None => link.dirty,
+                    };
+                    if due {
+                        link.offer = Some((now + replica.offer_timeout, log_rev));
+                        outbound.push(Message::DigestOffer {
+                            digests: digests.clone(),
+                        });
+                    }
+                }
+                SessionState::Connecting | SessionState::Negotiating => {}
+            }
+            match link.session.poll(now) {
+                SessionPoll::Retransmit(message) => outbound.push(message),
+                SessionPoll::Idle | SessionPoll::TimedOut { .. } => {}
+            }
+            for message in outbound {
+                transport.send(from, *peer, encode(&message))?;
+            }
+        }
+        Ok(())
     }
 
     /// The delivery half of a gossip round: advance the transport one
@@ -890,14 +817,6 @@ impl<'a> ReplicaSet<'a> {
     pub fn deliver_round(&mut self) -> Result<(), NetError> {
         self.transport.step();
         self.deliver()
-    }
-
-    /// Name the link most to blame for a sync-phase stall — the in-loop
-    /// service's counterpart of the [`ReplicaSet::converge`] timeout
-    /// culprit. `None` when every alive↔alive link is settled (the
-    /// stall, if any, is in-flight transport traffic).
-    pub fn stall_culprit(&self) -> Option<ConvergeCulprit> {
-        self.blame(false)
     }
 
     /// Crash replica `id`: its repository, log and version vector are
@@ -1055,7 +974,7 @@ mod tests {
     }
 
     #[test]
-    fn healthy_pair_converges_a_publication_and_tears_down() {
+    fn healthy_pair_converges_a_publication() {
         let mut set = set(2);
         let b = bench("miniMD");
         let stamp = set.replica_mut(0).unwrap().publish_model(
@@ -1096,11 +1015,18 @@ mod tests {
             .expect("replicated entries carry provenance");
         assert_eq!(prov.version, 1);
 
-        // Teardown left no session mid-handshake.
+        // The pair stays connected: a later publication gossips without
+        // a new handshake.
         assert!(set
             .session_states()
             .iter()
-            .all(|(_, _, s)| *s == SessionState::Closed));
+            .all(|(_, _, s)| *s == SessionState::Established));
+
+        // A quiesced set has nothing left to do: a second converge sends
+        // no frame.
+        let sent = set.transport_stats().sent;
+        assert_eq!(set.converge().unwrap().ticks, 0);
+        assert_eq!(set.transport_stats().sent, sent);
     }
 
     #[test]
@@ -1344,14 +1270,14 @@ mod tests {
         // probe (empty digests, empty reply).
         while !set.quiesced() {
             assert!(set.transport.now() < budget, "setup sync stalled");
-            set.pump(false).unwrap();
+            set.pump().unwrap();
             set.transport.step();
             set.deliver().unwrap();
         }
         // Force a parity probe on 0 → 1; its offer snapshots the current
         // log revision and departs.
         set.replicas[0].links.get_mut(&1).unwrap().dirty = true;
-        set.pump(false).unwrap();
+        set.pump().unwrap();
         let offered_rev = set.replicas[0].links[&1]
             .offer
             .expect("offer outstanding")
@@ -1376,7 +1302,7 @@ mod tests {
         // And the raced entry still propagates on the next rounds.
         while !set.quiesced() {
             assert!(set.transport.now() < budget, "post-race sync stalled");
-            set.pump(false).unwrap();
+            set.pump().unwrap();
             set.transport.step();
             set.deliver().unwrap();
         }
@@ -1384,8 +1310,8 @@ mod tests {
         assert!(set.holds(1, "miniMD"), "the entry was not stranded");
     }
 
-    /// Aggressive duplication and per-message delay: teardown ACKs and
-    /// handshake answers get redelivered long after their exchange
+    /// Aggressive duplication and per-message delay: handshake answers
+    /// and digest replies get redelivered long after their exchange
     /// completed.
     struct DupDelay;
 
@@ -1398,8 +1324,12 @@ mod tests {
         }
     }
 
+    /// A crash mid-sync resets every session touching the replica while
+    /// frames of the old sessions are still in flight; their duplicated,
+    /// delayed answers reach the fresh sessions after the restart and
+    /// must not corrupt them.
     #[test]
-    fn duplicated_delayed_frames_after_bye_cannot_corrupt_teardown() {
+    fn duplicated_delayed_frames_across_a_crash_cannot_corrupt_sessions() {
         let run = || {
             let mut set = ReplicaSet::new(3, ReplicaConfig::default()).with_faults(&DupDelay);
             set.replica_mut(0).unwrap().publish_model(
@@ -1407,13 +1337,21 @@ mod tests {
                 &model("miniMD", 2500),
                 vec![],
             );
-            let report = set.converge().expect("duplicates cannot stop teardown");
+            for _ in 0..3 {
+                set.gossip_round().unwrap();
+            }
+            assert!(!set.transport.quiet(), "old-session frames in flight");
+            set.crash(1).unwrap();
+            set.gossip_round().unwrap();
+            set.restart(1).unwrap();
+            let report = set.converge().expect("stale frames cannot stop sync");
             assert!(set.converged());
+            assert!(set.holds(1, "miniMD"), "the restarted replica caught up");
             assert!(
                 set.session_states()
                     .iter()
-                    .all(|(_, _, s)| *s == SessionState::Closed),
-                "every session reached Closed despite post-Bye redeliveries"
+                    .all(|(_, _, s)| *s == SessionState::Established),
+                "every session re-established despite stale redeliveries"
             );
             (report, set.session_states())
         };

@@ -9,43 +9,43 @@
 //! ```text
 //!          connect()            ConnectAccept          NegotiateAccept
 //! Closed ────────────► Connecting ─────────► Negotiating ─────────► Established
-//!    ▲                     │ timeout ×N           │ timeout ×N            │
-//!    │◄────────────────────┴──────────────────────┘                close()│
-//!    │                                 CloseAck │ timeout ×N              ▼
-//!    └──────────────────────────────────────────┴──────────────────── Closing
+//!    ▲                     │ timeout ×N           │ timeout ×N
+//!    └─────────────────────┴──────────────────────┘
 //! ```
 //!
-//! Every *caller-driven* transition ([`Session::connect`],
-//! [`Session::close`]) returns `Result<_, NetError>` and refuses states
-//! it is invalid in. Peer messages are matched against the state:
-//! the expected answer advances the FSM; a duplicate or stale message
-//! (the transport redelivers and reorders by design) is tolerated and
-//! reported as [`SessionEvent::Ignored`] rather than an error; an
-//! explicit protocol refusal ([`Message::NegotiateReject`]) surfaces as
+//! An `Established` session carries digest offers until either endpoint
+//! crashes; the replica layer then replaces it with a fresh `Closed` one
+//! and reconnects on a later round. There is no close handshake: the
+//! responder holds no per-session state to release.
+//!
+//! The one *caller-driven* transition, [`Session::connect`], returns
+//! `Result<_, NetError>` and refuses every state but `Closed`. Peer
+//! messages are matched against the state: the expected answer advances
+//! the FSM; a duplicate or stale message (the transport redelivers and
+//! reorders by design) is tolerated and reported as
+//! [`SessionEvent::Ignored`] rather than an error; an explicit protocol
+//! refusal ([`Message::NegotiateReject`]) surfaces as
 //! [`NetError::UnsupportedVersion`].
 //!
 //! Time is virtual: the caller passes the transport tick into every
 //! operation, and [`Session::poll`] answers "retransmit this", "keep
-//! waiting" or "give up" — a handshake timeout closes the session (the
-//! replica layer reconnects on the next sync round), a teardown timeout
-//! force-closes it (best-effort close, the peer holds no state anyway).
+//! waiting" or "give up" — a handshake timeout closes the session and
+//! the replica layer reconnects on the next sync round.
 
 use super::frame::{Message, NetError, PROTOCOL_VERSION};
 
 /// The client FSM states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SessionState {
-    /// No session. The only state a connect may start from, and the
-    /// only terminal state a quiesced replica set may leave behind.
+    /// No session. The only state a connect may start from.
     Closed,
     /// `ConnectRequest` sent, waiting for `ConnectAccept`.
     Connecting,
     /// `NegotiateRequest` sent, waiting for `NegotiateAccept`.
     Negotiating,
-    /// Handshake complete: digest offers may flow.
+    /// Handshake complete: digest offers may flow. The state every
+    /// live pair of a quiesced replica set is in.
     Established,
-    /// `CloseRequest` sent, waiting for `CloseAck`.
-    Closing,
 }
 
 impl SessionState {
@@ -56,7 +56,6 @@ impl SessionState {
             SessionState::Connecting => "Connecting",
             SessionState::Negotiating => "Negotiating",
             SessionState::Established => "Established",
-            SessionState::Closing => "Closing",
         }
     }
 }
@@ -90,8 +89,6 @@ pub enum SessionEvent {
     },
     /// The handshake completed: the session is `Established`.
     Established,
-    /// Teardown completed: the session is `Closed`.
-    Closed,
     /// A duplicate or stale message; nothing changed.
     Ignored,
 }
@@ -104,9 +101,7 @@ pub enum SessionPoll {
     /// The pending message timed out within budget — resend this.
     Retransmit(Message),
     /// The retransmit budget is exhausted; the session closed itself.
-    /// Handshake timeouts mean the peer is unreachable (reconnect on a
-    /// later round); a teardown timeout is a successful best-effort
-    /// close.
+    /// The peer is unreachable for now: reconnect on a later round.
     TimedOut {
         /// The state the session gave up in.
         state: SessionState,
@@ -161,11 +156,6 @@ impl Session {
         self.resets
     }
 
-    /// True in the states a quiesced replica set may leave a session in.
-    pub fn is_settled(&self) -> bool {
-        matches!(self.state, SessionState::Closed | SessionState::Established)
-    }
-
     fn arm(&mut self, now: u64, message: Message) -> Message {
         self.pending = Some(message.clone());
         self.deadline = Some(now + self.config.timeout_ticks);
@@ -189,21 +179,6 @@ impl Session {
         }
         self.state = SessionState::Connecting;
         Ok(self.arm(now, Message::ConnectRequest))
-    }
-
-    /// Start teardown. Valid from any open state (an unfinished
-    /// handshake may be abandoned); returns the `CloseRequest` to send.
-    pub fn close(&mut self, now: u64) -> Result<Message, NetError> {
-        match self.state {
-            SessionState::Closed | SessionState::Closing => Err(NetError::InvalidTransition {
-                state: self.state.name(),
-                event: "close",
-            }),
-            SessionState::Connecting | SessionState::Negotiating | SessionState::Established => {
-                self.state = SessionState::Closing;
-                Ok(self.arm(now, Message::CloseRequest))
-            }
-        }
     }
 
     /// Feed a peer message into the FSM at virtual tick `now`.
@@ -246,11 +221,6 @@ impl Session {
                     supported: *supported,
                 })
             }
-            (SessionState::Closing, Message::CloseAck) => {
-                self.state = SessionState::Closed;
-                self.disarm();
-                Ok(SessionEvent::Closed)
-            }
             _ => Ok(SessionEvent::Ignored),
         }
     }
@@ -271,13 +241,10 @@ impl Session {
                 self.pending.clone().expect("armed deadline has a message"),
             );
         }
-        // Budget exhausted: the session gives up. Teardown timeouts are
-        // a successful best-effort close (the responder holds no state);
-        // handshake timeouts are a reset the replica layer may retry.
+        // Budget exhausted: the session gives up — a reset the replica
+        // layer retries on a later round.
         let state = self.state;
-        if state != SessionState::Closing {
-            self.resets += 1;
-        }
+        self.resets += 1;
         self.state = SessionState::Closed;
         self.disarm();
         SessionPoll::TimedOut { state }
@@ -295,15 +262,27 @@ mod tests {
         }
     }
 
+    fn established() -> Session {
+        let mut s = Session::new(1, quick());
+        s.connect(0).unwrap();
+        s.on_message(&Message::ConnectAccept, 0).unwrap();
+        s.on_message(
+            &Message::NegotiateAccept {
+                version: PROTOCOL_VERSION,
+            },
+            0,
+        )
+        .unwrap();
+        s
+    }
+
     #[test]
     fn happy_path_walks_every_state() {
         let mut s = Session::new(1, SessionConfig::default());
         assert_eq!(s.state(), SessionState::Closed);
-        assert!(s.is_settled());
 
         assert_eq!(s.connect(0).unwrap(), Message::ConnectRequest);
         assert_eq!(s.state(), SessionState::Connecting);
-        assert!(!s.is_settled());
 
         let event = s.on_message(&Message::ConnectAccept, 1).unwrap();
         assert_eq!(
@@ -326,15 +305,6 @@ mod tests {
             .unwrap();
         assert_eq!(event, SessionEvent::Established);
         assert_eq!(s.state(), SessionState::Established);
-        assert!(s.is_settled());
-
-        assert_eq!(s.close(3).unwrap(), Message::CloseRequest);
-        assert_eq!(s.state(), SessionState::Closing);
-        assert_eq!(
-            s.on_message(&Message::CloseAck, 4).unwrap(),
-            SessionEvent::Closed
-        );
-        assert_eq!(s.state(), SessionState::Closed);
         assert_eq!(s.total_retransmits(), 0);
         assert_eq!(s.resets(), 0);
     }
@@ -342,13 +312,6 @@ mod tests {
     #[test]
     fn invalid_caller_transitions_are_errors() {
         let mut s = Session::new(1, SessionConfig::default());
-        assert!(matches!(
-            s.close(0),
-            Err(NetError::InvalidTransition {
-                state: "Closed",
-                event: "close",
-            })
-        ));
         s.connect(0).unwrap();
         assert!(matches!(
             s.connect(1),
@@ -357,10 +320,13 @@ mod tests {
                 event: "connect",
             })
         ));
-        // An open handshake may be abandoned…
-        s.close(1).unwrap();
-        // …but a second close may not race the first.
-        assert!(s.close(2).is_err());
+        assert!(matches!(
+            established().connect(1),
+            Err(NetError::InvalidTransition {
+                state: "Established",
+                event: "connect",
+            })
+        ));
     }
 
     #[test]
@@ -374,11 +340,19 @@ mod tests {
             SessionEvent::Ignored
         );
         assert_eq!(s.state(), SessionState::Negotiating);
-        // A CloseAck nobody asked for is ignored too.
-        assert_eq!(
-            s.on_message(&Message::CloseAck, 2).unwrap(),
-            SessionEvent::Ignored
-        );
+        // Handshake answers redelivered after establishment are ignored
+        // too, including a reject for a negotiation that already ended.
+        let mut s = established();
+        for frame in [
+            Message::ConnectAccept,
+            Message::NegotiateAccept {
+                version: PROTOCOL_VERSION,
+            },
+            Message::NegotiateReject { supported: 0 },
+        ] {
+            assert_eq!(s.on_message(&frame, 2).unwrap(), SessionEvent::Ignored);
+            assert_eq!(s.state(), SessionState::Established);
+        }
     }
 
     #[test]
@@ -434,109 +408,58 @@ mod tests {
         assert!(s.connect(5).is_ok());
     }
 
+    /// After a session reset — a handshake timeout, or a crash that
+    /// replaced the session with a fresh one — no flood of duplicated,
+    /// delayed or stale answers to the abandoned exchange may move the
+    /// FSM: `Closed` is absorbing until the caller reconnects, and the
+    /// timer stays disarmed.
     #[test]
-    fn teardown_timeout_force_closes_without_a_reset() {
-        let mut s = Session::new(1, quick());
-        s.connect(0).unwrap();
-        s.on_message(&Message::ConnectAccept, 0).unwrap();
-        s.on_message(
-            &Message::NegotiateAccept {
-                version: PROTOCOL_VERSION,
-            },
-            0,
-        )
-        .unwrap();
-        s.close(0).unwrap();
-        assert_eq!(s.poll(2), SessionPoll::Retransmit(Message::CloseRequest));
-        assert_eq!(
-            s.poll(4),
-            SessionPoll::TimedOut {
-                state: SessionState::Closing,
-            }
-        );
-        assert_eq!(s.state(), SessionState::Closed);
-        assert_eq!(s.resets(), 0, "best-effort close is not a reset");
-    }
-
-    /// Satellite audit: once `CloseRequest` ("Bye") has been sent, no
-    /// flood of duplicated, delayed or stale frames may corrupt the
-    /// teardown — the state stays monotone through `Closing`: the only
-    /// transition out is `CloseAck → Closed`, and `Closed` is absorbing
-    /// until the caller reconnects.
-    #[test]
-    fn post_bye_floods_keep_teardown_monotone() {
-        // Everything the replica layer ever feeds a client session,
-        // including the answers a slow transport redelivers after the
-        // close: handshake accepts, a reject, and close acks.
+    fn post_reset_floods_leave_the_session_closed() {
+        // Every answer the replica layer ever feeds a client session.
         let frames = [
             Message::ConnectAccept,
             Message::NegotiateAccept {
                 version: PROTOCOL_VERSION,
             },
             Message::NegotiateReject { supported: 0 },
-            Message::CloseAck,
         ];
         for seed in 0..128u64 {
-            let mut s = Session::new(1, SessionConfig::default());
-            s.connect(0).unwrap();
-            s.on_message(&Message::ConnectAccept, 1).unwrap();
-            s.on_message(
-                &Message::NegotiateAccept {
-                    version: PROTOCOL_VERSION,
-                },
-                2,
-            )
-            .unwrap();
-            s.close(3).unwrap();
-            assert_eq!(s.state(), SessionState::Closing);
+            let mut s = if seed % 2 == 0 {
+                // Negotiation timed out: the answers were only late.
+                let mut s = Session::new(1, quick());
+                s.connect(0).unwrap();
+                s.on_message(&Message::ConnectAccept, 0).unwrap();
+                assert!(matches!(s.poll(8), SessionPoll::Retransmit(_)));
+                assert!(matches!(s.poll(16), SessionPoll::TimedOut { .. }));
+                assert_eq!(s.resets(), 1);
+                s
+            } else {
+                // The peer crashed: the replica replaced the established
+                // session with a fresh closed one.
+                Session::new(1, quick())
+            };
 
             // A seeded splitmix64 walk: duplicates and arbitrary
-            // interleavings of every frame kind, delivered post-Bye.
+            // interleavings of every frame kind, delivered post-reset.
             let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             for step in 0..32u64 {
                 x ^= x >> 30;
                 x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
                 x ^= x >> 27;
                 let frame = &frames[(x % frames.len() as u64) as usize];
-                let before = s.state();
                 let event = s
-                    .on_message(frame, 4 + step)
-                    .expect("post-Bye frames never error the FSM");
-                let after = s.state();
-                match (before, after) {
-                    (SessionState::Closing, SessionState::Closing) => {
-                        assert_eq!(event, SessionEvent::Ignored);
-                    }
-                    (SessionState::Closing, SessionState::Closed) => {
-                        assert_eq!(frame, &Message::CloseAck);
-                        assert_eq!(event, SessionEvent::Closed);
-                    }
-                    (SessionState::Closed, SessionState::Closed) => {
-                        assert_eq!(event, SessionEvent::Ignored);
-                    }
-                    other => panic!("teardown went non-monotone: {other:?} on {frame:?}"),
-                }
+                    .on_message(frame, 20 + step)
+                    .expect("post-reset frames never error the FSM");
+                assert_eq!(event, SessionEvent::Ignored, "{frame:?}");
+                assert_eq!(s.state(), SessionState::Closed, "{frame:?}");
             }
-            // Whatever the flood did, the timer cannot resurrect the
-            // exchange after the ack landed.
-            if s.state() == SessionState::Closed {
-                assert_eq!(s.poll(1_000), SessionPoll::Idle);
-            }
+            assert_eq!(s.poll(1_000), SessionPoll::Idle);
+            assert!(s.connect(1_001).is_ok(), "a reconnect is still legal");
         }
     }
 
     #[test]
     fn established_session_has_no_timer() {
-        let mut s = Session::new(1, quick());
-        s.connect(0).unwrap();
-        s.on_message(&Message::ConnectAccept, 0).unwrap();
-        s.on_message(
-            &Message::NegotiateAccept {
-                version: PROTOCOL_VERSION,
-            },
-            0,
-        )
-        .unwrap();
-        assert_eq!(s.poll(1_000), SessionPoll::Idle);
+        assert_eq!(established().poll(1_000), SessionPoll::Idle);
     }
 }

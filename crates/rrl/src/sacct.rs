@@ -71,143 +71,6 @@ pub struct RegionAccounting {
     pub cpu_energy_j: f64,
 }
 
-/// Struct-of-arrays storage for the per-region breakdown.
-///
-/// Every job touches the same handful of columns for every region —
-/// summing times, summing energies, formatting a report — so the rows of
-/// [`RegionAccounting`] are stored as parallel columns and materialised
-/// into rows only at the accessor boundary. Callers keep working with
-/// [`RegionAccounting`] values; the columnar layout is an internal detail
-/// (and serialises exactly like the row vector it replaced).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RegionColumns {
-    names: Vec<String>,
-    visits: Vec<u64>,
-    time_s: Vec<f64>,
-    node_energy_j: Vec<f64>,
-    cpu_energy_j: Vec<f64>,
-}
-
-impl RegionColumns {
-    /// Empty breakdown.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of distinct regions recorded.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whether no region has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
-    /// Charge one region instance: bump its visit count and add the time
-    /// and energy deltas, appending a fresh column entry on first sight
-    /// (preserving first-execution order).
-    pub fn accumulate(&mut self, region: &str, time_s: f64, node_energy_j: f64, cpu_energy_j: f64) {
-        match self.names.iter().position(|n| n == region) {
-            Some(i) => {
-                self.visits[i] += 1;
-                self.time_s[i] += time_s;
-                self.node_energy_j[i] += node_energy_j;
-                self.cpu_energy_j[i] += cpu_energy_j;
-            }
-            None => {
-                self.names.push(region.to_string());
-                self.visits.push(1);
-                self.time_s.push(time_s);
-                self.node_energy_j.push(node_energy_j);
-                self.cpu_energy_j.push(cpu_energy_j);
-            }
-        }
-    }
-
-    /// Materialise the row at `index`.
-    fn row(&self, index: usize) -> RegionAccounting {
-        RegionAccounting {
-            region: self.names[index].clone(),
-            visits: self.visits[index],
-            time_s: self.time_s[index],
-            node_energy_j: self.node_energy_j[index],
-            cpu_energy_j: self.cpu_energy_j[index],
-        }
-    }
-
-    /// Look up one region's accounting row by name.
-    pub fn region(&self, name: &str) -> Option<RegionAccounting> {
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| self.row(i))
-    }
-
-    /// Iterate the breakdown as materialised rows, in first-execution
-    /// order.
-    pub fn iter(&self) -> impl Iterator<Item = RegionAccounting> + '_ {
-        (0..self.len()).map(|i| self.row(i))
-    }
-
-    /// The whole breakdown as a row vector.
-    pub fn rows(&self) -> Vec<RegionAccounting> {
-        self.iter().collect()
-    }
-
-    /// Rebuild the columns from a row vector (inverse of [`Self::rows`]).
-    pub fn from_rows(rows: Vec<RegionAccounting>) -> Self {
-        let mut cols = Self::default();
-        for r in rows {
-            cols.names.push(r.region);
-            cols.visits.push(r.visits);
-            cols.time_s.push(r.time_s);
-            cols.node_energy_j.push(r.node_energy_j);
-            cols.cpu_energy_j.push(r.cpu_energy_j);
-        }
-        cols
-    }
-
-    /// Sum of the time column, seconds.
-    pub fn total_time_s(&self) -> f64 {
-        self.time_s.iter().sum()
-    }
-
-    /// Sum of the node-energy column, joules.
-    pub fn total_node_energy_j(&self) -> f64 {
-        self.node_energy_j.iter().sum()
-    }
-
-    /// Sum of the CPU-energy column, joules.
-    pub fn total_cpu_energy_j(&self) -> f64 {
-        self.cpu_energy_j.iter().sum()
-    }
-}
-
-impl IntoIterator for &RegionColumns {
-    type Item = RegionAccounting;
-    type IntoIter = std::vec::IntoIter<RegionAccounting>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.rows().into_iter()
-    }
-}
-
-// Wire-compatible with the `Vec<RegionAccounting>` field it replaced: the
-// columns serialise as the row array, so persisted accounting round-trips
-// across the flatten unchanged.
-impl Serialize for RegionColumns {
-    fn to_value(&self) -> serde::json::Value {
-        self.rows().to_value()
-    }
-}
-
-impl Deserialize for RegionColumns {
-    fn from_value(v: &serde::json::Value) -> Result<Self, serde::json::Error> {
-        Vec::<RegionAccounting>::from_value(v).map(Self::from_rows)
-    }
-}
-
 /// What the online adaptation engine did during a job, recorded alongside
 /// the `sacct` data so post-mortem queries can tell a calibration run from
 /// a plain serving run.
@@ -236,7 +99,7 @@ pub struct JobAccounting {
     /// The three job-level quantities of Table VI.
     pub record: JobRecord,
     /// Per-region energy/time breakdown, in first-execution order.
-    pub regions: RegionColumns,
+    pub regions: Vec<RegionAccounting>,
     /// Configuration switches performed.
     pub switches: u64,
     /// Total DVFS/UFS/OpenMP transition latency charged, seconds.
@@ -255,25 +118,25 @@ pub struct JobAccounting {
 
 impl JobAccounting {
     /// Look up one region's accounting entry.
-    pub fn region(&self, name: &str) -> Option<RegionAccounting> {
-        self.regions.region(name)
+    pub fn region(&self, name: &str) -> Option<&RegionAccounting> {
+        self.regions.iter().find(|r| r.region == name)
     }
 
     /// Sum of the per-region wall times, seconds. Together with
     /// [`Self::switch_time_s`] this reconstructs the job's elapsed time.
     pub fn regions_time_s(&self) -> f64 {
-        self.regions.total_time_s()
+        self.regions.iter().map(|r| r.time_s).sum()
     }
 
     /// Sum of the per-region node energies, joules (the exact trace the
     /// HDEEM-measured [`JobRecord::job_energy_j`] samples).
     pub fn regions_node_energy_j(&self) -> f64 {
-        self.regions.total_node_energy_j()
+        self.regions.iter().map(|r| r.node_energy_j).sum()
     }
 
     /// Sum of the per-region CPU energies, joules.
     pub fn regions_cpu_energy_j(&self) -> f64 {
-        self.regions.total_cpu_energy_j()
+        self.regions.iter().map(|r| r.cpu_energy_j).sum()
     }
 
     /// `sacct`-style multi-line report: the job line followed by one line
@@ -359,7 +222,7 @@ mod tests {
                 cpu_energy_j: 600.0,
                 elapsed_s: 10.0,
             },
-            regions: RegionColumns::from_rows(vec![
+            regions: vec![
                 RegionAccounting {
                     region: "omp parallel:42".into(),
                     visits: 50,
@@ -374,7 +237,7 @@ mod tests {
                     node_energy_j: 300.0,
                     cpu_energy_j: 180.0,
                 },
-            ]),
+            ],
             switches: 100,
             switch_time_s: 0.002,
             instr_overhead_s: 0.1,
@@ -407,12 +270,6 @@ mod tests {
         assert!(!s.contains("Online="), "plain sessions show no online info");
     }
 
-    // ---- RegionColumns property tests (PR 9 struct-of-arrays flatten).
-    // The columnar storage must be observationally identical to the
-    // `Vec<RegionAccounting>` field it replaced: lossless row round
-    // trips, identical accumulation, identical wire format, identical
-    // sacct rendering.
-
     use rand::rngs::StdRng;
     use rand::{Rng, RngCore, SeedableRng};
 
@@ -420,8 +277,6 @@ mod tests {
         let n = rng.gen_index(8);
         (0..n)
             .map(|i| RegionAccounting {
-                // Distinct names (duplicates were impossible in the old
-                // first-execution-order vector too).
                 region: format!("region-{i}"),
                 visits: rng.next_u64() % 1_000,
                 time_s: (rng.next_u64() % 10_000) as f64 / 100.0,
@@ -431,91 +286,8 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn region_columns_round_trip_is_lossless() {
-        let mut rng = StdRng::seed_from_u64(0xC01_5EED);
-        for _ in 0..200 {
-            let rows = random_rows(&mut rng);
-            let cols = RegionColumns::from_rows(rows.clone());
-            assert_eq!(cols.len(), rows.len());
-            assert_eq!(cols.is_empty(), rows.is_empty());
-            assert_eq!(cols.rows(), rows, "rows → columns → rows must be identity");
-            assert_eq!(cols.iter().collect::<Vec<_>>(), rows);
-            assert_eq!((&cols).into_iter().collect::<Vec<_>>(), rows);
-            for r in &rows {
-                assert_eq!(cols.region(&r.region).as_ref(), Some(r));
-            }
-            assert!(cols.region("definitely-not-a-region").is_none());
-            assert_eq!(cols, RegionColumns::from_rows(cols.rows()));
-        }
-    }
-
-    #[test]
-    fn region_columns_accumulate_matches_the_row_reference() {
-        let mut rng = StdRng::seed_from_u64(0xACC_5EED);
-        let pool = ["alpha", "beta", "gamma", "delta"];
-        for _ in 0..100 {
-            let mut cols = RegionColumns::new();
-            // The pre-flatten accumulation loop, verbatim, as the oracle.
-            let mut reference: Vec<RegionAccounting> = Vec::new();
-            for _ in 0..rng.gen_index(40) {
-                let region = pool[rng.gen_index(pool.len())];
-                let time_s = (rng.next_u64() % 1_000) as f64 / 100.0;
-                let node_j = (rng.next_u64() % 100_000) as f64 / 10.0;
-                let cpu_j = (rng.next_u64() % 100_000) as f64 / 10.0;
-                cols.accumulate(region, time_s, node_j, cpu_j);
-                match reference.iter_mut().find(|r| r.region == region) {
-                    Some(acc) => {
-                        acc.visits += 1;
-                        acc.time_s += time_s;
-                        acc.node_energy_j += node_j;
-                        acc.cpu_energy_j += cpu_j;
-                    }
-                    None => reference.push(RegionAccounting {
-                        region: region.to_string(),
-                        visits: 1,
-                        time_s,
-                        node_energy_j: node_j,
-                        cpu_energy_j: cpu_j,
-                    }),
-                }
-            }
-            assert_eq!(cols.rows(), reference, "bit-identical fold, same order");
-            assert_eq!(
-                cols.total_time_s(),
-                reference.iter().map(|r| r.time_s).sum()
-            );
-            assert_eq!(
-                cols.total_node_energy_j(),
-                reference.iter().map(|r| r.node_energy_j).sum()
-            );
-            assert_eq!(
-                cols.total_cpu_energy_j(),
-                reference.iter().map(|r| r.cpu_energy_j).sum()
-            );
-        }
-    }
-
-    #[test]
-    fn region_columns_serialise_exactly_like_the_row_vector() {
-        let mut rng = StdRng::seed_from_u64(0x5E_12DE);
-        for _ in 0..100 {
-            let rows = random_rows(&mut rng);
-            let cols = RegionColumns::from_rows(rows.clone());
-            // Wire identity: the columnar type is invisible in JSON.
-            assert_eq!(cols.to_value(), rows.to_value());
-            let decoded = RegionColumns::from_value(&rows.to_value()).expect("row-shaped JSON");
-            assert_eq!(decoded, cols);
-            // And through the full string round trip.
-            let json = serde_json::to_string(&cols).expect("render");
-            assert_eq!(json, serde_json::to_string(&rows).expect("render"));
-            let back: RegionColumns = serde_json::from_str(&json).expect("parse");
-            assert_eq!(back.rows(), rows);
-        }
-    }
-
-    /// The pre-flatten `JobAccounting::format_sacct` body, kept verbatim
-    /// over materialised rows as the rendering oracle.
+    /// An independent copy of the `JobAccounting::format_sacct` body,
+    /// kept as the rendering oracle.
     fn reference_format_sacct(acc: &JobAccounting) -> String {
         let mut out = format!(
             "JobName={} NodeId={} {} Switches={} Source={:?}",
@@ -532,13 +304,13 @@ mod tests {
             ));
         }
         out.push('\n');
-        let rows = acc.regions.rows();
+        let rows = &acc.regions;
         let total_j = rows
             .iter()
             .map(|r| r.node_energy_j)
             .sum::<f64>()
             .max(f64::MIN_POSITIVE);
-        for r in &rows {
+        for r in rows {
             out.push_str(&format!(
                 "  {:<34} Visits={:<5} Time={:.3}s Energy={:.0}J CpuEnergy={:.0}J ({:.1}%)\n",
                 r.region,
@@ -557,7 +329,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xF0_124A7);
         for i in 0..100 {
             let mut acc = accounting();
-            acc.regions = RegionColumns::from_rows(random_rows(&mut rng));
+            acc.regions = random_rows(&mut rng);
             if i % 2 == 0 {
                 acc.online = Some(OnlineActivity {
                     explored_iterations: (rng.next_u64() % 50) as u32,

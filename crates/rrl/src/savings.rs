@@ -282,10 +282,9 @@ mod tests {
         );
     }
 
-    /// PR 9's `RegionColumns` flatten must be invisible here: the
-    /// comparison is a pure function of its inputs, its sacct rendering
-    /// is byte-stable across runs, and the per-region breakdown survives
-    /// a row round trip and the JSON wire format unchanged.
+    /// The comparison is a pure function of its inputs, its sacct
+    /// rendering is byte-stable across runs, and the per-region
+    /// breakdown survives the JSON wire format unchanged.
     #[test]
     fn comparison_is_stable_across_the_region_flatten() {
         let node = Node::exact(0);
@@ -305,17 +304,11 @@ mod tests {
         );
 
         let acc = &first.dynamic_accounting;
-        let rows = acc.regions.rows();
-        assert!(!rows.is_empty());
-        assert_eq!(crate::RegionColumns::from_rows(rows.clone()), acc.regions);
-        let json = serde_json::to_string(&acc.regions).expect("render");
-        assert_eq!(
-            json,
-            serde_json::to_string(&rows).expect("render"),
-            "columns must serialise exactly like the row vector"
-        );
-        let decoded: crate::RegionColumns = serde_json::from_str(&json).expect("parse");
-        assert_eq!(decoded, acc.regions);
+        assert!(!acc.regions.is_empty());
+        let json = serde_json::to_string(acc).expect("render");
+        let decoded: crate::JobAccounting = serde_json::from_str(&json).expect("parse");
+        assert_eq!(&decoded, acc, "accounting round-trips through JSON");
+        assert_eq!(serde_json::to_string(&decoded).expect("render"), json);
     }
 
     #[test]

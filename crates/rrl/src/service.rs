@@ -118,10 +118,6 @@ pub struct GossipConfig {
     /// next candidate (a pull or its reply can be dropped). Clamped to
     /// ≥ 1.
     pub repair_retry_rounds: u64,
-    /// Hard bound on total gossip rounds for one run — a plan the set
-    /// can never settle under (e.g. a partition that never heals) must
-    /// error with the stalled link named, not spin forever.
-    pub max_rounds: u64,
 }
 
 impl Default for GossipConfig {
@@ -130,7 +126,6 @@ impl Default for GossipConfig {
             cadence_us: 5_000,
             read_repair: true,
             repair_retry_rounds: 8,
-            max_rounds: 100_000,
         }
     }
 }
@@ -342,7 +337,6 @@ struct NetState<'r, 'a> {
     cadence_us: Time,
     read_repair: bool,
     repair_retry_rounds: u64,
-    max_rounds: u64,
     /// Node index → home replica (`node % replicas`); while the home is
     /// crashed the node is served by the next alive id, wrapping.
     node_replica: Vec<u32>,
@@ -852,10 +846,10 @@ impl ServiceRun<'_, '_, '_> {
         };
         net.round_scheduled = false;
         net.rounds += 1;
-        if net.rounds > net.max_rounds {
+        if net.rounds > net.set.max_ticks {
             return Err(RuntimeError::Replication(NetError::ConvergeTimeout {
                 ticks: net.set.ticks(),
-                culprit: net.set.stall_culprit(),
+                culprit: net.set.blame(),
             }));
         }
         net.set.deliver_round().map_err(RuntimeError::Replication)?;
@@ -1150,7 +1144,11 @@ impl ClusterScheduler<'_> {
     /// is on). By the time the run returns, the set has converged
     /// in-loop — no trailing [`ReplicaSet::converge`] is needed — and
     /// the report's [`ServiceSummary::replication`] says what the net
-    /// layer did. Reruns over the same inputs are bit-identical.
+    /// layer did. Reruns over the same inputs are bit-identical. A run
+    /// that needs more gossip rounds than the set's
+    /// [`ReplicaConfig::max_ticks`](crate::net::ReplicaConfig::max_ticks)
+    /// (e.g. under a partition that never heals) errors with
+    /// [`NetError::ConvergeTimeout`], naming the stalled link.
     pub fn run_service_replicated(
         &mut self,
         trace: Vec<JobArrival>,
@@ -1168,7 +1166,6 @@ impl ClusterScheduler<'_> {
             cadence_us: gossip.cadence_us.max(1),
             read_repair: gossip.read_repair,
             repair_retry_rounds: gossip.repair_retry_rounds.max(1),
-            max_rounds: gossip.max_rounds.max(1),
             node_replica,
             replica_churn,
             repairing: BTreeMap::new(),

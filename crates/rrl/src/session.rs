@@ -61,7 +61,7 @@ use simnode::{ExecutionEngine, HdeemSensor, Node, PowerBreakdown, SystemConfig};
 
 use crate::error::RuntimeError;
 use crate::repository::{ModelSource, ServedModel};
-use crate::sacct::{JobAccounting, JobRecord, RegionColumns};
+use crate::sacct::{JobAccounting, JobRecord, RegionAccounting};
 
 /// What one `region_exit` charged to the job.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,7 +104,8 @@ pub struct RuntimeSession<'a> {
     pcps: PcpStack,
     /// Piecewise-constant node-power trace for the HDEEM integration.
     segments: Vec<(f64, f64)>,
-    regions: RegionColumns,
+    /// Per-region accounting rows, in first-execution order.
+    regions: Vec<RegionAccounting>,
     open: Option<OpenRegion>,
     phase_iter: u32,
     wall_s: f64,
@@ -190,7 +191,7 @@ impl<'a> RuntimeSession<'a> {
             engine: ExecutionEngine::new(),
             pcps: PcpStack::new(initial),
             segments: Vec::new(),
-            regions: RegionColumns::new(),
+            regions: Vec::new(),
             open: None,
             phase_iter: 0,
             wall_s: 0.0,
@@ -408,7 +409,7 @@ impl<'a> RuntimeSession<'a> {
         self.rapl_j += cpu_j;
         self.segments.push((power.node_w(), duration));
 
-        self.regions.accumulate(region, duration, node_j, cpu_j);
+        accumulate(&mut self.regions, region, duration, node_j, cpu_j);
 
         Ok(RegionExit {
             config,
@@ -537,6 +538,33 @@ pub(crate) fn job_seed(job: &str, workload_fingerprint: u64, node: &Node) -> u64
     kernels::fnv1a(job.as_bytes())
         ^ workload_fingerprint
         ^ u64::from(node.id()).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// Charge one region instance: bump its row's visit count and add the
+/// time and energy deltas, appending a fresh row on first sight (so rows
+/// keep first-execution order).
+fn accumulate(
+    regions: &mut Vec<RegionAccounting>,
+    region: &str,
+    time_s: f64,
+    node_energy_j: f64,
+    cpu_energy_j: f64,
+) {
+    match regions.iter_mut().find(|r| r.region == region) {
+        Some(row) => {
+            row.visits += 1;
+            row.time_s += time_s;
+            row.node_energy_j += node_energy_j;
+            row.cpu_energy_j += cpu_energy_j;
+        }
+        None => regions.push(RegionAccounting {
+            region: region.to_string(),
+            visits: 1,
+            time_s,
+            node_energy_j,
+            cpu_energy_j,
+        }),
+    }
 }
 
 /// A completed phase loop as HDEEM and `sacct` see it before the job's

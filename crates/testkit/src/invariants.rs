@@ -17,11 +17,11 @@
 //!    bit-identical to the sweep over the local repository.
 //! 6. **Replication** (scenarios carrying a
 //!    [`NetPlan`](crate::scenario::NetPlan)) — the replicated execution
-//!    is bit-identical across reruns, every session ends `Closed`, every
-//!    replica converges to the same model map, and each application's
-//!    winner is the stamp-maximal publication (highest version, highest
-//!    publisher id on ties) — no matter which messages the plan dropped,
-//!    duplicated, delayed or partitioned away.
+//!    is bit-identical across reruns, every session ends `Established`,
+//!    every replica converges to the same model map, and each
+//!    application's winner is the stamp-maximal publication (highest
+//!    version, highest publisher id on ties) — no matter which messages
+//!    the plan dropped, duplicated, delayed or partitioned away.
 //! 7. **Observability** — attaching an `obskit` recorder to the service
 //!    run changes nothing observable (per-job accounting and summary are
 //!    bit-identical to the unrecorded run, telemetry snapshot aside), and
@@ -33,8 +33,8 @@
 //!    converged with the net idle and **no trailing batch pass**; it is
 //!    bit-identical across reruns; every replica holds the same map; a
 //!    batch `converge()` run afterwards as the oracle finds nothing left
-//!    to apply; and (churn-free schedules) each application's winner is
-//!    the stamp-maximal publication.
+//!    to send or apply; and (churn-free schedules) each application's
+//!    winner is the stamp-maximal publication.
 //!
 //! A failed invariant comes back as a [`Failure`] whose `Display`
 //! includes a `testkit::replay("…")` line — paste it into a test (or
@@ -83,7 +83,7 @@ pub enum Violation {
         /// Expected vs observed stamps.
         detail: String,
     },
-    /// A session survived convergence teardown in a non-terminal state.
+    /// A session ended convergence in a state other than `Established`.
     SessionNotSettled {
         /// The offending directed session and its state.
         detail: String,
@@ -163,7 +163,7 @@ impl fmt::Display for Violation {
                 "wrong reconciliation winner for `{application}`: {detail}"
             ),
             Violation::SessionNotSettled { detail } => {
-                write!(f, "session left non-terminal after teardown: {detail}")
+                write!(f, "session not established after convergence: {detail}")
             }
             Violation::ReplicationNondeterminism => write!(
                 f,
@@ -458,8 +458,9 @@ fn observability(run: &ScenarioRun) -> Result<(), Violation> {
     Ok(())
 }
 
-/// Invariant 6: the replicated execution is deterministic, terminal,
-/// convergent, and picks the stamp-maximal winner per application.
+/// Invariant 6: the replicated execution is deterministic, leaves every
+/// session established, converges, and picks the stamp-maximal winner
+/// per application.
 fn replication(run: &ReplicatedRun) -> Result<(), Violation> {
     use rrl::net::SessionState;
 
@@ -469,7 +470,7 @@ fn replication(run: &ReplicatedRun) -> Result<(), Violation> {
     if let Some((from, to, state)) = run
         .session_states
         .iter()
-        .find(|(_, _, s)| *s != SessionState::Closed)
+        .find(|(_, _, s)| *s != SessionState::Established)
     {
         return Err(Violation::SessionNotSettled {
             detail: format!("session {from} → {to} ended {state:?}"),
@@ -523,7 +524,7 @@ fn replication(run: &ReplicatedRun) -> Result<(), Violation> {
 /// trailing batch pass), be a pure function of the scenario (the rerun
 /// is bit-identical), leave every replica on the same model map, and
 /// agree with the batch `converge()` oracle — which, run afterwards,
-/// must find nothing left to apply. On churn-free schedules the
+/// must find nothing left to send or apply. On churn-free schedules the
 /// converged winners must also be the stamp-maximal publications; with
 /// replica crashes in the schedule that history check is skipped, since
 /// a crash may legitimately lose a publication that never got a gossip
@@ -576,8 +577,8 @@ fn inloop_replication(
     }
     if !run.oracle_noop {
         return Err(Violation::InloopReplication {
-            detail: "batch converge() oracle still had entries to apply \
-                     (or changed a replica's map) after the in-loop run"
+            detail: "batch converge() oracle still sent frames, applied entries \
+                     or changed a replica's map after the in-loop run"
                 .into(),
         });
     }

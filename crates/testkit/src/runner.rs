@@ -109,8 +109,8 @@ pub struct InloopRun {
     /// order (this survives crashes — the history is harness-side).
     pub published: Vec<(String, Stamp)>,
     /// Whether the trailing batch [`ReplicaSet::converge`] oracle was a
-    /// no-op: zero entries applied or superseded, and every replica's
-    /// model map unchanged.
+    /// no-op: no frame sent, zero entries applied or superseded, and
+    /// every replica's model map unchanged.
     pub oracle_noop: bool,
     /// Whether the second execution reproduced the first bit for bit
     /// (per-job results, service summary, model maps, publications).
@@ -426,20 +426,23 @@ fn run_inloop_once(
         .run_service_replicated(trace, &mut set, &gossip, &ServiceConfig::default())
         .map_err(|e| run_error("in-loop", e))?;
 
-    // The batch oracle: if in-loop anti-entropy really converged the
-    // set, a trailing `converge()` has nothing to apply and changes no
-    // replica's map.
+    // The batch oracle: if in-loop anti-entropy really quiesced the set,
+    // a trailing `converge()` sends no frame, has nothing to apply and
+    // changes no replica's map.
     let model_maps: Vec<_> = (0..replicas)
         .map(|id| set.replica(id).expect("in range").model_map())
         .collect();
     let totals_before = set.replication_totals();
+    let sent_before = set.transport_stats().sent;
     set.converge()
         .map_err(|e| run_error("in-loop", RuntimeError::Replication(e)))?;
     let totals_after = set.replication_totals();
     let maps_after: Vec<_> = (0..replicas)
         .map(|id| set.replica(id).expect("in range").model_map())
         .collect();
-    let oracle_noop = totals_before == totals_after && maps_after == model_maps;
+    let oracle_noop = totals_before == totals_after
+        && set.transport_stats().sent == sent_before
+        && maps_after == model_maps;
 
     let published = (0..replicas)
         .flat_map(|id| set.replica(id).expect("in range").published().to_vec())

@@ -134,14 +134,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         map0.len()
     );
 
-    // Oracle: a batch converge over the already-converged set applies
-    // nothing and changes nothing.
+    // Oracle: a batch converge over the already-quiesced set sends
+    // nothing, applies nothing and changes nothing.
     let before = set.replication_totals();
+    let sent = set.transport_stats().sent;
     set.converge()?;
     assert_eq!(
         set.replication_totals(),
         before,
         "batch converge was a no-op"
+    );
+    assert_eq!(
+        set.transport_stats().sent,
+        sent,
+        "batch converge sent nothing"
     );
     assert_eq!(set.replica(0)?.model_map(), map0);
     println!("batch-converge oracle: no-op, as required");

@@ -8,10 +8,12 @@
 
 use dvfs_ufs_tuning::kernels::BenchmarkSpec;
 use dvfs_ufs_tuning::ptf::{RandomSearch, TuningModel};
+use dvfs_ufs_tuning::rrl::net::SessionState;
 use dvfs_ufs_tuning::rrl::{
     ChurnEvent, ChurnKind, ClusterReport, ClusterScheduler, FaultInjector, GossipConfig,
-    JobArrival, ModelSource, OnlineConfig, OnlineTuning, ReplicaChurnEvent, ReplicaChurnKind,
-    ReplicaConfig, ReplicaSet, ServiceConfig, TuningModelRepository,
+    JobArrival, ModelSource, NetError, OnlineConfig, OnlineTuning, ReplicaChurnEvent,
+    ReplicaChurnKind, ReplicaConfig, ReplicaSet, RuntimeError, ServiceConfig,
+    TuningModelRepository,
 };
 use dvfs_ufs_tuning::simnode::{Cluster, SystemConfig};
 use testkit::{taurus_fallback, toy_benchmark};
@@ -453,6 +455,82 @@ fn inloop_gossip_converges_while_serving_and_matches_the_batch_oracle() {
     assert!(text.contains("replication: 3 replicas"), "{text}");
 }
 
+/// Regression: a batch `converge` after an in-loop run has nothing to
+/// do. The run leaves the set quiesced, so `converge` runs no gossip
+/// round, sends no frame, applies nothing, and leaves every session
+/// `Established` — converge no longer tears the sessions down.
+#[test]
+fn converge_after_an_inloop_run_sends_nothing_and_keeps_sessions_established() {
+    let churn = ReplicaChurnPlan(vec![
+        ReplicaChurnEvent {
+            at_s: 0.5,
+            replica: 1,
+            kind: ReplicaChurnKind::Crash,
+        },
+        ReplicaChurnEvent {
+            at_s: 1.1,
+            replica: 1,
+            kind: ReplicaChurnKind::Restart,
+        },
+    ]);
+    let (_, mut set) = inloop_run(3, &GossipConfig::default(), Some(&churn), spread_trace(6));
+    assert!(set.quiesced(), "the in-loop run quiesced the set");
+    let established = |set: &ReplicaSet<'_>| {
+        set.session_states()
+            .iter()
+            .all(|(_, _, s)| *s == SessionState::Established)
+    };
+    assert!(established(&set));
+
+    let sent = set.transport_stats().sent;
+    let totals = set.replication_totals();
+    let report = set.converge().expect("converge over a quiesced set");
+    assert_eq!(report.ticks, 0, "no gossip round ran");
+    assert_eq!(set.transport_stats().sent, sent, "no frame sent");
+    assert_eq!(set.replication_totals(), totals, "nothing applied");
+    assert!(established(&set), "{:?}", set.session_states());
+}
+
+/// A partition that never heals between replicas 0 and 1.
+struct Wall;
+
+impl FaultInjector for Wall {
+    fn partitioned(&self, _tick: u64, from: u32, to: u32) -> bool {
+        (from.min(to), from.max(to)) == (0, 1)
+    }
+}
+
+/// The set's `ReplicaConfig::max_ticks` bounds an in-loop run's gossip
+/// rounds as it bounds a batch `converge`: a set that can never quiesce
+/// ends the run with a `ConvergeTimeout` naming the stalled link.
+#[test]
+fn inloop_run_that_never_quiesces_times_out_after_max_ticks_rounds() {
+    let cluster = Cluster::new(2, 0x1009);
+    let mut set = ReplicaSet::new(
+        2,
+        ReplicaConfig {
+            fallback: Some(taurus_fallback()),
+            max_ticks: 64,
+            ..ReplicaConfig::default()
+        },
+    )
+    .with_faults(&Wall);
+    let err = ClusterScheduler::new(&cluster)
+        .unwrap()
+        .run_service_replicated(
+            spread_trace(2),
+            &mut set,
+            &GossipConfig::default(),
+            &ServiceConfig::default(),
+        )
+        .expect_err("no path between the replicas");
+    let RuntimeError::Replication(NetError::ConvergeTimeout { ticks, culprit }) = err else {
+        panic!("expected a converge timeout, got {err:?}");
+    };
+    assert_eq!(ticks, 64, "one transport tick per gossip round");
+    assert_eq!(culprit.map(|c| (c.replica, c.peer)), Some((0, 1)));
+}
+
 /// Replica crash/restart mid-run: the restarted replica rejoins empty
 /// and catches up from its peers before the run ends, deterministically.
 #[test]
@@ -666,5 +744,5 @@ fn service_report_is_bit_identical_to_golden() {
     assert!(online.drift_events > 0, "{online:?}");
     assert!(report.repository.evictions > 0, "{:?}", report.repository);
     let digest = dvfs_ufs_tuning::kernels::fnv1a(format!("{report:?}").as_bytes());
-    assert_eq!(digest, 0x334f_05b4_cc01_2a39, "service report golden");
+    assert_eq!(digest, 0x8f01_4e14_94c0_25e5, "service report golden");
 }
