@@ -71,7 +71,7 @@ fn bench_frame_roundtrip(c: &mut Criterion) {
 }
 
 /// One full anti-entropy convergence: 4 replicas, 32 models published on
-/// replica 0, full-mesh sessions from connect to quiescence.
+/// replica 0, full-mesh gossip from the first offers to quiescence.
 fn bench_sync_converge(c: &mut Criterion) {
     let population: Vec<(BenchmarkSpec, TuningModel)> = (0..MODELS)
         .map(|i| {

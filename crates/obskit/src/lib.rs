@@ -41,8 +41,8 @@
 //!   testkit invariant can compare recorded reruns bit for bit.
 //!
 //! Indexed series (`counter_add_at` and friends) render as
-//! `key/index` in snapshots — e.g. `net.session_transitions/3` counts
-//! replica 3's session transitions.
+//! `key/index` in snapshots — e.g. `net.replica_restarts/3` counts
+//! replica 3's restarts.
 //!
 //! [`simkit`-style]: Track
 

@@ -336,7 +336,7 @@ impl MetricsSnapshot {
     }
 
     /// Total over counters whose series name starts with `prefix`
-    /// (handy for summing an indexed family like `net.session_transitions/`).
+    /// (handy for summing an indexed family like `net.replica_restarts/`).
     pub fn counter_sum(&self, prefix: &str) -> u64 {
         self.counters
             .iter()

@@ -44,10 +44,9 @@
 //!   ([`FaultInjector::node_churn`]) and latency/queue-depth percentiles
 //!   in the report ([`ServiceSummary`]),
 //! * [`net`] — replicated serving: a seeded fault-injectable
-//!   [`SimTransport`], a length-framed versioned wire format, per-peer
-//!   handshake [`Session`](net::Session)s, and [`ReplicaSet`] — N
-//!   replica repositories converged to bit-identical model maps by
-//!   version-vector anti-entropy sync (a [`Replica`] is a
+//!   [`SimTransport`], a length-framed versioned wire format, and
+//!   [`ReplicaSet`] — N replica repositories converged to bit-identical
+//!   model maps by version-vector anti-entropy sync (a [`Replica`] is a
 //!   [`RepositoryHandle`] the scheduler serves from),
 //! * [`sacct`] — SLURM-style job accounting: the job-level Table VI
 //!   record plus the per-region energy/time breakdown,

@@ -10,6 +10,11 @@
 //! needed, so a stream reader knows how much more to buffer), an
 //! oversized length prefix, a version this build does not speak, and a
 //! payload that is not a well-formed message.
+//!
+//! The version word is the protocol's whole version agreement: every
+//! frame carries it and a receiver rejects any version it does not
+//! speak, so peers exchange digests from the first frame on with no
+//! handshake before them.
 
 use serde::{Deserialize, Serialize};
 
@@ -26,7 +31,7 @@ pub const MAX_FRAME: usize = 1 << 20;
 /// Bytes of frame header preceding the payload: length word + version.
 const HEADER: usize = 6;
 
-/// Why a frame or a session operation failed.
+/// Why a frame or a replica-set operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum NetError {
@@ -55,20 +60,6 @@ pub enum NetError {
     },
     /// The payload is not a well-formed message.
     Malformed(String),
-    /// A session was driven through a transition its state forbids.
-    InvalidTransition {
-        /// The state the session was in.
-        state: &'static str,
-        /// The operation that was attempted.
-        event: &'static str,
-    },
-    /// A session exhausted its retransmit budget without an answer.
-    SessionTimeout {
-        /// Peer replica the session was talking to.
-        peer: u32,
-        /// The state the session gave up in.
-        state: &'static str,
-    },
     /// A message was addressed to a replica the set does not contain.
     UnknownReplica {
         /// The requested replica id.
@@ -85,29 +76,26 @@ pub enum NetError {
     },
 }
 
-/// The link a [`NetError::ConvergeTimeout`] blames: the session that had
-/// burned the most retransmit budget (or was otherwise unsettled) when
-/// the tick budget ran out. Without this a hostile drop plan looks like
-/// a silent spin — the culprit names exactly which replica pair and FSM
-/// state to go look at.
+/// The link a [`NetError::ConvergeTimeout`] blames: the unsettled link
+/// that had re-sent the most unanswered digest offers when the tick
+/// budget ran out. Without this a hostile drop plan looks like a silent
+/// spin — the culprit names exactly which replica pair to go look at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvergeCulprit {
-    /// Replica whose client session stalled.
+    /// Replica whose offers went unanswered.
     pub replica: u32,
-    /// Peer the session was talking to.
+    /// Peer the offers were sent to.
     pub peer: u32,
-    /// Session FSM state at the timeout.
-    pub state: &'static str,
-    /// Times that session exhausted its retransmit budget and reset.
-    pub resets: u64,
+    /// Offers that link re-sent after their deadline passed.
+    pub reoffers: u64,
 }
 
 impl std::fmt::Display for ConvergeCulprit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "link {} -> {} stuck {} after {} session resets",
-            self.replica, self.peer, self.state, self.resets
+            "link {} -> {} unsettled after {} re-offers",
+            self.replica, self.peer, self.reoffers
         )
     }
 }
@@ -126,13 +114,6 @@ impl std::fmt::Display for NetError {
                 "protocol version {version} not supported (this build speaks {supported})"
             ),
             NetError::Malformed(detail) => write!(f, "malformed message payload: {detail}"),
-            NetError::InvalidTransition { state, event } => {
-                write!(f, "session cannot {event} from the {state} state")
-            }
-            NetError::SessionTimeout { peer, state } => write!(
-                f,
-                "session to replica {peer} exhausted its retransmits while {state}"
-            ),
             NetError::UnknownReplica { replica, replicas } => {
                 write!(f, "no replica {replica} in a set of {replicas}")
             }
@@ -149,33 +130,12 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// Every message of the replication protocol.
-///
-/// The handshake messages (`Connect*`, `Negotiate*`) drive the
-/// client-session FSM in [`crate::net::session`]; the digest
-/// exchange (`DigestOffer` → `DigestReply` → `PushModels`) is the
-/// anti-entropy payload a session carries once `Established`.
+/// Every message of the replication protocol: the anti-entropy digest
+/// exchange (`DigestOffer` → `DigestReply` → `PushModels`) and the
+/// read-repair pull. No message opens or closes anything; each one is
+/// answered on its own.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Message {
-    /// Client → responder: open a session.
-    ConnectRequest,
-    /// Responder → client: session open, proceed to negotiation.
-    ConnectAccept,
-    /// Client → responder: propose a protocol version.
-    NegotiateRequest {
-        /// The version the client speaks.
-        version: u16,
-    },
-    /// Responder → client: version agreed, session is established.
-    NegotiateAccept {
-        /// The agreed version (echoed back).
-        version: u16,
-    },
-    /// Responder → client: version refused; the session closes.
-    NegotiateReject {
-        /// The version the responder supports instead.
-        supported: u16,
-    },
     /// Client → responder: everything I hold, as digests.
     DigestOffer {
         /// Digest of every replicated entry the sender holds.
@@ -281,11 +241,6 @@ mod tests {
     /// One message of every kind.
     fn every_message() -> Vec<Message> {
         vec![
-            Message::ConnectRequest,
-            Message::ConnectAccept,
-            Message::NegotiateRequest { version: 1 },
-            Message::NegotiateAccept { version: 1 },
-            Message::NegotiateReject { supported: 1 },
             sample(),
             Message::DigestReply {
                 want: vec!["miniMD".into()],
@@ -368,10 +323,13 @@ mod tests {
 
     #[test]
     fn back_to_back_frames_decode_in_sequence() {
-        let mut stream = encode(&Message::ConnectRequest);
+        let pull = Message::PullModels {
+            applications: vec!["miniMD".into()],
+        };
+        let mut stream = encode(&pull);
         stream.extend_from_slice(&encode(&sample()));
         let (first, used) = decode(&stream).unwrap();
-        assert_eq!(first, Message::ConnectRequest);
+        assert_eq!(first, pull);
         let (second, rest) = decode(&stream[used..]).unwrap();
         assert_eq!(second, sample());
         assert_eq!(used + rest, stream.len());
@@ -395,7 +353,7 @@ mod tests {
 
     #[test]
     fn version_and_length_guards_reject() {
-        let mut bytes = encode(&Message::ConnectRequest);
+        let mut bytes = encode(&sample());
         bytes[5] = 99; // version low byte
         assert_eq!(
             decode(&bytes),
@@ -445,20 +403,6 @@ mod tests {
             ),
             (NetError::Malformed("x".into()), "malformed"),
             (
-                NetError::InvalidTransition {
-                    state: "Established",
-                    event: "connect",
-                },
-                "Established",
-            ),
-            (
-                NetError::SessionTimeout {
-                    peer: 3,
-                    state: "Connecting",
-                },
-                "replica 3",
-            ),
-            (
                 NetError::UnknownReplica {
                     replica: 7,
                     replicas: 2,
@@ -478,11 +422,10 @@ mod tests {
                     culprit: Some(ConvergeCulprit {
                         replica: 0,
                         peer: 1,
-                        state: "Connecting",
-                        resets: 4,
+                        reoffers: 4,
                     }),
                 },
-                "link 0 -> 1 stuck Connecting after 4 session resets",
+                "link 0 -> 1 unsettled after 4 re-offers",
             ),
         ];
         for (error, needle) in cases {

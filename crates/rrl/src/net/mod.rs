@@ -7,17 +7,12 @@
 //!
 //! * [`frame`] — the length-framed, versioned wire format and
 //!   [`NetError`]. Every decode is a `Result`; malformed bytes are data,
-//!   not panics.
+//!   not panics. Every frame header carries [`PROTOCOL_VERSION`] and a
+//!   decode rejects any other, so there is no version handshake.
 //! * [`transport`] — [`SimTransport`], virtual-time message passing
 //!   where delay, drop, duplication, reorder and partition are pure
 //!   functions of `(fault plan, message id, tick)` via the
 //!   [`FaultInjector`](crate::FaultInjector) network hooks.
-//! * [`session`] — the per-peer client FSM
-//!   (`Closed → Connecting → Negotiating → Established`), with
-//!   virtual-time timeouts and bounded retransmission, in the spirit of
-//!   PPP's LCP: negotiate first, move data only once both sides agree
-//!   on a protocol version. A session stays `Established` until an
-//!   endpoint crashes; there is no close handshake.
 //! * [`reconcile`] — [`Stamp`] ordering (version first, publisher id as
 //!   the tie-break), [`VersionVector`] high-water tracking and the
 //!   replicated entry/digest types. The total order on stamps is what
@@ -26,7 +21,10 @@
 //!   and [`ReplicaSet`], whose gossip rounds drive anti-entropy digest
 //!   sync over the transport; [`ReplicaSet::converge`] repeats them
 //!   until the set is quiet and every replica holds a bit-identical
-//!   model map.
+//!   model map. There is no connection state: a link stays dirty, or
+//!   its offer outstanding, until an empty reply confirms parity, and a
+//!   timed-out offer is re-sent — so any lost digest-exchange message
+//!   is recovered by a later offer over the same link.
 //!
 //! The scheduler consumes all of this through one seam:
 //! [`RepositoryHandle`](crate::repository::RepositoryHandle), which
@@ -37,11 +35,9 @@
 pub mod frame;
 pub mod reconcile;
 pub mod replica;
-pub mod session;
 pub mod transport;
 
 pub use frame::{decode, encode, ConvergeCulprit, Message, NetError, MAX_FRAME, PROTOCOL_VERSION};
 pub use reconcile::{ModelDigest, ReplicatedModel, Stamp, VersionVector};
 pub use replica::{ConvergeReport, Replica, ReplicaConfig, ReplicaSet, ReplicaStats};
-pub use session::{Session, SessionConfig, SessionEvent, SessionPoll, SessionState};
 pub use transport::{Delivery, SimTransport, TransportStats};

@@ -5,11 +5,10 @@
 //! [`ReplicatedModel`] per application — bounded by the application
 //! count, never LRU-evicted, so sync survives repository eviction
 //! pressure), a [`VersionVector`] of the highest stamp observed per
-//! application, and one client [`Session`] per peer. Publications made
-//! locally are stamped `(next version, own id)`; entries applied off
-//! the wire are admitted only when their stamp wins — so every replica
-//! converges to the same winner per application no matter the delivery
-//! order.
+//! application, and one sync link per peer. Publications made locally
+//! are stamped `(next version, own id)`; entries applied off the wire
+//! are admitted only when their stamp wins — so every replica converges
+//! to the same winner per application no matter the delivery order.
 //!
 //! [`ReplicaSet`] wires N replicas over one [`SimTransport`] and drives
 //! the whole exchange in virtual time. Sync is *dirty-flag gossip*: a
@@ -18,18 +17,20 @@
 //! until an **empty** [`Message::DigestReply`] confirms parity *for the
 //! log revision the offer described* (an empty reply to a stale offer
 //! must not clear the flag — entries published since would never
-//! propagate). Re-offers and session retransmits are new messages with
-//! new transport ids, so a seeded drop plan can delay sync but never
-//! livelock it.
+//! propagate). An offer unanswered for `OFFER_TIMEOUT_TICKS` (8) ticks
+//! is sent again; that is the protocol's one retry mechanism. There is
+//! no connection state: the responder answers whatever frame arrives,
+//! and the frame header's version word is the whole version agreement.
+//! Re-offers are new messages with new transport ids, so a seeded drop
+//! plan can delay sync but never livelock it.
 //!
 //! One [`ReplicaSet::gossip_round`] is one transport tick: an outbound
 //! sweep per live replica, then delivery. The in-loop service runs
 //! rounds on a virtual-time cadence; [`ReplicaSet::converge`] runs them
 //! back to back. Both stop once the set is [`ReplicaSet::quiesced`]:
-//! the transport is quiet, every live pair's session is `Established`
-//! and every link is clean — so every replica holds an identical model
-//! map. Sessions stay open afterwards; a later publication gossips over
-//! them without a new handshake.
+//! the transport is quiet and every live link is clean with no offer
+//! outstanding — so every replica holds an identical model map. A later
+//! publication dirties the links again and gossips at once.
 
 use std::collections::BTreeMap;
 
@@ -44,10 +45,13 @@ use crate::repository::{
     ModelKey, ModelSource, RepositoryHandle, RepositoryStats, ServedModel, TuningModelRepository,
 };
 
-use super::frame::{decode, encode, ConvergeCulprit, Message, NetError, PROTOCOL_VERSION};
+use super::frame::{decode, encode, ConvergeCulprit, Message, NetError};
 use super::reconcile::{ModelDigest, ReplicatedModel, Stamp, VersionVector};
-use super::session::{Session, SessionConfig, SessionEvent, SessionPoll, SessionState};
 use super::transport::{SimTransport, TransportStats};
+
+/// Virtual ticks (gossip rounds) an outstanding digest offer waits for
+/// its reply before it is sent again.
+const OFFER_TIMEOUT_TICKS: u64 = 8;
 
 /// Construction parameters for every replica of a set.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,8 +61,6 @@ pub struct ReplicaConfig {
     pub capacity: usize,
     /// Calibration fallback served on repository misses.
     pub fallback: Option<SystemConfig>,
-    /// Session retransmission policy.
-    pub session: SessionConfig,
     /// Gossip-round budget (one round is one virtual tick) for one
     /// [`ReplicaSet::converge`] call or one
     /// [`ClusterScheduler::run_service_replicated`](crate::ClusterScheduler::run_service_replicated)
@@ -72,28 +74,29 @@ impl Default for ReplicaConfig {
         Self {
             capacity: 0,
             fallback: None,
-            session: SessionConfig::default(),
             max_ticks: 100_000,
         }
     }
 }
 
-/// One peer link: the client session plus the dirty-flag sync state.
+/// One peer link: the dirty-flag sync state toward one peer.
 #[derive(Debug)]
 struct PeerLink {
-    session: Session,
     /// This peer may be missing something we hold.
     dirty: bool,
     /// An offer is outstanding: `(re-offer deadline, log revision the
     /// offer described)`.
     offer: Option<(u64, u64)>,
+    /// Offers sent again because the previous one went unanswered past
+    /// its deadline, over the link's lifetime.
+    reoffers: u64,
 }
 
 impl PeerLink {
-    /// Established, clean and with no offer outstanding: nothing left
-    /// to sync over this link.
+    /// Clean and with no offer outstanding: nothing left to sync over
+    /// this link.
     fn settled(&self) -> bool {
-        self.session.state() == SessionState::Established && !self.dirty && self.offer.is_none()
+        !self.dirty && self.offer.is_none()
     }
 }
 
@@ -124,7 +127,6 @@ pub struct Replica {
     /// the replica).
     published: Vec<(String, Stamp)>,
     stats: ReplicaStats,
-    offer_timeout: u64,
     /// Construction parameters, kept so a restart can rebuild the
     /// repository from scratch.
     config: ReplicaConfig,
@@ -136,10 +138,6 @@ pub struct Replica {
     /// restart can never re-issue a stamp it already used; the model
     /// payloads are the expensive in-memory state that is lost).
     own_versions: BTreeMap<String, u32>,
-    /// Session counters folded in when a crash/restart replaces the
-    /// link sessions, so lifetime retransmit/reset totals stay monotone.
-    retired_retransmits: u64,
-    retired_resets: u64,
 }
 
 impl Replica {
@@ -156,24 +154,21 @@ impl Replica {
                     (
                         p,
                         PeerLink {
-                            session: Session::new(p, config.session),
                             // Dirty from birth: every pair exchanges at
                             // least one offer, so pre-seeded entries
                             // propagate without an explicit kick.
                             dirty: true,
                             offer: None,
+                            reoffers: 0,
                         },
                     )
                 })
                 .collect(),
             published: Vec::new(),
             stats: ReplicaStats::default(),
-            offer_timeout: config.session.timeout_ticks,
             config: *config,
             down: false,
             own_versions: BTreeMap::new(),
-            retired_retransmits: 0,
-            retired_resets: 0,
         }
     }
 
@@ -192,33 +187,6 @@ impl Replica {
         self.down
     }
 
-    /// Replace every link's client session with a fresh closed one
-    /// (crash semantics: a connection does not survive either endpoint
-    /// dying), folding the old counters into the retired totals.
-    fn reset_links(&mut self, dirty: bool) {
-        let session = self.config.session;
-        for (peer, link) in self.links.iter_mut() {
-            self.retired_retransmits += link.session.total_retransmits();
-            self.retired_resets += link.session.resets();
-            link.session = Session::new(*peer, session);
-            link.offer = None;
-            if dirty {
-                link.dirty = true;
-            }
-        }
-    }
-
-    /// Drop the session to one peer that just crashed.
-    fn drop_session_to(&mut self, peer: u32) {
-        let session = self.config.session;
-        if let Some(link) = self.links.get_mut(&peer) {
-            self.retired_retransmits += link.session.total_retransmits();
-            self.retired_resets += link.session.resets();
-            link.session = Session::new(peer, session);
-            link.offer = None;
-        }
-    }
-
     /// Restart after a crash: a fresh empty repository, log and version
     /// vector; every link born dirty again so the first gossip rounds
     /// replay the fleet's winners back in. Only the durable own-version
@@ -228,7 +196,10 @@ impl Replica {
         self.log.clear();
         self.log_rev = 0;
         self.vv = VersionVector::new();
-        self.reset_links(true);
+        for link in self.links.values_mut() {
+            link.dirty = true;
+            link.offer = None;
+        }
         self.down = false;
     }
 
@@ -333,20 +304,10 @@ impl Replica {
         self.log.values().map(ReplicatedModel::digest).collect()
     }
 
-    /// The stateless responder half: answer a peer-initiated message.
-    /// `None` means the message needs no reply (an applied push).
-    fn respond(&mut self, message: Message) -> Option<Message> {
+    /// Answer one message from peer `from`. `None` means the message
+    /// needs no reply (an applied push, a parity confirmation).
+    fn respond(&mut self, from: u32, message: Message) -> Option<Message> {
         match message {
-            Message::ConnectRequest => Some(Message::ConnectAccept),
-            Message::NegotiateRequest { version } => {
-                if version == PROTOCOL_VERSION {
-                    Some(Message::NegotiateAccept { version })
-                } else {
-                    Some(Message::NegotiateReject {
-                        supported: PROTOCOL_VERSION,
-                    })
-                }
-            }
             Message::DigestOffer { digests } => {
                 let offered: BTreeMap<&str, Stamp> = digests
                     .iter()
@@ -383,8 +344,7 @@ impl Replica {
                     .collect();
                 (!entries.is_empty()).then_some(Message::PushModels { entries })
             }
-            // Client-side messages never reach the responder path.
-            _ => None,
+            Message::DigestReply { want, entries } => self.handle_reply(from, want, entries),
         }
     }
 
@@ -397,13 +357,6 @@ impl Replica {
         want: Vec<String>,
         entries: Vec<ReplicatedModel>,
     ) -> Option<Message> {
-        let established = self
-            .links
-            .get(&from)
-            .is_some_and(|l| l.session.state() == SessionState::Established);
-        if !established {
-            return None; // stale reply to an abandoned session
-        }
         let offered_rev = self
             .links
             .get_mut(&from)
@@ -467,10 +420,9 @@ pub struct ConvergeReport {
     pub applied: u64,
     /// Stale remote entries ignored, summed over replicas.
     pub superseded: u64,
-    /// Session retransmissions, summed over all links.
-    pub retransmits: u64,
-    /// Sessions that gave up a handshake and reconnected later.
-    pub session_resets: u64,
+    /// Offers sent again after going unanswered past their deadline,
+    /// summed over all links.
+    pub reoffers: u64,
 }
 
 /// N replicas over one simulated transport.
@@ -516,10 +468,10 @@ impl<'a> ReplicaSet<'a> {
     }
 
     /// Attach a telemetry recorder (builder form): the transport mirrors
-    /// its counters as `net.*` series, every session FSM transition bumps
-    /// `net.session_transitions/<replica>`, and each
-    /// [`ReplicaSet::converge`] call emits a `converge.sync` span on the
-    /// net track (timestamps are virtual transport ticks).
+    /// its counters as `net.*` series, crashes and restarts bump
+    /// `net.replica_crashes/<replica>` and `net.replica_restarts/<replica>`,
+    /// and each [`ReplicaSet::converge`] call emits a `converge.sync` span
+    /// on the net track (timestamps are virtual transport ticks).
     #[must_use]
     pub fn with_recorder(mut self, recorder: &'a dyn Recorder) -> Self {
         self.recorder = Some(recorder);
@@ -570,19 +522,6 @@ impl<'a> ReplicaSet<'a> {
         maps.all(|m| m == first)
     }
 
-    /// Every directed session's state, as `(from, to, state)` in
-    /// deterministic order.
-    pub fn session_states(&self) -> Vec<(u32, u32, SessionState)> {
-        self.replicas
-            .iter()
-            .flat_map(|r| {
-                r.links
-                    .iter()
-                    .map(move |(peer, link)| (r.id, *peer, link.session.state()))
-            })
-            .collect()
-    }
-
     /// Run gossip rounds until the set is [`ReplicaSet::quiesced`]; an
     /// already quiesced set sends nothing. Errors with
     /// [`NetError::ConvergeTimeout`] if the set is still not quiet after
@@ -603,25 +542,18 @@ impl<'a> ReplicaSet<'a> {
         if let Some(recorder) = self.recorder {
             recorder.span(Track::net(), "converge.sync", start, ticks);
         }
-        let (mut applied, mut superseded) = (0, 0);
-        let (mut retransmits, mut resets) = (0, 0);
-        for r in &self.replicas {
-            applied += r.stats.applied;
-            superseded += r.stats.superseded;
-            retransmits += r.retired_retransmits;
-            resets += r.retired_resets;
-            for link in r.links.values() {
-                retransmits += link.session.total_retransmits();
-                resets += link.session.resets();
-            }
-        }
+        let totals = self.replication_totals();
         Ok(ConvergeReport {
             ticks,
             transport: self.transport.stats(),
-            applied,
-            superseded,
-            retransmits,
-            session_resets: resets,
+            applied: totals.applied,
+            superseded: totals.superseded,
+            reoffers: self
+                .replicas
+                .iter()
+                .flat_map(|r| r.links.values())
+                .map(|link| link.reoffers)
+                .sum(),
         })
     }
 
@@ -633,17 +565,13 @@ impl<'a> ReplicaSet<'a> {
         Ok(())
     }
 
-    /// Drain every inbox: responder messages get their reply, client
-    /// messages drive the session FSM or the sync layer.
+    /// Drain every inbox, sending each message's reply back.
     fn deliver(&mut self) -> Result<(), NetError> {
-        let now = self.transport.now();
         let Self {
             replicas,
             transport,
-            recorder,
             ..
         } = self;
-        let recorder = *recorder;
         for replica in replicas.iter_mut() {
             if replica.down {
                 // A crashed replica's inbox drains into the void.
@@ -652,40 +580,7 @@ impl<'a> ReplicaSet<'a> {
             }
             while let Some(delivery) = transport.recv(replica.id) {
                 let (message, _) = decode(&delivery.payload)?;
-                let reply = match message {
-                    Message::ConnectRequest
-                    | Message::NegotiateRequest { .. }
-                    | Message::DigestOffer { .. }
-                    | Message::PushModels { .. }
-                    | Message::PullModels { .. } => replica.respond(message),
-                    Message::DigestReply { want, entries } => {
-                        replica.handle_reply(delivery.from, want, entries)
-                    }
-                    client_message => {
-                        let Some(link) = replica.links.get_mut(&delivery.from) else {
-                            continue;
-                        };
-                        let event = link.session.on_message(&client_message, now)?;
-                        if let (Some(recorder), false) =
-                            (recorder, matches!(event, SessionEvent::Ignored))
-                        {
-                            recorder.counter_add_at("net.session_transitions", replica.id, 1);
-                        }
-                        match event {
-                            SessionEvent::Advanced { reply } => Some(reply),
-                            SessionEvent::Established => {
-                                // A fresh establishment cannot trust any
-                                // previously confirmed parity (the peer
-                                // may have crashed and restarted empty
-                                // since) — re-offer before going quiet.
-                                link.dirty = true;
-                                None
-                            }
-                            SessionEvent::Ignored => None,
-                        }
-                    }
-                };
-                if let Some(reply) = reply {
+                if let Some(reply) = replica.respond(delivery.from, message) {
                     transport.send(replica.id, delivery.from, encode(&reply))?;
                 }
             }
@@ -694,12 +589,11 @@ impl<'a> ReplicaSet<'a> {
     }
 
     /// The anti-entropy fixpoint: nothing in flight, nothing queued,
-    /// every alive↔alive session established, every such link clean with
-    /// no offer pending. Links touching a crashed replica are exempt —
-    /// they sit Closed until it restarts. This is also the in-loop
-    /// gossip parking condition: when it holds, a service run stops
-    /// scheduling rounds until a publication, read-repair request or
-    /// replica restart re-arms the cadence.
+    /// every alive↔alive link clean with no offer pending. Links touching
+    /// a crashed replica are exempt until it restarts. This is also the
+    /// in-loop gossip parking condition: when it holds, a service run
+    /// stops scheduling rounds until a publication, read-repair request
+    /// or replica restart re-arms the cadence.
     pub fn quiesced(&self) -> bool {
         self.transport.quiet()
             && self.replicas.iter().filter(|r| !r.down).all(|r| {
@@ -710,7 +604,7 @@ impl<'a> ReplicaSet<'a> {
     }
 
     /// Name the link most to blame for a stall: among unsettled
-    /// alive↔alive links, the one that burned the most retransmit budget
+    /// alive↔alive links, the one that re-sent the most unanswered offers
     /// (ties resolve to the lowest `(replica, peer)` pair via
     /// deterministic iteration order). `None` only when every link is
     /// settled — i.e. the stall is in-flight transport traffic. Both
@@ -723,13 +617,11 @@ impl<'a> ReplicaSet<'a> {
                 if self.replicas[*peer as usize].down || link.settled() {
                     continue;
                 }
-                let resets = link.session.resets();
-                if worst.as_ref().is_none_or(|w| resets > w.resets) {
+                if worst.as_ref().is_none_or(|w| link.reoffers > w.reoffers) {
                     worst = Some(ConvergeCulprit {
                         replica: r.id,
                         peer: *peer,
-                        state: link.session.state().name(),
-                        resets,
+                        reoffers: link.reoffers,
                     });
                 }
             }
@@ -738,18 +630,18 @@ impl<'a> ReplicaSet<'a> {
     }
 
     /// One gossip round: an outbound sweep for every alive replica
-    /// (connects, digest offers, retransmits), one transport tick, one
-    /// delivery sweep. [`ReplicaSet::converge`] repeats it until the set
-    /// quiesces; [`ClusterScheduler`](crate::ClusterScheduler) service
-    /// runs schedule it on a virtual-time cadence — session timeouts are
+    /// (digest offers and re-offers), one transport tick, one delivery
+    /// sweep. [`ReplicaSet::converge`] repeats it until the set quiesces;
+    /// [`ClusterScheduler`](crate::ClusterScheduler) service runs
+    /// schedule it on a virtual-time cadence — offer timeouts are
     /// therefore measured in *rounds*, not in service microseconds.
     pub fn gossip_round(&mut self) -> Result<(), NetError> {
         self.pump()?;
         self.deliver_round()
     }
 
-    /// One replica's outbound gossip sweep — connects, digest offers,
-    /// retransmits; the per-replica half of a
+    /// One replica's outbound gossip sweep — digest offers and
+    /// re-offers; the per-replica half of a
     /// [`ReplicaSet::gossip_round`], exposed so the in-loop service can
     /// drive one gossip process event per replica on the kernel. A
     /// crashed (or unknown) replica pumps nothing.
@@ -762,51 +654,33 @@ impl<'a> ReplicaSet<'a> {
         let Self {
             replicas,
             transport,
-            recorder,
             ..
         } = self;
-        let recorder = *recorder;
         let replica = &mut replicas[id as usize];
-        let from = replica.id;
         let log_rev = replica.log_rev;
         let digests = replica.digests();
         for (peer, link) in replica.links.iter_mut() {
-            // Links to a crashed peer stay Closed (its sessions were
-            // dropped with it) — reconnecting before it restarts would
-            // only burn retransmit budget.
+            // A crashed peer's inbox drains into the void: offering to it
+            // before it restarts would only count re-offers.
             if down[*peer as usize] {
                 continue;
             }
-            let mut outbound: Vec<Message> = Vec::new();
-            match link.session.state() {
-                SessionState::Closed => {
-                    outbound.push(link.session.connect(now)?);
-                    if let Some(recorder) = recorder {
-                        recorder.counter_add_at("net.session_transitions", from, 1);
-                    }
-                }
-                SessionState::Established => {
-                    // Offer when dirty, re-offer when the last one timed out.
-                    let due = match link.offer {
-                        Some((deadline, _)) => now >= deadline,
-                        None => link.dirty,
-                    };
-                    if due {
-                        link.offer = Some((now + replica.offer_timeout, log_rev));
-                        outbound.push(Message::DigestOffer {
-                            digests: digests.clone(),
-                        });
-                    }
-                }
-                SessionState::Connecting | SessionState::Negotiating => {}
+            // Offer when dirty, re-offer when the last one timed out.
+            let due = match link.offer {
+                Some((deadline, _)) => now >= deadline,
+                None => link.dirty,
+            };
+            if !due {
+                continue;
             }
-            match link.session.poll(now) {
-                SessionPoll::Retransmit(message) => outbound.push(message),
-                SessionPoll::Idle | SessionPoll::TimedOut { .. } => {}
+            if link.offer.is_some() {
+                link.reoffers += 1;
             }
-            for message in outbound {
-                transport.send(from, *peer, encode(&message))?;
-            }
+            link.offer = Some((now + OFFER_TIMEOUT_TICKS, log_rev));
+            let offer = Message::DigestOffer {
+                digests: digests.clone(),
+            };
+            transport.send(id, *peer, encode(&offer))?;
         }
         Ok(())
     }
@@ -820,9 +694,10 @@ impl<'a> ReplicaSet<'a> {
     }
 
     /// Crash replica `id`: its repository, log and version vector are
-    /// as good as lost (they are rebuilt empty on restart), every
-    /// session touching it — both directions — dies with it, and frames
-    /// already in flight toward it will drain into the void.
+    /// as good as lost (they are rebuilt empty on restart), every offer
+    /// outstanding on a link touching it — both directions — dies with
+    /// it, and frames already in flight toward it will drain into the
+    /// void.
     pub fn crash(&mut self, id: u32) -> Result<(), NetError> {
         let replicas = self.replicas.len();
         if id as usize >= replicas {
@@ -832,11 +707,12 @@ impl<'a> ReplicaSet<'a> {
             });
         }
         for replica in self.replicas.iter_mut() {
-            if replica.id == id {
-                replica.down = true;
-                replica.reset_links(false);
-            } else {
-                replica.drop_session_to(id);
+            let own = replica.id == id;
+            replica.down |= own;
+            for (peer, link) in replica.links.iter_mut() {
+                if own || *peer == id {
+                    link.offer = None;
+                }
             }
         }
         while self.transport.recv(id).is_some() {}
@@ -849,8 +725,8 @@ impl<'a> ReplicaSet<'a> {
     /// Restart a crashed replica: it rejoins with an empty repository,
     /// log and version vector, every link born dirty, and catches up
     /// from its peers over the next gossip rounds (its empty offers make
-    /// peers push everything back; the fresh-establishment dirty rule
-    /// makes peers re-offer their side too). Only the durable
+    /// peers push everything back, and every peer's link to it turns
+    /// dirty so they re-offer their side too). Only the durable
     /// own-version counter survives, so it can never re-issue a stamp.
     pub fn restart(&mut self, id: u32) -> Result<(), NetError> {
         let replicas = self.replicas.len();
@@ -861,6 +737,14 @@ impl<'a> ReplicaSet<'a> {
             });
         };
         replica.rebuild();
+        // Parity a peer confirmed before the crash describes state the
+        // replica lost, and an empty reply answering its new empty offer
+        // may be a stale one sent before the crash: every peer re-offers.
+        for peer in self.replicas.iter_mut() {
+            if let Some(link) = peer.links.get_mut(&id) {
+                link.dirty = true;
+            }
+        }
         while self.transport.recv(id).is_some() {}
         if let Some(recorder) = self.recorder {
             recorder.counter_add_at("net.replica_restarts", id, 1);
@@ -883,8 +767,7 @@ impl<'a> ReplicaSet<'a> {
     }
 
     /// Read-repair candidates for a miss on replica `from`: alive peers
-    /// with an `Established` session from `from` whose log holds the
-    /// application, in deterministic id order.
+    /// whose log holds the application, in deterministic id order.
     pub fn repair_candidates(&self, from: u32, application: &str) -> Vec<u32> {
         let Some(requester) = self.replicas.get(from as usize) else {
             return Vec::new();
@@ -894,13 +777,12 @@ impl<'a> ReplicaSet<'a> {
         }
         requester
             .links
-            .iter()
-            .filter(|(peer, link)| {
-                !self.replicas[**peer as usize].down
-                    && link.session.state() == SessionState::Established
-                    && self.replicas[**peer as usize].log.contains_key(application)
+            .keys()
+            .filter(|peer| {
+                let peer = &self.replicas[**peer as usize];
+                !peer.down && peer.log.contains_key(application)
             })
-            .map(|(peer, _)| *peer)
+            .copied()
             .collect()
     }
 
@@ -952,6 +834,8 @@ impl<'a> ReplicaSet<'a> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     use super::*;
 
     fn bench(name: &str) -> BenchmarkSpec {
@@ -997,9 +881,11 @@ mod tests {
         // way, offer→want→push the other); the second copy is a
         // superseded no-op, never a double-apply.
         assert!(report.superseded <= 1, "{}", report.superseded);
-        assert_eq!(report.retransmits, 0);
-        assert_eq!(report.session_resets, 0);
-        assert!(report.ticks > 0);
+        assert_eq!(report.reoffers, 0);
+        // Offers both ways, their replies, the push, then one parity
+        // probe each way and its empty reply: no handshake frames.
+        assert_eq!(report.ticks, 4);
+        assert_eq!(report.transport.sent, 9);
 
         // The entry is servable on the *other* replica, marked as
         // replication-applied.
@@ -1014,13 +900,6 @@ mod tests {
             .provenance
             .expect("replicated entries carry provenance");
         assert_eq!(prov.version, 1);
-
-        // The pair stays connected: a later publication gossips without
-        // a new handshake.
-        assert!(set
-            .session_states()
-            .iter()
-            .all(|(_, _, s)| *s == SessionState::Established));
 
         // A quiesced set has nothing left to do: a second converge sends
         // no frame.
@@ -1099,8 +978,7 @@ mod tests {
             }
         );
 
-        set.converge()
-            .expect("second converge re-establishes sessions");
+        set.converge().expect("second converge");
         assert!(set.converged());
         for id in 0..3 {
             let map = set.replica(id).unwrap().model_map();
@@ -1224,8 +1102,8 @@ mod tests {
         ));
     }
 
-    /// Every frame is dropped — the hostile plan that used to burn the
-    /// whole tick budget in silent connect/reset cycles.
+    /// Every frame is dropped — the hostile plan that would burn the
+    /// whole tick budget in silent re-offers without a named culprit.
     struct DropEverything;
 
     impl crate::inject::FaultInjector for DropEverything {
@@ -1235,7 +1113,7 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_retransmit_budget_names_the_culprit_link() {
+    fn unanswered_offers_name_the_culprit_link() {
         let config = ReplicaConfig {
             max_ticks: 200,
             ..ReplicaConfig::default()
@@ -1255,10 +1133,9 @@ mod tests {
             (0, 1),
             "ties resolve to the lowest link deterministically"
         );
-        assert_eq!(culprit.state, "Connecting", "stuck mid-handshake");
         assert!(
-            culprit.resets >= 1,
-            "the FSM demonstrably burned its retransmit budget: {culprit}"
+            culprit.reoffers >= 1,
+            "the link demonstrably re-sent unanswered offers: {culprit}"
         );
     }
 
@@ -1310,9 +1187,8 @@ mod tests {
         assert!(set.holds(1, "miniMD"), "the entry was not stranded");
     }
 
-    /// Aggressive duplication and per-message delay: handshake answers
-    /// and digest replies get redelivered long after their exchange
-    /// completed.
+    /// Aggressive duplication and per-message delay: digest offers and
+    /// replies get redelivered long after their exchange completed.
     struct DupDelay;
 
     impl crate::inject::FaultInjector for DupDelay {
@@ -1324,10 +1200,10 @@ mod tests {
         }
     }
 
-    /// A crash mid-sync resets every session touching the replica while
-    /// frames of the old sessions are still in flight; their duplicated,
-    /// delayed answers reach the fresh sessions after the restart and
-    /// must not corrupt them.
+    /// A crash mid-sync forgets every offer touching the replica while
+    /// frames of the old exchanges are still in flight; their duplicated,
+    /// delayed answers arrive after the restart and must not stop the
+    /// set from converging.
     #[test]
     fn duplicated_delayed_frames_across_a_crash_cannot_corrupt_sessions() {
         let run = || {
@@ -1340,26 +1216,81 @@ mod tests {
             for _ in 0..3 {
                 set.gossip_round().unwrap();
             }
-            assert!(!set.transport.quiet(), "old-session frames in flight");
+            assert!(!set.transport.quiet(), "pre-crash frames in flight");
             set.crash(1).unwrap();
             set.gossip_round().unwrap();
             set.restart(1).unwrap();
             let report = set.converge().expect("stale frames cannot stop sync");
+            assert!(set.quiesced(), "every live link settled");
             assert!(set.converged());
             assert!(set.holds(1, "miniMD"), "the restarted replica caught up");
-            assert!(
-                set.session_states()
-                    .iter()
-                    .all(|(_, _, s)| *s == SessionState::Established),
-                "every session re-established despite stale redeliveries"
-            );
-            (report, set.session_states())
+            report
         };
-        let (report_a, states_a) = run();
-        let (report_b, states_b) = run();
-        assert_eq!(report_a, report_b, "bit-identical across reruns");
-        assert_eq!(states_a, states_b);
-        assert!(report_a.transport.duplicated > 0, "duplicates fired");
+        let report = run();
+        assert_eq!(report, run(), "bit-identical across reruns");
+        assert!(report.transport.duplicated > 0, "duplicates fired");
+    }
+
+    /// Delays one message and drops another, each picked by id once the
+    /// test knows which ids its exchange uses (`u64::MAX`: none).
+    struct Staged {
+        delayed: AtomicU64,
+        dropped: AtomicU64,
+    }
+
+    impl crate::inject::FaultInjector for Staged {
+        fn delay_ticks(&self, msg_id: u64) -> u64 {
+            if msg_id == self.delayed.load(Ordering::Relaxed) {
+                6
+            } else {
+                0
+            }
+        }
+        fn drop_message(&self, msg_id: u64) -> bool {
+            msg_id == self.dropped.load(Ordering::Relaxed)
+        }
+    }
+
+    /// A stale empty reply from before a crash answers the restarted
+    /// replica's new empty offer while the real answer is lost: the
+    /// restarted side sees "parity", so only the peers' re-offers that
+    /// `restart` forces can bring it back in sync.
+    #[test]
+    fn restart_makes_peers_reoffer_past_a_stale_parity_reply() {
+        let faults = Staged {
+            delayed: AtomicU64::new(u64::MAX),
+            dropped: AtomicU64::new(u64::MAX),
+        };
+        let mut set = ReplicaSet::new(2, ReplicaConfig::default()).with_faults(&faults);
+        set.replica_mut(0)
+            .unwrap()
+            .publish_model(&bench("miniMD"), &model("miniMD", 2500), vec![]);
+        set.converge().expect("healthy pair converges");
+        assert!(set.holds(1, "miniMD"));
+
+        // Replica 1 sends a parity probe (message id `probe`); replica
+        // 0's empty reply, the next id, is held back six extra ticks.
+        let probe = set.transport_stats().sent;
+        faults.delayed.store(probe + 1, Ordering::Relaxed);
+        set.replicas[1].links.get_mut(&0).unwrap().dirty = true;
+        set.pump_replica(1).unwrap();
+        set.deliver_round().unwrap();
+        assert_eq!(set.transport_stats().sent, probe + 2, "probe and reply");
+
+        set.crash(1).unwrap();
+        set.restart(1).unwrap();
+        // The restarted replica's empty offer is answered with the entry;
+        // that answer is lost.
+        let offer = set.transport_stats().sent;
+        faults.dropped.store(offer + 1, Ordering::Relaxed);
+        set.pump_replica(1).unwrap();
+        set.deliver_round().unwrap();
+        assert_eq!(set.transport_stats().dropped, 1, "the real answer");
+
+        // The delayed pre-crash reply now confirms "parity" on 1 -> 0.
+        set.converge().expect("the pair quiesces");
+        assert!(set.converged(), "replica 0 re-offered after the restart");
+        assert!(set.holds(1, "miniMD"));
     }
 
     #[test]
@@ -1440,7 +1371,7 @@ mod tests {
     #[test]
     fn pull_models_repairs_a_miss_without_a_gossip_round() {
         let mut set = set(2);
-        // Establish sessions over empty logs.
+        // Settle the pair over empty logs.
         let deadline = 2_000;
         while !set.quiesced() {
             assert!(set.ticks() < deadline);
@@ -1450,7 +1381,7 @@ mod tests {
         set.replica_mut(0)
             .unwrap()
             .publish_model(&b, &model("miniMD", 2500), vec![]);
-        // Replica 1 misses; its established peer 0 holds the entry.
+        // Replica 1 misses; its live peer 0 holds the entry.
         assert_eq!(set.repair_candidates(1, "miniMD"), vec![0]);
         assert!(set.repair_candidates(1, "nonexistent").is_empty());
         set.send_pull(1, 0, vec!["miniMD".into()]).unwrap();

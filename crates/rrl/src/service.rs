@@ -60,7 +60,7 @@
 //! [`FaultInjector::replica_churn`] schedule (nodes served by a crashed
 //! replica re-route to the next alive one; a restarted replica rejoins
 //! empty and catches up over the following rounds), and a repository
-//! miss an established peer can serve triggers a targeted
+//! miss a live peer can serve triggers a targeted
 //! [`PullModels`](crate::net::Message::PullModels) read-repair instead
 //! of a cold calibration. Everything stays a pure function of the trace
 //! and the seeds: reruns are bit-identical, and the converged model
@@ -108,10 +108,10 @@ pub struct ServiceConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GossipConfig {
     /// Virtual microseconds between gossip rounds (each round is one
-    /// transport tick, so session timeouts are measured in rounds).
+    /// transport tick, so offer timeouts are measured in rounds).
     /// Clamped to ≥ 1.
     pub cadence_us: Time,
-    /// Repair repository misses from established peers with a targeted
+    /// Repair repository misses from live peers with a targeted
     /// pull instead of running a cold calibration.
     pub read_repair: bool,
     /// Gossip rounds a read-repair waits before re-pulling from the
@@ -157,7 +157,7 @@ pub struct ReplicationSummary {
     /// Every replica held an identical model map when the run ended.
     pub converged: bool,
     /// The set was quiescent (nothing in flight, every alive↔alive link
-    /// established and clean) when the run ended.
+    /// clean with no offer outstanding) when the run ended.
     pub net_idle: bool,
 }
 
@@ -760,7 +760,7 @@ impl ServiceRun<'_, '_, '_> {
         Ok(())
     }
 
-    /// Try to repair a repository miss from an established peer instead
+    /// Try to repair a repository miss from a live peer instead
     /// of cold-calibrating: park the job behind (or join) a targeted
     /// pull. Returns whether the job parked. A key that already went
     /// through one repair cycle is never repaired again — its repeat
@@ -790,7 +790,7 @@ impl ServiceRun<'_, '_, '_> {
         let replica = net.serving_replica(node);
         let candidates = net.set.repair_candidates(replica, &key.application);
         let Some(&target) = candidates.first() else {
-            return Ok(false); // no established peer holds it: cold path
+            return Ok(false); // no live peer holds it: cold path
         };
         net.set
             .send_pull(replica, target, vec![key.application.clone()])
@@ -1138,8 +1138,8 @@ impl ClusterScheduler<'_> {
     /// re-arming on publications, read-repair pulls and replica churn.
     /// Each node serves from its home replica (`node % replicas`),
     /// re-routing to the next alive id while the home is crashed on the
-    /// [`FaultInjector::replica_churn`] schedule. A repository miss an
-    /// established peer can serve becomes a targeted read-repair pull
+    /// [`FaultInjector::replica_churn`] schedule. A repository miss a
+    /// live peer can serve becomes a targeted read-repair pull
     /// instead of a cold calibration (when [`GossipConfig::read_repair`]
     /// is on). By the time the run returns, the set has converged
     /// in-loop — no trailing [`ReplicaSet::converge`] is needed — and
@@ -1210,9 +1210,8 @@ impl ClusterScheduler<'_> {
             for (idx, event) in net.replica_churn.iter().enumerate() {
                 kernel.schedule_at(to_us(event.at_s), ServiceEvent::ReplicaChurn(idx));
             }
-            // The first rounds run immediately: sessions establish
-            // before the trace warms up, so read-repair has established
-            // peers to pull from by the first miss.
+            // The first rounds run immediately, so entries seeded
+            // before the run start spreading before the trace warms up.
             net.round_scheduled = true;
             for id in 0..net.set.len() as u32 {
                 kernel.schedule_at(0, ServiceEvent::Gossip(id));

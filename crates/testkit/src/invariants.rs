@@ -17,11 +17,12 @@
 //!    bit-identical to the sweep over the local repository.
 //! 6. **Replication** (scenarios carrying a
 //!    [`NetPlan`](crate::scenario::NetPlan)) — the replicated execution
-//!    is bit-identical across reruns, every session ends `Established`,
-//!    every replica converges to the same model map, and each
-//!    application's winner is the stamp-maximal publication (highest
-//!    version, highest publisher id on ties) — no matter which messages
-//!    the plan dropped, duplicated, delayed or partitioned away.
+//!    is bit-identical across reruns, every replica converges to the
+//!    same model map (a successful `converge()` already means every live
+//!    link is settled), and each application's winner is the
+//!    stamp-maximal publication (highest version, highest publisher id
+//!    on ties) — no matter which messages the plan dropped, duplicated,
+//!    delayed or partitioned away.
 //! 7. **Observability** — attaching an `obskit` recorder to the service
 //!    run changes nothing observable (per-job accounting and summary are
 //!    bit-identical to the unrecorded run, telemetry snapshot aside), and
@@ -83,11 +84,6 @@ pub enum Violation {
         /// Expected vs observed stamps.
         detail: String,
     },
-    /// A session ended convergence in a state other than `Established`.
-    SessionNotSettled {
-        /// The offending directed session and its state.
-        detail: String,
-    },
     /// Re-executing the replicated scenario produced a different
     /// outcome — replication must be a pure function of the scenario.
     ReplicationNondeterminism,
@@ -129,7 +125,6 @@ impl Violation {
             Violation::VersionIntegrity { .. } => "version-integrity",
             Violation::ReplicaDivergence { .. } => "replica-divergence",
             Violation::WrongWinner { .. } => "wrong-winner",
-            Violation::SessionNotSettled { .. } => "session-not-settled",
             Violation::ReplicationNondeterminism => "replication-nondeterminism",
             Violation::EventCore { .. } => "event-core",
             Violation::Observability { .. } => "observability",
@@ -162,9 +157,6 @@ impl fmt::Display for Violation {
                 f,
                 "wrong reconciliation winner for `{application}`: {detail}"
             ),
-            Violation::SessionNotSettled { detail } => {
-                write!(f, "session not established after convergence: {detail}")
-            }
             Violation::ReplicationNondeterminism => write!(
                 f,
                 "replicated execution is not deterministic: a rerun of the same \
@@ -458,23 +450,11 @@ fn observability(run: &ScenarioRun) -> Result<(), Violation> {
     Ok(())
 }
 
-/// Invariant 6: the replicated execution is deterministic, leaves every
-/// session established, converges, and picks the stamp-maximal winner
-/// per application.
+/// Invariant 6: the replicated execution is deterministic, converges,
+/// and picks the stamp-maximal winner per application.
 fn replication(run: &ReplicatedRun) -> Result<(), Violation> {
-    use rrl::net::SessionState;
-
     if !run.reruns_match {
         return Err(Violation::ReplicationNondeterminism);
-    }
-    if let Some((from, to, state)) = run
-        .session_states
-        .iter()
-        .find(|(_, _, s)| *s != SessionState::Established)
-    {
-        return Err(Violation::SessionNotSettled {
-            detail: format!("session {from} → {to} ended {state:?}"),
-        });
     }
     let Some(first) = run.model_maps.first() else {
         return Ok(());

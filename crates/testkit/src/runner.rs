@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 use obskit::{Recorder, Registry};
 use ptf::RandomSearch;
-use rrl::net::{ModelDigest, SessionState};
+use rrl::net::ModelDigest;
 use rrl::{
     ClusterReport, ClusterScheduler, ConvergeReport, GossipConfig, JobArrival, OnlineConfig,
     OnlineTuning, ReplicaConfig, ReplicaSet, RuntimeError, ServiceConfig, Stamp,
@@ -78,10 +78,8 @@ pub struct ReplicatedRun {
     pub published: Vec<(String, Stamp)>,
     /// The convergence report.
     pub converge: ConvergeReport,
-    /// Every directed session's final state.
-    pub session_states: Vec<(u32, u32, SessionState)>,
     /// Whether the second execution reproduced the first bit for bit
-    /// (model maps, publications, convergence report, session states).
+    /// (model maps, publications, convergence report).
     pub reruns_match: bool,
 }
 
@@ -206,12 +204,11 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, Violation> {
             let first = run_replicated_once(scenario, plan, strategy.as_ref())?;
             let second = run_replicated_once(scenario, plan, strategy.as_ref())?;
             let reruns_match = first == second;
-            let (model_maps, published, converge, session_states) = first;
+            let (model_maps, published, converge) = first;
             Some(ReplicatedRun {
                 model_maps,
                 published,
                 converge,
-                session_states,
                 reruns_match,
             })
         }
@@ -291,7 +288,6 @@ type ReplicatedState = (
     Vec<BTreeMap<String, ModelDigest>>,
     Vec<(String, Stamp)>,
     ConvergeReport,
-    Vec<(u32, u32, SessionState)>,
 );
 
 fn run_replicated_once(
@@ -357,7 +353,7 @@ fn run_replicated_once(
     let published = (0..replicas)
         .flat_map(|id| set.replica(id).expect("in range").published().to_vec())
         .collect();
-    Ok((model_maps, published, converge, set.session_states()))
+    Ok((model_maps, published, converge))
 }
 
 /// One full in-loop execution: seed replica 0, drive the whole trace

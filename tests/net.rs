@@ -2,16 +2,18 @@
 //! scenarios carrying a [`testkit::NetPlan`] run their trace round-robin
 //! over a fault-injected [`rrl::ReplicaSet`], converge by anti-entropy,
 //! and must satisfy the replication invariants — identical model maps on
-//! every replica, the stamp-maximal winner per application, every
-//! session torn down, and bit-identical reruns — no matter which
-//! messages the plan drops, duplicates, delays or partitions away.
+//! every replica, the stamp-maximal winner per application and
+//! bit-identical reruns — no matter which messages the plan drops,
+//! duplicates, delays or partitions away.
 
 use dvfs_ufs_tuning::rrl::Stamp;
 use testkit::{GeneratorConfig, NetPlan, PartitionWindow, Scenario, ScenarioGenerator};
 
 fn replicated_generator(replicas: usize) -> ScenarioGenerator {
     ScenarioGenerator::new(GeneratorConfig {
-        jobs: 8,
+        // A pair gossips few frames per job; twice the jobs give every
+        // 2-replica cell enough traffic for its shape's fault to fire.
+        jobs: if replicas == 2 { 16 } else { 8 },
         nodes: 3,
         workloads: 2,
         fault_fraction: 0.0,
@@ -180,7 +182,6 @@ fn drift_republish_wins_everywhere_under_partition_reorder_duplicate() {
     assert_eq!(again.model_maps, replicated.model_maps);
     assert_eq!(again.published, replicated.published);
     assert_eq!(again.converge, replicated.converge);
-    assert_eq!(again.session_states, replicated.session_states);
 }
 
 /// Acceptance — the shrinker minimises a failing replicated scenario to
