@@ -149,7 +149,7 @@ fn bench_trace_io(c: &mut Criterion) {
             w.leave(phase, t, 5500.0, None);
             let trace = w.finish();
             let bytes = trace.to_bytes();
-            let back = TraceReader::read(bytes).expect("parse");
+            let back = TraceReader::read(&bytes).expect("parse");
             black_box(scorep_lite::parse_trace(&back).expect("summary"))
         })
     });
@@ -402,7 +402,7 @@ fn bench_real_kernels(c: &mut Criterion) {
 }
 
 /// Ablation: committee size 1 vs 5 at inference time (the robustness
-/// extension documented in DESIGN.md).
+/// extension documented on `ptf::EnergyModel`).
 fn bench_committee_ablation(c: &mut Criterion) {
     let data = synthetic_dataset(256);
     let cfg = TrainConfig {

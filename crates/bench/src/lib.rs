@@ -1,8 +1,7 @@
 //! # bench-suite — experiment regeneration harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4) plus shared
-//! sweep utilities. The Criterion benches measure the hot paths behind each
-//! artefact.
+//! One binary per table/figure of the paper plus shared sweep utilities.
+//! The Criterion benches measure the hot paths behind each artefact.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

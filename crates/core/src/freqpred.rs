@@ -28,7 +28,7 @@ use crate::modeldata::features_from_rates;
 /// in the paper itself, whose plugin picked 2.5|2.1 GHz where the true
 /// optimum was 2.4|1.7 GHz. Averaging a few independently-initialised
 /// networks keeps the single-network architecture while stabilising the
-/// arg-min (see DESIGN.md).
+/// arg-min.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EnergyModel {
     nets: Vec<EnergyNet>,
@@ -70,11 +70,6 @@ impl EnergyModel {
         }
     }
 
-    /// Number of networks in the committee.
-    pub fn committee_size(&self) -> usize {
-        self.nets.len()
-    }
-
     /// Train with the paper's full protocol (Section V-B): all frequency
     /// combinations of the platform, OpenMP threads swept 12–24 in steps
     /// of 4, ten epochs of Adam at the default hyper-parameters, on the
@@ -101,15 +96,6 @@ impl EnergyModel {
             },
             5,
         )
-    }
-
-    /// Wrap an existing training report.
-    pub fn from_report(report: TrainReport) -> Self {
-        Self {
-            nets: vec![report.net],
-            scaler: report.scaler,
-            calibration: SystemConfig::calibration(),
-        }
     }
 
     /// Predict normalised energy for one frequency pair given the phase

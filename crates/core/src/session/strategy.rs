@@ -172,9 +172,10 @@ impl ExplorationPlan {
 /// A frequency-search strategy: given the analysis results, find the
 /// phase-best configuration and the per-region verification set.
 ///
-/// Strategies must be `Sync`: the runtime's parallel cluster scheduler
-/// shares one strategy across its worker threads (every bundled strategy
-/// is plain data, so this costs nothing).
+/// Strategies must be `Sync`, so a `&dyn SearchStrategy` and the
+/// configurations that borrow one (the runtime's `OnlineTuning`) can be
+/// shared between threads that run independent sessions or schedulers
+/// (every bundled strategy is plain data, so this costs nothing).
 pub trait SearchStrategy: std::fmt::Debug + Sync {
     /// Strategy name (used in reports and error messages).
     fn name(&self) -> &'static str;

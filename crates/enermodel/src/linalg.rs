@@ -49,20 +49,6 @@ impl Matrix {
         }
     }
 
-    /// Create a matrix from a flat row-major buffer.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "buffer length {} does not match {rows}x{cols}",
-            data.len()
-        );
-        Self { rows, cols, data }
-    }
-
     /// Create a matrix from nested rows.
     ///
     /// # Panics
@@ -115,11 +101,6 @@ impl Matrix {
     /// Borrow the underlying row-major buffer.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Mutably borrow the underlying row-major buffer.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// Borrow one row as a slice.

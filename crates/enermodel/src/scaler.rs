@@ -42,11 +42,6 @@ impl StandardScaler {
         Self { means, stds }
     }
 
-    /// Number of features this scaler was fitted on.
-    pub fn num_features(&self) -> usize {
-        self.means.len()
-    }
-
     /// Column means.
     pub fn means(&self) -> &[f64] {
         &self.means

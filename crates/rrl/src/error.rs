@@ -15,8 +15,6 @@ use simnode::SystemConfig;
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum RuntimeError {
-    /// A serialized tuning model could not be read from storage.
-    Io(std::io::Error),
     /// Stored bytes were not a valid tuning model.
     Parse(serde_json::Error),
     /// The repository holds no model for this application/workload and no
@@ -145,7 +143,6 @@ pub enum RuntimeError {
 impl fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RuntimeError::Io(e) => write!(f, "cannot read tuning model: {e}"),
             RuntimeError::Parse(e) => write!(f, "stored tuning model is corrupt: {e}"),
             RuntimeError::NoModel {
                 application,
@@ -230,7 +227,6 @@ impl fmt::Display for RuntimeError {
 impl std::error::Error for RuntimeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            RuntimeError::Io(e) => Some(e),
             RuntimeError::Parse(e) => Some(e),
             RuntimeError::Planning(e) => Some(e),
             RuntimeError::Replication(e) => Some(e),
@@ -330,8 +326,8 @@ mod tests {
     #[test]
     fn io_and_parse_have_sources() {
         use std::error::Error as _;
-        let io = RuntimeError::Io(std::io::Error::new(std::io::ErrorKind::NotFound, "gone"));
-        assert!(io.source().is_some());
+        let parse = RuntimeError::Parse(serde_json::from_str::<u32>("x").unwrap_err());
+        assert!(parse.source().is_some());
         let net = RuntimeError::Replication(crate::net::NetError::ConvergeTimeout {
             ticks: 10,
             culprit: None,

@@ -30,8 +30,8 @@
 //!
 //! Every hook is a pure function of the job identity (name, region,
 //! iteration), never of wall-clock time or thread identity — which is
-//! what keeps a faulted parallel run bit-identical to the same faulted
-//! sequential run, and any faulted run bit-identical to its replay.
+//! what keeps the sweep and service loops observing identical faults, and
+//! any faulted run bit-identical to its replay.
 //!
 //! [`ClusterScheduler::run`]: crate::ClusterScheduler::run
 //!
@@ -95,8 +95,9 @@ pub struct ReplicaChurnEvent {
 
 /// Deterministic fault decisions for one scheduler run.
 ///
-/// Implementations must be `Sync` (one injector serves every worker of a
-/// parallel run) and must answer from the *arguments alone* so the two
+/// Implementations must be `Sync` (one injector, borrowed by a transport
+/// or a scheduler run, may be shared between threads that run independent
+/// scenarios) and must answer from the *arguments alone* so the two
 /// event loops — and two runs of the same scenario — observe identical
 /// faults. All hooks default to "no fault"; implement only the kinds a
 /// scenario uses.

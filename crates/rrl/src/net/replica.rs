@@ -300,10 +300,6 @@ impl Replica {
         }
     }
 
-    fn digests(&self) -> Vec<ModelDigest> {
-        self.log.values().map(ReplicatedModel::digest).collect()
-    }
-
     /// Answer one message from peer `from`. `None` means the message
     /// needs no reply (an applied push, a parity confirmation).
     fn respond(&mut self, from: u32, message: Message) -> Option<Message> {
@@ -658,7 +654,9 @@ impl<'a> ReplicaSet<'a> {
         } = self;
         let replica = &mut replicas[id as usize];
         let log_rev = replica.log_rev;
-        let digests = replica.digests();
+        // Hashing every entry is the sweep's main cost, so it waits until
+        // some link is due an offer; an idle sweep hashes nothing.
+        let mut digests: Option<Vec<ModelDigest>> = None;
         for (peer, link) in replica.links.iter_mut() {
             // A crashed peer's inbox drains into the void: offering to it
             // before it restarts would only count re-offers.
@@ -677,6 +675,8 @@ impl<'a> ReplicaSet<'a> {
                 link.reoffers += 1;
             }
             link.offer = Some((now + OFFER_TIMEOUT_TICKS, log_rev));
+            let digests = digests
+                .get_or_insert_with(|| replica.log.values().map(ReplicatedModel::digest).collect());
             let offer = Message::DigestOffer {
                 digests: digests.clone(),
             };

@@ -110,13 +110,6 @@ impl OnlineConfig {
         self
     }
 
-    /// Builder form: set the launch configuration.
-    #[must_use]
-    pub fn with_launch(mut self, launch: SystemConfig) -> Self {
-        self.launch = launch;
-        self
-    }
-
     /// Builder form: set the drift parameters.
     #[must_use]
     pub fn with_drift(mut self, drift: DriftConfig) -> Self {

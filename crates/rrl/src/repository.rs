@@ -299,11 +299,6 @@ impl TuningModelRepository {
         self.capacity
     }
 
-    /// The serve-time key matching policy.
-    pub fn match_policy(&self) -> MatchPolicy {
-        self.policy
-    }
-
     /// Store the tuning model a design-time session produced, under the
     /// advice's own application + fingerprint — the design-time → runtime
     /// handoff. The advice's per-region energies become the entry's drift

@@ -10,8 +10,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use scorep_lite::AppRunReport;
-
 use crate::repository::ModelSource;
 
 /// Post-mortem job data for one run.
@@ -26,15 +24,6 @@ pub struct JobRecord {
 }
 
 impl JobRecord {
-    /// Extract the accounting record from an application run.
-    pub fn from_run(report: &AppRunReport) -> Self {
-        Self {
-            job_energy_j: report.job_energy_j,
-            cpu_energy_j: report.cpu_energy_j,
-            elapsed_s: report.wall_time_s,
-        }
-    }
-
     /// Average several runs (the paper averages five).
     pub fn mean(records: &[JobRecord]) -> JobRecord {
         assert!(!records.is_empty(), "mean of zero records");

@@ -4,13 +4,11 @@
 //! of chronologically-ordered enter/leave records with attached metric
 //! values (Section IV-A: "performance metrics and energy values are
 //! recorded only at entry and exit of a region"). This module implements a
-//! compact binary encoding over [`bytes`] with a writer/reader pair plus
-//! the region-definition table, faithful in spirit to OTF2's
+//! compact big-endian binary encoding with a writer/reader pair plus the
+//! region-definition table, faithful in spirit to OTF2's
 //! definitions-plus-events layout.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
-use simnode::papi::{CounterValues, NUM_COUNTERS};
+use simnode::papi::{CounterValues, PapiCounter};
 
 use crate::region::{RegionId, RegionRegistry};
 
@@ -135,25 +133,25 @@ impl TraceWriter {
 
 impl Otf2Trace {
     /// Serialise to the binary format.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64 + self.events.len() * 32);
-        buf.put_u32(MAGIC);
-        buf.put_u16(VERSION);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(64 + self.events.len() * 32);
+        buf.extend_from_slice(&MAGIC.to_be_bytes());
+        buf.extend_from_slice(&VERSION.to_be_bytes());
         // Definitions: region table.
-        buf.put_u32(self.registry.len() as u32);
+        buf.extend_from_slice(&(self.registry.len() as u32).to_be_bytes());
         for (_, name, _) in self.registry.iter() {
             let b = name.as_bytes();
-            buf.put_u16(b.len() as u16);
-            buf.put_slice(b);
+            buf.extend_from_slice(&(b.len() as u16).to_be_bytes());
+            buf.extend_from_slice(b);
         }
         // Events.
-        buf.put_u64(self.events.len() as u64);
+        buf.extend_from_slice(&(self.events.len() as u64).to_be_bytes());
         for ev in &self.events {
             match ev {
                 TraceEvent::Enter { region, t_ns } => {
-                    buf.put_u8(TAG_ENTER);
-                    buf.put_u32(region.0);
-                    buf.put_u64(*t_ns);
+                    buf.push(TAG_ENTER);
+                    buf.extend_from_slice(&region.0.to_be_bytes());
+                    buf.extend_from_slice(&t_ns.to_be_bytes());
                 }
                 TraceEvent::Leave {
                     region,
@@ -161,23 +159,23 @@ impl Otf2Trace {
                     node_energy_j,
                     counters,
                 } => {
-                    buf.put_u8(TAG_LEAVE);
-                    buf.put_u32(region.0);
-                    buf.put_u64(*t_ns);
-                    buf.put_f64(*node_energy_j);
+                    buf.push(TAG_LEAVE);
+                    buf.extend_from_slice(&region.0.to_be_bytes());
+                    buf.extend_from_slice(&t_ns.to_be_bytes());
+                    buf.extend_from_slice(&node_energy_j.to_be_bytes());
                     match counters {
                         Some(c) => {
-                            buf.put_u8(1);
+                            buf.push(1);
                             for &v in c.as_slice() {
-                                buf.put_f64(v);
+                                buf.extend_from_slice(&v.to_be_bytes());
                             }
                         }
-                        None => buf.put_u8(0),
+                        None => buf.push(0),
                     }
                 }
             }
         }
-        buf.freeze()
+        buf
     }
 }
 
@@ -210,66 +208,96 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
+/// Big-endian reader over a borrowed buffer. Every read checks that
+/// enough bytes remain, so a short buffer is [`TraceError::Truncated`].
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], TraceError> {
+        let (head, rest) = self.0.split_at_checked(n).ok_or(TraceError::Truncated)?;
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], TraceError> {
+        let (head, rest) = self
+            .0
+            .split_first_chunk::<N>()
+            .ok_or(TraceError::Truncated)?;
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    fn u8(&mut self) -> Result<u8, TraceError> {
+        self.array().map(u8::from_be_bytes)
+    }
+
+    fn u16(&mut self) -> Result<u16, TraceError> {
+        self.array().map(u16::from_be_bytes)
+    }
+
+    fn u32(&mut self) -> Result<u32, TraceError> {
+        self.array().map(u32::from_be_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, TraceError> {
+        self.array().map(u64::from_be_bytes)
+    }
+
+    fn f64(&mut self) -> Result<f64, TraceError> {
+        self.array().map(f64::from_be_bytes)
+    }
+}
+
 /// Trace deserialiser.
 #[derive(Debug)]
 pub struct TraceReader;
 
 impl TraceReader {
     /// Parse a binary trace.
-    pub fn read(mut data: Bytes) -> Result<Otf2Trace, TraceError> {
+    pub fn read(data: &[u8]) -> Result<Otf2Trace, TraceError> {
         use TraceError::*;
-        let need = |buf: &Bytes, n: usize| {
-            if buf.remaining() < n {
-                Err(Truncated)
-            } else {
-                Ok(())
-            }
-        };
-
-        need(&data, 6)?;
-        if data.get_u32() != MAGIC {
+        // A buffer too short for the whole header is truncated, whatever
+        // its first bytes say.
+        if data.len() < 6 {
+            return Err(Truncated);
+        }
+        let mut data = Cursor(data);
+        if data.u32()? != MAGIC {
             return Err(BadMagic);
         }
-        let version = data.get_u16();
+        let version = data.u16()?;
         if version != VERSION {
             return Err(BadVersion(version));
         }
-        need(&data, 4)?;
-        let nregions = data.get_u32();
+        let nregions = data.u32()?;
         let mut registry = RegionRegistry::new();
         for _ in 0..nregions {
-            need(&data, 2)?;
-            let len = data.get_u16() as usize;
-            need(&data, len)?;
-            let raw = data.copy_to_bytes(len);
-            let name = std::str::from_utf8(&raw).map_err(|_| BadName)?;
+            let len = data.u16()? as usize;
+            let name = std::str::from_utf8(data.take(len)?).map_err(|_| BadName)?;
             registry.intern(name);
         }
-        need(&data, 8)?;
-        let nevents = data.get_u64();
-        let mut events = Vec::with_capacity(nevents.min(1 << 20) as usize);
+        let nevents = data.u64()?;
+        // Every record is at least 13 bytes (an enter), which bounds what a
+        // corrupt count can make us allocate.
+        let mut events = Vec::with_capacity(nevents.min(data.0.len() as u64 / 13) as usize);
         for _ in 0..nevents {
-            need(&data, 1)?;
-            match data.get_u8() {
+            match data.u8()? {
                 TAG_ENTER => {
-                    need(&data, 12)?;
-                    let region = RegionId(data.get_u32());
-                    let t_ns = data.get_u64();
+                    let region = RegionId(data.u32()?);
+                    let t_ns = data.u64()?;
                     events.push(TraceEvent::Enter { region, t_ns });
                 }
                 TAG_LEAVE => {
-                    need(&data, 21)?;
-                    let region = RegionId(data.get_u32());
-                    let t_ns = data.get_u64();
-                    let node_energy_j = data.get_f64();
-                    let counters = match data.get_u8() {
+                    let region = RegionId(data.u32()?);
+                    let t_ns = data.u64()?;
+                    let node_energy_j = data.f64()?;
+                    let counters = match data.u8()? {
                         0 => None,
                         _ => {
-                            need(&data, 8 * NUM_COUNTERS)?;
                             let mut c = CounterValues::zeros();
-                            for i in 0..NUM_COUNTERS {
-                                let v = data.get_f64();
-                                c.set(simnode::papi::PapiCounter::all()[i], v);
+                            for &counter in PapiCounter::all() {
+                                c.set(counter, data.f64()?);
                             }
                             Some(c)
                         }
@@ -291,7 +319,6 @@ impl TraceReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnode::papi::PapiCounter;
 
     fn sample_trace(with_counters: bool) -> Otf2Trace {
         let mut w = TraceWriter::new();
@@ -313,14 +340,14 @@ mod tests {
     #[test]
     fn round_trip_without_counters() {
         let t = sample_trace(false);
-        let back = TraceReader::read(t.to_bytes()).expect("parse");
+        let back = TraceReader::read(&t.to_bytes()).expect("parse");
         assert_eq!(t, back);
     }
 
     #[test]
     fn round_trip_with_counters() {
         let t = sample_trace(true);
-        let back = TraceReader::read(t.to_bytes()).expect("parse");
+        let back = TraceReader::read(&t.to_bytes()).expect("parse");
         assert_eq!(t, back);
         if let TraceEvent::Leave {
             counters: Some(c), ..
@@ -345,25 +372,37 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let mut bytes = sample_trace(false).to_bytes().to_vec();
+        let mut bytes = sample_trace(false).to_bytes();
         bytes[0] ^= 0xFF;
-        assert_eq!(
-            TraceReader::read(Bytes::from(bytes)),
-            Err(TraceError::BadMagic)
-        );
+        assert_eq!(TraceReader::read(&bytes), Err(TraceError::BadMagic));
     }
 
     #[test]
     fn truncated_rejected() {
         let bytes = sample_trace(true).to_bytes();
-        let cut = bytes.slice(0..bytes.len() - 5);
-        assert_eq!(TraceReader::read(cut), Err(TraceError::Truncated));
+        for len in 0..bytes.len() {
+            assert_eq!(
+                TraceReader::read(&bytes[..len]),
+                Err(TraceError::Truncated),
+                "prefix of {len} of {} bytes",
+                bytes.len()
+            );
+        }
+    }
+
+    #[test]
+    fn byte_format_is_golden() {
+        // FNV-1a of the encodings pins the byte format: traces written by
+        // an earlier build must still read.
+        let hash = |t: Otf2Trace| kernels::Fnv1a::new().update(&t.to_bytes()).finish();
+        assert_eq!(hash(sample_trace(true)), 0x59ff_85b2_4ee0_08b3);
+        assert_eq!(hash(sample_trace(false)), 0xd8fa_a01e_2b71_0100);
     }
 
     #[test]
     fn empty_trace_round_trips() {
         let t = TraceWriter::new().finish();
-        let back = TraceReader::read(t.to_bytes()).expect("parse");
+        let back = TraceReader::read(&t.to_bytes()).expect("parse");
         assert!(back.events.is_empty());
         assert!(back.registry.is_empty());
     }

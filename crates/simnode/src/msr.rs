@@ -14,7 +14,7 @@
 //! Writes are counted so transition-latency overhead can be accounted for
 //! (21 µs per core write, 20 µs per socket write — Section V-E).
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::freq::{CORE_TRANSITION_LATENCY_S, UNCORE_TRANSITION_LATENCY_S};
 use crate::topology::Topology;
@@ -83,6 +83,12 @@ impl MsrBank {
         }
     }
 
+    /// Lock the register state. No write can leave it half-updated, so a
+    /// poisoned lock is recovered rather than propagated.
+    fn state(&self) -> MutexGuard<'_, MsrState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Encode a core frequency into `IA32_PERF_CTL` format.
     pub fn encode_perf_ctl(mhz: u32) -> u64 {
         (((mhz / 100) as u64) & 0xFF) << 8
@@ -111,7 +117,7 @@ impl MsrBank {
     /// Read an MSR on a core (`IA32_PERF_CTL`) or socket
     /// (`MSR_UNCORE_RATIO_LIMIT`).
     pub fn read(&self, unit: u32, addr: u32) -> Result<u64, MsrError> {
-        let st = self.state.lock();
+        let st = self.state();
         match addr {
             IA32_PERF_CTL => st
                 .perf_ctl
@@ -138,7 +144,7 @@ impl MsrBank {
     /// value already present still costs a write (the hardware does not
     /// dedupe requests).
     pub fn write(&self, unit: u32, addr: u32, value: u64) -> Result<(), MsrError> {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         match addr {
             IA32_PERF_CTL => {
                 let n = self.topo.total_cores();
@@ -177,7 +183,7 @@ impl MsrBank {
     pub fn set_all_core_mhz(&self, mhz: u32) -> f64 {
         // One lock for the whole sweep: a write per core, counted as such,
         // without a lock round trip per core.
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.perf_ctl.fill(Self::encode_perf_ctl(mhz));
         st.core_writes += st.perf_ctl.len() as u64;
         CORE_TRANSITION_LATENCY_S
@@ -186,7 +192,7 @@ impl MsrBank {
     /// Pin the uncore frequency on all sockets. Returns the transition
     /// latency incurred (per-socket writes overlap).
     pub fn set_all_uncore_mhz(&self, mhz: u32) -> f64 {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.uncore_ratio.fill(Self::encode_uncore(mhz, mhz));
         st.socket_writes += st.uncore_ratio.len() as u64;
         UNCORE_TRANSITION_LATENCY_S
@@ -209,7 +215,7 @@ impl MsrBank {
 
     /// `(core_writes, socket_writes)` performed so far.
     pub fn write_counts(&self) -> (u64, u64) {
-        let st = self.state.lock();
+        let st = self.state();
         (st.core_writes, st.socket_writes)
     }
 }

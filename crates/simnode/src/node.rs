@@ -7,7 +7,8 @@
 //! normalising by the energy at the calibration frequencies removes the
 //! factor, which is the motivation for training on normalised energy.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, Normal};
@@ -158,7 +159,9 @@ impl Node {
     /// — so a node's counter-noise stream is the same whether or not it
     /// served jobs in between.
     pub fn with_rng<T>(&self, f: impl FnOnce(&mut StdRng) -> T) -> T {
-        f(&mut self.rng.lock())
+        // Every draw leaves the generator valid, so a panic in `f` poisons
+        // nothing and the lock is recovered.
+        f(&mut self.rng.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 

@@ -6,7 +6,8 @@
 //! `1/2^16 J ≈ 15.3 µJ` and silently wraps — consumers must sample often
 //! enough and handle wraparound, which this model reproduces.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
+
 use serde::{Deserialize, Serialize};
 
 /// RAPL energy unit in joules (`1 / 2^16`).
@@ -18,6 +19,7 @@ pub const RAPL_COUNTER_WRAP: u64 = 1 << 32;
 /// A package energy-status counter.
 #[derive(Debug, Default)]
 pub struct RaplCounter {
+    /// No update can panic half-way, so a poisoned lock is recovered.
     raw: Mutex<RaplState>,
 }
 
@@ -42,7 +44,7 @@ impl RaplCounter {
     /// Accumulate `energy_j` joules of package energy.
     pub fn add_energy(&self, energy_j: f64) {
         assert!(energy_j >= 0.0, "energy cannot decrease");
-        let mut st = self.raw.lock();
+        let mut st = self.raw.lock().unwrap_or_else(PoisonError::into_inner);
         let total = st.residue_j + energy_j;
         let units = (total / RAPL_ENERGY_UNIT_J).floor();
         st.residue_j = total - units * RAPL_ENERGY_UNIT_J;
@@ -51,7 +53,7 @@ impl RaplCounter {
 
     /// Read the raw register.
     pub fn sample(&self) -> RaplSample {
-        RaplSample(self.raw.lock().raw)
+        RaplSample(self.raw.lock().unwrap_or_else(PoisonError::into_inner).raw)
     }
 
     /// Energy in joules between two samples, assuming at most one wrap

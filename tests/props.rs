@@ -191,7 +191,7 @@ fn trace_round_trip() {
         }
         w.leave(phase, t, 1.0, None);
         let trace = w.finish();
-        let back = TraceReader::read(trace.to_bytes()).expect("round trip");
+        let back = TraceReader::read(&trace.to_bytes()).expect("round trip");
         assert_eq!(trace, back);
         let summary = parse_trace(&back).expect("parse");
         assert_eq!(summary.phase_instances.len(), 1);
