@@ -202,11 +202,6 @@ impl Matrix {
         out
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute element difference to another matrix.
     pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
@@ -385,11 +380,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Euclidean norm of a slice.
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 /// Arithmetic mean of a slice (0.0 for an empty slice).
 pub fn mean(a: &[f64]) -> f64 {
     if a.is_empty() {
@@ -531,7 +521,6 @@ mod tests {
     #[test]
     fn helpers() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert!((variance(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
@@ -541,7 +530,6 @@ mod tests {
     #[test]
     fn frobenius_and_diff() {
         let a = Matrix::from_rows(&[vec![3.0, 4.0]]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
         let b = Matrix::from_rows(&[vec![3.0, 6.0]]);
         assert!((a.max_abs_diff(&b) - 2.0).abs() < 1e-12);
     }

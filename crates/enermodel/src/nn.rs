@@ -210,13 +210,6 @@ impl Gradients {
         &self.flat
     }
 
-    /// Accumulate another gradient, scaled.
-    pub fn add_scaled(&mut self, other: &Gradients, scale: f64) {
-        for (d, o) in self.flat.iter_mut().zip(&other.flat) {
-            *d += o * scale;
-        }
-    }
-
     /// Global L2 norm over all gradient entries.
     pub fn norm(&self) -> f64 {
         self.flat.iter().map(|v| v * v).sum::<f64>().sqrt()
@@ -656,11 +649,8 @@ mod tests {
     #[test]
     fn gradients_zeros_and_accumulate() {
         let net = EnergyNet::new(&NetConfig::paper(3));
-        let mut acc = Gradients::zeros_like(&net);
+        let acc = Gradients::zeros_like(&net);
         assert_eq!(acc.norm(), 0.0);
-        let (_, g) = net.backprop(&[0.5; 9], &[1.0]);
-        acc.add_scaled(&g, 2.0);
-        assert!((acc.norm() - 2.0 * g.norm()).abs() < 1e-9);
     }
 
     #[test]

@@ -31,17 +31,6 @@ impl StandardScaler {
         Self { means, stds }
     }
 
-    /// Build from explicit statistics (e.g. deserialised from a tuning
-    /// model).
-    ///
-    /// # Panics
-    /// Panics if lengths differ or any std is non-positive.
-    pub fn from_stats(means: Vec<f64>, stds: Vec<f64>) -> Self {
-        assert_eq!(means.len(), stds.len(), "means/stds length mismatch");
-        assert!(stds.iter().all(|&s| s > 0.0), "stds must be positive");
-        Self { means, stds }
-    }
-
     /// Column means.
     pub fn means(&self) -> &[f64] {
         &self.means
@@ -148,7 +137,7 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let sc = StandardScaler::from_stats(vec![1.0, 2.0], vec![3.0, 4.0]);
+        let sc = StandardScaler::fit(&Matrix::from_rows(&[vec![1.0, 2.0], vec![7.0, 10.0]]));
         let s = serde_json::to_string(&sc).unwrap();
         let back: StandardScaler = serde_json::from_str(&s).unwrap();
         assert_eq!(sc, back);

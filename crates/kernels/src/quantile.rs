@@ -167,22 +167,6 @@ impl QuantileSketch {
         }
         out
     }
-
-    /// Shorthand for the three percentile fields every report wants.
-    pub fn p50_p95_p99(&self) -> (u64, u64, u64) {
-        let qs = self.percentiles(&[0.50, 0.95, 0.99]);
-        (qs[0], qs[1], qs[2])
-    }
-
-    /// Fold another sketch into this one (bucket-wise sum).
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -246,28 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_recording_everything_into_one() {
-        let mut left = QuantileSketch::new();
-        let mut right = QuantileSketch::new();
-        let mut whole = QuantileSketch::new();
-        for v in 0..300u64 {
-            let v = v * 37 + 5;
-            whole.record(v);
-            if v.is_multiple_of(2) {
-                left.record(v);
-            } else {
-                right.record(v);
-            }
-        }
-        left.merge(&right);
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(left.quantile(q), whole.quantile(q));
-        }
-        assert_eq!(left.count(), whole.count());
-        assert_eq!((left.min(), left.max()), (whole.min(), whole.max()));
-    }
-
-    #[test]
     fn percentiles_agree_with_single_quantile_scans() {
         let mut s = QuantileSketch::new();
         for i in 0..2_000u64 {
@@ -290,9 +252,9 @@ mod tests {
     fn quantiles_clamp_to_observed_range() {
         let mut s = QuantileSketch::new();
         s.record(1_000_003);
-        let (p50, p95, p99) = s.p50_p95_p99();
-        assert_eq!(p50, 1_000_003);
-        assert_eq!(p95, 1_000_003);
-        assert_eq!(p99, 1_000_003);
+        assert_eq!(
+            s.percentiles(&[0.50, 0.95, 0.99]),
+            vec![1_000_003, 1_000_003, 1_000_003]
+        );
     }
 }

@@ -2,13 +2,12 @@
 //!
 //! The [`ClusterScheduler`] multiplexes many concurrent
 //! [`RuntimeSession`]s across the nodes of a [`Cluster`]: jobs are placed
-//! round-robin or least-loaded (by estimated phase work), served their
-//! tuning model from a repository, and then driven *interleaved* — each
-//! event-loop sweep advances every active session by one region event —
-//! exactly as a cluster full of independently-running RRL instances would
-//! progress. Because session accounting is interleaving-independent (see
-//! [`crate::session`]), every job's result is bit-identical to running
-//! its session alone.
+//! round-robin, served their tuning model from a repository, and then
+//! driven *interleaved* — each event-loop sweep advances every active
+//! session by one region event — exactly as a cluster full of
+//! independently-running RRL instances would progress. Because session
+//! accounting is interleaving-independent (see [`crate::session`]),
+//! every job's result is bit-identical to running its session alone.
 //!
 //! Two event loops drive the same job-state machine and the same
 //! cold-workload admission policy:
@@ -48,17 +47,6 @@ use crate::sacct::{JobAccounting, JobRecord};
 use crate::savings::Savings;
 use crate::session::RuntimeSession;
 
-/// Job-to-node placement policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Placement {
-    /// Cycle through the nodes in index order.
-    #[default]
-    RoundRobin,
-    /// Place each job on the node with the least estimated work assigned
-    /// so far (ties break to the lowest index).
-    LeastLoaded,
-}
-
 /// Online adaptation for a scheduler run: when attached via
 /// [`ClusterScheduler::with_online`], repository misses no longer pin the
 /// static fallback — the first job of each unseen workload calibrates
@@ -76,7 +64,7 @@ pub struct OnlineTuning<'a> {
     /// Trained energy model for model-predicting strategies (`None` is
     /// fine for exhaustive/random search).
     pub energy_model: Option<&'a EnergyModel>,
-    /// Calibration and drift settings.
+    /// Online settings: the objective calibrations minimise.
     pub config: OnlineConfig,
 }
 
@@ -767,23 +755,15 @@ impl AdmissionGate {
 /// Schedules and drives many concurrent runtime sessions over a cluster.
 pub struct ClusterScheduler<'a> {
     cluster: &'a Cluster,
-    placement: Placement,
     online: Option<OnlineTuning<'a>>,
     faults: Option<&'a dyn FaultInjector>,
     recorder: Option<&'a dyn Recorder>,
     rr_next: usize,
     queue: Vec<QueuedJob>,
-    /// Estimated phase work (instructions) assigned per node.
-    load: Vec<f64>,
 }
 
 /// The recorder handed to runs when none is attached: recording off.
 static NOOP_RECORDER: NoopRecorder = NoopRecorder;
-
-/// Estimated total work of a job, for least-loaded placement.
-pub(crate) fn estimated_work(bench: &BenchmarkSpec) -> f64 {
-    bench.phase_character().instr_per_iter * f64::from(bench.phase_iterations)
-}
 
 impl<'a> ClusterScheduler<'a> {
     /// Scheduler over `cluster` with round-robin placement.
@@ -793,21 +773,12 @@ impl<'a> ClusterScheduler<'a> {
         }
         Ok(Self {
             cluster,
-            placement: Placement::RoundRobin,
             online: None,
             faults: None,
             recorder: None,
             rr_next: 0,
             queue: Vec::new(),
-            load: vec![0.0; cluster.len()],
         })
-    }
-
-    /// Select the placement policy.
-    #[must_use]
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
-        self
     }
 
     /// Attach online adaptation: repository misses calibrate in-situ and
@@ -857,11 +828,6 @@ impl<'a> ClusterScheduler<'a> {
         self.cluster
     }
 
-    /// The configured placement policy.
-    pub(crate) fn placement(&self) -> Placement {
-        self.placement
-    }
-
     /// The attached online adaptation, if any.
     pub(crate) fn online(&self) -> Option<OnlineTuning<'a>> {
         self.online
@@ -877,31 +843,18 @@ impl<'a> ClusterScheduler<'a> {
         self.recorder.unwrap_or(&NOOP_RECORDER)
     }
 
-    /// Submit a job; returns the id of the node it was placed on.
+    /// Submit a job, placed round-robin over the nodes in index order;
+    /// returns the id of the node it was placed on.
     pub fn submit(&mut self, name: impl Into<String>, bench: BenchmarkSpec) -> u32 {
-        let idx = match self.placement {
-            Placement::RoundRobin => {
-                let idx = self.rr_next % self.cluster.len();
-                self.rr_next += 1;
-                idx
-            }
-            Placement::LeastLoaded => self
-                .load
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a.total_cmp(b))
-                .map(|(i, _)| i)
-                .unwrap_or(0),
-        };
-        self.load[idx] += estimated_work(&bench);
+        let idx = self.rr_next % self.cluster.len();
+        self.rr_next += 1;
         self.queue.push(QueuedJob::new(name.into(), bench, idx));
         self.cluster.node(idx).id()
     }
 
-    /// Consume the queue and reset the placement bookkeeping for the next
+    /// Consume the queue and restart the round-robin cycle for the next
     /// submission wave.
     fn take_queue(&mut self) -> Vec<QueuedJob> {
-        self.load = vec![0.0; self.cluster.len()];
         self.rr_next = 0;
         std::mem::take(&mut self.queue)
     }
@@ -1069,20 +1022,6 @@ mod tests {
             .collect();
         assert_eq!(ids, vec![0, 1, 2, 0, 1, 2]);
         assert_eq!(sched.pending(), 6);
-    }
-
-    #[test]
-    fn least_loaded_balances_by_estimated_work() {
-        let cluster = Cluster::exact(2);
-        let mut sched = ClusterScheduler::new(&cluster)
-            .unwrap()
-            .with_placement(Placement::LeastLoaded);
-        // Heavy job lands on node 0, then both small jobs go to node 1
-        // (their combined work is still below the heavy job's).
-        assert_eq!(sched.submit("heavy", toy("heavy", 1e12)), 0);
-        assert_eq!(sched.submit("small-1", toy("small", 1e9)), 1);
-        assert_eq!(sched.submit("small-2", toy("small", 1e9)), 1);
-        assert_eq!(sched.submit("small-3", toy("small", 1e9)), 1);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   ([`ModelSource::Online`]); on a hit the [`DriftDetector`] flags
 //!   stale models and triggers scoped re-calibration,
 //! * [`cluster`] — the [`ClusterScheduler`]: multiplexes many concurrent
-//!   sessions across the nodes of a simulated cluster (round-robin or
-//!   least-loaded placement), gates cold workloads behind a single
+//!   sessions across the nodes of a simulated cluster (round-robin
+//!   placement), gates cold workloads behind a single
 //!   online calibration when [`OnlineTuning`] is attached, and reports
 //!   per-job and aggregate savings ([`ClusterScheduler::run`], over any
 //!   [`RepositoryHandle`]),
@@ -46,7 +46,7 @@
 //! * [`net`] — replicated serving: a seeded fault-injectable
 //!   [`SimTransport`], a length-framed versioned wire format, and
 //!   [`ReplicaSet`] — N replica repositories converged to bit-identical
-//!   model maps by version-vector anti-entropy sync (a [`Replica`] is a
+//!   model maps by stamp-ordered anti-entropy sync (a [`Replica`] is a
 //!   [`RepositoryHandle`] the scheduler serves from),
 //! * [`sacct`] — SLURM-style job accounting: the job-level Table VI
 //!   record plus the per-region energy/time breakdown,
@@ -83,7 +83,6 @@ pub mod tmm;
 
 pub use cluster::{
     ClusterReport, ClusterScheduler, JobOutcome, JobRejection, OnlineSummary, OnlineTuning,
-    Placement,
 };
 pub use error::RuntimeError;
 pub use inject::{
@@ -91,11 +90,11 @@ pub use inject::{
 };
 pub use net::{
     ConvergeCulprit, ConvergeReport, NetError, Replica, ReplicaConfig, ReplicaSet, SimTransport,
-    Stamp, TransportStats, VersionVector,
+    Stamp, TransportStats,
 };
 pub use online::{
-    ConvergedModel, DriftConfig, DriftDetector, DriftEvent, DriftPolicy, ModelPublication,
-    OnlineConfig, OnlineOutcome, OnlineTuner,
+    ConvergedModel, DriftConfig, DriftDetector, DriftEvent, ModelPublication, OnlineConfig,
+    OnlineOutcome, OnlineTuner,
 };
 pub use repository::{
     MatchPolicy, ModelKey, ModelProvenance, ModelSource, RepositoryHandle, RepositoryStats,

@@ -14,9 +14,8 @@
 //!   functions of `(fault plan, message id, tick)` via the
 //!   [`FaultInjector`](crate::FaultInjector) network hooks.
 //! * [`reconcile`] — [`Stamp`] ordering (version first, publisher id as
-//!   the tie-break), [`VersionVector`] high-water tracking and the
-//!   replicated entry/digest types. The total order on stamps is what
-//!   makes every replica pick the same winner.
+//!   the tie-break) and the replicated entry/digest types. The total
+//!   order on stamps is what makes every replica pick the same winner.
 //! * [`replica`] — [`Replica`] (a repository plus replication state)
 //!   and [`ReplicaSet`], whose gossip rounds drive anti-entropy digest
 //!   sync over the transport; [`ReplicaSet::converge`] repeats them
@@ -38,6 +37,6 @@ pub mod replica;
 pub mod transport;
 
 pub use frame::{decode, encode, ConvergeCulprit, Message, NetError, MAX_FRAME, PROTOCOL_VERSION};
-pub use reconcile::{ModelDigest, ReplicatedModel, Stamp, VersionVector};
+pub use reconcile::{ModelDigest, ReplicatedModel, Stamp};
 pub use replica::{ConvergeReport, Replica, ReplicaConfig, ReplicaSet, ReplicaStats};
 pub use transport::{Delivery, SimTransport, TransportStats};

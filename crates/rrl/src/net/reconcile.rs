@@ -1,4 +1,4 @@
-//! Version-vector reconciliation for replicated model serving.
+//! Stamp-ordered reconciliation for replicated model serving.
 //!
 //! Every publication a replica makes is stamped with a [`Stamp`]: the
 //! application's per-lineage version (the same high-water number the
@@ -11,12 +11,12 @@
 //! seen and therefore wins everywhere, regardless of how the transport
 //! reorders, duplicates or delays it.
 //!
-//! The [`VersionVector`] is each replica's per-application view of that
-//! order: `application → highest stamp observed`. Anti-entropy sync
+//! A replica's view of that order is the stamp of its winning entry per
+//! application: the highest stamp it has observed. Anti-entropy sync
 //! (see [`crate::net::replica`]) exchanges [`ModelDigest`]s — cheap
 //! (application, stamp, content-hash) triples — and ships full
 //! [`ReplicatedModel`] payloads only for entries whose stamp actually
-//! beats the receiver's vector.
+//! beats the receiver's.
 
 use serde::{Deserialize, Serialize};
 
@@ -101,58 +101,6 @@ impl ReplicatedModel {
     }
 }
 
-/// Per-application map of the highest stamp a replica has observed —
-/// publications it made itself and publications it applied from peers.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct VersionVector {
-    entries: std::collections::BTreeMap<String, Stamp>,
-}
-
-impl VersionVector {
-    /// An empty vector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The highest stamp observed for `application`, if any.
-    pub fn get(&self, application: &str) -> Option<&Stamp> {
-        self.entries.get(application)
-    }
-
-    /// Record `stamp` for `application` if it advances the vector.
-    /// Returns `true` when the vector moved (the stamp won).
-    pub fn record(&mut self, application: &str, stamp: Stamp) -> bool {
-        if stamp.wins_over(self.get(application)) {
-            self.entries.insert(application.to_string(), stamp);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The version a *new* local publication for `application` must
-    /// carry to supersede everything this replica has observed: the
-    /// observed high-water version + 1 (or 1 for a first publication).
-    pub fn next_version(&self, application: &str) -> u32 {
-        self.get(application).map_or(1, |s| s.version + 1)
-    }
-
-    /// Iterate `(application, stamp)` in application order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Stamp)> {
-        self.entries.iter().map(|(a, s)| (a.as_str(), s))
-    }
-
-    /// Number of applications with an observed stamp.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing has been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,21 +119,6 @@ mod tests {
             "equal never wins"
         );
         assert_eq!(format!("{}", stamp(3, 1)), "v3@r1");
-    }
-
-    #[test]
-    fn vector_records_only_advancing_stamps() {
-        let mut vv = VersionVector::new();
-        assert_eq!(vv.next_version("app"), 1);
-        assert!(vv.record("app", stamp(1, 0)));
-        assert!(vv.record("app", stamp(1, 1)), "concurrent peer wins tie");
-        assert!(!vv.record("app", stamp(1, 0)), "loser cannot regress it");
-        assert_eq!(vv.get("app"), Some(&stamp(1, 1)));
-        assert_eq!(vv.next_version("app"), 2);
-        assert!(vv.record("app", stamp(2, 0)), "re-publication supersedes");
-        assert_eq!(vv.len(), 1);
-        assert!(!vv.is_empty());
-        assert_eq!(vv.iter().count(), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! [`TuningModelRepository`], a replication *log* (the latest winning
 //! [`ReplicatedModel`] per application — bounded by the application
 //! count, never LRU-evicted, so sync survives repository eviction
-//! pressure), a [`VersionVector`] of the highest stamp observed per
+//! pressure) whose entry stamps are the highest stamp observed per
 //! application, and one sync link per peer. Publications made locally
 //! are stamped `(next version, own id)`; entries applied off the wire
 //! are admitted only when their stamp wins — so every replica converges
@@ -46,7 +46,7 @@ use crate::repository::{
 };
 
 use super::frame::{decode, encode, ConvergeCulprit, Message, NetError};
-use super::reconcile::{ModelDigest, ReplicatedModel, Stamp, VersionVector};
+use super::reconcile::{ModelDigest, ReplicatedModel, Stamp};
 use super::transport::{SimTransport, TransportStats};
 
 /// Virtual ticks (gossip rounds) an outstanding digest offer waits for
@@ -114,12 +114,13 @@ pub struct ReplicaStats {
 pub struct Replica {
     id: u32,
     repo: TuningModelRepository,
-    /// Latest winning entry per application — the sync source of truth.
+    /// Latest winning entry per application — the sync source of truth;
+    /// its stamp is the highest this replica has observed for the
+    /// application.
     log: BTreeMap<String, ReplicatedModel>,
     /// Bumped on every log change; offers snapshot it so a stale empty
     /// reply cannot clear a dirty flag raised since.
     log_rev: u64,
-    vv: VersionVector,
     links: BTreeMap<u32, PeerLink>,
     /// Every stamp this replica assigned locally, in publication order —
     /// independent bookkeeping the invariant suite checks winners
@@ -147,7 +148,6 @@ impl Replica {
             repo: Self::empty_repository(config),
             log: BTreeMap::new(),
             log_rev: 0,
-            vv: VersionVector::new(),
             links: peers
                 .filter(|p| *p != id)
                 .map(|p| {
@@ -187,15 +187,14 @@ impl Replica {
         self.down
     }
 
-    /// Restart after a crash: a fresh empty repository, log and version
-    /// vector; every link born dirty again so the first gossip rounds
+    /// Restart after a crash: a fresh empty repository and log; every
+    /// link born dirty again so the first gossip rounds
     /// replay the fleet's winners back in. Only the durable own-version
     /// counter (and the harness-side publication history) survives.
     fn rebuild(&mut self) {
         self.repo = Self::empty_repository(&self.config);
         self.log.clear();
         self.log_rev = 0;
-        self.vv = VersionVector::new();
         for link in self.links.values_mut() {
             link.dirty = true;
             link.offer = None;
@@ -211,11 +210,6 @@ impl Replica {
     /// The replica-local repository (read-only view).
     pub fn repository(&self) -> &TuningModelRepository {
         &self.repo
-    }
-
-    /// Replication counters.
-    pub fn replication_stats(&self) -> ReplicaStats {
-        self.stats
     }
 
     /// Every stamp this replica assigned to a local publication, in
@@ -244,12 +238,12 @@ impl Replica {
         expected: Vec<(String, f64)>,
     ) -> Stamp {
         // Past everything observed *and* past every version this replica
-        // ever assigned itself — after an amnesiac restart the version
-        // vector is empty, but re-issuing an old stamp with new content
+        // ever assigned itself — after an amnesiac restart the log is
+        // empty, but re-issuing an old stamp with new content
         // would make two replicas disagree forever on that stamp's entry.
         let version = self
-            .vv
-            .next_version(&bench.name)
+            .stamp_of(&bench.name)
+            .map_or(1, |s| s.version + 1)
             .max(self.own_versions.get(&bench.name).copied().unwrap_or(0) + 1);
         self.own_versions.insert(bench.name.clone(), version);
         let stamp = Stamp {
@@ -268,9 +262,16 @@ impl Replica {
         stamp
     }
 
+    /// The highest stamp this replica has observed for `application`:
+    /// the stamp of its log entry, since every stamp that wins is
+    /// installed with the entry carrying it.
+    fn stamp_of(&self, application: &str) -> Option<&Stamp> {
+        self.log.get(application).map(|e| &e.stamp)
+    }
+
     /// Apply a remote entry if its stamp wins; returns whether it did.
     fn apply_remote(&mut self, entry: ReplicatedModel) -> bool {
-        if !entry.stamp.wins_over(self.vv.get(&entry.application)) {
+        if !entry.stamp.wins_over(self.stamp_of(&entry.application)) {
             self.stats.superseded += 1;
             return false;
         }
@@ -279,7 +280,7 @@ impl Replica {
         true
     }
 
-    /// Install a winning entry: repository, log, vector; dirty gossip.
+    /// Install a winning entry: repository and log; dirty gossip.
     fn install(&mut self, entry: ReplicatedModel, source: ModelSource) {
         let key = ModelKey {
             application: entry.application.clone(),
@@ -292,7 +293,6 @@ impl Replica {
             entry.expected.clone(),
             entry.stamp.version,
         );
-        self.vv.record(&entry.application, entry.stamp);
         self.log.insert(entry.application.clone(), entry);
         self.log_rev += 1;
         for link in self.links.values_mut() {
@@ -311,7 +311,7 @@ impl Replica {
                     .collect();
                 let want: Vec<String> = digests
                     .iter()
-                    .filter(|d| d.stamp.wins_over(self.vv.get(&d.application)))
+                    .filter(|d| d.stamp.wins_over(self.stamp_of(&d.application)))
                     .map(|d| d.application.clone())
                     .collect();
                 let entries: Vec<ReplicatedModel> = self
@@ -693,11 +693,10 @@ impl<'a> ReplicaSet<'a> {
         self.deliver()
     }
 
-    /// Crash replica `id`: its repository, log and version vector are
-    /// as good as lost (they are rebuilt empty on restart), every offer
-    /// outstanding on a link touching it — both directions — dies with
-    /// it, and frames already in flight toward it will drain into the
-    /// void.
+    /// Crash replica `id`: its repository and log are as good as lost
+    /// (they are rebuilt empty on restart), every offer outstanding on a
+    /// link touching it — both directions — dies with it, and frames
+    /// already in flight toward it will drain into the void.
     pub fn crash(&mut self, id: u32) -> Result<(), NetError> {
         let replicas = self.replicas.len();
         if id as usize >= replicas {
@@ -722,8 +721,8 @@ impl<'a> ReplicaSet<'a> {
         Ok(())
     }
 
-    /// Restart a crashed replica: it rejoins with an empty repository,
-    /// log and version vector, every link born dirty, and catches up
+    /// Restart a crashed replica: it rejoins with an empty repository
+    /// and log, every link born dirty, and catches up
     /// from its peers over the next gossip rounds (its empty offers make
     /// peers push everything back, and every peer's link to it turns
     /// dirty so they re-offer their side too). Only the durable
@@ -1348,7 +1347,7 @@ mod tests {
         }
         set.crash(0).unwrap();
         set.restart(0).unwrap();
-        // Republish *before* catch-up: the version vector is empty, but
+        // Republish *before* catch-up: the log is empty, but
         // the durable own-version counter still forbids stamp reuse.
         let second = set
             .replica_mut(0)
@@ -1427,7 +1426,6 @@ mod tests {
         );
         let stats = RepositoryHandle::stats(replica);
         assert_eq!(stats.publications, 1);
-        assert_eq!(replica.replication_stats(), ReplicaStats::default());
         assert_eq!(replica.id(), 0);
         assert!(replica.repository().stats().publications == 1);
     }

@@ -46,18 +46,6 @@ impl Default for DriftConfig {
     }
 }
 
-/// What the [`OnlineTuner`](crate::OnlineTuner) does when drift fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DriftPolicy {
-    /// Record the event and keep serving the stored model.
-    Ignore,
-    /// Re-explore the flagged region's configuration neighbourhood over
-    /// its next visits and converge it to a fresh optimum (refused —
-    /// counted, not fatal — when too few visits remain).
-    #[default]
-    Recalibrate,
-}
-
 /// One region whose observed energy drifted away from the served model's
 /// expectation.
 #[derive(Debug, Clone, PartialEq)]

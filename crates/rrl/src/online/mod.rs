@@ -24,9 +24,9 @@
 //!   leading calibration and are admitted as hits once it publishes.
 //! * [`drift`] — the [`DriftDetector`]: on a repository **hit**, an EWMA
 //!   of observed vs. model-predicted region energy flags stale served
-//!   models; under [`DriftPolicy::Recalibrate`] the flagged region
-//!   re-explores its configuration neighbourhood in place and the patched
-//!   model is re-published with a bumped version.
+//!   models; the flagged region re-explores its configuration
+//!   neighbourhood in place and the patched model is re-published with a
+//!   bumped version.
 //! * `schedule` (internal) — the calibration stage machine (thread sweep
 //!   → analysis → phase search → verification → exploit), surfaced as
 //!   [`ConvergedModel`].
@@ -47,7 +47,7 @@ pub mod drift;
 pub(crate) mod schedule;
 pub mod tuner;
 
-pub use drift::{DriftConfig, DriftDetector, DriftEvent, DriftPolicy};
+pub use drift::{DriftConfig, DriftDetector, DriftEvent};
 pub use schedule::ConvergedModel;
 pub use tuner::{ModelPublication, OnlineOutcome, OnlineTuner};
 
@@ -61,66 +61,20 @@ pub(crate) fn cfg_key(cfg: SystemConfig) -> (u32, u32, u32) {
     (cfg.threads, cfg.core.mhz(), cfg.uncore.mhz())
 }
 
-/// Settings for online calibration and drift handling.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Settings for online calibration.
+///
+/// Everything else an online job does is the paper's fixed calibration:
+/// a calibrating job launches at the platform default configuration,
+/// sweeps threads from 12 in steps of 4, and gives a region its own
+/// scenario when it runs longer than the `readex-dyn-detect`
+/// significance threshold
+/// ([`SIGNIFICANCE_THRESHOLD_S`](scorep_lite::dyn_detect::SIGNIFICANCE_THRESHOLD_S)).
+/// Monitoring uses the default [`DriftConfig`], and a fired drift event
+/// always re-explores the region's radius-1 configuration neighbourhood.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OnlineConfig {
-    /// Objective the online search minimises (default: energy, matching
-    /// the design-time default).
+    /// Objective the online search minimises — the design-time
+    /// [`TuningObjective`] the served advice was tuned under (default:
+    /// energy).
     pub objective: TuningObjective,
-    /// Configuration a calibrating job launches at and falls back to
-    /// between scheduled candidates (default: the platform default).
-    pub launch: SystemConfig,
-    /// Lower bound of the OpenMP thread sweep ladder (paper: 12).
-    pub thread_lower_bound: u32,
-    /// Step of the thread sweep ladder (paper: 4).
-    pub thread_step: u32,
-    /// A region whose observed time in the analysis iteration exceeds
-    /// this threshold gets its own scenario — the `readex-dyn-detect`
-    /// significance rule (paper: 100 ms).
-    pub significance_threshold_s: f64,
-    /// Neighbourhood radius a drift-flagged region re-explores around its
-    /// current configuration.
-    pub recalibration_radius: u32,
-    /// EWMA parameters for drift detection.
-    pub drift: DriftConfig,
-    /// What to do when drift fires.
-    pub drift_policy: DriftPolicy,
-}
-
-impl Default for OnlineConfig {
-    fn default() -> Self {
-        Self {
-            objective: TuningObjective::Energy,
-            launch: SystemConfig::taurus_default(),
-            thread_lower_bound: 12,
-            thread_step: 4,
-            significance_threshold_s: scorep_lite::dyn_detect::SIGNIFICANCE_THRESHOLD_S,
-            recalibration_radius: 1,
-            drift: DriftConfig::default(),
-            drift_policy: DriftPolicy::Recalibrate,
-        }
-    }
-}
-
-impl OnlineConfig {
-    /// Builder form: set the objective.
-    #[must_use]
-    pub fn with_objective(mut self, objective: TuningObjective) -> Self {
-        self.objective = objective;
-        self
-    }
-
-    /// Builder form: set the drift parameters.
-    #[must_use]
-    pub fn with_drift(mut self, drift: DriftConfig) -> Self {
-        self.drift = drift;
-        self
-    }
-
-    /// Builder form: set the drift policy.
-    #[must_use]
-    pub fn with_drift_policy(mut self, policy: DriftPolicy) -> Self {
-        self.drift_policy = policy;
-        self
-    }
 }

@@ -37,12 +37,21 @@
 use std::collections::BTreeMap;
 
 use kernels::BenchmarkSpec;
-use ptf::{EnergyModel, ExplorationInputs, ExplorationPlan, SearchStrategy, TuningModel};
+use ptf::{
+    EnergyModel, ExplorationInputs, ExplorationPlan, SearchStrategy, TuningModel, TuningObjective,
+};
+use scorep_lite::dyn_detect::SIGNIFICANCE_THRESHOLD_S;
 use simnode::{Node, SystemConfig};
 
 use crate::error::RuntimeError;
-use crate::online::{cfg_key as key, OnlineConfig};
+use crate::online::cfg_key as key;
 use crate::session::RegionExit;
+
+/// Lower bound of the OpenMP thread sweep ladder (paper: 12).
+const THREAD_LOWER_BOUND: u32 = 12;
+
+/// Step of the thread sweep ladder (paper: 4).
+const THREAD_STEP: u32 = 4;
 
 /// Stable per-config map key — see [`crate::online::cfg_key`].
 type CfgKey = (u32, u32, u32);
@@ -96,7 +105,7 @@ enum Stage {
 pub(crate) struct CalibrationSchedule<'a> {
     strategy: &'a dyn SearchStrategy,
     energy_model: Option<&'a EnergyModel>,
-    cfg: OnlineConfig,
+    objective: TuningObjective,
     seed: u64,
     stage: Stage,
     explored_iterations: u32,
@@ -130,16 +139,16 @@ impl<'a> CalibrationSchedule<'a> {
         node: &Node,
         strategy: &'a dyn SearchStrategy,
         energy_model: Option<&'a EnergyModel>,
-        cfg: OnlineConfig,
+        objective: TuningObjective,
         seed: u64,
     ) -> Result<Self, RuntimeError> {
         let thread_candidates: Vec<u32> = if bench.model.tunable_threads() {
             let max = node.topology().max_threads();
-            let mut t = cfg.thread_lower_bound;
+            let mut t = THREAD_LOWER_BOUND;
             let mut out = Vec::new();
             while t <= max {
                 out.push(t);
-                t += cfg.thread_step.max(1);
+                t += THREAD_STEP;
             }
             if out.is_empty() {
                 out.push(max);
@@ -160,7 +169,7 @@ impl<'a> CalibrationSchedule<'a> {
         Ok(Self {
             strategy,
             energy_model,
-            cfg,
+            objective,
             seed,
             stage: Stage::Threads { idx: 0 },
             explored_iterations: 0,
@@ -277,7 +286,7 @@ impl<'a> CalibrationSchedule<'a> {
                     .push((self.thread_candidates[idx], iter_e, iter_d));
                 idx += 1;
                 if idx == self.thread_candidates.len() {
-                    let objective = self.cfg.objective;
+                    let objective = self.objective;
                     self.best_threads = self
                         .thread_sweep
                         .iter()
@@ -391,7 +400,7 @@ impl<'a> CalibrationSchedule<'a> {
     /// Phase search finished: pick the phase best and derive the extra
     /// verification configurations that still need measuring.
     fn enter_verification(&mut self, node: &Node) {
-        let objective = self.cfg.objective;
+        let objective = self.objective;
         self.phase_best = self
             .phase_candidates
             .iter()
@@ -422,12 +431,12 @@ impl<'a> CalibrationSchedule<'a> {
     /// All verification configurations measured: converge each
     /// significant region to its best configuration and build the model.
     fn converge(&mut self, bench: &BenchmarkSpec) {
-        let objective = self.cfg.objective;
+        let objective = self.objective;
         // Significant regions in observed-weight order, heaviest first —
         // the same ordering `readex-dyn-detect` hands the design-time
         // session.
         let mut significant: Vec<usize> = (0..bench.regions.len())
-            .filter(|&i| self.analysis[i].duration_s > self.cfg.significance_threshold_s)
+            .filter(|&i| self.analysis[i].duration_s > SIGNIFICANCE_THRESHOLD_S)
             .collect();
         significant.sort_by(|&a, &b| {
             self.analysis[b]

@@ -6,17 +6,21 @@
 use std::collections::BTreeMap;
 
 use kernels::BenchmarkSpec;
-use ptf::{EnergyModel, SearchSpace, SearchStrategy, TuningModel};
+use ptf::{EnergyModel, SearchSpace, SearchStrategy, TuningModel, TuningObjective};
 use simnode::{Node, SystemConfig};
 
 use crate::error::RuntimeError;
 use crate::inject::FaultInjector;
-use crate::online::drift::{DriftDetector, DriftEvent, DriftPolicy};
+use crate::online::drift::{DriftConfig, DriftDetector, DriftEvent};
 use crate::online::schedule::CalibrationSchedule;
 use crate::online::{cfg_key, OnlineConfig};
 use crate::repository::{ModelProvenance, ModelSource, ServedModel};
 use crate::sacct::{JobAccounting, OnlineActivity};
 use crate::session::{RegionExit, RuntimeSession};
+
+/// Neighbourhood radius a drift-flagged region re-explores around its
+/// current configuration.
+const RECALIBRATION_RADIUS: u32 = 1;
 
 /// A converged model ready for
 /// [`TuningModelRepository::publish_online`](crate::TuningModelRepository::publish_online).
@@ -90,17 +94,17 @@ enum Mode<'a> {
 pub struct OnlineTuner<'a> {
     session: RuntimeSession<'a>,
     mode: Mode<'a>,
-    config: OnlineConfig,
+    objective: TuningObjective,
     faults: Option<&'a dyn FaultInjector>,
 }
 
 impl<'a> OnlineTuner<'a> {
     /// Calibration mode — the repository-miss path. The job launches at
-    /// [`OnlineConfig::launch`], spends its early phase iterations
-    /// exploring the strategy's candidate configurations against live
-    /// region measurements, converges, and exploits the converged model
-    /// for the rest of the run. [`OnlineTuner::finish`] then carries the
-    /// model for publication.
+    /// the platform default configuration, spends its early phase
+    /// iterations exploring the strategy's candidate configurations
+    /// against live region measurements, converges, and exploits the
+    /// converged model for the rest of the run. [`OnlineTuner::finish`]
+    /// then carries the model for publication.
     ///
     /// `energy_model` is consulted by model-predicting strategies
     /// (`ModelBasedNeighbourhood`); pool strategies ignore it.
@@ -135,18 +139,25 @@ impl<'a> OnlineTuner<'a> {
         energy_model: Option<&'a EnergyModel>,
         config: OnlineConfig,
     ) -> Result<Self, RuntimeError> {
+        let launch = SystemConfig::taurus_default();
         let served = ServedModel {
-            model: TuningModel::new(&bench.name, &[], config.launch),
+            model: TuningModel::new(&bench.name, &[], launch),
             source: ModelSource::Online,
             provenance: None,
         };
-        let session = RuntimeSession::open(job, bench, fingerprint, node, served, config.launch)?;
-        let schedule =
-            CalibrationSchedule::new(bench, node, strategy, energy_model, config, session.seed())?;
+        let session = RuntimeSession::open(job, bench, fingerprint, node, served, launch)?;
+        let schedule = CalibrationSchedule::new(
+            bench,
+            node,
+            strategy,
+            energy_model,
+            config.objective,
+            session.seed(),
+        )?;
         Ok(Self {
             session,
             mode: Mode::Calibrate(Box::new(schedule)),
-            config,
+            objective: config.objective,
             faults: None,
         })
     }
@@ -154,8 +165,7 @@ impl<'a> OnlineTuner<'a> {
     /// Monitor mode — the repository-hit path. The served model resolves
     /// scenarios as in a plain session; when the serve carried drift
     /// expectations, a [`DriftDetector`] compares them against the live
-    /// per-region measurements and — under
-    /// [`DriftPolicy::Recalibrate`] — a fired region re-explores its
+    /// per-region measurements, and a fired region re-explores its
     /// configuration neighbourhood over its next visits and converges to
     /// a fresh optimum.
     pub fn monitor(
@@ -182,7 +192,7 @@ impl<'a> OnlineTuner<'a> {
         let detector = provenance
             .as_ref()
             .filter(|p| !p.expected.is_empty())
-            .map(|p| DriftDetector::new(config.drift, &p.expected));
+            .map(|p| DriftDetector::new(DriftConfig::default(), &p.expected));
         let launch = SystemConfig::taurus_default();
         let session = RuntimeSession::open(job, bench, fingerprint, node, served, launch)?;
         Ok(Self {
@@ -194,7 +204,7 @@ impl<'a> OnlineTuner<'a> {
                 refusals: 0,
                 recalibrated: 0,
             })),
-            config,
+            objective: config.objective,
             faults: None,
         })
     }
@@ -326,7 +336,7 @@ impl<'a> OnlineTuner<'a> {
                     bench,
                     self.session.node(),
                     self.session.model(),
-                    &self.config,
+                    self.objective,
                 );
             }
         }
@@ -360,8 +370,8 @@ impl<'a> OnlineTuner<'a> {
         Ok(())
     }
 
-    /// Explicitly request a scoped re-calibration of one region (what the
-    /// drift policy does automatically). Errors with
+    /// Explicitly request a scoped re-calibration of one region (what a
+    /// fired drift event does automatically). Errors with
     /// [`RuntimeError::RecalibrationRefused`] when the job has too few
     /// remaining visits of the region to measure its neighbourhood, and
     /// when the session is a calibration (it is already exploring).
@@ -388,14 +398,7 @@ impl<'a> OnlineTuner<'a> {
                     return Ok(0);
                 }
                 let current = self.session.model().lookup(region);
-                state.begin_recalibration(
-                    region,
-                    current,
-                    iteration,
-                    bench,
-                    self.session.node(),
-                    &self.config,
-                )
+                state.begin_recalibration(region, current, iteration, bench, self.session.node())
             }
         }
     }
@@ -471,7 +474,7 @@ impl MonitorState {
         bench: &BenchmarkSpec,
         node: &Node,
         model: &TuningModel,
-        config: &OnlineConfig,
+        objective: TuningObjective,
     ) {
         if exit.filtered {
             return;
@@ -485,7 +488,6 @@ impl MonitorState {
             observed.push((candidates[*idx], exit.node_energy_j, exit.duration_s));
             *idx += 1;
             if *idx == candidates.len() {
-                let objective = config.objective;
                 let (cfg, energy, _) = observed
                     .iter()
                     .min_by(|(ca, ea, da), (cb, eb, db)| {
@@ -516,13 +518,13 @@ impl MonitorState {
             .detector
             .as_mut()
             .and_then(|d| d.observe(region, drift_energy_j, iteration));
-        if fired.is_some() && config.drift_policy == DriftPolicy::Recalibrate {
+        if fired.is_some() {
             let current = match self.adapt.get(region) {
                 Some(RegionAdapt::Converged { config, .. }) => *config,
                 _ => model.lookup(region),
             };
             if self
-                .begin_recalibration(region, current, iteration, bench, node, config)
+                .begin_recalibration(region, current, iteration, bench, node)
                 .is_err()
             {
                 self.refusals += 1;
@@ -539,10 +541,9 @@ impl MonitorState {
         iteration: u32,
         bench: &BenchmarkSpec,
         node: &Node,
-        config: &OnlineConfig,
     ) -> Result<usize, RuntimeError> {
         let candidates: Vec<SystemConfig> =
-            SearchSpace::neighbourhood(current, config.recalibration_radius, vec![current.threads])
+            SearchSpace::neighbourhood(current, RECALIBRATION_RADIUS, vec![current.threads])
                 .configs()
                 .into_iter()
                 .filter(|c| node.supports(c))

@@ -75,9 +75,8 @@ use simnode::Cluster;
 
 use crate::baseline::BaselineMemo;
 use crate::cluster::{
-    assemble_report, estimated_work, start_calibration, start_monitor, start_plain, AdmissionGate,
-    Admit, ClusterReport, ClusterScheduler, EventOutcome, JobDriver, OnlineTuning, Placement,
-    QueuedJob, State,
+    assemble_report, start_calibration, start_monitor, start_plain, AdmissionGate, Admit,
+    ClusterReport, ClusterScheduler, EventOutcome, JobDriver, OnlineTuning, QueuedJob, State,
 };
 use crate::error::RuntimeError;
 use crate::inject::{ChurnEvent, ChurnKind, FaultInjector, ReplicaChurnEvent, ReplicaChurnKind};
@@ -114,10 +113,6 @@ pub struct GossipConfig {
     /// Repair repository misses from live peers with a targeted
     /// pull instead of running a cold calibration.
     pub read_repair: bool,
-    /// Gossip rounds a read-repair waits before re-pulling from the
-    /// next candidate (a pull or its reply can be dropped). Clamped to
-    /// ≥ 1.
-    pub repair_retry_rounds: u64,
 }
 
 impl Default for GossipConfig {
@@ -125,7 +120,6 @@ impl Default for GossipConfig {
         Self {
             cadence_us: 5_000,
             read_repair: true,
-            repair_retry_rounds: 8,
         }
     }
 }
@@ -313,6 +307,10 @@ fn to_us(seconds: f64) -> Time {
     (seconds.max(0.0) * 1e6).round() as Time
 }
 
+/// Gossip rounds a read-repair waits before re-pulling from the next
+/// candidate (a pull or its reply can be dropped).
+const REPAIR_RETRY_ROUNDS: u64 = 8;
+
 /// Read-repair pulls a stalled repair retries before abandoning the
 /// key to cold calibration (its only holder may have crashed for good).
 const REPAIR_ATTEMPT_BUDGET: u64 = 8;
@@ -336,7 +334,6 @@ struct NetState<'r, 'a> {
     set: &'r mut ReplicaSet<'a>,
     cadence_us: Time,
     read_repair: bool,
-    repair_retry_rounds: u64,
     /// Node index → home replica (`node % replicas`); while the home is
     /// crashed the node is served by the next alive id, wrapping.
     node_replica: Vec<u32>,
@@ -417,7 +414,6 @@ impl RepoAccess<'_, '_> {
 /// The [`Process`] impl: all mutable state of one service run.
 struct ServiceRun<'b, 'r, 'a> {
     cluster: &'b Cluster,
-    placement: Placement,
     online: Option<OnlineTuning<'b>>,
     faults: Option<&'b dyn FaultInjector>,
     recorder: &'b dyn Recorder,
@@ -443,7 +439,6 @@ struct ServiceRun<'b, 'r, 'a> {
     available: Vec<bool>,
     running: Vec<usize>,
     queues: Vec<VecDeque<usize>>,
-    load: Vec<f64>,
     rr_next: usize,
 
     /// The cold-workload admission policy shared with the sweep loop.
@@ -473,31 +468,19 @@ impl ServiceRun<'_, '_, '_> {
         self.depth.record(self.queues[node].len() as u64);
     }
 
-    /// Pick a node for `bench` among the available nodes (all nodes when
-    /// none is available), mirroring [`ClusterScheduler::submit`]'s
-    /// policies exactly when the whole fleet is up.
-    fn place(&mut self, bench: &BenchmarkSpec) -> usize {
+    /// Pick the next node round-robin, skipping unavailable nodes (any
+    /// node when none is available) — [`ClusterScheduler::submit`]'s
+    /// order exactly when the whole fleet is up.
+    fn place(&mut self) -> usize {
         let len = self.cluster.len();
         let any_available = self.available.iter().any(|&a| a);
-        let idx = match self.placement {
-            Placement::RoundRobin => loop {
-                let idx = self.rr_next % len;
-                self.rr_next += 1;
-                if !any_available || self.available[idx] {
-                    break idx;
-                }
-            },
-            Placement::LeastLoaded => self
-                .load
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| !any_available || self.available[i])
-                .min_by(|(_, a), (_, b)| a.total_cmp(b))
-                .map(|(i, _)| i)
-                .unwrap_or(0),
-        };
-        self.load[idx] += estimated_work(bench);
-        idx
+        loop {
+            let idx = self.rr_next % len;
+            self.rr_next += 1;
+            if !any_available || self.available[idx] {
+                return idx;
+            }
+        }
     }
 
     /// Place job `i` and admit it, or queue it behind the node's slots.
@@ -507,8 +490,7 @@ impl ServiceRun<'_, '_, '_> {
         now: Time,
         sink: &mut dyn EventSink<ServiceEvent>,
     ) -> Result<(), RuntimeError> {
-        let jobs = self.jobs;
-        let node = self.place(&jobs[i].bench);
+        let node = self.place();
         self.placements[i] = node;
         self.enqueued_us[i] = now;
         if self.has_capacity(node) {
@@ -740,9 +722,7 @@ impl ServiceRun<'_, '_, '_> {
         now: Time,
         sink: &mut dyn EventSink<ServiceEvent>,
     ) -> Result<(), RuntimeError> {
-        let jobs = self.jobs;
         if !self.available[self.placements[i]] && self.available.iter().any(|&a| a) {
-            self.load[self.placements[i]] -= estimated_work(&jobs[i].bench);
             self.replaced += 1;
             if self.record {
                 self.recorder.counter_add("service.replaced", 1);
@@ -862,7 +842,6 @@ impl ServiceRun<'_, '_, '_> {
             set,
             node_replica,
             repairing,
-            repair_retry_rounds,
             repair_pulls,
             repair_abandoned,
             ..
@@ -875,7 +854,7 @@ impl ServiceRun<'_, '_, '_> {
                 continue;
             }
             repair.rounds_waiting += 1;
-            if repair.rounds_waiting >= *repair_retry_rounds {
+            if repair.rounds_waiting >= REPAIR_RETRY_ROUNDS {
                 repair.rounds_waiting = 0;
                 repair.attempts += 1;
                 if repair.attempts > REPAIR_ATTEMPT_BUDGET {
@@ -989,13 +968,11 @@ impl ServiceRun<'_, '_, '_> {
         now: Time,
         sink: &mut dyn EventSink<ServiceEvent>,
     ) -> Result<(), RuntimeError> {
-        let jobs = self.jobs;
         let queued: Vec<usize> = self.queues[node].drain(..).collect();
         if !queued.is_empty() {
             self.sample_depth(node);
         }
         for i in queued {
-            self.load[node] -= estimated_work(&jobs[i].bench);
             self.replaced += 1;
             if self.record {
                 self.recorder.counter_add("service.replaced", 1);
@@ -1165,7 +1142,6 @@ impl ClusterScheduler<'_> {
             set,
             cadence_us: gossip.cadence_us.max(1),
             read_repair: gossip.read_repair,
-            repair_retry_rounds: gossip.repair_retry_rounds.max(1),
             node_replica,
             replica_churn,
             repairing: BTreeMap::new(),
@@ -1221,7 +1197,6 @@ impl ClusterScheduler<'_> {
 
         let mut run = ServiceRun {
             cluster,
-            placement: self.placement(),
             online: self.online(),
             faults,
             recorder,
@@ -1239,7 +1214,6 @@ impl ClusterScheduler<'_> {
             available: vec![true; cluster.len()],
             running: vec![0; cluster.len()],
             queues: vec![VecDeque::new(); cluster.len()],
-            load: vec![0.0; cluster.len()],
             rr_next: 0,
             gate: AdmissionGate::default(),
             waiters: BTreeMap::new(),

@@ -37,15 +37,6 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
-    /// Mean phase duration.
-    pub fn mean_phase_duration_s(&self) -> f64 {
-        if self.phase_instances.is_empty() {
-            0.0
-        } else {
-            self.total_phase_time_s / self.phase_instances.len() as f64
-        }
-    }
-
     /// Counters of all phase instances summed, normalised per second of
     /// phase time — the "PAPI counters … normalized by dividing them with
     /// the execution time of one phase iteration" input the network uses
@@ -174,7 +165,6 @@ mod tests {
         let s = parse_trace(&trace).expect("parse");
         assert_eq!(s.phase_instances.len(), 30);
         assert!(s.total_node_energy_j > 0.0);
-        assert!(s.mean_phase_duration_s() > 0.1);
     }
 
     #[test]

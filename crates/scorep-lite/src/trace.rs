@@ -76,7 +76,16 @@ impl TraceWriter {
     }
 
     /// Intern a region name.
+    ///
+    /// # Panics
+    /// Panics if the name is longer than 65535 bytes (the binary format
+    /// stores a name's length in 16 bits).
     pub fn define_region(&mut self, name: &str) -> RegionId {
+        assert!(
+            name.len() <= u16::MAX as usize,
+            "region name of {} bytes exceeds the 65535-byte limit",
+            name.len()
+        );
         self.registry.intern(name)
     }
 
@@ -368,6 +377,22 @@ mod tests {
             w.enter(r, 50);
         }));
         assert!(result.is_err(), "backwards timestamp must panic");
+    }
+
+    #[test]
+    fn longest_region_name_round_trips() {
+        let mut w = TraceWriter::new();
+        let r = w.define_region(&"n".repeat(u16::MAX as usize));
+        w.enter(r, 0);
+        w.leave(r, 10, 1.0, None);
+        let t = w.finish();
+        assert_eq!(TraceReader::read(&t.to_bytes()), Ok(t));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 65535-byte limit")]
+    fn overlong_region_name_panics_at_definition() {
+        TraceWriter::new().define_region(&"n".repeat(u16::MAX as usize + 1));
     }
 
     #[test]

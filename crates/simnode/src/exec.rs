@@ -151,11 +151,6 @@ impl ExecutionEngine {
         }
     }
 
-    /// Engine with custom memory parameters (for ablations).
-    pub fn with_memory(mem: MemoryParams) -> Self {
-        Self { mem }
-    }
-
     /// Memory parameters in use.
     pub fn memory(&self) -> &MemoryParams {
         &self.mem

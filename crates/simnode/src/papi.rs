@@ -272,16 +272,6 @@ impl CounterValues {
             values: self.values.iter().map(|v| v * s).collect(),
         }
     }
-
-    /// Extract the paper's seven selected counters in Table I order.
-    pub fn selected_features(&self) -> [f64; 7] {
-        let sel = PapiCounter::paper_selected();
-        let mut out = [0.0; 7];
-        for (o, c) in out.iter_mut().zip(sel) {
-            *o = self.get(c);
-        }
-        out
-    }
 }
 
 /// Derive the full counter vector for one phase iteration of a region.
@@ -618,15 +608,5 @@ mod tests {
         let s = a.scaled(2.0);
         assert_eq!(s.get(PapiCounter::TotIns), 30.0);
         assert_eq!(a.as_slice().len(), NUM_COUNTERS);
-    }
-
-    #[test]
-    fn selected_features_align_with_table1_order() {
-        let c = character();
-        let v = derive_exact(&c);
-        let f = v.selected_features();
-        assert_eq!(f[0], v.get(PapiCounter::BrNtk));
-        assert_eq!(f[4], v.get(PapiCounter::ResStl));
-        assert_eq!(f[6], v.get(PapiCounter::L2Dcr));
     }
 }

@@ -416,7 +416,6 @@ fn run_inloop_once(
     let gossip = GossipConfig {
         cadence_us: plan.gossip_cadence_us,
         read_repair: plan.read_repair,
-        ..GossipConfig::default()
     };
     let report = sched
         .run_service_replicated(trace, &mut set, &gossip, &ServiceConfig::default())

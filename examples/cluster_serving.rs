@@ -9,7 +9,7 @@
 //! the `TuningModelRepository`, and every later submission of the same
 //! workload is served the stored model. Here ten jobs (re-submissions of
 //! three benchmarks, one of them never tuned) run concurrently across a
-//! four-node cluster under least-loaded placement; the scheduler
+//! four-node cluster under round-robin placement; the scheduler
 //! interleaves their `RuntimeSession`s event by event and reports per-job
 //! and aggregate savings plus the repository hit rate. The untuned
 //! benchmark is served the calibration fallback — a best-known static
@@ -17,7 +17,7 @@
 
 use dvfs_ufs_tuning::kernels;
 use dvfs_ufs_tuning::ptf::{EnergyModel, TuningSession};
-use dvfs_ufs_tuning::rrl::{ClusterScheduler, Placement, TuningModelRepository};
+use dvfs_ufs_tuning::rrl::{ClusterScheduler, TuningModelRepository};
 use dvfs_ufs_tuning::simnode::{Cluster, Node, SystemConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Runtime: ten concurrent jobs — four Lulesh and four miniMD
     //    re-submissions (repository hits) plus two BEM4I jobs that were
     //    never tuned (calibration fallback).
-    let mut scheduler = ClusterScheduler::new(&cluster)?.with_placement(Placement::LeastLoaded);
+    let mut scheduler = ClusterScheduler::new(&cluster)?;
     let queue = [
         "Lulesh", "miniMD", "Lulesh", "miniMD", "BEM4I", "Lulesh", "miniMD", "BEM4I", "Lulesh",
         "miniMD",

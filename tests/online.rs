@@ -6,8 +6,8 @@
 use dvfs_ufs_tuning::kernels;
 use dvfs_ufs_tuning::ptf::{ExhaustiveSearch, RandomSearch, TuningSession};
 use dvfs_ufs_tuning::rrl::{
-    ClusterScheduler, DriftConfig, DriftPolicy, MatchPolicy, ModelSource, OnlineConfig,
-    OnlineTuner, OnlineTuning, RuntimeError, TuningModelRepository,
+    ClusterScheduler, MatchPolicy, ModelSource, OnlineConfig, OnlineTuner, OnlineTuning,
+    RuntimeError, TuningModelRepository,
 };
 use dvfs_ufs_tuning::simnode::{Cluster, Node, SystemConfig};
 use kernels::BenchmarkSpec;
@@ -646,42 +646,6 @@ fn drift_recalibration_refusals() {
     assert!(
         outcome.drift_events.is_empty(),
         "unchanged workload: no drift"
-    );
-    assert!(outcome.publication.is_none());
-}
-
-#[test]
-fn drift_policy_ignore_records_but_does_not_recalibrate() {
-    let node = Node::exact(0);
-    let bench = kernels::benchmark("miniMD").unwrap();
-    let strategy = strategy();
-    let mut repo = TuningModelRepository::new().with_match_policy(MatchPolicy::Application);
-    let mut calib = OnlineTuner::calibrate(
-        "w1",
-        &bench,
-        &node,
-        &strategy,
-        None,
-        OnlineConfig::default(),
-    )
-    .unwrap();
-    calib.run_to_completion().unwrap();
-    let publication = calib.finish().unwrap().publication.unwrap();
-    repo.publish_online(&bench, &publication.model, publication.expected);
-
-    let shifted = shifted_minimd(1.45);
-    let served = repo.serve(&shifted).unwrap();
-    let config = OnlineConfig::default()
-        .with_drift_policy(DriftPolicy::Ignore)
-        .with_drift(DriftConfig::default());
-    let mut monitor = OnlineTuner::monitor("w2", &shifted, &node, served, config).unwrap();
-    monitor.run_to_completion().unwrap();
-    let outcome = monitor.finish().unwrap();
-    assert_eq!(outcome.drift_events.len(), 1);
-    assert_eq!(
-        outcome.accounting.online.unwrap().recalibrated_regions,
-        0,
-        "Ignore policy only records"
     );
     assert!(outcome.publication.is_none());
 }

@@ -7,8 +7,7 @@
 use dvfs_ufs_tuning::kernels;
 use dvfs_ufs_tuning::ptf::{RandomSearch, TuningSession};
 use dvfs_ufs_tuning::rrl::{
-    ClusterScheduler, ModelSource, Placement, RuntimeError, RuntimeSession, Savings,
-    TuningModelRepository,
+    ClusterScheduler, ModelSource, RuntimeError, RuntimeSession, Savings, TuningModelRepository,
 };
 use dvfs_ufs_tuning::simnode::{Cluster, Node, SystemConfig};
 // The shared builders these tests used to hand-roll locally.
@@ -154,26 +153,6 @@ fn cluster_run_matches_single_job_sessions_bit_for_bit() {
         "aggregate CPU savings: {:?}",
         report.aggregate
     );
-}
-
-#[test]
-fn placement_policies_differ() {
-    let lulesh = kernels::benchmark("Lulesh").unwrap();
-    let cluster = Cluster::exact(4);
-    let mut rr = ClusterScheduler::new(&cluster).unwrap();
-    let rr_nodes: Vec<u32> = (0..8)
-        .map(|i| rr.submit(format!("j{i}"), lulesh.clone()))
-        .collect();
-    assert_eq!(rr_nodes, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-
-    let mut ll = ClusterScheduler::new(&cluster)
-        .unwrap()
-        .with_placement(Placement::LeastLoaded);
-    // Identical jobs: least-loaded degenerates to round-robin coverage.
-    let ll_nodes: Vec<u32> = (0..4)
-        .map(|i| ll.submit(format!("j{i}"), lulesh.clone()))
-        .collect();
-    assert_eq!(ll_nodes, vec![0, 1, 2, 3]);
 }
 
 #[test]

@@ -281,6 +281,9 @@ fn drain_replaces_queued_jobs_and_drops_nothing() {
         .unwrap();
 
     assert_eq!(report.jobs.len(), 12, "no job dropped");
+    // Round-robin in submission order, skipping the drained node.
+    let nodes: Vec<u32> = report.jobs.iter().map(|j| j.node_id).collect();
+    assert_eq!(nodes, [1, 2].repeat(6));
     for job in &report.jobs {
         assert_ne!(job.node_id, 0, "{}: placed on the drained node", job.job);
         assert!(
