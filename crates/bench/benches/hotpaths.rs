@@ -69,6 +69,21 @@ fn bench_nn_training(c: &mut Criterion) {
             black_box(report.epoch_mse[0])
         })
     });
+    // The same epoch for a 5-network committee, whose members train on
+    // `min(5, available_parallelism)` workers.
+    c.bench_function("nn/train_committee_5", |b| {
+        b.iter(|| {
+            let committee = EnergyModel::train_committee(
+                &data,
+                &TrainConfig {
+                    epochs: 1,
+                    ..Default::default()
+                },
+                5,
+            );
+            black_box(committee.predict_enorm(&[1e9; 7], 2000, 2000))
+        })
+    });
 }
 
 /// Steps one network takes before the Adam step benchmark restarts it

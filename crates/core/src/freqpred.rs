@@ -50,19 +50,41 @@ impl EnergyModel {
 
     /// Train a committee of `k` networks that differ only in their
     /// initialisation and shuffle seeds; predictions are averaged.
+    ///
+    /// Member `i` trains with `cfg.net.seed + i·0x9E37` and
+    /// `cfg.shuffle_seed + i`. Members share nothing but the read-only
+    /// scaled features and targets, so they train concurrently on
+    /// `min(k, available_parallelism)` scoped workers: the calling thread
+    /// is one of them, worker `w` trains members `w, w + workers, …`, and
+    /// the members are collected back in index order. Each member is
+    /// bit-identical to training it alone, whatever the worker count. A
+    /// member's panic propagates out of this call.
     pub fn train_committee(data: &Dataset, cfg: &TrainConfig, k: usize) -> Self {
         assert!(k >= 1, "committee needs at least one network");
         // Every member trains on the same standardised features.
         let scaler = StandardScaler::fit(&data.features);
         let x = scaler.transform(&data.features);
-        let nets = (0..k)
-            .map(|i| {
-                let mut c = cfg.clone();
-                c.net.seed = cfg.net.seed.wrapping_add(i as u64 * 0x9E37);
-                c.shuffle_seed = cfg.shuffle_seed.wrapping_add(i as u64);
-                train_scaled(&x, &data.targets, &c).0
-            })
-            .collect();
+        let member = |i: usize| {
+            let mut c = cfg.clone();
+            c.net.seed = cfg.net.seed.wrapping_add(i as u64 * 0x9E37);
+            c.shuffle_seed = cfg.shuffle_seed.wrapping_add(i as u64);
+            train_scaled(&x, &data.targets, &c).0
+        };
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(k));
+        let share = |w: usize| (w..k).step_by(workers).map(member).collect::<Vec<_>>();
+        let nets = std::thread::scope(|s| {
+            let spawned: Vec<_> = (1..workers).map(|w| s.spawn(move || share(w))).collect();
+            let mut shares = vec![share(0).into_iter()];
+            for handle in spawned {
+                let nets = handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                shares.push(nets.into_iter());
+            }
+            (0..k)
+                .map(|i| shares[i % workers].next().expect("trained by its worker"))
+                .collect()
+        });
         Self {
             nets,
             scaler,
@@ -189,6 +211,47 @@ mod tests {
             lr_decay: 1.0,
         };
         EnergyModel::train(&data, &cfg)
+    }
+
+    #[test]
+    fn committee_members_equal_members_trained_alone() {
+        let node = Node::exact(0);
+        let benches = [kernels::benchmark("EP").unwrap()];
+        let core: Vec<u32> = (12..=25).map(|r| r * 100).step_by(4).collect();
+        let uncore: Vec<u32> = (13..=30).map(|r| r * 100).step_by(4).collect();
+        let data = build_dataset(&benches, &node, &[24], &core, &uncore);
+        let cfg = TrainConfig {
+            net: NetConfig::paper(11),
+            adam: AdamConfig::default(),
+            epochs: 2,
+            shuffle_seed: 5,
+            lr_decay: 1.0,
+        };
+        let x = StandardScaler::fit(&data.features).transform(&data.features);
+        for k in [1, 2, 5] {
+            let committee = EnergyModel::train_committee(&data, &cfg, k);
+            assert_eq!(committee.nets.len(), k);
+            for (i, net) in committee.nets.iter().enumerate() {
+                let mut c = cfg.clone();
+                c.net.seed = cfg.net.seed.wrapping_add(i as u64 * 0x9E37);
+                c.shuffle_seed = cfg.shuffle_seed.wrapping_add(i as u64);
+                let alone = train_scaled(&x, &data.targets, &c).0;
+                let bits =
+                    |n: &EnergyNet| n.params().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(net), bits(&alone), "k {k}: member {i}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "feature width must match network input size")]
+    fn committee_member_panic_propagates() {
+        let data = Dataset::new(
+            enermodel::linalg::Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]),
+            vec![1.0, 1.0],
+            vec!["a".into(), "b".into()],
+        );
+        EnergyModel::train_committee(&data, &TrainConfig::default(), 3);
     }
 
     #[test]

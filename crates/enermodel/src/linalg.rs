@@ -528,7 +528,7 @@ mod tests {
     }
 
     #[test]
-    fn frobenius_and_diff() {
+    fn max_abs_diff() {
         let a = Matrix::from_rows(&[vec![3.0, 4.0]]);
         let b = Matrix::from_rows(&[vec![3.0, 6.0]]);
         assert!((a.max_abs_diff(&b) - 2.0).abs() < 1e-12);

@@ -209,11 +209,6 @@ impl Gradients {
     pub(crate) fn as_slice(&self) -> &[f64] {
         &self.flat
     }
-
-    /// Global L2 norm over all gradient entries.
-    pub fn norm(&self) -> f64 {
-        self.flat.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 /// Forward/backward scratch buffers. A workspace starts empty, grows once
@@ -647,10 +642,11 @@ mod tests {
     }
 
     #[test]
-    fn gradients_zeros_and_accumulate() {
+    fn gradients_start_at_zero() {
         let net = EnergyNet::new(&NetConfig::paper(3));
-        let acc = Gradients::zeros_like(&net);
-        assert_eq!(acc.norm(), 0.0);
+        let grads = Gradients::zeros_like(&net);
+        assert_eq!(grads.as_slice().len(), net.param_count());
+        assert!(grads.as_slice().iter().all(|&g| g == 0.0));
     }
 
     #[test]

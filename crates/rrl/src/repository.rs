@@ -79,6 +79,18 @@ pub enum ModelSource {
     Replicated,
 }
 
+impl ModelSource {
+    /// The variant's name, as `{:?}` prints it.
+    pub fn name(self) -> &'static str {
+        match self {
+            ModelSource::Repository => "Repository",
+            ModelSource::Online => "Online",
+            ModelSource::Fallback => "Fallback",
+            ModelSource::Replicated => "Replicated",
+        }
+    }
+}
+
 /// Version and origin of a stored tuning model, plus the per-region
 /// energy expectations drift detection compares against.
 #[derive(Debug, Clone, PartialEq)]

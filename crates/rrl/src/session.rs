@@ -80,7 +80,6 @@ pub struct RegionExit {
 }
 
 struct OpenRegion {
-    name: String,
     /// Index into `bench.regions`, resolved and validated at enter time.
     idx: usize,
     filtered: bool,
@@ -300,11 +299,7 @@ impl<'a> RuntimeSession<'a> {
             self.switch_to(desired);
             desired
         };
-        self.open = Some(OpenRegion {
-            name: region.to_string(),
-            idx,
-            filtered,
-        });
+        self.open = Some(OpenRegion { idx, filtered });
         Ok(config)
     }
 
@@ -333,11 +328,7 @@ impl<'a> RuntimeSession<'a> {
             self.switch_to(config);
             config
         };
-        self.open = Some(OpenRegion {
-            name: region.to_string(),
-            idx,
-            filtered,
-        });
+        self.open = Some(OpenRegion { idx, filtered });
         Ok(applied)
     }
 
@@ -347,7 +338,7 @@ impl<'a> RuntimeSession<'a> {
     fn resolve_enter(&self, region: &str) -> Result<(usize, bool), RuntimeError> {
         if let Some(open) = &self.open {
             return Err(RuntimeError::RegionStillOpen {
-                open: open.name.clone(),
+                open: self.bench.regions[open.idx].name.clone(),
                 event: format!("region_enter(`{region}`)"),
             });
         }
@@ -383,9 +374,10 @@ impl<'a> RuntimeSession<'a> {
         let open = self.open.take().ok_or_else(|| RuntimeError::NoOpenRegion {
             requested: region.to_string(),
         })?;
-        if open.name != region {
+        let open_name = &self.bench.regions[open.idx].name;
+        if open_name != region {
             let err = RuntimeError::RegionMismatch {
-                open: open.name.clone(),
+                open: open_name.clone(),
                 requested: region.to_string(),
             };
             self.open = Some(open);
@@ -446,7 +438,7 @@ impl<'a> RuntimeSession<'a> {
     pub fn phase_complete(&mut self) -> Result<u32, RuntimeError> {
         if let Some(open) = &self.open {
             return Err(RuntimeError::RegionStillOpen {
-                open: open.name.clone(),
+                open: self.bench.regions[open.idx].name.clone(),
                 event: "phase_complete".to_string(),
             });
         }
@@ -477,7 +469,7 @@ impl<'a> RuntimeSession<'a> {
     pub fn finish(self) -> Result<JobAccounting, RuntimeError> {
         if let Some(open) = &self.open {
             return Err(RuntimeError::RegionStillOpen {
-                open: open.name.clone(),
+                open: self.bench.regions[open.idx].name.clone(),
                 event: "finish".to_string(),
             });
         }

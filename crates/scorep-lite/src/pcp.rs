@@ -90,21 +90,14 @@ impl ParameterControlPlugin for UncoreFreqPlugin {
 }
 
 /// The full plugin stack with switch accounting.
+#[derive(Debug)]
 pub struct PcpStack {
-    plugins: Vec<Box<dyn ParameterControlPlugin + Send>>,
+    openmp: OpenMpTp,
+    cpu_freq: CpuFreqPlugin,
+    uncore_freq: UncoreFreqPlugin,
     current: SystemConfig,
     switches: u64,
     total_latency_s: f64,
-}
-
-impl std::fmt::Debug for PcpStack {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PcpStack")
-            .field("current", &self.current)
-            .field("switches", &self.switches)
-            .field("total_latency_s", &self.total_latency_s)
-            .finish()
-    }
 }
 
 impl PcpStack {
@@ -112,11 +105,9 @@ impl PcpStack {
     /// (the configuration the job was launched with).
     pub fn new(initial: SystemConfig) -> Self {
         Self {
-            plugins: vec![
-                Box::new(OpenMpTp::new()),
-                Box::new(CpuFreqPlugin),
-                Box::new(UncoreFreqPlugin),
-            ],
+            openmp: OpenMpTp::new(),
+            cpu_freq: CpuFreqPlugin,
+            uncore_freq: UncoreFreqPlugin,
             current: initial,
             switches: 0,
             total_latency_s: 0.0,
@@ -144,10 +135,10 @@ impl PcpStack {
         if target == self.current {
             return 0.0;
         }
-        let mut latency = 0.0;
-        for p in &mut self.plugins {
-            latency += p.apply(node, &target, &self.current);
-        }
+        let current = &self.current;
+        let latency = self.openmp.apply(node, &target, current)
+            + self.cpu_freq.apply(node, &target, current)
+            + self.uncore_freq.apply(node, &target, current);
         self.current = target;
         self.switches += 1;
         self.total_latency_s += latency;

@@ -743,4 +743,9 @@ fn service_report_is_bit_identical_to_golden() {
     assert!(report.repository.evictions > 0, "{:?}", report.repository);
     let digest = dvfs_ufs_tuning::kernels::fnv1a(format!("{report:?}").as_bytes());
     assert_eq!(digest, 0x8f01_4e14_94c0_25e5, "service report golden");
+    let text = dvfs_ufs_tuning::kernels::fnv1a(report.format_report().as_bytes());
+    assert_eq!(
+        text, 0x01d0_d9cb_8d2e_592e,
+        "formatted service report golden"
+    );
 }
