@@ -293,9 +293,10 @@ fn bench_runtime_session(c: &mut Criterion) {
 /// The online adaptation engine's hot paths: one exploration region event
 /// (schedule lookup + explicit PCP switch + region execution + observation
 /// recording) in steady state — the tuner is rebuilt only when a full
-/// calibration converges, so the rebuild (including the analysis-stage
-/// counter-rate measurement) amortises over the ~1000 events of one
-/// calibration — plus one drift-detector observation.
+/// calibration converges, so the rebuild amortises over the ~1000 events
+/// of one calibration — plus one whole random-search calibration job, the
+/// counter-rate measurement the model-based strategy pays, and one
+/// drift-detector observation.
 fn bench_online_tuner(c: &mut Criterion) {
     use kernels::{BenchmarkSpec, ProgrammingModel, RegionSpec, Suite};
     use ptf::RandomSearch;
@@ -358,6 +359,27 @@ fn bench_online_tuner(c: &mut Criterion) {
                 idx = 1;
                 black_box(tuner.region_exit(&names[0]).unwrap())
             }
+        })
+    });
+
+    // One cold job as a service calibrates it: an 8-sample random search
+    // over miniMD on a noisy node, from launch to the converged model.
+    group.bench_function("calibrate_random", |b| {
+        let cluster = simnode::Cluster::new(1, 0x5EED);
+        let minimd = kernels::benchmark("miniMD").unwrap();
+        let random = RandomSearch::new(8, 7);
+        b.iter(|| {
+            let mut tuner = OnlineTuner::calibrate(
+                "calibrate",
+                &minimd,
+                cluster.node(0),
+                &random,
+                None,
+                OnlineConfig::default(),
+            )
+            .expect("budget fits");
+            tuner.run_to_completion().unwrap();
+            black_box(tuner.finish().unwrap())
         })
     });
 

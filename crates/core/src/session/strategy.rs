@@ -100,16 +100,32 @@ pub struct SearchOutcome {
 /// the measurement-free subset of [`SearchContext`], so consumers that
 /// supply their own measurements (the runtime's online tuner) can drive
 /// the same candidate generation the design-time session uses.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub struct ExplorationInputs<'a> {
     /// The trained energy model, when one is available.
     pub model: Option<&'a EnergyModel>,
-    /// Phase PAPI counter rates from the analysis stage.
-    pub phase_rates: &'a [f64; 7],
+    /// Source of the phase PAPI counter rates of the analysis stage.
+    /// Measuring them is an instrumented, counter-recording run of the
+    /// phase loop, so the source is evaluated lazily: a strategy calls it
+    /// only when it reads the rates (the model-based strategy, once;
+    /// exhaustive and random search never do). The design-time session
+    /// passes its already measured rates; the online tuner measures on
+    /// call, advancing the node's counter-noise stream only then.
+    pub phase_rates: &'a dyn Fn() -> [f64; 7],
     /// Optimal thread count from tuning step 1.
     pub best_threads: u32,
     /// Thread candidates for region verification.
     pub thread_candidates: &'a [u32],
+}
+
+impl std::fmt::Debug for ExplorationInputs<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ExplorationInputs")
+            .field("model", &self.model)
+            .field("best_threads", &self.best_threads)
+            .field("thread_candidates", &self.thread_candidates)
+            .finish_non_exhaustive()
+    }
 }
 
 /// How a strategy derives the per-region verification set once the phase
@@ -194,9 +210,10 @@ pub trait SearchStrategy: std::fmt::Debug + Sync {
     fn plan(&self, ctx: &mut SearchContext<'_, '_>) -> Result<SearchOutcome, TuningError> {
         // A session verifies regions at the step-1 optimum only.
         let best_threads = ctx.best_threads();
+        let rates = *ctx.phase_rates();
         let plan = self.exploration(&ExplorationInputs {
             model: ctx.model(),
-            phase_rates: ctx.phase_rates(),
+            phase_rates: &|| rates,
             best_threads,
             thread_candidates: &[best_threads],
         })?;
@@ -254,7 +271,8 @@ impl SearchStrategy for ModelBasedNeighbourhood {
         })?;
         let core = FreqDomain::haswell_core();
         let uncore = FreqDomain::haswell_uncore();
-        let (g_cf, g_ucf) = model.best_frequencies(inputs.phase_rates, &core, &uncore);
+        let rates = (inputs.phase_rates)();
+        let (g_cf, g_ucf) = model.best_frequencies(&rates, &core, &uncore);
         let global = SystemConfig::new(inputs.best_threads, g_cf.mhz(), g_ucf.mhz());
 
         // Stage 1 — recentre on a wider grid around the predicted pair.
@@ -465,7 +483,7 @@ mod tests {
         let strategy = RandomSearch::new(16, 7);
         let inputs = ExplorationInputs {
             model: None,
-            phase_rates: &rates,
+            phase_rates: &|| rates,
             best_threads: 24,
             thread_candidates: &[24],
         };

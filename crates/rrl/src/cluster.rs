@@ -389,15 +389,15 @@ impl<'b> JobDriver<'b> {
     /// phase-complete.
     pub(crate) fn advance(&mut self, bench: &BenchmarkSpec) -> Result<EventOutcome, RuntimeError> {
         if self.region_idx < bench.regions.len() {
-            let region = &bench.regions[self.region_idx];
+            let idx = self.region_idx;
             match &mut self.state {
                 State::Plain(session) => {
-                    session.region_enter(&region.name)?;
-                    session.region_exit(&region.name)?;
+                    session.region_enter_idx(idx, None)?;
+                    session.region_exit_idx(idx)?;
                 }
                 State::Online(tuner) => {
-                    tuner.region_enter(&region.name)?;
-                    tuner.region_exit(&region.name)?;
+                    tuner.region_enter_idx(idx)?;
+                    tuner.region_exit_idx(idx)?;
                 }
                 State::Waiting | State::Done => unreachable!("advance requires an active driver"),
             }

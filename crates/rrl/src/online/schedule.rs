@@ -9,7 +9,7 @@
 //! | stage | iterations | mirrors |
 //! |-------|------------|---------|
 //! | thread sweep | one per thread candidate | tuning step 1 |
-//! | analysis | 1 (calibration frequencies, best threads) | PAPI counter rates + significant regions |
+//! | analysis | 1 (calibration frequencies, best threads) | significant regions; PAPI counter rates for strategies that read them |
 //! | phase search | one per phase candidate | strategy stage 1 |
 //! | verification | one per *extra* verification config | strategy stage 2 |
 //! | exploit | the rest | production serving |
@@ -128,6 +128,8 @@ pub(crate) struct CalibrationSchedule<'a> {
     iter_energy_j: f64,
     iter_duration_s: f64,
     converged: Option<ConvergedModel>,
+    /// The converged model's configuration per region, by region index.
+    exploit: Vec<SystemConfig>,
 }
 
 impl<'a> CalibrationSchedule<'a> {
@@ -187,6 +189,7 @@ impl<'a> CalibrationSchedule<'a> {
             iter_energy_j: 0.0,
             iter_duration_s: 0.0,
             converged: None,
+            exploit: Vec::new(),
         })
     }
 
@@ -219,7 +222,7 @@ impl<'a> CalibrationSchedule<'a> {
 
     /// The configuration region `idx` must execute under in the current
     /// iteration.
-    pub(crate) fn config_for(&self, bench: &BenchmarkSpec, idx: usize) -> SystemConfig {
+    pub(crate) fn config_for(&self, idx: usize) -> SystemConfig {
         match &self.stage {
             Stage::Threads { idx: t } => {
                 SystemConfig::calibration().with_threads(self.thread_candidates[*t])
@@ -227,14 +230,7 @@ impl<'a> CalibrationSchedule<'a> {
             Stage::Analysis => SystemConfig::calibration().with_threads(self.best_threads),
             Stage::Phase { idx: c } => self.phase_candidates[*c],
             Stage::Verify { idx: c } => self.extras[*c],
-            Stage::Exploit => {
-                let model = &self
-                    .converged
-                    .as_ref()
-                    .expect("exploit stage implies convergence")
-                    .model;
-                model.lookup(&bench.regions[idx].name)
-            }
+            Stage::Exploit => self.exploit[idx],
             // Planning failed: degrade to a static run at the analysis
             // configuration (a safe, node-supported operating point).
             Stage::Abandoned => SystemConfig::calibration().with_threads(self.best_threads),
@@ -343,16 +339,17 @@ impl<'a> CalibrationSchedule<'a> {
         Ok(())
     }
 
-    /// Analysis iteration finished: measure the phase counter rates, ask
-    /// the strategy for its exploration plan, and check the budget against
-    /// the worst-case remaining exploration cost.
+    /// Analysis iteration finished: ask the strategy for its exploration
+    /// plan, and check the budget against the worst-case remaining
+    /// exploration cost. The phase counter rates are measured only if the
+    /// strategy reads them.
     fn enter_phase_search(
         &mut self,
         bench: &BenchmarkSpec,
         node: &Node,
     ) -> Result<(), RuntimeError> {
         let analysis_cfg = SystemConfig::calibration().with_threads(self.best_threads);
-        let rates = ptf::phase_counter_rates(bench, node, analysis_cfg);
+        let rates = || ptf::phase_counter_rates(bench, node, analysis_cfg);
         let thread_candidates = [self.best_threads];
         let plan = self
             .strategy
@@ -467,6 +464,11 @@ impl<'a> CalibrationSchedule<'a> {
             }
         }
         let model = TuningModel::new(&bench.name, &pairs, self.phase_best);
+        self.exploit = bench
+            .regions
+            .iter()
+            .map(|r| model.lookup(&r.name))
+            .collect();
         self.converged = Some(ConvergedModel { model, expected });
     }
 }

@@ -278,50 +278,46 @@ impl<'a> OnlineTuner<'a> {
     /// candidate, a re-calibration candidate, a converged assignment, or
     /// the served model's lookup.
     pub fn region_enter(&mut self, region: &str) -> Result<SystemConfig, RuntimeError> {
-        match &self.mode {
-            Mode::Calibrate(schedule) => {
-                let bench = self.session.bench();
-                let Some(idx) = bench.regions.iter().position(|r| r.name == region) else {
-                    return Err(RuntimeError::UnknownRegion {
-                        application: bench.name.clone(),
-                        region: region.to_string(),
-                    });
-                };
-                let cfg = schedule.config_for(bench, idx);
-                self.session.region_enter_at(region, cfg)
+        let idx = self.session.resolve_enter(region)?;
+        self.region_enter_idx(idx)
+    }
+
+    /// [`Self::region_enter`] of `bench.regions[idx]`, for a driver that
+    /// walks the benchmark's regions by index.
+    pub(crate) fn region_enter_idx(&mut self, idx: usize) -> Result<SystemConfig, RuntimeError> {
+        let explicit = match &self.mode {
+            Mode::Calibrate(schedule) => Some(schedule.config_for(idx)),
+            Mode::Monitor(state) => {
+                match state.adapt.get(&self.session.bench().regions[idx].name) {
+                    Some(RegionAdapt::Recalibrating {
+                        candidates, idx: c, ..
+                    }) => Some(candidates[*c]),
+                    Some(RegionAdapt::Converged { config, .. }) => Some(*config),
+                    None => None,
+                }
             }
-            Mode::Monitor(state) => match state.adapt.get(region) {
-                Some(RegionAdapt::Recalibrating {
-                    candidates, idx, ..
-                }) => {
-                    let cfg = candidates[*idx];
-                    self.session.region_enter_at(region, cfg)
-                }
-                Some(RegionAdapt::Converged { config, .. }) => {
-                    self.session.region_enter_at(region, *config)
-                }
-                None => self.session.region_enter(region),
-            },
-        }
+        };
+        self.session.region_enter_idx(idx, explicit)
     }
 
     /// Region-exit event: execute and account through the session, then
     /// feed the measurement to the calibration schedule or the drift
     /// detector.
     pub fn region_exit(&mut self, region: &str) -> Result<RegionExit, RuntimeError> {
-        let exit = self.session.region_exit(region)?;
+        let idx = self.session.resolve_exit(region)?;
+        self.region_exit_idx(idx)
+    }
+
+    /// [`Self::region_exit`] of `bench.regions[idx]`.
+    pub(crate) fn region_exit_idx(&mut self, idx: usize) -> Result<RegionExit, RuntimeError> {
+        let exit = self.session.region_exit_idx(idx)?;
+        let idx = self.session.region_of(idx);
         let iteration = self.session.phase_iteration();
         let bench = self.session.bench();
         match &mut self.mode {
-            Mode::Calibrate(schedule) => {
-                let idx = bench
-                    .regions
-                    .iter()
-                    .position(|r| r.name == region)
-                    .expect("region resolved at enter");
-                schedule.record(idx, &exit);
-            }
+            Mode::Calibrate(schedule) => schedule.record(idx, &exit),
             Mode::Monitor(state) => {
+                let region = &bench.regions[idx].name;
                 // An injected drift shift scales only the energy the
                 // detector sees — the job's own ledger stays truthful.
                 let drift_energy_j = exit.node_energy_j
@@ -361,9 +357,9 @@ impl<'a> OnlineTuner<'a> {
     pub fn run_to_completion(&mut self) -> Result<(), RuntimeError> {
         let bench = self.session.bench();
         while self.session.phase_iteration() < bench.phase_iterations {
-            for region in &bench.regions {
-                self.region_enter(&region.name)?;
-                self.region_exit(&region.name)?;
+            for idx in 0..bench.regions.len() {
+                self.region_enter_idx(idx)?;
+                self.region_exit_idx(idx)?;
             }
             self.phase_complete()?;
         }

@@ -39,8 +39,16 @@
 //! [`OnlineTuner`](crate::OnlineTuner)'s monitor and calibration
 //! sessions, and the schedulers' default-run baselines leave their node's
 //! counter-noise RNG untouched. Only design-time and instrumented runs
-//! ([`ExecutionEngine::run_region`]) draw from it, the tuner's
-//! analysis-stage counter-rate measurement among them.
+//! ([`ExecutionEngine::run_region`]) draw from it, among them the tuner's
+//! analysis-stage counter-rate measurement, which runs only for search
+//! strategies that read the rates (the model-based one).
+//!
+//! A session resolves what a region's events need once per region when it
+//! opens: the served model's configuration, whether the instrumentation
+//! filter hides the region, and its kind's overhead; a region's
+//! accounting row is found once, on its first execution. The schedulers
+//! drive regions by index; the name-keyed events resolve the name and
+//! take the same path.
 //!
 //! A session memoises `region_power` for its node: it keeps each region's
 //! last evaluation, keyed by everything the evaluation reads besides the
@@ -79,16 +87,36 @@ pub struct RegionExit {
     pub filtered: bool,
 }
 
-struct OpenRegion {
-    /// Index into `bench.regions`, resolved and validated at enter time.
-    idx: usize,
-    filtered: bool,
-}
-
 /// One region's last `region_power` evaluation: the iteration's workload
 /// scale (`RegionSpec::scale_at`, as bits), the requested configuration,
 /// and the iteration's time and power.
 type PowerMemo = Option<(u64, SystemConfig, f64, PowerBreakdown)>;
+
+/// What a session resolves once per region of its benchmark, so a region
+/// event indexes where it would otherwise compare names.
+struct RegionSlot {
+    /// Index of the first region with this region's name: a name
+    /// identifies a region, so that is the region every event of this
+    /// name executes and is accounted as.
+    first: usize,
+    /// The served model's configuration for the region.
+    config: SystemConfig,
+    /// Whether the instrumentation filter hides the region.
+    filtered: bool,
+    /// Residual instrumentation overhead of the region's kind.
+    overhead_frac: f64,
+    /// The region's row in the accounting, once it has executed.
+    row: Option<usize>,
+    power: PowerMemo,
+}
+
+impl RegionSlot {
+    /// The instrumentation-dependent half of a slot.
+    fn instrument(&mut self, name: &str, inst: &InstrumentationConfig) {
+        self.filtered = inst.is_filtered(name);
+        self.overhead_frac = inst.overhead_frac(RegionKind::infer(name));
+    }
+}
 
 /// A per-job runtime tuning session (see the module docs for the event
 /// protocol).
@@ -105,7 +133,10 @@ pub struct RuntimeSession<'a> {
     segments: Vec<(f64, f64)>,
     /// Per-region accounting rows, in first-execution order.
     regions: Vec<RegionAccounting>,
-    open: Option<OpenRegion>,
+    /// One slot per region of the benchmark.
+    slots: Vec<RegionSlot>,
+    /// The open region's index, resolved and validated at enter time.
+    open: Option<usize>,
     phase_iter: u32,
     wall_s: f64,
     rapl_j: f64,
@@ -114,8 +145,6 @@ pub struct RuntimeSession<'a> {
     distinct_requests: u64,
     last_requested: Option<SystemConfig>,
     seed: u64,
-    /// [`PowerMemo`]s by region index; allocated on the first exit.
-    power_memo: Vec<PowerMemo>,
 }
 
 impl<'a> RuntimeSession<'a> {
@@ -180,17 +209,39 @@ impl<'a> RuntimeSession<'a> {
         node.apply_frequencies(&initial);
         let job = job.into();
         let seed = job_seed(&job, fingerprint, node);
+        let inst = InstrumentationConfig::scorep_defaults();
+        let slots = bench
+            .regions
+            .iter()
+            .enumerate()
+            .map(|(i, region)| {
+                let mut slot = RegionSlot {
+                    first: bench.regions[..i]
+                        .iter()
+                        .position(|r| r.name == region.name)
+                        .unwrap_or(i),
+                    config: model.lookup(&region.name),
+                    filtered: false,
+                    overhead_frac: 0.0,
+                    row: None,
+                    power: None,
+                };
+                slot.instrument(&region.name, &inst);
+                slot
+            })
+            .collect();
         Ok(Self {
             job,
             bench,
             node,
             model,
             source,
-            inst: InstrumentationConfig::scorep_defaults(),
+            inst,
             engine: ExecutionEngine::new(),
             pcps: PcpStack::new(initial),
             segments: Vec::new(),
             regions: Vec::new(),
+            slots,
             open: None,
             phase_iter: 0,
             wall_s: 0.0,
@@ -200,7 +251,6 @@ impl<'a> RuntimeSession<'a> {
             distinct_requests: 0,
             last_requested: None,
             seed,
-            power_memo: Vec::new(),
         })
     }
 
@@ -211,6 +261,9 @@ impl<'a> RuntimeSession<'a> {
     /// a filtered config for compile-time-filtered binaries.
     #[must_use]
     pub fn with_instrumentation(mut self, inst: InstrumentationConfig) -> Self {
+        for (slot, region) in self.slots.iter_mut().zip(&self.bench.regions) {
+            slot.instrument(&region.name, &inst);
+        }
         self.inst = inst;
         self
     }
@@ -290,17 +343,8 @@ impl<'a> RuntimeSession<'a> {
     /// they skip the lookup and the switch and simply run under the
     /// current configuration.
     pub fn region_enter(&mut self, region: &str) -> Result<SystemConfig, RuntimeError> {
-        let (idx, filtered) = self.resolve_enter(region)?;
-        let config = if filtered {
-            self.pcps.current()
-        } else {
-            self.lookups += 1;
-            let desired = self.model.lookup(region);
-            self.switch_to(desired);
-            desired
-        };
-        self.open = Some(OpenRegion { idx, filtered });
-        Ok(config)
+        let idx = self.resolve_enter(region)?;
+        self.region_enter_idx(idx, None)
     }
 
     /// Region-enter event with an explicitly requested configuration,
@@ -315,40 +359,85 @@ impl<'a> RuntimeSession<'a> {
         region: &str,
         config: SystemConfig,
     ) -> Result<SystemConfig, RuntimeError> {
-        if !self.node.supports(&config) {
-            return Err(RuntimeError::UnsupportedConfig {
-                application: self.bench.name.clone(),
-                config,
-            });
-        }
-        let (idx, filtered) = self.resolve_enter(region)?;
-        let applied = if filtered {
-            self.pcps.current()
-        } else {
-            self.switch_to(config);
-            config
-        };
-        self.open = Some(OpenRegion { idx, filtered });
-        Ok(applied)
+        self.check_supported(config)?;
+        let idx = self.resolve_enter(region)?;
+        self.region_enter_idx(idx, Some(config))
     }
 
-    /// Shared `region_enter*` protocol checks: no region may be open, and
-    /// the region must exist in the benchmark. Returns the region index
-    /// and whether the instrumentation filter hides it.
-    fn resolve_enter(&self, region: &str) -> Result<(usize, bool), RuntimeError> {
-        if let Some(open) = &self.open {
-            return Err(RuntimeError::RegionStillOpen {
-                open: self.bench.regions[open.idx].name.clone(),
-                event: format!("region_enter(`{region}`)"),
-            });
-        }
-        let Some(idx) = self.bench.regions.iter().position(|r| r.name == region) else {
-            return Err(RuntimeError::UnknownRegion {
+    /// The region index the name-keyed events resolve `region` to, after
+    /// the protocol check they make first: no region may be open.
+    pub(crate) fn resolve_enter(&self, region: &str) -> Result<usize, RuntimeError> {
+        self.check_closed(|| format!("region_enter(`{region}`)"))?;
+        self.bench
+            .regions
+            .iter()
+            .position(|r| r.name == region)
+            .ok_or_else(|| RuntimeError::UnknownRegion {
                 application: self.bench.name.clone(),
                 region: region.to_string(),
-            });
+            })
+    }
+
+    /// The region `idx` is executed and accounted as (see
+    /// [`RegionSlot::first`]); `idx` itself unless an earlier region of
+    /// the benchmark has the same name.
+    pub(crate) fn region_of(&self, idx: usize) -> usize {
+        self.slots[idx].first
+    }
+
+    /// The one region-enter path, for `bench.regions[idx]`: with an
+    /// `explicit` configuration it is [`Self::region_enter_at`], without
+    /// one [`Self::region_enter`]. Drivers that walk the benchmark's
+    /// regions by index call it directly.
+    pub(crate) fn region_enter_idx(
+        &mut self,
+        idx: usize,
+        explicit: Option<SystemConfig>,
+    ) -> Result<SystemConfig, RuntimeError> {
+        if let Some(config) = explicit {
+            self.check_supported(config)?;
+        }
+        self.check_closed(|| format!("region_enter(`{}`)", self.bench.regions[idx].name))?;
+        let idx = self.slots[idx].first;
+        let slot = &self.slots[idx];
+        let config = if slot.filtered {
+            self.pcps.current()
+        } else {
+            let desired = match explicit {
+                Some(config) => config,
+                None => {
+                    self.lookups += 1;
+                    slot.config
+                }
+            };
+            self.switch_to(desired);
+            desired
         };
-        Ok((idx, self.inst.is_filtered(region)))
+        self.open = Some(idx);
+        Ok(config)
+    }
+
+    fn check_supported(&self, config: SystemConfig) -> Result<(), RuntimeError> {
+        if self.node.supports(&config) {
+            Ok(())
+        } else {
+            Err(RuntimeError::UnsupportedConfig {
+                application: self.bench.name.clone(),
+                config,
+            })
+        }
+    }
+
+    /// The check every event but `region_exit` makes first: no region may
+    /// be open. `event` names the attempted event for the error.
+    fn check_closed(&self, event: impl FnOnce() -> String) -> Result<(), RuntimeError> {
+        match self.open {
+            Some(open) => Err(RuntimeError::RegionStillOpen {
+                open: self.bench.regions[open].name.clone(),
+                event: event(),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Drive the node to `desired` through the PCPs, charging the
@@ -371,27 +460,52 @@ impl<'a> RuntimeSession<'a> {
     /// residual instrumentation overhead of its kind, and account time
     /// and energy to the job and to the region's breakdown entry.
     pub fn region_exit(&mut self, region: &str) -> Result<RegionExit, RuntimeError> {
-        let open = self.open.take().ok_or_else(|| RuntimeError::NoOpenRegion {
-            requested: region.to_string(),
-        })?;
-        let open_name = &self.bench.regions[open.idx].name;
+        let idx = self.resolve_exit(region)?;
+        self.region_exit_idx(idx)
+    }
+
+    /// The region index the name-keyed exit resolves `region` to: the open
+    /// region's, when `region` names it.
+    pub(crate) fn resolve_exit(&self, region: &str) -> Result<usize, RuntimeError> {
+        let Some(open) = self.open else {
+            return Err(RuntimeError::NoOpenRegion {
+                requested: region.to_string(),
+            });
+        };
+        let open_name = &self.bench.regions[open].name;
         if open_name != region {
-            let err = RuntimeError::RegionMismatch {
+            return Err(RuntimeError::RegionMismatch {
                 open: open_name.clone(),
                 requested: region.to_string(),
-            };
-            self.open = Some(open);
-            return Err(err);
+            });
         }
+        Ok(open)
+    }
+
+    /// [`Self::region_exit`] of `bench.regions[idx]`.
+    pub(crate) fn region_exit_idx(&mut self, idx: usize) -> Result<RegionExit, RuntimeError> {
+        let requested = || self.bench.regions[idx].name.clone();
+        let Some(open) = self.open else {
+            return Err(RuntimeError::NoOpenRegion {
+                requested: requested(),
+            });
+        };
+        if open != self.slots[idx].first {
+            return Err(RuntimeError::RegionMismatch {
+                open: self.bench.regions[open].name.clone(),
+                requested: requested(),
+            });
+        }
+        self.open = None;
         // Resolved and validated by `region_enter`.
         let config = self.pcps.current();
-        let (run_s, power) = self.region_power(open.idx, config);
+        let (run_s, power) = self.region_power(open, config);
 
-        let (duration, overhead) = if open.filtered {
+        let slot = &mut self.slots[open];
+        let (duration, overhead) = if slot.filtered {
             (run_s, 0.0)
         } else {
-            let frac = self.inst.overhead_frac(RegionKind::infer(region));
-            let stretched = run_s * (1.0 + frac) + self.inst.probe_cost_s;
+            let stretched = run_s * (1.0 + slot.overhead_frac) + self.inst.probe_cost_s;
             (stretched, stretched - run_s)
         };
         let (node_j, cpu_j) = (power.node_w() * duration, power.cpu_w() * duration);
@@ -401,14 +515,34 @@ impl<'a> RuntimeSession<'a> {
         self.rapl_j += cpu_j;
         self.segments.push((power.node_w(), duration));
 
-        accumulate(&mut self.regions, region, duration, node_j, cpu_j);
+        // Charge the region's row, appending it on first execution (so
+        // rows keep first-execution order).
+        match slot.row {
+            Some(row) => {
+                let row = &mut self.regions[row];
+                row.visits += 1;
+                row.time_s += duration;
+                row.node_energy_j += node_j;
+                row.cpu_energy_j += cpu_j;
+            }
+            None => {
+                slot.row = Some(self.regions.len());
+                self.regions.push(RegionAccounting {
+                    region: self.bench.regions[open].name.clone(),
+                    visits: 1,
+                    time_s: duration,
+                    node_energy_j: node_j,
+                    cpu_energy_j: cpu_j,
+                });
+            }
+        }
 
         Ok(RegionExit {
             config,
             duration_s: duration,
             node_energy_j: node_j,
             cpu_energy_j: cpu_j,
-            filtered: open.filtered,
+            filtered: slot.filtered,
         })
     }
 
@@ -417,10 +551,7 @@ impl<'a> RuntimeSession<'a> {
     fn region_power(&mut self, idx: usize, config: SystemConfig) -> (f64, PowerBreakdown) {
         let spec = &self.bench.regions[idx];
         let scale = spec.scale_at(self.phase_iter).to_bits();
-        if self.power_memo.is_empty() {
-            self.power_memo.resize(self.bench.regions.len(), None);
-        }
-        let memo = &mut self.power_memo[idx];
+        let memo = &mut self.slots[idx].power;
         if let Some((s, c, run_s, power)) = *memo {
             if s == scale && c == config {
                 return (run_s, power);
@@ -436,12 +567,7 @@ impl<'a> RuntimeSession<'a> {
     /// Phase-complete event: the main loop finished one iteration.
     /// Returns the new phase iteration index.
     pub fn phase_complete(&mut self) -> Result<u32, RuntimeError> {
-        if let Some(open) = &self.open {
-            return Err(RuntimeError::RegionStillOpen {
-                open: self.bench.regions[open.idx].name.clone(),
-                event: "phase_complete".to_string(),
-            });
-        }
+        self.check_closed(|| "phase_complete".to_string())?;
         self.phase_iter += 1;
         Ok(self.phase_iter)
     }
@@ -450,11 +576,10 @@ impl<'a> RuntimeSession<'a> {
     /// through the event protocol (enter/exit every region in program
     /// order, then complete the phase).
     pub fn run_to_completion(&mut self) -> Result<(), RuntimeError> {
-        let bench = self.bench;
-        while self.phase_iter < bench.phase_iterations {
-            for region in &bench.regions {
-                self.region_enter(&region.name)?;
-                self.region_exit(&region.name)?;
+        while self.phase_iter < self.bench.phase_iterations {
+            for idx in 0..self.bench.regions.len() {
+                self.region_enter_idx(idx, None)?;
+                self.region_exit_idx(idx)?;
             }
             self.phase_complete()?;
         }
@@ -467,12 +592,7 @@ impl<'a> RuntimeSession<'a> {
     /// job identity, so the result does not depend on what other sessions
     /// ran on the node in between.
     pub fn finish(self) -> Result<JobAccounting, RuntimeError> {
-        if let Some(open) = &self.open {
-            return Err(RuntimeError::RegionStillOpen {
-                open: self.bench.regions[open.idx].name.clone(),
-                event: "finish".to_string(),
-            });
-        }
+        self.check_closed(|| "finish".to_string())?;
         Ok(JobAccounting {
             record: self.window().record(self.seed),
             job: self.job,
@@ -530,33 +650,6 @@ pub(crate) fn job_seed(job: &str, workload_fingerprint: u64, node: &Node) -> u64
     kernels::fnv1a(job.as_bytes())
         ^ workload_fingerprint
         ^ u64::from(node.id()).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// Charge one region instance: bump its row's visit count and add the
-/// time and energy deltas, appending a fresh row on first sight (so rows
-/// keep first-execution order).
-fn accumulate(
-    regions: &mut Vec<RegionAccounting>,
-    region: &str,
-    time_s: f64,
-    node_energy_j: f64,
-    cpu_energy_j: f64,
-) {
-    match regions.iter_mut().find(|r| r.region == region) {
-        Some(row) => {
-            row.visits += 1;
-            row.time_s += time_s;
-            row.node_energy_j += node_energy_j;
-            row.cpu_energy_j += cpu_energy_j;
-        }
-        None => regions.push(RegionAccounting {
-            region: region.to_string(),
-            visits: 1,
-            time_s,
-            node_energy_j,
-            cpu_energy_j,
-        }),
-    }
 }
 
 /// A completed phase loop as HDEEM and `sacct` see it before the job's

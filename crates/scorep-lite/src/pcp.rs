@@ -10,17 +10,6 @@
 
 use simnode::{Node, SystemConfig};
 
-/// One tunable parameter's control plugin.
-pub trait ParameterControlPlugin {
-    /// Plugin name (matches the READEX repository naming).
-    fn name(&self) -> &'static str;
-
-    /// Apply the relevant part of `target` to `node`, given the `current`
-    /// setting. Returns the switching latency incurred in seconds (0.0 if
-    /// the parameter is already at the target value).
-    fn apply(&mut self, node: &Node, target: &SystemConfig, current: &SystemConfig) -> f64;
-}
-
 /// `OpenMPTP`: sets the OpenMP thread count for the next parallel region.
 /// No hardware latency, but the next fork/join pays a small re-balancing
 /// cost.
@@ -37,14 +26,11 @@ impl OpenMpTp {
             refork_cost_s: 8e-6,
         }
     }
-}
 
-impl ParameterControlPlugin for OpenMpTp {
-    fn name(&self) -> &'static str {
-        "openmp_plugin"
-    }
-
-    fn apply(&mut self, _node: &Node, target: &SystemConfig, current: &SystemConfig) -> f64 {
+    /// Set the team size of `target`, given the `current` setting.
+    /// Returns the switching cost in seconds (0.0 if the thread count is
+    /// already at the target value).
+    pub fn apply(&self, _node: &Node, target: &SystemConfig, current: &SystemConfig) -> f64 {
         if target.threads == current.threads {
             0.0
         } else {
@@ -57,12 +43,11 @@ impl ParameterControlPlugin for OpenMpTp {
 #[derive(Debug, Default)]
 pub struct CpuFreqPlugin;
 
-impl ParameterControlPlugin for CpuFreqPlugin {
-    fn name(&self) -> &'static str {
-        "cpufreq_plugin"
-    }
-
-    fn apply(&mut self, node: &Node, target: &SystemConfig, current: &SystemConfig) -> f64 {
+impl CpuFreqPlugin {
+    /// Program the core frequency of `target`, given the `current`
+    /// setting. Returns the transition latency in seconds (0.0 if the core
+    /// frequency is already at the target value).
+    pub fn apply(&self, node: &Node, target: &SystemConfig, current: &SystemConfig) -> f64 {
         if target.core == current.core {
             0.0
         } else {
@@ -75,12 +60,11 @@ impl ParameterControlPlugin for CpuFreqPlugin {
 #[derive(Debug, Default)]
 pub struct UncoreFreqPlugin;
 
-impl ParameterControlPlugin for UncoreFreqPlugin {
-    fn name(&self) -> &'static str {
-        "uncorefreq_plugin"
-    }
-
-    fn apply(&mut self, node: &Node, target: &SystemConfig, current: &SystemConfig) -> f64 {
+impl UncoreFreqPlugin {
+    /// Program the uncore frequency of `target`, given the `current`
+    /// setting. Returns the transition latency in seconds (0.0 if the
+    /// uncore frequency is already at the target value).
+    pub fn apply(&self, node: &Node, target: &SystemConfig, current: &SystemConfig) -> f64 {
         if target.uncore == current.uncore {
             0.0
         } else {
@@ -184,6 +168,26 @@ mod tests {
         let target2 = target.with_threads(16);
         let lat2 = stack.apply(&node, target2);
         assert!((lat2 - 8e-6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn each_plugin_charges_only_its_own_parameter() {
+        let node = Node::exact(0);
+        let from = SystemConfig::taurus_default();
+        let to = SystemConfig::new(16, 2400, 1700);
+        assert_eq!(OpenMpTp::new().apply(&node, &from, &from), 0.0);
+        assert_eq!(OpenMpTp::new().apply(&node, &to, &from), 8e-6);
+        assert_eq!(CpuFreqPlugin.apply(&node, &from, &from), 0.0);
+        assert_eq!(
+            CpuFreqPlugin.apply(&node, &to, &from),
+            CORE_TRANSITION_LATENCY_S
+        );
+        assert_eq!(UncoreFreqPlugin.apply(&node, &from, &from), 0.0);
+        assert_eq!(
+            UncoreFreqPlugin.apply(&node, &to, &from),
+            UNCORE_TRANSITION_LATENCY_S
+        );
+        assert_eq!(node.programmed_frequencies(), (2400, 1700));
     }
 
     #[test]

@@ -3,11 +3,19 @@
 //! repository, drift detection with scoped re-calibration, and the
 //! online-tuning error paths.
 
-use dvfs_ufs_tuning::kernels;
-use dvfs_ufs_tuning::ptf::{ExhaustiveSearch, RandomSearch, TuningSession};
+use std::sync::atomic::{AtomicU32, Ordering};
+
+use dvfs_ufs_tuning::enermodel::nn::NetConfig;
+use dvfs_ufs_tuning::enermodel::train::TrainConfig;
+use dvfs_ufs_tuning::kernels::{self, toy_benchmark};
+use dvfs_ufs_tuning::ptf::{
+    build_dataset, phase_counter_rates, EnergyModel, ExhaustiveSearch, ExplorationInputs,
+    ExplorationPlan, ModelBasedNeighbourhood, RandomSearch, SearchStrategy, TuningError,
+    TuningSession,
+};
 use dvfs_ufs_tuning::rrl::{
     ClusterScheduler, MatchPolicy, ModelSource, OnlineConfig, OnlineTuner, OnlineTuning,
-    RuntimeError, TuningModelRepository,
+    RuntimeError, RuntimeSession, TuningModelRepository,
 };
 use dvfs_ufs_tuning::simnode::{Cluster, Node, SystemConfig};
 use kernels::BenchmarkSpec;
@@ -649,3 +657,323 @@ fn drift_recalibration_refusals() {
     );
     assert!(outcome.publication.is_none());
 }
+
+/// The event protocol both a plain session and an online tuner speak,
+/// with each outcome reduced to its error text.
+trait Events {
+    fn enter(&mut self, region: &str) -> Result<(), String>;
+    fn exit(&mut self, region: &str) -> Result<(), String>;
+    fn phase(&mut self) -> Result<(), String>;
+}
+
+impl Events for RuntimeSession<'_> {
+    fn enter(&mut self, region: &str) -> Result<(), String> {
+        self.region_enter(region)
+            .map(drop)
+            .map_err(|e| e.to_string())
+    }
+    fn exit(&mut self, region: &str) -> Result<(), String> {
+        self.region_exit(region)
+            .map(drop)
+            .map_err(|e| e.to_string())
+    }
+    fn phase(&mut self) -> Result<(), String> {
+        self.phase_complete().map(drop).map_err(|e| e.to_string())
+    }
+}
+
+impl Events for OnlineTuner<'_> {
+    fn enter(&mut self, region: &str) -> Result<(), String> {
+        self.region_enter(region)
+            .map(drop)
+            .map_err(|e| e.to_string())
+    }
+    fn exit(&mut self, region: &str) -> Result<(), String> {
+        self.region_exit(region)
+            .map(drop)
+            .map_err(|e| e.to_string())
+    }
+    fn phase(&mut self) -> Result<(), String> {
+        self.phase_complete().map(drop).map_err(|e| e.to_string())
+    }
+}
+
+/// Every protocol misuse once, from a region boundary: an exit with no
+/// enter, an unknown region, a double enter, an unknown region while one
+/// is open, mismatched exits, a phase completion with a region open. The
+/// script closes what it opens, so it leaves the driver at a boundary.
+fn misuse(events: &mut impl Events, a: &str, b: &str) -> Vec<Result<(), String>> {
+    vec![
+        events.exit(a),
+        events.enter("no_such_region"),
+        events.enter(a),
+        events.enter(a),
+        events.enter("no_such_region"),
+        events.exit(b),
+        events.exit("no_such_region"),
+        events.phase(),
+        events.exit(a),
+        events.exit(a),
+    ]
+}
+
+/// Drive `tuner` until its next region enter would run in `stage`.
+fn drive_to_stage(tuner: &mut OnlineTuner<'_>, stage: &str) {
+    let bench = tuner.session().bench();
+    while tuner.stage() != stage {
+        for region in &bench.regions {
+            tuner.region_enter(&region.name).unwrap();
+            tuner.region_exit(&region.name).unwrap();
+        }
+        tuner.phase_complete().unwrap();
+    }
+}
+
+#[test]
+fn tuner_rejects_protocol_misuse_like_a_plain_session() {
+    let node = Node::exact(0);
+    let bench = kernels::benchmark("miniMD").unwrap();
+    let strategy = strategy();
+    let (a, b) = ("compute_force", "neighbor_build");
+    assert!(bench.region(a).is_some() && bench.region(b).is_some());
+
+    // The reference: a plain session's errors, in its precedence
+    // (`RegionStillOpen` before `UnknownRegion`).
+    let served = || {
+        TuningModelRepository::new()
+            .with_fallback(SystemConfig::taurus_default())
+            .serve(&bench)
+            .unwrap()
+    };
+    let mut session = RuntimeSession::start("ref", &bench, &node, served()).unwrap();
+    let expected = misuse(&mut session, a, b);
+    let ok = |i: usize| expected[i].is_ok();
+    assert!(ok(2) && ok(8), "{expected:?}");
+    let err = |i: usize| expected[i].clone().unwrap_err();
+    assert!(err(0).starts_with("region_exit(`compute_force`) without"));
+    assert!(err(1).contains("has no region `no_such_region`"));
+    for i in [3, 4, 7] {
+        assert!(err(i).contains("while region `compute_force` is still open"));
+    }
+    assert!(err(4).starts_with("cannot region_enter(`no_such_region`)"));
+    assert!(err(5).contains("while `compute_force` is open"));
+    assert!(err(6).starts_with("region_exit(`no_such_region`) while"));
+    assert!(err(9).contains("without a matching region_enter"));
+    session.region_enter(a).unwrap();
+    let finish_err = session.finish().unwrap_err().to_string();
+    assert_eq!(
+        finish_err,
+        "cannot finish while region `compute_force` is still open"
+    );
+
+    let check = |mut tuner: OnlineTuner<'_>, what: &str| {
+        assert_eq!(misuse(&mut tuner, a, b), expected, "{what}");
+        // The misuse left the tuner drivable.
+        tuner.region_enter(b).unwrap();
+        tuner.region_exit(b).unwrap();
+        tuner.region_enter(a).unwrap();
+        let Err(e) = tuner.finish() else {
+            panic!("{what}: finish with a region open must fail");
+        };
+        assert_eq!(e.to_string(), finish_err, "{what}");
+    };
+    let calibrate = || {
+        OnlineTuner::calibrate(
+            "calib",
+            &bench,
+            &node,
+            &strategy,
+            None,
+            OnlineConfig::default(),
+        )
+        .unwrap()
+    };
+    check(calibrate(), "calibrate, thread sweep");
+    for stage in ["analysis", "phase-search", "exploit"] {
+        let mut tuner = calibrate();
+        drive_to_stage(&mut tuner, stage);
+        check(tuner, stage);
+    }
+
+    // Monitor mode serves a calibrated model with drift expectations.
+    let mut first = calibrate();
+    first.run_to_completion().unwrap();
+    let publication = first.finish().unwrap().publication.unwrap();
+    let mut repo = TuningModelRepository::new();
+    repo.publish_online(&bench, &publication.model, publication.expected);
+    let mut monitor = || {
+        OnlineTuner::monitor(
+            "mon",
+            &bench,
+            &node,
+            repo.serve(&bench).unwrap(),
+            OnlineConfig::default(),
+        )
+        .unwrap()
+    };
+    check(monitor(), "monitor");
+    let mut recalibrating = monitor();
+    assert!(recalibrating.recalibrate_region(a).unwrap() > 0);
+    check(recalibrating, "monitor, re-calibrating");
+}
+
+/// Wraps a strategy and counts how often it reads the phase counter
+/// rates through [`ExplorationInputs::phase_rates`].
+#[derive(Debug)]
+struct CountingRates<S> {
+    inner: S,
+    reads: AtomicU32,
+}
+
+impl<S> CountingRates<S> {
+    fn new(inner: S) -> Self {
+        Self {
+            inner,
+            reads: AtomicU32::new(0),
+        }
+    }
+
+    fn reads(&self) -> u32 {
+        self.reads.load(Ordering::Relaxed)
+    }
+}
+
+impl<S: SearchStrategy> SearchStrategy for CountingRates<S> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn exploration(&self, inputs: &ExplorationInputs<'_>) -> Result<ExplorationPlan, TuningError> {
+        let source = inputs.phase_rates;
+        let counted = || {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            source()
+        };
+        self.inner.exploration(&ExplorationInputs {
+            phase_rates: &counted,
+            ..*inputs
+        })
+    }
+}
+
+/// A small energy model, cheap enough to train in a debug test: one
+/// network on three training benchmarks over a coarse frequency grid.
+fn small_energy_model() -> EnergyModel {
+    let data = build_dataset(
+        &kernels::training_set()[..3],
+        &Node::exact(0),
+        &[24],
+        &[1200, 1800, 2500],
+        &[1300, 2000, 3000],
+    );
+    EnergyModel::train(
+        &data,
+        &TrainConfig {
+            net: NetConfig::paper(42),
+            epochs: 2,
+            ..TrainConfig::default()
+        },
+    )
+}
+
+/// Random and exhaustive search never read the counter rates, so their
+/// online calibrations leave the node's counter-noise stream where a
+/// fresh node with the same `(id, seed)` starts.
+#[test]
+fn rate_independent_calibration_leaves_the_counter_noise_stream_alone() {
+    let seed = 0x5EED;
+    let bench = kernels::benchmark("miniMD").unwrap();
+    let analysis = SystemConfig::calibration();
+
+    let node = Node::new(0, seed);
+    assert!(node.counter_noise_sd() > 0.0);
+    let random = CountingRates::new(strategy());
+    let mut tuner = OnlineTuner::calibrate(
+        "random",
+        &bench,
+        &node,
+        &random,
+        None,
+        OnlineConfig::default(),
+    )
+    .unwrap();
+    tuner.run_to_completion().unwrap();
+    assert!(tuner.finish().unwrap().publication.is_some());
+    assert_eq!(random.reads(), 0);
+    assert_eq!(
+        phase_counter_rates(&bench, &node, analysis),
+        phase_counter_rates(&bench, &Node::new(0, seed), analysis),
+        "random search calibration"
+    );
+
+    // Exhaustive search plans the full space, which miniMD's phase loop
+    // cannot fund: the plan is made, then the calibration abandons.
+    let node = Node::new(0, seed);
+    let exhaustive = CountingRates::new(ExhaustiveSearch);
+    let mut tuner = OnlineTuner::calibrate(
+        "exhaustive",
+        &bench,
+        &node,
+        &exhaustive,
+        None,
+        OnlineConfig::default(),
+    )
+    .unwrap();
+    assert!(matches!(
+        tuner.run_to_completion(),
+        Err(RuntimeError::ExplorationBudget { .. })
+    ));
+    assert_eq!(tuner.stage(), "abandoned");
+    assert_eq!(exhaustive.reads(), 0);
+    assert_eq!(
+        phase_counter_rates(&bench, &node, analysis),
+        phase_counter_rates(&bench, &Node::new(0, seed), analysis),
+        "exhaustive search calibration"
+    );
+}
+
+/// The model-based strategy reads the rates exactly once per calibration,
+/// measured on the calibrating node at the analysis configuration, and
+/// publishes the model it published when the rates were measured
+/// unconditionally (golden FNV-1a of the publication's `Debug` text).
+#[test]
+fn model_based_calibration_measures_the_rates_once() {
+    let seed = 0x5EED;
+    let energy_model = small_energy_model();
+    let bench = toy_benchmark("toy", 2e10, 70);
+    let node = Node::new(0, seed);
+    let strategy = CountingRates::new(ModelBasedNeighbourhood::paper());
+    let mut tuner = OnlineTuner::calibrate(
+        "model-based",
+        &bench,
+        &node,
+        &strategy,
+        Some(&energy_model),
+        OnlineConfig::default(),
+    )
+    .unwrap();
+    tuner.run_to_completion().unwrap();
+    assert_eq!(tuner.stage(), "exploit");
+    let publication = tuner.finish().unwrap().publication.unwrap();
+    assert_eq!(strategy.reads(), 1);
+
+    // The node's stream advanced by exactly one measurement.
+    let analysis = SystemConfig::calibration();
+    let twin = Node::new(0, seed);
+    phase_counter_rates(&bench, &twin, analysis);
+    assert_eq!(
+        phase_counter_rates(&bench, &node, analysis),
+        phase_counter_rates(&bench, &twin, analysis)
+    );
+
+    let text = format!("{publication:?}");
+    assert_eq!(
+        kernels::fnv1a(text.as_bytes()),
+        MODEL_BASED_PUBLICATION_GOLDEN,
+        "{text}"
+    );
+}
+
+/// Recorded with the rates measured before every plan, whether the
+/// strategy read them or not.
+const MODEL_BASED_PUBLICATION_GOLDEN: u64 = 0xe9af_cad9_aae7_087d;

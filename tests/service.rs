@@ -704,10 +704,11 @@ impl FaultInjector for DriftEveryThird {
 
 /// Golden FNV-1a hash of a whole service report (its `Debug` rendering,
 /// which prints every float exactly) over a trace of the five test-set
-/// benchmarks on a noisy fleet: cold workloads calibrate through the
-/// counter-rate probe, a two-entry repository evicts under LRU pressure
-/// and forces re-calibrations, and injected drift re-calibrates regions
-/// of monitored jobs. Any change to what serving computes moves it.
+/// benchmarks on a noisy fleet: cold workloads calibrate by random
+/// search (which measures no counter rates), a two-entry repository
+/// evicts under LRU pressure and forces re-calibrations, and injected
+/// drift re-calibrates regions of monitored jobs. Any change to what
+/// serving computes moves it.
 #[test]
 fn service_report_is_bit_identical_to_golden() {
     let strategy = RandomSearch::new(8, 7);
