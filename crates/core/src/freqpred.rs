@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use enermodel::nn::{EnergyNet, Workspace};
 use enermodel::scaler::StandardScaler;
-use enermodel::train::{train, train_scaled, Dataset, TrainConfig, TrainReport};
+use enermodel::train::{train_scaled, Dataset, TrainConfig};
 use simnode::{CoreFreq, FreqDomain, SystemConfig, UncoreFreq};
 
 use crate::modeldata::features_from_rates;
@@ -38,14 +38,10 @@ pub struct EnergyModel {
 }
 
 impl EnergyModel {
-    /// Train a fresh single-network model on `data`.
+    /// Train a fresh single-network model on `data`: a committee of one,
+    /// whose network is bit-identical to `enermodel::train`'s.
     pub fn train(data: &Dataset, cfg: &TrainConfig) -> Self {
-        let TrainReport { net, scaler, .. } = train(data, cfg);
-        Self {
-            nets: vec![net],
-            scaler,
-            calibration: SystemConfig::calibration(),
-        }
+        Self::train_committee(data, cfg, 1)
     }
 
     /// Train a committee of `k` networks that differ only in their
@@ -68,7 +64,7 @@ impl EnergyModel {
             let mut c = cfg.clone();
             c.net.seed = cfg.net.seed.wrapping_add(i as u64 * 0x9E37);
             c.shuffle_seed = cfg.shuffle_seed.wrapping_add(i as u64);
-            train_scaled(&x, &data.targets, &c).0
+            train_scaled(&x, &data.targets, &c)
         };
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(k));
         let share = |w: usize| (w..k).step_by(workers).map(member).collect::<Vec<_>>();
@@ -235,7 +231,7 @@ mod tests {
                 let mut c = cfg.clone();
                 c.net.seed = cfg.net.seed.wrapping_add(i as u64 * 0x9E37);
                 c.shuffle_seed = cfg.shuffle_seed.wrapping_add(i as u64);
-                let alone = train_scaled(&x, &data.targets, &c).0;
+                let alone = train_scaled(&x, &data.targets, &c);
                 let bits =
                     |n: &EnergyNet| n.params().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(net), bits(&alone), "k {k}: member {i}");

@@ -4,10 +4,12 @@
 //! a time: its samples form the test set, all other benchmarks train the
 //! network (5 epochs), and MAPE over the held-out benchmark's DVFS/UFS
 //! states is reported (Fig. 5). Folds are independent and run one after
-//! another.
+//! another. A fold trains without measuring its training-set MSE, which
+//! nothing reads.
 
 use crate::metrics::mape;
-use crate::train::{train, Dataset, TrainConfig};
+use crate::scaler::StandardScaler;
+use crate::train::{train_scaled, Dataset, TrainConfig};
 
 /// MAPE result for one LOOCV fold.
 #[derive(Debug, Clone)]
@@ -64,8 +66,10 @@ pub fn loocv_mape(data: &Dataset, cfg: &TrainConfig) -> LoocvReport {
             let (train_set, test_set) = data.split_by_group(g);
             assert!(!train_set.is_empty(), "fold {g} has an empty training set");
             assert!(!test_set.is_empty(), "fold {g} has an empty test set");
-            let report = train(&train_set, cfg);
-            let preds = report.predict_batch(&test_set.features);
+            let scaler = StandardScaler::fit(&train_set.features);
+            let x = scaler.transform(&train_set.features);
+            let net = train_scaled(&x, &train_set.targets, cfg);
+            let preds = net.predict_batch(&scaler.transform(&test_set.features));
             FoldResult {
                 group: g.clone(),
                 mape: mape(&test_set.targets, &preds),
@@ -158,6 +162,27 @@ mod tests {
         let report = loocv_mape(&data, &cfg());
         assert!(report.fold("bench2").is_some());
         assert!(report.fold("nope").is_none());
+    }
+
+    /// Golden FNV-1a hash over every fold's group name, sample count and
+    /// MAPE bits. It pins the whole fold path: scaling, training and the
+    /// held-out predictions.
+    #[test]
+    fn fold_mapes_are_bit_identical_to_golden() {
+        let report = loocv_mape(&synth(), &cfg());
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for f in &report.folds {
+            eat(f.group.as_bytes());
+            eat(&(f.samples as u64).to_le_bytes());
+            eat(&f.mape.to_bits().to_le_bytes());
+        }
+        assert_eq!(h, 0x263c_1111_58f3_5240, "fold MAPE hash {h:#x}");
     }
 
     #[test]

@@ -5,6 +5,11 @@
 //! the paper notes more epochs over-fit), samples shuffled each epoch with
 //! a seeded RNG, features standardised with statistics from the training
 //! set only.
+//!
+//! There is one epoch loop. Only [`train`] measures the training-set MSE
+//! after each epoch, for [`TrainReport::epoch_mse`]; [`train_scaled`],
+//! which committee members and LOOCV folds train through, skips that
+//! forward pass over every sample, since nothing would read it.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -137,13 +142,24 @@ impl TrainReport {
         self.net.predict_scalar(&row)
     }
 
-    /// Predict all rows of a raw feature matrix.
+    /// Predict all rows of a raw feature matrix through one row buffer
+    /// and one workspace.
     pub fn predict_batch(&self, raw: &Matrix) -> Vec<f64> {
-        (0..raw.rows()).map(|r| self.predict(raw.row(r))).collect()
+        let mut row = Vec::with_capacity(raw.cols());
+        let mut ws = Workspace::default();
+        (0..raw.rows())
+            .map(|r| {
+                row.clear();
+                row.extend_from_slice(raw.row(r));
+                self.scaler.transform_row(&mut row);
+                self.net.predict_with(&row, &mut ws)
+            })
+            .collect()
     }
 }
 
-/// Train a fresh network on `data` according to `cfg`.
+/// Train a fresh network on `data` according to `cfg`, measuring the
+/// mean squared error on the scaled training set after each epoch.
 ///
 /// # Panics
 /// Panics if the dataset is empty or the feature width does not match the
@@ -151,7 +167,14 @@ impl TrainReport {
 pub fn train(data: &Dataset, cfg: &TrainConfig) -> TrainReport {
     let scaler = StandardScaler::fit(&data.features);
     let x = scaler.transform(&data.features);
-    let (net, epoch_mse) = train_scaled(&x, &data.targets, cfg);
+    let mut preds = vec![0.0; data.len()];
+    let mut epoch_mse = Vec::with_capacity(cfg.epochs);
+    let net = train_epochs(&x, &data.targets, cfg, |net, ws| {
+        for (r, p) in preds.iter_mut().enumerate() {
+            *p = net.predict_with(x.row(r), ws);
+        }
+        epoch_mse.push(mse(&data.targets, &preds));
+    });
     TrainReport {
         net,
         scaler,
@@ -159,18 +182,31 @@ pub fn train(data: &Dataset, cfg: &TrainConfig) -> TrainReport {
     }
 }
 
-/// Train a fresh network on features that are already standardised,
-/// returning it with the mean squared error after each epoch. Networks
-/// that share a training set (a committee) share one scaled copy of it.
-///
-/// Steady-state training allocates nothing: the network, its gradient,
-/// Adam's moments, the forward/backward workspace and the epoch's
-/// predictions are all buffers sized once up front.
+/// Train a fresh network on features that are already standardised.
+/// Networks that share a training set (a committee) share one scaled
+/// copy of it. The network is bit-identical to [`train`]'s; only the
+/// per-epoch MSE is not measured.
 ///
 /// # Panics
 /// Panics if there are no samples, the targets do not match the rows, or
 /// the feature width does not match the network input size.
-pub fn train_scaled(x: &Matrix, targets: &[f64], cfg: &TrainConfig) -> (EnergyNet, Vec<f64>) {
+pub fn train_scaled(x: &Matrix, targets: &[f64], cfg: &TrainConfig) -> EnergyNet {
+    train_epochs(x, targets, cfg, |_, _| {})
+}
+
+/// The epoch loop behind [`train`] and [`train_scaled`]: per-sample Adam
+/// steps in a freshly shuffled order each epoch, then `after_epoch` with
+/// the network and the loop's workspace.
+///
+/// Steady-state training allocates nothing: the network, its gradient,
+/// Adam's moments and the forward/backward workspace are all buffers
+/// sized once up front.
+fn train_epochs(
+    x: &Matrix,
+    targets: &[f64],
+    cfg: &TrainConfig,
+    mut after_epoch: impl FnMut(&EnergyNet, &mut Workspace),
+) -> EnergyNet {
     assert!(!targets.is_empty(), "cannot train on an empty dataset");
     assert_eq!(x.rows(), targets.len(), "one target per sample");
     assert_eq!(
@@ -184,11 +220,9 @@ pub fn train_scaled(x: &Matrix, targets: &[f64], cfg: &TrainConfig) -> (EnergyNe
     let mut adam = Adam::new(&net, adam_cfg);
     let mut ws = Workspace::default();
     let mut grads = Gradients::zeros_like(&net);
-    let mut preds = vec![0.0; targets.len()];
     let mut order: Vec<usize> = (0..targets.len()).collect();
     let mut rng = StdRng::seed_from_u64(cfg.shuffle_seed);
 
-    let mut epoch_mse = Vec::with_capacity(cfg.epochs);
     for epoch in 0..cfg.epochs {
         if epoch > 0 && cfg.lr_decay != 1.0 {
             adam_cfg.learning_rate *= cfg.lr_decay;
@@ -199,12 +233,9 @@ pub fn train_scaled(x: &Matrix, targets: &[f64], cfg: &TrainConfig) -> (EnergyNe
             net.backprop_into(x.row(i), &targets[i..=i], &mut ws, &mut grads);
             adam.step(&mut net, &grads);
         }
-        for (r, p) in preds.iter_mut().enumerate() {
-            *p = net.predict_with(x.row(r), &mut ws);
-        }
-        epoch_mse.push(mse(targets, &preds));
+        after_epoch(&net, &mut ws);
     }
-    (net, epoch_mse)
+    net
 }
 
 #[cfg(test)]
@@ -268,6 +299,27 @@ mod tests {
         let preds = report.predict_batch(&data.features);
         let err = crate::metrics::mape(&data.targets, &preds);
         assert!(err < 5.0, "training MAPE {err}%");
+    }
+
+    #[test]
+    fn predict_batch_matches_predict_row_by_row() {
+        let data = synth(50);
+        let report = train(&data, &small_cfg(2));
+        let batch = report.predict_batch(&data.features);
+        for (r, p) in batch.iter().enumerate() {
+            let alone = report.predict(data.features.row(r));
+            assert_eq!(p.to_bits(), alone.to_bits(), "row {r}");
+        }
+    }
+
+    #[test]
+    fn scaled_training_equals_train_minus_the_mse() {
+        let data = synth(64);
+        let cfg = small_cfg(3);
+        let report = train(&data, &cfg);
+        let x = report.scaler.transform(&data.features);
+        let net = train_scaled(&x, &data.targets, &cfg);
+        assert_eq!(net.params(), report.net.params());
     }
 
     #[test]
