@@ -345,8 +345,8 @@ fn bench_runtime_session(c: &mut Criterion) {
 /// recording) in steady state — the tuner is rebuilt only when a full
 /// calibration converges, so the rebuild amortises over the ~1000 events
 /// of one calibration — plus one whole random-search calibration job, the
-/// counter-rate measurement the model-based strategy pays, and one
-/// drift-detector observation.
+/// counter-rate measurement the model-based strategy pays, one
+/// monitor-mode region event and one drift-watch observation.
 fn bench_online_tuner(c: &mut Criterion) {
     use kernels::{BenchmarkSpec, ProgrammingModel, RegionSpec, Suite};
     use ptf::RandomSearch;
@@ -448,13 +448,55 @@ fn bench_online_tuner(c: &mut Criterion) {
         })
     });
 
+    // One monitor-mode region event on a repository hit: the served
+    // model's lookup, the region's execution and its drift watch, on a
+    // model served with its own calibration's expectations (the tuner is
+    // rebuilt, by one repository serve, once the 300-iteration job ends).
+    group.bench_function("monitor_event", |b| {
+        let calibration_strategy = RandomSearch::new(8, 7);
+        let mut calib = OnlineTuner::calibrate(
+            "monitor-calib",
+            &bench,
+            &node,
+            &calibration_strategy,
+            None,
+            OnlineConfig::default(),
+        )
+        .expect("budget fits");
+        calib.run_to_completion().unwrap();
+        let publication = calib.finish().unwrap().publication.expect("converged");
+        let mut repo = rrl::TuningModelRepository::new();
+        repo.publish_online(&bench, &publication.model, publication.expected);
+        let mut mk = || {
+            let served = repo.serve_stored(&bench).unwrap().expect("hit");
+            OnlineTuner::monitor("monitor", &bench, &node, served, OnlineConfig::default()).unwrap()
+        };
+        let mut tuner = mk();
+        let mut idx = 0usize;
+        b.iter(|| {
+            if idx == names.len() {
+                idx = 0;
+                tuner.phase_complete().unwrap();
+                if tuner.phase_iteration() == bench.phase_iterations {
+                    assert!(tuner.drift_events().is_empty(), "the watches stay quiet");
+                    tuner = mk();
+                }
+            }
+            let name = &names[idx];
+            idx += 1;
+            tuner.region_enter(name).unwrap();
+            black_box(tuner.region_exit(name).unwrap())
+        })
+    });
+
+    // One step of a region's drift watch.
     group.bench_function("drift_observe", |b| {
-        let expected: Vec<(String, f64)> = names.iter().map(|n| (n.clone(), 100.0)).collect();
-        let mut detector = DriftDetector::new(DriftConfig::default(), &expected);
-        let mut i = 0u32;
+        let cfg = DriftConfig::default();
+        let mut watches = [DriftDetector::new(100.0).expect("positive"); 3];
+        let mut i = 0usize;
         b.iter(|| {
             i = i.wrapping_add(1);
-            black_box(detector.observe(&names[(i as usize) % names.len()], 101.0, i))
+            black_box(watches[i % watches.len()].observe(&cfg, 101.0))
         })
     });
     group.finish();

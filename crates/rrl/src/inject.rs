@@ -124,6 +124,10 @@ pub trait FaultInjector: Sync {
     /// for `region` at phase `iteration` (1.0 = no shift). Return e.g.
     /// 1.5 from iteration *k* onwards to simulate a mid-run workload
     /// shift that fires the detector.
+    ///
+    /// Asked only for measurements a detector reads: an unfiltered exit
+    /// of a region the served model carried an expectation for, while
+    /// that region is not re-calibrating.
     fn drift_scale(&self, job: &str, region: &str, iteration: u32) -> f64 {
         let _ = (job, region, iteration);
         1.0

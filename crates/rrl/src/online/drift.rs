@@ -6,21 +6,22 @@
 //! [`ModelProvenance`](crate::ModelProvenance)). When the workload
 //! evolves — a new input deck, a data-dependent hot loop, a model served
 //! at application level for a changed fingerprint — those expectations go
-//! stale, and the served configurations may no longer be optimal. The
-//! [`DriftDetector`] watches the live per-region measurements flowing
-//! through a [`RuntimeSession`](crate::RuntimeSession) and maintains an
-//! EWMA of the observed/expected energy ratio per region; once the
-//! smoothed ratio leaves the configured band after a warm-up, the region
-//! is flagged with a [`DriftEvent`] (latched: one event per region per
-//! job) and the [`OnlineTuner`](crate::OnlineTuner) can re-calibrate the
+//! stale, and the served configurations may no longer be optimal.
+//!
+//! A [`DriftDetector`] is the drift watch of one region: it keeps an EWMA
+//! of the observed/expected energy ratio of the region's live
+//! measurements, and once the smoothed ratio leaves the configured band
+//! after a warm-up it fires (latched: once per region until
+//! [`rebase`](DriftDetector::rebase)). The
+//! [`OnlineTuner`](crate::OnlineTuner) keeps one watch per watched region
+//! in its per-region slot table, indexed like the session's regions,
+//! records each firing as a named [`DriftEvent`] and re-calibrates the
 //! region in place.
 //!
 //! Thresholds default to 15 %: comfortably above the simulated cluster's
 //! node-to-node power variability (±2.5 % σ) and the ≤ 4 % residual
 //! instrumentation stretch, and comfortably below any workload shift
 //! worth re-tuning for.
-
-use std::collections::BTreeMap;
 
 /// EWMA parameters for drift detection.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,113 +59,60 @@ pub struct DriftEvent {
     pub at_iteration: u32,
 }
 
-#[derive(Debug)]
-struct RegionState {
+/// The drift watch of one region: an EWMA of observed vs. expected
+/// energy that fires, latched, when the smoothed ratio leaves the
+/// threshold band.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DriftDetector {
     expected_j: f64,
     ewma: f64,
     observations: u32,
     latched: bool,
 }
 
-/// Per-region EWMA of observed vs. expected energy; fires a latched
-/// [`DriftEvent`] when a region's smoothed ratio leaves the threshold
-/// band.
-#[derive(Debug)]
-pub struct DriftDetector {
-    cfg: DriftConfig,
-    regions: BTreeMap<String, RegionState>,
-    events: Vec<DriftEvent>,
-}
-
 impl DriftDetector {
-    /// A detector over the given `(region, expected energy)` pairs.
-    /// Regions without an expectation (and expectations that are not
-    /// finite and positive) are never monitored.
-    pub fn new(cfg: DriftConfig, expected: &[(String, f64)]) -> Self {
-        let regions = expected
-            .iter()
-            .filter(|(_, e)| e.is_finite() && *e > 0.0)
-            .map(|(name, e)| {
-                (
-                    name.clone(),
-                    RegionState {
-                        expected_j: *e,
-                        ewma: 1.0,
-                        observations: 0,
-                        latched: false,
-                    },
-                )
-            })
-            .collect();
-        Self {
-            cfg,
-            regions,
-            events: Vec::new(),
-        }
+    /// A watch against `expected_j` joules per region instance; `None`
+    /// when the expectation is not finite and positive (such a region is
+    /// never watched).
+    pub fn new(expected_j: f64) -> Option<Self> {
+        (expected_j.is_finite() && expected_j > 0.0).then_some(Self {
+            expected_j,
+            ewma: 1.0,
+            observations: 0,
+            latched: false,
+        })
     }
 
-    /// Number of monitored regions.
-    pub fn monitored(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// The expectation a region is compared against, when monitored.
-    pub fn expected(&self, region: &str) -> Option<f64> {
-        self.regions.get(region).map(|s| s.expected_j)
-    }
-
-    /// The current smoothed observed/expected ratio of a region.
-    pub fn ratio(&self, region: &str) -> Option<f64> {
-        self.regions.get(region).map(|s| s.ewma)
-    }
-
-    /// Whether a region has already fired (events are latched).
-    pub fn is_latched(&self, region: &str) -> bool {
-        self.regions.get(region).is_some_and(|s| s.latched)
-    }
-
-    /// Feed one measured region instance. Returns the drift event when
-    /// this observation pushes the region's smoothed ratio out of the
-    /// band for the first time.
-    pub fn observe(&mut self, region: &str, observed_j: f64, iteration: u32) -> Option<DriftEvent> {
-        let state = self.regions.get_mut(region)?;
-        let ratio = observed_j / state.expected_j;
-        state.ewma = if state.observations == 0 {
+    /// Feed one measured region instance. Returns the smoothed ratio when
+    /// this observation pushes it out of the band for the first time.
+    pub fn observe(&mut self, cfg: &DriftConfig, observed_j: f64) -> Option<f64> {
+        let ratio = observed_j / self.expected_j;
+        self.ewma = if self.observations == 0 {
             ratio
         } else {
-            self.cfg.alpha * ratio + (1.0 - self.cfg.alpha) * state.ewma
+            cfg.alpha * ratio + (1.0 - cfg.alpha) * self.ewma
         };
-        state.observations += 1;
-        if state.latched
-            || state.observations < self.cfg.warmup
-            || (state.ewma - 1.0).abs() <= self.cfg.threshold
+        self.observations += 1;
+        if self.latched
+            || self.observations < cfg.warmup
+            || (self.ewma - 1.0).abs() <= cfg.threshold
         {
             return None;
         }
-        state.latched = true;
-        let event = DriftEvent {
-            region: region.to_string(),
-            ratio: state.ewma,
-            at_iteration: iteration,
+        self.latched = true;
+        Some(self.ewma)
+    }
+
+    /// Replace the expectation (after a re-calibration converged) and
+    /// reset the watch: the EWMA, the latch and the observation count, so
+    /// the warm-up applies again.
+    pub fn rebase(&mut self, expected_j: f64) {
+        *self = Self {
+            expected_j,
+            ewma: 1.0,
+            observations: 0,
+            latched: false,
         };
-        self.events.push(event.clone());
-        Some(event)
-    }
-
-    /// Replace a region's expectation (after a re-calibration converged)
-    /// and reset its EWMA state so the region is monitored afresh.
-    pub fn rebase(&mut self, region: &str, expected_j: f64) {
-        if let Some(state) = self.regions.get_mut(region) {
-            state.expected_j = expected_j;
-            state.ewma = 1.0;
-            state.observations = 0;
-            state.latched = false;
-        }
-    }
-
-    /// All events fired so far, in fire order.
-    pub fn events(&self) -> &[DriftEvent] {
-        &self.events
     }
 }
 
@@ -172,85 +120,68 @@ impl DriftDetector {
 mod tests {
     use super::*;
 
-    fn detector(threshold: f64) -> DriftDetector {
-        DriftDetector::new(
-            DriftConfig {
-                alpha: 0.5,
-                threshold,
-                warmup: 2,
-            },
-            &[("hot".into(), 100.0), ("cold".into(), 50.0)],
-        )
-    }
+    const CFG: DriftConfig = DriftConfig {
+        alpha: 0.5,
+        threshold: 0.15,
+        warmup: 2,
+    };
 
     #[test]
     fn stationary_observations_never_fire() {
-        let mut d = detector(0.15);
-        for i in 0..20 {
-            assert!(d.observe("hot", 101.0, i).is_none());
-            assert!(d.observe("cold", 49.5, i).is_none());
+        let mut hot = DriftDetector::new(100.0).unwrap();
+        let mut cold = DriftDetector::new(50.0).unwrap();
+        for _ in 0..20 {
+            assert!(hot.observe(&CFG, 101.0).is_none());
+            assert!(cold.observe(&CFG, 49.5).is_none());
         }
-        assert!(d.events().is_empty());
-        assert!((d.ratio("hot").unwrap() - 1.01).abs() < 1e-9);
+        assert!((hot.ewma - 1.01).abs() < 1e-9);
     }
 
     #[test]
     fn shifted_region_fires_once_after_warmup() {
-        let mut d = detector(0.15);
-        assert!(d.observe("hot", 140.0, 0).is_none(), "warm-up");
-        let fired = d.observe("hot", 140.0, 1);
-        let event = fired.expect("EWMA of 1.4 ratio is out of band");
-        assert_eq!(event.region, "hot");
-        assert!(event.ratio > 1.15);
-        assert_eq!(event.at_iteration, 1);
+        let mut hot = DriftDetector::new(100.0).unwrap();
+        assert!(hot.observe(&CFG, 140.0).is_none(), "warm-up");
+        let ratio = hot
+            .observe(&CFG, 140.0)
+            .expect("EWMA of 1.4 is out of band");
+        assert!(ratio > 1.15);
         // Latched: further drifted observations do not re-fire.
-        assert!(d.observe("hot", 150.0, 2).is_none());
-        assert!(d.is_latched("hot"));
-        assert_eq!(d.events().len(), 1);
-        // The other region is unaffected.
-        assert!(!d.is_latched("cold"));
-    }
-
-    #[test]
-    fn unmonitored_regions_are_ignored() {
-        let mut d = detector(0.15);
-        assert!(d.observe("unknown", 9999.0, 0).is_none());
-        assert_eq!(d.monitored(), 2);
-        assert_eq!(d.expected("unknown"), None);
+        assert!(hot.observe(&CFG, 150.0).is_none());
+        assert!(hot.latched);
     }
 
     #[test]
     fn rebase_resets_and_rearms() {
-        let mut d = detector(0.15);
-        d.observe("hot", 140.0, 0);
-        d.observe("hot", 140.0, 1);
-        assert!(d.is_latched("hot"));
-        d.rebase("hot", 140.0);
-        assert!(!d.is_latched("hot"));
-        assert_eq!(d.expected("hot"), Some(140.0));
-        for i in 2..10 {
+        let mut hot = DriftDetector::new(100.0).unwrap();
+        hot.observe(&CFG, 140.0);
+        hot.observe(&CFG, 140.0);
+        assert!(hot.latched);
+        hot.rebase(140.0);
+        assert!(!hot.latched);
+        assert_eq!(hot.expected_j, 140.0);
+        // The rebase also reset the observation count: inside the renewed
+        // warm-up even a far-out-of-band observation does not fire.
+        assert!(hot.observe(&CFG, 1400.0).is_none(), "warm-up applies again");
+        hot.rebase(140.0);
+        for _ in 0..8 {
             assert!(
-                d.observe("hot", 140.0, i).is_none(),
+                hot.observe(&CFG, 140.0).is_none(),
                 "rebased to the new level"
             );
         }
-        // A second genuine shift fires again — immediately, because the
-        // region is past its warm-up and the rebase only reset the level.
-        let fired = d.observe("hot", 200.0, 10);
-        assert!(fired.is_some(), "re-armed region fires on a second shift");
-        assert_eq!(fired.unwrap().at_iteration, 10);
+        // A second genuine shift fires again — at once, because the eight
+        // observations since the rebase completed its warm-up.
+        assert!(
+            hot.observe(&CFG, 200.0).is_some(),
+            "re-armed region fires on a second shift"
+        );
     }
 
     #[test]
     fn nonpositive_expectations_are_not_monitored() {
-        let d = DriftDetector::new(
-            DriftConfig::default(),
-            &[
-                ("a".into(), 0.0),
-                ("b".into(), f64::NAN),
-                ("c".into(), 10.0),
-            ],
-        );
-        assert_eq!(d.monitored(), 1);
+        for e in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(DriftDetector::new(e).is_none(), "{e}");
+        }
+        assert!(DriftDetector::new(10.0).is_some());
     }
 }

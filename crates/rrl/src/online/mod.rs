@@ -22,11 +22,15 @@
 //!   in a cluster run, the first job of a new workload calibrates and
 //!   every subsequent job hits: same-workload jobs wait behind the
 //!   leading calibration and are admitted as hits once it publishes.
-//! * [`drift`] — the [`DriftDetector`]: on a repository **hit**, an EWMA
-//!   of observed vs. model-predicted region energy flags stale served
-//!   models; the flagged region re-explores its configuration
-//!   neighbourhood in place and the patched model is re-published with a
-//!   bumped version.
+//! * [`drift`] — the [`DriftDetector`]: on a repository **hit**, one
+//!   watch per region keeps an EWMA of observed vs. model-predicted
+//!   region energy and flags stale served models; the flagged region
+//!   re-explores its configuration neighbourhood in place and the patched
+//!   model is re-published with a bumped version. Monitor mode keeps one
+//!   slot per region, indexed like the session's regions, holding the
+//!   region's adaptation state and its watch; the served expectations
+//!   resolve to slots once, when the job starts, and names appear again
+//!   only in the [`DriftEvent`]s and the re-publication.
 //! * `schedule` (internal) — the calibration stage machine (thread sweep
 //!   → analysis → phase search → verification → exploit), surfaced as
 //!   [`ConvergedModel`].

@@ -3,8 +3,6 @@
 //! converge, publish) or *monitors* (repository hit: serve the stored
 //! model, watch for drift, re-calibrate drifted regions in place).
 
-use std::collections::BTreeMap;
-
 use kernels::BenchmarkSpec;
 use ptf::{EnergyModel, SearchSpace, SearchStrategy, TuningModel, TuningObjective};
 use simnode::{Node, SystemConfig};
@@ -14,7 +12,7 @@ use crate::inject::FaultInjector;
 use crate::online::drift::{DriftConfig, DriftDetector, DriftEvent};
 use crate::online::schedule::CalibrationSchedule;
 use crate::online::{cfg_key, OnlineConfig};
-use crate::repository::{ModelProvenance, ModelSource, ServedModel};
+use crate::repository::{ModelSource, ServedModel};
 use crate::sacct::{JobAccounting, OnlineActivity};
 use crate::session::{RegionExit, RuntimeSession};
 
@@ -53,11 +51,13 @@ pub struct OnlineOutcome {
 
 /// A region's in-place adaptation state in monitor mode.
 enum RegionAdapt {
+    /// The region runs the served model's configuration.
+    Serving,
     /// Scoped re-exploration in progress: the region's next visits run
     /// the candidate neighbourhood in order.
     Recalibrating {
         candidates: Vec<SystemConfig>,
-        idx: usize,
+        next: usize,
         observed: Vec<(SystemConfig, f64, f64)>,
     },
     /// Re-exploration done: the region runs (and is published at) the new
@@ -68,10 +68,22 @@ enum RegionAdapt {
     },
 }
 
+/// One region's monitor-mode state: its adaptation and, when the served
+/// model carried a valid expectation for it, its drift watch.
+struct RegionSlot {
+    adapt: RegionAdapt,
+    watch: Option<DriftDetector>,
+}
+
 struct MonitorState {
-    detector: Option<DriftDetector>,
-    provenance: Option<ModelProvenance>,
-    adapt: BTreeMap<String, RegionAdapt>,
+    /// One slot per benchmark region, indexed by
+    /// [`RuntimeSession::region_of`]: a later region of a repeated name
+    /// leaves its own slot unused.
+    slots: Vec<RegionSlot>,
+    /// The served expectations as published, re-published with
+    /// re-calibrated regions patched in.
+    expected: Vec<(String, f64)>,
+    events: Vec<DriftEvent>,
     refusals: u32,
     recalibrated: u32,
 }
@@ -163,11 +175,16 @@ impl<'a> OnlineTuner<'a> {
     }
 
     /// Monitor mode — the repository-hit path. The served model resolves
-    /// scenarios as in a plain session; when the serve carried drift
-    /// expectations, a [`DriftDetector`] compares them against the live
-    /// per-region measurements, and a fired region re-explores its
-    /// configuration neighbourhood over its next visits and converges to
-    /// a fresh optimum.
+    /// scenarios as in a plain session; each region the serve carried a
+    /// drift expectation for gets a [`DriftDetector`] that compares it
+    /// against the region's live measurements, and a fired region
+    /// re-explores its configuration neighbourhood over its next visits
+    /// and converges to a fresh optimum.
+    ///
+    /// Expectations resolve against the benchmark's regions once, here:
+    /// names the benchmark lacks and values that are not finite and
+    /// positive are ignored, and of a repeated name the last valid value
+    /// counts.
     pub fn monitor(
         job: impl Into<String>,
         bench: &'a BenchmarkSpec,
@@ -185,22 +202,36 @@ impl<'a> OnlineTuner<'a> {
         bench: &'a BenchmarkSpec,
         fingerprint: u64,
         node: &'a Node,
-        served: ServedModel,
+        mut served: ServedModel,
         config: OnlineConfig,
     ) -> Result<Self, RuntimeError> {
-        let provenance = served.provenance.clone();
-        let detector = provenance
-            .as_ref()
-            .filter(|p| !p.expected.is_empty())
-            .map(|p| DriftDetector::new(DriftConfig::default(), &p.expected));
+        let expected = served
+            .provenance
+            .take()
+            .map(|p| p.expected)
+            .unwrap_or_default();
+        let mut slots: Vec<RegionSlot> = bench
+            .regions
+            .iter()
+            .map(|_| RegionSlot {
+                adapt: RegionAdapt::Serving,
+                watch: None,
+            })
+            .collect();
+        for (region, expected_j) in &expected {
+            let idx = bench.regions.iter().position(|r| r.name == *region);
+            if let (Some(idx), Some(watch)) = (idx, DriftDetector::new(*expected_j)) {
+                slots[idx].watch = Some(watch);
+            }
+        }
         let launch = SystemConfig::taurus_default();
         let session = RuntimeSession::open(job, bench, fingerprint, node, served, launch)?;
         Ok(Self {
             session,
             mode: Mode::Monitor(Box::new(MonitorState {
-                detector,
-                provenance,
-                adapt: BTreeMap::new(),
+                slots,
+                expected,
+                events: Vec::new(),
                 refusals: 0,
                 recalibrated: 0,
             })),
@@ -212,9 +243,10 @@ impl<'a> OnlineTuner<'a> {
     /// Attach a deterministic [`FaultInjector`] (builder form). The only
     /// hook the tuner itself consults is
     /// [`drift_scale`](FaultInjector::drift_scale) — the factor applied
-    /// to the region energy a *monitoring* session feeds its drift
-    /// detector, simulating a mid-run workload shift. Accounting is
-    /// unaffected; abort/calibration faults are the scheduler's to honor.
+    /// to the region energy a *monitoring* session feeds a region's drift
+    /// watch, simulating a mid-run workload shift; it is asked only for
+    /// the measurements a watch reads. Accounting is unaffected;
+    /// abort/calibration faults are the scheduler's to honor.
     #[must_use]
     pub fn with_faults(mut self, faults: &'a dyn FaultInjector) -> Self {
         self.faults = Some(faults);
@@ -250,9 +282,9 @@ impl<'a> OnlineTuner<'a> {
         match &self.mode {
             Mode::Calibrate(schedule) => schedule.is_exploring(),
             Mode::Monitor(state) => state
-                .adapt
-                .values()
-                .any(|a| matches!(a, RegionAdapt::Recalibrating { .. })),
+                .slots
+                .iter()
+                .any(|s| matches!(s.adapt, RegionAdapt::Recalibrating { .. })),
         }
     }
 
@@ -268,7 +300,7 @@ impl<'a> OnlineTuner<'a> {
     /// Drift events fired so far.
     pub fn drift_events(&self) -> &[DriftEvent] {
         match &self.mode {
-            Mode::Monitor(state) => state.detector.as_ref().map(|d| d.events()).unwrap_or(&[]),
+            Mode::Monitor(state) => &state.events,
             Mode::Calibrate(_) => &[],
         }
     }
@@ -287,15 +319,13 @@ impl<'a> OnlineTuner<'a> {
     pub(crate) fn region_enter_idx(&mut self, idx: usize) -> Result<SystemConfig, RuntimeError> {
         let explicit = match &self.mode {
             Mode::Calibrate(schedule) => Some(schedule.config_for(idx)),
-            Mode::Monitor(state) => {
-                match state.adapt.get(&self.session.bench().regions[idx].name) {
-                    Some(RegionAdapt::Recalibrating {
-                        candidates, idx: c, ..
-                    }) => Some(candidates[*c]),
-                    Some(RegionAdapt::Converged { config, .. }) => Some(*config),
-                    None => None,
-                }
-            }
+            Mode::Monitor(state) => match &state.slots[self.session.region_of(idx)].adapt {
+                RegionAdapt::Serving => None,
+                RegionAdapt::Recalibrating {
+                    candidates, next, ..
+                } => Some(candidates[*next]),
+                RegionAdapt::Converged { config, .. } => Some(*config),
+            },
         };
         self.session.region_enter_idx(idx, explicit)
     }
@@ -317,17 +347,18 @@ impl<'a> OnlineTuner<'a> {
         match &mut self.mode {
             Mode::Calibrate(schedule) => schedule.record(idx, &exit),
             Mode::Monitor(state) => {
-                let region = &bench.regions[idx].name;
                 // An injected drift shift scales only the energy the
-                // detector sees — the job's own ledger stays truthful.
-                let drift_energy_j = exit.node_energy_j
-                    * self.faults.map_or(1.0, |f| {
-                        f.drift_scale(self.session.job(), region, iteration)
-                    });
+                // watch sees — the job's own ledger stays truthful.
+                let (faults, job) = (self.faults, self.session.job());
+                let drift_scale = || {
+                    faults.map_or(1.0, |f| {
+                        f.drift_scale(job, &bench.regions[idx].name, iteration)
+                    })
+                };
                 state.observe(
-                    region,
+                    idx,
                     &exit,
-                    drift_energy_j,
+                    drift_scale,
                     iteration,
                     bench,
                     self.session.node(),
@@ -375,12 +406,12 @@ impl<'a> OnlineTuner<'a> {
     /// re-explore (0 when a re-calibration is already in flight or done).
     pub fn recalibrate_region(&mut self, region: &str) -> Result<usize, RuntimeError> {
         let bench = self.session.bench();
-        if bench.region(region).is_none() {
+        let Some(idx) = bench.regions.iter().position(|r| r.name == region) else {
             return Err(RuntimeError::UnknownRegion {
                 application: bench.name.clone(),
                 region: region.to_string(),
             });
-        }
+        };
         let iteration = self.session.phase_iteration();
         match &mut self.mode {
             Mode::Calibrate(_) => Err(RuntimeError::RecalibrationRefused {
@@ -390,11 +421,11 @@ impl<'a> OnlineTuner<'a> {
                 remaining: 0,
             }),
             Mode::Monitor(state) => {
-                if state.adapt.contains_key(region) {
+                if !matches!(state.slots[idx].adapt, RegionAdapt::Serving) {
                     return Ok(0);
                 }
                 let current = self.session.model().lookup(region);
-                state.begin_recalibration(region, current, iteration, bench, self.session.node())
+                state.begin_recalibration(idx, current, iteration, bench, self.session.node())
             }
         }
     }
@@ -422,24 +453,25 @@ impl<'a> OnlineTuner<'a> {
                     0,
                 )
             }
-            Mode::Monitor(state) => {
-                let drift_events: Vec<DriftEvent> = state
-                    .detector
-                    .as_ref()
-                    .map(|d| d.events().to_vec())
-                    .unwrap_or_default();
-                let publication =
-                    (state.recalibrated > 0).then(|| state.republication(self.session.model()));
+            Mode::Monitor(mut state) => {
+                let publication = (state.recalibrated > 0)
+                    .then(|| state.republication(self.session.model(), self.session.bench()));
+                let MonitorState {
+                    events: drift_events,
+                    refusals,
+                    recalibrated,
+                    ..
+                } = *state;
                 (
                     OnlineActivity {
                         explored_iterations: 0,
                         drift_events: drift_events.len() as u32,
-                        recalibrated_regions: state.recalibrated,
+                        recalibrated_regions: recalibrated,
                         publishable: publication.is_some(),
                     },
                     publication,
                     drift_events,
-                    state.refusals,
+                    refusals,
                 )
             }
         };
@@ -456,16 +488,16 @@ impl<'a> OnlineTuner<'a> {
 
 impl MonitorState {
     /// Feed one region measurement: advance an in-flight re-calibration,
-    /// or run drift detection and possibly start one. `drift_energy_j` is
-    /// the energy the detector observes — the measured value, optionally
-    /// scaled by an injected drift shift; re-calibration measurements
-    /// always use the true `exit` values.
+    /// or feed the region's drift watch and possibly start one.
+    /// `drift_scale` is the factor the watched energy is scaled by (an
+    /// injected drift shift), asked only when a watch reads it;
+    /// re-calibration measurements always use the true `exit` values.
     #[allow(clippy::too_many_arguments)]
     fn observe(
         &mut self,
-        region: &str,
+        idx: usize,
         exit: &RegionExit,
-        drift_energy_j: f64,
+        drift_scale: impl FnOnce() -> f64,
         iteration: u32,
         bench: &BenchmarkSpec,
         node: &Node,
@@ -475,16 +507,17 @@ impl MonitorState {
         if exit.filtered {
             return;
         }
-        if let Some(RegionAdapt::Recalibrating {
+        let slot = &mut self.slots[idx];
+        if let RegionAdapt::Recalibrating {
             candidates,
-            idx,
+            next,
             observed,
-        }) = self.adapt.get_mut(region)
+        } = &mut slot.adapt
         {
-            observed.push((candidates[*idx], exit.node_energy_j, exit.duration_s));
-            *idx += 1;
-            if *idx == candidates.len() {
-                let (cfg, energy, _) = observed
+            observed.push((candidates[*next], exit.node_energy_j, exit.duration_s));
+            *next += 1;
+            if *next == candidates.len() {
+                let (config, energy, _) = observed
                     .iter()
                     .min_by(|(ca, ea, da), (cb, eb, db)| {
                         objective
@@ -494,45 +527,50 @@ impl MonitorState {
                     })
                     .copied()
                     .expect("recalibration observed at least one candidate");
-                self.adapt.insert(
-                    region.to_string(),
-                    RegionAdapt::Converged {
-                        config: cfg,
-                        expected_j: energy,
-                    },
-                );
+                slot.adapt = RegionAdapt::Converged {
+                    config,
+                    expected_j: energy,
+                };
                 self.recalibrated += 1;
-                if let Some(detector) = &mut self.detector {
-                    detector.rebase(region, energy);
+                if let Some(watch) = &mut slot.watch {
+                    watch.rebase(energy);
                 }
             }
             return;
         }
         // Post-recalibration observations keep flowing into the (rebased)
-        // detector, so a second genuine shift can fire again.
-        let fired = self
-            .detector
-            .as_mut()
-            .and_then(|d| d.observe(region, drift_energy_j, iteration));
-        if fired.is_some() {
-            let current = match self.adapt.get(region) {
-                Some(RegionAdapt::Converged { config, .. }) => *config,
-                _ => model.lookup(region),
-            };
-            if self
-                .begin_recalibration(region, current, iteration, bench, node)
-                .is_err()
-            {
-                self.refusals += 1;
-            }
+        // watch, so a second genuine shift can fire again.
+        let Some(watch) = &mut slot.watch else {
+            return;
+        };
+        let Some(ratio) =
+            watch.observe(&DriftConfig::default(), exit.node_energy_j * drift_scale())
+        else {
+            return;
+        };
+        let region = &bench.regions[idx].name;
+        self.events.push(DriftEvent {
+            region: region.clone(),
+            ratio,
+            at_iteration: iteration,
+        });
+        let current = match slot.adapt {
+            RegionAdapt::Converged { config, .. } => config,
+            _ => model.lookup(region),
+        };
+        if self
+            .begin_recalibration(idx, current, iteration, bench, node)
+            .is_err()
+        {
+            self.refusals += 1;
         }
     }
 
-    /// Start a scoped re-exploration of `region` around `current`, if the
-    /// job's remaining iterations can fit it.
+    /// Start a scoped re-exploration of region `idx` around `current`, if
+    /// the job's remaining iterations can fit it.
     fn begin_recalibration(
         &mut self,
-        region: &str,
+        idx: usize,
         current: SystemConfig,
         iteration: u32,
         bench: &BenchmarkSpec,
@@ -551,46 +589,51 @@ impl MonitorState {
         if candidates.is_empty() || remaining < needed {
             return Err(RuntimeError::RecalibrationRefused {
                 application: bench.name.clone(),
-                region: region.to_string(),
+                region: bench.regions[idx].name.clone(),
                 needed: needed as u32,
                 remaining: remaining as u32,
             });
         }
-        self.adapt.insert(
-            region.to_string(),
-            RegionAdapt::Recalibrating {
-                candidates,
-                idx: 0,
-                observed: Vec::new(),
-            },
-        );
+        self.slots[idx].adapt = RegionAdapt::Recalibrating {
+            candidates,
+            next: 0,
+            observed: Vec::new(),
+        };
         Ok(needed)
     }
 
     /// The served model with converged re-calibrations patched in, plus
-    /// the updated drift expectations.
-    fn republication(&self, model: &TuningModel) -> ModelPublication {
+    /// the served expectations (taken from the state) with each converged
+    /// region's entry updated, or appended in region-name order when the
+    /// serve carried none.
+    fn republication(&mut self, model: &TuningModel, bench: &BenchmarkSpec) -> ModelPublication {
+        let mut converged: Vec<(&str, SystemConfig, f64)> = self
+            .slots
+            .iter()
+            .zip(&bench.regions)
+            .filter_map(|(slot, region)| match slot.adapt {
+                RegionAdapt::Converged { config, expected_j } => {
+                    Some((region.name.as_str(), config, expected_j))
+                }
+                _ => None,
+            })
+            .collect();
+        converged.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let mut pairs: Vec<(String, SystemConfig)> = Vec::new();
         for scenario in &model.scenarios {
             for region in &scenario.regions {
-                let cfg = match self.adapt.get(region) {
-                    Some(RegionAdapt::Converged { config, .. }) => *config,
-                    _ => scenario.config,
-                };
+                let cfg = converged
+                    .iter()
+                    .find(|c| c.0 == region)
+                    .map_or(scenario.config, |c| c.1);
                 pairs.push((region.clone(), cfg));
             }
         }
-        let mut expected: Vec<(String, f64)> = self
-            .provenance
-            .as_ref()
-            .map(|p| p.expected.clone())
-            .unwrap_or_default();
-        for (region, adapt) in &self.adapt {
-            if let RegionAdapt::Converged { expected_j, .. } = adapt {
-                match expected.iter_mut().find(|(r, _)| r == region) {
-                    Some(entry) => entry.1 = *expected_j,
-                    None => expected.push((region.clone(), *expected_j)),
-                }
+        let mut expected = std::mem::take(&mut self.expected);
+        for &(region, _, expected_j) in &converged {
+            match expected.iter_mut().find(|(r, _)| r == region) {
+                Some(entry) => entry.1 = expected_j,
+                None => expected.push((region.to_string(), expected_j)),
             }
         }
         ModelPublication {

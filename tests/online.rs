@@ -11,11 +11,11 @@ use dvfs_ufs_tuning::kernels::{self, toy_benchmark};
 use dvfs_ufs_tuning::ptf::{
     build_dataset, phase_counter_rates, EnergyModel, ExhaustiveSearch, ExplorationInputs,
     ExplorationPlan, ModelBasedNeighbourhood, RandomSearch, SearchStrategy, TuningError,
-    TuningSession,
+    TuningModel, TuningSession,
 };
 use dvfs_ufs_tuning::rrl::{
-    ClusterScheduler, MatchPolicy, ModelSource, OnlineConfig, OnlineTuner, OnlineTuning,
-    RuntimeError, RuntimeSession, TuningModelRepository,
+    ClusterScheduler, FaultInjector, MatchPolicy, ModelProvenance, ModelSource, OnlineConfig,
+    OnlineTuner, OnlineTuning, RuntimeError, RuntimeSession, ServedModel, TuningModelRepository,
 };
 use dvfs_ufs_tuning::simnode::{Cluster, Node, SystemConfig};
 use kernels::BenchmarkSpec;
@@ -656,6 +656,204 @@ fn drift_recalibration_refusals() {
         "unchanged workload: no drift"
     );
     assert!(outcome.publication.is_none());
+}
+
+/// miniMD's online-calibrated model on `node`, with the drift
+/// expectations its calibration measured.
+fn calibrated_minimd(node: &Node, bench: &BenchmarkSpec) -> (TuningModel, Vec<(String, f64)>) {
+    let strategy = strategy();
+    let mut calib = OnlineTuner::calibrate(
+        "calib",
+        bench,
+        node,
+        &strategy,
+        None,
+        OnlineConfig::default(),
+    )
+    .unwrap();
+    calib.run_to_completion().unwrap();
+    let publication = calib.finish().unwrap().publication.expect("converged");
+    (publication.model, publication.expected)
+}
+
+/// A serve of `model` whose provenance carries `expected` verbatim, as a
+/// repository entry published with that list would.
+fn served_with(model: &TuningModel, expected: Vec<(String, f64)>) -> ServedModel {
+    ServedModel {
+        model: model.clone(),
+        source: ModelSource::Online,
+        provenance: Some(ModelProvenance {
+            version: 1,
+            source: ModelSource::Online,
+            expected,
+        }),
+    }
+}
+
+#[test]
+fn served_expectations_resolve_to_the_last_valid_value_per_known_region() {
+    // A served expectation list is resolved against the benchmark once:
+    // unknown names are ignored, non-finite and non-positive values are
+    // no expectation, and of a duplicated name the last valid value is
+    // the one drift is measured against.
+    let node = Node::exact(0);
+    let bench = kernels::benchmark("miniMD").unwrap();
+    let (model, expected) = calibrated_minimd(&node, &bench);
+    let force = expected
+        .iter()
+        .find(|(r, _)| r == "compute_force")
+        .expect("compute_force has an expectation")
+        .1;
+    let drifted = |list: Vec<(String, f64)>| -> Vec<String> {
+        let mut tuner = OnlineTuner::monitor(
+            "resolve",
+            &bench,
+            &node,
+            served_with(&model, list),
+            OnlineConfig::default(),
+        )
+        .unwrap();
+        tuner.run_to_completion().unwrap();
+        let outcome = tuner.finish().unwrap();
+        outcome.drift_events.into_iter().map(|e| e.region).collect()
+    };
+    let without_force: Vec<(String, f64)> = expected
+        .iter()
+        .filter(|(r, _)| r != "compute_force")
+        .cloned()
+        .collect();
+    let with_force = |values: &[f64]| {
+        let mut list = without_force.clone();
+        list.extend(values.iter().map(|&e| ("compute_force".to_string(), e)));
+        list
+    };
+
+    assert!(drifted(expected.clone()).is_empty(), "calibrated: no drift");
+    // Half the measured energy reads as a 2× drift.
+    assert_eq!(drifted(with_force(&[0.5 * force])), ["compute_force"]);
+    // A name the benchmark lacks watches nothing, however low.
+    let mut unknown = expected.clone();
+    unknown.push(("no_such_region".into(), 1e-9));
+    assert!(drifted(unknown).is_empty());
+    // NaN and zero are no expectation: the region is not watched (either
+    // would read as out of band if it were).
+    assert!(drifted(with_force(&[f64::NAN])).is_empty());
+    assert!(drifted(with_force(&[0.0])).is_empty());
+    // Duplicates: the last valid value decides.
+    assert!(drifted(with_force(&[0.5 * force, force])).is_empty());
+    assert_eq!(
+        drifted(with_force(&[force, 0.5 * force])),
+        ["compute_force"]
+    );
+    assert_eq!(
+        drifted(with_force(&[0.5 * force, f64::NAN, -1.0])),
+        ["compute_force"]
+    );
+}
+
+#[test]
+fn republished_expectations_append_new_regions_in_name_order() {
+    // Regions re-calibrated without a served expectation are appended to
+    // the published expectations in region-name order, not in program or
+    // request order.
+    let node = Node::exact(0);
+    let bench = kernels::benchmark("miniMD").unwrap();
+    let position = |name: &str| bench.regions.iter().position(|r| r.name == name).unwrap();
+    assert!(position("neighbor_build") < position("integrate_verlet"));
+    assert!("integrate_verlet" < "neighbor_build");
+    let (model, expected) = calibrated_minimd(&node, &bench);
+    let kept: Vec<(String, f64)> = expected
+        .into_iter()
+        .filter(|(r, _)| r == "compute_force")
+        .collect();
+    assert_eq!(kept.len(), 1);
+
+    let mut tuner = OnlineTuner::monitor(
+        "order",
+        &bench,
+        &node,
+        served_with(&model, kept.clone()),
+        OnlineConfig::default(),
+    )
+    .unwrap();
+    assert!(tuner.recalibrate_region("neighbor_build").unwrap() > 0);
+    assert!(tuner.recalibrate_region("integrate_verlet").unwrap() > 0);
+    tuner.run_to_completion().unwrap();
+    let outcome = tuner.finish().unwrap();
+    assert_eq!(outcome.accounting.online.unwrap().recalibrated_regions, 2);
+    let publication = outcome.publication.expect("re-calibrations publish");
+    let names: Vec<&str> = publication
+        .expected
+        .iter()
+        .map(|(r, _)| r.as_str())
+        .collect();
+    assert_eq!(
+        names,
+        ["compute_force", "integrate_verlet", "neighbor_build"]
+    );
+    assert_eq!(publication.expected[0], kept[0], "served value kept");
+    assert!(publication.expected.iter().all(|(_, e)| *e > 0.0));
+}
+
+/// A no-op drift injector that counts how often the tuner asks it.
+#[derive(Default)]
+struct CountingDrift {
+    calls: AtomicU32,
+}
+
+impl FaultInjector for CountingDrift {
+    fn drift_scale(&self, _job: &str, _region: &str, _iteration: u32) -> f64 {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        1.0
+    }
+}
+
+#[test]
+fn drift_scale_is_asked_only_for_watched_measurements() {
+    // The injector is asked for the exits a drift watch reads: unfiltered
+    // exits of a region with an expectation, while it is not
+    // re-calibrating. miniMD's calibration records expectations for two
+    // of its four regions, and compute_force re-calibrates from the
+    // start, so only neighbor_build's exits and compute_force's exits
+    // after its re-calibration ask.
+    let node = Node::exact(0);
+    let bench = kernels::benchmark("miniMD").unwrap();
+    let (model, watched) = calibrated_minimd(&node, &bench);
+    let mut names: Vec<&str> = watched.iter().map(|(r, _)| r.as_str()).collect();
+    names.sort_unstable();
+    assert_eq!(names, ["compute_force", "neighbor_build"]);
+    let run = |faults: Option<&CountingDrift>| {
+        let tuner = OnlineTuner::monitor(
+            "count",
+            &bench,
+            &node,
+            served_with(&model, watched.clone()),
+            OnlineConfig::default(),
+        )
+        .unwrap();
+        let mut tuner = match faults {
+            Some(f) => tuner.with_faults(f),
+            None => tuner,
+        };
+        let needed = tuner.recalibrate_region("compute_force").unwrap();
+        tuner.run_to_completion().unwrap();
+        (needed, tuner.finish().unwrap())
+    };
+    let counting = CountingDrift::default();
+    let (needed, counted) = run(Some(&counting));
+    let (_, plain) = run(None);
+    let visits = bench.phase_iterations;
+    assert_eq!(needed, 9);
+    assert_eq!(
+        counting.calls.load(Ordering::Relaxed),
+        2 * visits - needed as u32,
+        "{visits} visits of each watched region, less the re-calibrating ones"
+    );
+    assert_eq!(counted.accounting.record, plain.accounting.record);
+    assert_eq!(counted.drift_events, plain.drift_events);
+    let (counted, plain) = (counted.publication.unwrap(), plain.publication.unwrap());
+    assert_eq!(counted.model, plain.model);
+    assert_eq!(counted.expected, plain.expected);
 }
 
 /// The event protocol both a plain session and an online tuner speak,
