@@ -5,16 +5,18 @@
 //! phase loops, "each phase iteration can be exploited and the entire
 //! application run is not required" (Section V-C) — an experiment is one
 //! phase iteration (or one region instance) under a configuration. The
-//! engine counts experiments in application-run equivalents for the
-//! tuning-time analysis.
+//! session counts experiments in application-run equivalents from the
+//! sizes of what it asked for (see
+//! [`Advice::experiments`](crate::session::Advice::experiments)); the
+//! engine counts what it was asked and what it actually simulated.
 //!
 //! An engine can optionally share an
 //! [`ExperimentCache`]: region
 //! evaluations are pure in `(node, character, configuration)`, so cache
 //! hits return the memoised measurement bit-identically without touching
-//! the execution engine. [`ExperimentsEngine::experiments`] counts only
-//! the evaluations that actually ran; [`ExperimentsEngine::requests`]
-//! counts all of them.
+//! the execution engine. [`ExperimentsEngine::requests`] counts every
+//! region evaluation; [`ExperimentsEngine::region_runs`] counts only the
+//! simulations that actually ran.
 
 use std::cell::RefCell;
 
@@ -47,7 +49,6 @@ impl Measurement {
 pub struct ExperimentsEngine<'a> {
     node: &'a Node,
     engine: ExecutionEngine,
-    experiments: u64,
     requests: u64,
     region_runs: u64,
     cache: Option<&'a RefCell<ExperimentCache>>,
@@ -59,7 +60,6 @@ impl<'a> ExperimentsEngine<'a> {
         Self {
             node,
             engine: ExecutionEngine::new(),
-            experiments: 0,
             requests: 0,
             region_runs: 0,
             cache: None,
@@ -71,17 +71,10 @@ impl<'a> ExperimentsEngine<'a> {
         Self {
             node,
             engine: ExecutionEngine::new(),
-            experiments: 0,
             requests: 0,
             region_runs: 0,
             cache: Some(cache),
         }
-    }
-
-    /// Number of experiments actually run so far, in phase-iteration
-    /// equivalents (cache-served evaluations excluded).
-    pub fn experiments(&self) -> u64 {
-        self.experiments
     }
 
     /// Number of region evaluations requested so far (cache hits
@@ -98,16 +91,15 @@ impl<'a> ExperimentsEngine<'a> {
         self.region_runs
     }
 
-    /// Measure one region under `cfg`, through the cache when one is
-    /// attached. Does not touch the experiment counters.
-    fn measure(&mut self, c: &RegionCharacter, cfg: &SystemConfig, ran: &mut bool) -> Measurement {
+    /// Evaluate one region character for one phase iteration under `cfg`,
+    /// through the cache when one is attached.
+    pub fn evaluate(&mut self, c: &RegionCharacter, cfg: &SystemConfig) -> Measurement {
         self.requests += 1;
         if let Some(cache) = self.cache {
             if let Some(m) = cache.borrow_mut().get(self.node, c, cfg) {
                 return m;
             }
         }
-        *ran = true;
         self.region_runs += 1;
         let run = self.engine.run_region(c, cfg, self.node);
         let m = Measurement {
@@ -121,36 +113,19 @@ impl<'a> ExperimentsEngine<'a> {
         m
     }
 
-    /// Evaluate one region character for one phase iteration under `cfg`.
-    pub fn evaluate(&mut self, c: &RegionCharacter, cfg: &SystemConfig) -> Measurement {
-        let mut ran = false;
-        let m = self.measure(c, cfg, &mut ran);
-        if ran {
-            self.experiments += 1;
-        }
-        m
-    }
-
-    /// Evaluate a whole phase iteration of `bench` under `cfg`.
-    ///
-    /// Counts as one experiment (one phase iteration) when any of the
-    /// constituent regions had to run; a fully cache-served phase costs
-    /// nothing.
+    /// Evaluate a whole phase iteration of `bench` under `cfg`: the sum
+    /// of its regions' measurements.
     pub fn evaluate_phase(&mut self, bench: &BenchmarkSpec, cfg: &SystemConfig) -> Measurement {
-        let mut ran = false;
         let mut total = Measurement {
             node_energy_j: 0.0,
             cpu_energy_j: 0.0,
             duration_s: 0.0,
         };
         for r in &bench.regions {
-            let m = self.measure(&r.character, cfg, &mut ran);
+            let m = self.evaluate(&r.character, cfg);
             total.node_energy_j += m.node_energy_j;
             total.cpu_energy_j += m.cpu_energy_j;
             total.duration_s += m.duration_s;
-        }
-        if ran {
-            self.experiments += 1;
         }
         total
     }
@@ -190,7 +165,7 @@ mod tests {
         let c = RegionCharacter::builder(1e10).build();
         let m = eng.evaluate(&c, &SystemConfig::taurus_default());
         assert!(m.node_energy_j > 0.0 && m.duration_s > 0.0);
-        assert_eq!(eng.experiments(), 1);
+        assert_eq!(eng.region_runs(), 1);
         assert_eq!(eng.requests(), 1);
     }
 
@@ -265,7 +240,7 @@ mod tests {
             second.node_energy_j.to_bits()
         );
         assert_eq!(
-            eng.experiments(),
+            eng.region_runs(),
             1,
             "second evaluation must be a cache hit"
         );
@@ -276,7 +251,7 @@ mod tests {
         let mut eng2 = ExperimentsEngine::with_cache(&node, &cache);
         let third = eng2.evaluate(&c, &cfg);
         assert_eq!(first.node_energy_j.to_bits(), third.node_energy_j.to_bits());
-        assert_eq!(eng2.experiments(), 0);
+        assert_eq!(eng2.region_runs(), 0);
     }
 
     #[test]
@@ -292,6 +267,10 @@ mod tests {
         let c = cached.evaluate_phase(&bench, &cfg);
         assert_eq!(a.node_energy_j.to_bits(), b.node_energy_j.to_bits());
         assert_eq!(b.node_energy_j.to_bits(), c.node_energy_j.to_bits());
-        assert_eq!(cached.experiments(), 1, "second phase fully cache-served");
+        assert_eq!(
+            cached.region_runs(),
+            bench.regions.len() as u64,
+            "second phase fully cache-served"
+        );
     }
 }

@@ -29,7 +29,11 @@
 //! [`session::ModelBasedNeighbourhood`] (neural-network prediction,
 //! neighbourhood verification), the Sourouri-style
 //! [`session::ExhaustiveSearch`] baseline and the
-//! [`session::RandomSearch`] subset baseline.
+//! [`session::RandomSearch`] subset baseline. A strategy only plans: it
+//! turns the analysis results ([`session::ExplorationInputs`]) into an
+//! [`session::ExplorationPlan`], which the session measures on its
+//! experiments engine and the runtime's online tuner measures through
+//! live region events.
 //!
 //! [`session::BatchDriver`] tunes many applications over one shared,
 //! memoising [`session::ExperimentCache`] keyed by `(region character,

@@ -33,7 +33,7 @@ pub use cache::{CacheStats, ExperimentCache};
 pub use error::TuningError;
 pub use strategy::{
     ExhaustiveSearch, ExplorationInputs, ExplorationPlan, ModelBasedNeighbourhood, RandomSearch,
-    SearchContext, SearchOutcome, SearchStrategy, VerificationRule,
+    SearchStrategy, VerificationRule,
 };
 
 use std::cell::RefCell;
@@ -257,25 +257,32 @@ impl<'a> Analyzed<'a> {
         &self.phase_rates
     }
 
-    /// Stage 3 → 4: the selected [`SearchStrategy`] finds the phase-best
-    /// configuration, then every significant region is verified against
-    /// the strategy's candidate set.
+    /// Stage 3 → 4: the selected [`SearchStrategy`] plans the phase
+    /// search, the phase-best configuration is measured among its
+    /// candidates, then every significant region is verified against the
+    /// verification set the plan derives from that phase best.
     pub fn tune_frequencies(mut self) -> Result<FrequencyTuned<'a>, TuningError> {
+        // A session verifies regions at the step-1 optimum only.
         let best_threads = self.thread_tuning.best_threads;
-
+        let rates = self.phase_rates;
         let phase_character = self.core.bench.phase_character();
-        let outcome = {
-            let mut ctx = SearchContext {
-                node: self.core.node,
-                model: self.core.model,
-                objective: self.core.objective,
-                phase_character: &phase_character,
-                phase_rates: &self.phase_rates,
-                best_threads,
-                engine: &mut self.core.engine,
-            };
-            self.core.strategy.plan(&mut ctx)?
-        };
+        let plan = self.core.strategy.exploration(&ExplorationInputs {
+            model: self.core.model,
+            phase_rates: &|| rates,
+            best_threads,
+            thread_candidates: &[best_threads],
+        })?;
+        if plan.phase_candidates.is_empty() {
+            return Err(TuningError::EmptyCandidates {
+                stage: "phase frequency search",
+            });
+        }
+        let (phase_best, _) = self.core.engine.try_best_for_region(
+            &phase_character,
+            &plan.phase_candidates,
+            self.core.objective,
+        )?;
+        let verification = plan.verification_for(phase_best);
 
         // Per-region verification: all significant regions are evaluated
         // within the same experiment runs (one phase iteration evaluates
@@ -293,7 +300,7 @@ impl<'a> Analyzed<'a> {
                     })?;
             let (cfg, m) = self.core.engine.try_best_for_region(
                 &region.character,
-                &outcome.verification,
+                &verification,
                 self.core.objective,
             )?;
             region_best.push((sig.name.clone(), cfg, m.node_energy_j));
@@ -304,7 +311,9 @@ impl<'a> Analyzed<'a> {
             config_file: self.config_file,
             thread_tuning: self.thread_tuning,
             phase_rates: self.phase_rates,
-            outcome,
+            predicted_global: plan.predicted_global,
+            phase_best,
+            search_experiments: (plan.phase_candidates.len() + verification.len()) as u64,
             region_best,
         })
     }
@@ -316,14 +325,18 @@ pub struct FrequencyTuned<'a> {
     config_file: TuningConfigFile,
     thread_tuning: ThreadTuning,
     phase_rates: [f64; 7],
-    outcome: SearchOutcome,
+    predicted_global: Option<(CoreFreq, UncoreFreq)>,
+    phase_best: SystemConfig,
+    /// Phase candidates plus verification configurations, in
+    /// phase-iteration equivalents (the Section V-C accounting).
+    search_experiments: u64,
     region_best: Vec<(String, SystemConfig, f64)>,
 }
 
 impl FrequencyTuned<'_> {
     /// The verified best phase configuration.
     pub fn phase_best(&self) -> SystemConfig {
-        self.outcome.phase_best
+        self.phase_best
     }
 
     /// Per-region best configurations found so far.
@@ -343,23 +356,20 @@ impl FrequencyTuned<'_> {
                 .iter()
                 .map(|(n, c, _)| (n.clone(), *c))
                 .collect::<Vec<_>>(),
-            self.outcome.phase_best,
+            self.phase_best,
         );
         // Experiments in application-run equivalents: thread sweep (k) +
         // one analysis run + phase search + one per verification
         // configuration — the `(k + 1 + 9)` accounting of Section V-C.
-        let experiments = self.thread_tuning.experiments
-            + 1
-            + self.outcome.phase_search_configs
-            + self.outcome.verification.len() as u64;
+        let experiments = self.thread_tuning.experiments + 1 + self.search_experiments;
         Advice {
             tuning_model,
             benchmark_fingerprint,
             config_file: self.config_file,
             thread_tuning: self.thread_tuning,
             phase_rates: self.phase_rates,
-            predicted_global: self.outcome.predicted_global,
-            phase_best: self.outcome.phase_best,
+            predicted_global: self.predicted_global,
+            phase_best: self.phase_best,
             region_best: self.region_best,
             experiments,
             engine_runs: self.core.engine.region_runs(),

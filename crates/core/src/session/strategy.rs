@@ -7,99 +7,24 @@
 //! when the [`TuningSession`](crate::session::TuningSession) is built, so
 //! the rest of the lifecycle (thread tuning, analysis, verification,
 //! advice) is shared.
+//!
+//! A strategy only plans: [`SearchStrategy::exploration`] turns the
+//! analysis results into an [`ExplorationPlan`] (phase candidates plus a
+//! [`VerificationRule`]) without measuring anything. The session measures
+//! that plan on its experiments engine; the runtime's online tuner
+//! measures the same plan through live region events.
 
-use simnode::{CoreFreq, FreqDomain, Node, RegionCharacter, SystemConfig, UncoreFreq};
+use kernels::splitmix64;
+use simnode::{CoreFreq, FreqDomain, SystemConfig, UncoreFreq};
 
-use crate::experiments::{ExperimentsEngine, Measurement};
 use crate::freqpred::EnergyModel;
-use crate::objectives::TuningObjective;
 use crate::search::SearchSpace;
 use crate::session::TuningError;
 
-/// Everything a strategy may consult while planning the frequency search
-/// for one application, plus the experiment engine for measurements.
-pub struct SearchContext<'s, 'a> {
-    pub(crate) node: &'a Node,
-    pub(crate) model: Option<&'a EnergyModel>,
-    pub(crate) objective: TuningObjective,
-    pub(crate) phase_character: &'s RegionCharacter,
-    pub(crate) phase_rates: &'s [f64; 7],
-    pub(crate) best_threads: u32,
-    pub(crate) engine: &'s mut ExperimentsEngine<'a>,
-}
-
-impl<'s, 'a> SearchContext<'s, 'a> {
-    /// The node experiments run on.
-    pub fn node(&self) -> &'a Node {
-        self.node
-    }
-
-    /// The trained energy model, when the session has one.
-    pub fn model(&self) -> Option<&'a EnergyModel> {
-        self.model
-    }
-
-    /// The session's tuning objective.
-    pub fn objective(&self) -> TuningObjective {
-        self.objective
-    }
-
-    /// Aggregate character of the phase region.
-    pub fn phase_character(&self) -> &RegionCharacter {
-        self.phase_character
-    }
-
-    /// Counter rates measured in the analysis stage.
-    pub fn phase_rates(&self) -> &[f64; 7] {
-        self.phase_rates
-    }
-
-    /// Optimal thread count from tuning step 1.
-    pub fn best_threads(&self) -> u32 {
-        self.best_threads
-    }
-
-    /// Measure one region character under a configuration (cached when
-    /// the session shares an experiment cache).
-    pub fn evaluate(&mut self, c: &RegionCharacter, cfg: &SystemConfig) -> Measurement {
-        self.engine.evaluate(c, cfg)
-    }
-
-    /// The configuration minimising the session objective on the phase
-    /// region among `configs`.
-    pub fn best_phase_config(
-        &mut self,
-        configs: &[SystemConfig],
-    ) -> Result<(SystemConfig, Measurement), TuningError> {
-        if configs.is_empty() {
-            return Err(TuningError::EmptyCandidates {
-                stage: "phase frequency search",
-            });
-        }
-        self.engine
-            .try_best_for_region(self.phase_character, configs, self.objective)
-    }
-}
-
-/// What a strategy decided for one application.
-#[derive(Debug, Clone)]
-pub struct SearchOutcome {
-    /// The model-predicted global frequency pair, for strategies that
-    /// predict one (`None` for exhaustive and random search).
-    pub predicted_global: Option<(CoreFreq, UncoreFreq)>,
-    /// The experimentally-verified best phase configuration.
-    pub phase_best: SystemConfig,
-    /// Configurations each significant region is verified against.
-    pub verification: Vec<SystemConfig>,
-    /// Configurations evaluated during the phase search, in
-    /// phase-iteration equivalents (the Section V-C accounting).
-    pub phase_search_configs: u64,
-}
-
-/// The analysis results a strategy consults when generating candidates —
-/// the measurement-free subset of [`SearchContext`], so consumers that
-/// supply their own measurements (the runtime's online tuner) can drive
-/// the same candidate generation the design-time session uses.
+/// The analysis results a strategy consults when generating candidates.
+/// They carry no measurements: the design-time session measures the
+/// resulting plan on its experiments engine, and the runtime's online
+/// tuner measures the same plan through live region events.
 #[derive(Clone, Copy)]
 pub struct ExplorationInputs<'a> {
     /// The trained energy model, when one is available.
@@ -147,9 +72,10 @@ pub enum VerificationRule {
 
 /// A strategy's search decomposed into its two measurement stages: the
 /// phase candidates to measure first, and the rule producing the
-/// verification set from the measured phase best. [`SearchStrategy::plan`]
-/// drives this plan through the experiments engine; the runtime's online
-/// tuner drives it through live region measurements instead.
+/// verification set from the measured phase best. The design-time session
+/// ([`Analyzed::tune_frequencies`](crate::session::Analyzed::tune_frequencies))
+/// measures this plan on the experiments engine; the runtime's online
+/// tuner measures it through live region events instead.
 #[derive(Debug, Clone)]
 pub struct ExplorationPlan {
     /// Model-predicted global frequency pair, when the strategy has one.
@@ -185,8 +111,9 @@ impl ExplorationPlan {
     }
 }
 
-/// A frequency-search strategy: given the analysis results, find the
-/// phase-best configuration and the per-region verification set.
+/// A frequency-search strategy: given the analysis results, plan the
+/// phase candidates and the per-region verification rule. Strategies only
+/// plan; whoever holds the measurements executes the plan.
 ///
 /// Strategies must be `Sync`, so a `&dyn SearchStrategy` and the
 /// configurations that borrow one (the runtime's `OnlineTuning`) can be
@@ -197,34 +124,10 @@ pub trait SearchStrategy: std::fmt::Debug + Sync {
     fn name(&self) -> &'static str;
 
     /// Generate the candidate plan from the analysis results alone, with
-    /// no measurements taken. Both the design-time session (through the
-    /// default [`SearchStrategy::plan`]) and the runtime's online tuner
-    /// execute this same plan, so the two paths explore identical
-    /// configurations.
+    /// no measurements taken. Both the design-time session and the
+    /// runtime's online tuner execute this same plan, so the two paths
+    /// explore identical configurations.
     fn exploration(&self, inputs: &ExplorationInputs<'_>) -> Result<ExplorationPlan, TuningError>;
-
-    /// Plan and execute the phase-level frequency search on the
-    /// experiments engine. The provided implementation measures the
-    /// [`SearchStrategy::exploration`] plan; strategies normally only
-    /// implement `exploration`.
-    fn plan(&self, ctx: &mut SearchContext<'_, '_>) -> Result<SearchOutcome, TuningError> {
-        // A session verifies regions at the step-1 optimum only.
-        let best_threads = ctx.best_threads();
-        let rates = *ctx.phase_rates();
-        let plan = self.exploration(&ExplorationInputs {
-            model: ctx.model(),
-            phase_rates: &|| rates,
-            best_threads,
-            thread_candidates: &[best_threads],
-        })?;
-        let (phase_best, _) = ctx.best_phase_config(&plan.phase_candidates)?;
-        Ok(SearchOutcome {
-            predicted_global: plan.predicted_global,
-            phase_best,
-            phase_search_configs: plan.phase_candidates.len() as u64,
-            verification: plan.verification_for(phase_best),
-        })
-    }
 }
 
 // ----------------------------------------------------------- model-based
@@ -346,16 +249,6 @@ impl Default for RandomSearch {
     }
 }
 
-/// SplitMix64 step — a self-contained deterministic stream so the
-/// strategy needs no RNG dependency.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl SearchStrategy for RandomSearch {
     fn name(&self) -> &'static str {
         "random"
@@ -388,125 +281,77 @@ impl SearchStrategy for RandomSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::ExperimentsEngine;
     use crate::modeldata::phase_counter_rates;
+    use crate::objectives::TuningObjective;
+    use simnode::Node;
 
-    fn context_fixture() -> (Node, kernels::BenchmarkSpec, [f64; 7]) {
+    /// `strategy`'s plan for Lulesh at 24 threads, from the counter rates
+    /// a session's analysis stage measures.
+    fn plan(
+        strategy: &dyn SearchStrategy,
+        model: Option<&EnergyModel>,
+    ) -> Result<ExplorationPlan, TuningError> {
         let node = Node::exact(0);
         let bench = kernels::benchmark("Lulesh").unwrap();
         let rates = phase_counter_rates(&bench, &node, SystemConfig::calibration());
-        (node, bench, rates)
+        strategy.exploration(&ExplorationInputs {
+            model,
+            phase_rates: &|| rates,
+            best_threads: 24,
+            thread_candidates: &[24],
+        })
+    }
+
+    /// The phase best among `candidates`, measured on Lulesh's phase
+    /// region as the design-time session measures it.
+    fn phase_best(candidates: &[SystemConfig]) -> SystemConfig {
+        let node = Node::exact(0);
+        let phase = kernels::benchmark("Lulesh").unwrap().phase_character();
+        ExperimentsEngine::new(&node)
+            .try_best_for_region(&phase, candidates, TuningObjective::Energy)
+            .unwrap()
+            .0
     }
 
     #[test]
     fn model_based_without_model_is_an_error() {
-        let (node, bench, rates) = context_fixture();
-        let phase = bench.phase_character();
-        let mut engine = ExperimentsEngine::new(&node);
-        let mut ctx = SearchContext {
-            node: &node,
-            model: None,
-            objective: TuningObjective::Energy,
-            phase_character: &phase,
-            phase_rates: &rates,
-            best_threads: 24,
-            engine: &mut engine,
-        };
-        let err = ModelBasedNeighbourhood::paper().plan(&mut ctx).unwrap_err();
+        let err = plan(&ModelBasedNeighbourhood::paper(), None).unwrap_err();
         assert!(matches!(err, TuningError::MissingModel { .. }));
     }
 
     #[test]
     fn exhaustive_covers_the_full_space() {
-        let (node, bench, rates) = context_fixture();
-        let phase = bench.phase_character();
-        let mut engine = ExperimentsEngine::new(&node);
-        let mut ctx = SearchContext {
-            node: &node,
-            model: None,
-            objective: TuningObjective::Energy,
-            phase_character: &phase,
-            phase_rates: &rates,
-            best_threads: 24,
-            engine: &mut engine,
-        };
-        let outcome = ExhaustiveSearch.plan(&mut ctx).unwrap();
-        assert_eq!(outcome.verification.len(), 14 * 18);
-        assert_eq!(outcome.phase_search_configs, 14 * 18);
-        assert!(outcome.predicted_global.is_none());
+        let plan = plan(&ExhaustiveSearch, None).unwrap();
+        assert_eq!(plan.phase_candidates.len(), 14 * 18);
+        assert!(plan.predicted_global.is_none());
+        let best = phase_best(&plan.phase_candidates);
+        assert_eq!(plan.verification_for(best).len(), 14 * 18);
         // Compute-bound Lulesh: exhaustive phase best has the Fig. 6 shape.
-        assert!(outcome.phase_best.core.mhz() >= 2300);
-        assert!(outcome.phase_best.uncore.mhz() <= 1900);
+        assert!(best.core.mhz() >= 2300);
+        assert!(best.uncore.mhz() <= 1900);
     }
 
     #[test]
     fn random_search_is_deterministic_and_bounded() {
-        let (node, bench, rates) = context_fixture();
-        let phase = bench.phase_character();
         let strategy = RandomSearch::new(16, 7);
-        fn run(
-            strategy: &RandomSearch,
-            node: &Node,
-            phase: &RegionCharacter,
-            rates: &[f64; 7],
-        ) -> SearchOutcome {
-            let mut engine = ExperimentsEngine::new(node);
-            let mut ctx = SearchContext {
-                node,
-                model: None,
-                objective: TuningObjective::Energy,
-                phase_character: phase,
-                phase_rates: rates,
-                best_threads: 24,
-                engine: &mut engine,
-            };
-            strategy.plan(&mut ctx).unwrap()
-        }
-        let a = run(&strategy, &node, &phase, &rates);
-        let b = run(&strategy, &node, &phase, &rates);
-        assert_eq!(a.verification, b.verification, "same seed, same sample");
-        assert_eq!(a.phase_best, b.phase_best);
-        assert_eq!(a.verification.len(), 16);
-        let mut dedup = a.verification.clone();
+        let a = plan(&strategy, None).unwrap();
+        let b = plan(&strategy, None).unwrap();
+        assert_eq!(
+            a.phase_candidates, b.phase_candidates,
+            "same seed, same sample"
+        );
+        assert_eq!(a.phase_candidates.len(), 16);
+        let mut dedup = a.phase_candidates.clone();
         dedup.sort_by_key(|c| (c.threads, c.core.mhz(), c.uncore.mhz()));
         dedup.dedup();
         assert_eq!(dedup.len(), 16, "sample must be without replacement");
-    }
-
-    #[test]
-    fn exploration_plan_matches_engine_driven_plan() {
-        // The engine-driven `plan` is defined as "measure the exploration
-        // plan", so the candidate sets of the two paths must be identical —
-        // this is what lets the runtime's online tuner reproduce the
-        // design-time search from live measurements.
-        let (node, bench, rates) = context_fixture();
-        let phase = bench.phase_character();
-        let strategy = RandomSearch::new(16, 7);
-        let inputs = ExplorationInputs {
-            model: None,
-            phase_rates: &|| rates,
-            best_threads: 24,
-            thread_candidates: &[24],
-        };
-        let plan = strategy.exploration(&inputs).unwrap();
-        assert_eq!(plan.max_extra_verification(), 0, "pool is reused");
-
-        let mut engine = ExperimentsEngine::new(&node);
-        let mut ctx = SearchContext {
-            node: &node,
-            model: None,
-            objective: TuningObjective::Energy,
-            phase_character: &phase,
-            phase_rates: &rates,
-            best_threads: 24,
-            engine: &mut engine,
-        };
-        let outcome = strategy.plan(&mut ctx).unwrap();
-        assert_eq!(outcome.verification, plan.phase_candidates);
-        assert_eq!(
-            outcome.verification,
-            plan.verification_for(outcome.phase_best)
-        );
-        assert!(plan.phase_candidates.contains(&outcome.phase_best));
+        // The sample is measured once for both purposes: the phase best is
+        // one of its members and the verification set is the sample.
+        assert_eq!(a.max_extra_verification(), 0, "pool is reused");
+        let best = phase_best(&a.phase_candidates);
+        assert!(a.phase_candidates.contains(&best));
+        assert_eq!(a.verification_for(best), a.phase_candidates);
     }
 
     #[test]
@@ -527,19 +372,7 @@ mod tests {
 
     #[test]
     fn random_search_oversized_budget_clamps_to_space() {
-        let (node, bench, rates) = context_fixture();
-        let phase = bench.phase_character();
-        let mut engine = ExperimentsEngine::new(&node);
-        let mut ctx = SearchContext {
-            node: &node,
-            model: None,
-            objective: TuningObjective::Energy,
-            phase_character: &phase,
-            phase_rates: &rates,
-            best_threads: 24,
-            engine: &mut engine,
-        };
-        let outcome = RandomSearch::new(10_000, 1).plan(&mut ctx).unwrap();
-        assert_eq!(outcome.verification.len(), 14 * 18);
+        let plan = plan(&RandomSearch::new(10_000, 1), None).unwrap();
+        assert_eq!(plan.phase_candidates.len(), 14 * 18);
     }
 }

@@ -1,4 +1,5 @@
-//! The workspace's one FNV-1a implementation.
+//! The workspace's one FNV-1a implementation and its one SplitMix64
+//! stream.
 //!
 //! Workload fingerprints ([`crate::BenchmarkSpec::fingerprint`]), shard
 //! partitioning in the runtime repository, deterministic job seeds, the
@@ -6,7 +7,9 @@
 //! hash through this module, so every consumer agrees bit-for-bit on what
 //! a given byte sequence hashes to. [`fnv1a`] is the one-shot form;
 //! [`Fnv1a`] is the streaming form for hashing composite values without
-//! first materialising a buffer.
+//! first materialising a buffer. [`splitmix64`] is the seeded stream
+//! behind random search's sampler, the online tuner's candidate rotation
+//! and testkit's scenario generator.
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -68,6 +71,16 @@ impl Default for Fnv1a {
     }
 }
 
+/// One SplitMix64 step: advance `state` and return the next output of
+/// the stream.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,5 +105,13 @@ mod tests {
         let via_u64 = Fnv1a::new().update_u64(0x0102_0304_0506_0708).finish();
         let via_bytes = fnv1a(&[0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01]);
         assert_eq!(via_u64, via_bytes);
+    }
+
+    #[test]
+    fn splitmix64_matches_reference_stream() {
+        let mut state = 0;
+        assert_eq!(splitmix64(&mut state), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(&mut state), 0x6e78_9e6a_a1b9_65f4);
+        assert_eq!(splitmix64(&mut state), 0x06c4_5d18_8009_454f);
     }
 }

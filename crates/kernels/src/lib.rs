@@ -29,6 +29,6 @@ pub mod suites;
 pub use catalog::{
     all_benchmarks, benchmark, test_set, toy_benchmark, training_set, TEST_SET_NAMES,
 };
-pub use hash::{fnv1a, Fnv1a};
+pub use hash::{fnv1a, splitmix64, Fnv1a};
 pub use quantile::QuantileSketch;
 pub use spec::{BenchmarkSpec, ProgrammingModel, RegionSpec, Suite};

@@ -9,18 +9,26 @@
 //! accounting is interleaving-independent (see [`crate::session`]),
 //! every job's result is bit-identical to running its session alone.
 //!
-//! Two event loops drive the same job-state machine and the same
-//! cold-workload admission policy:
+//! Two event loops drive the same job-state machine and take every
+//! admission decision from the same routine, `AdmissionGate::admit` (plain
+//! serve, wait behind an in-flight calibration, monitor a hit, or report a
+//! cold workload) followed by `AdmissionGate::lead` for a cold workload's
+//! calibration leader. A job whose node cannot apply its model or launch
+//! configuration degrades to a static run in one place. The loops differ
+//! only in how a job waits:
 //!
 //! * [`ClusterScheduler::run`] — the sweep loop: every queued job is
 //!   admitted in submission order, and each sweep advances every active
 //!   session by one event. It serves from any [`RepositoryHandle`] — a
 //!   [`TuningModelRepository`](crate::TuningModelRepository) or one
 //!   replica of a [`ReplicaSet`](crate::ReplicaSet) — and is the
-//!   reference the service loop is checked against.
+//!   reference the service loop is checked against. A waiting job is
+//!   rescanned every pass.
 //! * [`ClusterScheduler::run_service`] — the discrete-event loop of
 //!   [`crate::service`]: timestamped arrivals, bounded node slots and
-//!   node churn in virtual time.
+//!   node churn in virtual time. A waiting job parks until its
+//!   calibration resolves, and a replicated run tries a read-repair
+//!   before a cold workload's calibration.
 //!
 //! Both produce a [`ClusterReport`] with per-job outcomes in submission
 //! order. Accounting depends only on the job's identity and its served
@@ -41,7 +49,7 @@ use simnode::{Cluster, Node, SystemConfig};
 use crate::baseline::BaselineMemo;
 use crate::error::RuntimeError;
 use crate::inject::FaultInjector;
-use crate::online::{DriftEvent, ModelPublication, OnlineConfig, OnlineTuner};
+use crate::online::{DriftEvent, OnlineConfig, OnlineTuner};
 use crate::repository::{ModelKey, RepositoryHandle, RepositoryStats, ServedModel};
 use crate::sacct::{JobAccounting, JobRecord};
 use crate::savings::Savings;
@@ -448,7 +456,7 @@ impl<'b> JobDriver<'b> {
     }
 
     /// Finish an active job whose iterations are exhausted: collect its
-    /// accounting, hand any converged model to `publish`, and take the
+    /// accounting, publish any converged model to `repo`, and take the
     /// default-configuration baseline for the savings comparison from
     /// the loop's `baselines` memo. The baseline runs at the
     /// node-clamped default (identical to the platform default on a
@@ -459,7 +467,7 @@ impl<'b> JobDriver<'b> {
         job: &QueuedJob,
         node_idx: usize,
         baselines: &mut BaselineMemo<'_>,
-        publish: &mut dyn FnMut(&BenchmarkSpec, ModelPublication) -> Result<u32, RuntimeError>,
+        repo: &mut dyn RepositoryHandle,
     ) -> Result<(), RuntimeError> {
         match std::mem::replace(&mut self.state, State::Done) {
             State::Plain(session) => {
@@ -470,7 +478,11 @@ impl<'b> JobDriver<'b> {
                 self.accounting = Some(outcome.accounting);
                 self.drift = outcome.drift_events;
                 if let Some(publication) = outcome.publication {
-                    self.published_version = Some(publish(&job.bench, publication)?);
+                    self.published_version = Some(repo.publish_online(
+                        &job.bench,
+                        &publication.model,
+                        publication.expected,
+                    ));
                 }
             }
             State::Waiting | State::Done => unreachable!("finish requires an active driver"),
@@ -494,26 +506,47 @@ pub(crate) fn node_default(node: &Node) -> SystemConfig {
     default.with_threads(default.threads.min(node.topology().max_threads()))
 }
 
-/// Start the degraded replacement for a job whose served model or launch
-/// configuration its node rejected: an untuned static session at the
-/// node-clamped default, with the rejection recorded for the report.
-/// Errors with the distinct [`RuntimeError::JobRejected`] — naming the
-/// job and the node — when even the degraded configuration cannot run.
-fn start_degraded<'b>(
+/// Open a plain serving session for an already-served model, launched at
+/// the platform default.
+fn plain<'b>(
     job: &'b QueuedJob,
     node: &'b Node,
-    rejected: SystemConfig,
-) -> Result<(RuntimeSession<'b>, JobRejection), RuntimeError> {
+    served: ServedModel,
+) -> Result<State<'b>, RuntimeError> {
+    let launch = SystemConfig::taurus_default();
+    RuntimeSession::open(&job.name, &job.bench, job.fingerprint, node, served, launch)
+        .map(|session| State::Plain(Box::new(session)))
+}
+
+/// Start a job from its `opened` session. A capability-gap rejection —
+/// the node cannot apply the served model or the launch configuration —
+/// degrades the job to an untuned static session at the node-clamped
+/// default, with the rejection recorded for the report; when even that
+/// cannot run, the job fails with the distinct
+/// [`RuntimeError::JobRejected`], naming the job and the node.
+fn started<'b>(
+    job: &'b QueuedJob,
+    node: &'b Node,
+    opened: Result<State<'b>, RuntimeError>,
+) -> Result<(State<'b>, Option<JobRejection>), RuntimeError> {
+    let rejected = match opened {
+        Ok(state) => return Ok((state, None)),
+        Err(
+            RuntimeError::UnsupportedConfig { config, .. }
+            | RuntimeError::UnsupportedInitial { config },
+        ) => config,
+        Err(other) => return Err(other),
+    };
     let config = node_default(node);
     let served = ServedModel::fallback(TuningModel::new(&job.bench.name, &[], config));
     match RuntimeSession::open(&job.name, &job.bench, job.fingerprint, node, served, config) {
         Ok(session) => Ok((
-            session,
-            JobRejection {
+            State::Plain(Box::new(session)),
+            Some(JobRejection {
                 job: job.name.clone(),
                 node_id: node.id(),
                 config: rejected,
-            },
+            }),
         )),
         Err(RuntimeError::UnsupportedConfig { .. } | RuntimeError::UnsupportedInitial { .. }) => {
             Err(RuntimeError::JobRejected {
@@ -525,106 +558,6 @@ fn start_degraded<'b>(
         }
         Err(other) => Err(other),
     }
-}
-
-/// Start a plain serving session for an already-served model, degrading a
-/// capability-gap rejection to a static run instead of failing the job.
-pub(crate) fn start_plain<'b>(
-    job: &'b QueuedJob,
-    node: &'b Node,
-    served: ServedModel,
-) -> Result<(State<'b>, Option<JobRejection>), RuntimeError> {
-    let launch = SystemConfig::taurus_default();
-    match RuntimeSession::open(&job.name, &job.bench, job.fingerprint, node, served, launch) {
-        Ok(session) => Ok((State::Plain(Box::new(session)), None)),
-        Err(
-            RuntimeError::UnsupportedConfig { config, .. }
-            | RuntimeError::UnsupportedInitial { config },
-        ) => {
-            let (session, rejection) = start_degraded(job, node, config)?;
-            Ok((State::Plain(Box::new(session)), Some(rejection)))
-        }
-        Err(other) => Err(other),
-    }
-}
-
-/// Start a drift-monitoring tuner for a repository hit, degrading a
-/// capability-gap rejection to a static run instead of failing the job.
-pub(crate) fn start_monitor<'b>(
-    job: &'b QueuedJob,
-    node: &'b Node,
-    served: ServedModel,
-    config: OnlineConfig,
-    faults: Option<&'b dyn FaultInjector>,
-) -> Result<(State<'b>, Option<JobRejection>), RuntimeError> {
-    match OnlineTuner::monitor_keyed(&job.name, &job.bench, job.fingerprint, node, served, config) {
-        Ok(tuner) => {
-            let tuner = match faults {
-                Some(f) => tuner.with_faults(f),
-                None => tuner,
-            };
-            Ok((State::Online(Box::new(tuner)), None))
-        }
-        Err(
-            RuntimeError::UnsupportedConfig { config, .. }
-            | RuntimeError::UnsupportedInitial { config },
-        ) => {
-            let (session, rejection) = start_degraded(job, node, config)?;
-            Ok((State::Plain(Box::new(session)), Some(rejection)))
-        }
-        Err(other) => Err(other),
-    }
-}
-
-/// Start a cold workload's calibration leader. Calibration refusals — an
-/// injected fault, an exploration-budget failure, a planning failure, or
-/// a capability-gap rejection of the calibration launch — degrade the
-/// leader instead of erroring; the returned flag tells the caller to mark
-/// the workload's calibration *failed* ([`AdmissionGate::lead`]) so
-/// same-workload followers take the fallback path.
-pub(crate) fn start_calibration<'b>(
-    job: &'b QueuedJob,
-    node: &'b Node,
-    online: &OnlineTuning<'b>,
-    faults: Option<&'b dyn FaultInjector>,
-    serve_fallback: &mut dyn FnMut(&BenchmarkSpec) -> Result<ServedModel, RuntimeError>,
-) -> Result<(State<'b>, Option<JobRejection>, bool), RuntimeError> {
-    let injected = faults.is_some_and(|f| f.fail_calibration(&job.name));
-    if !injected {
-        match OnlineTuner::calibrate_keyed(
-            &job.name,
-            &job.bench,
-            job.fingerprint,
-            node,
-            online.strategy,
-            online.energy_model,
-            online.config,
-        ) {
-            Ok(tuner) => {
-                let tuner = match faults {
-                    Some(f) => tuner.with_faults(f),
-                    None => tuner,
-                };
-                return Ok((State::Online(Box::new(tuner)), None, false));
-            }
-            // This workload cannot calibrate; fall through to the
-            // fallback path (the miss was already recorded).
-            Err(RuntimeError::ExplorationBudget { .. } | RuntimeError::Planning(_)) => {}
-            // The calibration launch itself cannot run on this node:
-            // degrade the job and fail the workload's calibration.
-            Err(
-                RuntimeError::UnsupportedConfig { config, .. }
-                | RuntimeError::UnsupportedInitial { config },
-            ) => {
-                let (session, rejection) = start_degraded(job, node, config)?;
-                return Ok((State::Plain(Box::new(session)), Some(rejection), true));
-            }
-            Err(other) => return Err(other),
-        }
-    }
-    let served = serve_fallback(&job.bench)?;
-    let (state, rejection) = start_plain(job, node, served)?;
-    Ok((state, rejection, true))
 }
 
 /// Fold finished drivers into the aggregate report (submission order, so
@@ -684,23 +617,25 @@ pub(crate) fn assemble_report(
     }
 }
 
-/// What the [`AdmissionGate`] says about a job of an online run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Admit {
-    /// The workload's calibration failed: serve the stored model or the
-    /// fallback, without monitoring.
-    Fallback,
+/// What [`AdmissionGate::admit`] decided for a job.
+pub(crate) enum Admission<'b> {
+    /// Start the job in this state; the rejection is set when a
+    /// capability gap degraded it to an untuned static run.
+    Start(State<'b>, Option<JobRejection>),
     /// A calibration of the workload is in flight: wait for it.
     Wait,
-    /// Look the workload up: a hit monitors, a miss leads a calibration.
-    Lookup,
+    /// The repository missed on a workload nobody calibrates: the job may
+    /// [`lead`](AdmissionGate::lead) its calibration with these online
+    /// settings.
+    Cold(OnlineTuning<'b>),
 }
 
-/// The cold-workload admission policy both event loops share: which
-/// workloads have a calibration in flight, which job leads each, and
-/// which workloads failed to calibrate. The loops keep only their own way
-/// of waiting — the sweep rescans its waiting jobs every pass, the
-/// service parks them and schedules their release.
+/// The admission policy both event loops share: how each job starts,
+/// which workloads have a calibration in flight, which job leads each,
+/// and which workloads failed to calibrate. The loops keep only their own
+/// way of waiting — the sweep rescans its waiting jobs every pass, the
+/// service parks them and schedules their release (and first tries a
+/// read-repair for a cold workload).
 #[derive(Debug, Default)]
 pub(crate) struct AdmissionGate {
     /// Workloads with a calibration in flight → the leading job's index.
@@ -712,26 +647,92 @@ pub(crate) struct AdmissionGate {
 }
 
 impl AdmissionGate {
-    /// How to admit a job of workload `key`.
-    pub(crate) fn admit(&self, key: &ModelKey) -> Admit {
-        if self.failed.contains(key) {
-            Admit::Fallback
-        } else if self.calibrating.contains_key(key) {
-            Admit::Wait
-        } else {
-            Admit::Lookup
-        }
+    /// Admit `job` on `node`, serving from `repo`. Without online tuning,
+    /// and for a workload whose calibration failed, the job serves the
+    /// stored model or the fallback plainly. Otherwise it waits behind an
+    /// in-flight calibration, monitors a repository hit, or reports the
+    /// miss as [`Admission::Cold`].
+    pub(crate) fn admit<'b>(
+        &self,
+        job: &'b QueuedJob,
+        node: &'b Node,
+        online: Option<&OnlineTuning<'b>>,
+        faults: Option<&'b dyn FaultInjector>,
+        repo: &mut dyn RepositoryHandle,
+    ) -> Result<Admission<'b>, RuntimeError> {
+        let opened = match online {
+            None => plain(job, node, repo.serve(&job.bench)?),
+            Some(online) => {
+                let key = job.key();
+                if self.failed.contains(&key) {
+                    plain(job, node, repo.serve(&job.bench)?)
+                } else if self.calibrating.contains_key(&key) {
+                    return Ok(Admission::Wait);
+                } else {
+                    let Some(served) = repo.serve_stored(&job.bench)? else {
+                        return Ok(Admission::Cold(*online));
+                    };
+                    OnlineTuner::monitor_keyed(
+                        &job.name,
+                        &job.bench,
+                        job.fingerprint,
+                        node,
+                        served,
+                        online.config,
+                        faults,
+                    )
+                    .map(|tuner| State::Online(Box::new(tuner)))
+                }
+            }
+        };
+        let (state, rejection) = started(job, node, opened)?;
+        Ok(Admission::Start(state, rejection))
     }
 
-    /// Job `job` missed on `key` and tried to calibrate it: it now leads
-    /// the workload's calibration, or — when [`start_calibration`]
-    /// refused — the workload has failed.
-    pub(crate) fn lead(&mut self, key: ModelKey, job: usize, refused: bool) {
-        if refused {
-            self.failed.insert(key);
-        } else {
-            self.calibrating.insert(key, job);
-        }
+    /// Start job `i` (`job`), which found its workload cold, as the
+    /// workload's calibration leader. Calibration refusals — an injected
+    /// fault, an exploration-budget failure, a planning failure, or a
+    /// capability-gap rejection of the calibration launch — fail the
+    /// workload's calibration instead of erroring: the job runs on
+    /// `repo`'s fallback, or degraded at the node-clamped default.
+    pub(crate) fn lead<'b>(
+        &mut self,
+        job: &'b QueuedJob,
+        i: usize,
+        node: &'b Node,
+        online: &OnlineTuning<'b>,
+        faults: Option<&'b dyn FaultInjector>,
+        repo: &mut dyn RepositoryHandle,
+    ) -> Result<(State<'b>, Option<JobRejection>), RuntimeError> {
+        let calibration = (!faults.is_some_and(|f| f.fail_calibration(&job.name))).then(|| {
+            OnlineTuner::calibrate_keyed(
+                &job.name,
+                &job.bench,
+                job.fingerprint,
+                node,
+                online.strategy,
+                online.energy_model,
+                online.config,
+                faults,
+            )
+        });
+        let opened = match calibration {
+            Some(Ok(tuner)) => {
+                self.calibrating.insert(job.key(), i);
+                return Ok((State::Online(Box::new(tuner)), None));
+            }
+            // The workload cannot calibrate: serve the fallback (the miss
+            // was already recorded).
+            None
+            | Some(Err(RuntimeError::ExplorationBudget { .. } | RuntimeError::Planning(_))) => {
+                plain(job, node, repo.serve_fallback(&job.bench)?)
+            }
+            // A capability gap of the calibration launch degrades in
+            // `started`; anything else is an error.
+            Some(Err(other)) => Err(other),
+        };
+        self.failed.insert(job.key());
+        started(job, node, opened)
     }
 
     /// Online job `job` of `key` finished, or abandoned its calibration
@@ -908,29 +909,14 @@ impl<'a> ClusterScheduler<'a> {
                     continue;
                 }
                 let node = cluster.node(job.node_idx);
-                let (state, rejection) = match &online {
-                    None => start_plain(job, node, repo.serve(&job.bench)?)?,
-                    Some(online) => {
-                        let key = job.key();
-                        match gate.admit(&key) {
-                            Admit::Fallback => start_plain(job, node, repo.serve(&job.bench)?)?,
-                            Admit::Wait => continue,
-                            Admit::Lookup => match repo.serve_stored(&job.bench)? {
-                                Some(served) => {
-                                    start_monitor(job, node, served, online.config, faults)?
-                                }
-                                None => {
-                                    let (state, rejection, refused) =
-                                        start_calibration(job, node, online, faults, &mut |b| {
-                                            repo.serve_fallback(b)
-                                        })?;
-                                    gate.lead(key, i, refused);
-                                    (state, rejection)
-                                }
-                            },
+                let (state, rejection) =
+                    match gate.admit(job, node, online.as_ref(), faults, repo)? {
+                        Admission::Start(state, rejection) => (state, rejection),
+                        Admission::Wait => continue,
+                        Admission::Cold(online) => {
+                            gate.lead(job, i, node, &online, faults, repo)?
                         }
-                    }
-                };
+                    };
                 driver.state = state;
                 driver.rejection = rejection;
             }
@@ -944,20 +930,7 @@ impl<'a> ClusterScheduler<'a> {
                 }
                 if driver.finished_iterations() {
                     let was_online = matches!(driver.state, State::Online(_));
-                    driver.finish(
-                        job,
-                        job.node_idx,
-                        &mut baselines,
-                        &mut |bench, publication| {
-                            Ok(
-                                repo.publish_online(
-                                    bench,
-                                    &publication.model,
-                                    publication.expected,
-                                ),
-                            )
-                        },
-                    )?;
+                    driver.finish(job, job.node_idx, &mut baselines, repo)?;
                     let key = job.key();
                     if was_online && gate.settle(&key, i, driver.published_version.is_some()) {
                         gate.release(&key);
@@ -1008,6 +981,164 @@ mod tests {
 
     fn toy(name: &str, instr: f64) -> BenchmarkSpec {
         kernels::toy_benchmark(name, instr, 4)
+    }
+
+    /// A repository that counts the serve calls admission makes.
+    #[derive(Default)]
+    struct Counting {
+        repo: TuningModelRepository,
+        serve: u32,
+        serve_stored: u32,
+        serve_fallback: u32,
+    }
+
+    impl Counting {
+        fn with_fallback() -> Self {
+            Self {
+                repo: TuningModelRepository::new().with_fallback(SystemConfig::new(24, 2400, 1700)),
+                ..Self::default()
+            }
+        }
+
+        /// `(serve, serve_stored, serve_fallback)` calls so far.
+        fn calls(&self) -> (u32, u32, u32) {
+            (self.serve, self.serve_stored, self.serve_fallback)
+        }
+    }
+
+    impl RepositoryHandle for Counting {
+        fn serve(&mut self, bench: &BenchmarkSpec) -> Result<ServedModel, RuntimeError> {
+            self.serve += 1;
+            self.repo.serve(bench)
+        }
+
+        fn serve_stored(
+            &mut self,
+            bench: &BenchmarkSpec,
+        ) -> Result<Option<ServedModel>, RuntimeError> {
+            self.serve_stored += 1;
+            self.repo.serve_stored(bench)
+        }
+
+        fn serve_fallback(&mut self, bench: &BenchmarkSpec) -> Result<ServedModel, RuntimeError> {
+            self.serve_fallback += 1;
+            self.repo.serve_fallback(bench)
+        }
+
+        fn publish_online(
+            &mut self,
+            bench: &BenchmarkSpec,
+            model: &TuningModel,
+            expected: Vec<(String, f64)>,
+        ) -> u32 {
+            self.repo.publish_online(bench, model, expected)
+        }
+
+        fn stats(&self) -> RepositoryStats {
+            self.repo.stats()
+        }
+    }
+
+    fn random_online(strategy: &ptf::RandomSearch) -> OnlineTuning<'_> {
+        OnlineTuning {
+            strategy,
+            energy_model: None,
+            config: OnlineConfig::default(),
+        }
+    }
+
+    #[test]
+    fn admission_without_online_tuning_serves_once() {
+        let node = Node::exact(0);
+        let job = QueuedJob::new("j".into(), toy("t", 1e9), 0);
+        let mut repo = Counting::with_fallback();
+        let admitted = AdmissionGate::default()
+            .admit(&job, &node, None, None, &mut repo)
+            .unwrap();
+        assert!(matches!(admitted, Admission::Start(State::Plain(_), None)));
+        assert_eq!(repo.calls(), (1, 0, 0));
+    }
+
+    #[test]
+    fn admission_monitors_hits_and_reports_misses_cold() {
+        let node = Node::exact(0);
+        let lulesh = kernels::benchmark("Lulesh").unwrap();
+        let strategy = ptf::RandomSearch::new(16, 7);
+        let online = random_online(&strategy);
+        let gate = AdmissionGate::default();
+        let job = QueuedJob::new("j".into(), lulesh.clone(), 0);
+
+        let mut repo = Counting::with_fallback();
+        let miss = gate.admit(&job, &node, Some(&online), None, &mut repo);
+        assert!(matches!(miss, Ok(Admission::Cold(_))));
+        assert_eq!(repo.calls(), (0, 1, 0));
+
+        repo.repo.insert(&lulesh, &lulesh_model());
+        let hit = gate.admit(&job, &node, Some(&online), None, &mut repo);
+        assert!(matches!(hit, Ok(Admission::Start(State::Online(_), None))));
+        assert_eq!(repo.calls(), (0, 2, 0));
+    }
+
+    #[test]
+    fn refused_lead_serves_the_fallback_and_fails_the_workload() {
+        struct RefuseCalibration;
+        impl FaultInjector for RefuseCalibration {
+            fn fail_calibration(&self, _job: &str) -> bool {
+                true
+            }
+        }
+        let node = Node::exact(0);
+        let strategy = ptf::RandomSearch::new(16, 7);
+        let online = random_online(&strategy);
+        let mut gate = AdmissionGate::default();
+        let mut repo = Counting::with_fallback();
+        let bench = kernels::benchmark("miniMD").unwrap();
+        let leader = QueuedJob::new("leader".into(), bench.clone(), 0);
+        let follower = QueuedJob::new("follower".into(), bench, 0);
+
+        let (state, rejection) = gate
+            .lead(
+                &leader,
+                0,
+                &node,
+                &online,
+                Some(&RefuseCalibration),
+                &mut repo,
+            )
+            .unwrap();
+        assert!(matches!(state, State::Plain(_)) && rejection.is_none());
+        assert_eq!(repo.calls(), (0, 0, 1));
+
+        // The failed workload serves plainly: no lookup, no monitor.
+        let admitted = gate.admit(&follower, &node, Some(&online), None, &mut repo);
+        assert!(matches!(
+            admitted,
+            Ok(Admission::Start(State::Plain(_), None))
+        ));
+        assert_eq!(repo.calls(), (1, 0, 1));
+    }
+
+    #[test]
+    fn calibrating_lead_makes_followers_wait() {
+        let node = Node::exact(0);
+        let strategy = ptf::RandomSearch::new(16, 7);
+        let online = random_online(&strategy);
+        let mut gate = AdmissionGate::default();
+        let mut repo = Counting::with_fallback();
+        let bench = kernels::benchmark("miniMD").unwrap();
+        let leader = QueuedJob::new("leader".into(), bench.clone(), 0);
+        let follower = QueuedJob::new("follower".into(), bench, 0);
+
+        let (state, rejection) = gate
+            .lead(&leader, 0, &node, &online, None, &mut repo)
+            .unwrap();
+        assert!(matches!(state, State::Online(_)) && rejection.is_none());
+        assert_eq!(repo.calls(), (0, 0, 0));
+
+        // While the calibration is in flight nobody touches the repository.
+        let admitted = gate.admit(&follower, &node, Some(&online), None, &mut repo);
+        assert!(matches!(admitted, Ok(Admission::Wait)));
+        assert_eq!(repo.calls(), (0, 0, 0));
     }
 
     #[test]

@@ -36,7 +36,7 @@
 
 use std::collections::BTreeMap;
 
-use kernels::BenchmarkSpec;
+use kernels::{splitmix64, BenchmarkSpec};
 use ptf::{
     EnergyModel, ExplorationInputs, ExplorationPlan, SearchStrategy, TuningModel, TuningObjective,
 };
@@ -55,15 +55,6 @@ const THREAD_STEP: u32 = 4;
 
 /// Stable per-config map key — see [`crate::online::cfg_key`].
 type CfgKey = (u32, u32, u32);
-
-/// SplitMix64 step for the job-seeded candidate rotation.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Accumulated measurement of one region under one configuration.
 #[derive(Debug, Clone, Copy, Default)]

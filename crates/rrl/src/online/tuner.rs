@@ -137,11 +137,14 @@ impl<'a> OnlineTuner<'a> {
             strategy,
             energy_model,
             config,
+            None,
         )
     }
 
     /// [`Self::calibrate`] for a caller that already holds the workload's
-    /// fingerprint.
+    /// fingerprint, with its fault injector (if any) attached as
+    /// [`Self::with_faults`] would.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn calibrate_keyed(
         job: impl Into<String>,
         bench: &'a BenchmarkSpec,
@@ -150,6 +153,7 @@ impl<'a> OnlineTuner<'a> {
         strategy: &'a dyn SearchStrategy,
         energy_model: Option<&'a EnergyModel>,
         config: OnlineConfig,
+        faults: Option<&'a dyn FaultInjector>,
     ) -> Result<Self, RuntimeError> {
         let launch = SystemConfig::taurus_default();
         let served = ServedModel {
@@ -170,7 +174,7 @@ impl<'a> OnlineTuner<'a> {
             session,
             mode: Mode::Calibrate(Box::new(schedule)),
             objective: config.objective,
-            faults: None,
+            faults,
         })
     }
 
@@ -192,11 +196,12 @@ impl<'a> OnlineTuner<'a> {
         served: ServedModel,
         config: OnlineConfig,
     ) -> Result<Self, RuntimeError> {
-        Self::monitor_keyed(job, bench, bench.fingerprint(), node, served, config)
+        Self::monitor_keyed(job, bench, bench.fingerprint(), node, served, config, None)
     }
 
     /// [`Self::monitor`] for a caller that already holds the workload's
-    /// fingerprint.
+    /// fingerprint, with its fault injector (if any) attached as
+    /// [`Self::with_faults`] would.
     pub(crate) fn monitor_keyed(
         job: impl Into<String>,
         bench: &'a BenchmarkSpec,
@@ -204,6 +209,7 @@ impl<'a> OnlineTuner<'a> {
         node: &'a Node,
         mut served: ServedModel,
         config: OnlineConfig,
+        faults: Option<&'a dyn FaultInjector>,
     ) -> Result<Self, RuntimeError> {
         let expected = served
             .provenance
@@ -236,7 +242,7 @@ impl<'a> OnlineTuner<'a> {
                 recalibrated: 0,
             })),
             objective: config.objective,
-            faults: None,
+            faults,
         })
     }
 
@@ -605,7 +611,10 @@ impl MonitorState {
     /// The served model with converged re-calibrations patched in, plus
     /// the served expectations (taken from the state) with each converged
     /// region's entry updated, or appended in region-name order when the
-    /// serve carried none.
+    /// serve carried none. Of a name the list repeats, the *last* entry
+    /// is updated: [`OnlineTuner::monitor`] watches the last valid value
+    /// of a name, so the next job served this list compares against the
+    /// fresh one.
     fn republication(&mut self, model: &TuningModel, bench: &BenchmarkSpec) -> ModelPublication {
         let mut converged: Vec<(&str, SystemConfig, f64)> = self
             .slots
@@ -631,7 +640,7 @@ impl MonitorState {
         }
         let mut expected = std::mem::take(&mut self.expected);
         for &(region, _, expected_j) in &converged {
-            match expected.iter_mut().find(|(r, _)| r == region) {
+            match expected.iter_mut().rev().find(|(r, _)| r == region) {
                 Some(entry) => entry.1 = expected_j,
                 None => expected.push((region.to_string(), expected_j)),
             }

@@ -1,7 +1,7 @@
 //! The long-lived, churn-tolerant cluster service on the `simkit` kernel.
 //!
 //! [`ClusterScheduler::run_service`] is the second event loop over the
-//! job-state machine and admission policy of [`crate::cluster`] — the one
+//! job-state machine and admission routine of [`crate::cluster`] — the one
 //! where *time* is real (virtual): jobs arrive at their trace timestamps,
 //! every region enter/exit pair and phase completion is a scheduled event
 //! whose virtual duration is the session's own accumulated wall time,
@@ -21,9 +21,9 @@
 //! [`crate::session`]), a service run over a zero-interarrival trace with
 //! no churn and unbounded slots is **bit-identical per job** to the
 //! sweep loop [`ClusterScheduler::run`] on the same submissions:
-//! arrivals at `t = 0` are placed and admitted in trace order (the sweep
-//! loop's first admission pass, verbatim —
-//! same placements, same serve calls, same calibration leaders), and each
+//! arrivals at `t = 0` are placed and admitted in trace order through the
+//! admission routine the sweep loop's first pass calls — same placements,
+//! same serve calls, same calibration leaders — and each
 //! session's events then replay its own timeline. The testkit
 //! `event_core` invariant locks this equivalence in.
 //!
@@ -62,9 +62,11 @@
 //! empty and catches up over the following rounds), and a repository
 //! miss a live peer can serve triggers a targeted
 //! [`PullModels`](crate::net::Message::PullModels) read-repair instead
-//! of a cold calibration. Everything stays a pure function of the trace
-//! and the seeds: reruns are bit-identical, and the converged model
-//! maps match the batch `converge` oracle's winners.
+//! of a cold calibration: the service tries it between the admission
+//! routine's cold verdict and the calibration lead. Everything stays a
+//! pure function of the trace and the seeds: reruns are bit-identical,
+//! and the converged model maps match the batch `converge` oracle's
+//! winners.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -75,8 +77,8 @@ use simnode::Cluster;
 
 use crate::baseline::BaselineMemo;
 use crate::cluster::{
-    assemble_report, start_calibration, start_monitor, start_plain, AdmissionGate, Admit,
-    ClusterReport, ClusterScheduler, EventOutcome, JobDriver, OnlineTuning, QueuedJob, State,
+    assemble_report, Admission, AdmissionGate, ClusterReport, ClusterScheduler, EventOutcome,
+    JobDriver, OnlineTuning, QueuedJob, State,
 };
 use crate::error::RuntimeError;
 use crate::inject::{ChurnEvent, ChurnKind, FaultInjector, ReplicaChurnEvent, ReplicaChurnKind};
@@ -502,9 +504,10 @@ impl ServiceRun<'_, '_, '_> {
         Ok(())
     }
 
-    /// Admit job `i` on its placed node: the sweep loop's admission
-    /// decision, verbatim. Returns `false` when the job parked behind an
-    /// in-flight same-workload calibration instead of starting (parked
+    /// Admit job `i` on its placed node through the [`AdmissionGate`]
+    /// the sweep loop also uses. Returns `false` when the job parked —
+    /// behind an in-flight same-workload calibration, or behind a
+    /// read-repair of its cold workload — instead of starting (parked
     /// jobs hold no slot).
     fn admit(
         &mut self,
@@ -517,38 +520,26 @@ impl ServiceRun<'_, '_, '_> {
         let node_idx = self.placements[i];
         let node = self.cluster.node(node_idx);
         let faults = self.faults;
-        let (state, rejection) = match self.online {
-            None => start_plain(job, node, self.repo.handle(node_idx)?.serve(&job.bench)?)?,
-            Some(online) => {
-                let key = job.key();
-                match self.gate.admit(&key) {
-                    Admit::Fallback => {
-                        start_plain(job, node, self.repo.handle(node_idx)?.serve(&job.bench)?)?
-                    }
-                    Admit::Wait => {
-                        self.waiters.entry(key).or_default().push(i);
-                        self.parked_us[i] = now;
-                        if self.record {
-                            self.recorder.counter_add("service.parked", 1);
-                        }
-                        return Ok(false);
-                    }
-                    Admit::Lookup => match self.repo.handle(node_idx)?.serve_stored(&job.bench)? {
-                        Some(served) => start_monitor(job, node, served, online.config, faults)?,
-                        None => {
-                            if self.try_read_repair(i, now, sink)? {
-                                return Ok(false);
-                            }
-                            let repo = &mut self.repo;
-                            let (state, rejection, refused) =
-                                start_calibration(job, node, &online, faults, &mut |b| {
-                                    repo.handle(node_idx)?.serve_fallback(b)
-                                })?;
-                            self.gate.lead(key, i, refused);
-                            (state, rejection)
-                        }
-                    },
+        let repo = self.repo.handle(node_idx)?;
+        let admission = self
+            .gate
+            .admit(job, node, self.online.as_ref(), faults, repo)?;
+        let (state, rejection) = match admission {
+            Admission::Start(state, rejection) => (state, rejection),
+            Admission::Wait => {
+                self.waiters.entry(job.key()).or_default().push(i);
+                self.parked_us[i] = now;
+                if self.record {
+                    self.recorder.counter_add("service.parked", 1);
                 }
+                return Ok(false);
+            }
+            Admission::Cold(online) => {
+                if self.try_read_repair(i, now, sink)? {
+                    return Ok(false);
+                }
+                let repo = self.repo.handle(node_idx)?;
+                self.gate.lead(job, i, node, &online, faults, repo)?
             }
         };
         self.drivers[i].state = state;
@@ -613,16 +604,8 @@ impl ServiceRun<'_, '_, '_> {
         if self.drivers[i].finished_iterations() {
             let was_online = matches!(self.drivers[i].state, State::Online(_));
             let node_idx = self.placements[i];
-            let Self {
-                drivers,
-                repo,
-                baselines,
-                ..
-            } = self;
-            drivers[i].finish(job, node_idx, baselines, &mut |bench, publication| {
-                let handle = repo.handle(node_idx)?;
-                Ok(handle.publish_online(bench, &publication.model, publication.expected))
-            })?;
+            let repo = self.repo.handle(node_idx)?;
+            self.drivers[i].finish(job, node_idx, &mut self.baselines, repo)?;
             // A publication must gossip out while the service keeps
             // running: re-arm the cadence if it had parked.
             if self.drivers[i].published_version.is_some() {

@@ -13,18 +13,9 @@ use crate::scenario::{
     AbortFault, DriftShiftFault, FaultPlan, FleetSpec, JobSpec, NetPlan, NodeSpec, OnlineSpec,
     PartitionWindow, RepositorySpec, Scenario, StoredModel, WorkloadSpec,
 };
-use kernels::BenchmarkSpec;
+use kernels::{splitmix64, BenchmarkSpec};
 use rrl::{ChurnEvent, ChurnKind, ReplicaChurnEvent, ReplicaChurnKind};
 use simnode::SystemConfig;
-
-/// SplitMix64 — the generator's only randomness primitive.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Uniform f64 in `[0, 1)`.
 fn unit(state: &mut u64) -> f64 {

@@ -752,6 +752,50 @@ fn served_expectations_resolve_to_the_last_valid_value_per_known_region() {
 }
 
 #[test]
+fn republication_updates_the_watched_entry_of_a_repeated_region() {
+    // A served list that names compute_force twice is watched at its last
+    // valid value. The re-calibration that drift triggers must land in
+    // that entry, or the next job served the republished list would
+    // compare against the stale value and drift again.
+    let node = Node::exact(0);
+    let bench = kernels::benchmark("miniMD").unwrap();
+    let (model, expected) = calibrated_minimd(&node, &bench);
+    let force = expected
+        .iter()
+        .find(|(r, _)| r == "compute_force")
+        .expect("compute_force has an expectation")
+        .1;
+    let mut served: Vec<(String, f64)> = expected
+        .into_iter()
+        .filter(|(r, _)| r != "compute_force")
+        .collect();
+    served.push(("compute_force".into(), f64::NAN));
+    served.push(("compute_force".into(), 0.5 * force));
+    let monitor = |job: &str, list: Vec<(String, f64)>| {
+        let mut tuner = OnlineTuner::monitor(
+            job,
+            &bench,
+            &node,
+            served_with(&model, list),
+            OnlineConfig::default(),
+        )
+        .unwrap();
+        tuner.run_to_completion().unwrap();
+        tuner.finish().unwrap()
+    };
+
+    let first = monitor("first", served);
+    assert_eq!(first.drift_events.len(), 1, "half the energy drifts");
+    let publication = first.publication.expect("the re-calibration publishes");
+    let second = monitor("second", publication.expected);
+    assert!(
+        second.drift_events.is_empty(),
+        "the republished value is the watched one: {:?}",
+        second.drift_events
+    );
+}
+
+#[test]
 fn republished_expectations_append_new_regions_in_name_order() {
     // Regions re-calibrated without a served expectation are appended to
     // the published expectations in region-name order, not in program or
