@@ -237,7 +237,7 @@ fn bench_pcp_switch(c: &mut Criterion) {
 }
 
 /// Region verification with and without the batch experiment cache: the
-/// per-batch hot path behind `BatchDriver`. The cached variant re-verifies
+/// hot path of sessions sharing one cache. The cached variant re-verifies
 /// the same region × neighbourhood (a re-submitted application) and must
 /// be serviced from the memo table.
 fn bench_experiment_cache(c: &mut Criterion) {
@@ -350,7 +350,7 @@ fn bench_runtime_session(c: &mut Criterion) {
 fn bench_online_tuner(c: &mut Criterion) {
     use kernels::{BenchmarkSpec, ProgrammingModel, RegionSpec, Suite};
     use ptf::RandomSearch;
-    use rrl::{DriftConfig, DriftDetector, OnlineConfig, OnlineTuner};
+    use rrl::{DriftDetector, OnlineConfig, OnlineTuner};
 
     let node = Node::exact(0);
     let mk_region = |name: &str, ins: f64, ratio: f64| {
@@ -491,12 +491,11 @@ fn bench_online_tuner(c: &mut Criterion) {
 
     // One step of a region's drift watch.
     group.bench_function("drift_observe", |b| {
-        let cfg = DriftConfig::default();
         let mut watches = [DriftDetector::new(100.0).expect("positive"); 3];
         let mut i = 0usize;
         b.iter(|| {
             i = i.wrapping_add(1);
-            black_box(watches[i % watches.len()].observe(&cfg, 101.0))
+            black_box(watches[i % watches.len()].observe(101.0))
         })
     });
     group.finish();

@@ -5,6 +5,7 @@
 //! them). Paper reference values are quoted inline so the output is
 //! self-describing.
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
 
 use enermodel::baseline::kfold_mape;
@@ -14,7 +15,7 @@ use enermodel::train::TrainConfig;
 use enermodel::{loocv_mape, mape};
 use kernels::BenchmarkSpec;
 use ptf::{
-    build_dataset, exhaustive, phase_counter_rates, BatchDriver, EnergyModel, SearchSpace,
+    build_dataset, exhaustive, phase_counter_rates, EnergyModel, ExperimentCache, SearchSpace,
     TuningObjective, TuningSession,
 };
 use rrl::compare_static_dynamic;
@@ -651,10 +652,20 @@ pub fn batch_cache() -> String {
         })
         .sum();
 
-    let driver = BatchDriver::new(&node).with_model(&model);
-    let advices = driver.tune_all(&queue).expect("batch succeeds");
-    let batch: u64 = advices.iter().map(|a| a.engine_runs).sum();
-    let stats = driver.cache_stats();
+    let cache = RefCell::new(ExperimentCache::new());
+    let batch: u64 = queue
+        .iter()
+        .map(|b| {
+            TuningSession::builder(&node)
+                .with_model(&model)
+                .with_cache(&cache)
+                .run(b)
+                .expect("batch succeeds")
+                .engine_runs
+        })
+        .sum();
+    let cache = cache.into_inner();
+    let stats = cache.stats();
 
     let mut out = String::new();
     let _ = writeln!(out, "## Batch driver — shared experiment cache\n");
@@ -674,7 +685,7 @@ pub fn batch_cache() -> String {
         "cache: {} hits / {} misses ({} distinct keys)",
         stats.hits,
         stats.misses,
-        driver.cache_len()
+        cache.len()
     );
     let _ = writeln!(
         out,

@@ -110,7 +110,6 @@ impl EnergyModel {
                 adam: enermodel::adam::AdamConfig::default(),
                 epochs: 10,
                 shuffle_seed: 7,
-                lr_decay: 1.0,
             },
             5,
         )
@@ -162,24 +161,6 @@ impl EnergyModel {
         }
         best
     }
-
-    /// Predicted energy surface over the full domains (the data behind the
-    /// model's view of Figures 6–7).
-    pub fn predict_surface(
-        &self,
-        rates: &[f64; 7],
-        core: &FreqDomain,
-        uncore: &FreqDomain,
-    ) -> Vec<(u32, u32, f64)> {
-        let mut out = Vec::with_capacity(core.len() * uncore.len());
-        let mut ws = Workspace::default();
-        for cf in core.iter_mhz() {
-            for ucf in uncore.iter_mhz() {
-                out.push((cf, ucf, self.predict_enorm_with(rates, cf, ucf, &mut ws)));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -204,7 +185,6 @@ mod tests {
             adam: AdamConfig::default(),
             epochs: 20,
             shuffle_seed: 3,
-            lr_decay: 1.0,
         };
         EnergyModel::train(&data, &cfg)
     }
@@ -221,7 +201,6 @@ mod tests {
             adam: AdamConfig::default(),
             epochs: 2,
             shuffle_seed: 5,
-            lr_decay: 1.0,
         };
         let x = StandardScaler::fit(&data.features).transform(&data.features);
         for k in [1, 2, 5] {
@@ -302,7 +281,11 @@ mod tests {
         let rates = [1e9, 2e9, 1e6, 1e7, 1e10, 5e8, 5e7];
         let core = FreqDomain::haswell_core();
         let uncore = FreqDomain::haswell_uncore();
-        let surface = model.predict_surface(&rates, &core, &uncore);
+        let surface: Vec<(u32, u32, f64)> = core
+            .iter_mhz()
+            .flat_map(|cf| uncore.iter_mhz().map(move |ucf| (cf, ucf)))
+            .map(|(cf, ucf)| (cf, ucf, model.predict_enorm(&rates, cf, ucf)))
+            .collect();
         assert_eq!(surface.len(), 14 * 18);
         let (bcf, bucf) = model.best_frequencies(&rates, &core, &uncore);
         let min = surface.iter().fold(f64::INFINITY, |m, &(_, _, e)| m.min(e));

@@ -35,8 +35,9 @@
 //! experiments engine and the runtime's online tuner measures through
 //! live region events.
 //!
-//! [`session::BatchDriver`] tunes many applications over one shared,
-//! memoising [`session::ExperimentCache`] keyed by `(region character,
+//! Sessions built [`with_cache`](session::SessionBuilder::with_cache)
+//! tune many applications over one shared, memoising
+//! [`session::ExperimentCache`] keyed by `(region character,
 //! SystemConfig)`: overlapping grids, shared library kernels and repeated
 //! submissions are simulated once, bit-identically to the uncached path.
 //!
@@ -72,7 +73,7 @@ pub use objectives::TuningObjective;
 pub use scenario::{Scenario, ScenarioClassifier};
 pub use search::SearchSpace;
 pub use session::{
-    Advice, BatchDriver, ExhaustiveSearch, ExperimentCache, ExplorationInputs, ExplorationPlan,
+    Advice, ExhaustiveSearch, ExperimentCache, ExplorationInputs, ExplorationPlan,
     ModelBasedNeighbourhood, RandomSearch, SearchStrategy, TuningError, TuningSession,
     VerificationRule,
 };

@@ -3,8 +3,9 @@
 //! Region evaluations are pure functions of `(node, region character,
 //! configuration)` — the simulator's counter noise never reaches the
 //! energy/time measurement — so repeated evaluations can be served from a
-//! memo table. A [`BatchDriver`](crate::session::BatchDriver) shares one
-//! cache across every application it tunes: regions re-verified at
+//! memo table. Sessions built
+//! [`with_cache`](crate::session::SessionBuilder::with_cache) share one
+//! cache across every application they tune: regions re-verified at
 //! overlapping configurations (the recentring grid and the verification
 //! neighbourhood overlap, and applications in a batch often share kernel
 //! characters) are simulated once instead of once per occurrence.

@@ -20,15 +20,14 @@
 //! ```
 //!
 //! Every transition returns `Result<_, TuningError>`; nothing on this
-//! path panics. [`BatchDriver`] runs many sessions over one shared
-//! [`ExperimentCache`] so repeated region evaluations are simulated once.
+//! path panics. Sessions built [`with_cache`](SessionBuilder::with_cache)
+//! over one shared [`ExperimentCache`] simulate repeated region
+//! evaluations once, bit-identically to the uncached path.
 
-mod batch;
 mod cache;
 mod error;
 mod strategy;
 
-pub use batch::BatchDriver;
 pub use cache::{CacheStats, ExperimentCache};
 pub use error::TuningError;
 pub use strategy::{
@@ -112,8 +111,9 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// Share an experiment cache with other sessions (what
-    /// [`BatchDriver`] does for every application in a batch).
+    /// Share an experiment cache with other sessions: a queue of
+    /// applications tuned over one cache simulates each repeated
+    /// `(region character, configuration)` evaluation once.
     #[must_use]
     pub fn with_cache(mut self, cache: &'a RefCell<ExperimentCache>) -> Self {
         self.cache = Some(cache);
@@ -270,7 +270,6 @@ impl<'a> Analyzed<'a> {
             model: self.core.model,
             phase_rates: &|| rates,
             best_threads,
-            thread_candidates: &[best_threads],
         })?;
         if plan.phase_candidates.is_empty() {
             return Err(TuningError::EmptyCandidates {
@@ -587,5 +586,162 @@ mod tests {
         let (cf, ucf) = advice.predicted_global.unwrap();
         assert!(cf.mhz() <= 2200, "predicted CF {cf} should be low");
         assert!(ucf.mhz() >= 1900, "predicted UCF {ucf} should be high");
+    }
+
+    /// Two different applications sharing one library kernel (the common
+    /// production case: the same halo exchange / BLAS call linked into
+    /// many codes). The shared region's evaluations must be simulated
+    /// once across the batch.
+    fn shared_kernel_apps() -> [BenchmarkSpec; 2] {
+        use kernels::{ProgrammingModel, RegionSpec, Suite};
+        use simnode::RegionCharacter;
+        let halo = RegionCharacter::builder(4e9)
+            .ipc(0.9)
+            .parallel(0.96)
+            .dram_bytes(4.5 * 4e9)
+            .stalls(0.7)
+            .build();
+        let flux = RegionCharacter::builder(2.5e10)
+            .ipc(1.9)
+            .parallel(0.995)
+            .dram_bytes(0.8 * 2.5e10)
+            .build();
+        let solver = RegionCharacter::builder(1.2e10)
+            .ipc(1.4)
+            .parallel(0.99)
+            .dram_bytes(2.0 * 1.2e10)
+            .stalls(0.5)
+            .build();
+        [
+            BenchmarkSpec::new(
+                "cfd-app",
+                Suite::Other,
+                ProgrammingModel::Hybrid,
+                20,
+                vec![
+                    RegionSpec::new("halo_exchange", halo.clone()),
+                    RegionSpec::new("compute_fluxes", flux),
+                ],
+            ),
+            BenchmarkSpec::new(
+                "structural-app",
+                Suite::Other,
+                ProgrammingModel::Hybrid,
+                20,
+                vec![
+                    RegionSpec::new("halo_exchange", halo),
+                    RegionSpec::new("implicit_solver", solver),
+                ],
+            ),
+        ]
+    }
+
+    #[test]
+    fn batch_reduces_engine_evaluations_versus_independent_runs() {
+        let node = Node::exact(0);
+        let model = model(&node);
+        let apps = shared_kernel_apps();
+
+        // Two independent (uncached) sessions.
+        let independent_runs: u64 = apps
+            .iter()
+            .map(|b| {
+                TuningSession::builder(&node)
+                    .with_model(&model)
+                    .run(b)
+                    .unwrap()
+                    .engine_runs
+            })
+            .sum();
+
+        // The same two applications over one shared cache.
+        let cache = RefCell::new(ExperimentCache::new());
+        let batch_runs: u64 = apps
+            .iter()
+            .map(|b| {
+                TuningSession::builder(&node)
+                    .with_model(&model)
+                    .with_cache(&cache)
+                    .run(b)
+                    .unwrap()
+                    .engine_runs
+            })
+            .sum();
+
+        let stats = cache.borrow().stats();
+        assert!(stats.hits > 0, "batch must hit the shared cache: {stats:?}");
+        assert!(
+            batch_runs < independent_runs,
+            "batch {batch_runs} runs vs independent {independent_runs}"
+        );
+        assert_eq!(
+            stats.misses, batch_runs,
+            "every miss is exactly one engine run"
+        );
+    }
+
+    #[test]
+    fn cached_advice_is_bit_identical_to_uncached() {
+        let node = Node::exact(0);
+        let model = model(&node);
+        let apps = [
+            kernels::benchmark("Lulesh").unwrap(),
+            kernels::benchmark("Mcbenchmark").unwrap(),
+        ];
+        let cache = RefCell::new(ExperimentCache::new());
+        let tune = |bench: &BenchmarkSpec| {
+            TuningSession::builder(&node)
+                .with_model(&model)
+                .with_cache(&cache)
+                .run(bench)
+                .unwrap()
+        };
+        for bench in &apps {
+            let uncached = TuningSession::builder(&node)
+                .with_model(&model)
+                .run(bench)
+                .unwrap();
+            let cached = tune(bench);
+            assert_eq!(uncached.tuning_model, cached.tuning_model);
+            assert_eq!(uncached.phase_best, cached.phase_best);
+            for ((na, ca, ea), (nb, cb, eb)) in uncached.region_best.iter().zip(&cached.region_best)
+            {
+                assert_eq!(na, nb);
+                assert_eq!(ca, cb);
+                assert_eq!(ea.to_bits(), eb.to_bits(), "region {na} energy differs");
+            }
+        }
+        // Re-tuning an already-seen application is almost free.
+        let before = cache.borrow().stats();
+        let again = tune(&apps[0]);
+        assert_eq!(again.engine_runs, 0, "full cache hit on re-tune");
+        assert!(cache.borrow().stats().hits > before.hits);
+    }
+
+    #[test]
+    fn batch_works_with_model_free_strategies() {
+        let node = Node::exact(0);
+        let strategy = RandomSearch::new(12, 9);
+        let cache = RefCell::new(ExperimentCache::new());
+        let apps = [
+            kernels::benchmark("miniMD").unwrap(),
+            kernels::benchmark("miniMD").unwrap(),
+        ];
+        let advices: Vec<Advice> = apps
+            .iter()
+            .map(|b| {
+                TuningSession::builder(&node)
+                    .with_strategy(&strategy)
+                    .with_cache(&cache)
+                    .run(b)
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(advices.len(), 2);
+        assert_eq!(
+            advices[1].engine_runs, 0,
+            "identical app re-tune is fully cached"
+        );
+        assert_eq!(advices[0].tuning_model, advices[1].tuning_model);
     }
 }

@@ -37,10 +37,9 @@ pub struct ExplorationInputs<'a> {
     /// passes its already measured rates; the online tuner measures on
     /// call, advancing the node's counter-noise stream only then.
     pub phase_rates: &'a dyn Fn() -> [f64; 7],
-    /// Optimal thread count from tuning step 1.
+    /// Optimal thread count from tuning step 1: the one thread count every
+    /// strategy's candidates run at.
     pub best_threads: u32,
-    /// Thread candidates for region verification.
-    pub thread_candidates: &'a [u32],
 }
 
 impl std::fmt::Debug for ExplorationInputs<'_> {
@@ -48,7 +47,6 @@ impl std::fmt::Debug for ExplorationInputs<'_> {
         f.debug_struct("ExplorationInputs")
             .field("model", &self.model)
             .field("best_threads", &self.best_threads)
-            .field("thread_candidates", &self.thread_candidates)
             .finish_non_exhaustive()
     }
 }
@@ -191,7 +189,7 @@ impl SearchStrategy for ModelBasedNeighbourhood {
             phase_candidates: recentre.configs(),
             verification: VerificationRule::Neighbourhood {
                 radius: self.radius,
-                threads: inputs.thread_candidates.to_vec(),
+                threads: vec![inputs.best_threads],
             },
         })
     }
@@ -211,7 +209,7 @@ impl SearchStrategy for ExhaustiveSearch {
     }
 
     fn exploration(&self, inputs: &ExplorationInputs<'_>) -> Result<ExplorationPlan, TuningError> {
-        let space = SearchSpace::full(inputs.thread_candidates.to_vec());
+        let space = SearchSpace::full(vec![inputs.best_threads]);
         Ok(ExplorationPlan {
             predicted_global: None,
             phase_candidates: space.configs(),
@@ -255,7 +253,7 @@ impl SearchStrategy for RandomSearch {
     }
 
     fn exploration(&self, inputs: &ExplorationInputs<'_>) -> Result<ExplorationPlan, TuningError> {
-        let space = SearchSpace::full(inputs.thread_candidates.to_vec());
+        let space = SearchSpace::full(vec![inputs.best_threads]);
         let mut pool = space.configs();
         if pool.is_empty() {
             return Err(TuningError::EmptyCandidates {
@@ -299,7 +297,6 @@ mod tests {
             model,
             phase_rates: &|| rates,
             best_threads: 24,
-            thread_candidates: &[24],
         })
     }
 

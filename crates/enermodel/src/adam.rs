@@ -75,13 +75,6 @@ impl Adam {
         self.t
     }
 
-    /// Continue with a new learning rate, keeping moment estimates and the
-    /// step counter (used for per-epoch learning-rate schedules).
-    pub fn with_learning_rate(mut self, learning_rate: f64) -> Self {
-        self.cfg.learning_rate = learning_rate;
-        self
-    }
-
     /// Apply one Adam update to `net` given gradients `g`: one pass over
     /// the flat parameter, gradient and moment buffers.
     ///

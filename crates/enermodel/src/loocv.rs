@@ -115,7 +115,6 @@ mod tests {
             adam: AdamConfig::default(),
             epochs: 15,
             shuffle_seed: 4,
-            lr_decay: 1.0,
         }
     }
 

@@ -106,9 +106,6 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// Shuffle seed (per-epoch order).
     pub shuffle_seed: u64,
-    /// Multiplicative learning-rate decay applied after every epoch
-    /// (1.0 = constant rate, the paper's setting).
-    pub lr_decay: f64,
 }
 
 impl Default for TrainConfig {
@@ -118,7 +115,6 @@ impl Default for TrainConfig {
             adam: AdamConfig::default(),
             epochs: 5,
             shuffle_seed: 0x5EED,
-            lr_decay: 1.0,
         }
     }
 }
@@ -216,18 +212,13 @@ fn train_epochs(
     );
 
     let mut net = EnergyNet::new(&cfg.net);
-    let mut adam_cfg = cfg.adam;
-    let mut adam = Adam::new(&net, adam_cfg);
+    let mut adam = Adam::new(&net, cfg.adam);
     let mut ws = Workspace::default();
     let mut grads = Gradients::zeros_like(&net);
     let mut order: Vec<usize> = (0..targets.len()).collect();
     let mut rng = StdRng::seed_from_u64(cfg.shuffle_seed);
 
-    for epoch in 0..cfg.epochs {
-        if epoch > 0 && cfg.lr_decay != 1.0 {
-            adam_cfg.learning_rate *= cfg.lr_decay;
-            adam = adam.with_learning_rate(adam_cfg.learning_rate);
-        }
+    for _ in 0..cfg.epochs {
         order.shuffle(&mut rng);
         for &i in &order {
             net.backprop_into(x.row(i), &targets[i..=i], &mut ws, &mut grads);
@@ -269,7 +260,6 @@ mod tests {
             adam: AdamConfig::default(),
             epochs,
             shuffle_seed: 1,
-            lr_decay: 1.0,
         }
     }
 
@@ -373,13 +363,8 @@ mod tests {
         assert_eq!(training_hash(&relu), 0x35a3_d6d3_b113_54a4, "relu");
         let mut cfg = small_cfg(4);
         cfg.net.hidden_activation = Activation::Tanh;
-        cfg.lr_decay = 0.9;
         let tanh = train(&data, &cfg);
-        assert_eq!(
-            training_hash(&tanh),
-            0x6cc6_3818_e461_94f9,
-            "tanh + lr decay"
-        );
+        assert_eq!(training_hash(&tanh), 0x2d24_0fa3_4f62_5cc6, "tanh");
     }
 
     #[test]

@@ -52,9 +52,7 @@
 //!   record plus the per-region energy/time breakdown,
 //! * [`savings`] — default-vs-tuned comparisons including the
 //!   configuration-setting performance reduction and the combined
-//!   DVFS/UFS/Score-P overhead decomposition of Section V-E,
-//! * [`tmm`] — the Tuning Model Manager (file/env loading à la
-//!   `SCOREP_RRL_TMM_PATH`).
+//!   DVFS/UFS/Score-P overhead decomposition of Section V-E.
 //!
 //! ```text
 //! repository.publish(&advice);                   // design-time handoff
@@ -79,7 +77,6 @@ pub mod sacct;
 pub mod savings;
 pub mod service;
 pub mod session;
-pub mod tmm;
 
 pub use cluster::{
     ClusterReport, ClusterScheduler, JobOutcome, JobRejection, OnlineSummary, OnlineTuning,
@@ -93,8 +90,8 @@ pub use net::{
     Stamp, TransportStats,
 };
 pub use online::{
-    ConvergedModel, DriftConfig, DriftDetector, DriftEvent, ModelPublication, OnlineConfig,
-    OnlineOutcome, OnlineTuner,
+    ConvergedModel, DriftDetector, DriftEvent, ModelPublication, OnlineConfig, OnlineOutcome,
+    OnlineTuner,
 };
 pub use repository::{
     MatchPolicy, ModelKey, ModelProvenance, ModelSource, RepositoryHandle, RepositoryStats,
@@ -106,4 +103,3 @@ pub use service::{
     GossipConfig, JobArrival, Percentiles, ReplicationSummary, ServiceConfig, ServiceSummary,
 };
 pub use session::{RegionExit, RuntimeSession};
-pub use tmm::TuningModelManager;

@@ -641,7 +641,7 @@ impl<'a> ReplicaSet<'a> {
     /// [`ReplicaSet::gossip_round`], exposed so the in-loop service can
     /// drive one gossip process event per replica on the kernel. A
     /// crashed (or unknown) replica pumps nothing.
-    pub fn pump_replica(&mut self, id: u32) -> Result<(), NetError> {
+    pub(crate) fn pump_replica(&mut self, id: u32) -> Result<(), NetError> {
         if self.replicas.get(id as usize).is_none_or(|r| r.down) {
             return Ok(());
         }
@@ -688,7 +688,7 @@ impl<'a> ReplicaSet<'a> {
     /// The delivery half of a gossip round: advance the transport one
     /// tick and drain every inbox. Pairs with [`ReplicaSet::pump_replica`]
     /// sweeps to make one full round.
-    pub fn deliver_round(&mut self) -> Result<(), NetError> {
+    pub(crate) fn deliver_round(&mut self) -> Result<(), NetError> {
         self.transport.step();
         self.deliver()
     }
@@ -759,7 +759,7 @@ impl<'a> ReplicaSet<'a> {
 
     /// Whether replica `id` currently holds a replicated entry for the
     /// application.
-    pub fn holds(&self, id: u32, application: &str) -> bool {
+    pub(crate) fn holds(&self, id: u32, application: &str) -> bool {
         self.replicas
             .get(id as usize)
             .is_some_and(|r| r.log.contains_key(application))
@@ -767,7 +767,7 @@ impl<'a> ReplicaSet<'a> {
 
     /// Read-repair candidates for a miss on replica `from`: alive peers
     /// whose log holds the application, in deterministic id order.
-    pub fn repair_candidates(&self, from: u32, application: &str) -> Vec<u32> {
+    pub(crate) fn repair_candidates(&self, from: u32, application: &str) -> Vec<u32> {
         let Some(requester) = self.replicas.get(from as usize) else {
             return Vec::new();
         };
@@ -789,7 +789,7 @@ impl<'a> ReplicaSet<'a> {
     /// to `target`. The reply is an ordinary `PushModels` installed on
     /// delivery, so repaired entries then gossip onward like any other
     /// install.
-    pub fn send_pull(
+    pub(crate) fn send_pull(
         &mut self,
         from: u32,
         target: u32,
@@ -826,7 +826,7 @@ impl<'a> ReplicaSet<'a> {
     }
 
     /// The current virtual transport tick.
-    pub fn ticks(&self) -> u64 {
+    pub(crate) fn ticks(&self) -> u64 {
         self.transport.now()
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! A [`DriftDetector`] is the drift watch of one region: it keeps an EWMA
 //! of the observed/expected energy ratio of the region's live
-//! measurements, and once the smoothed ratio leaves the configured band
+//! measurements, and once the smoothed ratio leaves the band
 //! after a warm-up it fires (latched: once per region until
 //! [`rebase`](DriftDetector::rebase)). The
 //! [`OnlineTuner`](crate::OnlineTuner) keeps one watch per watched region
@@ -18,34 +18,20 @@
 //! records each firing as a named [`DriftEvent`] and re-calibrates the
 //! region in place.
 //!
-//! Thresholds default to 15 %: comfortably above the simulated cluster's
+//! The threshold is 15 %: comfortably above the simulated cluster's
 //! node-to-node power variability (±2.5 % σ) and the ≤ 4 % residual
 //! instrumentation stretch, and comfortably below any workload shift
 //! worth re-tuning for.
 
-/// EWMA parameters for drift detection.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftConfig {
-    /// EWMA smoothing factor in `(0, 1]` — the weight of the newest
-    /// observation.
-    pub alpha: f64,
-    /// Relative deviation of the smoothed observed/expected ratio from
-    /// 1.0 that flags drift.
-    pub threshold: f64,
-    /// Observations of a region before its ratio is trusted (no event can
-    /// fire earlier).
-    pub warmup: u32,
-}
-
-impl Default for DriftConfig {
-    fn default() -> Self {
-        Self {
-            alpha: 0.35,
-            threshold: 0.15,
-            warmup: 3,
-        }
-    }
-}
+/// EWMA smoothing factor in `(0, 1]`: the weight of the newest
+/// observation.
+const ALPHA: f64 = 0.35;
+/// Relative deviation of the smoothed observed/expected ratio from 1.0
+/// that flags drift.
+const THRESHOLD: f64 = 0.15;
+/// Observations of a region before its ratio is trusted (no event can
+/// fire earlier).
+const WARMUP: u32 = 3;
 
 /// One region whose observed energy drifted away from the served model's
 /// expectation.
@@ -85,18 +71,15 @@ impl DriftDetector {
 
     /// Feed one measured region instance. Returns the smoothed ratio when
     /// this observation pushes it out of the band for the first time.
-    pub fn observe(&mut self, cfg: &DriftConfig, observed_j: f64) -> Option<f64> {
+    pub fn observe(&mut self, observed_j: f64) -> Option<f64> {
         let ratio = observed_j / self.expected_j;
         self.ewma = if self.observations == 0 {
             ratio
         } else {
-            cfg.alpha * ratio + (1.0 - cfg.alpha) * self.ewma
+            ALPHA * ratio + (1.0 - ALPHA) * self.ewma
         };
         self.observations += 1;
-        if self.latched
-            || self.observations < cfg.warmup
-            || (self.ewma - 1.0).abs() <= cfg.threshold
-        {
+        if self.latched || self.observations < WARMUP || (self.ewma - 1.0).abs() <= THRESHOLD {
             return None;
         }
         self.latched = true;
@@ -120,19 +103,13 @@ impl DriftDetector {
 mod tests {
     use super::*;
 
-    const CFG: DriftConfig = DriftConfig {
-        alpha: 0.5,
-        threshold: 0.15,
-        warmup: 2,
-    };
-
     #[test]
     fn stationary_observations_never_fire() {
         let mut hot = DriftDetector::new(100.0).unwrap();
         let mut cold = DriftDetector::new(50.0).unwrap();
         for _ in 0..20 {
-            assert!(hot.observe(&CFG, 101.0).is_none());
-            assert!(cold.observe(&CFG, 49.5).is_none());
+            assert!(hot.observe(101.0).is_none());
+            assert!(cold.observe(49.5).is_none());
         }
         assert!((hot.ewma - 1.01).abs() < 1e-9);
     }
@@ -140,39 +117,37 @@ mod tests {
     #[test]
     fn shifted_region_fires_once_after_warmup() {
         let mut hot = DriftDetector::new(100.0).unwrap();
-        assert!(hot.observe(&CFG, 140.0).is_none(), "warm-up");
-        let ratio = hot
-            .observe(&CFG, 140.0)
-            .expect("EWMA of 1.4 is out of band");
+        for _ in 1..WARMUP {
+            assert!(hot.observe(140.0).is_none(), "warm-up");
+        }
+        let ratio = hot.observe(140.0).expect("EWMA of 1.4 is out of band");
         assert!(ratio > 1.15);
         // Latched: further drifted observations do not re-fire.
-        assert!(hot.observe(&CFG, 150.0).is_none());
+        assert!(hot.observe(150.0).is_none());
         assert!(hot.latched);
     }
 
     #[test]
     fn rebase_resets_and_rearms() {
         let mut hot = DriftDetector::new(100.0).unwrap();
-        hot.observe(&CFG, 140.0);
-        hot.observe(&CFG, 140.0);
+        for _ in 0..WARMUP {
+            hot.observe(140.0);
+        }
         assert!(hot.latched);
         hot.rebase(140.0);
         assert!(!hot.latched);
         assert_eq!(hot.expected_j, 140.0);
         // The rebase also reset the observation count: inside the renewed
         // warm-up even a far-out-of-band observation does not fire.
-        assert!(hot.observe(&CFG, 1400.0).is_none(), "warm-up applies again");
+        assert!(hot.observe(1400.0).is_none(), "warm-up applies again");
         hot.rebase(140.0);
         for _ in 0..8 {
-            assert!(
-                hot.observe(&CFG, 140.0).is_none(),
-                "rebased to the new level"
-            );
+            assert!(hot.observe(140.0).is_none(), "rebased to the new level");
         }
         // A second genuine shift fires again — at once, because the eight
         // observations since the rebase completed its warm-up.
         assert!(
-            hot.observe(&CFG, 200.0).is_some(),
+            hot.observe(210.0).is_some(),
             "re-armed region fires on a second shift"
         );
     }

@@ -51,7 +51,7 @@ pub mod drift;
 pub(crate) mod schedule;
 pub mod tuner;
 
-pub use drift::{DriftConfig, DriftDetector, DriftEvent};
+pub use drift::{DriftDetector, DriftEvent};
 pub use schedule::ConvergedModel;
 pub use tuner::{ModelPublication, OnlineOutcome, OnlineTuner};
 
@@ -73,7 +73,7 @@ pub(crate) fn cfg_key(cfg: SystemConfig) -> (u32, u32, u32) {
 /// scenario when it runs longer than the `readex-dyn-detect`
 /// significance threshold
 /// ([`SIGNIFICANCE_THRESHOLD_S`](scorep_lite::dyn_detect::SIGNIFICANCE_THRESHOLD_S)).
-/// Monitoring uses the default [`DriftConfig`], and a fired drift event
+/// Monitoring uses the drift watch's fixed EWMA band, and a fired drift event
 /// always re-explores the region's radius-1 configuration neighbourhood.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OnlineConfig {

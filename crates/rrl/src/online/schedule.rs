@@ -341,14 +341,12 @@ impl<'a> CalibrationSchedule<'a> {
     ) -> Result<(), RuntimeError> {
         let analysis_cfg = SystemConfig::calibration().with_threads(self.best_threads);
         let rates = || ptf::phase_counter_rates(bench, node, analysis_cfg);
-        let thread_candidates = [self.best_threads];
         let plan = self
             .strategy
             .exploration(&ExplorationInputs {
                 model: self.energy_model,
                 phase_rates: &rates,
                 best_threads: self.best_threads,
-                thread_candidates: &thread_candidates,
             })
             .map_err(RuntimeError::Planning)?;
 

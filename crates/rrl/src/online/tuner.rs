@@ -9,7 +9,7 @@ use simnode::{Node, SystemConfig};
 
 use crate::error::RuntimeError;
 use crate::inject::FaultInjector;
-use crate::online::drift::{DriftConfig, DriftDetector, DriftEvent};
+use crate::online::drift::{DriftDetector, DriftEvent};
 use crate::online::schedule::CalibrationSchedule;
 use crate::online::{cfg_key, OnlineConfig};
 use crate::repository::{ModelSource, ServedModel};
@@ -549,9 +549,7 @@ impl MonitorState {
         let Some(watch) = &mut slot.watch else {
             return;
         };
-        let Some(ratio) =
-            watch.observe(&DriftConfig::default(), exit.node_energy_j * drift_scale())
-        else {
+        let Some(ratio) = watch.observe(exit.node_energy_j * drift_scale()) else {
             return;
         };
         let region = &bench.regions[idx].name;

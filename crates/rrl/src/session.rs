@@ -142,8 +142,6 @@ pub struct RuntimeSession<'a> {
     rapl_j: f64,
     instr_overhead_s: f64,
     lookups: u64,
-    distinct_requests: u64,
-    last_requested: Option<SystemConfig>,
     seed: u64,
 }
 
@@ -248,8 +246,6 @@ impl<'a> RuntimeSession<'a> {
             rapl_j: 0.0,
             instr_overhead_s: 0.0,
             lookups: 0,
-            distinct_requests: 0,
-            last_requested: None,
             seed,
         })
     }
@@ -299,11 +295,6 @@ impl<'a> RuntimeSession<'a> {
         &self.model
     }
 
-    /// Configuration currently applied on the node.
-    pub fn current_config(&self) -> SystemConfig {
-        self.pcps.current()
-    }
-
     /// Phase iteration the next region event executes in.
     pub fn phase_iteration(&self) -> u32 {
         self.phase_iter
@@ -320,12 +311,6 @@ impl<'a> RuntimeSession<'a> {
     /// Scenario lookups performed so far.
     pub fn lookups(&self) -> u64 {
         self.lookups
-    }
-
-    /// Lookups that requested a configuration different from the previous
-    /// request (upper bound on hardware switches).
-    pub fn distinct_requests(&self) -> u64 {
-        self.distinct_requests
     }
 
     /// Configuration switches actually performed.
@@ -345,23 +330,6 @@ impl<'a> RuntimeSession<'a> {
     pub fn region_enter(&mut self, region: &str) -> Result<SystemConfig, RuntimeError> {
         let idx = self.resolve_enter(region)?;
         self.region_enter_idx(idx, None)
-    }
-
-    /// Region-enter event with an explicitly requested configuration,
-    /// bypassing the tuning model's scenario lookup — the exploration
-    /// primitive the [`crate::OnlineTuner`] drives candidate measurements
-    /// through. Protocol checks, filtering and switch-latency accounting
-    /// are identical to [`Self::region_enter`]; the request does not count
-    /// as a scenario lookup. The configuration must be applicable on this
-    /// node.
-    pub fn region_enter_at(
-        &mut self,
-        region: &str,
-        config: SystemConfig,
-    ) -> Result<SystemConfig, RuntimeError> {
-        self.check_supported(config)?;
-        let idx = self.resolve_enter(region)?;
-        self.region_enter_idx(idx, Some(config))
     }
 
     /// The region index the name-keyed events resolve `region` to, after
@@ -385,10 +353,14 @@ impl<'a> RuntimeSession<'a> {
         self.slots[idx].first
     }
 
-    /// The one region-enter path, for `bench.regions[idx]`: with an
-    /// `explicit` configuration it is [`Self::region_enter_at`], without
-    /// one [`Self::region_enter`]. Drivers that walk the benchmark's
-    /// regions by index call it directly.
+    /// The one region-enter path, for `bench.regions[idx]`. Without an
+    /// `explicit` configuration it is [`Self::region_enter`]. With one it
+    /// bypasses the tuning model's scenario lookup: the exploration
+    /// primitive the [`crate::OnlineTuner`] drives candidate measurements
+    /// through. Protocol checks, filtering and switch-latency accounting
+    /// are the same either way, but an explicit request does not count as
+    /// a scenario lookup and must be applicable on this node. Drivers that
+    /// walk the benchmark's regions by index call it directly.
     pub(crate) fn region_enter_idx(
         &mut self,
         idx: usize,
@@ -443,10 +415,6 @@ impl<'a> RuntimeSession<'a> {
     /// Drive the node to `desired` through the PCPs, charging the
     /// transition latency to the job's wall time.
     fn switch_to(&mut self, desired: SystemConfig) {
-        if self.last_requested != Some(desired) {
-            self.distinct_requests += 1;
-            self.last_requested = Some(desired);
-        }
         let latency = self.pcps.apply(self.node, desired);
         if latency > 0.0 {
             // The switch stalls execution: wall time only, no power
@@ -753,7 +721,7 @@ mod tests {
         let mut s = RuntimeSession::start("j", &bench, &node, served()).unwrap();
         let cfg = s.region_enter("CalcKinematicsForElems").unwrap();
         assert_eq!(cfg, SystemConfig::new(24, 2400, 2000));
-        assert_eq!(s.current_config(), cfg);
+        assert_eq!(s.pcps.current(), cfg);
         let exit = s.region_exit("CalcKinematicsForElems").unwrap();
         assert_eq!(exit.config, cfg);
         assert!(exit.duration_s > 0.0);
@@ -761,7 +729,6 @@ mod tests {
         let cfg2 = s.region_enter("CalcQForElems").unwrap();
         assert_eq!(cfg2, SystemConfig::new(24, 2500, 2100));
         assert_eq!(s.lookups(), 2);
-        assert_eq!(s.distinct_requests(), 2);
         assert_eq!(s.switches(), 2);
     }
 
@@ -771,9 +738,10 @@ mod tests {
         let node = Node::exact(0);
         let mut s = RuntimeSession::start("j", &bench, &node, served()).unwrap();
         let explored = SystemConfig::new(20, 2100, 1800);
-        let cfg = s.region_enter_at("CalcQForElems", explored).unwrap();
+        let q = s.resolve_enter("CalcQForElems").unwrap();
+        let cfg = s.region_enter_idx(q, Some(explored)).unwrap();
         assert_eq!(cfg, explored);
-        assert_eq!(s.current_config(), explored);
+        assert_eq!(s.pcps.current(), explored);
         let exit = s.region_exit("CalcQForElems").unwrap();
         assert_eq!(exit.config, explored);
         assert_eq!(s.lookups(), 0, "explicit requests are not scenario lookups");
@@ -781,7 +749,7 @@ mod tests {
         // Unsupported explicit requests are rejected before any state
         // changes; the protocol stays intact.
         assert!(matches!(
-            s.region_enter_at("CalcQForElems", SystemConfig::new(48, 2100, 1800)),
+            s.region_enter_idx(q, Some(SystemConfig::new(48, 2100, 1800))),
             Err(RuntimeError::UnsupportedConfig { .. })
         ));
         s.region_enter("CalcQForElems").unwrap();

@@ -45,11 +45,6 @@ macro_rules! freq_impl {
             pub fn hz(self) -> f64 {
                 self.0 as f64 * 1e6
             }
-
-            /// Construct from GHz (rounded to the nearest MHz).
-            pub fn from_ghz(ghz: f64) -> Self {
-                Self((ghz * 1000.0).round() as u32)
-            }
         }
 
         impl std::fmt::Display for $ty {
@@ -184,8 +179,6 @@ mod tests {
         let f = CoreFreq(2500);
         assert_eq!(f.ghz(), 2.5);
         assert_eq!(f.hz(), 2.5e9);
-        assert_eq!(CoreFreq::from_ghz(2.5), f);
-        assert_eq!(UncoreFreq::from_ghz(1.35).mhz(), 1350);
         assert_eq!(format!("{}", UncoreFreq(1700)), "1.7GHz");
     }
 

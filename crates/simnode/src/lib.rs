@@ -19,8 +19,9 @@
 //!   multiplexing limits,
 //! * [`exec`] — the roofline/overlap execution engine mapping (workload,
 //!   configuration, node) to time, counters and energy,
-//! * [`hdeem`] / [`rapl`] — the two energy sensors used in Section V
-//!   (node-level FPGA sampling and socket-level RAPL),
+//! * [`hdeem`] — the node-level FPGA energy sensor of Section V (the
+//!   RAPL CPU energy is each [`RegionRun`]'s `cpu_energy_j`, the package
+//!   share of its power),
 //! * [`msr`] — an `x86_adapt`-style register interface through which
 //!   frequency changes are applied,
 //! * [`node`] / [`cluster`] — node instances with power variability.
@@ -42,7 +43,6 @@ pub mod msr;
 pub mod node;
 pub mod papi;
 pub mod power;
-pub mod rapl;
 pub mod topology;
 pub mod volt;
 
@@ -56,5 +56,4 @@ pub use msr::MsrBank;
 pub use node::Node;
 pub use papi::{CounterSet, CounterValues, PapiCounter};
 pub use power::{PowerBreakdown, PowerModel};
-pub use rapl::RaplCounter;
 pub use topology::Topology;

@@ -11,8 +11,9 @@
 //!   fixes the uncore frequency, exactly what the `uncore_freq` plugin
 //!   does.
 //!
-//! Writes are counted so transition-latency overhead can be accounted for
-//! (21 µs per core write, 20 µs per socket write — Section V-E).
+//! A frequency sweep returns its transition latency so the caller can
+//! account the overhead (21 µs per core write, 20 µs per socket write —
+//! Section V-E).
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -56,8 +57,6 @@ impl std::error::Error for MsrError {}
 struct MsrState {
     perf_ctl: Vec<u64>,
     uncore_ratio: Vec<u64>,
-    core_writes: u64,
-    socket_writes: u64,
 }
 
 /// The per-node register bank.
@@ -74,8 +73,6 @@ impl MsrBank {
         let state = MsrState {
             perf_ctl: vec![Self::encode_perf_ctl(2500); topo.total_cores() as usize],
             uncore_ratio: vec![Self::encode_uncore(3000, 3000); topo.sockets as usize],
-            core_writes: 0,
-            socket_writes: 0,
         };
         Self {
             topo,
@@ -140,9 +137,7 @@ impl MsrBank {
         }
     }
 
-    /// Write an MSR; counts the write for latency accounting. Writing the
-    /// value already present still costs a write (the hardware does not
-    /// dedupe requests).
+    /// Write an MSR.
     pub fn write(&self, unit: u32, addr: u32, value: u64) -> Result<(), MsrError> {
         let mut st = self.state();
         match addr {
@@ -156,7 +151,6 @@ impl MsrBank {
                         available: n,
                     })?;
                 *slot = value;
-                st.core_writes += 1;
                 Ok(())
             }
             MSR_UNCORE_RATIO_LIMIT => {
@@ -169,7 +163,6 @@ impl MsrBank {
                         available: n,
                     })?;
                 *slot = value;
-                st.socket_writes += 1;
                 Ok(())
             }
             other => Err(MsrError::UnknownRegister(other)),
@@ -181,20 +174,17 @@ impl MsrBank {
     /// proceed in parallel across cores, so the cost is one core latency,
     /// and the caller decides how to account it.
     pub fn set_all_core_mhz(&self, mhz: u32) -> f64 {
-        // One lock for the whole sweep: a write per core, counted as such,
-        // without a lock round trip per core.
-        let mut st = self.state();
-        st.perf_ctl.fill(Self::encode_perf_ctl(mhz));
-        st.core_writes += st.perf_ctl.len() as u64;
+        // One lock for the whole sweep, not a lock round trip per core.
+        self.state().perf_ctl.fill(Self::encode_perf_ctl(mhz));
         CORE_TRANSITION_LATENCY_S
     }
 
     /// Pin the uncore frequency on all sockets. Returns the transition
     /// latency incurred (per-socket writes overlap).
     pub fn set_all_uncore_mhz(&self, mhz: u32) -> f64 {
-        let mut st = self.state();
-        st.uncore_ratio.fill(Self::encode_uncore(mhz, mhz));
-        st.socket_writes += st.uncore_ratio.len() as u64;
+        self.state()
+            .uncore_ratio
+            .fill(Self::encode_uncore(mhz, mhz));
         UNCORE_TRANSITION_LATENCY_S
     }
 
@@ -211,12 +201,6 @@ impl MsrBank {
                 .expect("socket 0 exists"),
         )
         .0
-    }
-
-    /// `(core_writes, socket_writes)` performed so far.
-    pub fn write_counts(&self) -> (u64, u64) {
-        let st = self.state();
-        (st.core_writes, st.socket_writes)
     }
 }
 
@@ -268,16 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn write_counts_accumulate() {
-        let b = bank();
-        b.set_all_core_mhz(2000);
-        b.set_all_uncore_mhz(2000);
-        let (c, s) = b.write_counts();
-        assert_eq!(c, 24);
-        assert_eq!(s, 2);
-    }
-
-    #[test]
     fn bad_unit_and_register_errors() {
         let b = bank();
         assert!(matches!(
@@ -308,7 +282,13 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let (c, _) = b.write_counts();
-        assert_eq!(c, 8 * 100 * 24);
+        // Each sweep holds the lock throughout, so no two sweeps interleave:
+        // every core ends on the ratio of the last sweep.
+        let last = b.core_mhz();
+        assert!((0..8u32).any(|i| last == 1200 + (i % 14) * 100), "{last}");
+        for core in 0..24 {
+            let mhz = MsrBank::decode_perf_ctl(b.read(core, IA32_PERF_CTL).unwrap());
+            assert_eq!(mhz, last, "core {core}");
+        }
     }
 }

@@ -184,11 +184,6 @@ impl PapiCounter {
         use PapiCounter::*;
         [BrNtk, LdIns, L2Icr, BrMsp, ResStl, SrIns, L2Dcr]
     }
-
-    /// Look up a preset by its `PAPI_*` name.
-    pub fn from_name(name: &str) -> Option<PapiCounter> {
-        Self::all().iter().copied().find(|c| c.name() == name)
-    }
 }
 
 /// A set of PAPI presets: what one measurement records.
@@ -440,9 +435,7 @@ mod tests {
     fn index_round_trips() {
         for (i, &c) in PapiCounter::all().iter().enumerate() {
             assert_eq!(c.index(), i);
-            assert_eq!(PapiCounter::from_name(c.name()), Some(c));
         }
-        assert_eq!(PapiCounter::from_name("PAPI_NOPE"), None);
     }
 
     #[test]

@@ -52,9 +52,10 @@ use crate::scenario::Scenario;
 /// One violated invariant.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Violation {
-    /// A replay line did not parse.
+    /// A replay line did not parse, or a job of it names a workload the
+    /// line does not carry.
     Malformed {
-        /// Parse error detail.
+        /// Parse or validation error detail.
         detail: String,
     },
     /// An event loop refused the scenario outright.
@@ -194,6 +195,15 @@ impl fmt::Display for Failure {
 
 impl std::error::Error for Failure {}
 
+/// Bit identity of two values through their `Debug` renderings. f64's
+/// `Debug` round-trips exactly, renders every NaN alike and keeps the
+/// sign of zero, so unlike `==` this holds for NaN against NaN (a 0/0
+/// saving computed identically in both runs) and fails for 0.0 against
+/// −0.0.
+pub(crate) fn bit_identical<T: std::fmt::Debug + ?Sized>(a: &T, b: &T) -> bool {
+    format!("{a:?}") == format!("{b:?}")
+}
+
 fn fail(scenario: &Scenario, violation: Violation) -> Box<Failure> {
     Box::new(Failure {
         violation,
@@ -279,7 +289,7 @@ fn event_core(scenario: &Scenario, run: &ScenarioRun) -> Result<(), Violation> {
 
     macro_rules! field {
         ($name:expr, $sweep:expr, $event:expr) => {
-            if $sweep != $event {
+            if !bit_identical(&$sweep, &$event) {
                 return Err(Violation::EventCore {
                     detail: format!(
                         "{} diverged: sweep {:?} vs event loop {:?}",
@@ -387,7 +397,7 @@ fn observability(run: &ScenarioRun) -> Result<(), Violation> {
     }
     let mut stripped = recorded.clone();
     stripped.telemetry = None;
-    if *plain != stripped {
+    if !bit_identical(plain, &stripped) {
         return Err(Violation::Observability {
             detail: format!(
                 "recording perturbed the service summary: unrecorded {plain:?} vs \
@@ -398,7 +408,7 @@ fn observability(run: &ScenarioRun) -> Result<(), Violation> {
 
     macro_rules! field {
         ($name:expr, $plain:expr, $recorded:expr) => {
-            if $plain != $recorded {
+            if !bit_identical(&$plain, &$recorded) {
                 return Err(Violation::Observability {
                     detail: format!(
                         "{} diverged under recording: unrecorded {:?} vs recorded {:?}",
@@ -619,5 +629,13 @@ mod tests {
         };
         let text = f.to_string();
         assert!(text.contains("testkit::replay(r#\"{}\"#)"), "{text}");
+    }
+
+    #[test]
+    fn bit_identity_equates_nan_and_separates_signed_zeros() {
+        assert!(bit_identical(&f64::NAN, &f64::NAN));
+        assert!(!bit_identical(&0.0f64, &-0.0f64));
+        assert!(bit_identical(&[1.5f64, f64::NAN], &[1.5f64, f64::NAN]));
+        assert!(!bit_identical(&1.0f64, &1.0000000000000002f64));
     }
 }

@@ -22,7 +22,7 @@ use rrl::{
 };
 use simnode::Cluster;
 
-use crate::invariants::Violation;
+use crate::invariants::{bit_identical, Violation};
 use crate::scenario::{NetPlan, Scenario, StoredEntry};
 
 /// Both loops' results for one scenario.
@@ -138,17 +138,7 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, Violation> {
 
     let sequential = {
         let mut repo = scenario.build_repository_from(&entries);
-        let mut sched = ClusterScheduler::new(&fleet).map_err(|e| run_error("sequential", e))?;
-        if let Some(strategy) = strategy.as_ref() {
-            sched = sched.with_online(OnlineTuning {
-                strategy,
-                energy_model: None,
-                config: OnlineConfig::default(),
-            });
-        }
-        if !scenario.faults.is_empty() {
-            sched = sched.with_faults(&scenario.faults);
-        }
+        let mut sched = scheduler("sequential", scenario, &fleet, strategy.as_ref(), None)?;
         for job in &scenario.jobs {
             sched.submit(
                 job.name.clone(),
@@ -186,7 +176,7 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, Violation> {
         let timeline = registry.deterministic_timeline();
         let reruns_match = timeline == rerun_registry.deterministic_timeline()
             && registry.snapshot().deterministic() == rerun_registry.snapshot().deterministic()
-            && report.service == rerun.service;
+            && bit_identical(&report.service, &rerun.service);
         ObservedServiceRun {
             report,
             timeline,
@@ -253,31 +243,8 @@ fn run_service_once(
     recorder: Option<&dyn Recorder>,
 ) -> Result<ClusterReport, Violation> {
     let mut repo = scenario.build_repository_from(entries);
-    let mut sched = ClusterScheduler::new(fleet).map_err(|e| run_error("service", e))?;
-    if let Some(strategy) = strategy {
-        sched = sched.with_online(OnlineTuning {
-            strategy,
-            energy_model: None,
-            config: OnlineConfig::default(),
-        });
-    }
-    if !scenario.faults.is_empty() {
-        sched = sched.with_faults(&scenario.faults);
-    }
-    if let Some(recorder) = recorder {
-        sched = sched.with_recorder(recorder);
-    }
-    let trace: Vec<JobArrival> = scenario
-        .jobs
-        .iter()
-        .map(|job| JobArrival {
-            name: job.name.clone(),
-            bench: scenario.workloads[job.workload].bench.clone(),
-            arrival_s: job.arrival_s,
-        })
-        .collect();
-    sched
-        .run_service(trace, &mut repo, &ServiceConfig::default())
+    scheduler("service", scenario, fleet, strategy, recorder)?
+        .run_service(arrivals(scenario), &mut repo, &ServiceConfig::default())
         .map_err(|e| run_error("service", e))
 }
 
@@ -296,40 +263,14 @@ fn run_replicated_once(
     strategy: Option<&RandomSearch>,
 ) -> Result<ReplicatedState, Violation> {
     let fleet = scenario.build_fleet();
-    let replicas = plan.replicas.max(2);
-    let config = ReplicaConfig {
-        capacity: scenario.repository.capacity,
-        fallback: scenario.repository.fallback,
-        ..ReplicaConfig::default()
-    };
-    let mut set = ReplicaSet::new(replicas, config).with_faults(plan);
-
-    // Pre-stored entries are published on replica 0 only — reaching the
-    // rest of the set is the sync layer's job, under the plan's faults.
-    for entry in scenario.stored_entries() {
-        set.replica_mut(0).expect("replica 0 exists").publish_model(
-            &entry.bench,
-            &entry.model,
-            entry.expected.clone().unwrap_or_default(),
-        );
-    }
+    let (replicas, mut set) = seeded_replica_set(scenario, plan);
 
     // Job i runs against replica i mod N, through the ordinary
     // scheduler event loop (online calibrations publish *locally*, so
     // cold workloads whose jobs land on different replicas produce the
     // concurrent-publication conflicts reconciliation must resolve).
     for replica in 0..replicas {
-        let mut sched = ClusterScheduler::new(&fleet).map_err(|e| run_error("replicated", e))?;
-        if let Some(strategy) = strategy {
-            sched = sched.with_online(OnlineTuning {
-                strategy,
-                energy_model: None,
-                config: OnlineConfig::default(),
-            });
-        }
-        if !scenario.faults.is_empty() {
-            sched = sched.with_faults(&scenario.faults);
-        }
+        let mut sched = scheduler("replicated", scenario, &fleet, strategy, None)?;
         for (i, job) in scenario.jobs.iter().enumerate() {
             if i as u32 % replicas == replica {
                 sched.submit(
@@ -374,51 +315,21 @@ fn run_inloop_once(
     strategy: Option<&RandomSearch>,
 ) -> Result<InloopState, Violation> {
     let fleet = scenario.build_fleet();
-    let replicas = plan.replicas.max(2);
-    let config = ReplicaConfig {
-        capacity: scenario.repository.capacity,
-        fallback: scenario.repository.fallback,
-        ..ReplicaConfig::default()
-    };
-    let mut set = ReplicaSet::new(replicas, config).with_faults(plan);
-
-    // Pre-stored entries are published on replica 0 only, exactly like
-    // the batch replicated run: spreading them is the gossip loop's job,
-    // this time *while* the trace is being served.
-    for entry in scenario.stored_entries() {
-        set.replica_mut(0).expect("replica 0 exists").publish_model(
-            &entry.bench,
-            &entry.model,
-            entry.expected.clone().unwrap_or_default(),
-        );
-    }
-
-    let mut sched = ClusterScheduler::new(&fleet).map_err(|e| run_error("in-loop", e))?;
-    if let Some(strategy) = strategy {
-        sched = sched.with_online(OnlineTuning {
-            strategy,
-            energy_model: None,
-            config: OnlineConfig::default(),
-        });
-    }
-    if !scenario.faults.is_empty() {
-        sched = sched.with_faults(&scenario.faults);
-    }
-    let trace: Vec<JobArrival> = scenario
-        .jobs
-        .iter()
-        .map(|job| JobArrival {
-            name: job.name.clone(),
-            bench: scenario.workloads[job.workload].bench.clone(),
-            arrival_s: job.arrival_s,
-        })
-        .collect();
+    // Stored entries start on replica 0 only, exactly like the batch
+    // replicated run: spreading them is the gossip loop's job, this time
+    // *while* the trace is being served.
+    let (replicas, mut set) = seeded_replica_set(scenario, plan);
     let gossip = GossipConfig {
         cadence_us: plan.gossip_cadence_us,
         read_repair: plan.read_repair,
     };
-    let report = sched
-        .run_service_replicated(trace, &mut set, &gossip, &ServiceConfig::default())
+    let report = scheduler("in-loop", scenario, &fleet, strategy, None)?
+        .run_service_replicated(
+            arrivals(scenario),
+            &mut set,
+            &gossip,
+            &ServiceConfig::default(),
+        )
         .map_err(|e| run_error("in-loop", e))?;
 
     // The batch oracle: if in-loop anti-entropy really quiesced the set,
@@ -453,11 +364,78 @@ fn inloop_runs_match(a: &InloopState, b: &InloopState) -> bool {
         && a.0.jobs.iter().zip(&b.0.jobs).all(|(x, y)| {
             x.job == y.job
                 && x.node_id == y.node_id
-                && x.accounting == y.accounting
-                && x.savings == y.savings
+                && bit_identical(&x.accounting, &y.accounting)
+                && bit_identical(&x.savings, &y.savings)
                 && x.published_version == y.published_version
                 && x.rejection == y.rejection
                 && x.aborted_at == y.aborted_at
         });
-    jobs_match && a.0.service == b.0.service && a.1 == b.1 && a.2 == b.2 && a.3 == b.3
+    jobs_match
+        && bit_identical(&a.0.service, &b.0.service)
+        && a.1 == b.1
+        && a.2 == b.2
+        && a.3 == b.3
+}
+
+/// The scheduler every run of the scenario drives: the fleet, online
+/// tuning when the scenario attaches it, the fault plan when it injects
+/// anything, and the recorder when one is given. `loop_name` labels a
+/// refusal.
+fn scheduler<'a>(
+    loop_name: &'static str,
+    scenario: &'a Scenario,
+    fleet: &'a Cluster,
+    strategy: Option<&'a RandomSearch>,
+    recorder: Option<&'a dyn Recorder>,
+) -> Result<ClusterScheduler<'a>, Violation> {
+    let mut sched = ClusterScheduler::new(fleet).map_err(|e| run_error(loop_name, e))?;
+    if let Some(strategy) = strategy {
+        sched = sched.with_online(OnlineTuning {
+            strategy,
+            energy_model: None,
+            config: OnlineConfig::default(),
+        });
+    }
+    if !scenario.faults.is_empty() {
+        sched = sched.with_faults(&scenario.faults);
+    }
+    if let Some(recorder) = recorder {
+        sched = sched.with_recorder(recorder);
+    }
+    Ok(sched)
+}
+
+/// The scenario's jobs as a timestamped arrival trace.
+fn arrivals(scenario: &Scenario) -> Vec<JobArrival> {
+    scenario
+        .jobs
+        .iter()
+        .map(|job| JobArrival {
+            name: job.name.clone(),
+            bench: scenario.workloads[job.workload].bench.clone(),
+            arrival_s: job.arrival_s,
+        })
+        .collect()
+}
+
+/// The plan's replica set (at least two replicas) under its network
+/// faults, with the pre-stored entries published on replica 0 only:
+/// reaching the rest of the set is the sync layer's job. Returns the
+/// replica count with the set.
+fn seeded_replica_set<'p>(scenario: &Scenario, plan: &'p NetPlan) -> (u32, ReplicaSet<'p>) {
+    let replicas = plan.replicas.max(2);
+    let config = ReplicaConfig {
+        capacity: scenario.repository.capacity,
+        fallback: scenario.repository.fallback,
+        ..ReplicaConfig::default()
+    };
+    let mut set = ReplicaSet::new(replicas, config).with_faults(plan);
+    for entry in scenario.stored_entries() {
+        set.replica_mut(0).expect("replica 0 exists").publish_model(
+            &entry.bench,
+            &entry.model,
+            entry.expected.clone().unwrap_or_default(),
+        );
+    }
+    (replicas, set)
 }

@@ -474,9 +474,25 @@ impl Scenario {
         serde_json::to_string(self).expect("scenario serialises")
     }
 
-    /// Parse a replay string produced by [`Scenario::to_replay`].
+    /// Parse a replay string produced by [`Scenario::to_replay`]. A line
+    /// whose job names a workload the scenario does not have is rejected,
+    /// naming the job.
     pub fn from_replay(line: &str) -> Result<Self, String> {
-        serde_json::from_str(line.trim()).map_err(|e| format!("unparseable replay line: {e}"))
+        let scenario: Self = serde_json::from_str(line.trim())
+            .map_err(|e| format!("unparseable replay line: {e}"))?;
+        if let Some(job) = scenario
+            .jobs
+            .iter()
+            .find(|job| job.workload >= scenario.workloads.len())
+        {
+            return Err(format!(
+                "job `{}` names workload {}, but the scenario has {} workload(s)",
+                job.name,
+                job.workload,
+                scenario.workloads.len()
+            ));
+        }
+        Ok(scenario)
     }
 }
 

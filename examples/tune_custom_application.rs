@@ -12,8 +12,8 @@
 //! the `SCOREP_RRL_TMM_PATH`-style file interface.
 
 use dvfs_ufs_tuning::kernels::{BenchmarkSpec, ProgrammingModel, RegionSpec, Suite};
-use dvfs_ufs_tuning::ptf::{EnergyModel, TuningSession};
-use dvfs_ufs_tuning::rrl::{ModelSource, RuntimeSession, Savings, ServedModel, TuningModelManager};
+use dvfs_ufs_tuning::ptf::{EnergyModel, TuningModel, TuningSession};
+use dvfs_ufs_tuning::rrl::{ModelSource, RuntimeSession, Savings, ServedModel};
 use dvfs_ufs_tuning::simnode::{Node, RegionCharacter, SystemConfig};
 
 fn main() {
@@ -73,14 +73,15 @@ fn main() {
     let path = std::env::temp_dir().join("my-cfd-app.tm.json");
     std::fs::write(&path, advice.tuning_model.to_json()).expect("write tuning model");
     println!("\ntuning model written to {}", path.display());
-    let tmm = TuningModelManager::from_path(&path).expect("reload tuning model");
+    let json = std::fs::read_to_string(&path).expect("read tuning model back");
+    let loaded = TuningModel::from_json(&json).expect("reload tuning model");
 
     // Compare default vs dynamic through the event-driven runtime API.
     let default =
         RuntimeSession::static_run("cfd-default", &app, &node, SystemConfig::taurus_default())
             .expect("static run succeeds");
     let served = ServedModel {
-        model: tmm.model().clone(),
+        model: loaded,
         source: ModelSource::Repository,
         provenance: None,
     };

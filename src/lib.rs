@@ -32,7 +32,7 @@
 //! ```
 //!
 //! Batches of applications share a memoising experiment cache through
-//! `ptf::BatchDriver`, and the frequency search is pluggable via
+//! `SessionBuilder::with_cache`, and the frequency search is pluggable via
 //! `ptf::SearchStrategy` (model-based, exhaustive, random).
 
 #![warn(missing_docs)]

@@ -3,7 +3,7 @@
 
 use dvfs_ufs_tuning::kernels;
 use dvfs_ufs_tuning::ptf::{EnergyModel, TuningModel, TuningSession};
-use dvfs_ufs_tuning::rrl::{ModelSource, RuntimeSession, Savings, ServedModel, TuningModelManager};
+use dvfs_ufs_tuning::rrl::{ModelSource, RuntimeSession, Savings, ServedModel};
 use dvfs_ufs_tuning::scorep_lite::{InstrumentationConfig, InstrumentedApp};
 use dvfs_ufs_tuning::simnode::{Node, SystemConfig};
 
@@ -34,15 +34,16 @@ fn dta_to_rrl_round_trip_via_tuning_model_file() {
     let path = dir.join("minimd.tm.json");
     std::fs::write(&path, advice.tuning_model.to_json()).unwrap();
 
-    // Production: load through the TMM (the SCOREP_RRL_TMM_PATH path) and
+    // Production: load the file (the SCOREP_RRL_TMM_PATH format) and
     // serve it to an event-driven runtime session.
-    let tmm = TuningModelManager::from_path(&path).expect("tuning model loads");
-    assert_eq!(tmm.model().application, "miniMD");
+    let json = std::fs::read_to_string(&path).expect("tuning model file reads");
+    let loaded = TuningModel::from_json(&json).expect("tuning model parses");
+    assert_eq!(loaded.application, "miniMD");
     let default =
         RuntimeSession::static_run("default", &bench, &node, SystemConfig::taurus_default())
             .expect("static run succeeds");
     let served = ServedModel {
-        model: tmm.model().clone(),
+        model: loaded,
         source: ModelSource::Repository,
         provenance: None,
     };

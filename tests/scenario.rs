@@ -6,7 +6,7 @@
 //! path.
 
 use dvfs_ufs_tuning::rrl::ModelSource;
-use testkit::{GeneratorConfig, Scenario, ScenarioGenerator};
+use testkit::{GeneratorConfig, Scenario, ScenarioGenerator, Violation};
 
 /// Satellite 1 — the PR 4 property loop, beyond uniform fleets: for
 /// 3 seeds × {16, 96} jobs, a generated scenario (heterogeneous
@@ -349,4 +349,54 @@ fn replay_line_with_a_shards_key_still_parses_and_runs() {
     let run = testkit::replay(PRE_STRIPE_RETIREMENT_REPLAY).unwrap_or_else(|f| panic!("{f}"));
     assert_eq!(run.sequential.jobs.len(), 2);
     assert_eq!(run.service.jobs.len(), 2);
+}
+
+/// A job naming a workload the line does not carry is a malformed line,
+/// not an index panic in the runner.
+#[test]
+fn replay_line_naming_a_missing_workload_is_malformed() {
+    let first_job = r#"{"arrival_s":128.15728511607935,"name":"j0-w0","workload":0}"#;
+    assert!(PRE_STRIPE_RETIREMENT_REPLAY.contains(first_job));
+    let line = PRE_STRIPE_RETIREMENT_REPLAY.replacen(
+        first_job,
+        &first_job.replace(r#""workload":0"#, r#""workload":7"#),
+        1,
+    );
+    let failure = testkit::replay(&line).expect_err("out-of-range workload");
+    match &failure.violation {
+        Violation::Malformed { detail } => {
+            assert!(detail.contains("j0-w0"), "names the job: {detail}");
+        }
+        other => panic!("expected a malformed line, got {other}"),
+    }
+}
+
+/// A line whose workload runs no phase iteration: every job's savings are
+/// 0/0 = NaN in every run, which the bit-identity invariants must accept.
+#[test]
+fn replay_line_with_zero_phase_iterations_passes_the_catalog() {
+    assert!(PRE_STRIPE_RETIREMENT_REPLAY.contains(r#""phase_iterations":29"#));
+    let line =
+        PRE_STRIPE_RETIREMENT_REPLAY.replace(r#""phase_iterations":29"#, r#""phase_iterations":0"#);
+    let run = testkit::replay(&line).unwrap_or_else(|f| panic!("{f}"));
+    assert_eq!(run.sequential.jobs.len(), 2);
+    assert!(run.sequential.jobs[0].savings.job_energy_pct.is_nan());
+}
+
+/// The same for a workload with no regions.
+#[test]
+fn replay_line_with_no_regions_passes_the_catalog() {
+    let start = PRE_STRIPE_RETIREMENT_REPLAY
+        .find(r#""regions":["#)
+        .expect("regions key");
+    let end = PRE_STRIPE_RETIREMENT_REPLAY
+        .find(r#"],"suite""#)
+        .expect("suite key");
+    let line = format!(
+        "{}\"regions\":[{}",
+        &PRE_STRIPE_RETIREMENT_REPLAY[..start],
+        &PRE_STRIPE_RETIREMENT_REPLAY[end..]
+    );
+    let run = testkit::replay(&line).unwrap_or_else(|f| panic!("{f}"));
+    assert_eq!(run.sequential.jobs.len(), 2);
 }

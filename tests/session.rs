@@ -1,10 +1,12 @@
 //! Integration tests for the staged `TuningSession` API: every tuning
 //! objective driven end to end, all three search strategies, and the
-//! batch driver's cache transparency property.
+//! cache transparency of a batch of sessions sharing one experiment cache.
+
+use std::cell::RefCell;
 
 use dvfs_ufs_tuning::kernels;
 use dvfs_ufs_tuning::ptf::{
-    BatchDriver, EnergyModel, ExhaustiveSearch, RandomSearch, TuningError, TuningObjective,
+    EnergyModel, ExhaustiveSearch, ExperimentCache, RandomSearch, TuningError, TuningObjective,
     TuningSession,
 };
 use dvfs_ufs_tuning::simnode::Node;
@@ -125,10 +127,13 @@ fn batch_driver_is_cache_transparent_for_every_objective() {
             .with_objective(obj)
             .run(&bench)
             .expect("uncached session");
-        let driver = BatchDriver::new(&node)
+        let cache = RefCell::new(ExperimentCache::new());
+        let cached = TuningSession::builder(&node)
             .with_model(&model)
-            .with_objective(obj);
-        let cached = driver.tune(&bench).expect("cached session");
+            .with_objective(obj)
+            .with_cache(&cache)
+            .run(&bench)
+            .expect("cached session");
         assert_eq!(uncached.tuning_model, cached.tuning_model, "{}", obj.name());
         assert_eq!(uncached.phase_best, cached.phase_best);
         for ((na, ca, ea), (nb, cb, eb)) in uncached.region_best.iter().zip(&cached.region_best) {
@@ -148,16 +153,22 @@ fn batch_driver_saves_work_on_resubmission() {
     let node = Node::exact(0);
     let model = model(&node);
     let bench = kernels::benchmark("BEM4I").unwrap();
-    let driver = BatchDriver::new(&node).with_model(&model);
-    let first = driver.tune(&bench).expect("first tune");
-    let second = driver.tune(&bench).expect("second tune");
+    let cache = RefCell::new(ExperimentCache::new());
+    let tune = || {
+        TuningSession::builder(&node)
+            .with_model(&model)
+            .with_cache(&cache)
+            .run(&bench)
+    };
+    let first = tune().expect("first tune");
+    let second = tune().expect("second tune");
     assert!(first.engine_runs > 0);
     assert_eq!(
         second.engine_runs, 0,
         "resubmission must be fully cache-served"
     );
     assert_eq!(first.tuning_model, second.tuning_model);
-    assert!(driver.cache_stats().hits >= first.engine_requests);
+    assert!(cache.borrow().stats().hits >= first.engine_requests);
 }
 
 #[test]
