@@ -9,29 +9,24 @@
 //! [`ExhaustiveSearch`](crate::session::ExhaustiveSearch) strategy.
 
 use kernels::BenchmarkSpec;
-use simnode::{ExecutionEngine, Node, SystemConfig};
+use simnode::{Node, SystemConfig};
 
+use crate::experiments::ExperimentsEngine;
 use crate::objectives::TuningObjective;
 use crate::search::SearchSpace;
 
-/// Exhaustively find the best whole-application (static) configuration.
+/// Exhaustively find the best whole-application (static) configuration
+/// and its score.
 pub fn search_static(
     bench: &BenchmarkSpec,
     node: &Node,
     space: &SearchSpace,
     objective: TuningObjective,
 ) -> (SystemConfig, f64) {
-    let engine = ExecutionEngine::new();
-    let phase = bench.phase_character();
-    space
-        .configs()
-        .iter()
-        .map(|cfg| {
-            let run = engine.run_region(&phase, cfg, node);
-            (*cfg, objective.score(run.node_energy_j, run.duration_s))
-        })
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("nonempty search space")
+    let (cfg, m) = ExperimentsEngine::new(node)
+        .try_best_for_region(&bench.phase_character(), &space.configs(), objective)
+        .expect("nonempty search space");
+    (cfg, m.score(objective))
 }
 
 /// Tuning time of the exhaustive per-region approach: `n · k · l · m · t`

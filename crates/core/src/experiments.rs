@@ -19,6 +19,7 @@
 //! simulations that actually ran.
 
 use std::cell::RefCell;
+use std::ops::AddAssign;
 
 use kernels::BenchmarkSpec;
 use simnode::{ExecutionEngine, Node, RegionCharacter, SystemConfig};
@@ -26,8 +27,9 @@ use simnode::{ExecutionEngine, Node, RegionCharacter, SystemConfig};
 use crate::objectives::TuningObjective;
 use crate::session::{ExperimentCache, TuningError};
 
-/// One experiment's measurement.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One experiment's measurement; measurements of several runs add up
+/// field by field.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Measurement {
     /// Node energy, joules.
     pub node_energy_j: f64,
@@ -42,6 +44,14 @@ impl Measurement {
     /// objective).
     pub fn score(&self, objective: TuningObjective) -> f64 {
         objective.score(self.node_energy_j, self.duration_s)
+    }
+}
+
+impl AddAssign for Measurement {
+    fn add_assign(&mut self, other: Self) {
+        self.node_energy_j += other.node_energy_j;
+        self.cpu_energy_j += other.cpu_energy_j;
+        self.duration_s += other.duration_s;
     }
 }
 
@@ -116,38 +126,23 @@ impl<'a> ExperimentsEngine<'a> {
     /// Evaluate a whole phase iteration of `bench` under `cfg`: the sum
     /// of its regions' measurements.
     pub fn evaluate_phase(&mut self, bench: &BenchmarkSpec, cfg: &SystemConfig) -> Measurement {
-        let mut total = Measurement {
-            node_energy_j: 0.0,
-            cpu_energy_j: 0.0,
-            duration_s: 0.0,
-        };
+        let mut total = Measurement::default();
         for r in &bench.regions {
-            let m = self.evaluate(&r.character, cfg);
-            total.node_energy_j += m.node_energy_j;
-            total.cpu_energy_j += m.cpu_energy_j;
-            total.duration_s += m.duration_s;
+            total += self.evaluate(&r.character, cfg);
         }
         total
     }
 
-    /// Among `configs`, the one minimising `objective` on region `c`,
-    /// with its measurement. Errors on an empty candidate set.
+    /// Among `configs`, the one [`TuningObjective::best`] picks on region
+    /// `c`, with its measurement. Errors on an empty candidate set.
     pub fn try_best_for_region(
         &mut self,
         c: &RegionCharacter,
         configs: &[SystemConfig],
         objective: TuningObjective,
     ) -> Result<(SystemConfig, Measurement), TuningError> {
-        let mut best: Option<(SystemConfig, Measurement, f64)> = None;
-        for cfg in configs {
-            let m = self.evaluate(c, cfg);
-            let s = m.score(objective);
-            match best {
-                Some((_, _, bs)) if bs <= s => {}
-                _ => best = Some((*cfg, m, s)),
-            }
-        }
-        best.map(|(cfg, m, _)| (cfg, m))
+        objective
+            .best(configs.iter().map(|cfg| (*cfg, self.evaluate(c, cfg))))
             .ok_or(TuningError::EmptyCandidates {
                 stage: "region verification",
             })

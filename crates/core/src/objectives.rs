@@ -3,8 +3,16 @@
 //! The paper tunes for node energy; EDP, ED²P and TCO are named as
 //! alternative objectives (Sections II and VI). All four are implemented —
 //! the extension the conclusion asks for.
+//!
+//! Every tuning step measures candidate configurations and keeps the best
+//! one: the thread search, the phase search and the per-region
+//! verification, at design time and online. [`TuningObjective::best`] is
+//! the one rule they all rank by.
 
 use serde::{Deserialize, Serialize};
+use simnode::SystemConfig;
+
+use crate::experiments::Measurement;
 
 /// An objective maps a measured `(energy, time)` pair to a score to be
 /// *minimised*.
@@ -34,6 +42,21 @@ impl TuningObjective {
             TuningObjective::Ed2p => energy_j * time_s * time_s,
             TuningObjective::Tco { rate_j_per_s } => energy_j + rate_j_per_s * time_s,
         }
+    }
+
+    /// The measured configuration with the least score, `None` when
+    /// nothing was measured. A tie goes to the smaller configuration
+    /// (threads, then core, then uncore), so the choice does not depend on
+    /// the order the candidates were measured in.
+    pub fn best(
+        &self,
+        measured: impl IntoIterator<Item = (SystemConfig, Measurement)>,
+    ) -> Option<(SystemConfig, Measurement)> {
+        measured.into_iter().min_by(|(ca, ma), (cb, mb)| {
+            ma.score(*self)
+                .total_cmp(&mb.score(*self))
+                .then_with(|| ca.cmp(cb))
+        })
     }
 
     /// Human-readable name.
@@ -70,6 +93,46 @@ mod tests {
         let (eb, tb) = (90.0, 2.0);
         assert!(TuningObjective::Energy.score(eb, tb) < TuningObjective::Energy.score(ea, ta));
         assert!(TuningObjective::Edp.score(ea, ta) < TuningObjective::Edp.score(eb, tb));
+    }
+
+    fn measured(energy_j: f64, duration_s: f64) -> Measurement {
+        Measurement {
+            node_energy_j: energy_j,
+            cpu_energy_j: 0.0,
+            duration_s,
+        }
+    }
+
+    #[test]
+    fn best_breaks_ties_on_the_smaller_configuration() {
+        let small = SystemConfig::new(24, 2000, 1500);
+        let large = SystemConfig::new(24, 2000, 1600);
+        let tied = measured(50.0, 1.0);
+        let worse = (SystemConfig::new(12, 1200, 1300), measured(60.0, 1.0));
+        for candidates in [
+            vec![(large, tied), worse, (small, tied)],
+            vec![(small, tied), (large, tied), worse],
+            vec![worse, (large, tied), (small, tied)],
+        ] {
+            let (cfg, m) = TuningObjective::Energy.best(candidates).unwrap();
+            assert_eq!(cfg, small);
+            assert_eq!(m, tied);
+        }
+    }
+
+    #[test]
+    fn best_of_nothing_is_none() {
+        assert_eq!(TuningObjective::Edp.best([]), None);
+    }
+
+    #[test]
+    fn best_follows_the_objective() {
+        // A: 100 J in 1 s, B: 90 J in 2 s — energy keeps B, EDP keeps A.
+        let a = SystemConfig::new(24, 2500, 2000);
+        let b = SystemConfig::new(24, 1800, 1500);
+        let measured = [(a, measured(100.0, 1.0)), (b, measured(90.0, 2.0))];
+        assert_eq!(TuningObjective::Energy.best(measured).unwrap().0, b);
+        assert_eq!(TuningObjective::Edp.best(measured).unwrap().0, a);
     }
 
     #[test]

@@ -56,12 +56,11 @@ impl std::fmt::Debug for ExplorationInputs<'_> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VerificationRule {
     /// Verify regions against the immediate neighbourhood of the measured
-    /// phase best (the paper's Section III-C reduction).
+    /// phase best, at its thread count (the paper's Section III-C
+    /// reduction).
     Neighbourhood {
         /// Verification radius around the measured phase best.
         radius: u32,
-        /// Thread candidates spanned by the verification grid.
-        threads: Vec<u32>,
     },
     /// Verify regions against the phase candidates themselves (exhaustive
     /// and random search measure one pool for both purposes).
@@ -88,8 +87,8 @@ impl ExplorationPlan {
     /// The verification set for a measured phase best.
     pub fn verification_for(&self, phase_best: SystemConfig) -> Vec<SystemConfig> {
         match &self.verification {
-            VerificationRule::Neighbourhood { radius, threads } => {
-                SearchSpace::neighbourhood(phase_best, *radius, threads.clone()).configs()
+            VerificationRule::Neighbourhood { radius } => {
+                SearchSpace::neighbourhood(phase_best, *radius, vec![phase_best.threads]).configs()
             }
             VerificationRule::ReusePhaseCandidates => self.phase_candidates.clone(),
         }
@@ -100,9 +99,9 @@ impl ExplorationPlan {
     /// consumer must reserve before the phase best is known.
     pub fn max_extra_verification(&self) -> usize {
         match &self.verification {
-            VerificationRule::Neighbourhood { radius, threads } => {
+            VerificationRule::Neighbourhood { radius } => {
                 let side = (2 * *radius + 1) as usize;
-                side * side * threads.len()
+                side * side
             }
             VerificationRule::ReusePhaseCandidates => 0,
         }
@@ -189,7 +188,6 @@ impl SearchStrategy for ModelBasedNeighbourhood {
             phase_candidates: recentre.configs(),
             verification: VerificationRule::Neighbourhood {
                 radius: self.radius,
-                threads: vec![inputs.best_threads],
             },
         })
     }
@@ -356,10 +354,7 @@ mod tests {
         let plan = ExplorationPlan {
             predicted_global: None,
             phase_candidates: vec![SystemConfig::new(24, 2400, 1700)],
-            verification: VerificationRule::Neighbourhood {
-                radius: 1,
-                threads: vec![24],
-            },
+            verification: VerificationRule::Neighbourhood { radius: 1 },
         };
         assert_eq!(plan.max_extra_verification(), 9);
         let verify = plan.verification_for(SystemConfig::new(24, 2400, 1700));

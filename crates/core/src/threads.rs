@@ -49,21 +49,23 @@ pub fn tune_threads_with(
         });
     }
 
-    let mut sweep = Vec::with_capacity(candidates.len());
-    for &t in &candidates {
-        let cfg = SystemConfig::calibration().with_threads(t);
-        let m = engine.evaluate_phase(bench, &cfg);
-        sweep.push((t, m.score(objective)));
-    }
-    let best_threads = sweep
+    let measured: Vec<_> = candidates
         .iter()
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("candidates checked non-empty above")
-        .0;
+        .map(|&t| {
+            let cfg = SystemConfig::calibration().with_threads(t);
+            (cfg, engine.evaluate_phase(bench, &cfg))
+        })
+        .collect();
+    let (best, _) = objective
+        .best(measured.iter().copied())
+        .expect("candidates checked non-empty above");
     Ok(ThreadTuning {
-        best_threads,
-        experiments: sweep.len() as u64,
-        sweep,
+        best_threads: best.threads,
+        sweep: measured
+            .iter()
+            .map(|(cfg, m)| (cfg.threads, m.score(objective)))
+            .collect(),
+        experiments: measured.len() as u64,
     })
 }
 

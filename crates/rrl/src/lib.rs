@@ -82,16 +82,13 @@ pub use cluster::{
     ClusterReport, ClusterScheduler, JobOutcome, JobRejection, OnlineSummary, OnlineTuning,
 };
 pub use error::RuntimeError;
-pub use inject::{
-    ChurnEvent, ChurnKind, FaultInjector, NoFaults, ReplicaChurnEvent, ReplicaChurnKind,
-};
+pub use inject::{ChurnEvent, ChurnKind, FaultInjector, ReplicaChurnEvent, ReplicaChurnKind};
 pub use net::{
     ConvergeCulprit, ConvergeReport, NetError, Replica, ReplicaConfig, ReplicaSet, SimTransport,
     Stamp, TransportStats,
 };
 pub use online::{
-    ConvergedModel, DriftDetector, DriftEvent, ModelPublication, OnlineConfig, OnlineOutcome,
-    OnlineTuner,
+    DriftDetector, DriftEvent, ModelPublication, OnlineConfig, OnlineOutcome, OnlineTuner,
 };
 pub use repository::{
     MatchPolicy, ModelKey, ModelProvenance, ModelSource, RepositoryHandle, RepositoryStats,

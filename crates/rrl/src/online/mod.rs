@@ -32,8 +32,14 @@
 //!   resolve to slots once, when the job starts, and names appear again
 //!   only in the [`DriftEvent`]s and the re-publication.
 //! * `schedule` (internal) — the calibration stage machine (thread sweep
-//!   → analysis → phase search → verification → exploit), surfaced as
-//!   [`ConvergedModel`].
+//!   → analysis → phase search → verification → exploit), whose
+//!   converged model is the calibration's [`ModelPublication`].
+//!
+//! Every measured choice — the thread sweep, the phase search, each
+//! region's verification and a drift-flagged region's re-calibration — is
+//! ranked by [`TuningObjective::best`], the rule the design-time session
+//! ranks by, so ties go to the smaller configuration on both paths. The
+//! candidates measured one per visit run through one `Sweep` (internal).
 //!
 //! ```text
 //! match repo.serve_stored(&bench)? {
@@ -52,17 +58,46 @@ pub(crate) mod schedule;
 pub mod tuner;
 
 pub use drift::{DriftDetector, DriftEvent};
-pub use schedule::ConvergedModel;
 pub use tuner::{ModelPublication, OnlineOutcome, OnlineTuner};
 
+use ptf::experiments::Measurement;
 use ptf::TuningObjective;
 use simnode::SystemConfig;
 
-/// Stable ordering key for a configuration (threads, core MHz, uncore
-/// MHz) — the deterministic, exploration-order-independent tie-break
-/// every online argmin uses.
-pub(crate) fn cfg_key(cfg: SystemConfig) -> (u32, u32, u32) {
-    (cfg.threads, cfg.core.mhz(), cfg.uncore.mhz())
+/// Candidate configurations measured one after another, one measurement
+/// each, and ranked by [`TuningObjective::best`] once all are measured.
+struct Sweep {
+    candidates: Vec<SystemConfig>,
+    measured: Vec<(SystemConfig, Measurement)>,
+}
+
+impl Sweep {
+    /// A sweep over `candidates`, which must not be empty.
+    fn new(candidates: Vec<SystemConfig>) -> Self {
+        Self {
+            measured: Vec::with_capacity(candidates.len()),
+            candidates,
+        }
+    }
+
+    /// The candidate the next measurement runs under.
+    fn current(&self) -> SystemConfig {
+        self.candidates[self.measured.len()]
+    }
+
+    /// Record the current candidate's measurement; once every candidate
+    /// is measured, the best of them under `objective`.
+    fn record(
+        &mut self,
+        measurement: Measurement,
+        objective: TuningObjective,
+    ) -> Option<(SystemConfig, Measurement)> {
+        self.measured.push((self.current(), measurement));
+        if self.measured.len() < self.candidates.len() {
+            return None;
+        }
+        objective.best(self.measured.iter().copied())
+    }
 }
 
 /// Settings for online calibration.

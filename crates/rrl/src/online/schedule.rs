@@ -23,20 +23,25 @@
 //!
 //! Convergence picks, per significant region (observed mean time above
 //! the `readex-dyn-detect` threshold in the analysis iteration), the
-//! verification configuration minimising the tuning objective on that
-//! region's own measurements. Ties break on the configuration key, so the
-//! result is independent of exploration order. On the energy objective
-//! this selects exactly the configurations the design-time analysis
-//! selects for the same strategy, pool and seed (the measurement bases
-//! differ only by the uniform per-region instrumentation stretch, which
-//! preserves per-region ordering); the *phase* configuration may sit a
-//! grid step from the design-time one because the runtime can only
-//! measure the phase as the sum of its regions, not as the aggregate
-//! phase character.
+//! verification configuration [`TuningObjective::best`] ranks first on
+//! that region's own measurements. Ties go to the smaller configuration,
+//! as at design time, so the result is independent of exploration order.
+//! On the energy objective this selects exactly the configurations the
+//! design-time analysis selects for the same strategy, pool and seed (the
+//! measurement bases differ only by the uniform per-region
+//! instrumentation stretch, which preserves per-region ordering); the
+//! *phase* configuration may sit a grid step from the design-time one
+//! because the runtime can only measure the phase as the sum of its
+//! regions, not as the aggregate phase character.
+//!
+//! Each exploring stage is one `Sweep` over its candidates, ranked by the
+//! same rule on whole-iteration totals: the thread sweep picks the best
+//! thread count and the phase search the phase best.
 
 use std::collections::BTreeMap;
 
 use kernels::{splitmix64, BenchmarkSpec};
+use ptf::experiments::Measurement;
 use ptf::{
     EnergyModel, ExplorationInputs, ExplorationPlan, SearchStrategy, TuningModel, TuningObjective,
 };
@@ -44,7 +49,7 @@ use scorep_lite::dyn_detect::SIGNIFICANCE_THRESHOLD_S;
 use simnode::{Node, SystemConfig};
 
 use crate::error::RuntimeError;
-use crate::online::cfg_key as key;
+use crate::online::{ModelPublication, Sweep};
 use crate::session::RegionExit;
 
 /// Lower bound of the OpenMP thread sweep ladder (paper: 12).
@@ -53,38 +58,12 @@ const THREAD_LOWER_BOUND: u32 = 12;
 /// Step of the thread sweep ladder (paper: 4).
 const THREAD_STEP: u32 = 4;
 
-/// Stable per-config map key — see [`crate::online::cfg_key`].
-type CfgKey = (u32, u32, u32);
-
-/// Accumulated measurement of one region under one configuration.
-#[derive(Debug, Clone, Copy, Default)]
-struct Observation {
-    energy_j: f64,
-    duration_s: f64,
-}
-
-/// What a finished calibration hands back for publication.
-#[derive(Debug, Clone)]
-pub struct ConvergedModel {
-    /// The converged tuning model.
-    pub model: TuningModel,
-    /// Per significant region: measured node energy per instance at the
-    /// converged configuration — the drift expectations for future jobs.
-    pub expected: Vec<(String, f64)>,
-}
-
-#[derive(Debug)]
 enum Stage {
-    Threads {
-        idx: usize,
-    },
+    Threads(Sweep),
     Analysis,
-    Phase {
-        idx: usize,
-    },
-    Verify {
-        idx: usize,
-    },
+    /// The phase search, with the plan its verification set follows from.
+    Phase(Sweep, ExplorationPlan),
+    Verify(Sweep),
     Exploit,
     /// Exploration planning failed (budget exhausted or the strategy
     /// rejected the analysis inputs). Terminal: the job keeps running at
@@ -100,25 +79,17 @@ pub(crate) struct CalibrationSchedule<'a> {
     seed: u64,
     stage: Stage,
     explored_iterations: u32,
-    thread_candidates: Vec<u32>,
-    /// `(threads, phase energy, phase duration)` per sweep point.
-    thread_sweep: Vec<(u32, f64, f64)>,
     best_threads: u32,
     /// Per-region measurements from the analysis iteration.
-    analysis: Vec<Observation>,
-    plan: Option<ExplorationPlan>,
-    phase_candidates: Vec<SystemConfig>,
-    /// `(energy, duration)` totals per phase candidate.
-    phase_totals: Vec<(f64, f64)>,
+    analysis: Vec<Measurement>,
     phase_best: SystemConfig,
     verification: Vec<SystemConfig>,
-    extras: Vec<SystemConfig>,
-    /// Per-(region, config) accumulated measurements.
-    observations: BTreeMap<(usize, CfgKey), Observation>,
-    /// Running totals of the current iteration.
-    iter_energy_j: f64,
-    iter_duration_s: f64,
-    converged: Option<ConvergedModel>,
+    /// Per-(region, config) accumulated measurements of the phase search
+    /// and the verification.
+    observations: BTreeMap<(usize, SystemConfig), Measurement>,
+    /// Running total of the current iteration.
+    iteration: Measurement,
+    converged: Option<ModelPublication>,
     /// The converged model's configuration per region, by region index.
     exploit: Vec<SystemConfig>,
 }
@@ -135,22 +106,19 @@ impl<'a> CalibrationSchedule<'a> {
         objective: TuningObjective,
         seed: u64,
     ) -> Result<Self, RuntimeError> {
-        let thread_candidates: Vec<u32> = if bench.model.tunable_threads() {
-            let max = node.topology().max_threads();
-            let mut t = THREAD_LOWER_BOUND;
-            let mut out = Vec::new();
-            while t <= max {
-                out.push(t);
-                t += THREAD_STEP;
-            }
-            if out.is_empty() {
-                out.push(max);
-            }
-            out
+        // A benchmark that is not thread-tunable, or a node below the
+        // ladder's lower bound, sweeps its full core count alone.
+        let max = node.topology().max_threads();
+        let lowest = if bench.model.tunable_threads() {
+            THREAD_LOWER_BOUND.min(max)
         } else {
-            vec![node.topology().max_threads()]
+            max
         };
-        let needed = thread_candidates.len() as u32 + 2;
+        let threads: Vec<SystemConfig> = (lowest..=max)
+            .step_by(THREAD_STEP as usize)
+            .map(|t| SystemConfig::calibration().with_threads(t))
+            .collect();
+        let needed = threads.len() as u32 + 2;
         if needed > bench.phase_iterations {
             return Err(RuntimeError::ExplorationBudget {
                 application: bench.name.clone(),
@@ -158,27 +126,19 @@ impl<'a> CalibrationSchedule<'a> {
                 available: bench.phase_iterations,
             });
         }
-        let regions = bench.regions.len();
         Ok(Self {
             strategy,
             energy_model,
             objective,
             seed,
-            stage: Stage::Threads { idx: 0 },
+            stage: Stage::Threads(Sweep::new(threads)),
             explored_iterations: 0,
-            thread_candidates,
-            thread_sweep: Vec::new(),
             best_threads: 0,
-            analysis: vec![Observation::default(); regions],
-            plan: None,
-            phase_candidates: Vec::new(),
-            phase_totals: Vec::new(),
+            analysis: vec![Measurement::default(); bench.regions.len()],
             phase_best: SystemConfig::taurus_default(),
             verification: Vec::new(),
-            extras: Vec::new(),
             observations: BTreeMap::new(),
-            iter_energy_j: 0.0,
-            iter_duration_s: 0.0,
+            iteration: Measurement::default(),
             converged: None,
             exploit: Vec::new(),
         })
@@ -187,10 +147,10 @@ impl<'a> CalibrationSchedule<'a> {
     /// Stage name for progress reporting.
     pub(crate) fn stage_name(&self) -> &'static str {
         match self.stage {
-            Stage::Threads { .. } => "thread-sweep",
+            Stage::Threads(_) => "thread-sweep",
             Stage::Analysis => "analysis",
-            Stage::Phase { .. } => "phase-search",
-            Stage::Verify { .. } => "verification",
+            Stage::Phase(..) => "phase-search",
+            Stage::Verify(_) => "verification",
             Stage::Exploit => "exploit",
             Stage::Abandoned => "abandoned",
         }
@@ -207,7 +167,7 @@ impl<'a> CalibrationSchedule<'a> {
     }
 
     /// The converged model, once the exploit stage is reached.
-    pub(crate) fn converged(&self) -> Option<&ConvergedModel> {
+    pub(crate) fn converged(&self) -> Option<&ModelPublication> {
         self.converged.as_ref()
     }
 
@@ -215,16 +175,15 @@ impl<'a> CalibrationSchedule<'a> {
     /// iteration.
     pub(crate) fn config_for(&self, idx: usize) -> SystemConfig {
         match &self.stage {
-            Stage::Threads { idx: t } => {
-                SystemConfig::calibration().with_threads(self.thread_candidates[*t])
+            Stage::Threads(sweep) | Stage::Phase(sweep, _) | Stage::Verify(sweep) => {
+                sweep.current()
             }
-            Stage::Analysis => SystemConfig::calibration().with_threads(self.best_threads),
-            Stage::Phase { idx: c } => self.phase_candidates[*c],
-            Stage::Verify { idx: c } => self.extras[*c],
             Stage::Exploit => self.exploit[idx],
-            // Planning failed: degrade to a static run at the analysis
-            // configuration (a safe, node-supported operating point).
-            Stage::Abandoned => SystemConfig::calibration().with_threads(self.best_threads),
+            // The analysis configuration; a failed plan degrades to a
+            // static run there (a safe, node-supported operating point).
+            Stage::Analysis | Stage::Abandoned => {
+                SystemConfig::calibration().with_threads(self.best_threads)
+            }
         }
     }
 
@@ -234,25 +193,18 @@ impl<'a> CalibrationSchedule<'a> {
         if exit.filtered {
             return;
         }
-        self.iter_energy_j += exit.node_energy_j;
-        self.iter_duration_s += exit.duration_s;
-        let under = match &self.stage {
-            Stage::Analysis => {
-                let obs = &mut self.analysis[region_idx];
-                obs.energy_j += exit.node_energy_j;
-                obs.duration_s += exit.duration_s;
-                return;
+        let measurement = Measurement::from(exit);
+        self.iteration += measurement;
+        match &self.stage {
+            Stage::Analysis => self.analysis[region_idx] += measurement,
+            Stage::Phase(sweep, _) | Stage::Verify(sweep) => {
+                *self
+                    .observations
+                    .entry((region_idx, sweep.current()))
+                    .or_default() += measurement;
             }
-            Stage::Phase { idx } => self.phase_candidates[*idx],
-            Stage::Verify { idx } => self.extras[*idx],
-            Stage::Threads { .. } | Stage::Exploit | Stage::Abandoned => return,
-        };
-        let obs = self
-            .observations
-            .entry((region_idx, key(under)))
-            .or_default();
-        obs.energy_j += exit.node_energy_j;
-        obs.duration_s += exit.duration_s;
+            Stage::Threads(_) | Stage::Exploit | Stage::Abandoned => {}
+        }
     }
 
     /// Advance the stage machine at a phase-complete event.
@@ -261,71 +213,42 @@ impl<'a> CalibrationSchedule<'a> {
         bench: &BenchmarkSpec,
         node: &Node,
     ) -> Result<(), RuntimeError> {
-        let (iter_e, iter_d) = (self.iter_energy_j, self.iter_duration_s);
-        self.iter_energy_j = 0.0;
-        self.iter_duration_s = 0.0;
+        let total = std::mem::take(&mut self.iteration);
         if self.is_exploring() {
             self.explored_iterations += 1;
         }
+        let objective = self.objective;
         self.stage = match std::mem::replace(&mut self.stage, Stage::Exploit) {
-            Stage::Threads { mut idx } => {
-                self.thread_sweep
-                    .push((self.thread_candidates[idx], iter_e, iter_d));
-                idx += 1;
-                if idx == self.thread_candidates.len() {
-                    let objective = self.objective;
-                    self.best_threads = self
-                        .thread_sweep
-                        .iter()
-                        .min_by(|a, b| {
-                            objective
-                                .score(a.1, a.2)
-                                .total_cmp(&objective.score(b.1, b.2))
-                        })
-                        .expect("thread sweep is nonempty")
-                        .0;
+            Stage::Threads(mut sweep) => match sweep.record(total, objective) {
+                Some((best, _)) => {
+                    self.best_threads = best.threads;
                     Stage::Analysis
-                } else {
-                    Stage::Threads { idx }
                 }
-            }
+                None => Stage::Threads(sweep),
+            },
             // A planning failure must not corrupt the machine: the
             // schedule transitions to the terminal `Abandoned` stage, the
             // error surfaces once, and the session stays fully drivable
             // (panic-free) as a degraded static run.
-            Stage::Analysis => match self.enter_phase_search(bench, node) {
-                Ok(()) => Stage::Phase { idx: 0 },
+            Stage::Analysis => match self.phase_search(bench, node) {
+                Ok((sweep, plan)) => Stage::Phase(sweep, plan),
                 Err(e) => {
                     self.stage = Stage::Abandoned;
                     return Err(e);
                 }
             },
-            Stage::Phase { mut idx } => {
-                self.phase_totals.push((iter_e, iter_d));
-                idx += 1;
-                if idx == self.phase_candidates.len() {
-                    self.enter_verification(node);
-                    if self.extras.is_empty() {
-                        self.converge(bench);
-                        Stage::Exploit
-                    } else {
-                        Stage::Verify { idx: 0 }
-                    }
-                } else {
-                    Stage::Phase { idx }
+            Stage::Phase(mut sweep, plan) => match sweep.record(total, objective) {
+                Some((best, _)) => {
+                    self.phase_best = best;
+                    self.verify(bench, node, &plan, &sweep.candidates)
                 }
-            }
-            Stage::Verify { mut idx } => {
-                idx += 1;
-                if idx == self.extras.len() {
-                    self.converge(bench);
-                    Stage::Exploit
-                } else {
-                    Stage::Verify { idx }
-                }
-            }
-            Stage::Exploit => Stage::Exploit,
-            Stage::Abandoned => Stage::Abandoned,
+                None => Stage::Phase(sweep, plan),
+            },
+            Stage::Verify(mut sweep) => match sweep.record(total, objective) {
+                Some(_) => self.converge(bench),
+                None => Stage::Verify(sweep),
+            },
+            stage @ (Stage::Exploit | Stage::Abandoned) => stage,
         };
         Ok(())
     }
@@ -334,11 +257,11 @@ impl<'a> CalibrationSchedule<'a> {
     /// plan, and check the budget against the worst-case remaining
     /// exploration cost. The phase counter rates are measured only if the
     /// strategy reads them.
-    fn enter_phase_search(
-        &mut self,
+    fn phase_search(
+        &self,
         bench: &BenchmarkSpec,
         node: &Node,
-    ) -> Result<(), RuntimeError> {
+    ) -> Result<(Sweep, ExplorationPlan), RuntimeError> {
         let analysis_cfg = SystemConfig::calibration().with_threads(self.best_threads);
         let rates = || ptf::phase_counter_rates(bench, node, analysis_cfg);
         let plan = self
@@ -378,46 +301,41 @@ impl<'a> CalibrationSchedule<'a> {
         let mut state = self.seed;
         let offset = (splitmix64(&mut state) % candidates.len() as u64) as usize;
         candidates.rotate_left(offset);
-        self.plan = Some(plan);
-        self.phase_candidates = candidates;
-        Ok(())
+        Ok((Sweep::new(candidates), plan))
     }
 
-    /// Phase search finished: pick the phase best and derive the extra
-    /// verification configurations that still need measuring.
-    fn enter_verification(&mut self, node: &Node) {
-        let objective = self.objective;
-        self.phase_best = self
-            .phase_candidates
-            .iter()
-            .zip(&self.phase_totals)
-            .min_by(|(ca, (ea, da)), (cb, (eb, db))| {
-                objective
-                    .score(*ea, *da)
-                    .total_cmp(&objective.score(*eb, *db))
-                    .then_with(|| key(**ca).cmp(&key(**cb)))
-            })
-            .map(|(c, _)| *c)
-            .expect("phase candidates are nonempty");
-        let plan = self.plan.as_ref().expect("plan built before phase search");
+    /// Phase search finished at `self.phase_best`: derive the verification
+    /// set and sweep the configurations the phase search did not already
+    /// measure, or converge at once when there are none.
+    fn verify(
+        &mut self,
+        bench: &BenchmarkSpec,
+        node: &Node,
+        plan: &ExplorationPlan,
+        measured: &[SystemConfig],
+    ) -> Stage {
         self.verification = plan
             .verification_for(self.phase_best)
             .into_iter()
             .filter(|c| node.supports(c))
             .collect();
-        let measured: Vec<CfgKey> = self.phase_candidates.iter().map(|c| key(*c)).collect();
-        self.extras = self
+        let extras: Vec<SystemConfig> = self
             .verification
             .iter()
             .copied()
-            .filter(|c| !measured.contains(&key(*c)))
+            .filter(|c| !measured.contains(c))
             .collect();
+        if extras.is_empty() {
+            self.converge(bench)
+        } else {
+            Stage::Verify(Sweep::new(extras))
+        }
     }
 
     /// All verification configurations measured: converge each
-    /// significant region to its best configuration and build the model.
-    fn converge(&mut self, bench: &BenchmarkSpec) {
-        let objective = self.objective;
+    /// significant region to its best configuration, build the model and
+    /// enter the exploit stage.
+    fn converge(&mut self, bench: &BenchmarkSpec) -> Stage {
         // Significant regions in observed-weight order, heaviest first —
         // the same ordering `readex-dyn-detect` hands the design-time
         // session.
@@ -433,23 +351,13 @@ impl<'a> CalibrationSchedule<'a> {
         let mut pairs = Vec::with_capacity(significant.len());
         let mut expected = Vec::with_capacity(significant.len());
         for &i in &significant {
-            let best = self
+            let measured = self
                 .verification
                 .iter()
-                .filter_map(|c| {
-                    self.observations
-                        .get(&(i, key(*c)))
-                        .map(|obs| (*c, obs.energy_j, obs.duration_s))
-                })
-                .min_by(|(ca, ea, da), (cb, eb, db)| {
-                    objective
-                        .score(*ea, *da)
-                        .total_cmp(&objective.score(*eb, *db))
-                        .then_with(|| key(*ca).cmp(&key(*cb)))
-                });
-            if let Some((cfg, energy, _)) = best {
+                .filter_map(|c| self.observations.get(&(i, *c)).map(|m| (*c, *m)));
+            if let Some((cfg, m)) = self.objective.best(measured) {
                 pairs.push((bench.regions[i].name.clone(), cfg));
-                expected.push((bench.regions[i].name.clone(), energy));
+                expected.push((bench.regions[i].name.clone(), m.node_energy_j));
             }
         }
         let model = TuningModel::new(&bench.name, &pairs, self.phase_best);
@@ -458,6 +366,7 @@ impl<'a> CalibrationSchedule<'a> {
             .iter()
             .map(|r| model.lookup(&r.name))
             .collect();
-        self.converged = Some(ConvergedModel { model, expected });
+        self.converged = Some(ModelPublication { model, expected });
+        Stage::Exploit
     }
 }

@@ -4,6 +4,7 @@
 //! model, watch for drift, re-calibrate drifted regions in place).
 
 use kernels::BenchmarkSpec;
+use ptf::experiments::Measurement;
 use ptf::{EnergyModel, SearchSpace, SearchStrategy, TuningModel, TuningObjective};
 use simnode::{Node, SystemConfig};
 
@@ -11,7 +12,7 @@ use crate::error::RuntimeError;
 use crate::inject::FaultInjector;
 use crate::online::drift::{DriftDetector, DriftEvent};
 use crate::online::schedule::CalibrationSchedule;
-use crate::online::{cfg_key, OnlineConfig};
+use crate::online::{OnlineConfig, Sweep};
 use crate::repository::{ModelSource, ServedModel};
 use crate::sacct::{JobAccounting, OnlineActivity};
 use crate::session::{RegionExit, RuntimeSession};
@@ -20,14 +21,16 @@ use crate::session::{RegionExit, RuntimeSession};
 /// current configuration.
 const RECALIBRATION_RADIUS: u32 = 1;
 
-/// A converged model ready for
-/// [`TuningModelRepository::publish_online`](crate::TuningModelRepository::publish_online).
+/// A learned model ready for
+/// [`TuningModelRepository::publish_online`](crate::TuningModelRepository::publish_online):
+/// a calibration's converged model, or a served model with re-calibrated
+/// regions patched in.
 #[derive(Debug, Clone)]
 pub struct ModelPublication {
     /// The model to store.
     pub model: TuningModel,
-    /// Per-region drift expectations measured at the converged
-    /// configurations.
+    /// Per-region drift expectations: measured node energy per instance at
+    /// the converged configurations.
     pub expected: Vec<(String, f64)>,
 }
 
@@ -55,11 +58,7 @@ enum RegionAdapt {
     Serving,
     /// Scoped re-exploration in progress: the region's next visits run
     /// the candidate neighbourhood in order.
-    Recalibrating {
-        candidates: Vec<SystemConfig>,
-        next: usize,
-        observed: Vec<(SystemConfig, f64, f64)>,
-    },
+    Recalibrating(Sweep),
     /// Re-exploration done: the region runs (and is published at) the new
     /// configuration.
     Converged {
@@ -86,6 +85,8 @@ struct MonitorState {
     events: Vec<DriftEvent>,
     refusals: u32,
     recalibrated: u32,
+    /// What a re-calibration minimises.
+    objective: TuningObjective,
 }
 
 enum Mode<'a> {
@@ -106,7 +107,6 @@ enum Mode<'a> {
 pub struct OnlineTuner<'a> {
     session: RuntimeSession<'a>,
     mode: Mode<'a>,
-    objective: TuningObjective,
     faults: Option<&'a dyn FaultInjector>,
 }
 
@@ -173,7 +173,6 @@ impl<'a> OnlineTuner<'a> {
         Ok(Self {
             session,
             mode: Mode::Calibrate(Box::new(schedule)),
-            objective: config.objective,
             faults,
         })
     }
@@ -240,8 +239,8 @@ impl<'a> OnlineTuner<'a> {
                 events: Vec::new(),
                 refusals: 0,
                 recalibrated: 0,
+                objective: config.objective,
             })),
-            objective: config.objective,
             faults,
         })
     }
@@ -290,7 +289,7 @@ impl<'a> OnlineTuner<'a> {
             Mode::Monitor(state) => state
                 .slots
                 .iter()
-                .any(|s| matches!(s.adapt, RegionAdapt::Recalibrating { .. })),
+                .any(|s| matches!(s.adapt, RegionAdapt::Recalibrating(_))),
         }
     }
 
@@ -327,9 +326,7 @@ impl<'a> OnlineTuner<'a> {
             Mode::Calibrate(schedule) => Some(schedule.config_for(idx)),
             Mode::Monitor(state) => match &state.slots[self.session.region_of(idx)].adapt {
                 RegionAdapt::Serving => None,
-                RegionAdapt::Recalibrating {
-                    candidates, next, ..
-                } => Some(candidates[*next]),
+                RegionAdapt::Recalibrating(sweep) => Some(sweep.current()),
                 RegionAdapt::Converged { config, .. } => Some(*config),
             },
         };
@@ -369,7 +366,6 @@ impl<'a> OnlineTuner<'a> {
                     bench,
                     self.session.node(),
                     self.session.model(),
-                    self.objective,
                 );
             }
         }
@@ -443,10 +439,7 @@ impl<'a> OnlineTuner<'a> {
     pub fn finish(self) -> Result<OnlineOutcome, RuntimeError> {
         let (activity, publication, drift_events, refusals) = match self.mode {
             Mode::Calibrate(schedule) => {
-                let publication = schedule.converged().map(|c| ModelPublication {
-                    model: c.model.clone(),
-                    expected: c.expected.clone(),
-                });
+                let publication = schedule.converged().cloned();
                 (
                     OnlineActivity {
                         explored_iterations: schedule.explored_iterations(),
@@ -508,38 +501,20 @@ impl MonitorState {
         bench: &BenchmarkSpec,
         node: &Node,
         model: &TuningModel,
-        objective: TuningObjective,
     ) {
         if exit.filtered {
             return;
         }
         let slot = &mut self.slots[idx];
-        if let RegionAdapt::Recalibrating {
-            candidates,
-            next,
-            observed,
-        } = &mut slot.adapt
-        {
-            observed.push((candidates[*next], exit.node_energy_j, exit.duration_s));
-            *next += 1;
-            if *next == candidates.len() {
-                let (config, energy, _) = observed
-                    .iter()
-                    .min_by(|(ca, ea, da), (cb, eb, db)| {
-                        objective
-                            .score(*ea, *da)
-                            .total_cmp(&objective.score(*eb, *db))
-                            .then_with(|| cfg_key(*ca).cmp(&cfg_key(*cb)))
-                    })
-                    .copied()
-                    .expect("recalibration observed at least one candidate");
+        if let RegionAdapt::Recalibrating(sweep) = &mut slot.adapt {
+            if let Some((config, best)) = sweep.record(Measurement::from(exit), self.objective) {
                 slot.adapt = RegionAdapt::Converged {
                     config,
-                    expected_j: energy,
+                    expected_j: best.node_energy_j,
                 };
                 self.recalibrated += 1;
                 if let Some(watch) = &mut slot.watch {
-                    watch.rebase(energy);
+                    watch.rebase(best.node_energy_j);
                 }
             }
             return;
@@ -598,11 +573,7 @@ impl MonitorState {
                 remaining: remaining as u32,
             });
         }
-        self.slots[idx].adapt = RegionAdapt::Recalibrating {
-            candidates,
-            next: 0,
-            observed: Vec::new(),
-        };
+        self.slots[idx].adapt = RegionAdapt::Recalibrating(Sweep::new(candidates));
         Ok(needed)
     }
 

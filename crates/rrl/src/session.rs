@@ -59,6 +59,7 @@
 //! skips the power model's `pow`/`exp` calls; a miss costs one compare.
 
 use kernels::BenchmarkSpec;
+use ptf::experiments::Measurement;
 use ptf::TuningModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -85,6 +86,16 @@ pub struct RegionExit {
     pub cpu_energy_j: f64,
     /// Whether the region ran uninstrumented because of the filter file.
     pub filtered: bool,
+}
+
+impl From<&RegionExit> for Measurement {
+    fn from(exit: &RegionExit) -> Self {
+        Measurement {
+            node_energy_j: exit.node_energy_j,
+            cpu_energy_j: exit.cpu_energy_j,
+            duration_s: exit.duration_s,
+        }
+    }
 }
 
 /// One region's last `region_power` evaluation: the iteration's workload

@@ -7,7 +7,8 @@ use crate::freq::{CoreFreq, UncoreFreq};
 
 /// One setting of the tuning parameters the plugin controls: OpenMP thread
 /// count, core frequency and uncore frequency (Section III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// Configurations order by threads, then core, then uncore frequency.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct SystemConfig {
     /// Number of OpenMP threads.
     pub threads: u32,

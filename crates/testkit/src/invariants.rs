@@ -52,8 +52,8 @@ use crate::scenario::Scenario;
 /// One violated invariant.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Violation {
-    /// A replay line did not parse, or a job of it names a workload the
-    /// line does not carry.
+    /// A replay line did not parse, or a job of a scenario names a
+    /// workload the scenario does not carry.
     Malformed {
         /// Parse or validation error detail.
         detail: String,
@@ -137,7 +137,7 @@ impl Violation {
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Violation::Malformed { detail } => write!(f, "malformed replay line: {detail}"),
+            Violation::Malformed { detail } => write!(f, "malformed scenario: {detail}"),
             Violation::RunError { event_loop, error } => {
                 write!(f, "{event_loop} event loop errored: {error}")
             }

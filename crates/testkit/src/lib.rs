@@ -79,9 +79,9 @@ pub use shrink::{shrink, Shrunk};
 /// Re-run a replay line produced by a [`Failure`] (or
 /// [`Scenario::to_replay`]) through the full invariant catalog.
 pub fn replay(line: &str) -> Result<ScenarioRun, Box<Failure>> {
-    let scenario = Scenario::from_replay(line).map_err(|detail| {
+    let scenario = Scenario::from_replay(line).map_err(|violation| {
         Box::new(Failure {
-            violation: Violation::Malformed { detail },
+            violation,
             replay: line.to_string(),
         })
     })?;

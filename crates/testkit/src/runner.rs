@@ -123,9 +123,11 @@ fn run_error(loop_name: &'static str, error: RuntimeError) -> Violation {
 }
 
 /// Run `scenario` through both event loops and return both reports.
-/// Errors (as a [`Violation`]) when either loop refuses the scenario —
-/// which for a well-formed generated scenario is itself a finding.
+/// Errors (as a [`Violation`]) when the scenario fails
+/// [`Scenario::validate`], or when either loop refuses it — which for a
+/// well-formed generated scenario is itself a finding.
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, Violation> {
+    scenario.validate()?;
     let fleet = scenario.build_fleet();
     let strategy = scenario
         .online

@@ -17,6 +17,8 @@ use rrl::{
 use serde::{Deserialize, Serialize};
 use simnode::{Cluster, Node, SystemConfig, Topology};
 
+use crate::invariants::Violation;
+
 /// One node of the scenario's fleet.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeSpec {
@@ -442,12 +444,16 @@ impl Scenario {
 
     /// Drop workloads no remaining job references (remapping job indices)
     /// and faults naming dropped jobs — shrinker housekeeping that keeps
-    /// a reduced scenario self-consistent.
+    /// a reduced scenario self-consistent. A job naming a workload the
+    /// scenario does not have is left as it is, for
+    /// [`Scenario::validate`] to report.
     pub fn prune(&mut self) {
         self.faults.retain_jobs(&self.jobs);
         let mut used: Vec<bool> = vec![false; self.workloads.len()];
         for job in &self.jobs {
-            used[job.workload] = true;
+            if let Some(used) = used.get_mut(job.workload) {
+                *used = true;
+            }
         }
         let mut remap: Vec<usize> = vec![usize::MAX; self.workloads.len()];
         let mut kept = 0usize;
@@ -464,7 +470,29 @@ impl Scenario {
             keep
         });
         for job in &mut self.jobs {
-            job.workload = remap[job.workload];
+            if let Some(&kept) = remap.get(job.workload) {
+                job.workload = kept;
+            }
+        }
+    }
+
+    /// Check that every job names a workload the scenario has; the first
+    /// job that does not is a [`Violation::Malformed`] naming it.
+    pub fn validate(&self) -> Result<(), Violation> {
+        match self
+            .jobs
+            .iter()
+            .find(|job| job.workload >= self.workloads.len())
+        {
+            Some(job) => Err(Violation::Malformed {
+                detail: format!(
+                    "job `{}` names workload {}, but the scenario has {} workload(s)",
+                    job.name,
+                    job.workload,
+                    self.workloads.len()
+                ),
+            }),
+            None => Ok(()),
         }
     }
 
@@ -475,23 +503,14 @@ impl Scenario {
     }
 
     /// Parse a replay string produced by [`Scenario::to_replay`]. A line
-    /// whose job names a workload the scenario does not have is rejected,
-    /// naming the job.
-    pub fn from_replay(line: &str) -> Result<Self, String> {
-        let scenario: Self = serde_json::from_str(line.trim())
-            .map_err(|e| format!("unparseable replay line: {e}"))?;
-        if let Some(job) = scenario
-            .jobs
-            .iter()
-            .find(|job| job.workload >= scenario.workloads.len())
-        {
-            return Err(format!(
-                "job `{}` names workload {}, but the scenario has {} workload(s)",
-                job.name,
-                job.workload,
-                scenario.workloads.len()
-            ));
-        }
+    /// that does not parse, or that fails [`Scenario::validate`], is a
+    /// [`Violation::Malformed`].
+    pub fn from_replay(line: &str) -> Result<Self, Violation> {
+        let scenario: Self =
+            serde_json::from_str(line.trim()).map_err(|e| Violation::Malformed {
+                detail: format!("unparseable replay line: {e}"),
+            })?;
+        scenario.validate()?;
         Ok(scenario)
     }
 }

@@ -11,7 +11,7 @@ use dvfs_ufs_tuning::kernels::{self, toy_benchmark};
 use dvfs_ufs_tuning::ptf::{
     build_dataset, phase_counter_rates, EnergyModel, ExhaustiveSearch, ExplorationInputs,
     ExplorationPlan, ModelBasedNeighbourhood, RandomSearch, SearchStrategy, TuningError,
-    TuningModel, TuningSession,
+    TuningModel, TuningObjective, TuningSession,
 };
 use dvfs_ufs_tuning::rrl::{
     ClusterScheduler, FaultInjector, MatchPolicy, ModelProvenance, ModelSource, OnlineConfig,
@@ -1219,3 +1219,36 @@ fn model_based_calibration_measures_the_rates_once() {
 /// Recorded with the rates measured before every plan, whether the
 /// strategy read them or not.
 const MODEL_BASED_PUBLICATION_GOLDEN: u64 = 0xe9af_cad9_aae7_087d;
+
+/// Under the EDP objective, an online calibration and a monitor run forced
+/// through `recalibrate_region` keep the outcomes they had when each online
+/// ranking site compared scores by hand (golden FNV-1a of the two
+/// `OnlineOutcome`s' `Debug` text). Every other online golden runs the
+/// energy objective.
+#[test]
+fn edp_calibration_and_recalibration_outcomes_are_golden() {
+    let node = Node::exact(0);
+    let bench = kernels::benchmark("miniMD").unwrap();
+    let config = OnlineConfig {
+        objective: TuningObjective::Edp,
+    };
+    let strategy = strategy();
+    let mut calib =
+        OnlineTuner::calibrate("edp-calib", &bench, &node, &strategy, None, config).unwrap();
+    calib.run_to_completion().unwrap();
+    let calibrated = calib.finish().unwrap();
+    let publication = calibrated.publication.clone().expect("converged");
+    let served = served_with(&publication.model, publication.expected);
+    let mut monitor = OnlineTuner::monitor("edp-monitor", &bench, &node, served, config).unwrap();
+    assert!(monitor.recalibrate_region("compute_force").unwrap() > 0);
+    monitor.run_to_completion().unwrap();
+    let monitored = monitor.finish().unwrap();
+    assert!(monitored.publication.is_some());
+
+    let text = format!("{calibrated:?}\n{monitored:?}");
+    assert_eq!(kernels::fnv1a(text.as_bytes()), EDP_ONLINE_GOLDEN, "{text}");
+}
+
+/// Recorded with the online tuner ranking candidates by hand, before the
+/// ranking moved into `TuningObjective::best`.
+const EDP_ONLINE_GOLDEN: u64 = 0x19b9_2d3a_71c5_ed0d;

@@ -371,6 +371,40 @@ fn replay_line_naming_a_missing_workload_is_malformed() {
     }
 }
 
+/// The same for a scenario built in code: the invariant catalog reports it
+/// as malformed instead of the runner panicking on the index, and pruning
+/// leaves the job alone instead of indexing past the workloads.
+#[test]
+fn scenario_naming_a_missing_workload_is_malformed() {
+    let mut scenario = ScenarioGenerator::new(GeneratorConfig {
+        jobs: 2,
+        nodes: 1,
+        workloads: 1,
+        fault_fraction: 0.0,
+        ..GeneratorConfig::default()
+    })
+    .generate(84);
+    scenario.jobs[0].workload = 7;
+    let failure = testkit::check(&scenario).expect_err("out-of-range workload");
+    match &failure.violation {
+        Violation::Malformed { detail } => {
+            assert!(
+                detail.contains(&scenario.jobs[0].name),
+                "names the job: {detail}"
+            );
+        }
+        other => panic!("expected a malformed scenario, got {other}"),
+    }
+    scenario.prune();
+    assert_eq!(scenario.jobs[0].workload, 7);
+    assert_eq!(scenario.jobs[1].workload, 0);
+    assert_eq!(scenario.workloads.len(), 1);
+    assert!(matches!(
+        scenario.validate(),
+        Err(Violation::Malformed { .. })
+    ));
+}
+
 /// A line whose workload runs no phase iteration: every job's savings are
 /// 0/0 = NaN in every run, which the bit-identity invariants must accept.
 #[test]
