@@ -223,7 +223,6 @@ fn bench_trace_io(c: &mut Criterion) {
 /// PCP configuration switch (both frequency domains + threads), the per-
 /// region cost of the RRL's dynamic tuning.
 fn bench_pcp_switch(c: &mut Criterion) {
-    let node = Node::exact(0);
     let a = SystemConfig::new(24, 2500, 2000);
     let b2 = SystemConfig::new(20, 2400, 2300);
     c.bench_function("rrl/pcp_switch", |b| {
@@ -231,7 +230,7 @@ fn bench_pcp_switch(c: &mut Criterion) {
         let mut flip = false;
         b.iter(|| {
             flip = !flip;
-            black_box(stack.apply(&node, if flip { b2 } else { a }))
+            black_box(stack.apply(if flip { b2 } else { a }))
         })
     });
 }

@@ -3,12 +3,13 @@
 //! to the paper's reported optima for the test set. Used to keep the
 //! simulator's characters honest; not one of the paper's artefacts itself.
 
-use bench_suite::optimum;
+use ptf::experiments::ExperimentsEngine;
+use ptf::{SearchSpace, TuningObjective};
 use simnode::Node;
 
 fn main() {
     let node = Node::exact(0);
-    let threads = [12u32, 16, 20, 24];
+    let configs = SearchSpace::full(vec![12, 16, 20, 24]).configs();
     println!(
         "{:<14} {:>7} {:>6} {:>6} {:>9} {:>10}  paper (static, Table V)",
         "benchmark", "threads", "CF", "UCF", "T[s]", "E_node[J]"
@@ -21,7 +22,9 @@ fn main() {
         ("Mcbenchmark", "20thr 1.6|2.5"),
     ];
     for b in kernels::all_benchmarks() {
-        let best = optimum(&b, &node, &threads);
+        let (best, m) = ExperimentsEngine::new(&node)
+            .try_best_for_region(&b.phase_character(), &configs, TuningObjective::Energy)
+            .expect("the full space is not empty");
         let note = paper
             .iter()
             .find(|(n, _)| *n == b.name)
@@ -30,11 +33,11 @@ fn main() {
         println!(
             "{:<14} {:>7} {:>6.1} {:>6.1} {:>9.3} {:>10.1}{}",
             b.name,
-            best.config.threads,
-            best.config.core.ghz(),
-            best.config.uncore.ghz(),
-            best.duration_s,
-            best.node_energy_j,
+            best.threads,
+            best.core.ghz(),
+            best.uncore.ghz(),
+            m.duration_s,
+            m.node_energy_j,
             note
         );
     }

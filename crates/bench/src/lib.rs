@@ -11,4 +11,4 @@ pub mod experiments;
 pub mod summary;
 pub mod sweep;
 
-pub use sweep::{energy_grid, optimum, EnergyGrid, GridPoint};
+pub use sweep::{energy_grid, EnergyGrid, GridPoint};

@@ -1,6 +1,8 @@
 //! Shared sweep utilities for the experiment binaries.
 
 use kernels::BenchmarkSpec;
+use ptf::experiments::Measurement;
+use ptf::TuningObjective;
 use simnode::{ExecutionEngine, FreqDomain, Node, SystemConfig};
 
 /// One evaluated configuration.
@@ -24,12 +26,23 @@ pub struct EnergyGrid {
 }
 
 impl EnergyGrid {
-    /// The point with minimum node energy.
+    /// The point with minimum node energy, as [`TuningObjective::best`]
+    /// ranks it.
     pub fn minimum(&self) -> &GridPoint {
+        let (best, _) = TuningObjective::Energy
+            .best(self.points.iter().map(|p| {
+                let m = Measurement {
+                    node_energy_j: p.node_energy_j,
+                    cpu_energy_j: p.cpu_energy_j,
+                    duration_s: p.duration_s,
+                };
+                (p.config, m)
+            }))
+            .expect("non-empty grid");
         self.points
             .iter()
-            .min_by(|a, b| a.node_energy_j.total_cmp(&b.node_energy_j))
-            .expect("non-empty grid")
+            .find(|p| p.config == best)
+            .expect("best is a grid point")
     }
 
     /// Energy normalised to a reference configuration's energy.
@@ -92,19 +105,6 @@ pub fn energy_grid(
         })
         .collect();
     EnergyGrid { points }
-}
-
-/// Exhaustive energy optimum over the full Haswell domains for the given
-/// thread candidates.
-pub fn optimum(bench: &BenchmarkSpec, node: &Node, threads: &[u32]) -> GridPoint {
-    *energy_grid(
-        bench,
-        node,
-        threads,
-        &FreqDomain::haswell_core(),
-        &FreqDomain::haswell_uncore(),
-    )
-    .minimum()
 }
 
 #[cfg(test)]

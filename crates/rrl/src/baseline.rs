@@ -62,15 +62,9 @@ impl<'c> BaselineMemo<'c> {
     ) -> Result<JobRecord, RuntimeError> {
         debug_assert_eq!(fingerprint, bench.fingerprint());
         let node = self.cluster.node(node_idx);
-        let config = node_default(node);
         let key = (fingerprint, iterations, node_idx);
         let baseline = match self.runs.get(&key) {
-            Some(&hit) => {
-                // The simulated run launches at the default; leave the
-                // node's MSRs where it would have.
-                node.apply_frequencies(&config);
-                hit
-            }
+            Some(&hit) => hit,
             None => {
                 let truncated;
                 let (bench, fingerprint) = if iterations < bench.phase_iterations {
@@ -84,7 +78,8 @@ impl<'c> BaselineMemo<'c> {
                 };
                 let baseline = Baseline {
                     fingerprint,
-                    window: RuntimeSession::static_session(job, bench, node, config)?.window(),
+                    window: RuntimeSession::static_session(job, bench, node, node_default(node))?
+                        .window(),
                 };
                 self.runs.insert(key, baseline);
                 baseline

@@ -45,18 +45,12 @@ use ptf::experiments::Measurement;
 use ptf::{
     EnergyModel, ExplorationInputs, ExplorationPlan, SearchStrategy, TuningModel, TuningObjective,
 };
-use scorep_lite::dyn_detect::SIGNIFICANCE_THRESHOLD_S;
+use scorep_lite::dyn_detect::{thread_ladder, DynDetectConfig, SIGNIFICANCE_THRESHOLD_S};
 use simnode::{Node, SystemConfig};
 
 use crate::error::RuntimeError;
 use crate::online::{ModelPublication, Sweep};
 use crate::session::RegionExit;
-
-/// Lower bound of the OpenMP thread sweep ladder (paper: 12).
-const THREAD_LOWER_BOUND: u32 = 12;
-
-/// Step of the thread sweep ladder (paper: 4).
-const THREAD_STEP: u32 = 4;
 
 enum Stage {
     Threads(Sweep),
@@ -106,16 +100,18 @@ impl<'a> CalibrationSchedule<'a> {
         objective: TuningObjective,
         seed: u64,
     ) -> Result<Self, RuntimeError> {
-        // A benchmark that is not thread-tunable, or a node below the
-        // ladder's lower bound, sweeps its full core count alone.
+        // The design-time ladder (`readex-dyn-detect`'s default bounds);
+        // a benchmark that is not thread-tunable sweeps its full core
+        // count alone.
         let max = node.topology().max_threads();
-        let lowest = if bench.model.tunable_threads() {
-            THREAD_LOWER_BOUND.min(max)
+        let ladder = if bench.model.tunable_threads() {
+            let bounds = DynDetectConfig::default();
+            thread_ladder(bounds.thread_lower_bound, bounds.thread_step, max)
         } else {
-            max
+            vec![max]
         };
-        let threads: Vec<SystemConfig> = (lowest..=max)
-            .step_by(THREAD_STEP as usize)
+        let threads: Vec<SystemConfig> = ladder
+            .into_iter()
             .map(|t| SystemConfig::calibration().with_threads(t))
             .collect();
         let needed = threads.len() as u32 + 2;

@@ -296,11 +296,6 @@ impl TuningModelRepository {
         self
     }
 
-    /// Set or replace the calibration fallback configuration.
-    pub fn set_fallback(&mut self, config: SystemConfig) {
-        self.fallback = Some(config);
-    }
-
     /// The configured fallback, if any.
     pub fn fallback(&self) -> Option<SystemConfig> {
         self.fallback
@@ -855,7 +850,7 @@ mod tests {
             repo.serve_fallback(&b),
             Err(RuntimeError::NoModel { .. })
         ));
-        repo.set_fallback(SystemConfig::new(24, 2400, 1700));
+        let mut repo = repo.with_fallback(SystemConfig::new(24, 2400, 1700));
         let served = repo.serve_fallback(&b).expect("fallback configured");
         assert_eq!(served.source, ModelSource::Fallback);
         let s = repo.stats();

@@ -215,7 +215,6 @@ impl<'a> RuntimeSession<'a> {
         if !node.supports(&initial) {
             return Err(RuntimeError::UnsupportedInitial { config: initial });
         }
-        node.apply_frequencies(&initial);
         let job = job.into();
         let seed = job_seed(&job, fingerprint, node);
         let inst = InstrumentationConfig::scorep_defaults();
@@ -426,7 +425,7 @@ impl<'a> RuntimeSession<'a> {
     /// Drive the node to `desired` through the PCPs, charging the
     /// transition latency to the job's wall time.
     fn switch_to(&mut self, desired: SystemConfig) {
-        let latency = self.pcps.apply(self.node, desired);
+        let latency = self.pcps.apply(desired);
         if latency > 0.0 {
             // The switch stalls execution: wall time only, no power
             // segment (HDEEM integrates region power over regions).

@@ -110,16 +110,18 @@ impl TuningConfigFile {
         inter || intra
     }
 
-    /// Candidate thread counts `lower, lower+step, …, max`.
+    /// Candidate thread counts: the [`thread_ladder`] of this file's
+    /// bounds on a node of `max_threads`.
     pub fn thread_candidates(&self, max_threads: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        let mut t = self.thread_lower_bound;
-        while t <= max_threads {
-            out.push(t);
-            t += self.thread_step;
-        }
-        out
+        thread_ladder(self.thread_lower_bound, self.thread_step, max_threads)
     }
+}
+
+/// The OpenMP thread ladder `lower, lower+step, …` up to `max` (the paper's
+/// 12:4:24 on a Taurus node). A node below the lower bound sweeps `[max]`
+/// alone, so the ladder is never empty on a node with threads.
+pub fn thread_ladder(lower: u32, step: u32, max: u32) -> Vec<u32> {
+    (lower.min(max)..=max).step_by(step as usize).collect()
 }
 
 /// Run detection over a profiling run.
@@ -267,6 +269,7 @@ mod tests {
         };
         assert_eq!(cf.thread_candidates(24), vec![12, 16, 20, 24]);
         assert_eq!(cf.thread_candidates(13), vec![12]);
+        assert_eq!(cf.thread_candidates(8), vec![8], "clamped to the node");
         assert!(!cf.has_dynamism(), "no regions -> no dynamism");
     }
 }

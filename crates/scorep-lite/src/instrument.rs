@@ -135,8 +135,6 @@ pub struct AppRunReport {
     pub switch_time_s: f64,
     /// Total instrumentation overhead time (probes + residual), seconds.
     pub instr_overhead_s: f64,
-    /// Configuration in effect when the run ended.
-    pub final_config: SystemConfig,
 }
 
 /// A benchmark bound to a node with instrumentation.
@@ -182,7 +180,6 @@ impl<'a> InstrumentedApp<'a> {
         mut writer: Option<&mut TraceWriter>,
     ) -> AppRunReport {
         let mut pcps = PcpStack::new(initial);
-        self.node.apply_frequencies(&initial);
         let mut profile = CallTreeProfile::new();
         let mut hdeem = HdeemMetricPlugin::new();
         let mut rapl_j = 0.0;
@@ -209,7 +206,7 @@ impl<'a> InstrumentedApp<'a> {
                     pcps.current()
                 } else {
                     let desired = hook.config_for(&region.name, iter, pcps.current());
-                    let switch_latency = pcps.apply(self.node, desired);
+                    let switch_latency = pcps.apply(desired);
                     if switch_latency > 0.0 {
                         // The switch stalls execution; charge it at the
                         // (new) configuration's idle-ish power via the
@@ -282,7 +279,6 @@ impl<'a> InstrumentedApp<'a> {
             switches: pcps.switches(),
             switch_time_s: pcps.total_latency_s(),
             instr_overhead_s,
-            final_config: pcps.current(),
         }
     }
 }

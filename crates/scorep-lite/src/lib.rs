@@ -20,7 +20,8 @@
 //! * [`trace`] — OTF2-style binary traces (writer/reader),
 //! * [`parser`] — the custom OTF2 post-processing tool: whole-run energy
 //!   plus per-phase-instance PAPI values,
-//! * [`pcp`] — the three Parameter Control Plugins,
+//! * [`pcp`] — the three Parameter Control Plugins as one stack that
+//!   charges each switch its latency,
 //! * [`metric`] — the HDEEM metric plugin.
 
 #![warn(missing_docs)]

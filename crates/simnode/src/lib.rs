@@ -22,8 +22,6 @@
 //! * [`hdeem`] — the node-level FPGA energy sensor of Section V (the
 //!   RAPL CPU energy is each [`RegionRun`]'s `cpu_energy_j`, the package
 //!   share of its power),
-//! * [`msr`] — an `x86_adapt`-style register interface through which
-//!   frequency changes are applied,
 //! * [`node`] / [`cluster`] — node instances with power variability.
 //!
 //! The simulator is deterministic given node seeds. All quantities carry
@@ -39,7 +37,6 @@ pub mod config;
 pub mod exec;
 pub mod freq;
 pub mod hdeem;
-pub mod msr;
 pub mod node;
 pub mod papi;
 pub mod power;
@@ -52,7 +49,6 @@ pub use config::SystemConfig;
 pub use exec::{ExecutionEngine, RegionRun};
 pub use freq::{CoreFreq, FreqDomain, UncoreFreq};
 pub use hdeem::HdeemSensor;
-pub use msr::MsrBank;
 pub use node::Node;
 pub use papi::{CounterSet, CounterValues, PapiCounter};
 pub use power::{PowerBreakdown, PowerModel};

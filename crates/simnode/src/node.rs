@@ -1,8 +1,7 @@
 //! A compute node instance.
 //!
-//! Binds together topology, power model, the MSR bank and — crucially for
-//! Figures 2–3 of the paper — this node's manufacturing *power variability*
-//! factor. "The actual energy values of the application depend upon the
+//! Binds together topology, power model and — crucially for Figures 2–3 of
+//! the paper — this node's manufacturing *power variability* factor. "The actual energy values of the application depend upon the
 //! compute node where the application is being executed" (Section IV-B);
 //! normalising by the energy at the calibration frequencies removes the
 //! factor, which is the motivation for training on normalised energy.
@@ -15,7 +14,6 @@ use rand_distr::{Distribution, Normal};
 
 use crate::config::SystemConfig;
 use crate::freq::FreqDomain;
-use crate::msr::MsrBank;
 use crate::power::{ActivityFactors, PowerBreakdown, PowerModel};
 use crate::topology::Topology;
 
@@ -31,7 +29,6 @@ pub struct Node {
     power_model: PowerModel,
     variability: f64,
     counter_noise_sd: f64,
-    msr: MsrBank,
     rng: Mutex<StdRng>,
 }
 
@@ -51,7 +48,6 @@ impl Node {
             power_model: PowerModel::haswell_ep(),
             variability,
             counter_noise_sd: 0.002,
-            msr: MsrBank::new(Topology::taurus_haswell()),
             rng: Mutex::new(rng),
         }
     }
@@ -80,10 +76,8 @@ impl Node {
     /// Override the node's topology — the lever for modelling
     /// *capability gaps* in a heterogeneous fleet (e.g. a node with fewer
     /// cores than the Taurus reference, which then rejects 24-thread
-    /// configurations through [`Node::supports`]). The MSR bank is
-    /// rebuilt to match the new topology.
+    /// configurations through [`Node::supports`]).
     pub fn with_topology(mut self, topo: Topology) -> Self {
-        self.msr = MsrBank::new(topo);
         self.topo = topo;
         self
     }
@@ -108,11 +102,6 @@ impl Node {
         self.counter_noise_sd
     }
 
-    /// The node's MSR bank (frequency control registers).
-    pub fn msr(&self) -> &MsrBank {
-        &self.msr
-    }
-
     /// Evaluate the power model for this node.
     pub fn power(&self, cfg: &SystemConfig, act: &ActivityFactors) -> PowerBreakdown {
         self.power_model
@@ -130,23 +119,6 @@ impl Node {
             && cfg.threads <= self.topo.max_threads()
             && FreqDomain::haswell_core().contains(cfg.core.mhz())
             && FreqDomain::haswell_uncore().contains(cfg.uncore.mhz())
-    }
-
-    /// Apply a frequency configuration through the MSR bank, returning the
-    /// transition latency incurred (core and uncore transitions overlap, so
-    /// the cost is their maximum; thread-count changes are handled by the
-    /// OpenMP runtime, not MSRs).
-    pub fn apply_frequencies(&self, cfg: &SystemConfig) -> f64 {
-        let c = self.msr.set_all_core_mhz(cfg.core.mhz());
-        let u = self.msr.set_all_uncore_mhz(cfg.uncore.mhz());
-        c.max(u)
-    }
-
-    /// Frequencies currently programmed in the MSRs (threads are not a
-    /// hardware property; the returned config carries the requested thread
-    /// count of the caller's choosing via `with_threads`).
-    pub fn programmed_frequencies(&self) -> (u32, u32) {
-        (self.msr.core_mhz(), self.msr.uncore_mhz())
     }
 
     /// Run a closure with this node's RNG (counter noise etc.).
@@ -217,18 +189,6 @@ mod tests {
             !n.supports(&SystemConfig::taurus_default()),
             "24-thread configs are beyond the gapped node"
         );
-        // The MSR bank was rebuilt for the reduced core count.
-        n.apply_frequencies(&SystemConfig::new(12, 1600, 2300));
-        assert_eq!(n.programmed_frequencies(), (1600, 2300));
-    }
-
-    #[test]
-    fn apply_frequencies_programs_msrs() {
-        let n = Node::exact(0);
-        let cfg = SystemConfig::new(24, 1600, 2300);
-        let latency = n.apply_frequencies(&cfg);
-        assert_eq!(n.programmed_frequencies(), (1600, 2300));
-        assert!((latency - 21e-6).abs() < 1e-12, "latency = max(21µs, 20µs)");
     }
 
     #[test]

@@ -429,7 +429,7 @@ impl Scenario {
     pub(crate) fn build_repository_from(&self, entries: &[StoredEntry]) -> TuningModelRepository {
         let mut repo = TuningModelRepository::new().with_capacity(self.repository.capacity);
         if let Some(fb) = self.repository.fallback {
-            repo.set_fallback(fb);
+            repo = repo.with_fallback(fb);
         }
         for entry in entries {
             match &entry.expected {

@@ -154,20 +154,3 @@ fn significance_threshold_matches_hdeem_resolution() {
     let exact = 250.0 * 0.100;
     assert!((long.energy_j - exact).abs() / exact < 0.06);
 }
-
-/// MSR-level check: applying a configuration programs every core and
-/// socket register (the x86_adapt path).
-#[test]
-fn frequencies_are_applied_through_msrs() {
-    use dvfs_ufs_tuning::simnode::msr::{IA32_PERF_CTL, MSR_UNCORE_RATIO_LIMIT};
-    let node = Node::exact(0);
-    node.apply_frequencies(&SystemConfig::new(24, 1700, 2100));
-    for core in 0..24 {
-        let raw = node.msr().read(core, IA32_PERF_CTL).unwrap();
-        assert_eq!((raw >> 8) & 0xFF, 17, "core {core} ratio");
-    }
-    for socket in 0..2 {
-        let raw = node.msr().read(socket, MSR_UNCORE_RATIO_LIMIT).unwrap();
-        assert_eq!(raw & 0x7F, 21, "socket {socket} max ratio");
-    }
-}

@@ -9,7 +9,7 @@ use dvfs_ufs_tuning::ptf::{
     EnergyModel, ExhaustiveSearch, ExperimentCache, RandomSearch, TuningError, TuningObjective,
     TuningSession,
 };
-use dvfs_ufs_tuning::simnode::Node;
+use dvfs_ufs_tuning::simnode::{Node, Topology};
 
 /// Shared model: training once keeps the debug-mode test binary fast.
 fn model(node: &Node) -> EnergyModel {
@@ -179,4 +179,24 @@ fn misuse_surfaces_as_errors_not_panics() {
     let err = TuningSession::builder(&node).run(&bench).unwrap_err();
     assert!(matches!(err, TuningError::MissingModel { .. }));
     assert!(err.to_string().contains("with_model"));
+}
+
+#[test]
+fn node_below_the_thread_ladder_tunes_at_its_full_core_count() {
+    // An 8-thread node sits below the paper's 12:4:max ladder. The
+    // ladder's lower bound clamps to the node, as the online calibration
+    // does, so the thread step sweeps the full core count alone instead
+    // of failing on an empty candidate set.
+    let topo = Topology {
+        cores_per_socket: 4,
+        ..Topology::taurus_haswell()
+    };
+    let node = Node::exact(0).with_topology(topo);
+    let bench = kernels::benchmark("Lulesh").unwrap();
+    let advice = TuningSession::builder(&node)
+        .with_strategy(&ExhaustiveSearch)
+        .run(&bench)
+        .expect("an 8-thread node tunes");
+    assert_eq!(advice.phase_best.threads, 8);
+    assert!(node.supports(&advice.phase_best));
 }
