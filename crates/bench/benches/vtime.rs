@@ -1,5 +1,6 @@
 //! Virtual-time kernel hot paths: raw event dispatch through
-//! `simkit::Kernel`, and the discrete-event service driving a 1M-job,
+//! `simkit::Kernel`, a pre-scheduled 1M-arrival trace through the bare
+//! kernel, and the discrete-event service driving a 1M-job,
 //! hours-of-virtual-time arrival trace.
 //!
 //! The service bench is the subsystem's scale claim: one million jobs
@@ -18,6 +19,7 @@ use simkit::{EventSink, Kernel, Process, Time};
 use simnode::{Cluster, SystemConfig};
 
 const KERNEL_EVENTS: u64 = 1_000_000;
+const KERNEL_ARRIVALS: u32 = 1_000_000;
 const SERVICE_JOBS: usize = 1_000_000;
 const NODES: u32 = 64;
 
@@ -68,6 +70,55 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
+/// One pre-scheduled arrival, or the follow-up it schedules.
+enum Arrival {
+    Arrive(u32),
+    Finish,
+}
+
+/// Each arrival schedules one follow-up 1-3 k ticks later; with an
+/// arrival every 10 ticks about 200 follow-ups are pending at once.
+struct ArrivalTrace;
+
+impl Process<Arrival> for ArrivalTrace {
+    type Error = std::convert::Infallible;
+
+    fn handle(
+        &mut self,
+        _now: Time,
+        event: Arrival,
+        sink: &mut dyn EventSink<Arrival>,
+    ) -> Result<(), Self::Error> {
+        if let Arrival::Arrive(i) = event {
+            sink.schedule_in(
+                1_000 + u64::from(i.wrapping_mul(7_919) % 2_000),
+                Arrival::Finish,
+            );
+        }
+        Ok(())
+    }
+}
+
+/// The service's event shape without the service: one million arrivals
+/// scheduled up front in time order, each scheduling one follow-up
+/// while the trace drains, so the queue holds the whole trace plus a
+/// small active set.
+fn bench_kernel_arrivals(c: &mut Criterion) {
+    let mut group = c.benchmark_group("vtime/kernel");
+    group.bench_function("arrivals_1m", |b| {
+        b.iter(|| {
+            let mut kernel = Kernel::new();
+            for i in 0..KERNEL_ARRIVALS {
+                kernel.schedule_at(u64::from(i) * 10, Arrival::Arrive(i));
+            }
+            kernel.run(&mut ArrivalTrace).expect("infallible");
+            assert_eq!(kernel.processed(), 2 * u64::from(KERNEL_ARRIVALS));
+            black_box(kernel.now())
+        })
+    });
+    group.finish();
+}
+
 /// The scale claim: a 1M-job trace arriving over ~4 hours of virtual
 /// time, all hitting one pre-stored model across 64 nodes. Minimal
 /// per-job work (one region, one phase iteration) so the measurement is
@@ -110,6 +161,6 @@ fn bench_service_trace(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(5)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_kernel_dispatch, bench_service_trace
+    targets = bench_kernel_dispatch, bench_kernel_arrivals, bench_service_trace
 }
 criterion_main!(benches);

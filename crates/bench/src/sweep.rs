@@ -10,12 +10,9 @@ use simnode::{ExecutionEngine, FreqDomain, Node, SystemConfig};
 pub struct GridPoint {
     /// The configuration.
     pub config: SystemConfig,
-    /// Node energy of one phase iteration, joules.
-    pub node_energy_j: f64,
-    /// CPU (RAPL) energy of one phase iteration, joules.
-    pub cpu_energy_j: f64,
-    /// Duration of one phase iteration, seconds.
-    pub duration_s: f64,
+    /// One phase iteration at `config`: node and CPU (RAPL) energy,
+    /// joules, and duration, seconds.
+    pub measurement: Measurement,
 }
 
 /// A full CF × UCF (× threads) energy surface for one benchmark phase.
@@ -28,21 +25,14 @@ pub struct EnergyGrid {
 impl EnergyGrid {
     /// The point with minimum node energy, as [`TuningObjective::best`]
     /// ranks it.
-    pub fn minimum(&self) -> &GridPoint {
-        let (best, _) = TuningObjective::Energy
-            .best(self.points.iter().map(|p| {
-                let m = Measurement {
-                    node_energy_j: p.node_energy_j,
-                    cpu_energy_j: p.cpu_energy_j,
-                    duration_s: p.duration_s,
-                };
-                (p.config, m)
-            }))
+    pub fn minimum(&self) -> GridPoint {
+        let (config, measurement) = TuningObjective::Energy
+            .best(self.points.iter().map(|p| (p.config, p.measurement)))
             .expect("non-empty grid");
-        self.points
-            .iter()
-            .find(|p| p.config == best)
-            .expect("best is a grid point")
+        GridPoint {
+            config,
+            measurement,
+        }
     }
 
     /// Energy normalised to a reference configuration's energy.
@@ -51,21 +41,21 @@ impl EnergyGrid {
             .points
             .iter()
             .find(|p| p.config == reference)
-            .map(|p| p.node_energy_j)
+            .map(|p| p.measurement.node_energy_j)
             .expect("reference configuration in grid");
         self.points
             .iter()
-            .map(|p| (p.config, p.node_energy_j / base))
+            .map(|p| (p.config, p.measurement.node_energy_j / base))
             .collect()
     }
 
     /// Points within `frac` (e.g. 0.02) of the minimum node energy — the
     /// pink "<2 % of optimum" band of Figures 6–7.
     pub fn near_optimal(&self, frac: f64) -> Vec<&GridPoint> {
-        let min = self.minimum().node_energy_j;
+        let min = self.minimum().measurement.node_energy_j;
         self.points
             .iter()
-            .filter(|p| p.node_energy_j <= min * (1.0 + frac))
+            .filter(|p| p.measurement.node_energy_j <= min * (1.0 + frac))
             .collect()
     }
 }
@@ -98,9 +88,11 @@ pub fn energy_grid(
             let run = engine.run_region(&phase, cfg, node);
             GridPoint {
                 config: *cfg,
-                node_energy_j: run.node_energy_j,
-                cpu_energy_j: run.cpu_energy_j,
-                duration_s: run.duration_s,
+                measurement: Measurement {
+                    node_energy_j: run.node_energy_j,
+                    cpu_energy_j: run.cpu_energy_j,
+                    duration_s: run.duration_s,
+                },
             }
         })
         .collect();
@@ -127,7 +119,7 @@ mod tests {
         assert!(g
             .points
             .iter()
-            .all(|p| p.node_energy_j >= min.node_energy_j));
+            .all(|p| p.measurement.node_energy_j >= min.measurement.node_energy_j));
     }
 
     #[test]

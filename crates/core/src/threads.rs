@@ -25,12 +25,23 @@ pub struct ThreadTuning {
     pub experiments: u64,
 }
 
-/// Exhaustively evaluate the thread candidates for the phase region on
-/// `engine` (the staged session passes its cache-sharing engine here).
-/// Errors instead of panicking on an empty candidate set.
-///
-/// MPI-only benchmarks are not thread-tunable; they are pinned to the
-/// full core count and the sweep contains that single point.
+/// The thread counts a sweep of `bench` visits on `node`: `ladder` for
+/// a thread-tunable benchmark. MPI-only benchmarks are not
+/// thread-tunable; they are pinned to the full core count, so their
+/// sweep is that single point. Design time and the online calibration
+/// both plan their thread sweep through this.
+pub fn thread_sweep(bench: &BenchmarkSpec, node: &Node, ladder: &[u32]) -> Vec<u32> {
+    if bench.model.tunable_threads() {
+        ladder.to_vec()
+    } else {
+        vec![node.topology().max_threads()]
+    }
+}
+
+/// Exhaustively evaluate the [`thread_sweep`] of `candidates` for the
+/// phase region on `engine` (the staged session passes its
+/// cache-sharing engine here). Errors instead of panicking on an empty
+/// candidate set.
 pub fn tune_threads_with(
     engine: &mut ExperimentsEngine<'_>,
     bench: &BenchmarkSpec,
@@ -38,11 +49,7 @@ pub fn tune_threads_with(
     candidates: &[u32],
     objective: TuningObjective,
 ) -> Result<ThreadTuning, TuningError> {
-    let candidates: Vec<u32> = if bench.model.tunable_threads() {
-        candidates.to_vec()
-    } else {
-        vec![node.topology().max_threads()]
-    };
+    let candidates = thread_sweep(bench, node, candidates);
     if candidates.is_empty() {
         return Err(TuningError::EmptyCandidates {
             stage: "thread tuning",

@@ -42,6 +42,7 @@ use std::collections::BTreeMap;
 
 use kernels::{splitmix64, BenchmarkSpec};
 use ptf::experiments::Measurement;
+use ptf::threads::thread_sweep;
 use ptf::{
     EnergyModel, ExplorationInputs, ExplorationPlan, SearchStrategy, TuningModel, TuningObjective,
 };
@@ -100,17 +101,15 @@ impl<'a> CalibrationSchedule<'a> {
         objective: TuningObjective,
         seed: u64,
     ) -> Result<Self, RuntimeError> {
-        // The design-time ladder (`readex-dyn-detect`'s default bounds);
-        // a benchmark that is not thread-tunable sweeps its full core
-        // count alone.
-        let max = node.topology().max_threads();
-        let ladder = if bench.model.tunable_threads() {
-            let bounds = DynDetectConfig::default();
-            thread_ladder(bounds.thread_lower_bound, bounds.thread_step, max)
-        } else {
-            vec![max]
-        };
-        let threads: Vec<SystemConfig> = ladder
+        // The design-time ladder (`readex-dyn-detect`'s default bounds),
+        // through the design-time thread-sweep rule.
+        let bounds = DynDetectConfig::default();
+        let ladder = thread_ladder(
+            bounds.thread_lower_bound,
+            bounds.thread_step,
+            node.topology().max_threads(),
+        );
+        let threads: Vec<SystemConfig> = thread_sweep(bench, node, &ladder)
             .into_iter()
             .map(|t| SystemConfig::calibration().with_threads(t))
             .collect();

@@ -7,12 +7,22 @@
 //! * [`VirtualClock`] — a monotone `u64` virtual timestamp. The unit is
 //!   the *caller's* choice (the cluster service uses microseconds, the
 //!   net fabric uses ticks); the kernel only requires monotonicity.
-//! * [`EventHeap`] — a binary min-heap of typed events ordered by
+//! * [`EventHeap`] — a priority queue of typed events ordered by
 //!   `(deliver_at, seq_id)`. The sequence id breaks same-instant ties
 //!   deterministically: events scheduled earlier fire earlier. This is
 //!   the exact rule `rrl::net::SimTransport` has used since PR 6 (there
 //!   the tie-break key is the monotone message id, threaded in via
-//!   [`EventHeap::schedule_keyed`]).
+//!   [`EventHeap::schedule_keyed`]). The queue is a sorted FIFO run
+//!   beside a binary min-heap: an entry scheduled in order (not below
+//!   the run's last entry) is appended to the run, anything else goes
+//!   to the heap, and a pop takes the smaller of the two heads. A
+//!   pre-sorted arrival trace therefore never enters the heap, which
+//!   only holds the events the run loop schedules as it goes. Because
+//!   every pending entry has a distinct `(deliver_at, seq_id)` (see
+//!   [`EventHeap`]), the pop order is that one total order whichever
+//!   structure holds an entry. In the worst case every entry is
+//!   scheduled out of order and goes to the heap, at a plain binary
+//!   heap's cost plus one comparison per schedule and per pop.
 //! * [`Kernel`] + the [`Process`]/[`EventSink`] traits — the run loop.
 //!   [`Kernel::run`] pops the earliest event, advances the clock to its
 //!   timestamp, and hands it to the process, which may schedule further
@@ -38,7 +48,7 @@
 #![warn(rust_2018_idioms)]
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use obskit::{Recorder, Track};
 
@@ -121,7 +131,7 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// A time-ordered event heap with deterministic `(deliver_at, seq_id)`
+/// A time-ordered event queue with deterministic `(deliver_at, seq_id)`
 /// tie-breaking.
 ///
 /// [`schedule`](EventHeap::schedule) assigns monotone internal sequence
@@ -131,7 +141,41 @@ impl<E> Ord for Entry<E> {
 /// through so same-tick deliveries sort by message id, exactly as the
 /// pre-kernel transport did. The internal counter is bumped past every
 /// caller key, so the two schemes never collide on one heap.
+///
+/// # Run plus heap
+///
+/// Pending entries live in two structures: a FIFO *run* kept sorted by
+/// `(at, seq)`, and a binary min-heap. A new entry is appended to the
+/// run when its `(at, seq)` is not below the run's last entry (or the
+/// run is empty); otherwise it is pushed onto the heap. [`pop`] and
+/// [`peek`] take the smaller of the run's front and the heap's top, and
+/// [`len`]/[`is_empty`] count both.
+///
+/// The pop order is the same as a single heap's. Every pending entry
+/// carries a distinct `(at, seq)`: [`schedule`] ids are monotone and
+/// never reuse a caller key, and `SimTransport`'s keys are message ids,
+/// unique per message (the duplicate copy of a message fires at
+/// `deliver_at + 1`, so it too has its own pair). The smaller head of a
+/// sorted run and a min-heap is the least pending entry, so pops follow
+/// that one total order whichever structure holds an entry. (A caller
+/// that keys two pending entries with the same pair gets them in an
+/// unspecified relative order, as a binary heap alone would give.)
+///
+/// A trace scheduled in time order (the service's arrivals) stays in the
+/// run and costs O(1) per schedule and pop; the heap only holds what
+/// arrives out of order, such as the steps a run loop schedules between
+/// arrivals, so its `log n` sifts run over the active set rather than
+/// the whole trace. In the worst case every entry arrives out of order
+/// and goes to the heap, at a single heap's cost plus one comparison
+/// per schedule and per pop.
+///
+/// [`pop`]: EventHeap::pop
+/// [`peek`]: EventHeap::peek
+/// [`len`]: EventHeap::len
+/// [`is_empty`]: EventHeap::is_empty
+/// [`schedule`]: EventHeap::schedule
 pub struct EventHeap<E> {
+    run: VecDeque<Scheduled<E>>,
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
 }
@@ -139,7 +183,7 @@ pub struct EventHeap<E> {
 impl<E> std::fmt::Debug for EventHeap<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventHeap")
-            .field("pending", &self.heap.len())
+            .field("pending", &self.len())
             .field("next_seq", &self.next_seq)
             .finish()
     }
@@ -155,6 +199,7 @@ impl<E> EventHeap<E> {
     /// An empty heap.
     pub fn new() -> Self {
         Self {
+            run: VecDeque::new(),
             heap: BinaryHeap::new(),
             next_seq: 0,
         }
@@ -165,7 +210,7 @@ impl<E> EventHeap<E> {
     pub fn schedule(&mut self, at: Time, event: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry(Scheduled { at, seq, event }));
+        self.push(Scheduled { at, seq, event });
         seq
     }
 
@@ -175,31 +220,58 @@ impl<E> EventHeap<E> {
     /// collide with it.
     pub fn schedule_keyed(&mut self, at: Time, key: u64, event: E) {
         self.next_seq = self.next_seq.max(key.saturating_add(1));
-        self.heap.push(Entry(Scheduled {
+        self.push(Scheduled {
             at,
             seq: key,
             event,
-        }));
+        });
+    }
+
+    /// Append `entry` to the run when it keeps the run sorted, else
+    /// push it onto the heap.
+    fn push(&mut self, entry: Scheduled<E>) {
+        match self.run.back() {
+            Some(back) if (entry.at, entry.seq) < (back.at, back.seq) => {
+                self.heap.push(Entry(entry))
+            }
+            _ => self.run.push_back(entry),
+        }
+    }
+
+    /// True when the run's front is the earliest pending entry.
+    fn run_leads(&self) -> bool {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(r), Some(h)) => (r.at, r.seq) < (h.0.at, h.0.seq),
+            (run, _) => run.is_some(),
+        }
     }
 
     /// The `(at, seq)` of the earliest pending event, if any.
     pub fn peek(&self) -> Option<(Time, u64)> {
-        self.heap.peek().map(|e| (e.0.at, e.0.seq))
+        if self.run_leads() {
+            self.run.front().map(|r| (r.at, r.seq))
+        } else {
+            self.heap.peek().map(|e| (e.0.at, e.0.seq))
+        }
     }
 
     /// Pop the earliest pending event.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        self.heap.pop().map(|e| e.0)
+        if self.run_leads() {
+            self.run.pop_front()
+        } else {
+            self.heap.pop().map(|e| e.0)
+        }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.run.len() + self.heap.len()
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.run.is_empty() && self.heap.is_empty()
     }
 }
 
@@ -433,6 +505,214 @@ mod tests {
         assert_eq!(order, ["nine-early", "three", "seven"]);
         // Internal ids continue past the largest caller key.
         assert_eq!(h.schedule(0, "next"), 10);
+    }
+
+    /// SplitMix64: a seeded stream for the property tests below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The reference queue: the pending entries, popped by a plain sort
+    /// on `(at, seq)`.
+    #[derive(Default)]
+    struct Reference {
+        pending: Vec<(Time, u64, u32)>,
+        next_seq: u64,
+    }
+
+    impl Reference {
+        fn schedule(&mut self, at: Time, event: u32) -> u64 {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.pending.push((at, seq, event));
+            seq
+        }
+
+        fn schedule_keyed(&mut self, at: Time, key: u64, event: u32) {
+            self.next_seq = self.next_seq.max(key + 1);
+            self.pending.push((at, key, event));
+        }
+
+        fn holds(&self, at: Time, seq: u64) -> bool {
+            self.pending.iter().any(|&(a, s, _)| (a, s) == (at, seq))
+        }
+
+        fn pop(&mut self) -> Option<(Time, u64, u32)> {
+            self.pending.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
+            (!self.pending.is_empty()).then(|| self.pending.remove(0))
+        }
+
+        fn peek(&self) -> Option<(Time, u64)> {
+            self.pending.iter().map(|&(at, seq, _)| (at, seq)).min()
+        }
+    }
+
+    fn assert_agrees(heap: &EventHeap<u32>, reference: &Reference) {
+        assert_eq!(heap.peek(), reference.peek());
+        assert_eq!(heap.len(), reference.pending.len());
+        assert_eq!(heap.is_empty(), reference.pending.is_empty());
+    }
+
+    #[test]
+    fn run_and_heap_pop_in_reference_order() {
+        for seed in 0..64u64 {
+            let mut rng = Rng(seed);
+            let mut heap = EventHeap::new();
+            let mut reference = Reference::default();
+            let mut tail: Time = 0;
+            let mut event = 0u32;
+            for _ in 0..400 {
+                match rng.below(6) {
+                    // An in-order burst with same-instant ties: lands in
+                    // the run while the run's tail allows it.
+                    0 | 1 => {
+                        for _ in 0..1 + rng.below(8) {
+                            tail += rng.below(3);
+                            event += 1;
+                            let seq = heap.schedule(tail, event);
+                            assert_eq!(seq, reference.schedule(tail, event));
+                            assert_agrees(&heap, &reference);
+                        }
+                    }
+                    // Anywhere up to the tail: mostly below the run's
+                    // last entry, so into the heap.
+                    2 => {
+                        let at = rng.below(tail + 1);
+                        event += 1;
+                        let seq = heap.schedule(at, event);
+                        assert_eq!(seq, reference.schedule(at, event));
+                    }
+                    // A caller key below or above the internal counter,
+                    // on a pair nothing pending holds.
+                    3 => {
+                        let at = rng.below(tail + 2);
+                        let key = if rng.below(2) == 0 {
+                            rng.below(reference.next_seq + 1)
+                        } else {
+                            reference.next_seq + rng.below(4)
+                        };
+                        if !reference.holds(at, key) {
+                            event += 1;
+                            heap.schedule_keyed(at, key, event);
+                            reference.schedule_keyed(at, key, event);
+                        }
+                    }
+                    // Drain a few.
+                    _ => {
+                        for _ in 0..1 + rng.below(6) {
+                            let got = heap.pop().map(|e| (e.at, e.seq, e.event));
+                            assert_eq!(got, reference.pop(), "seed {seed}");
+                            assert_agrees(&heap, &reference);
+                        }
+                    }
+                }
+                assert_agrees(&heap, &reference);
+            }
+            while let Some(want) = reference.pop() {
+                let got = heap.pop().map(|e| (e.at, e.seq, e.event));
+                assert_eq!(got, Some(want), "seed {seed}");
+                assert_agrees(&heap, &reference);
+            }
+            assert!(heap.pop().is_none());
+        }
+    }
+
+    #[test]
+    fn kernel_clamps_to_now_in_reference_order() {
+        /// Each handled event schedules up to two children: in the past
+        /// (clamped to now), at now (a tie) or ahead. The same rule
+        /// drives the reference.
+        fn children(event: u32, now: Time) -> Vec<(Time, u32)> {
+            if event >= 3000 {
+                return Vec::new();
+            }
+            let mut rng = Rng(u64::from(event));
+            (1..=rng.below(3) as u32)
+                .map(|k| {
+                    let at = match rng.below(3) {
+                        0 => now.saturating_sub(rng.below(5)),
+                        1 => now,
+                        _ => now + rng.below(20),
+                    };
+                    (at, event * 2 + k)
+                })
+                .collect()
+        }
+
+        struct Tree {
+            seen: Vec<(Time, u32)>,
+        }
+        impl Process<u32> for Tree {
+            type Error = std::convert::Infallible;
+            fn handle(
+                &mut self,
+                now: Time,
+                event: u32,
+                sink: &mut dyn EventSink<u32>,
+            ) -> Result<(), Self::Error> {
+                self.seen.push((now, event));
+                for (at, child) in children(event, now) {
+                    sink.schedule_at(at, child);
+                }
+                Ok(())
+            }
+        }
+
+        for seed in 0..16u64 {
+            let mut rng = Rng(seed);
+            let mut kernel = Kernel::new();
+            let mut process = Tree { seen: Vec::new() };
+            let mut reference = Reference::default();
+            let mut now: Time = 0;
+            let mut expected = Vec::new();
+            // Seeds in time order (the run), then a few out of order.
+            for root in 0..40u32 {
+                let at = u64::from(root) * 3;
+                kernel.schedule_at(at, root);
+                reference.schedule(at, root);
+            }
+            for root in 40..48u32 {
+                let at = rng.below(120);
+                kernel.schedule_at(at, root);
+                reference.schedule(at, root);
+            }
+            let mut outside = 1_000_000u32;
+            loop {
+                // Between steps, seed from outside: clamped to the clock.
+                if rng.below(8) == 0 {
+                    let at = now.saturating_sub(5) + rng.below(10);
+                    outside += 1;
+                    kernel.schedule_at(at, outside);
+                    reference.schedule(at.max(now), outside);
+                }
+                assert_eq!(kernel.pending(), reference.pending.len());
+                assert_eq!(kernel.is_quiesced(), reference.pending.is_empty());
+                let Some((at, _, event)) = reference.pop() else {
+                    break;
+                };
+                now = now.max(at);
+                expected.push((now, event));
+                for (at, child) in children(event, now) {
+                    reference.schedule(at.max(now), child);
+                }
+                assert!(kernel.step(&mut process).unwrap());
+                assert_eq!(kernel.now(), now);
+            }
+            assert!(!kernel.step(&mut process).unwrap());
+            assert_eq!(process.seen, expected, "seed {seed}");
+        }
     }
 
     #[test]
