@@ -9,7 +9,7 @@ use dvfs_ufs_tuning::enermodel::nn::NetConfig;
 use dvfs_ufs_tuning::enermodel::train::TrainConfig;
 use dvfs_ufs_tuning::kernels::{self, toy_benchmark};
 use dvfs_ufs_tuning::ptf::{
-    build_dataset, phase_counter_rates, EnergyModel, ExhaustiveSearch, ExplorationInputs,
+    build_dataset, phase_counter_rates, Advice, EnergyModel, ExhaustiveSearch, ExplorationInputs,
     ExplorationPlan, ModelBasedNeighbourhood, RandomSearch, SearchStrategy, TuningError,
     TuningModel, TuningObjective, TuningSession,
 };
@@ -1116,6 +1116,79 @@ fn small_energy_model() -> EnergyModel {
             ..TrainConfig::default()
         },
     )
+}
+
+/// The design-time advice and the online-converged model of `bench` under
+/// `strategy`, with the experiments each side counted.
+fn design_and_online(
+    node: &Node,
+    bench: &BenchmarkSpec,
+    strategy: &dyn SearchStrategy,
+    energy_model: &EnergyModel,
+) -> (Advice, TuningModel, u32) {
+    let advice = TuningSession::builder(node)
+        .with_model(energy_model)
+        .with_strategy(strategy)
+        .run(bench)
+        .expect("design-time session succeeds");
+    let mut tuner = OnlineTuner::calibrate(
+        "agreement",
+        bench,
+        node,
+        strategy,
+        Some(energy_model),
+        OnlineConfig::default(),
+    )
+    .expect("calibration fits the phase loop");
+    tuner.run_to_completion().expect("event loop succeeds");
+    let model = tuner.converged_model().expect("converged").clone();
+    let explored = tuner
+        .finish()
+        .expect("finish succeeds")
+        .accounting
+        .online
+        .expect("online activity recorded")
+        .explored_iterations;
+    (advice, model, explored)
+}
+
+/// Under the `Neighbourhood` verification rule online calibration
+/// converges to the design-time per-region and phase configurations, as it
+/// does under `RandomSearch`'s reused pool. Design time measures its phase
+/// search on the aggregate phase character and so measures every
+/// verification configuration; online has per-region measurements of the
+/// phase candidates and skips those. The pinned counts are the
+/// `(k + 1 + phase + verification)` experiments each side reports.
+#[test]
+fn online_convergence_matches_design_time_under_the_neighbourhood_rule() {
+    let node = Node::exact(0);
+    let energy_model = small_energy_model();
+    let minimd = kernels::benchmark("miniMD").unwrap();
+    let toy = toy_benchmark("toy", 2e10, 70);
+    let radius_one = ModelBasedNeighbourhood {
+        radius: 1,
+        recentre_extra: 0,
+    };
+    let paper = ModelBasedNeighbourhood::paper();
+    let random = strategy();
+    let cases: [(&str, &BenchmarkSpec, &dyn SearchStrategy, u64, u32); 3] = [
+        ("miniMD, radius 1", &minimd, &radius_one, 15, 11),
+        ("miniMD, random", &minimd, &random, 29, 17),
+        ("toy, paper", &toy, &paper, 27, 23),
+    ];
+    for (case, bench, strategy, design_count, online_count) in cases {
+        let (advice, model, explored) = design_and_online(&node, bench, strategy, &energy_model);
+        for (region, design_cfg, _) in &advice.region_best {
+            assert_eq!(
+                model.lookup(region),
+                *design_cfg,
+                "{case}: region `{region}` must converge to the design-time config"
+            );
+        }
+        assert_eq!(model.phase_config, advice.phase_best, "{case}: phase");
+        assert_eq!(advice.experiments, design_count, "{case}: design time");
+        assert_eq!(explored, online_count, "{case}: online");
+    }
 }
 
 /// Random and exhaustive search never read the counter rates, so their
