@@ -31,9 +31,11 @@
 //! [`session::ExhaustiveSearch`] baseline and the
 //! [`session::RandomSearch`] subset baseline. A strategy only plans: it
 //! turns the analysis results ([`session::ExplorationInputs`]) into an
-//! [`session::ExplorationPlan`], which the session measures on its
-//! experiments engine and the runtime's online tuner measures through
-//! live region events.
+//! [`session::ExplorationPlan`]. The one [`plan::TuningPlan`] sequences
+//! the whole procedure around it — thread sweep, analysis, phase search,
+//! verification — and measures nothing itself: the session answers its
+//! steps from the experiments engine, and the runtime's online tuner
+//! from live phase iterations.
 //!
 //! Sessions built [`with_cache`](session::SessionBuilder::with_cache)
 //! tune many applications over one shared, memoising
@@ -45,12 +47,13 @@
 //!
 //! [`modeldata`] implements the Section IV-A data-acquisition pipeline
 //! (traces → counter rates + normalised energies), [`freqpred`] the
-//! neural-network energy model of tuning step 2, [`threads`] the step-1
-//! thread sweep, [`experiments`] the (optionally cached) experiments
-//! engine, [`objectives`] the tuning objectives (energy, EDP, ED²P,
-//! TCO), [`scenario`]/[`tuning_model`] the system-scenario grouping and
-//! the serialisable artefact the RRL consumes, [`exhaustive`] the
-//! static exhaustive search and the Section V-C tuning-time cost model.
+//! neural-network energy model of tuning step 2, [`plan`] the tuning
+//! procedure design time and online calibration share, [`experiments`]
+//! the (optionally cached) experiments engine, [`objectives`] the tuning
+//! objectives (energy, EDP, ED²P, TCO), [`scenario`]/[`tuning_model`] the
+//! system-scenario grouping and the serialisable artefact the RRL
+//! consumes, [`exhaustive`] the static exhaustive search and the Section
+//! V-C tuning-time cost model.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -61,10 +64,10 @@ pub mod experiments;
 pub mod freqpred;
 pub mod modeldata;
 pub mod objectives;
+pub mod plan;
 pub mod scenario;
 pub mod search;
 pub mod session;
-pub mod threads;
 pub mod tuning_model;
 
 pub use freqpred::EnergyModel;

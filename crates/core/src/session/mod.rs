@@ -19,6 +19,10 @@
 //!     .advice()                      // -> Advice         (the tuning model)
 //! ```
 //!
+//! The stages answer the steps of one [`TuningPlan`] from the
+//! experiments engine; the online calibration answers the same plan from
+//! live phase iterations.
+//!
 //! Every transition returns `Result<_, TuningError>`; nothing on this
 //! path panics. Sessions built [`with_cache`](SessionBuilder::with_cache)
 //! over one shared [`ExperimentCache`] simulate repeated region
@@ -44,11 +48,11 @@ use scorep_lite::instrument::StaticHook;
 use scorep_lite::{InstrumentationConfig, InstrumentedApp, TuningConfigFile};
 use simnode::{CoreFreq, Node, SystemConfig, UncoreFreq};
 
-use crate::experiments::ExperimentsEngine;
+use crate::experiments::{ExperimentsEngine, Measurement};
 use crate::freqpred::EnergyModel;
 use crate::modeldata::phase_counter_rates;
 use crate::objectives::TuningObjective;
-use crate::threads::ThreadTuning;
+use crate::plan::{Stage, Step, ThreadTuning, TuningPlan};
 use crate::tuning_model::TuningModel;
 
 static DEFAULT_STRATEGY: ModelBasedNeighbourhood = ModelBasedNeighbourhood::paper();
@@ -137,13 +141,15 @@ impl<'a> SessionBuilder<'a> {
 
         // Every significant region must resolve in the benchmark spec
         // now, so later stages cannot fail on an unknown region.
+        let mut significant = Vec::new();
         for sig in &config_file.significant_regions {
-            if bench.region(&sig.name).is_none() {
+            let Some(i) = bench.regions.iter().position(|r| r.name == sig.name) else {
                 return Err(TuningError::UnknownRegion {
                     application: bench.name.clone(),
                     region: sig.name.clone(),
                 });
-            }
+            };
+            significant.push(i);
         }
 
         let engine = match self.cache {
@@ -153,13 +159,14 @@ impl<'a> SessionBuilder<'a> {
         Ok(Preprocessed {
             core: SessionCore {
                 node: self.node,
-                model: self.model,
-                objective: self.objective,
                 strategy: self.strategy,
                 engine,
+                plan: TuningPlan::new(bench, self.node, self.strategy, self.model, self.objective),
+                objective: self.objective,
                 bench: bench.clone(),
+                significant,
+                config_file,
             },
-            config_file,
         })
     }
 
@@ -177,67 +184,76 @@ impl<'a> SessionBuilder<'a> {
 /// State shared by all stages.
 struct SessionCore<'a> {
     node: &'a Node,
-    model: Option<&'a EnergyModel>,
-    objective: TuningObjective,
     strategy: &'a dyn SearchStrategy,
     engine: ExperimentsEngine<'a>,
+    plan: TuningPlan<'a>,
+    objective: TuningObjective,
     bench: BenchmarkSpec,
+    /// The significant regions' indices in `bench.regions`.
+    significant: Vec<usize>,
+    config_file: TuningConfigFile,
+}
+
+impl SessionCore<'_> {
+    /// Answer the plan's measure steps until it asks for the analysis or
+    /// is done: one phase iteration evaluates every significant region.
+    fn measure(&mut self) {
+        let phase = self.bench.phase_character();
+        while let Step::Measure(stage, cfg) = self.plan.next() {
+            let total = match stage {
+                Stage::Threads => self.engine.evaluate_phase(&self.bench, &cfg),
+                Stage::Phase => self.engine.evaluate(&phase, &cfg),
+                Stage::Verification => {
+                    for &region in &self.significant {
+                        let character = &self.bench.regions[region].character;
+                        self.plan
+                            .record(region, self.engine.evaluate(character, &cfg));
+                    }
+                    Measurement::default()
+                }
+            };
+            self.plan.complete(total);
+        }
+    }
 }
 
 /// Stage 1: pre-processing done, significant regions known.
 pub struct Preprocessed<'a> {
     core: SessionCore<'a>,
-    config_file: TuningConfigFile,
 }
 
 impl<'a> Preprocessed<'a> {
     /// The `readex-dyn-detect` configuration file.
     pub fn config_file(&self) -> &TuningConfigFile {
-        &self.config_file
+        &self.core.config_file
     }
 
     /// Stage 1 → 2: exhaustive OpenMP thread search for the phase region
     /// (Section III-B). MPI-only applications pin to the full core count.
     pub fn tune_threads(mut self) -> Result<ThreadsTuned<'a>, TuningError> {
-        let max_threads = self.core.node.topology().max_threads();
-        let candidates = self.config_file.thread_candidates(max_threads);
-        let thread_tuning = crate::threads::tune_threads_with(
-            &mut self.core.engine,
-            &self.core.bench,
-            self.core.node,
-            &candidates,
-            self.core.objective,
-        )?;
-        Ok(ThreadsTuned {
-            core: self.core,
-            config_file: self.config_file,
-            thread_tuning,
-        })
+        self.core.measure();
+        Ok(ThreadsTuned { core: self.core })
     }
 }
 
 /// Stage 2: optimal thread count known.
 pub struct ThreadsTuned<'a> {
     core: SessionCore<'a>,
-    config_file: TuningConfigFile,
-    thread_tuning: ThreadTuning,
 }
 
 impl<'a> ThreadsTuned<'a> {
     /// Tuning step 1 outcome.
     pub fn thread_tuning(&self) -> &ThreadTuning {
-        &self.thread_tuning
+        self.core.plan.thread_tuning()
     }
 
     /// Stage 2 → 3: one instrumented analysis run at the calibration
     /// frequencies measuring the phase PAPI counter rates (Section IV-A).
     pub fn analyze(self) -> Result<Analyzed<'a>, TuningError> {
-        let calib = SystemConfig::calibration().with_threads(self.thread_tuning.best_threads);
+        let calib = self.core.plan.analysis_config();
         let phase_rates = phase_counter_rates(&self.core.bench, self.core.node, calib);
         Ok(Analyzed {
             core: self.core,
-            config_file: self.config_file,
-            thread_tuning: self.thread_tuning,
             phase_rates,
         })
     }
@@ -246,8 +262,6 @@ impl<'a> ThreadsTuned<'a> {
 /// Stage 3: phase counter rates measured.
 pub struct Analyzed<'a> {
     core: SessionCore<'a>,
-    config_file: TuningConfigFile,
-    thread_tuning: ThreadTuning,
     phase_rates: [f64; 7],
 }
 
@@ -258,62 +272,17 @@ impl<'a> Analyzed<'a> {
     }
 
     /// Stage 3 → 4: the selected [`SearchStrategy`] plans the phase
-    /// search, the phase-best configuration is measured among its
-    /// candidates, then every significant region is verified against the
-    /// verification set the plan derives from that phase best.
+    /// search, measured among the configurations the node supports, and
+    /// every significant region is verified on the set derived from the
+    /// phase best.
     pub fn tune_frequencies(mut self) -> Result<FrequencyTuned<'a>, TuningError> {
-        // A session verifies regions at the step-1 optimum only.
-        let best_threads = self.thread_tuning.best_threads;
         let rates = self.phase_rates;
-        let phase_character = self.core.bench.phase_character();
-        let plan = self.core.strategy.exploration(&ExplorationInputs {
-            model: self.core.model,
-            phase_rates: &|| rates,
-            best_threads,
-        })?;
-        if plan.phase_candidates.is_empty() {
-            return Err(TuningError::EmptyCandidates {
-                stage: "phase frequency search",
-            });
-        }
-        let (phase_best, _) = self.core.engine.try_best_for_region(
-            &phase_character,
-            &plan.phase_candidates,
-            self.core.objective,
-        )?;
-        let verification = plan.verification_for(phase_best);
-
-        // Per-region verification: all significant regions are evaluated
-        // within the same experiment runs (one phase iteration evaluates
-        // every region), so experiments are counted per configuration,
-        // not per region × configuration.
-        let mut region_best = Vec::new();
-        for sig in &self.config_file.significant_regions {
-            let region =
-                self.core
-                    .bench
-                    .region(&sig.name)
-                    .ok_or_else(|| TuningError::UnknownRegion {
-                        application: self.core.bench.name.clone(),
-                        region: sig.name.clone(),
-                    })?;
-            let (cfg, m) = self.core.engine.try_best_for_region(
-                &region.character,
-                &verification,
-                self.core.objective,
-            )?;
-            region_best.push((sig.name.clone(), cfg, m.node_energy_j));
-        }
-
+        let core = &mut self.core;
+        core.plan.analysed(&core.significant, &|| rates)?;
+        core.measure();
         Ok(FrequencyTuned {
             core: self.core,
-            config_file: self.config_file,
-            thread_tuning: self.thread_tuning,
             phase_rates: self.phase_rates,
-            predicted_global: plan.predicted_global,
-            phase_best,
-            search_experiments: (plan.phase_candidates.len() + verification.len()) as u64,
-            region_best,
         })
     }
 }
@@ -321,56 +290,34 @@ impl<'a> Analyzed<'a> {
 /// Stage 4: frequencies tuned, regions verified.
 pub struct FrequencyTuned<'a> {
     core: SessionCore<'a>,
-    config_file: TuningConfigFile,
-    thread_tuning: ThreadTuning,
     phase_rates: [f64; 7],
-    predicted_global: Option<(CoreFreq, UncoreFreq)>,
-    phase_best: SystemConfig,
-    /// Phase candidates plus verification configurations, in
-    /// phase-iteration equivalents (the Section V-C accounting).
-    search_experiments: u64,
-    region_best: Vec<(String, SystemConfig, f64)>,
 }
 
 impl FrequencyTuned<'_> {
     /// The verified best phase configuration.
     pub fn phase_best(&self) -> SystemConfig {
-        self.phase_best
-    }
-
-    /// Per-region best configurations found so far.
-    pub fn region_best(&self) -> &[(String, SystemConfig, f64)] {
-        &self.region_best
+        self.core.plan.phase_best()
     }
 
     /// Stage 4 → 5: group regions into scenarios and emit the tuning
     /// model (the `getAdvice` step).
     #[must_use]
     pub fn advice(self) -> Advice {
-        let benchmark_fingerprint = self.core.bench.fingerprint();
-        let tuning_model = TuningModel::new(
-            &self.core.bench.name,
-            &self
-                .region_best
-                .iter()
-                .map(|(n, c, _)| (n.clone(), *c))
-                .collect::<Vec<_>>(),
-            self.phase_best,
-        );
-        // Experiments in application-run equivalents: thread sweep (k) +
-        // one analysis run + phase search + one per verification
-        // configuration — the `(k + 1 + 9)` accounting of Section V-C.
-        let experiments = self.thread_tuning.experiments + 1 + self.search_experiments;
+        let plan = &self.core.plan;
+        let names = &self.core.bench.regions;
+        let region_best = plan.region_best().iter();
+        let region_best =
+            region_best.map(|&(i, cfg, m)| (names[i].name.clone(), cfg, m.node_energy_j));
         Advice {
-            tuning_model,
-            benchmark_fingerprint,
-            config_file: self.config_file,
-            thread_tuning: self.thread_tuning,
+            tuning_model: plan.tuning_model(&self.core.bench),
+            benchmark_fingerprint: self.core.bench.fingerprint(),
+            config_file: self.core.config_file,
+            thread_tuning: plan.thread_tuning().clone(),
             phase_rates: self.phase_rates,
-            predicted_global: self.predicted_global,
-            phase_best: self.phase_best,
-            region_best: self.region_best,
-            experiments,
+            predicted_global: plan.predicted_global(),
+            phase_best: plan.phase_best(),
+            region_best: region_best.collect(),
+            experiments: plan.experiments(),
             engine_runs: self.core.engine.region_runs(),
             engine_requests: self.core.engine.requests(),
             strategy: self.core.strategy.name(),
@@ -469,9 +416,8 @@ mod tests {
         assert_eq!(threads.thread_tuning().best_threads, 24);
         let analyzed = threads.analyze().unwrap();
         assert!(analyzed.phase_rates().iter().all(|&r| r > 0.0));
-        let tuned = analyzed.tune_frequencies().unwrap();
-        assert_eq!(tuned.region_best().len(), 5);
-        let advice = tuned.advice();
+        let advice = analyzed.tune_frequencies().unwrap().advice();
+        assert_eq!(advice.region_best.len(), 5);
         assert_eq!(advice.tuning_model.application, "Lulesh");
         assert_eq!(advice.benchmark_fingerprint, bench.fingerprint());
         assert!(advice.engine_runs <= advice.engine_requests);

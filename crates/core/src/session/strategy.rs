@@ -10,9 +10,11 @@
 //!
 //! A strategy only plans: [`SearchStrategy::exploration`] turns the
 //! analysis results into an [`ExplorationPlan`] (phase candidates plus a
-//! [`VerificationRule`]) without measuring anything. The session measures
-//! that plan on its experiments engine; the runtime's online tuner
-//! measures the same plan through live region events.
+//! [`VerificationRule`]) without measuring anything. The one
+//! [`TuningPlan`](crate::plan::TuningPlan) calls it at its analysis step,
+//! keeps the candidates the node supports and ranks what its caller
+//! measures: the session from its experiments engine, the runtime's
+//! online tuner from live phase iterations.
 
 use kernels::splitmix64;
 use simnode::{CoreFreq, FreqDomain, SystemConfig, UncoreFreq};
@@ -22,9 +24,8 @@ use crate::search::SearchSpace;
 use crate::session::TuningError;
 
 /// The analysis results a strategy consults when generating candidates.
-/// They carry no measurements: the design-time session measures the
-/// resulting plan on its experiments engine, and the runtime's online
-/// tuner measures the same plan through live region events.
+/// They carry no measurements: the [`TuningPlan`](crate::plan::TuningPlan)
+/// passes them in at its analysis step.
 #[derive(Clone, Copy)]
 pub struct ExplorationInputs<'a> {
     /// The trained energy model, when one is available.
@@ -69,10 +70,9 @@ pub enum VerificationRule {
 
 /// A strategy's search decomposed into its two measurement stages: the
 /// phase candidates to measure first, and the rule producing the
-/// verification set from the measured phase best. The design-time session
-/// ([`Analyzed::tune_frequencies`](crate::session::Analyzed::tune_frequencies))
-/// measures this plan on the experiments engine; the runtime's online
-/// tuner measures it through live region events instead.
+/// verification set from the measured phase best. The
+/// [`TuningPlan`](crate::plan::TuningPlan) sequences both stages for the
+/// design-time session and the runtime's online tuner alike.
 #[derive(Debug, Clone)]
 pub struct ExplorationPlan {
     /// Model-predicted global frequency pair, when the strategy has one.
@@ -110,7 +110,8 @@ impl ExplorationPlan {
 
 /// A frequency-search strategy: given the analysis results, plan the
 /// phase candidates and the per-region verification rule. Strategies only
-/// plan; whoever holds the measurements executes the plan.
+/// plan; the [`TuningPlan`](crate::plan::TuningPlan) filters, sequences
+/// and ranks, and its caller measures.
 ///
 /// Strategies must be `Sync`, so a `&dyn SearchStrategy` and the
 /// configurations that borrow one (the runtime's `OnlineTuning`) can be
@@ -121,9 +122,10 @@ pub trait SearchStrategy: std::fmt::Debug + Sync {
     fn name(&self) -> &'static str;
 
     /// Generate the candidate plan from the analysis results alone, with
-    /// no measurements taken. Both the design-time session and the
-    /// runtime's online tuner execute this same plan, so the two paths
-    /// explore identical configurations.
+    /// no measurements taken. The design-time session and the runtime's
+    /// online tuner run it through the same
+    /// [`TuningPlan`](crate::plan::TuningPlan), so the two paths explore
+    /// identical configurations.
     fn exploration(&self, inputs: &ExplorationInputs<'_>) -> Result<ExplorationPlan, TuningError>;
 }
 

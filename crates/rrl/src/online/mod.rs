@@ -10,14 +10,12 @@
 //! * [`tuner`] — the [`OnlineTuner`]: wraps a
 //!   [`RuntimeSession`](crate::RuntimeSession) behind the same event
 //!   protocol. On a repository **miss** it *calibrates*: the job's early
-//!   phase iterations become an exploration budget, candidate
-//!   configurations are generated by the design-time
-//!   [`SearchStrategy`](ptf::SearchStrategy) machinery
-//!   (model-based neighbourhood by default; exhaustive/random
-//!   selectable), measured through the session's live region accounting,
-//!   and each significant region converges to its best configuration on a
-//!   deterministic, job-seeded explore schedule. On `finish` the
-//!   converged assignments form a `TuningModel` ready for
+//!   phase iterations answer the steps of the design-time
+//!   [`TuningPlan`](ptf::plan::TuningPlan) (any
+//!   [`SearchStrategy`](ptf::SearchStrategy); model-based neighbourhood
+//!   by default) through the session's live region accounting, on a
+//!   deterministic, job-seeded explore schedule (internal `schedule`).
+//!   On `finish` the converged model is ready for
 //!   [`publish_online`](crate::TuningModelRepository::publish_online) —
 //!   in a cluster run, the first job of a new workload calibrates and
 //!   every subsequent job hits: same-workload jobs wait behind the
@@ -31,15 +29,10 @@
 //!   region's adaptation state and its watch; the served expectations
 //!   resolve to slots once, when the job starts, and names appear again
 //!   only in the [`DriftEvent`]s and the re-publication.
-//! * `schedule` (internal) — the calibration stage machine (thread sweep
-//!   → analysis → phase search → verification → exploit), whose
-//!   converged model is the calibration's [`ModelPublication`].
 //!
-//! Every measured choice — the thread sweep, the phase search, each
-//! region's verification and a drift-flagged region's re-calibration — is
-//! ranked by [`TuningObjective::best`], the rule the design-time session
-//! ranks by, so ties go to the smaller configuration on both paths. The
-//! candidates measured one per visit run through one `Sweep` (internal).
+//! Every measured choice, the plan's and a drift-flagged region's
+//! re-calibration (one [`Sweep`](ptf::plan::Sweep)), is ranked by
+//! [`TuningObjective::best`], as at design time.
 //!
 //! ```text
 //! match repo.serve_stored(&bench)? {
@@ -60,45 +53,7 @@ pub mod tuner;
 pub use drift::{DriftDetector, DriftEvent};
 pub use tuner::{ModelPublication, OnlineOutcome, OnlineTuner};
 
-use ptf::experiments::Measurement;
 use ptf::TuningObjective;
-use simnode::SystemConfig;
-
-/// Candidate configurations measured one after another, one measurement
-/// each, and ranked by [`TuningObjective::best`] once all are measured.
-struct Sweep {
-    candidates: Vec<SystemConfig>,
-    measured: Vec<(SystemConfig, Measurement)>,
-}
-
-impl Sweep {
-    /// A sweep over `candidates`, which must not be empty.
-    fn new(candidates: Vec<SystemConfig>) -> Self {
-        Self {
-            measured: Vec::with_capacity(candidates.len()),
-            candidates,
-        }
-    }
-
-    /// The candidate the next measurement runs under.
-    fn current(&self) -> SystemConfig {
-        self.candidates[self.measured.len()]
-    }
-
-    /// Record the current candidate's measurement; once every candidate
-    /// is measured, the best of them under `objective`.
-    fn record(
-        &mut self,
-        measurement: Measurement,
-        objective: TuningObjective,
-    ) -> Option<(SystemConfig, Measurement)> {
-        self.measured.push((self.current(), measurement));
-        if self.measured.len() < self.candidates.len() {
-            return None;
-        }
-        objective.best(self.measured.iter().copied())
-    }
-}
 
 /// Settings for online calibration.
 ///

@@ -5,6 +5,7 @@
 
 use kernels::BenchmarkSpec;
 use ptf::experiments::Measurement;
+use ptf::plan::Sweep;
 use ptf::{EnergyModel, SearchSpace, SearchStrategy, TuningModel, TuningObjective};
 use simnode::{Node, SystemConfig};
 
@@ -12,7 +13,7 @@ use crate::error::RuntimeError;
 use crate::inject::FaultInjector;
 use crate::online::drift::{DriftDetector, DriftEvent};
 use crate::online::schedule::CalibrationSchedule;
-use crate::online::{OnlineConfig, Sweep};
+use crate::online::OnlineConfig;
 use crate::repository::{ModelSource, ServedModel};
 use crate::sacct::{JobAccounting, OnlineActivity};
 use crate::session::{RegionExit, RuntimeSession};

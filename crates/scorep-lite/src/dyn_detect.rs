@@ -8,7 +8,8 @@
 //!
 //! The tool also characterises each significant region's dynamism
 //! (compute- vs memory-intensity here) and emits the configuration file the
-//! tuning plugin takes as input, including the OpenMP thread tuning bounds.
+//! tuning plugin takes as input. The OpenMP thread ladder the plugin sweeps
+//! is the paper's fixed 12:4:max ([`thread_ladder`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -17,24 +18,23 @@ use crate::profile::CallTreeProfile;
 /// The significance threshold from the paper: 100 ms mean execution time.
 pub const SIGNIFICANCE_THRESHOLD_S: f64 = 0.100;
 
+/// Lower bound of the OpenMP thread ladder (Section V-C uses 12).
+const THREAD_LOWER_BOUND: u32 = 12;
+
+/// Step of the OpenMP thread ladder (Section V-C uses 4).
+const THREAD_STEP: usize = 4;
+
 /// Detection settings.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DynDetectConfig {
     /// Mean-time significance threshold, seconds.
     pub threshold_s: f64,
-    /// Lower bound for the OpenMP thread tuning parameter (Section V-C
-    /// uses 12).
-    pub thread_lower_bound: u32,
-    /// Step size for the thread parameter (Section V-C uses 4).
-    pub thread_step: u32,
 }
 
 impl Default for DynDetectConfig {
     fn default() -> Self {
         Self {
             threshold_s: SIGNIFICANCE_THRESHOLD_S,
-            thread_lower_bound: 12,
-            thread_step: 4,
         }
     }
 }
@@ -74,10 +74,6 @@ pub struct TuningConfigFile {
     pub application: String,
     /// Detected significant regions, heaviest first.
     pub significant_regions: Vec<SignificantRegion>,
-    /// Thread-parameter lower bound.
-    pub thread_lower_bound: u32,
-    /// Thread-parameter step.
-    pub thread_step: u32,
     /// Phase iterations observed in the profiling run.
     pub phase_iterations: u64,
 }
@@ -109,19 +105,15 @@ impl TuningConfigFile {
             .any(|r| r.time_dynamism > 0.10);
         inter || intra
     }
-
-    /// Candidate thread counts: the [`thread_ladder`] of this file's
-    /// bounds on a node of `max_threads`.
-    pub fn thread_candidates(&self, max_threads: u32) -> Vec<u32> {
-        thread_ladder(self.thread_lower_bound, self.thread_step, max_threads)
-    }
 }
 
-/// The OpenMP thread ladder `lower, lower+step, …` up to `max` (the paper's
+/// The OpenMP thread ladder 12, 16, 20, … up to `max` (the paper's
 /// 12:4:24 on a Taurus node). A node below the lower bound sweeps `[max]`
-/// alone, so the ladder is never empty on a node with threads.
-pub fn thread_ladder(lower: u32, step: u32, max: u32) -> Vec<u32> {
-    (lower.min(max)..=max).step_by(step as usize).collect()
+/// alone, so the ladder is never empty.
+pub fn thread_ladder(max: u32) -> Vec<u32> {
+    (THREAD_LOWER_BOUND.min(max)..=max)
+        .step_by(THREAD_STEP)
+        .collect()
 }
 
 /// Run detection over a profiling run.
@@ -153,8 +145,6 @@ pub fn detect(
     TuningConfigFile {
         application: application.to_string(),
         significant_regions: significant,
-        thread_lower_bound: cfg.thread_lower_bound,
-        thread_step: cfg.thread_step,
         phase_iterations: profile.phase_iterations,
     }
 }
@@ -260,16 +250,14 @@ mod tests {
 
     #[test]
     fn thread_candidates_from_paper_bounds() {
+        assert_eq!(thread_ladder(24), vec![12, 16, 20, 24]);
+        assert_eq!(thread_ladder(13), vec![12]);
+        assert_eq!(thread_ladder(8), vec![8], "clamped to the node");
         let cf = TuningConfigFile {
             application: "x".into(),
             significant_regions: vec![],
-            thread_lower_bound: 12,
-            thread_step: 4,
             phase_iterations: 1,
         };
-        assert_eq!(cf.thread_candidates(24), vec![12, 16, 20, 24]);
-        assert_eq!(cf.thread_candidates(13), vec![12]);
-        assert_eq!(cf.thread_candidates(8), vec![8], "clamped to the node");
         assert!(!cf.has_dynamism(), "no regions -> no dynamism");
     }
 }

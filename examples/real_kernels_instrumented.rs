@@ -85,10 +85,7 @@ fn main() {
     let node = Node::new(0, 5);
     // The short host-sized kernels sit below the default 100 ms HDEEM
     // significance threshold; lower it so all four get tuned.
-    let detect = DynDetectConfig {
-        threshold_s: 0.01,
-        ..DynDetectConfig::default()
-    };
+    let detect = DynDetectConfig { threshold_s: 0.01 };
     let advice = TuningSession::builder(&node)
         .with_strategy(&ExhaustiveSearch)
         .with_dyn_detect(detect)

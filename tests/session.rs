@@ -6,10 +6,11 @@ use std::cell::RefCell;
 
 use dvfs_ufs_tuning::kernels;
 use dvfs_ufs_tuning::ptf::{
-    EnergyModel, ExhaustiveSearch, ExperimentCache, RandomSearch, TuningError, TuningObjective,
-    TuningSession,
+    EnergyModel, ExhaustiveSearch, ExperimentCache, ExplorationInputs, ExplorationPlan,
+    RandomSearch, SearchStrategy, TuningError, TuningObjective, TuningSession, VerificationRule,
 };
-use dvfs_ufs_tuning::simnode::{Node, Topology};
+use dvfs_ufs_tuning::rrl::{OnlineConfig, OnlineTuner};
+use dvfs_ufs_tuning::simnode::{Node, SystemConfig, Topology};
 
 /// Shared model: training once keeps the debug-mode test binary fast.
 fn model(node: &Node) -> EnergyModel {
@@ -199,4 +200,70 @@ fn node_below_the_thread_ladder_tunes_at_its_full_core_count() {
         .expect("an 8-thread node tunes");
     assert_eq!(advice.phase_best.threads, 8);
     assert!(node.supports(&advice.phase_best));
+}
+
+/// A strategy that plans a fixed candidate list and reuses it for
+/// verification.
+#[derive(Debug)]
+struct FixedCandidates(Vec<SystemConfig>);
+
+impl SearchStrategy for FixedCandidates {
+    fn name(&self) -> &'static str {
+        "fixed"
+    }
+
+    fn exploration(&self, _: &ExplorationInputs<'_>) -> Result<ExplorationPlan, TuningError> {
+        Ok(ExplorationPlan {
+            predicted_global: None,
+            phase_candidates: self.0.clone(),
+            verification: VerificationRule::ReusePhaseCandidates,
+        })
+    }
+}
+
+#[test]
+fn design_time_drops_configurations_the_node_cannot_run() {
+    // A custom strategy may plan a configuration the node cannot run:
+    // more threads than the node has, or a frequency outside the Haswell
+    // domain. Design time drops it before measuring, as the online
+    // calibration does, so both publish the one runnable candidate and
+    // count only what they measured.
+    let node = Node::exact(0);
+    let bench = kernels::benchmark("miniMD").unwrap();
+    let good = SystemConfig::new(24, 1200, 3000);
+    for bad in [
+        SystemConfig::new(48, 2400, 1700),
+        SystemConfig::new(24, 2600, 1300),
+        SystemConfig::new(24, 2500, 1200),
+    ] {
+        assert!(!node.supports(&bad));
+        let strategy = FixedCandidates(vec![bad, good]);
+        let advice = TuningSession::builder(&node)
+            .with_strategy(&strategy)
+            .run(&bench)
+            .expect("the runnable candidate tunes");
+        assert_eq!(advice.phase_best, good, "{bad}");
+        for (region, cfg, _) in &advice.region_best {
+            assert_eq!(*cfg, good, "{bad}: region `{region}`");
+        }
+        // 4 thread candidates + 1 analysis + 1 phase candidate + 1
+        // verification configuration.
+        assert_eq!(advice.experiments, 7, "{bad}");
+
+        let mut tuner = OnlineTuner::calibrate(
+            "fixed",
+            &bench,
+            &node,
+            &strategy,
+            None,
+            OnlineConfig::default(),
+        )
+        .expect("calibration fits");
+        tuner.run_to_completion().expect("event loop succeeds");
+        let model = tuner.converged_model().expect("converged");
+        assert_eq!(model.phase_config, good, "{bad}");
+        for (region, _, _) in &advice.region_best {
+            assert_eq!(model.lookup(region), good, "{bad}: region `{region}`");
+        }
+    }
 }
